@@ -18,18 +18,29 @@ Workloads (see workloads.py for the command lists and their known answers):
 
 Each repetition runs the whole command list in a fresh single-threaded
 Python process (child.py) that calls warpcurv.cli.main in-process; the
-repetitions go on while the next one is expected to end within --seconds.
+set-up probes and the repetitions go on while the next repetition is
+expected to end within --seconds of the start.
 Every report is checked against its known answer, and reports of equal
 commands must be byte-identical across repetitions (sha256).  --seed sets
 the sample points (and the swell charts' coefficients).
 
+The host is shared, and other tenants' load slows pure-Python code by up
+to 2x in phases of a fraction of a second to minutes.  So every time in the
+end-to-end metrics is in calibrated seconds: the measured seconds times the
+host's speed factor while they were measured, taken from a fixed reference
+loops (calib.py) that the child runs four times a second through each
+untraced command and that run.py runs around each set-up probe.  The raw
+times are printed too.
+
 --trace 0 prints the end-to-end metrics, medians over the repetitions:
-wall_s (first main() call to last return), max_cmd_s (slowest command),
-setup_s (interpreter start until `import warpcurv.cli` returns, median of
-several fresh processes) and peak_rss_mb.  --trace 1 runs the list once
-untraced and once with tracer.py's wrappers and prints per-layer self times
-and counts, trace.overhead_s (traced minus untraced wall) and
-trace.unattributed_s (traced wall outside any span).
+wall_s (the sum of the commands' times: first main() call to last return,
+less the reference loops' samples), max_cmd_s (slowest command), setup_s
+(interpreter start until `import warpcurv.cli` returns, median of several
+fresh processes) and peak_rss_mb (the child's peak resident memory less
+the reference loops' 32 MiB buffer).  --trace 1 runs the list once
+untraced and once with tracer.py's wrappers and prints per-layer self
+times (raw seconds) and counts, trace.overhead_s (traced minus untraced
+calibrated wall) and trace.unattributed_s (traced wall outside any span).
 
 The last line of stdout is one JSON object: correct, attempted, failed and
 metrics.  The exit code is 0 when every command matched its known answer,
@@ -51,6 +62,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import calib
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -58,6 +70,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 FIXTURES = SRC / "warpcurv" / "fixtures"
 SETUP_SAMPLES = 9
+SETUP_REF_SAMPLES = 3                   # calib samples on each side of a probe
 CHILD_TIMEOUT_S = 150
 
 
@@ -77,10 +90,12 @@ def child_env():
 
 
 def setup_time(env):
-    """Seconds from process start until `import warpcurv.cli` returns."""
+    """Seconds from process start until `import warpcurv.cli` returns, and
+    the host's speed factor around it (calib.speed)."""
     probe = ("import warpcurv.cli, sys; "
              "sys.stdout.write(warpcurv.cli.__file__ + '\\n'); "
              "sys.stdout.flush()")
+    samples = [calib.sample_s() for _ in range(SETUP_REF_SAMPLES)]
     t0 = time.perf_counter()
     with subprocess.Popen([sys.executable, "-c", probe], cwd=ROOT, env=env,
                           stdout=subprocess.PIPE) as proc:
@@ -95,7 +110,9 @@ def setup_time(env):
     where = Path(line.decode().strip() or ".").resolve()
     if proc.returncode != 0 or SRC not in where.parents:
         raise BenchError(f"cannot import warpcurv.cli from {SRC}")
-    return seconds
+    samples += [calib.sample_s() for _ in range(SETUP_REF_SAMPLES)]
+    tree, memory = map(sum, zip(*samples))
+    return seconds, calib.speed(tree, memory, len(samples))
 
 
 def run_rep(cmds, work, tag, traced, env):
@@ -162,13 +179,20 @@ def print_commands(reps):
               f"{'FAIL: ' + '; '.join(problems) if problems else 'ok'}")
 
 
+def calibrated(rep):
+    """Each command's calibrated seconds: its time scaled by the host's
+    speed factor from the reference samples taken around and during it."""
+    return [c["seconds"] * calib.speed(*c["ref"]) for c in rep["commands"]]
+
+
 def end_to_end(reps, setup):
     n = len(reps)
+    cmds = [calibrated(r) for r in reps]
     return {
-        "wall_s": (statistics.median(r["wall_s"] for r in reps), "s", n),
-        "max_cmd_s": (statistics.median(
-            max(c["seconds"] for c in r["commands"]) for r in reps), "s", n),
-        "setup_s": (statistics.median(setup), "s", len(setup)),
+        "wall_s": (statistics.median(sum(c) for c in cmds), "s", n),
+        "max_cmd_s": (statistics.median(max(c) for c in cmds), "s", n),
+        "setup_s": (statistics.median(s * f for s, f in setup), "s",
+                    len(setup)),
         "peak_rss_mb": (statistics.median(
             r["peak_rss_kb"] / 1024 for r in reps), "MB", n),
     }
@@ -176,7 +200,8 @@ def end_to_end(reps, setup):
 
 def per_layer(plain, traced):
     layers = dict(traced["layers"])
-    layers["trace.overhead_s"] = traced["wall_s"] - plain["wall_s"]
+    layers["trace.overhead_s"] = (sum(calibrated(traced))
+                                  - sum(calibrated(plain)))
     spans = sum(v for k, v in layers.items()
                 if k.endswith("_s") and not k.startswith("trace."))
     gap = spans + layers["trace.unattributed_s"] - layers["trace.wall_s"]
@@ -191,6 +216,7 @@ def per_layer(plain, traced):
 
 
 def run(args, work):
+    start = time.perf_counter()
     cmds = workloads.WORKLOADS[args.workload](str(FIXTURES), str(work),
                                               args.seed)
     env = child_env()
@@ -199,8 +225,8 @@ def run(args, work):
         reps = [run_rep(cmds, work, "plain", False, env),
                 run_rep(cmds, work, "traced", True, env)]
     else:
+        setup = [setup_time(env) for _ in range(SETUP_SAMPLES)]
         reps = []
-        start = time.perf_counter()
         while True:
             reps.append(run_rep(cmds, work, f"rep{len(reps)}", False, env))
             elapsed = time.perf_counter() - start
@@ -213,11 +239,12 @@ def run(args, work):
                                           if args.trace else ""))
     print("repetition walls: " + ", ".join(f"{r['wall_s']:.3f} s"
                                             for r in reps))
+    print("calibrated walls: " + ", ".join(f"{sum(calibrated(r)):.3f} s"
+                                            for r in reps))
     print_commands(reps)
     if args.trace:
         metrics = per_layer(reps[0], reps[1])
     else:
-        setup = [setup_time(env) for _ in range(SETUP_SAMPLES)]
         metrics = end_to_end(reps, setup)
     for name, (value, unit, samples) in metrics.items():
         print(f"{name:28s} {value:14.6f} {unit:5s} (n = {samples})")
