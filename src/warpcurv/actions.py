@@ -14,14 +14,10 @@ from itertools import product as iproduct
 import mpmath
 
 from . import expr as ex
-from .expr import PointEval, zero_threshold
+from .expr import PointEval, is_literal_zero, to_mpf, zero_threshold
 from .tensor import ChartError, TensorField, raise_first
 
 _K_ALLOWED = {2, 4}
-
-
-def _is_zero_const(e):
-    return isinstance(e, ex.Const) and e.value == 0
 
 
 def _alloc(n, rank):
@@ -67,10 +63,10 @@ def derivation_action(D: TensorField, H: TensorField) -> TensorField:
                 for m in range(k):
                     for t in range(n):
                         c = dup[t][u][v][idx[m]]
-                        if _is_zero_const(c):
+                        if is_literal_zero(c):
                             continue
                         hv = _get(h, idx[:m] + (t,) + idx[m + 1:])
-                        if _is_zero_const(hv):
+                        if is_literal_zero(hv):
                             continue
                         terms.append(ex.mul(c, hv))
                 _set(out, idx + (u, v), ex.neg(ex.add(*terms)))
@@ -92,14 +88,14 @@ def tachibana(A: TensorField, H: TensorField) -> TensorField:
                 terms = []
                 for m in range(k):
                     au = a[u][idx[m]]
-                    if not _is_zero_const(au):
+                    if not is_literal_zero(au):
                         hv = _get(h, idx[:m] + (v,) + idx[m + 1:])
-                        if not _is_zero_const(hv):
+                        if not is_literal_zero(hv):
                             terms.append(ex.mul(au, hv))
                     av = a[v][idx[m]]
-                    if not _is_zero_const(av):
+                    if not is_literal_zero(av):
                         hu = _get(h, idx[:m] + (u,) + idx[m + 1:])
-                        if not _is_zero_const(hu):
+                        if not is_literal_zero(hu):
                             terms.append(ex.neg(ex.mul(av, hu)))
                 _set(out, idx + (u, v), ex.add(*terms))
     return TensorField(chart, (0, k + 2), out)
@@ -175,11 +171,11 @@ def deszcz_ratio(b, point, pi1, pi2, dps=50):
             if wt == 0:
                 continue
             e = _get(comps, idx)
-            if _is_zero_const(e):
+            if is_literal_zero(e):
                 continue
             val, sub = pe.eval_scaled(e)
-            wtm = mpmath.mpf(wt.numerator) / mpmath.mpf(wt.denominator)
-            term = _to_mpf(val) * wtm
+            wtm = to_mpf(wt)
+            term = to_mpf(val) * wtm
             total += term
             for s in (abs(term), sub * abs(wtm)):
                 if s > scale:
@@ -195,9 +191,3 @@ def deszcz_ratio(b, point, pi1, pi2, dps=50):
                     "numerator": num, "denominator": den}
         return {"defined": True, "ratio": num / den,
                 "numerator": num, "denominator": den}
-
-
-def _to_mpf(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)

@@ -255,17 +255,9 @@ def build_spec(m):
 # Report plumbing
 
 
-def _zc(e):
-    return isinstance(e, ex.Const) and e.value == 0
-
-
 def _numstr(v, dps=50, digits=20):
     with mpmath.workdps(dps):
-        if isinstance(v, Fraction):
-            v = mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-        else:
-            v = mpmath.mpf(v)
-        return mpmath.nstr(v, digits)
+        return mpmath.nstr(ex.to_mpf(v), digits)
 
 
 def _ptstr(pt, coords):
@@ -322,14 +314,14 @@ def curvature_report(path, seed=None, points=8):
     nz_r = {}
     for t in _orbit_reps4(n):
         e = b.R.comp(t)
-        if _zc(e) or chart.is_zero(e, trials=points, seed=seed):
+        if ex.is_literal_zero(e) or chart.is_zero(e, trials=points, seed=seed):
             continue
         nz_r[" ".join(str(i + 1) for i in t)] = str(e)
     nz_s = {}
     for i in range(n):
         for j in range(i, n):
             e = b.S.comps[i][j]
-            if _zc(e) or chart.is_zero(e, trials=points, seed=seed):
+            if ex.is_literal_zero(e) or chart.is_zero(e, trials=points, seed=seed):
                 continue
             nz_s[f"{i + 1} {j + 1}"] = str(e)
     samples = []
@@ -358,7 +350,7 @@ def classify_report(path, seed=None, points=8):
     n = chart.n
     rep["command"] = "classify"
     rcomps = [b.R.comp(t) for t in _orbit_reps4(n)]
-    rcomps = [e for e in rcomps if not _zc(e)]
+    rcomps = [e for e in rcomps if not ex.is_literal_zero(e)]
     flat = not rcomps or all(chart.is_zero_many(rcomps, trials=points,
                                                 seed=seed))
     fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
@@ -476,7 +468,7 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
         "records": [{"point": _ptstr(r["point"], chart.coords),
                      "label": r["label"]} for r in tri["records"]],
     }
-    if _zc(l2e):
+    if ex.is_literal_zero(l2e):
         rep["dichotomy"] = {"skipped": True,
                             "reason": "L2 is identically zero; "
                                       "no branch forced"}

@@ -20,7 +20,11 @@ import mpmath
 
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
-from .expr import DEFAULT_SEED, DomainError, InconclusiveError, PointEval, zero_threshold
+from .expr import (
+    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, is_literal_zero,
+    to_mpf, zero_threshold,
+)
+from .tensor import _as_expr
 
 REL_TOL = "1e-20"
 
@@ -75,22 +79,11 @@ class ConditionReport:
     verdicts: dict = field(default_factory=dict)
 
 
-def _mp(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
-
-
-def _zc(e):
-    return isinstance(e, ex.Const) and e.value == 0
-
-
-def _coerce_scalar(val, chart):
-    if isinstance(val, ex.Expr):
-        return val
-    if isinstance(val, str):
-        return ex.parse(val, coords=chart.coords, params=tuple(chart.params))
-    return ex.const(Fraction(val))
+def _scalar_expr(val, chart):
+    """A candidate scalar as an expression; names are checked against chart."""
+    if not isinstance(val, (ex.Expr, str)):
+        val = Fraction(val)
+    return _as_expr(val, chart.coords, tuple(chart.params))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +107,7 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED, dps=50):
         else:
             if key not in scalars:
                 raise ValueError(f"identity {name!r} needs a candidate for {key}")
-            coef = _coerce_scalar(scalars[key], chart)
+            coef = _scalar_expr(scalars[key], chart)
             quals.append(q)
         rhs.append((coef, q))
     idxs = list(iproduct(range(chart.n), repeat=lhs.rank))
@@ -123,40 +116,22 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED, dps=50):
         acc = lhs.comp(t)
         for coef, q in rhs:
             qc = q.comp(t)
-            if not _zc(qc):
+            if not is_literal_zero(qc):
                 acc = ex.sub(acc, ex.mul(coef, qc))
-        if not _zc(acc):
+        if not is_literal_zero(acc):
             defects.append(acc)
-    qual_comps = [[c for c in (q.comp(t) for t in idxs) if not _zc(c)]
+    qual_comps = [[c for c in (q.comp(t) for t in idxs) if not is_literal_zero(c)]
                   for q in quals]
-    pts = chart.sample_points(trials, seed)
     checked = excluded = 0
     holds = True
-    for pt in pts:
+    for pt in chart.sample_points(trials, seed):
         pe = PointEval(pt, dps=dps)
         try:
-            if quals:
-                all_vanish = True
-                for comps in qual_comps:
-                    tensor_zero = True
-                    for c in comps:
-                        v, s = pe.eval_scaled(c)
-                        if abs(_mp(v)) > zero_threshold(s, dps=dps):
-                            tensor_zero = False
-                            break
-                    if not tensor_zero:
-                        all_vanish = False
-                        break
-                if all_vanish:
-                    excluded += 1
-                    continue
-            point_ok = True
-            for d in defects:
-                v, s = pe.eval_scaled(d)
-                if abs(_mp(v)) > zero_threshold(s, dps=dps):
-                    point_ok = False
-                    break
-            if not point_ok:
+            if quals and all(pe.judge(c) == 0 for comps in qual_comps
+                             for c in comps):
+                excluded += 1
+                continue
+            if any(pe.judge(d) != 0 for d in defects):
                 holds = False
         except DomainError:
             continue
@@ -188,7 +163,7 @@ def _fit_vectors(b):
             er, eg, es = rr.comp(t), qg.comp(t), qs.comp(t)
             # entries identically zero in all three columns cannot affect
             # the normal equations; skip them
-            if _zc(er) and _zc(eg) and _zc(es):
+            if is_literal_zero(er) and is_literal_zero(eg) and is_literal_zero(es):
                 continue
             triples.append((er, eg, es))
         b._d["fit_vectors"] = triples
@@ -251,18 +226,12 @@ def fit_pseudosymmetry(b, points, dps=50) -> ConditionReport:
     with mpmath.workdps(dps):
         tol = mpmath.mpf(REL_TOL)
         for pt in points:
+            # cancellation residue below the scaled zero threshold is noise,
+            # not data; judge() snaps it to an exact zero
             pe = PointEval(pt, dps=dps)
-
-            def entry(e):
-                # cancellation residue below the scaled zero threshold is
-                # noise, not data; snap it to an exact zero
-                v, s = pe.eval_scaled(e)
-                v = _mp(v)
-                return v if abs(v) > zero_threshold(s, dps=dps) else mpmath.mpf(0)
-
-            r = [entry(er) for er, _, _ in triples]
-            q1 = [entry(eg) for _, eg, _ in triples]
-            q2 = [entry(es) for _, _, es in triples]
+            r = [pe.judge(er) for er, _, _ in triples]
+            q1 = [pe.judge(eg) for _, eg, _ in triples]
+            q2 = [pe.judge(es) for _, _, es in triples]
             rec = _ls2(q1, q2, r, tol)
             rec["point"] = pt
             records.append(rec)
@@ -288,17 +257,17 @@ def pair_residual(b, point, L1, L2, dps=50):
 
     def val(x):
         if isinstance(x, (ex.Expr, str)):
-            return _mp(pe.eval(_coerce_scalar(x, chart)))
-        return _mp(x)
+            return to_mpf(pe.eval(_scalar_expr(x, chart)))
+        return to_mpf(x)
 
     with mpmath.workdps(dps):
         l1, l2 = val(L1), val(L2)
         res = mpmath.mpf(0)
         scale = mpmath.mpf(0)
         for er, eg, es in triples:
-            rv = _mp(pe.eval(er))
-            g1 = _mp(pe.eval(eg))
-            g2 = _mp(pe.eval(es))
+            rv = to_mpf(pe.eval(er))
+            g1 = to_mpf(pe.eval(eg))
+            g2 = to_mpf(pe.eval(es))
             res += (rv - l1 * g1 - l2 * g2) ** 2
             for s in (abs(rv), abs(l1 * g1), abs(l2 * g2)):
                 if s > scale:
@@ -334,7 +303,7 @@ def constant_type_check(report: ConditionReport, rel_tol=REL_TOL, dps=50):
         return True
     with mpmath.workdps(dps):
         tol = mpmath.mpf(rel_tol)
-        vals = [(_mp(r["L1"]), _mp(r["L2"])) for r in recs]
+        vals = [(to_mpf(r["L1"]), to_mpf(r["L2"])) for r in recs]
         scale = max(max(abs(a), abs(c)) for a, c in vals)
         a0, c0 = vals[0]
         return all(abs(a - a0) <= tol * (1 + scale)

@@ -18,6 +18,13 @@ fast path when the tree is rational and mpmath at >= 50 significant digits
 otherwise.  The zero test samples deterministic rational points from a box
 (default [1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)`
 where m is the largest intermediate magnitude seen while evaluating.
+
+`PointEval.judge` is the one place where a sampled value is judged zero:
+every per-component verdict (the zero test, the identity catalog, the
+(L1, L2) fit, the warped-product conditions) is built on it.  This module
+also owns the single Fraction-to-mpf conversion (`to_mpf`) and the single
+literal-zero predicate (`is_literal_zero`).  Parenthesis nesting in parsed
+text is capped at MAX_NESTING levels.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ DEFAULT_SEED = 0xC0FFEE
 DEFAULT_BOX = (Fraction(1, 3), Fraction(2))
 _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
+MAX_NESTING = 1000  # parenthesis levels accepted by the parser
 
 _FUNC_NAMES = ("exp", "log", "sin", "cos")
 
@@ -211,6 +219,11 @@ ZERO = Const(0)
 ONE = Const(1)
 
 
+def is_literal_zero(e):
+    """True iff `e` is the constant 0 (structurally, without evaluating)."""
+    return isinstance(e, Const) and e.value == 0
+
+
 # ---------------------------------------------------------------------------
 # Smart constructors.  Simplification is deliberately limited to constant
 # folding, 0/1 absorption, and power merging; nothing downstream relies on it.
@@ -302,7 +315,7 @@ def div(a, b):
             return neg(div(a, Const(-b.value)))
         if b.value == 1:
             return a
-    if isinstance(a, Const) and a.value == 0:
+    if is_literal_zero(a):
         return ZERO
     if isinstance(a, Const) and a.value < 0:
         return neg(div(Const(-a.value), b))
@@ -339,7 +352,7 @@ def _raise_domain():
 
 
 def exp_(x):
-    if isinstance(x, Const) and x.value == 0:
+    if is_literal_zero(x):
         return ONE
     return Exp(x)
 
@@ -354,13 +367,13 @@ def log_(x):
 
 
 def sin_(x):
-    if isinstance(x, Const) and x.value == 0:
+    if is_literal_zero(x):
         return ZERO
     return Sin(x)
 
 
 def cos_(x):
-    if isinstance(x, Const) and x.value == 0:
+    if is_literal_zero(x):
         return ONE
     return Cos(x)
 
@@ -407,6 +420,7 @@ class _Parser:
         self.pos = 0
         self.coords = coords
         self.params = params
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -426,6 +440,18 @@ class _Parser:
         if tok[0] == "END":
             raise ParseError(message + ", got end of input", tok[2])
         raise ParseError(message + f", got {tok[1]!r}", tok[2])
+
+    def nested(self, paren):
+        """The expression inside the '(' token `paren`, up to its ')'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels",
+                             paren[2])
+        inner = self.expr()
+        if not self.accept(")"):
+            self.fail("expected ')'")
+        self.depth -= 1
+        return inner
 
     def expr(self):
         items = []
@@ -449,7 +475,7 @@ class _Parser:
                 cur = mul(cur, self.factor())
             elif self.accept("/"):
                 rhs = self.factor()
-                if isinstance(rhs, Const) and rhs.value == 0:
+                if is_literal_zero(rhs):
                     raise ParseError("division by zero literal", self.toks[self.pos - 1][2])
                 cur = div(cur, rhs)
             else:
@@ -471,11 +497,10 @@ class _Parser:
             self.take()
             name = tok[1]
             if name in _FUNC_CLASSES:
-                if not self.accept("("):
+                paren = self.accept("(")
+                if paren is None:
                     self.fail(f"expected '(' after {name}")
-                inner = self.expr()
-                if not self.accept(")"):
-                    self.fail("expected ')'")
+                inner = self.nested(paren)
                 ctor = {"exp": exp_, "log": log_, "sin": sin_, "cos": cos_}[name]
                 try:
                     return ctor(inner)
@@ -489,11 +514,9 @@ class _Parser:
                 f"unknown identifier {name!r} (not a coordinate or declared parameter)",
                 tok[2],
             )
-        if self.accept("("):
-            inner = self.expr()
-            if not self.accept(")"):
-                self.fail("expected ')'")
-            return inner
+        paren = self.accept("(")
+        if paren is not None:
+            return self.nested(paren)
         self.fail("expected a number, identifier, or '('")
 
     def exponent(self):
@@ -669,7 +692,7 @@ def diff(e, name, _memo=None):
         fs = e.factors
         for i in range(len(fs)):
             d = diff(fs[i], name, _memo)
-            if d is ZERO or d == ZERO:
+            if is_literal_zero(d):
                 continue
             pieces.append(mul(*fs[:i], d, *fs[i + 1:]))
         out = add(*pieces)
@@ -772,26 +795,30 @@ def rename(e, mapping, _memo=None):
 # Evaluation
 
 
-def _to_mpf(v):
+def to_mpf(v):
+    """An exact Fraction or a number as an mpf at the working precision."""
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
     return mpmath.mpf(v)
 
 
+_MPF_ZERO = mpmath.mpf(0)
+
+
 def _mag(v):
-    return abs(_to_mpf(v))
+    return abs(to_mpf(v))
 
 
 def _num_add(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
-    return _to_mpf(a) + _to_mpf(b)
+    return to_mpf(a) + to_mpf(b)
 
 
 def _num_mul(a, b):
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
-    return _to_mpf(a) * _to_mpf(b)
+    return to_mpf(a) * to_mpf(b)
 
 
 def _num_div(a, b):
@@ -803,7 +830,7 @@ def _num_div(a, b):
     else:
         if b == 0:
             raise DomainError("division by zero")
-    return _to_mpf(a) / _to_mpf(b)
+    return to_mpf(a) / to_mpf(b)
 
 
 def _num_pow(b, e):
@@ -815,7 +842,7 @@ def _num_pow(b, e):
             return b ** k
         if b == 0 and k < 0:
             raise DomainError("zero base with negative exponent")
-        return _to_mpf(b) ** k
+        return to_mpf(b) ** k
     # fractional exponent
     if isinstance(b, Fraction):
         if b < 0:
@@ -824,12 +851,12 @@ def _num_pow(b, e):
             if e < 0:
                 raise DomainError("zero base with negative exponent")
             return Fraction(0)
-        return mpmath.power(_to_mpf(b), _to_mpf(e))
+        return mpmath.power(to_mpf(b), to_mpf(e))
     if b < 0:
         raise DomainError("negative base with fractional exponent")
     if b == 0 and e < 0:
         raise DomainError("zero base with negative exponent")
-    return mpmath.power(b, _to_mpf(e))
+    return mpmath.power(b, to_mpf(e))
 
 
 class PointEval:
@@ -837,7 +864,10 @@ class PointEval:
 
     Values are exact Fractions when the subtree is rational, mpmath floats
     otherwise.  Each memo entry records the largest intermediate magnitude in
-    its subtree so zero tests can scale their tolerance.
+    its subtree so zero tests can scale their tolerance.  The memo is keyed
+    by id(node); every root passed to eval_scaled is kept, so the immutable
+    nodes behind those ids stay alive and no id is reused while the memo
+    lives.
     """
 
     def __init__(self, env, dps=50):
@@ -848,13 +878,29 @@ class PointEval:
             self.env[k] = v
         self.dps = dps
         self._memo = {}
+        self._roots = []
+        with mpmath.workdps(dps):
+            self._tol = mpmath.mpf(_ZERO_TOL)
 
     def eval_scaled(self, e):
+        self._roots.append(e)
         with mpmath.workdps(self.dps):
             return self._walk(e)
 
     def eval(self, e):
         return self.eval_scaled(e)[0]
+
+    def judge(self, e):
+        """Value of `e` here as an mpf, snapped to exact 0 when it is zero.
+
+        The value is judged zero when `|value| <= 1e-30 * (1 + m)`, m being
+        the largest intermediate magnitude; "nonzero" is `judge(e) != 0`.
+        Raises DomainError when `e` is undefined at this point.
+        """
+        v, m = self.eval_scaled(e)
+        with mpmath.workdps(self.dps):
+            v = to_mpf(v)
+            return v if abs(v) > self._tol * (1 + m) else _MPF_ZERO
 
     def _walk(self, e):
         hit = self._memo.get(id(e))
@@ -906,21 +952,21 @@ class PointEval:
             out = (v, m)
         elif isinstance(e, Exp):
             cv, cm = self._walk(e.child)
-            v = mpmath.exp(_to_mpf(cv))
+            v = mpmath.exp(to_mpf(cv))
             out = (v, max(cm, abs(v)))
         elif isinstance(e, Log):
             cv, cm = self._walk(e.child)
             if (isinstance(cv, Fraction) and cv <= 0) or (not isinstance(cv, Fraction) and cv <= 0):
                 raise DomainError("log of non-positive value")
-            v = mpmath.log(_to_mpf(cv))
+            v = mpmath.log(to_mpf(cv))
             out = (v, max(cm, abs(v)))
         elif isinstance(e, Sin):
             cv, cm = self._walk(e.child)
-            v = mpmath.sin(_to_mpf(cv))
+            v = mpmath.sin(to_mpf(cv))
             out = (v, max(cm, abs(v)))
         elif isinstance(e, Cos):
             cv, cm = self._walk(e.child)
-            v = mpmath.cos(_to_mpf(cv))
+            v = mpmath.cos(to_mpf(cv))
             out = (v, max(cm, abs(v)))
         else:
             raise TypeError(f"cannot evaluate {e!r}")
@@ -960,60 +1006,40 @@ def sample_box_points(coords, box, k, seed, params=None):
 
 
 def zero_threshold(scale, dps=50):
-    """Tolerance used by the zero test for a given intermediate magnitude."""
+    """Tolerance of the zero test for an aggregate of magnitude `scale`.
+
+    Per-component verdicts go through `PointEval.judge` instead.
+    """
     with mpmath.workdps(dps):
         return mpmath.mpf(_ZERO_TOL) * (1 + scale)
 
 
 def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED, dps=50):
-    """Randomized high-precision zero test over a sampling box.
-
-    True iff every domain-valid sampled point evaluates within the scaled
-    tolerance.  Raises InconclusiveError if every sampled point violates a
-    domain constraint.
-    """
+    """Randomized high-precision zero test of one expression; see is_zero_many."""
     if coords is None:
         coords = tuple(sorted(free_coords(e)))
-    pts = sample_box_points(coords, box, trials, seed, params=params)
-    valid = 0
-    for pt in pts:
-        pe = PointEval(pt, dps=dps)
-        try:
-            v, m = pe.eval_scaled(e)
-        except DomainError:
-            continue
-        valid += 1
-        with mpmath.workdps(dps):
-            if abs(_to_mpf(v)) > zero_threshold(m, dps=dps):
-                return False
-    if valid == 0:
-        raise InconclusiveError("all sampled points violated domain constraints")
-    return True
+    return is_zero_many([e], coords, box, params, trials, seed, dps)[0]
 
 
 def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED, dps=50):
     """Componentwise zero test sharing sample points and evaluation memo.
 
-    Returns a list of booleans, one per expression.  Raises InconclusiveError
-    if some expression had no domain-valid point.
+    An expression is zero iff every domain-valid sampled point judges it
+    zero.  Points are visited one at a time, so only one evaluation memo is
+    alive.  Returns a list of booleans, one per expression.  Raises
+    InconclusiveError if some expression had no domain-valid point.
     """
-    pts = sample_box_points(coords, box, trials, seed, params=params)
-    evals = [PointEval(pt, dps=dps) for pt in pts]
-    out = []
-    for e in exprs:
-        nonzero = False
-        valid = 0
-        for pe in evals:
-            try:
-                v, m = pe.eval_scaled(e)
-            except DomainError:
-                continue
-            valid += 1
-            with mpmath.workdps(dps):
-                if abs(_to_mpf(v)) > zero_threshold(m, dps=dps):
-                    nonzero = True
-                    break
-        if valid == 0 and not nonzero:
-            raise InconclusiveError("all sampled points violated domain constraints")
-        out.append(not nonzero)
-    return out
+    zero = [True] * len(exprs)
+    valid = [False] * len(exprs)
+    for pt in sample_box_points(coords, box, trials, seed, params=params):
+        pe = PointEval(pt, dps=dps)
+        for i, e in enumerate(exprs):
+            if zero[i]:
+                try:
+                    zero[i] = pe.judge(e) == 0
+                except DomainError:
+                    continue
+                valid[i] = True
+    if any(z and not v for z, v in zip(zero, valid)):
+        raise InconclusiveError("all sampled points violated domain constraints")
+    return zero

@@ -18,7 +18,7 @@ import mpmath
 from . import expr as ex
 from .expr import (
     DEFAULT_SEED, DomainError, Expr, PointEval, is_zero_many,
-    parse, sample_box_points, zero_threshold,
+    parse, sample_box_points, to_mpf, zero_threshold,
 )
 
 
@@ -69,23 +69,15 @@ class Chart:
     # -- sampling ----------------------------------------------------------
 
     def sample_points(self, k=8, seed=DEFAULT_SEED, params=None):
-        merged = dict(self.params)
-        if params:
-            merged.update(params)
-        return sample_box_points(self.coords, self.box, k, seed, params=merged)
+        return sample_box_points(self.coords, self.box, k, seed,
+                                 params={**self.params, **(params or {})})
 
     def is_zero(self, e, trials=8, seed=DEFAULT_SEED, params=None, dps=50):
-        merged = dict(self.params)
-        if params:
-            merged.update(params)
-        return ex.is_zero(e, coords=self.coords, box=self.box, params=merged,
-                          trials=trials, seed=seed, dps=dps)
+        return self.is_zero_many([e], trials, seed, params, dps)[0]
 
     def is_zero_many(self, exprs, trials=8, seed=DEFAULT_SEED, params=None, dps=50):
-        merged = dict(self.params)
-        if params:
-            merged.update(params)
-        return is_zero_many(exprs, self.coords, box=self.box, params=merged,
+        return is_zero_many(exprs, self.coords, box=self.box,
+                            params={**self.params, **(params or {})},
                             trials=trials, seed=seed, dps=dps)
 
     # -- validation --------------------------------------------------------
@@ -104,7 +96,7 @@ class Chart:
         for pt in pts:
             pe = PointEval(pt)
             try:
-                mat = [[_to_mpf(pe.eval(entry)) for entry in row] for row in self.metric]
+                mat = [[to_mpf(pe.eval(entry)) for entry in row] for row in self.metric]
             except DomainError:
                 continue
             valid += 1
@@ -120,12 +112,6 @@ class Chart:
         if "metric_field" not in self._cache:
             self._cache["metric_field"] = TensorField(self, (0, 2), self.metric, sym="sym2")
         return self._cache["metric_field"]
-
-
-def _to_mpf(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
 
 
 def _numeric_det(mat):
@@ -180,7 +166,8 @@ class TensorField:
 
     def _coerce(self, comps, depth, coords, pnames):
         if depth == 0:
-            return _as_expr(comps, coords, pnames)
+            # trees the engine built are trusted; outside input is checked
+            return comps if isinstance(comps, Expr) else _as_expr(comps, coords, pnames)
         if not isinstance(comps, (list, tuple)) or len(comps) != self.chart.n:
             raise ChartError("component array extent mismatch")
         return [self._coerce(c, depth - 1, coords, pnames) for c in comps]
@@ -296,7 +283,7 @@ def _elimination_inverse(chart):
             if r == col:
                 continue
             f = a[r][col]
-            if isinstance(f, ex.Const) and f.value == 0:
+            if ex.is_literal_zero(f):
                 continue
             a[r] = [ex.sub(a[r][c], ex.mul(f, a[col][c])) for c in range(2 * n)]
     inv = [row[n:] for row in a]
@@ -394,8 +381,8 @@ def linear_dependence_check(A, E, point, dps=50, rel_tol="1e-20"):
         raise ChartError("valence mismatch")
     pe = PointEval(point, dps=dps)
     with mpmath.workdps(dps):
-        va = [_to_mpf(pe.eval(c)) for c in A.flatten()]
-        vb = [_to_mpf(pe.eval(c)) for c in E.flatten()]
+        va = [to_mpf(pe.eval(c)) for c in A.flatten()]
+        vb = [to_mpf(pe.eval(c)) for c in E.flatten()]
         tol = mpmath.mpf(rel_tol)
         na = mpmath.sqrt(sum(x * x for x in va))
         nb = mpmath.sqrt(sum(x * x for x in vb))

@@ -16,18 +16,18 @@ the fiber coordinates renamed x{p+1}..x{n}.  Reports carry both labelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 import mpmath
 
 from . import expr as ex
 from .actions import (
-    cached_derivation, cached_tachibana, derivation_action, tachibana,
+    _alloc, _set, cached_derivation, cached_tachibana, derivation_action,
+    tachibana,
 )
 from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
-from .expr import DEFAULT_SEED, DomainError, PointEval, zero_threshold
+from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import Chart, ChartError, TensorField, _as_expr, gaussian, metric_inverse
 
 LABEL_T = "T = L1 g"
@@ -152,28 +152,24 @@ def auxiliaries(spec):
 # Shared block context
 
 
-def _z(e):
-    return isinstance(e, ex.Const) and e.value == 0
-
-
 def _mulnz(*fs):
-    if any(_z(e) for e in fs):
+    if any(is_literal_zero(e) for e in fs):
         return ex.const(0)
     return ex.mul(*fs)
 
 
 def _subnz(a, b):
-    if _z(b):
+    if is_literal_zero(b):
         return a
-    if _z(a):
+    if is_literal_zero(a):
         return ex.neg(b)
     return ex.sub(a, b)
 
 
 def _addnz(a, b):
-    if _z(a):
+    if is_literal_zero(a):
         return b
-    if _z(b):
+    if is_literal_zero(b):
         return a
     return ex.add(a, b)
 
@@ -397,24 +393,12 @@ def block_actions(spec):
     n = spec.n
     out = {}
     for system in ("RR", "QgR", "QSR"):
-        comps = _alloc6(n)
+        comps = _alloc(n, 6)
         for t in iproduct(range(n), repeat=6):
-            _set6(comps, t, _entry6(system, spec, aux, c, t))
+            _set(comps, t, _entry6(system, spec, aux, c, t))
         out[system] = TensorField(prod, (0, 6), comps)
     spec._cache["acts"] = out
     return out
-
-
-def _alloc6(n):
-    def lvl(k):
-        if k == 0:
-            return ex.const(0)
-        return [lvl(k - 1) for _ in range(n)]
-    return lvl(6)
-
-
-def _set6(comps, t, v):
-    comps[t[0]][t[1]][t[2]][t[3]][t[4]][t[5]] = v
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +499,6 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
 # Trichotomy / dichotomy
 
 
-def _holds_at(pe, comps, dps=50):
-    for e in comps:
-        v, s = pe.eval_scaled(e)
-        if abs(_mpf(v)) > zero_threshold(s, dps=dps):
-            return False
-    return True
-
-
-def _mpf(v):
-    if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
-
-
 def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED, dps=50):
     """Pointwise labels: T = L1 g, fiber-Einstein, base-flat, or none.
 
@@ -542,34 +512,33 @@ def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED, dps=50):
     prod = assemble_product(spec)
     p, q = spec.p, spec.q
     flat_comps = [e for t in iproduct(range(p), repeat=4)
-                  for e in [bb.R.comp(t)] if not _z(e)]
+                  for e in [bb.R.comp(t)] if not is_literal_zero(e)]
     t_comps = [_subnz(aux.T.comps[a][b], _mulnz(L1, spec.base.metric[a][b]))
                for a in range(p) for b in range(p)]
     kq = ex.div(fb.kappa, ex.const(q))
     e_comps = [_subnz(fb.S.comps[al][be], _mulnz(kq, spec.fiber.metric[al][be]))
                for al in range(q) for be in range(q)]
     records = []
-    with mpmath.workdps(dps):
-        for pt in prod.sample_points(trials, seed):
-            pe = PointEval(pt, dps=dps)
-            try:
-                rec = {
-                    "point": pt,
-                    "T_matches": _holds_at(pe, t_comps, dps),
-                    "fiber_einstein": _holds_at(pe, e_comps, dps),
-                    "base_flat": _holds_at(pe, flat_comps, dps),
-                }
-            except DomainError:
-                continue
-            if rec["T_matches"]:
-                rec["label"] = LABEL_T
-            elif rec["fiber_einstein"]:
-                rec["label"] = LABEL_FIBER
-            elif rec["base_flat"]:
-                rec["label"] = LABEL_BASE
-            else:
-                rec["label"] = LABEL_NONE
-            records.append(rec)
+    for pt in prod.sample_points(trials, seed):
+        pe = PointEval(pt, dps=dps)
+        try:
+            rec = {
+                "point": pt,
+                "T_matches": all(pe.judge(e) == 0 for e in t_comps),
+                "fiber_einstein": all(pe.judge(e) == 0 for e in e_comps),
+                "base_flat": all(pe.judge(e) == 0 for e in flat_comps),
+            }
+        except DomainError:
+            continue
+        if rec["T_matches"]:
+            rec["label"] = LABEL_T
+        elif rec["fiber_einstein"]:
+            rec["label"] = LABEL_FIBER
+        elif rec["base_flat"]:
+            rec["label"] = LABEL_BASE
+        else:
+            rec["label"] = LABEL_NONE
+        records.append(rec)
     labels = sorted({r["label"] for r in records})
     return {
         "records": records,
@@ -590,16 +559,14 @@ def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED
     L2 = _base_scalar(spec, L2, "L2")
     bb, fb = bundle(spec.base), bundle(spec.fiber)
     valid = 0
-    with mpmath.workdps(dps):
-        for pt in spec.base.sample_points(trials, seed):
-            pe = PointEval(pt, dps=dps)
-            try:
-                v, s = pe.eval_scaled(L2)
-            except DomainError:
-                continue
-            valid += 1
-            if abs(_mpf(v)) <= zero_threshold(s, dps=dps):
-                raise ValueError(f"L2 vanishes on the sampling box at {pt}")
+    for pt in spec.base.sample_points(trials, seed):
+        try:
+            zero = PointEval(pt, dps=dps).judge(L2) == 0
+        except DomainError:
+            continue
+        valid += 1
+        if zero:
+            raise ValueError(f"L2 vanishes on the sampling box at {pt}")
     if valid == 0:
         raise ValueError("L2 not evaluable on the sampling box")
     p = spec.p

@@ -239,6 +239,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_main_deep_nesting_is_input_error(tmp_path, capsys):
+    depth = 40000
+    path = _write(tmp_path, "deep.mf", "[chart]\ncoords = x1\ng 1 1 = "
+                  + "(" * depth + "1 + x1^2" + ")" * depth + "\n")
+    assert main(["curvature", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper" in err
+    assert "Traceback" not in err
+
+
 def test_main_json_output(tmp_path, capsys):
     out_file = str(tmp_path / "r.json")
     code = main(["curvature", fixture_path("flat.mf"), "--json", out_file])

@@ -14,6 +14,7 @@ from warpcurv.conditions import (
     einstein_check, fit_pseudosymmetry, pair_admissible, pair_residual,
 )
 from warpcurv.curvature import bundle
+from warpcurv.tensor import ChartError
 
 L_EX2 = "exp(x1)/(1 + 2*exp(x1))^3"
 
@@ -179,6 +180,32 @@ def test_constant_type_verdicts(ex2_c, warped5_c):
     assert constant_type_check(repm1)
     with mpmath.workdps(50):
         assert all(abs(r["L1"] + 1) <= mpmath.mpf("1e-30") for r in repm1.records)
+
+
+def test_pair_admissible_string_candidates(ex2_c):
+    # a string candidate is parsed into a temporary tree; its verdict must
+    # match the one for the same candidate given as a live expression
+    b = bundle(ex2_c)
+    p = helpers.chart_parse(ex2_c)
+    for pt in ex2_c.sample_points(3):
+        assert pair_admissible(b, pt, L_EX2, "0")
+        assert pair_admissible(b, pt, p(L_EX2), ex.const(0))
+
+
+def test_undeclared_candidate_rejected_before_evaluation(ex2_c, monkeypatch):
+    b = bundle(ex2_c)
+    pt = ex2_c.sample_points(1)[0]
+    pair_residual(b, pt, 0, 0)  # builds every table the checks below use
+
+    def no_eval(self, e):
+        raise AssertionError("evaluated before the candidate was checked")
+
+    monkeypatch.setattr(ex.PointEval, "eval_scaled", no_eval)
+    bad = ex.mul(ex.Coord("y9"), ex.Coord("x1"))
+    with pytest.raises(ChartError, match="y9"):
+        check_identity("R.R = L1 Q(g,R)", b, {"L1": bad})
+    with pytest.raises(ChartError, match="y9"):
+        pair_residual(b, pt, bad, 0)
 
 
 def test_pair_residual_reports_scale(ex2_c):

@@ -1,7 +1,9 @@
 """Expression trees: parsing, printing, differentiation, evaluation, zero test."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -68,6 +70,15 @@ def test_parse_rational_literals():
     assert p("3/7") == Const(Fraction(3, 7))
     assert p("-3/7") == Const(Fraction(-3, 7))
     assert p("2^10") == Const(Fraction(1024))
+
+
+def test_parse_nesting_cap():
+    deep = ex.MAX_NESTING
+    assert p("(" * deep + "x1" + ")" * deep) == Coord("x1")
+    with pytest.raises(ParseError) as err:
+        p("exp(" * (deep + 1) + "x1" + ")" * (deep + 1))
+    assert err.value.offset == 4 * deep + 3   # the first '(' past the cap
+    assert "nested" in str(err.value)
 
 
 def test_parse_exponent_forms():
@@ -263,6 +274,52 @@ def test_eval_domain_violations():
         evaluate(p("x1^(1/2)"), {"x1": Fraction(-1)})
 
 
+def test_point_eval_memo_ignores_freed_trees():
+    # each parsed tree is garbage after its evaluation; a later tree may
+    # reuse its addresses and must still get its own value
+    pe = ex.PointEval({"x1": Fraction(1, 2)})
+    for k in range(200):
+        assert pe.eval(p(f"x1 + {k}")) == Fraction(1, 2) + k
+
+
+# ----------------------------------------------------------------------- judge
+
+def test_judge_snaps_exact_zero():
+    v = ex.PointEval({"x1": Fraction(1, 3)}).judge(p("x1 - 1/3"))
+    assert isinstance(v, mpmath.mpf) and v == 0
+
+
+def test_judge_threshold_boundary():
+    # x1 - x1 + c equals c exactly, with largest intermediate magnitude
+    # m = |x1| = 3, so the threshold is 1e-30 * (1 + 3)
+    pe = ex.PointEval({"x1": Fraction(3)})
+    x = Coord("x1")
+    edge = Fraction(4, 10**30)
+    under = ex.add(x, ex.neg(x), Const(edge * (1 - Fraction(1, 10**12))))
+    over = ex.add(x, ex.neg(x), Const(edge * (1 + Fraction(1, 10**12))))
+    assert pe.judge(under) == 0
+    with mpmath.workdps(50):
+        assert pe.judge(over) == ex.to_mpf(edge * (1 + Fraction(1, 10**12)))
+
+
+def test_judge_domain_error_propagates():
+    with pytest.raises(DomainError):
+        ex.PointEval({"x1": Fraction(1)}).judge(p("log(x1 - 1)"))
+
+
+def test_judge_independent_of_ambient_precision():
+    pe = ex.PointEval({"x1": Fraction(3)})
+    x = Coord("x1")
+    value = Fraction(4, 10**30) * (1 + Fraction(1, 10**20))
+    e = ex.add(x, ex.neg(x), Const(value))
+    with mpmath.workdps(50):
+        exact = ex.to_mpf(value)
+    for dps in (15, 30, 80):
+        with mpmath.workdps(dps):
+            v = pe.judge(e)
+        assert v == exact
+
+
 # --------------------------------------------------------------------- is_zero
 
 def test_is_zero_pythagorean():
@@ -330,3 +387,27 @@ def test_sample_box_points_deterministic():
         assert pt["a"] == Fraction(2)
     c = sample_box_points(XY, box, 8, 99)
     assert c != [{k: v for k, v in pt.items() if k != "a"} for pt in a]
+
+
+# ------------------------------------------------------------ one copy of each
+
+SRC = Path(ex.__file__).resolve().parent
+FRACTION_TO_MPF = re.compile(r"\.numerator\)\s*/\s*mpmath\.mpf\(")
+LITERAL_ZERO = re.compile(
+    r"isinstance\(\s*\w+\s*,\s*(?:\w+\.)?Const\s*\)\s*and\s*\w+\.value\s*==\s*0\b")
+
+
+def test_numeric_helpers_live_only_in_expr():
+    # expr.to_mpf and expr.is_literal_zero are the only copies; other
+    # modules must call them instead of spelling the test out again
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        text = path.read_text()
+        for pattern in (FRACTION_TO_MPF, LITERAL_ZERO):
+            offenders += [f"{path.name}: {m.group(0)}" for m in pattern.finditer(text)]
+    assert offenders == []
+    text = (SRC / "expr.py").read_text()
+    assert len(FRACTION_TO_MPF.findall(text)) == 1
+    assert len(LITERAL_ZERO.findall(text)) == 1
