@@ -42,7 +42,7 @@ from .conditions import (
 )
 from .curvature import bundle
 from .expr import DEFAULT_SEED, DomainError, PointEval, zero_threshold
-from .tensor import Chart, ChartError
+from .tensor import Chart, ChartError, excerpt
 from .warped import (
     _base_scalar, assemble_product, auxiliaries, block_actions,
     block_curvature, dichotomy_check, make_spec, trichotomy_report,
@@ -311,19 +311,19 @@ def curvature_report(path, seed=None, points=8):
     chart, _, rep = _scaffold(m, seed, points)
     b = bundle(chart)
     n = chart.n
-    nz_r = {}
-    for t in _orbit_reps4(n):
-        e = b.R.comp(t)
-        if ex.is_literal_zero(e) or chart.is_zero(e, trials=points, seed=seed):
-            continue
-        nz_r[" ".join(str(i + 1) for i in t)] = str(e)
-    nz_s = {}
-    for i in range(n):
-        for j in range(i, n):
-            e = b.S.comps[i][j]
-            if ex.is_literal_zero(e) or chart.is_zero(e, trials=points, seed=seed):
-                continue
-            nz_s[f"{i + 1} {j + 1}"] = str(e)
+    nz_r, nz_s = {}, {}
+    # (table, key, component) for every component that is not literally 0,
+    # zero-tested in one batch that shares one evaluator per sample point
+    comps = [(nz_r, " ".join(str(i + 1) for i in t), b.R.comp(t))
+             for t in _orbit_reps4(n)]
+    comps += [(nz_s, f"{i + 1} {j + 1}", b.S.comps[i][j])
+              for i in range(n) for j in range(i, n)]
+    comps = [c for c in comps if not ex.is_literal_zero(c[2])]
+    zero = chart.is_zero_many([e for _, _, e in comps], trials=points,
+                              seed=seed)
+    for (table, key, e), z in zip(comps, zero):
+        if not z:
+            table[key] = str(e)
     samples = []
     for pt in chart.sample_points(points, seed):
         pe = PointEval(pt)
@@ -651,11 +651,8 @@ def _render(code, rep):
                          f"zero: {conds['IV_fiber_factor_zero']})")
             if not conds[name] and name in conds["witnesses"]:
                 w = conds["witnesses"][name]
-                excerpt = w["defect"]
-                if len(excerpt) > 70:
-                    excerpt = excerpt[:67] + "..."
                 extra = (f" (witness index {tuple(w['index'])}: "
-                         f"{excerpt})")
+                         f"{excerpt(w['defect'])})")
             lines.append(f"condition ({name}): {status}{extra}")
         lines.append(f"corollary R.T equation: "
                      f"{'holds' if conds['corollary_ii'] else 'fails'}")
@@ -680,13 +677,17 @@ def _render(code, rep):
     return "\n".join(lines)
 
 
+def _json_arg(sp):
+    sp.add_argument("--json", default=None, metavar="OUT",
+                    help="also write the report as JSON to OUT")
+
+
 def _common_args(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="sampling seed (overrides the manifest)")
     sp.add_argument("--points", type=int, default=8,
                     help="number of sample points per zero test")
-    sp.add_argument("--json", default=None, metavar="OUT",
-                    help="also write the report as JSON to OUT")
+    _json_arg(sp)
 
 
 def main(argv=None):
@@ -708,6 +709,7 @@ def main(argv=None):
     _common_args(sp)
     sp = sub.add_parser("selftest")
     sp.add_argument("--seed", type=int, default=None)
+    _json_arg(sp)
     args = ap.parse_args(argv)
     try:
         if args.cmd == "curvature":
@@ -730,7 +732,7 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(_render(code, rep))
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(rep, sort_keys=True, indent=2) + "\n")
     return code

@@ -587,88 +587,159 @@ def _needs_parens_as_factor(f, first):
     return False
 
 
-def _fmt_factor(f, first):
-    if _needs_parens_as_factor(f, first):
-        return "(" + _fmt_sum(f) + ")"
-    return _fmt_atom(f)
+_LEAVES = (Const, Coord, Param)
 
 
-def _fmt_atom(e):
-    if isinstance(e, Const):
-        return _fmt_number(e.value)
-    if isinstance(e, Coord) or isinstance(e, Param):
-        return e.name
-    if isinstance(e, _Func):
-        return f"{e.fname}({_fmt_sum(e.child)})"
-    if isinstance(e, Pow):
-        return _fmt_pow(e)
+def _children(e):
+    if isinstance(e, Add):
+        return e.terms
     if isinstance(e, Mul):
-        return "*".join(_fmt_factor(f, i == 0) for i, f in enumerate(e.factors))
+        return e.factors
     if isinstance(e, Div):
-        return _fmt_div(e)
-    raise TypeError(f"unexpected node in factor position: {e!r}")
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, _Func)):
+        return (e.child,)
+    return ()
 
 
-def _fmt_pow(e):
-    b = e.base
-    if isinstance(b, (Add, Mul, Div, Neg, Pow)) or (
-        isinstance(b, Const) and (b.value < 0 or b.value.denominator != 1)
-    ):
-        bs = "(" + _fmt_sum(b) + ")"
-    else:
-        bs = _fmt_atom(b)
-    exp = e.exponent
-    if exp.denominator == 1 and exp >= 0:
-        return f"{bs}^{exp.numerator}"
-    return f"{bs}^({_fmt_number(exp)})"
+class _Renderer:
+    """Renders one tree for one to_str call, each distinct node once.
 
+    `_text(e)` is the text of a non-leaf node, except that a Neg's text is
+    its operand as a negated term shows it, without the '-'.  Rendering a
+    parent asks for the text of each of its non-leaf children exactly once,
+    so the text of a node with k parents is kept in the memo from its first
+    use until the k-th, then dropped.
+    """
 
-def _fmt_div(e):
-    left = e.num
-    if isinstance(left, (Add, Neg)) or (isinstance(left, Const) and left.value < 0):
-        ls = "(" + _fmt_sum(left) + ")"
-    else:
-        ls = _fmt_atom(left)
-    right = e.den
-    naked = (
-        isinstance(right, (Coord, Param, _Func, Pow))
-        or (isinstance(right, Const) and right.value >= 0 and right.value.denominator == 1)
-    )
-    rs = _fmt_atom(right) if naked else "(" + _fmt_sum(right) + ")"
-    return f"{ls}/{rs}"
+    def __init__(self, root):
+        parents = {}
+        stack = [root]
+        while stack:
+            for c in _children(stack.pop()):
+                if isinstance(c, _LEAVES):
+                    continue
+                k = id(c)
+                if k in parents:
+                    parents[k] += 1
+                else:
+                    parents[k] = 1
+                    stack.append(c)
+        self._uses_left = {k: v for k, v in parents.items() if v > 1}
+        self._memo = {}
 
+    def _text(self, e):
+        k = id(e)
+        left = self._uses_left.get(k)
+        if left is None:
+            return self._render(e)
+        if left == 1:
+            del self._uses_left[k]
+            return self._memo.pop(k)
+        self._uses_left[k] = left - 1
+        s = self._memo.get(k)
+        if s is None:
+            s = self._memo[k] = self._render(e)
+        return s
 
-def _fmt_signed_term(t):
-    """Render a term in leading position; leading '-' applies to the whole term."""
-    if isinstance(t, Neg):
-        c = t.child
-        if isinstance(c, Add):
-            return "-(" + _fmt_sum(c) + ")"
-        return "-" + _fmt_atom(c)
-    if isinstance(t, Const) and t.value < 0:
-        return "-" + _fmt_number(-t.value)
-    if isinstance(t, Add):
-        return "(" + _fmt_sum(t) + ")"
-    return _fmt_atom(t)
+    def _render(self, e):
+        if isinstance(e, Neg):
+            c = e.child
+            return "(" + self._text(c) + ")" if isinstance(c, Add) else self._fmt_atom(c)
+        if isinstance(e, Add):
+            return self._fmt_terms(e)
+        return self._fmt_compound(e)
 
+    def _fmt_sum(self, e):
+        if isinstance(e, Add):
+            return self._text(e)
+        return self._fmt_signed_term(e)
 
-def _fmt_sum(e):
-    if not isinstance(e, Add):
-        return _fmt_signed_term(e)
-    parts = [_fmt_signed_term(e.terms[0])]
-    for t in e.terms[1:]:
-        if isinstance(t, Neg):
-            c = t.child
-            parts.append(" - " + ("(" + _fmt_sum(c) + ")" if isinstance(c, Add) else _fmt_atom(c)))
-        elif isinstance(t, Const) and t.value < 0:
-            parts.append(" - " + _fmt_number(-t.value))
+    def _fmt_atom(self, e):
+        if isinstance(e, Const):
+            return _fmt_number(e.value)
+        if isinstance(e, (Coord, Param)):
+            return e.name
+        if isinstance(e, (Add, Neg)):
+            raise TypeError(f"unexpected node in factor position: {e!r}")
+        return self._text(e)
+
+    def _fmt_factor(self, f, first):
+        if _needs_parens_as_factor(f, first):
+            return "(" + self._fmt_sum(f) + ")"
+        return self._fmt_atom(f)
+
+    def _fmt_compound(self, e):
+        if isinstance(e, _Func):
+            return f"{e.fname}({self._fmt_sum(e.child)})"
+        if isinstance(e, Pow):
+            return self._fmt_pow(e)
+        if isinstance(e, Mul):
+            return "*".join(self._fmt_factor(f, i == 0) for i, f in enumerate(e.factors))
+        if isinstance(e, Div):
+            return self._fmt_div(e)
+        raise TypeError(f"unexpected node in factor position: {e!r}")
+
+    def _fmt_pow(self, e):
+        b = e.base
+        if isinstance(b, (Add, Mul, Div, Neg, Pow)) or (
+            isinstance(b, Const) and (b.value < 0 or b.value.denominator != 1)
+        ):
+            bs = "(" + self._fmt_sum(b) + ")"
         else:
-            parts.append(" + " + _fmt_signed_term(t))
-    return "".join(parts)
+            bs = self._fmt_atom(b)
+        exp = e.exponent
+        if exp.denominator == 1 and exp >= 0:
+            return f"{bs}^{exp.numerator}"
+        return f"{bs}^({_fmt_number(exp)})"
+
+    def _fmt_div(self, e):
+        left = e.num
+        if isinstance(left, (Add, Neg)) or (isinstance(left, Const) and left.value < 0):
+            ls = "(" + self._fmt_sum(left) + ")"
+        else:
+            ls = self._fmt_atom(left)
+        right = e.den
+        naked = (
+            isinstance(right, (Coord, Param, _Func, Pow))
+            or (isinstance(right, Const) and right.value >= 0 and right.value.denominator == 1)
+        )
+        rs = self._fmt_atom(right) if naked else "(" + self._fmt_sum(right) + ")"
+        return f"{ls}/{rs}"
+
+    def _fmt_signed_term(self, t):
+        """Render a term in leading position; leading '-' applies to the whole term."""
+        if isinstance(t, Neg):
+            return "-" + self._text(t)
+        if isinstance(t, Const) and t.value < 0:
+            return "-" + _fmt_number(-t.value)
+        if isinstance(t, Add):
+            return "(" + self._text(t) + ")"
+        return self._fmt_atom(t)
+
+    def _fmt_terms(self, e):
+        parts = [self._fmt_signed_term(e.terms[0])]
+        for t in e.terms[1:]:
+            if isinstance(t, Neg):
+                parts.append(" - " + self._text(t))
+            elif isinstance(t, Const) and t.value < 0:
+                parts.append(" - " + _fmt_number(-t.value))
+            else:
+                parts.append(" + " + self._fmt_signed_term(t))
+        return "".join(parts)
 
 
 def to_str(e):
-    return _fmt_sum(e)
+    """The text of `e`; it parses back to an equal tree.
+
+    The renderer first counts the parents of every distinct node, then walks
+    each distinct node once: the text of a node with several parents is
+    memoized from its first use and dropped after its last parent's, and
+    the renderer and its memo live only for this call.
+    """
+    return _Renderer(e)._fmt_sum(e)
 
 
 # ---------------------------------------------------------------------------
@@ -731,21 +802,8 @@ def _walk_names(e, coords, params, seen):
         coords.add(e.name)
     elif isinstance(e, Param):
         params.add(e.name)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _walk_names(t, coords, params, seen)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _walk_names(f, coords, params, seen)
-    elif isinstance(e, Pow):
-        _walk_names(e.base, coords, params, seen)
-    elif isinstance(e, Neg):
-        _walk_names(e.child, coords, params, seen)
-    elif isinstance(e, Div):
-        _walk_names(e.num, coords, params, seen)
-        _walk_names(e.den, coords, params, seen)
-    elif isinstance(e, _Func):
-        _walk_names(e.child, coords, params, seen)
+    for c in _children(e):
+        _walk_names(c, coords, params, seen)
 
 
 def free_coords(e):

@@ -26,6 +26,11 @@ class ChartError(Exception):
     pass
 
 
+def excerpt(text):
+    """`text`, cut to 70 characters ending in '...' when it is longer."""
+    return text if len(text) <= 70 else text[:67] + "..."
+
+
 def _as_expr(entry, coords, params):
     if isinstance(entry, Expr):
         bad_c = ex.free_coords(entry) - set(coords)
@@ -39,7 +44,7 @@ def _as_expr(entry, coords, params):
         try:
             return parse(entry, coords=coords, params=params)
         except ex.ParseError as err:
-            raise ChartError(f"bad expression {entry!r}: {err}") from None
+            raise ChartError(f"bad expression {excerpt(repr(entry))}: {err}") from None
     raise ChartError(f"unsupported entry type: {type(entry).__name__}")
 
 

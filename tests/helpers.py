@@ -49,6 +49,85 @@ def rational_points(rng, coords, k, lo=Fraction(1, 3), hi=Fraction(2)):
 
 
 # ---------------------------------------------------------------------------
+# Plain recursive printer: the rendering rules of `expr.to_str` applied to
+# the expanded tree, with no memo.  An oracle for the memoized renderer.
+
+def _p_number(v):
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
+def _p_factor(f, first):
+    if isinstance(f, (ex.Add, ex.Neg)):
+        paren = True
+    elif isinstance(f, ex.Const):
+        paren = f.value < 0 or (f.value.denominator != 1 and not first)
+    else:
+        paren = isinstance(f, ex.Div) and not first
+    return "(" + plain_to_str(f) + ")" if paren else _p_atom(f)
+
+
+def _p_atom(e):
+    if isinstance(e, ex.Const):
+        return _p_number(e.value)
+    if isinstance(e, (ex.Coord, ex.Param)):
+        return e.name
+    if isinstance(e, ex._Func):
+        return f"{e.fname}({plain_to_str(e.child)})"
+    if isinstance(e, ex.Pow):
+        b = e.base
+        if isinstance(b, (ex.Add, ex.Mul, ex.Div, ex.Neg, ex.Pow)) or (
+                isinstance(b, ex.Const) and (b.value < 0 or b.value.denominator != 1)):
+            bs = "(" + plain_to_str(b) + ")"
+        else:
+            bs = _p_atom(b)
+        k = e.exponent
+        if k.denominator == 1 and k >= 0:
+            return f"{bs}^{k.numerator}"
+        return f"{bs}^({_p_number(k)})"
+    if isinstance(e, ex.Mul):
+        return "*".join(_p_factor(f, i == 0) for i, f in enumerate(e.factors))
+    if isinstance(e, ex.Div):
+        left, right = e.num, e.den
+        if isinstance(left, (ex.Add, ex.Neg)) or (isinstance(left, ex.Const) and left.value < 0):
+            ls = "(" + plain_to_str(left) + ")"
+        else:
+            ls = _p_atom(left)
+        naked = isinstance(right, (ex.Coord, ex.Param, ex._Func, ex.Pow)) or (
+            isinstance(right, ex.Const) and right.value >= 0 and right.value.denominator == 1)
+        rs = _p_atom(right) if naked else "(" + plain_to_str(right) + ")"
+        return f"{ls}/{rs}"
+    raise TypeError(f"unexpected node in factor position: {type(e).__name__}")
+
+
+def _p_negated(c):
+    return "(" + plain_to_str(c) + ")" if isinstance(c, ex.Add) else _p_atom(c)
+
+
+def _p_signed_term(t):
+    if isinstance(t, ex.Neg):
+        return "-" + _p_negated(t.child)
+    if isinstance(t, ex.Const) and t.value < 0:
+        return "-" + _p_number(-t.value)
+    if isinstance(t, ex.Add):
+        return "(" + plain_to_str(t) + ")"
+    return _p_atom(t)
+
+
+def plain_to_str(e):
+    if not isinstance(e, ex.Add):
+        return _p_signed_term(e)
+    parts = [_p_signed_term(e.terms[0])]
+    for t in e.terms[1:]:
+        if isinstance(t, ex.Neg):
+            parts.append(" - " + _p_negated(t.child))
+        elif isinstance(t, ex.Const) and t.value < 0:
+            parts.append(" - " + _p_number(-t.value))
+        else:
+            parts.append(" + " + _p_signed_term(t))
+    return "".join(parts)
+
+
+# ---------------------------------------------------------------------------
 # Reference charts used across the test modules.  These mirror the bundled
 # fixture manifests; tests build them directly to stay independent of the CLI.
 

@@ -2,15 +2,19 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 import helpers
+from warpcurv import cli
 from warpcurv import expr as ex
 from warpcurv.cli import (
     ManifestError, build_chart, build_spec, classify_report, curvature_report,
     fixture_path, load_manifest, main, selftest_report, warped_verify_report,
 )
+from warpcurv.curvature import bundle
+from warpcurv.warped import assemble_product
 
 FIXTURES = [
     "flat.mf", "flat1.mf", "flat2.mf", "flat3.mf", "sphere.mf", "sphere2.mf",
@@ -246,7 +250,27 @@ def test_main_deep_nesting_is_input_error(tmp_path, capsys):
     assert main(["curvature", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested deeper" in err
+    assert "(offset 1000)" in err
+    assert len(err.encode()) < 300
     assert "Traceback" not in err
+
+
+def test_main_selftest_json(tmp_path, monkeypatch, capsys):
+    stub = {"schema": "warpcurv-report/1", "command": "selftest", "seed": "5",
+            "items": [{"name": "stub item", "ok": True, "note": "n"}]}
+    seeds = []
+
+    def fake_selftest(seed):
+        seeds.append(seed)
+        return 0, stub
+
+    monkeypatch.setattr(cli, "selftest_report", fake_selftest)
+    out_file = tmp_path / "s.json"
+    assert main(["selftest", "--seed", "5", "--json", str(out_file)]) == 0
+    assert seeds == [5]
+    assert out_file.read_text() == json.dumps(stub, sort_keys=True,
+                                              indent=2) + "\n"
+    assert "1/1 selftest items passed" in capsys.readouterr().out
 
 
 def test_main_json_output(tmp_path, capsys):
@@ -260,6 +284,57 @@ def test_main_json_output(tmp_path, capsys):
     assert data["curvature"]["flat"] is True
     assert raw == json.dumps(data, sort_keys=True, indent=2) + "\n"
     assert "all curvature components zero" in capsys.readouterr().out
+
+
+def _nonzero_oracle(path, seed, points):
+    """nonzero_R / nonzero_S keys from one chart.is_zero call per component."""
+    m = load_manifest(path)
+    chart = (build_chart(m) if m.kind == "chart"
+             else assemble_product(build_spec(m)))
+    b = bundle(chart)
+    n = chart.n
+
+    def nonzero(e):
+        return not (ex.is_literal_zero(e)
+                    or chart.is_zero(e, trials=points, seed=seed))
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    nz_r = [" ".join(str(i + 1) for i in (*pi, *pj))
+            for pi, pj in combinations_with_replacement(pairs, 2)
+            if nonzero(b.R.comp((*pi, *pj)))]
+    nz_s = [f"{i + 1} {j + 1}" for i in range(n) for j in range(i, n)
+            if nonzero(b.S.comps[i][j])]
+    return nz_r, nz_s
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_curvature_batched_verdicts_match_per_component(name):
+    path = fixture_path(name)
+    _, rep = curvature_report(path, seed=7, points=4)
+    c = rep["curvature"]
+    assert (list(c["nonzero_R"]), list(c["nonzero_S"])) == _nonzero_oracle(
+        path, seed=7, points=4)
+
+
+def test_curvature_batched_verdicts_with_undefined_points(tmp_path):
+    # log(x1 - 1) is undefined on the part x1 <= 1 of the box [1/3, 2]
+    path = _write(tmp_path, "dom.mf", "[chart]\ncoords = x1 x2 x3\n"
+                  "g 1 1 = 1\ng 2 2 = x1^2 + log(x1 - 1)^2\n"
+                  "g 3 3 = exp(x2) + x1\n")
+    chart = build_chart(load_manifest(path))
+    xs = [pt["x1"] for pt in chart.sample_points(8, ex.DEFAULT_SEED)]
+    assert min(xs) <= 1 < max(xs)
+    _, rep = curvature_report(path)
+    c = rep["curvature"]
+    assert "undefined" in c["kappa_samples"] and c["nonzero_R"]
+    assert (list(c["nonzero_R"]), list(c["nonzero_S"])) == _nonzero_oracle(
+        path, seed=ex.DEFAULT_SEED, points=8)
+    seed = next(s for s in range(100)
+                if chart.sample_points(1, s)[0]["x1"] <= 1)
+    with pytest.raises(ex.InconclusiveError):
+        _nonzero_oracle(path, seed=seed, points=1)
+    with pytest.raises(ex.InconclusiveError):
+        curvature_report(path, seed=seed, points=1)
 
 
 def test_reports_deterministic():

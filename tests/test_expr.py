@@ -1,5 +1,6 @@
 """Expression trees: parsing, printing, differentiation, evaluation, zero test."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -15,6 +16,9 @@ from warpcurv.expr import (
     DEFAULT_SEED, evaluate, diff, free_coords, free_params, is_zero,
     parse, rename, sample_box_points, to_str,
 )
+
+from warpcurv.curvature import bundle
+from warpcurv.tensor import Chart
 
 import helpers
 
@@ -147,6 +151,80 @@ def test_print_goldens():
     assert to_str(p("-(x1+x2)")) == "-(x1 + x2)"
     assert to_str(p("x1^(-1)")) == "x1^(-1)"
     assert to_str(p("x1*(-x2)")) == "x1*(-x2)"
+
+
+
+# ------------------------------------------------------ printing shared nodes
+
+def _shared_dag(depth):
+    """x1, then e -> (e + 1)*(e + 2): each level uses the one below twice."""
+    e = Coord("x1")
+    for _ in range(depth):
+        e = ex.mul(ex.add(e, ex.const(1)), ex.add(e, ex.const(2)))
+    return e
+
+
+def _pullback_chart():
+    """Euclidean metric pulled back through y_i = x_i + sum_{k<i} c_ik x_k^2.
+
+    Flat, with curvature trees that swell before they cancel.
+    """
+    n = 3
+    c = {(1, 0): Fraction(257, 256), (2, 0): Fraction(261, 256),
+         (2, 1): Fraction(265, 256)}
+    g = [[None] * n for _ in range(n)]
+    for j in range(n):
+        a = sum(4 * c[i, j] ** 2 for i in range(j + 1, n))
+        g[j][j] = f"1 + {a}*x{j + 1}^2" if a else "1"
+        for k in range(j + 1, n):
+            b = sum(4 * c[i, j] * c[i, k] for i in range(k + 1, n))
+            g[j][k] = g[k][j] = (f"{2 * c[k, j]}*x{j + 1}"
+                                 + (f" + {b}*x{j + 1}*x{k + 1}" if b else ""))
+    return Chart(("x1", "x2", "x3"), g)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_print_shared_dag_pinned():
+    # 2^16 copies of x1 in the text, 33 distinct nodes in the tree
+    text = to_str(_shared_dag(16))
+    assert len(text) == 983027
+    assert _sha256(text) == (
+        "98df235f6328b3ae6af5a11e4f6ee37e0cbaf33d55288358229211ccf216e48d")
+    e = _shared_dag(12)
+    assert p(to_str(e)) == e
+
+
+def test_print_pullback_kappa_pinned():
+    chart = _pullback_chart()
+    kappa = bundle(chart).kappa
+    text = str(kappa)
+    assert len(text) == 451142
+    assert _sha256(text) == (
+        "7648428882b13b3e314cda6a7dcb771743b1e814f41e7409de8d31a34450fc10")
+    assert parse(text, coords=chart.coords) == kappa
+
+
+def test_print_matches_plain_printer():
+    rng = random.Random(5)
+    for _ in range(300):
+        e = helpers.random_expr(rng, XY, depth=rng.randint(1, 5))
+        shared = ex.add(ex.mul(e, ex.neg(e)),
+                        ex.sub(e, ex.div(e, ex.add(ex.const(1), ex.pow_(e, 2)))),
+                        ex.neg(ex.add(e, Coord("x2"))), ex.exp_(ex.neg(e)))
+        for t in (e, shared):
+            assert to_str(t) == helpers.plain_to_str(t)
+
+
+def test_print_memo_released_after_last_use():
+    e = _shared_dag(6)
+    r = ex._Renderer(e)
+    # e_1 .. e_5 have two parents each; x1 is a leaf, rendered in place
+    assert sorted(r._uses_left.values()) == [2] * 5
+    assert r._fmt_sum(e) == helpers.plain_to_str(e)
+    assert r._uses_left == {} and r._memo == {}
 
 
 # ---------------------------------------------------------------- constructors
