@@ -14,8 +14,8 @@ from itertools import product as iproduct
 import mpmath
 
 from . import expr as ex
-from .expr import PointEval, is_literal_zero, to_mpf, zero_threshold
-from .tensor import ChartError, TensorField, raise_first
+from .expr import DPS, PointEval, is_literal_zero, to_mpf, zero_threshold
+from .tensor import ChartError, TensorField, _field, raise_first
 
 _K_ALLOWED = {2, 4}
 
@@ -70,7 +70,7 @@ def derivation_action(D: TensorField, H: TensorField) -> TensorField:
                             continue
                         terms.append(ex.mul(c, hv))
                 _set(out, idx + (u, v), ex.neg(ex.add(*terms)))
-    return TensorField(chart, (0, k + 2), out)
+    return _field(chart, (0, k + 2), out)
 
 
 def tachibana(A: TensorField, H: TensorField) -> TensorField:
@@ -98,7 +98,7 @@ def tachibana(A: TensorField, H: TensorField) -> TensorField:
                         if not is_literal_zero(hu):
                             terms.append(ex.neg(ex.mul(av, hu)))
                 _set(out, idx + (u, v), ex.add(*terms))
-    return TensorField(chart, (0, k + 2), out)
+    return _field(chart, (0, k + 2), out)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def _span_rank2(v, w):
     return any(v[i] * w[j] - v[j] * w[i] for i in range(n) for j in range(i + 1, n))
 
 
-def deszcz_ratio(b, point, pi1, pi2, dps=50):
+def deszcz_ratio(b, point, pi1, pi2):
     """Pointwise ratio (R.R)/(Q(g,R)) on the plane pair (pi1, pi2).
 
     Each plane is a pair of exact-rational spanning vectors.  Returns a dict
@@ -156,7 +156,7 @@ def deszcz_ratio(b, point, pi1, pi2, dps=50):
         raise ValueError("degenerate plane span")
     rr = cached_derivation(b, "R", "R").comps
     qgr = cached_tachibana(b, "g", "R").comps
-    pe = PointEval(point, dps=dps)
+    pe = PointEval(point)
     weights = (v, w, v, w, x, y)
 
     def contract(comps):
@@ -182,10 +182,10 @@ def deszcz_ratio(b, point, pi1, pi2, dps=50):
                     scale = s
         return total, scale
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
         num, s1 = contract(rr)
         den, s2 = contract(qgr)
-        thr = zero_threshold(max(s1, s2), dps=dps)
+        thr = zero_threshold(max(s1, s2))
         if abs(den) <= thr:
             return {"defined": False, "ratio": None,
                     "numerator": num, "denominator": den}

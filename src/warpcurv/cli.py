@@ -41,7 +41,7 @@ from .conditions import (
     CATALOG, check_identity, constant_type_check, fit_pseudosymmetry,
 )
 from .curvature import bundle
-from .expr import DEFAULT_SEED, DomainError, PointEval, zero_threshold
+from .expr import DEFAULT_SEED, DPS, DomainError, PointEval, zero_threshold
 from .tensor import Chart, ChartError, excerpt
 from .warped import (
     _base_scalar, assemble_product, auxiliaries, block_actions,
@@ -255,9 +255,9 @@ def build_spec(m):
 # Report plumbing
 
 
-def _numstr(v, dps=50, digits=20):
-    with mpmath.workdps(dps):
-        return mpmath.nstr(ex.to_mpf(v), digits)
+def _numstr(v):
+    with mpmath.workdps(DPS):
+        return mpmath.nstr(ex.to_mpf(v), 20)
 
 
 def _ptstr(pt, coords):
@@ -354,7 +354,7 @@ def classify_report(path, seed=None, points=8):
     flat = not rcomps or all(chart.is_zero_many(rcomps, trials=points,
                                                 seed=seed))
     fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
-    with mpmath.workdps(50):
+    with mpmath.workdps(DPS):
         residual_zero = all(
             rec["residual"] <= zero_threshold(rec["data_scale"])
             for rec in fit.records)

@@ -21,12 +21,10 @@ import mpmath
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, is_literal_zero,
-    to_mpf, zero_threshold,
+    DEFAULT_SEED, DPS, REL_TOL, DomainError, InconclusiveError, PointEval,
+    is_literal_zero, to_mpf, zero_threshold,
 )
 from .tensor import _as_expr
-
-REL_TOL = "1e-20"
 
 
 @dataclass(frozen=True)
@@ -90,7 +88,7 @@ def _scalar_expr(val, chart):
 # check_identity
 
 
-def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED, dps=50):
+def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
     """Verdict dict for one catalog row on a curvature bundle."""
     if name not in CATALOG:
         raise ValueError(f"unknown identity name: {name!r}")
@@ -125,7 +123,7 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED, dps=50):
     checked = excluded = 0
     holds = True
     for pt in chart.sample_points(trials, seed):
-        pe = PointEval(pt, dps=dps)
+        pe = PointEval(pt)
         try:
             if quals and all(pe.judge(c) == 0 for comps in qual_comps
                              for c in comps):
@@ -217,18 +215,18 @@ def _ls2(q1, q2, r, tol):
             "nullspace": null, "data_scale": scale}
 
 
-def fit_pseudosymmetry(b, points, dps=50) -> ConditionReport:
+def fit_pseudosymmetry(b, points) -> ConditionReport:
     if len(points) < 5:
         raise ValueError("need at least 5 sample points")
     triples = _fit_vectors(b)
     records = []
     trivial = True
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
         tol = mpmath.mpf(REL_TOL)
         for pt in points:
             # cancellation residue below the scaled zero threshold is noise,
             # not data; judge() snaps it to an exact zero
-            pe = PointEval(pt, dps=dps)
+            pe = PointEval(pt)
             r = [pe.judge(er) for er, _, _ in triples]
             q1 = [pe.judge(eg) for _, eg, _ in triples]
             q2 = [pe.judge(es) for _, _, es in triples]
@@ -244,7 +242,7 @@ def fit_pseudosymmetry(b, points, dps=50) -> ConditionReport:
                            family=family, trivial=trivial)
 
 
-def pair_residual(b, point, L1, L2, dps=50):
+def pair_residual(b, point, L1, L2):
     """Residual of a specific (L1, L2) candidate at one point.
 
     L1/L2 may be numbers or expressions (evaluated at the point).  Returns
@@ -253,14 +251,14 @@ def pair_residual(b, point, L1, L2, dps=50):
     """
     chart = b.chart
     triples = _fit_vectors(b)
-    pe = PointEval(point, dps=dps)
+    pe = PointEval(point)
 
     def val(x):
         if isinstance(x, (ex.Expr, str)):
             return to_mpf(pe.eval(_scalar_expr(x, chart)))
         return to_mpf(x)
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
         l1, l2 = val(L1), val(L2)
         res = mpmath.mpf(0)
         scale = mpmath.mpf(0)
@@ -276,10 +274,10 @@ def pair_residual(b, point, L1, L2, dps=50):
     return {"residual": res, "scale": scale}
 
 
-def pair_admissible(b, point, L1, L2, dps=50):
-    out = pair_residual(b, point, L1, L2, dps=dps)
-    with mpmath.workdps(dps):
-        return out["residual"] <= zero_threshold(out["scale"], dps=dps)
+def pair_admissible(b, point, L1, L2):
+    out = pair_residual(b, point, L1, L2)
+    with mpmath.workdps(DPS):
+        return out["residual"] <= zero_threshold(out["scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +294,13 @@ def einstein_check(b, trials=8, seed=DEFAULT_SEED):
     return all(c.is_zero_many(diffs, trials=trials, seed=seed))
 
 
-def constant_type_check(report: ConditionReport, rel_tol=REL_TOL, dps=50):
+def constant_type_check(report: ConditionReport):
     """True iff the fitted pair is the same constant at every sampled point."""
     recs = report.records
     if not recs:
         return True
-    with mpmath.workdps(dps):
-        tol = mpmath.mpf(rel_tol)
+    with mpmath.workdps(DPS):
+        tol = mpmath.mpf(REL_TOL)
         vals = [(to_mpf(r["L1"]), to_mpf(r["L2"])) for r in recs]
         scale = max(max(abs(a), abs(c)) for a, c in vals)
         a0, c0 = vals[0]

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .tensor import Chart, ChartError, TensorField, gaussian, kulkarni_nomizu, metric_inverse
+from .tensor import (
+    Chart, ChartError, TensorField, _field, gaussian, kulkarni_nomizu, metric_inverse)
 
 # global lowering orientation; see module docstring
 LOWERING_SIGN = -1
@@ -84,7 +85,7 @@ class CurvatureBundle:
                         val = ex.neg(low) if LOWERING_SIGN < 0 else low
                         comps[i][j][k][l] = val
                         comps[j][i][k][l] = ex.neg(val)
-        out = TensorField(c, (0, 4), comps, sym="curvature")
+        out = _field(c, (0, 4), comps, sym="curvature")
         self._d["R"] = out
         return out
 
@@ -99,7 +100,7 @@ class CurvatureBundle:
         comps = [[
             ex.add(*[ex.mul(gi[i][l], r[i][j][k][l]) for i in range(n) for l in range(n)])
             for k in range(n)] for j in range(n)]
-        out = TensorField(c, (0, 2), comps, sym="sym2")
+        out = _field(c, (0, 2), comps, sym="sym2")
         self._d["S"] = out
         return out
 
@@ -137,7 +138,7 @@ class CurvatureBundle:
             comps = [[[[ex.sub(r[i][j][k][l], ex.mul(f, gs[i][j][k][l]))
                         for l in range(n)] for k in range(n)]
                       for j in range(n)] for i in range(n)]
-            self._d["K"] = TensorField(c, (0, 4), comps, sym="curvature")
+            self._d["K"] = _field(c, (0, 4), comps, sym="curvature")
         return self._d["K"]
 
     @property
@@ -152,7 +153,7 @@ class CurvatureBundle:
             comps = [[[[ex.add(kc[i][j][k][l], ex.mul(coef, gc[i][j][k][l]))
                         for l in range(n)] for k in range(n)]
                       for j in range(n)] for i in range(n)]
-            self._d["C"] = TensorField(c, (0, 4), comps, sym="curvature")
+            self._d["C"] = _field(c, (0, 4), comps, sym="curvature")
         return self._d["C"]
 
     @property
@@ -167,7 +168,7 @@ class CurvatureBundle:
             comps = [[[[ex.sub(r[i][j][k][l], ex.mul(coef, gc[i][j][k][l]))
                         for l in range(n)] for k in range(n)]
                       for j in range(n)] for i in range(n)]
-            self._d["W"] = TensorField(c, (0, 4), comps, sym="curvature")
+            self._d["W"] = _field(c, (0, 4), comps, sym="curvature")
         return self._d["W"]
 
     @property
@@ -186,7 +187,7 @@ class CurvatureBundle:
                                         ex.mul(s[i][k], g[j][l]))))
                 for l in range(n)] for k in range(n)]
                 for j in range(n)] for i in range(n)]
-            self._d["P"] = TensorField(c, (0, 4), comps)
+            self._d["P"] = _field(c, (0, 4), comps)
         return self._d["P"]
 
 
@@ -224,4 +225,4 @@ def covariant_hessian(chart: Chart, phi) -> TensorField:
         ex.add(ex.diff(dphi[a], chart.coords[b]),
                *[ex.neg(ex.mul(gam[e][a][b], dphi[e])) for e in range(n)])
         for b in range(n)] for a in range(n)]
-    return TensorField(chart, (0, 2), comps, sym="sym2")
+    return _field(chart, (0, 2), comps, sym="sym2")

@@ -14,7 +14,7 @@ written with '/' and fold to exact constants.  Fractional exponents require
 parentheses; an unparenthesized `x^1/2` is `(x^1)/2` by precedence.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
-fast path when the tree is rational and mpmath at >= 50 significant digits
+fast path when the tree is rational and mpmath at DPS = 50 significant digits
 otherwise.  The zero test samples deterministic rational points from a box
 (default [1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)`
 where m is the largest intermediate magnitude seen while evaluating.
@@ -23,8 +23,8 @@ where m is the largest intermediate magnitude seen while evaluating.
 every per-component verdict (the zero test, the identity catalog, the
 (L1, L2) fit, the warped-product conditions) is built on it.  This module
 also owns the single Fraction-to-mpf conversion (`to_mpf`) and the single
-literal-zero predicate (`is_literal_zero`).  Parenthesis nesting in parsed
-text is capped at MAX_NESTING levels.
+literal-zero predicate (`is_literal_zero`).  Parsed text is capped at
+MAX_NESTING levels, counting both parentheses and chained divisions.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_BOX = (Fraction(1, 3), Fraction(2))
+DPS = 50  # significant digits of every evaluation and verdict
+REL_TOL = "1e-20"  # relative tolerance of linear dependence and constancy
 _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
-MAX_NESTING = 1000  # parenthesis levels accepted by the parser
+MAX_NESTING = 1000  # nesting levels accepted by the parser
 
 _FUNC_NAMES = ("exp", "log", "sin", "cos")
 
@@ -266,21 +268,16 @@ def add(*terms):
 
 
 def mul(*factors):
-    flat = []
-    for f in factors:
-        if isinstance(f, Mul):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    coeff = Fraction(1)
+    coeff = 1
     rest = []
-    for f in flat:
-        if isinstance(f, Const):
-            coeff *= f.value
-        else:
-            rest.append(f)
-    if coeff == 0:
-        return ZERO
+    for f in factors:
+        for g in f.factors if isinstance(f, Mul) else (f,):
+            if isinstance(g, Const):
+                if g.value == 0:
+                    return ZERO
+                coeff *= g.value
+            else:
+                rest.append(g)
     sign = 1
     if coeff < 0:
         sign = -1
@@ -441,12 +438,15 @@ class _Parser:
             raise ParseError(message + ", got end of input", tok[2])
         raise ParseError(message + f", got {tok[1]!r}", tok[2])
 
-    def nested(self, paren):
-        """The expression inside the '(' token `paren`, up to its ')'."""
+    def deeper(self, tok, what):
+        """Enter one more nesting level, opened by the token `tok`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels",
-                             paren[2])
+            raise ParseError(f"{what} nested deeper than {MAX_NESTING} levels", tok[2])
+
+    def nested(self, paren):
+        """The expression inside the '(' token `paren`, up to its ')'."""
+        self.deeper(paren, "parentheses")
         inner = self.expr()
         if not self.accept(")"):
             self.fail("expected ')'")
@@ -469,17 +469,24 @@ class _Parser:
         return add(*items)
 
     def term(self):
+        # a chain of divisions nests left (Div(Div(a, b), c)), one level per
+        # quotient that does not fold to a constant
+        outer = self.depth
         cur = self.factor()
         while True:
             if self.accept("*"):
                 cur = mul(cur, self.factor())
             elif self.accept("/"):
+                slash = self.toks[self.pos - 1]
                 rhs = self.factor()
                 if is_literal_zero(rhs):
                     raise ParseError("division by zero literal", self.toks[self.pos - 1][2])
                 cur = div(cur, rhs)
+                if not isinstance(cur, Const):
+                    self.deeper(slash, "divisions")
             else:
                 break
+        self.depth = outer
         return cur
 
     def factor(self):
@@ -928,7 +935,7 @@ class PointEval:
     lives.
     """
 
-    def __init__(self, env, dps=50):
+    def __init__(self, env, dps=DPS):
         self.env = {}
         for k, v in env.items():
             if isinstance(v, int):
@@ -1032,9 +1039,9 @@ class PointEval:
         return out
 
 
-def evaluate(e, env, dps=50):
+def evaluate(e, env):
     """Evaluate at a point; exact Fraction when possible, else mpmath float."""
-    return PointEval(env, dps=dps).eval(e)
+    return PointEval(env).eval(e)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,23 +1070,23 @@ def sample_box_points(coords, box, k, seed, params=None):
     return pts
 
 
-def zero_threshold(scale, dps=50):
+def zero_threshold(scale):
     """Tolerance of the zero test for an aggregate of magnitude `scale`.
 
     Per-component verdicts go through `PointEval.judge` instead.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DPS):
         return mpmath.mpf(_ZERO_TOL) * (1 + scale)
 
 
-def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED, dps=50):
+def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED):
     """Randomized high-precision zero test of one expression; see is_zero_many."""
     if coords is None:
         coords = tuple(sorted(free_coords(e)))
-    return is_zero_many([e], coords, box, params, trials, seed, dps)[0]
+    return is_zero_many([e], coords, box, params, trials, seed)[0]
 
 
-def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED, dps=50):
+def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED):
     """Componentwise zero test sharing sample points and evaluation memo.
 
     An expression is zero iff every domain-valid sampled point judges it
@@ -1090,7 +1097,7 @@ def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SE
     zero = [True] * len(exprs)
     valid = [False] * len(exprs)
     for pt in sample_box_points(coords, box, trials, seed, params=params):
-        pe = PointEval(pt, dps=dps)
+        pe = PointEval(pt)
         for i, e in enumerate(exprs):
             if zero[i]:
                 try:

@@ -17,7 +17,7 @@ import mpmath
 
 from . import expr as ex
 from .expr import (
-    DEFAULT_SEED, DomainError, Expr, PointEval, is_zero_many,
+    DEFAULT_SEED, DPS, REL_TOL, DomainError, Expr, PointEval, is_zero_many,
     parse, sample_box_points, to_mpf, zero_threshold,
 )
 
@@ -51,7 +51,7 @@ def _as_expr(entry, coords, params):
 class Chart:
     """Coordinates + metric + parameters + sampling box."""
 
-    def __init__(self, coords, metric, params=None, box=None, validate=True):
+    def __init__(self, coords, metric, params=None, box=None):
         coords = tuple(coords)
         if not coords or len(set(coords)) != len(coords):
             raise ChartError("coordinates must be non-empty and distinct")
@@ -68,8 +68,7 @@ class Chart:
             [_as_expr(entry, coords, pnames) for entry in row] for row in metric
         ]
         self._cache = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- sampling ----------------------------------------------------------
 
@@ -77,13 +76,13 @@ class Chart:
         return sample_box_points(self.coords, self.box, k, seed,
                                  params={**self.params, **(params or {})})
 
-    def is_zero(self, e, trials=8, seed=DEFAULT_SEED, params=None, dps=50):
-        return self.is_zero_many([e], trials, seed, params, dps)[0]
+    def is_zero(self, e, trials=8, seed=DEFAULT_SEED, params=None):
+        return self.is_zero_many([e], trials, seed, params)[0]
 
-    def is_zero_many(self, exprs, trials=8, seed=DEFAULT_SEED, params=None, dps=50):
+    def is_zero_many(self, exprs, trials=8, seed=DEFAULT_SEED, params=None):
         return is_zero_many(exprs, self.coords, box=self.box,
                             params={**self.params, **(params or {})},
-                            trials=trials, seed=seed, dps=dps)
+                            trials=trials, seed=seed)
 
     # -- validation --------------------------------------------------------
 
@@ -115,7 +114,7 @@ class Chart:
 
     def metric_field(self):
         if "metric_field" not in self._cache:
-            self._cache["metric_field"] = TensorField(self, (0, 2), self.metric, sym="sym2")
+            self._cache["metric_field"] = _field(self, (0, 2), self.metric, sym="sym2")
         return self._cache["metric_field"]
 
 
@@ -148,9 +147,12 @@ class TensorField:
     """Dense component tensor on a chart.
 
     valence is a (contravariant, covariant) pair; comps is a nested list with
-    one level per index.  sym is an advisory tag: "sym2" is verified at
-    construction (cheap), "curvature" is checked on demand via
-    is_generalized_curvature.
+    one level per index.  sym is an advisory tag.  This constructor is the
+    boundary for outside callers: it checks the valence and the extents,
+    parses string entries against the chart's names, and zero-tests the
+    symmetry of components tagged "sym2".  Tensors the engine builds come
+    from `_field`, which checks nothing; the tests assert their symmetries.
+    "curvature" is checked on demand via is_generalized_curvature.
     """
 
     VALENCES = {(0, 2), (0, 4), (0, 6), (1, 3), (2, 0)}
@@ -167,7 +169,11 @@ class TensorField:
         if sym == "sym2":
             if self.rank != 2:
                 raise ChartError("sym2 tag requires a rank-2 tensor")
-            self._check_sym2()
+            n = chart.n
+            defects = [ex.sub(self.comps[i][j], self.comps[j][i])
+                       for i in range(n) for j in range(i + 1, n)]
+            if defects and not all(chart.is_zero_many(defects)):
+                raise ChartError("components tagged sym2 are not symmetric")
 
     def _coerce(self, comps, depth, coords, pnames):
         if depth == 0:
@@ -176,15 +182,6 @@ class TensorField:
         if not isinstance(comps, (list, tuple)) or len(comps) != self.chart.n:
             raise ChartError("component array extent mismatch")
         return [self._coerce(c, depth - 1, coords, pnames) for c in comps]
-
-    def _check_sym2(self):
-        n = self.chart.n
-        defects = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                defects.append(ex.sub(self.comps[i][j], self.comps[j][i]))
-        if defects and not all(self.chart.is_zero_many(defects)):
-            raise ChartError("components tagged sym2 are not symmetric")
 
     def comp(self, idx):
         v = self.comps
@@ -209,17 +206,22 @@ class TensorField:
         return out
 
 
+def _field(chart, valence, comps, sym="none"):
+    """A TensorField the engine built from a validated chart, stored as given."""
+    t = object.__new__(TensorField)
+    t.chart, t.valence, t.rank, t.sym, t.comps = chart, valence, sum(valence), sym, comps
+    return t
+
+
 def _require_same_chart(*fields):
     charts = {id(f.chart) for f in fields}
     if len(charts) != 1:
         raise ChartError("tensor fields live on different charts")
 
 
-def _require(field, valence, sym=None):
+def _require(field, valence):
     if field.valence != valence:
         raise ChartError(f"expected valence {valence}, got {field.valence}")
-    if sym is not None and field.sym != sym:
-        raise ChartError(f"expected symmetry tag {sym!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ def _cofactor_inverse(chart):
             cof = _det_expr(minor) if n > 1 else ex.const(1)
             signed = cof if (i + j) % 2 == 0 else ex.neg(cof)
             inv[i][j] = ex.div(signed, det)
-    return TensorField(chart, (2, 0), inv, sym="sym2")
+    return _field(chart, (2, 0), inv, sym="sym2")
 
 
 def _elimination_inverse(chart):
@@ -292,7 +294,7 @@ def _elimination_inverse(chart):
                 continue
             a[r] = [ex.sub(a[r][c], ex.mul(f, a[col][c])) for c in range(2 * n)]
     inv = [row[n:] for row in a]
-    return TensorField(chart, (2, 0), inv, sym="sym2")
+    return _field(chart, (2, 0), inv, sym="sym2")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,7 @@ def kulkarni_nomizu(A, E):
             ex.neg(ex.mul(a[j][l], e[i][k])),
         )
         for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-    return TensorField(A.chart, (0, 4), comps, sym="curvature")
+    return _field(A.chart, (0, 4), comps, sym="curvature")
 
 
 def gaussian(chart):
@@ -327,7 +329,7 @@ def gaussian(chart):
     comps = [[[[
         ex.sub(ex.mul(g[i][l], g[j][k]), ex.mul(g[i][k], g[j][l]))
         for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-    out = TensorField(chart, (0, 4), comps, sym="curvature")
+    out = _field(chart, (0, 4), comps, sym="curvature")
     chart._cache["gaussian"] = out
     return out
 
@@ -346,7 +348,7 @@ def raise_first(D):
     comps = [[[[
         ex.add(*[ex.mul(gi[l][m], d[i][j][k][m]) for m in range(n)])
         for k in range(n)] for j in range(n)] for i in range(n)] for l in range(n)]
-    return TensorField(chart, (1, 3), comps)
+    return _field(chart, (1, 3), comps)
 
 
 def is_generalized_curvature(D, trials=8, seed=DEFAULT_SEED):
@@ -375,7 +377,7 @@ def is_generalized_curvature(D, trials=8, seed=DEFAULT_SEED):
 # Pointwise linear dependence
 
 
-def linear_dependence_check(A, E, point, dps=50, rel_tol="1e-20"):
+def linear_dependence_check(A, E, point):
     """Are the flattened component vectors of A and E parallel at `point`?
 
     Returns {"dependent": bool, "ratio": value or None}; the ratio r satisfies
@@ -384,11 +386,11 @@ def linear_dependence_check(A, E, point, dps=50, rel_tol="1e-20"):
     _require_same_chart(A, E)
     if A.valence != E.valence:
         raise ChartError("valence mismatch")
-    pe = PointEval(point, dps=dps)
-    with mpmath.workdps(dps):
+    pe = PointEval(point)
+    with mpmath.workdps(DPS):
         va = [to_mpf(pe.eval(c)) for c in A.flatten()]
         vb = [to_mpf(pe.eval(c)) for c in E.flatten()]
-        tol = mpmath.mpf(rel_tol)
+        tol = mpmath.mpf(REL_TOL)
         na = mpmath.sqrt(sum(x * x for x in va))
         nb = mpmath.sqrt(sum(x * x for x in vb))
         scale = max(na, nb)

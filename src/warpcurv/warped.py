@@ -27,8 +27,8 @@ from .actions import (
 )
 from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
-from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
-from .tensor import Chart, ChartError, TensorField, _as_expr, gaussian, metric_inverse
+from .expr import DEFAULT_SEED, DPS, DomainError, PointEval, is_literal_zero
+from .tensor import Chart, ChartError, TensorField, _as_expr, _field, gaussian, metric_inverse
 
 LABEL_T = "T = L1 g"
 LABEL_FIBER = "fiber-Einstein"
@@ -72,7 +72,7 @@ class WarpedSpec:
 
     def _check_f_positive(self):
         valid = 0
-        with mpmath.workdps(50):
+        with mpmath.workdps(DPS):
             for pt in self.base.sample_points():
                 pe = PointEval(pt)
                 try:
@@ -139,9 +139,9 @@ def auxiliaries(spec):
     T2 = [[ex.add(*[ex.mul(Traised[t][a], T[t][s]) for t in range(p)])
            for s in range(p)] for a in range(p)]
     aux = WarpedAux(
-        T=TensorField(b, (0, 2), T, sym="sym2"),
+        T=_field(b, (0, 2), T, sym="sym2"),
         trT=trT, Delta=Delta, Omega=Omega,
-        T2=TensorField(b, (0, 2), T2, sym="sym2"),
+        T2=_field(b, (0, 2), T2, sym="sym2"),
         Traised=Traised,
     )
     spec._cache["aux"] = aux
@@ -150,28 +150,6 @@ def auxiliaries(spec):
 
 # ---------------------------------------------------------------------------
 # Shared block context
-
-
-def _mulnz(*fs):
-    if any(is_literal_zero(e) for e in fs):
-        return ex.const(0)
-    return ex.mul(*fs)
-
-
-def _subnz(a, b):
-    if is_literal_zero(b):
-        return a
-    if is_literal_zero(a):
-        return ex.neg(b)
-    return ex.sub(a, b)
-
-
-def _addnz(a, b):
-    if is_literal_zero(a):
-        return b
-    if is_literal_zero(b):
-        return a
-    return ex.add(a, b)
 
 
 class _Ctx:
@@ -188,10 +166,10 @@ class _Ctx:
         self.Scheck = [[ex.sub(fb.S.comps[al][be],
                                ex.mul(aux.Omega, spec.fiber.metric[al][be]))
                         for be in range(q)] for al in range(q)]
-        ShatF = TensorField(spec.base, (0, 2), self.Shat, sym="sym2")
-        gbarF = TensorField(spec.base, (0, 2),
-                            [[spec.base.metric[i][j] for j in range(p)]
-                             for i in range(p)], sym="sym2")
+        ShatF = _field(spec.base, (0, 2), self.Shat, sym="sym2")
+        gbarF = _field(spec.base, (0, 2),
+                       [[spec.base.metric[i][j] for j in range(p)]
+                        for i in range(p)], sym="sym2")
         self.RRb = cached_derivation(bb, "R", "R")
         self.QgRb = cached_tachibana(bb, "g", "R")
         self.QSRhat = tachibana(ShatF, bb.R)
@@ -205,8 +183,8 @@ class _Ctx:
         self.Gf = gaussian(spec.fiber)
         self.QSGf = tachibana(fb.S, self.Gf)
         fD = ex.mul(spec.f, aux.Delta)
-        self.RfDG = [[[[_addnz(fb.R.comps[a][b][c][d],
-                               _mulnz(fD, self.Gf.comps[a][b][c][d]))
+        self.RfDG = [[[[ex.add(fb.R.comps[a][b][c][d],
+                               ex.mul(fD, self.Gf.comps[a][b][c][d]))
                         for d in range(q)] for c in range(q)]
                       for b in range(q)] for a in range(q)]
 
@@ -255,37 +233,37 @@ def _entry6(system, spec, aux, c, t):
     if sig == (0, 0, 0):
         idx = tuple(x for pr in norm for x in pr[1:])
         src = {"RR": c.RRb, "QgR": c.QgRb, "QSR": c.QSRhat}[system]
-        return _mulnz(sgn, src.comp(idx))
+        return ex.mul(sgn, src.comp(idx))
 
     if sig == (1, 1, 0):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         s, u = norm[2][1], norm[2][2]
         src = {"RR": c.RTb, "QgR": c.QgTb, "QSR": c.QSTb}[system]
-        return _mulnz(ex.const(-sign), f, gt[al][be], src.comp((a, b, s, u)))
+        return ex.mul(ex.const(-sign), f, gt[al][be], src.comp((a, b, s, u)))
 
     if sig == (0, 1, 1):
         a, b = norm[0][1], norm[0][2]
         d, al = norm[1][1], fi(norm[1][2])
         s, et = norm[2][1], fi(norm[2][2])
         if system == "RR":
-            contr = [_mulnz(aux.Traised[tt][s], c.bb.R.comps[a][b][d][tt])
+            contr = [ex.mul(aux.Traised[tt][s], c.bb.R.comps[a][b][d][tt])
                      for tt in range(p)]
             acc = ex.const(0)
             for term in contr:
-                acc = _addnz(acc, term)
-            core = _subnz(_subnz(_mulnz(T[a][s], T[b][d]),
-                                 _mulnz(T[a][d], T[b][s])), acc)
-            return _mulnz(sgn, f, gt[al][et], core)
+                acc = ex.add(acc, term)
+            core = ex.sub(ex.sub(ex.mul(T[a][s], T[b][d]),
+                                 ex.mul(T[a][d], T[b][s])), acc)
+            return ex.mul(sgn, f, gt[al][et], core)
         if system == "QgR":
-            core = _subnz(_subnz(_mulnz(gb[a][s], T[b][d]),
-                                 _mulnz(gb[b][s], T[a][d])),
+            core = ex.sub(ex.sub(ex.mul(gb[a][s], T[b][d]),
+                                 ex.mul(gb[b][s], T[a][d])),
                           c.bb.R.comps[a][b][d][s])
-            return _mulnz(sgn, f, gt[al][et], core)
-        core = _subnz(_mulnz(c.Shat[a][s], T[b][d]),
-                      _mulnz(c.Shat[b][s], T[a][d]))
-        return _mulnz(sgn, _subnz(_mulnz(f, gt[al][et], core),
-                                  _mulnz(c.bb.R.comps[a][b][d][s],
+            return ex.mul(sgn, f, gt[al][et], core)
+        core = ex.sub(ex.mul(c.Shat[a][s], T[b][d]),
+                      ex.mul(c.Shat[b][s], T[a][d]))
+        return ex.mul(sgn, ex.sub(ex.mul(f, gt[al][et], core),
+                                  ex.mul(c.bb.R.comps[a][b][d][s],
                                          c.Scheck[al][et])))
 
     if sig == (1, 2, 1):
@@ -293,19 +271,19 @@ def _entry6(system, spec, aux, c, t):
         be, ga = fi(norm[1][1]), fi(norm[1][2])
         s, et = norm[2][1], fi(norm[2][2])
         if system == "RR":
-            t1 = _mulnz(f, T[a][s], c.RfDG[et][al][be][ga])
-            t2 = _mulnz(f, f, aux.T2.comps[a][s], c.Gf.comps[et][al][be][ga])
-            return _mulnz(sgn, _subnz(t1, t2))
+            t1 = ex.mul(f, T[a][s], c.RfDG[et][al][be][ga])
+            t2 = ex.mul(f, f, aux.T2.comps[a][s], c.Gf.comps[et][al][be][ga])
+            return ex.mul(sgn, ex.sub(t1, t2))
         if system == "QgR":
-            t1 = _mulnz(f, gb[a][s], c.fb.R.comps[et][al][be][ga])
-            coef = _subnz(_mulnz(aux.Delta, gb[a][s]), T[a][s])
-            t2 = _mulnz(f, f, coef, c.Gf.comps[et][al][be][ga])
-            return _mulnz(sgn, _addnz(t1, t2))
-        t1 = _mulnz(f, c.Shat[a][s], c.RfDG[et][al][be][ga])
-        core = _subnz(_mulnz(gt[al][ga], c.Scheck[be][et]),
-                      _mulnz(gt[al][be], c.Scheck[ga][et]))
-        t2 = _mulnz(f, T[a][s], core)
-        return _mulnz(sgn, _addnz(t1, t2))
+            t1 = ex.mul(f, gb[a][s], c.fb.R.comps[et][al][be][ga])
+            coef = ex.sub(ex.mul(aux.Delta, gb[a][s]), T[a][s])
+            t2 = ex.mul(f, f, coef, c.Gf.comps[et][al][be][ga])
+            return ex.mul(sgn, ex.add(t1, t2))
+        t1 = ex.mul(f, c.Shat[a][s], c.RfDG[et][al][be][ga])
+        core = ex.sub(ex.mul(gt[al][ga], c.Scheck[be][et]),
+                      ex.mul(gt[al][be], c.Scheck[ga][et]))
+        t2 = ex.mul(f, T[a][s], core)
+        return ex.mul(sgn, ex.add(t1, t2))
 
     if sig == (1, 1, 2):
         if system != "QSR":
@@ -313,19 +291,19 @@ def _entry6(system, spec, aux, c, t):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         mu, et = fi(norm[2][1]), fi(norm[2][2])
-        return _mulnz(sgn, f, T[a][b], c.QgSf.comp((al, be, mu, et)))
+        return ex.mul(sgn, f, T[a][b], c.QgSf.comp((al, be, mu, et)))
 
     if sig == (2, 2, 2):
         idx = tuple(fi(x) for pr in norm for x in pr[1:])
         if system == "RR":
-            return _mulnz(sgn, _addnz(_mulnz(f, c.RRf.comp(idx)),
-                                      _mulnz(f, f, aux.Delta, c.QgRf.comp(idx))))
+            return ex.mul(sgn, ex.add(ex.mul(f, c.RRf.comp(idx)),
+                                      ex.mul(f, f, aux.Delta, c.QgRf.comp(idx))))
         if system == "QgR":
-            return _mulnz(sgn, f, f, c.QgRf.comp(idx))
-        inner = _addnz(_subnz(c.QSRf.comp(idx),
-                              _mulnz(aux.Omega, c.QgRf.comp(idx))),
-                       _mulnz(f, aux.Delta, c.QSGf.comp(idx)))
-        return _mulnz(sgn, f, inner)
+            return ex.mul(sgn, f, f, c.QgRf.comp(idx))
+        inner = ex.add(ex.sub(c.QSRf.comp(idx),
+                              ex.mul(aux.Omega, c.QgRf.comp(idx))),
+                       ex.mul(f, aux.Delta, c.QSGf.comp(idx)))
+        return ex.mul(sgn, f, inner)
 
     return ex.const(0)
 
@@ -339,7 +317,7 @@ def _entry4(spec, aux, c, t):
         return c.bb.R.comps[i][j][k][l]
     if all(m):
         a, b, d, e = (x - p for x in t)
-        return _mulnz(f, c.RfDG[a][b][d][e])
+        return ex.mul(f, c.RfDG[a][b][d][e])
     if m[0] != m[1] and m[2] != m[3]:
         sign = 1
         a, al = (i, j) if not m[0] else (j, i)
@@ -348,7 +326,7 @@ def _entry4(spec, aux, c, t):
         b, be = (k, l) if not m[2] else (l, k)
         if m[2]:
             sign = -sign
-        return _mulnz(ex.const(-sign), f, aux.T.comps[a][b],
+        return ex.mul(ex.const(-sign), f, aux.T.comps[a][b],
                       spec.fiber.metric[al - p][be - p])
     return ex.const(0)
 
@@ -375,8 +353,8 @@ def block_curvature(spec):
                           ex.add(ex.mul(ex.const(q - 1), aux.Delta),
                                  ex.mul(ex.const(2), aux.trT))))
     out = {
-        "R": TensorField(prod, (0, 4), R),
-        "S": TensorField(prod, (0, 2), S, sym="sym2"),
+        "R": _field(prod, (0, 4), R),
+        "S": _field(prod, (0, 2), S, sym="sym2"),
         "kappa": kappa,
     }
     spec._cache["curv"] = out
@@ -396,7 +374,7 @@ def block_actions(spec):
         comps = _alloc(n, 6)
         for t in iproduct(range(n), repeat=6):
             _set(comps, t, _entry6(system, spec, aux, c, t))
-        out[system] = TensorField(prod, (0, 6), comps)
+        out[system] = _field(prod, (0, 6), comps)
     spec._cache["acts"] = out
     return out
 
@@ -432,9 +410,9 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
     out = {"witnesses": {}}
 
     def combo(t):
-        return _subnz(_entry6("RR", spec, aux, c, t),
-                      _addnz(_mulnz(L1, _entry6("QgR", spec, aux, c, t)),
-                             _mulnz(L2, _entry6("QSR", spec, aux, c, t))))
+        return ex.sub(_entry6("RR", spec, aux, c, t),
+                      ex.add(ex.mul(L1, _entry6("QgR", spec, aux, c, t)),
+                             ex.mul(L2, _entry6("QSR", spec, aux, c, t))))
 
     def judge(name, chart, tuples, exprs):
         flags = chart.is_zero_many(exprs, trials=trials, seed=seed)
@@ -449,9 +427,9 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
     tup = list(iproduct(range(p), repeat=6))
     judge("I", spec.base,
           tup,
-          [_subnz(c.RRb.comp(t),
-                  _addnz(_mulnz(L1, c.QgRb.comp(t)),
-                         _mulnz(L2, c.QSRhat.comp(t)))) for t in tup])
+          [ex.sub(c.RRb.comp(t),
+                  ex.add(ex.mul(L1, c.QgRb.comp(t)),
+                         ex.mul(L2, c.QSRhat.comp(t)))) for t in tup])
 
     tup = [(a, b, d_, al + p, s, et + p)
            for a, b, d_, s in iproduct(range(p), repeat=4)
@@ -465,7 +443,7 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
 
     # product of a base factor and a fiber factor vanishes iff one factor does
     base_zero = all(spec.base.is_zero_many(
-        [_mulnz(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)],
+        [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)],
         trials=trials, seed=seed))
     fiber_zero = all(spec.fiber.is_zero_many(
         [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)],
@@ -474,21 +452,21 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
     out["IV_base_factor_zero"] = base_zero
     out["IV_fiber_factor_zero"] = fiber_zero
 
-    c1 = _subnz(ex.mul(f, _subnz(L1, aux.Delta)), _mulnz(L2, aux.Omega))
-    c2 = _mulnz(L2, f, aux.Delta)
+    c1 = ex.sub(ex.mul(f, ex.sub(L1, aux.Delta)), ex.mul(L2, aux.Omega))
+    c2 = ex.mul(L2, f, aux.Delta)
     tup = list(iproduct(range(q), repeat=6))
     # witness indices are reported in product labels, hence the +p shift
     judge("V", prod, [tuple(i + p for i in t) for t in tup],
-          [_subnz(c.RRf.comp(t),
-                  _addnz(_addnz(_mulnz(c1, c.QgRf.comp(t)),
-                                _mulnz(L2, c.QSRf.comp(t))),
-                         _mulnz(c2, c.QSGf.comp(t)))) for t in tup])
+          [ex.sub(c.RRf.comp(t),
+                  ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
+                                ex.mul(L2, c.QSRf.comp(t))),
+                         ex.mul(c2, c.QSGf.comp(t)))) for t in tup])
 
     tup = list(iproduct(range(p), repeat=4))
     judge("corollary_ii", spec.base, tup,
-          [_subnz(c.RTb.comp(t),
-                  _addnz(_mulnz(L1, c.QgTb.comp(t)),
-                         _mulnz(L2, c.QSTb.comp(t)))) for t in tup])
+          [ex.sub(c.RTb.comp(t),
+                  ex.add(ex.mul(L1, c.QgTb.comp(t)),
+                         ex.mul(L2, c.QSTb.comp(t)))) for t in tup])
 
     out["failed"] = [k for k in CONDITION_NAMES if not out[k]]
     out["all_hold"] = not out["failed"]
@@ -499,7 +477,7 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
 # Trichotomy / dichotomy
 
 
-def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED, dps=50):
+def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED):
     """Pointwise labels: T = L1 g, fiber-Einstein, base-flat, or none.
 
     The three defining sets can overlap; the label reports the first match
@@ -513,14 +491,14 @@ def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED, dps=50):
     p, q = spec.p, spec.q
     flat_comps = [e for t in iproduct(range(p), repeat=4)
                   for e in [bb.R.comp(t)] if not is_literal_zero(e)]
-    t_comps = [_subnz(aux.T.comps[a][b], _mulnz(L1, spec.base.metric[a][b]))
+    t_comps = [ex.sub(aux.T.comps[a][b], ex.mul(L1, spec.base.metric[a][b]))
                for a in range(p) for b in range(p)]
     kq = ex.div(fb.kappa, ex.const(q))
-    e_comps = [_subnz(fb.S.comps[al][be], _mulnz(kq, spec.fiber.metric[al][be]))
+    e_comps = [ex.sub(fb.S.comps[al][be], ex.mul(kq, spec.fiber.metric[al][be]))
                for al in range(q) for be in range(q)]
     records = []
     for pt in prod.sample_points(trials, seed):
-        pe = PointEval(pt, dps=dps)
+        pe = PointEval(pt)
         try:
             rec = {
                 "point": pt,
@@ -547,8 +525,7 @@ def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED, dps=50):
     }
 
 
-def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED,
-                    dps=50):
+def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED):
     """Which branch holds when L2 is nowhere zero: flat base or Einstein fiber.
 
     The same check serves the constant-L2 specializations (L2 = 1 and
@@ -561,7 +538,7 @@ def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED
     valid = 0
     for pt in spec.base.sample_points(trials, seed):
         try:
-            zero = PointEval(pt, dps=dps).judge(L2) == 0
+            zero = PointEval(pt).judge(L2) == 0
         except DomainError:
             continue
         valid += 1

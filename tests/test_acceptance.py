@@ -112,7 +112,7 @@ def test_fiber_constant_ratio_identity(fiber_c):
     rr = cached_derivation(b, "R", "R")
     qgr = cached_tachibana(b, "g", "R")
     diffs = [ex.add(rr.comp(t), qgr.comp(t)) for t in _all6(4)]
-    assert all(fiber_c.is_zero_many(diffs, trials=8, dps=50))
+    assert all(fiber_c.is_zero_many(diffs, trials=8))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,18 @@ def test_main_deep_nesting_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_main_deep_division_is_input_error(tmp_path, capsys):
+    # 120 001 terms: a left-nested Div chain 120 000 deep if it were built
+    path = _write(tmp_path, "div.mf", "[chart]\ncoords = x1\ng 1 1 = "
+                  + "/".join(["x1"] * 120001) + "\n")
+    assert main(["curvature", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "divisions nested deeper" in err
+    assert "(offset 3002)" in err
+    assert len(err.encode()) < 300
+    assert "Traceback" not in err
+
+
 def test_main_selftest_json(tmp_path, monkeypatch, capsys):
     stub = {"schema": "warpcurv-report/1", "command": "selftest", "seed": "5",
             "items": [{"name": "stub item", "ok": True, "note": "n"}]}

@@ -85,6 +85,25 @@ def test_parse_nesting_cap():
     assert "nested" in str(err.value)
 
 
+def test_parse_division_chain_cap():
+    # x1/x1/.../x1 nests left, one Div per '/'; the chain counts as nesting
+    deep = ex.MAX_NESTING
+    e = p("/".join(["x1"] * (deep + 1)))
+    for _ in range(deep):
+        assert isinstance(e, Div)
+        e = e.num
+    assert e == Coord("x1")
+    with pytest.raises(ParseError) as err:
+        p("/".join(["x1"] * (deep + 2)))
+    assert err.value.offset == 3 * (deep + 1) - 1   # the '/' past the cap
+    assert "divisions nested" in str(err.value)
+    # quotients that fold to a constant add no level
+    assert p("2" + "/2" * (3 * deep)) == Const(Fraction(2, 2 ** (3 * deep)))
+    # parentheses and divisions share one cap
+    with pytest.raises(ParseError):
+        p("(" * deep + "x1/x1" + ")" * deep)
+
+
 def test_parse_exponent_forms():
     assert p("x1^(-1)").exponent == -1
     assert p("x1^(1/2)").exponent == Fraction(1, 2)
