@@ -11,10 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-import mpmath
-
 from . import expr as ex
-from .expr import DPS, PointEval, is_literal_zero, to_mpf, zero_threshold
+from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
 from .tensor import ChartError, TensorField, _field, raise_first
 
 _K_ALLOWED = {2, 4}
@@ -160,8 +158,7 @@ def deszcz_ratio(b, point, pi1, pi2):
     weights = (v, w, v, w, x, y)
 
     def contract(comps):
-        total = mpmath.mpf(0)
-        scale = mpmath.mpf(0)
+        total = scale = MP.zero
         for idx in iproduct(*(range(n),) * 6):
             wt = Fraction(1)
             for slot, i in enumerate(idx):
@@ -182,12 +179,10 @@ def deszcz_ratio(b, point, pi1, pi2):
                     scale = s
         return total, scale
 
-    with mpmath.workdps(DPS):
-        num, s1 = contract(rr)
-        den, s2 = contract(qgr)
-        thr = zero_threshold(max(s1, s2))
-        if abs(den) <= thr:
-            return {"defined": False, "ratio": None,
-                    "numerator": num, "denominator": den}
-        return {"defined": True, "ratio": num / den,
+    num, s1 = contract(rr)
+    den, s2 = contract(qgr)
+    if abs(den) <= zero_threshold(max(s1, s2)):
+        return {"defined": False, "ratio": None,
                 "numerator": num, "denominator": den}
+    return {"defined": True, "ratio": num / den,
+            "numerator": num, "denominator": den}

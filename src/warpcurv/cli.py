@@ -33,15 +33,13 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product as iproduct
 
-import mpmath
-
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .conditions import (
     CATALOG, check_identity, constant_type_check, fit_pseudosymmetry,
 )
 from .curvature import bundle
-from .expr import DEFAULT_SEED, DPS, DomainError, PointEval, zero_threshold
+from .expr import DEFAULT_SEED, MP, DomainError, PointEval, zero_threshold
 from .tensor import Chart, ChartError, excerpt
 from .warped import (
     _base_scalar, assemble_product, auxiliaries, block_actions,
@@ -256,8 +254,7 @@ def build_spec(m):
 
 
 def _numstr(v):
-    with mpmath.workdps(DPS):
-        return mpmath.nstr(ex.to_mpf(v), 20)
+    return MP.nstr(ex.to_mpf(v), 20)
 
 
 def _ptstr(pt, coords):
@@ -312,13 +309,12 @@ def curvature_report(path, seed=None, points=8):
     b = bundle(chart)
     n = chart.n
     nz_r, nz_s = {}, {}
-    # (table, key, component) for every component that is not literally 0,
-    # zero-tested in one batch that shares one evaluator per sample point
+    # (table, key, component), zero-tested in one batch that shares one
+    # evaluator per sample point
     comps = [(nz_r, " ".join(str(i + 1) for i in t), b.R.comp(t))
              for t in _orbit_reps4(n)]
     comps += [(nz_s, f"{i + 1} {j + 1}", b.S.comps[i][j])
               for i in range(n) for j in range(i, n)]
-    comps = [c for c in comps if not ex.is_literal_zero(c[2])]
     zero = chart.is_zero_many([e for _, _, e in comps], trials=points,
                               seed=seed)
     for (table, key, e), z in zip(comps, zero):
@@ -350,14 +346,10 @@ def classify_report(path, seed=None, points=8):
     n = chart.n
     rep["command"] = "classify"
     rcomps = [b.R.comp(t) for t in _orbit_reps4(n)]
-    rcomps = [e for e in rcomps if not ex.is_literal_zero(e)]
-    flat = not rcomps or all(chart.is_zero_many(rcomps, trials=points,
-                                                seed=seed))
+    flat = all(chart.is_zero_many(rcomps, trials=points, seed=seed))
     fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
-    with mpmath.workdps(DPS):
-        residual_zero = all(
-            rec["residual"] <= zero_threshold(rec["data_scale"])
-            for rec in fit.records)
+    residual_zero = all(rec["residual"] <= zero_threshold(rec["data_scale"])
+                        for rec in fit.records)
     requested = {}
     for chk in m.checks:
         if not chk.name:

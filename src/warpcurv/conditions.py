@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-import mpmath
-
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, DPS, REL_TOL, DomainError, InconclusiveError, PointEval,
+    DEFAULT_SEED, MP, REL_TOL, DomainError, InconclusiveError, PointEval,
     is_literal_zero, to_mpf, zero_threshold,
 )
 from .tensor import _as_expr
@@ -169,38 +167,38 @@ def _fit_vectors(b):
 
 
 def _norm(v):
-    return mpmath.sqrt(sum(x * x for x in v))
+    return MP.sqrt(sum(x * x for x in v))
 
 
-def _ls2(q1, q2, r, tol):
+def _ls2(q1, q2, r):
     n1, n2, nr = _norm(q1), _norm(q2), _norm(r)
     scale = max(n1, n2, nr)
-    zero = mpmath.mpf(0)
+    zero = MP.zero
     if scale == 0:
         return {"L1": zero, "L2": zero, "residual": zero, "rank": 0,
                 "nullspace": [(1, 0), (0, 1)], "data_scale": scale}
-    col1 = n1 > tol * scale
-    col2 = n2 > tol * scale
+    col1 = n1 > REL_TOL * scale
+    col2 = n2 > REL_TOL * scale
     if not col1 and not col2:
         return {"L1": zero, "L2": zero, "residual": nr, "rank": 0,
                 "nullspace": [(1, 0), (0, 1)], "data_scale": scale}
     dot = sum(a * c for a, c in zip(q1, q2))
     gram = n1 * n1 * n2 * n2 - dot * dot
     parallel = (not col1) or (not col2) or (
-        mpmath.sqrt(max(gram, zero)) <= tol * n1 * n2)
+        MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2)
     if parallel:
         if not col1:
             L1, L2 = zero, sum(a * c for a, c in zip(q2, r)) / (n2 * n2)
-            null = [(mpmath.mpf(1), zero)]
+            null = [(MP.one, zero)]
         elif not col2:
             L1, L2 = sum(a * c for a, c in zip(q1, r)) / (n1 * n1), zero
-            null = [(zero, mpmath.mpf(1))]
+            null = [(zero, MP.one)]
         else:
             rho = dot / (n1 * n1)
             t = sum(a * c for a, c in zip(q1, r)) / (n1 * n1)
             L1 = t / (1 + rho * rho)
             L2 = rho * L1
-            null = [(-rho, mpmath.mpf(1))]
+            null = [(-rho, MP.one)]
         rank = 1
     else:
         det = gram
@@ -216,25 +214,33 @@ def _ls2(q1, q2, r, tol):
 
 
 def fit_pseudosymmetry(b, points) -> ConditionReport:
+    """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R) at each point.
+
+    Points where a component is undefined are skipped; InconclusiveError
+    when no point is domain-valid.
+    """
     if len(points) < 5:
         raise ValueError("need at least 5 sample points")
     triples = _fit_vectors(b)
     records = []
     trivial = True
-    with mpmath.workdps(DPS):
-        tol = mpmath.mpf(REL_TOL)
-        for pt in points:
-            # cancellation residue below the scaled zero threshold is noise,
-            # not data; judge() snaps it to an exact zero
-            pe = PointEval(pt)
+    for pt in points:
+        # cancellation residue below the scaled zero threshold is noise,
+        # not data; judge() snaps it to an exact zero
+        pe = PointEval(pt)
+        try:
             r = [pe.judge(er) for er, _, _ in triples]
             q1 = [pe.judge(eg) for _, eg, _ in triples]
             q2 = [pe.judge(es) for _, _, es in triples]
-            rec = _ls2(q1, q2, r, tol)
-            rec["point"] = pt
-            records.append(rec)
-            if rec["data_scale"] > 0:
-                trivial = False
+        except DomainError:
+            continue
+        rec = _ls2(q1, q2, r)
+        rec["point"] = pt
+        records.append(rec)
+        if rec["data_scale"] > 0:
+            trivial = False
+    if not records:
+        raise InconclusiveError("no sample point was domain-valid")
     rank = max(rec["rank"] for rec in records)
     max_res = max(rec["residual"] for rec in records)
     family = all(rec["rank"] < 2 for rec in records)
@@ -258,26 +264,22 @@ def pair_residual(b, point, L1, L2):
             return to_mpf(pe.eval(_scalar_expr(x, chart)))
         return to_mpf(x)
 
-    with mpmath.workdps(DPS):
-        l1, l2 = val(L1), val(L2)
-        res = mpmath.mpf(0)
-        scale = mpmath.mpf(0)
-        for er, eg, es in triples:
-            rv = to_mpf(pe.eval(er))
-            g1 = to_mpf(pe.eval(eg))
-            g2 = to_mpf(pe.eval(es))
-            res += (rv - l1 * g1 - l2 * g2) ** 2
-            for s in (abs(rv), abs(l1 * g1), abs(l2 * g2)):
-                if s > scale:
-                    scale = s
-        res = mpmath.sqrt(res)
-    return {"residual": res, "scale": scale}
+    l1, l2 = val(L1), val(L2)
+    res = scale = MP.zero
+    for er, eg, es in triples:
+        rv = to_mpf(pe.eval(er))
+        g1 = to_mpf(pe.eval(eg))
+        g2 = to_mpf(pe.eval(es))
+        res += (rv - l1 * g1 - l2 * g2) ** 2
+        for s in (abs(rv), abs(l1 * g1), abs(l2 * g2)):
+            if s > scale:
+                scale = s
+    return {"residual": MP.sqrt(res), "scale": scale}
 
 
 def pair_admissible(b, point, L1, L2):
     out = pair_residual(b, point, L1, L2)
-    with mpmath.workdps(DPS):
-        return out["residual"] <= zero_threshold(out["scale"])
+    return out["residual"] <= zero_threshold(out["scale"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +301,8 @@ def constant_type_check(report: ConditionReport):
     recs = report.records
     if not recs:
         return True
-    with mpmath.workdps(DPS):
-        tol = mpmath.mpf(REL_TOL)
-        vals = [(to_mpf(r["L1"]), to_mpf(r["L2"])) for r in recs]
-        scale = max(max(abs(a), abs(c)) for a, c in vals)
-        a0, c0 = vals[0]
-        return all(abs(a - a0) <= tol * (1 + scale)
-                   and abs(c - c0) <= tol * (1 + scale) for a, c in vals)
+    vals = [(to_mpf(r["L1"]), to_mpf(r["L2"])) for r in recs]
+    scale = max(max(abs(a), abs(c)) for a, c in vals)
+    a0, c0 = vals[0]
+    tol = REL_TOL * (1 + scale)
+    return all(abs(a - a0) <= tol and abs(c - c0) <= tol for a, c in vals)

@@ -14,17 +14,21 @@ written with '/' and fold to exact constants.  Fractional exponents require
 parentheses; an unparenthesized `x^1/2` is `(x^1)/2` by precedence.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
-fast path when the tree is rational and mpmath at DPS = 50 significant digits
-otherwise.  The zero test samples deterministic rational points from a box
-(default [1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)`
-where m is the largest intermediate magnitude seen while evaluating.
+fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
+context at DPS = 50 significant digits: every number the engine makes
+carries that precision, so no caller sets one and the ambient `mpmath.mp`
+precision changes no value and no verdict.  The zero test samples
+deterministic rational points from a box (default [1/3, 2] per coordinate)
+and accepts `|value| <= 1e-30 * (1 + m)` where m is the largest
+intermediate magnitude seen while evaluating.
 
 `PointEval.judge` is the one place where a sampled value is judged zero:
 every per-component verdict (the zero test, the identity catalog, the
 (L1, L2) fit, the warped-product conditions) is built on it.  This module
-also owns the single Fraction-to-mpf conversion (`to_mpf`) and the single
-literal-zero predicate (`is_literal_zero`).  Parsed text is capped at
-MAX_NESTING levels, counting both parentheses and chained divisions.
+also owns the mpmath contexts, the single Fraction-to-mpf conversion
+(`to_mpf`, at any context `_as_mpf`) and the single literal-zero predicate
+(`is_literal_zero`).  Parsed text is capped at MAX_NESTING levels, counting
+both parentheses and chained divisions.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
@@ -40,10 +45,25 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 DEFAULT_SEED = 0xC0FFEE
 DEFAULT_BOX = (Fraction(1, 3), Fraction(2))
 DPS = 50  # significant digits of every evaluation and verdict
-REL_TOL = "1e-20"  # relative tolerance of linear dependence and constancy
 _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
+_CONTEXTS = {}
+
+
+def _context(dps):
+    """The mpmath context of `dps` significant digits, made once per `dps`."""
+    ctx = _CONTEXTS.get(dps)
+    if ctx is None:
+        ctx = _CONTEXTS[dps] = mpmath.MPContext()
+        ctx.dps = dps
+    return ctx
+
+
+# Every number the engine makes is an mpf of MP: its arithmetic and its
+# functions (MP.sqrt, MP.nstr, ...) run at DPS digits whatever mpmath.mp is.
+MP = _context(DPS)
+REL_TOL = MP.mpf("1e-20")  # relative tolerance of dependence and constancy
 
 _FUNC_NAMES = ("exp", "log", "sin", "cos")
 
@@ -860,79 +880,28 @@ def rename(e, mapping, _memo=None):
 # Evaluation
 
 
-def to_mpf(v):
-    """An exact Fraction or a number as an mpf at the working precision."""
+def _as_mpf(MP, v):
+    """`v`, an exact Fraction or a number, as an mpf of the context `MP`."""
     if isinstance(v, Fraction):
-        return mpmath.mpf(v.numerator) / mpmath.mpf(v.denominator)
-    return mpmath.mpf(v)
+        return MP.mpf(v.numerator) / MP.mpf(v.denominator)
+    return MP.mpf(v)
 
 
-_MPF_ZERO = mpmath.mpf(0)
-
-
-def _mag(v):
-    return abs(to_mpf(v))
-
-
-def _num_add(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return to_mpf(a) + to_mpf(b)
-
-
-def _num_mul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return to_mpf(a) * to_mpf(b)
-
-
-def _num_div(a, b):
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise DomainError("division by zero")
-        if isinstance(a, Fraction):
-            return a / b
-    else:
-        if b == 0:
-            raise DomainError("division by zero")
-    return to_mpf(a) / to_mpf(b)
-
-
-def _num_pow(b, e):
-    if e.denominator == 1:
-        k = int(e)
-        if isinstance(b, Fraction):
-            if b == 0 and k < 0:
-                raise DomainError("zero base with negative exponent")
-            return b ** k
-        if b == 0 and k < 0:
-            raise DomainError("zero base with negative exponent")
-        return to_mpf(b) ** k
-    # fractional exponent
-    if isinstance(b, Fraction):
-        if b < 0:
-            raise DomainError("negative base with fractional exponent")
-        if b == 0:
-            if e < 0:
-                raise DomainError("zero base with negative exponent")
-            return Fraction(0)
-        return mpmath.power(to_mpf(b), to_mpf(e))
-    if b < 0:
-        raise DomainError("negative base with fractional exponent")
-    if b == 0 and e < 0:
-        raise DomainError("zero base with negative exponent")
-    return mpmath.power(b, to_mpf(e))
+def to_mpf(v):
+    """An exact Fraction or a number as an mpf of `MP`, at DPS digits."""
+    return _as_mpf(MP, v)
 
 
 class PointEval:
     """Memoizing evaluator bound to one point (shared across expressions).
 
-    Values are exact Fractions when the subtree is rational, mpmath floats
-    otherwise.  Each memo entry records the largest intermediate magnitude in
-    its subtree so zero tests can scale their tolerance.  The memo is keyed
-    by id(node); every root passed to eval_scaled is kept, so the immutable
-    nodes behind those ids stay alive and no id is reused while the memo
-    lives.
+    Values are exact Fractions when the subtree is rational, otherwise mpfs
+    of the mpmath context of `dps` digits (`MP` at the default DPS), so
+    the ambient `mpmath.mp` precision never enters.  Each memo entry
+    records the largest intermediate magnitude in its subtree so zero tests
+    can scale their tolerance.  The memo is keyed by id(node); every root
+    passed to eval_scaled is kept, so the immutable nodes behind those ids
+    stay alive and no id is reused while the memo lives.
     """
 
     def __init__(self, env, dps=DPS):
@@ -941,16 +910,15 @@ class PointEval:
             if isinstance(v, int):
                 v = Fraction(v)
             self.env[k] = v
-        self.dps = dps
+        self._ctx = _context(dps)
+        self._mpf = partial(_as_mpf, self._ctx)
         self._memo = {}
         self._roots = []
-        with mpmath.workdps(dps):
-            self._tol = mpmath.mpf(_ZERO_TOL)
+        self._tol = self._ctx.mpf(_ZERO_TOL)
 
     def eval_scaled(self, e):
         self._roots.append(e)
-        with mpmath.workdps(self.dps):
-            return self._walk(e)
+        return self._walk(e)
 
     def eval(self, e):
         return self.eval_scaled(e)[0]
@@ -963,9 +931,40 @@ class PointEval:
         Raises DomainError when `e` is undefined at this point.
         """
         v, m = self.eval_scaled(e)
-        with mpmath.workdps(self.dps):
-            v = to_mpf(v)
-            return v if abs(v) > self._tol * (1 + m) else _MPF_ZERO
+        v = self._mpf(v)
+        return v if abs(v) > self._tol * (1 + m) else self._ctx.zero
+
+    def _mag(self, v):
+        return abs(self._mpf(v))
+
+    def _add(self, a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a + b
+        return self._mpf(a) + self._mpf(b)
+
+    def _mul(self, a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a * b
+        return self._mpf(a) * self._mpf(b)
+
+    def _div(self, a, b):
+        if b == 0:
+            raise DomainError("division by zero")
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a / b
+        return self._mpf(a) / self._mpf(b)
+
+    def _pow(self, b, e):
+        if b == 0 and e < 0:
+            raise DomainError("zero base with negative exponent")
+        if e.denominator == 1:
+            k = int(e)
+            return b ** k if isinstance(b, Fraction) else self._mpf(b) ** k
+        if b < 0:
+            raise DomainError("negative base with fractional exponent")
+        if b == 0 and isinstance(b, Fraction):
+            return Fraction(0)
+        return self._ctx.power(self._mpf(b), self._mpf(e))
 
     def _walk(self, e):
         hit = self._memo.get(id(e))
@@ -973,32 +972,32 @@ class PointEval:
             return hit
         if isinstance(e, Const):
             v = e.value
-            out = (v, _mag(v))
+            out = (v, self._mag(v))
         elif isinstance(e, (Coord, Param)):
             try:
                 v = self.env[e.name]
             except KeyError:
                 raise EvalError(f"unbound variable {e.name!r}") from None
-            out = (v, _mag(v))
+            out = (v, self._mag(v))
         elif isinstance(e, Add):
             v = Fraction(0)
-            m = mpmath.mpf(0)
+            m = self._ctx.zero
             for t in e.terms:
                 tv, tm = self._walk(t)
-                v = _num_add(v, tv)
+                v = self._add(v, tv)
                 if tm > m:
                     m = tm
-            mg = _mag(v)
+            mg = self._mag(v)
             out = (v, m if m > mg else mg)
         elif isinstance(e, Mul):
             v = Fraction(1)
-            m = mpmath.mpf(0)
+            m = self._ctx.zero
             for f in e.factors:
                 fv, fm = self._walk(f)
-                v = _num_mul(v, fv)
+                v = self._mul(v, fv)
                 if fm > m:
                     m = fm
-            mg = _mag(v)
+            mg = self._mag(v)
             out = (v, m if m > mg else mg)
         elif isinstance(e, Neg):
             cv, cm = self._walk(e.child)
@@ -1007,31 +1006,19 @@ class PointEval:
         elif isinstance(e, Div):
             nv, nm = self._walk(e.num)
             dv, dm = self._walk(e.den)
-            v = _num_div(nv, dv)
-            m = max(nm, dm, _mag(v))
+            v = self._div(nv, dv)
+            m = max(nm, dm, self._mag(v))
             out = (v, m)
         elif isinstance(e, Pow):
             bv, bm = self._walk(e.base)
-            v = _num_pow(bv, e.exponent)
-            m = max(bm, _mag(v))
+            v = self._pow(bv, e.exponent)
+            m = max(bm, self._mag(v))
             out = (v, m)
-        elif isinstance(e, Exp):
+        elif isinstance(e, (Exp, Log, Sin, Cos)):
             cv, cm = self._walk(e.child)
-            v = mpmath.exp(to_mpf(cv))
-            out = (v, max(cm, abs(v)))
-        elif isinstance(e, Log):
-            cv, cm = self._walk(e.child)
-            if (isinstance(cv, Fraction) and cv <= 0) or (not isinstance(cv, Fraction) and cv <= 0):
+            if isinstance(e, Log) and cv <= 0:
                 raise DomainError("log of non-positive value")
-            v = mpmath.log(to_mpf(cv))
-            out = (v, max(cm, abs(v)))
-        elif isinstance(e, Sin):
-            cv, cm = self._walk(e.child)
-            v = mpmath.sin(to_mpf(cv))
-            out = (v, max(cm, abs(v)))
-        elif isinstance(e, Cos):
-            cv, cm = self._walk(e.child)
-            v = mpmath.cos(to_mpf(cv))
+            v = getattr(self._ctx, e.fname)(self._mpf(cv))
             out = (v, max(cm, abs(v)))
         else:
             raise TypeError(f"cannot evaluate {e!r}")
@@ -1040,7 +1027,7 @@ class PointEval:
 
 
 def evaluate(e, env):
-    """Evaluate at a point; exact Fraction when possible, else mpmath float."""
+    """Evaluate at a point; exact Fraction when possible, else an mpf of MP."""
     return PointEval(env).eval(e)
 
 
@@ -1075,8 +1062,7 @@ def zero_threshold(scale):
 
     Per-component verdicts go through `PointEval.judge` instead.
     """
-    with mpmath.workdps(DPS):
-        return mpmath.mpf(_ZERO_TOL) * (1 + scale)
+    return MP.mpf(_ZERO_TOL) * (1 + scale)
 
 
 def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED):
@@ -1090,15 +1076,17 @@ def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SE
     """Componentwise zero test sharing sample points and evaluation memo.
 
     An expression is zero iff every domain-valid sampled point judges it
-    zero.  Points are visited one at a time, so only one evaluation memo is
-    alive.  Returns a list of booleans, one per expression.  Raises
-    InconclusiveError if some expression had no domain-valid point.
+    zero; a literal 0 is zero and valid without sampling.  Points are
+    visited one at a time, so only one evaluation memo is alive.  Returns a
+    list of booleans, one per expression.  Raises InconclusiveError if some
+    expression had no domain-valid point.
     """
     zero = [True] * len(exprs)
-    valid = [False] * len(exprs)
+    valid = [is_literal_zero(e) for e in exprs]
+    sampled = [(i, e) for i, e in enumerate(exprs) if not valid[i]]
     for pt in sample_box_points(coords, box, trials, seed, params=params):
         pe = PointEval(pt)
-        for i, e in enumerate(exprs):
+        for i, e in sampled:
             if zero[i]:
                 try:
                     zero[i] = pe.judge(e) == 0

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import mpmath
-
 from . import expr as ex
 from .expr import (
-    DEFAULT_SEED, DPS, REL_TOL, DomainError, Expr, PointEval, is_zero_many,
+    DEFAULT_SEED, MP, REL_TOL, DomainError, Expr, PointEval, is_zero_many,
     parse, sample_box_points, to_mpf, zero_threshold,
 )
 
@@ -122,12 +120,12 @@ def _numeric_det(mat):
     """LU determinant with partial pivoting; returns (det, max intermediate)."""
     n = len(mat)
     a = [row[:] for row in mat]
-    det = mpmath.mpf(1)
-    scale = max((abs(x) for row in a for x in row), default=mpmath.mpf(0))
+    det = MP.one
+    scale = max((abs(x) for row in a for x in row), default=MP.zero)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
-            return mpmath.mpf(0), scale
+            return MP.zero, scale
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             det = -det
@@ -387,21 +385,19 @@ def linear_dependence_check(A, E, point):
     if A.valence != E.valence:
         raise ChartError("valence mismatch")
     pe = PointEval(point)
-    with mpmath.workdps(DPS):
-        va = [to_mpf(pe.eval(c)) for c in A.flatten()]
-        vb = [to_mpf(pe.eval(c)) for c in E.flatten()]
-        tol = mpmath.mpf(REL_TOL)
-        na = mpmath.sqrt(sum(x * x for x in va))
-        nb = mpmath.sqrt(sum(x * x for x in vb))
-        scale = max(na, nb)
-        if scale == 0:
-            return {"dependent": True, "ratio": None}
-        if na <= tol * scale or nb <= tol * scale:
-            return {"dependent": True, "ratio": None}
-        dot = sum(x * y for x, y in zip(va, vb))
-        gram = na * na * nb * nb - dot * dot
-        if gram < 0:
-            gram = mpmath.mpf(0)
-        dependent = mpmath.sqrt(gram) <= tol * na * nb
-        ratio = dot / (nb * nb) if dependent else None
+    va = [to_mpf(pe.eval(c)) for c in A.flatten()]
+    vb = [to_mpf(pe.eval(c)) for c in E.flatten()]
+    na = MP.sqrt(sum(x * x for x in va))
+    nb = MP.sqrt(sum(x * x for x in vb))
+    scale = max(na, nb)
+    if scale == 0:
+        return {"dependent": True, "ratio": None}
+    if na <= REL_TOL * scale or nb <= REL_TOL * scale:
+        return {"dependent": True, "ratio": None}
+    dot = sum(x * y for x, y in zip(va, vb))
+    gram = na * na * nb * nb - dot * dot
+    if gram < 0:
+        gram = MP.zero
+    dependent = MP.sqrt(gram) <= REL_TOL * na * nb
+    ratio = dot / (nb * nb) if dependent else None
     return {"dependent": bool(dependent), "ratio": ratio}

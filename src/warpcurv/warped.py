@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-import mpmath
-
 from . import expr as ex
 from .actions import (
     _alloc, _set, cached_derivation, cached_tachibana, derivation_action,
@@ -27,7 +25,7 @@ from .actions import (
 )
 from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
-from .expr import DEFAULT_SEED, DPS, DomainError, PointEval, is_literal_zero
+from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import Chart, ChartError, TensorField, _as_expr, _field, gaussian, metric_inverse
 
 LABEL_T = "T = L1 g"
@@ -72,16 +70,14 @@ class WarpedSpec:
 
     def _check_f_positive(self):
         valid = 0
-        with mpmath.workdps(DPS):
-            for pt in self.base.sample_points():
-                pe = PointEval(pt)
-                try:
-                    v = pe.eval(self.f)
-                except DomainError:
-                    continue
-                valid += 1
-                if not v > 0:
-                    raise ChartError(f"warping function must be positive on the box, got {v} at {pt}")
+        for pt in self.base.sample_points():
+            try:
+                v = PointEval(pt).eval(self.f)
+            except DomainError:
+                continue
+            valid += 1
+            if not v > 0:
+                raise ChartError(f"warping function must be positive on the box, got {v} at {pt}")
         if valid == 0:
             raise ChartError("warping function not evaluable on the sampling box")
 

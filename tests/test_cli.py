@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import mpmath
 import pytest
 
 import helpers
 from warpcurv import cli
 from warpcurv import expr as ex
+from warpcurv.conditions import fit_pseudosymmetry
 from warpcurv.cli import (
     ManifestError, build_chart, build_spec, classify_report, curvature_report,
     fixture_path, load_manifest, main, selftest_report, warped_verify_report,
@@ -265,6 +267,50 @@ def test_main_deep_division_is_input_error(tmp_path, capsys):
     assert "(offset 3002)" in err
     assert len(err.encode()) < 300
     assert "Traceback" not in err
+
+
+def test_main_rank2_metric_is_input_error(tmp_path, capsys):
+    # g = u u^T + v v^T: rank 2 on a 3-chart, whatever the ambient precision
+    u = ("exp(x1)", "log(x2 + 1)", "sin(x3) + 2")
+    v = ("x2", "cos(x1) + 3", "exp(x3)/7")
+    path = _write(tmp_path, "rank2.mf", "[chart]\ncoords = x1 x2 x3\n" + "".join(
+        f"g {i + 1} {j + 1} = ({u[i]})*({u[j]}) + ({v[i]})*({v[j]})\n"
+        for i in range(3) for j in range(i, 3)))
+    assert main(["curvature", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "metric degenerate" in err
+    assert "Traceback" not in err
+
+
+def test_fit_skips_undefined_points(tmp_path, capsys):
+    # (x1 - 1)^(1/2) and its derivatives are undefined on x1 <= 1, about
+    # half of the box x1 = 0 .. 2
+    path = _write(tmp_path, "half.mf", "[chart]\ncoords = x1 x2 x3\n"
+                  "box x1 = 0 .. 2\ng 1 1 = 1\ng 2 2 = (x1 - 1)^(1/2) + x3^2\n"
+                  "g 3 3 = x1^2 + x2\n")
+    assert main(["classify", path]) == 0
+    assert main(["curvature", path]) == 0
+    assert "undefined" in capsys.readouterr().out
+    _, rep = classify_report(path)
+    records = rep["fit"]["records"]
+    assert 0 < len(records) < 8
+    assert all(Fraction(r["point"]["x1"]) > 1 for r in records)
+    chart = build_chart(load_manifest(path))
+    outside = [pt for pt in chart.sample_points(32, 1) if pt["x1"] <= 1][:5]
+    with pytest.raises(ex.InconclusiveError):
+        fit_pseudosymmetry(bundle(chart), outside)
+
+
+def test_reports_independent_of_ambient_precision():
+    path = fixture_path("aniso3.mf")
+    blobs = set()
+    for dps in (15, 80):
+        with mpmath.workdps(dps):
+            reports = [curvature_report(path, points=5),
+                       classify_report(path, points=5)]
+        blobs.add(json.dumps(reports, sort_keys=True))
+    assert mpmath.mp.dps == 15
+    assert len(blobs) == 1
 
 
 def test_main_selftest_json(tmp_path, monkeypatch, capsys):

@@ -383,7 +383,7 @@ def test_point_eval_memo_ignores_freed_trees():
 
 def test_judge_snaps_exact_zero():
     v = ex.PointEval({"x1": Fraction(1, 3)}).judge(p("x1 - 1/3"))
-    assert isinstance(v, mpmath.mpf) and v == 0
+    assert isinstance(v, ex.MP.mpf) and v == 0
 
 
 def test_judge_threshold_boundary():
@@ -489,7 +489,7 @@ def test_sample_box_points_deterministic():
 # ------------------------------------------------------------ one copy of each
 
 SRC = Path(ex.__file__).resolve().parent
-FRACTION_TO_MPF = re.compile(r"\.numerator\)\s*/\s*mpmath\.mpf\(")
+FRACTION_TO_MPF = re.compile(r"\.numerator\)\s*/\s*(?:mpmath|MP)\.mpf\(")
 LITERAL_ZERO = re.compile(
     r"isinstance\(\s*\w+\s*,\s*(?:\w+\.)?Const\s*\)\s*and\s*\w+\.value\s*==\s*0\b")
 
@@ -508,3 +508,15 @@ def test_numeric_helpers_live_only_in_expr():
     text = (SRC / "expr.py").read_text()
     assert len(FRACTION_TO_MPF.findall(text)) == 1
     assert len(LITERAL_ZERO.findall(text)) == 1
+
+
+MPMATH_USE = re.compile(r"\bworkdps\b|^\s*(?:import|from)\s+mpmath\b", re.M)
+
+
+def test_mpmath_lives_only_in_expr():
+    # the precision is carried by expr.MP's numbers, so no other module
+    # imports mpmath or sets a working precision
+    offenders = [f"{path.name}: {m.group(0).strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "expr.py"
+                 for m in MPMATH_USE.finditer(path.read_text())]
+    assert offenders == []

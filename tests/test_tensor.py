@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from warpcurv import expr as ex
@@ -64,6 +65,18 @@ def test_chart_rejects_asymmetric_metric():
 def test_chart_rejects_degenerate_metric():
     with pytest.raises(ChartError):
         Chart(("x1", "x2"), [["1", "0"], ["0", "0"]])
+
+
+def test_chart_rejects_rank2_metric_at_any_ambient_precision():
+    # g = u u^T + v v^T has rank 2 on a 3-chart; at 15 digits its sampled
+    # determinant is rounding noise well above the zero threshold
+    u = ("exp(x1)", "log(x2 + 1)", "sin(x3) + 2")
+    v = ("x2", "cos(x1) + 3", "exp(x3)/7")
+    g = [[f"({u[i]})*({u[j]}) + ({v[i]})*({v[j]})" for j in range(3)]
+         for i in range(3)]
+    for dps in (15, 50):
+        with mpmath.workdps(dps), pytest.raises(ChartError, match="metric degenerate"):
+            Chart(("x1", "x2", "x3"), g)
 
 
 def test_chart_one_dimensional():
