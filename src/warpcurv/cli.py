@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import product as iproduct
 
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
@@ -428,21 +427,18 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     b = bundle(chart)
     curv = block_curvature(spec)
     acts = block_actions(spec)
-    n = spec.n
     oracle = {}
-    diffs = [ex.sub(b.R.comp(t), curv["R"].comp(t))
-             for t in iproduct(range(n), repeat=4)]
-    oracle["R"] = all(chart.is_zero_many(diffs, trials=points, seed=seed))
-    diffs = [ex.sub(b.S.comps[i][j], curv["S"].comps[i][j])
-             for i in range(n) for j in range(n)]
-    oracle["S"] = all(chart.is_zero_many(diffs, trials=points, seed=seed))
-    oracle["kappa"] = chart.is_zero(ex.sub(b.kappa, curv["kappa"]),
-                                    trials=points, seed=seed)
-    for key, direct in (("RR", cached_derivation(b, "R", "R")),
-                        ("QgR", cached_tachibana(b, "g", "R")),
-                        ("QSR", cached_tachibana(b, "S", "R"))):
-        diffs = [ex.sub(direct.comp(t), acts[key].comp(t))
-                 for t in iproduct(range(n), repeat=6)]
+    for key, direct, block in (
+            ("R", b.R.flatten(), curv["R"].flatten()),
+            ("S", b.S.flatten(), curv["S"].flatten()),
+            ("kappa", [b.kappa], [curv["kappa"]]),
+            ("RR", cached_derivation(b, "R", "R").flatten(),
+             acts["RR"].flatten()),
+            ("QgR", cached_tachibana(b, "g", "R").flatten(),
+             acts["QgR"].flatten()),
+            ("QSR", cached_tachibana(b, "S", "R").flatten(),
+             acts["QSR"].flatten())):
+        diffs = [ex.sub(d, k) for d, k in zip(direct, block)]
         oracle[key] = all(chart.is_zero_many(diffs, trials=points, seed=seed))
     rep["oracle"] = oracle
     try:
@@ -674,11 +670,18 @@ def _json_arg(sp):
                     help="also write the report as JSON to OUT")
 
 
+def _point_count(text):
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    return k
+
+
 def _common_args(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="sampling seed (overrides the manifest)")
-    sp.add_argument("--points", type=int, default=8,
-                    help="number of sample points per zero test")
+    sp.add_argument("--points", type=_point_count, default=8,
+                    help="number of sample points per zero test (at least 1)")
     _json_arg(sp)
 
 

@@ -13,6 +13,9 @@ Identifiers must be declared coordinates or parameters.  Rational literals are
 written with '/' and fold to exact constants.  Fractional exponents require
 parentheses; an unparenthesized `x^1/2` is `(x^1)/2` by precedence.
 
+Nodes are hash-consed: constructing a node equal to a live one returns that
+node, so equal trees are one object and equality is identity.
+
 Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
 context at DPS = 50 significant digits: every number the engine makes
@@ -20,7 +23,9 @@ carries that precision, so no caller sets one and the ambient `mpmath.mp`
 precision changes no value and no verdict.  The zero test samples
 deterministic rational points from a box (default [1/3, 2] per coordinate)
 and accepts `|value| <= 1e-30 * (1 + m)` where m is the largest
-intermediate magnitude seen while evaluating.
+intermediate magnitude seen while evaluating.  A point where an exp
+argument exceeds MAX_EXP_ARG in magnitude is undefined, like one outside
+the domain of log.
 
 `PointEval.judge` is the one place where a sampled value is judged zero:
 every per-component verdict (the zero test, the identity catalog, the
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import random
 import sys
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -48,7 +54,9 @@ DPS = 50  # significant digits of every evaluation and verdict
 _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
+MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 _CONTEXTS = {}
+_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
 
 
 def _context(dps):
@@ -96,24 +104,26 @@ class InconclusiveError(ExprError):
 
 
 class Expr:
-    __slots__ = ("_hash",)
+    """An immutable, hash-consed node: equal trees are one object.
 
-    def _key(self):
-        raise NotImplementedError
+    Constructing a node whose class and fields match a live node returns
+    that node, so equality and hashing are identity (the `object` defaults)
+    and memos keyed by node are sound.  The table holds nodes weakly, so
+    they die with the last tree that uses them.  A subclass lists its
+    `_fields` and at most normalizes them before `Expr.__new__`.
+    """
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented if not isinstance(other, Expr) else False
-        return self._key() == other._key()
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._key())
-            self._hash = h
-        return h
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                setattr(node, name, value)
+            _NODES[key] = node
+        return node
 
     def __str__(self):
         return to_str(self)
@@ -123,96 +133,52 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    __slots__ = _fields = ("value",)
 
-    def __init__(self, value):
-        self.value = Fraction(value)
-
-    def _key(self):
-        return ("c", self.value)
+    def __new__(cls, value):
+        return Expr.__new__(cls, Fraction(value))
 
 
 class Coord(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def _key(self):
-        return ("x", self.name)
+    __slots__ = _fields = ("name",)
 
 
 class Param(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def _key(self):
-        return ("p", self.name)
+    __slots__ = _fields = ("name",)
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms):
-        self.terms = tuple(terms)
-
-    def _key(self):
-        return ("+",) + self.terms
+    def __new__(cls, terms):
+        return Expr.__new__(cls, tuple(terms))
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = _fields = ("factors",)
 
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-
-    def _key(self):
-        return ("*",) + self.factors
+    def __new__(cls, factors):
+        return Expr.__new__(cls, tuple(factors))
 
 
 class Pow(Expr):
-    __slots__ = ("base", "exponent")
+    __slots__ = _fields = ("base", "exponent")
 
-    def __init__(self, base, exponent):
-        self.base = base
-        self.exponent = Fraction(exponent)
-
-    def _key(self):
-        return ("^", self.base, self.exponent)
+    def __new__(cls, base, exponent):
+        return Expr.__new__(cls, base, Fraction(exponent))
 
 
 class Neg(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child):
-        self.child = child
-
-    def _key(self):
-        return ("neg", self.child)
+    __slots__ = _fields = ("child",)
 
 
 class Div(Expr):
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        self.num = num
-        self.den = den
-
-    def _key(self):
-        return ("/", self.num, self.den)
+    __slots__ = _fields = ("num", "den")
 
 
 class _Func(Expr):
-    __slots__ = ("child",)
+    __slots__ = _fields = ("child",)
     fname = "?"
-
-    def __init__(self, child):
-        self.child = child
-
-    def _key(self):
-        return (self.fname, self.child)
 
 
 class Exp(_Func):
@@ -242,8 +208,12 @@ ONE = Const(1)
 
 
 def is_literal_zero(e):
-    """True iff `e` is the constant 0 (structurally, without evaluating)."""
-    return isinstance(e, Const) and e.value == 0
+    """True iff `e` is the constant 0, without evaluating.
+
+    Nodes are interned, so `isinstance(e, Const) and e.value == 0` holds
+    exactly when `e is ZERO`.
+    """
+    return e is ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -648,27 +618,25 @@ class _Renderer:
             for c in _children(stack.pop()):
                 if isinstance(c, _LEAVES):
                     continue
-                k = id(c)
-                if k in parents:
-                    parents[k] += 1
+                if c in parents:
+                    parents[c] += 1
                 else:
-                    parents[k] = 1
+                    parents[c] = 1
                     stack.append(c)
         self._uses_left = {k: v for k, v in parents.items() if v > 1}
         self._memo = {}
 
     def _text(self, e):
-        k = id(e)
-        left = self._uses_left.get(k)
+        left = self._uses_left.get(e)
         if left is None:
             return self._render(e)
         if left == 1:
-            del self._uses_left[k]
-            return self._memo.pop(k)
-        self._uses_left[k] = left - 1
-        s = self._memo.get(k)
+            del self._uses_left[e]
+            return self._memo.pop(e)
+        self._uses_left[e] = left - 1
+        s = self._memo.get(e)
         if s is None:
-            s = self._memo[k] = self._render(e)
+            s = self._memo[e] = self._render(e)
         return s
 
     def _render(self, e):
@@ -776,7 +744,7 @@ def to_str(e):
 def diff(e, name, _memo=None):
     if _memo is None:
         _memo = {}
-    hit = _memo.get(id(e))
+    hit = _memo.get(e)
     if hit is not None:
         return hit
     if isinstance(e, (Const, Param)):
@@ -813,7 +781,7 @@ def diff(e, name, _memo=None):
         out = neg(mul(sin_(e.child), diff(e.child, name, _memo)))
     else:
         raise TypeError(f"cannot differentiate {e!r}")
-    _memo[id(e)] = out
+    _memo[e] = out
     return out
 
 
@@ -822,9 +790,9 @@ def diff(e, name, _memo=None):
 
 
 def _walk_names(e, coords, params, seen):
-    if id(e) in seen:
+    if e in seen:
         return
-    seen.add(id(e))
+    seen.add(e)
     if isinstance(e, Coord):
         coords.add(e.name)
     elif isinstance(e, Param):
@@ -849,7 +817,7 @@ def rename(e, mapping, _memo=None):
     """Rename coordinate/parameter leaves according to `mapping`."""
     if _memo is None:
         _memo = {}
-    hit = _memo.get(id(e))
+    hit = _memo.get(e)
     if hit is not None:
         return hit
     if isinstance(e, Const):
@@ -872,7 +840,7 @@ def rename(e, mapping, _memo=None):
         out = _FUNC_CLASSES[e.fname](rename(e.child, mapping, _memo))
     else:
         raise TypeError(f"cannot rename {e!r}")
-    _memo[id(e)] = out
+    _memo[e] = out
     return out
 
 
@@ -899,9 +867,11 @@ class PointEval:
     of the mpmath context of `dps` digits (`MP` at the default DPS), so
     the ambient `mpmath.mp` precision never enters.  Each memo entry
     records the largest intermediate magnitude in its subtree so zero tests
-    can scale their tolerance.  The memo is keyed by id(node); every root
-    passed to eval_scaled is kept, so the immutable nodes behind those ids
-    stay alive and no id is reused while the memo lives.
+    can scale their tolerance.  The memo is keyed by node: nodes are
+    interned, so a subtree shared by several expressions is evaluated once,
+    and the memo keeps its keys alive for as long as it lives.  An exp
+    argument beyond MAX_EXP_ARG in magnitude makes the point undefined
+    (DomainError) before mpmath is called.
     """
 
     def __init__(self, env, dps=DPS):
@@ -913,11 +883,9 @@ class PointEval:
         self._ctx = _context(dps)
         self._mpf = partial(_as_mpf, self._ctx)
         self._memo = {}
-        self._roots = []
         self._tol = self._ctx.mpf(_ZERO_TOL)
 
     def eval_scaled(self, e):
-        self._roots.append(e)
         return self._walk(e)
 
     def eval(self, e):
@@ -967,7 +935,7 @@ class PointEval:
         return self._ctx.power(self._mpf(b), self._mpf(e))
 
     def _walk(self, e):
-        hit = self._memo.get(id(e))
+        hit = self._memo.get(e)
         if hit is not None:
             return hit
         if isinstance(e, Const):
@@ -1018,11 +986,13 @@ class PointEval:
             cv, cm = self._walk(e.child)
             if isinstance(e, Log) and cv <= 0:
                 raise DomainError("log of non-positive value")
+            if isinstance(e, Exp) and abs(cv) > MAX_EXP_ARG:
+                raise DomainError("exp argument too large")
             v = getattr(self._ctx, e.fname)(self._mpf(cv))
             out = (v, max(cm, abs(v)))
         else:
             raise TypeError(f"cannot evaluate {e!r}")
-        self._memo[id(e)] = out
+        self._memo[e] = out
         return out
 
 

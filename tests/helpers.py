@@ -128,6 +128,32 @@ def plain_to_str(e):
 
 
 # ---------------------------------------------------------------------------
+# Node counter: distinct objects against distinct structures, computed from
+# the fields alone, so it does not rely on how nodes compare.
+
+def count_nodes(roots):
+    """(distinct by identity, distinct by structure) nodes reachable from roots."""
+    cls = {}          # id(node) -> structural class; roots keep nodes alive
+    classes = {}
+    for root in roots:
+        todo = [(root, False)]
+        while todo:
+            node, ready = todo.pop()
+            if id(node) in cls:
+                continue
+            kids = ex._children(node)
+            if not ready:
+                todo.append((node, True))
+                todo.extend((k, False) for k in kids)
+                continue
+            label = [getattr(node, f) for f in ("value", "name", "exponent")
+                     if hasattr(node, f)]
+            key = (type(node).__name__, *label, *(cls[id(k)] for k in kids))
+            cls[id(node)] = classes.setdefault(key, len(classes))
+    return len(cls), len(classes)
+
+
+# ---------------------------------------------------------------------------
 # Reference charts used across the test modules.  These mirror the bundled
 # fixture manifests; tests build them directly to stay independent of the CLI.
 

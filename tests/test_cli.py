@@ -1,6 +1,7 @@
 """Manifest grammar, command reports, exit codes, and bundled fixtures."""
 
 import json
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -280,6 +281,30 @@ def test_main_rank2_metric_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "metric degenerate" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [5, 400])
+def test_main_exp_tower_is_input_error(tmp_path, capsys, depth):
+    # past depth 4 the tower overflows mpmath at every sample point; an exp
+    # argument beyond expr.MAX_EXP_ARG makes the point undefined instead
+    path = _write(tmp_path, "tower.mf", "[chart]\ncoords = x1 x2\ng 1 1 = 1\n"
+                  "g 2 2 = " + "exp(" * depth + "x1" + ")" * depth + "\n")
+    t0 = time.perf_counter()
+    assert main(["curvature", path]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "undefined everywhere" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["curvature", "classify", "warped-verify"])
+def test_main_points_below_one_rejected(capsys, cmd):
+    for k in ("0", "-1"):
+        with pytest.raises(SystemExit) as stop:
+            main([cmd, fixture_path("ex2_warped.mf"), "--points", k])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "--points" in err and "at least 1" in err
 
 
 def test_fit_skips_undefined_points(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Expression trees: parsing, printing, differentiation, evaluation, zero test."""
 
+import gc
 import hashlib
 import random
 import re
@@ -269,6 +270,52 @@ def test_power_merging():
 def test_division_by_literal_zero_rejected():
     with pytest.raises(DomainError):
         ex.div(Coord("x1"), ex.const(0))
+
+
+# --------------------------------------------------------------- hash-consing
+
+def test_equal_trees_are_one_object():
+    s = "exp(x1)*(x2 - 1/3)^(1/2) + sin(x1/x2)"
+    assert p(s) is p(s)
+    assert Const(Fraction(2, 4)) is Const(Fraction(1, 2))
+    assert Const(0) is ex.ZERO
+    assert ex.is_literal_zero(Const(Fraction(0, 5)))
+    # no new folding: a - a keeps its two terms
+    x = Coord("x1")
+    assert ex.sub(x, x) is Add((x, Neg(x)))
+
+
+def test_equality_is_identity():
+    assert ex.Expr.__eq__ is object.__eq__
+    assert ex.Expr.__hash__ is object.__hash__
+    for cls in (ex.Expr, Const, Coord, Param, Add, Mul, Pow, Neg, Div, Exp):
+        assert "_key" not in vars(cls) and "__init__" not in vars(cls)
+    assert not hasattr(ex.PointEval({}), "_roots")
+
+
+def test_intern_table_shrinks_after_bundle_dropped():
+    gc.collect()
+    before = len(ex._NODES)
+    # coordinate names no other test uses, so every node is new
+    u = ("u1", "u2", "u3")
+    chart = Chart(u, [["1 + u2^2", "0", "0"], ["0", "exp(u1)", "u3"],
+                      ["0", "u3", "2 + sin(u1)"]])
+    bundle(chart).kappa
+    grown = len(ex._NODES)
+    del chart
+    gc.collect()
+    assert grown > before + 100
+    assert len(ex._NODES) <= before
+
+
+def test_rr_table_nodes_distinct_by_structure():
+    # the R.R table of ex1_fiber: 7452 identity-distinct and 1826
+    # structure-distinct nodes before interning
+    from warpcurv.actions import cached_derivation
+    from warpcurv.cli import build_chart, fixture_path, load_manifest
+    chart = build_chart(load_manifest(fixture_path("ex1_fiber.mf")))
+    rr = cached_derivation(bundle(chart), "R", "R")
+    assert helpers.count_nodes(rr.flatten()) == (1826, 1826)
 
 
 # ------------------------------------------------------------------------ diff
