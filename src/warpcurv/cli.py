@@ -308,24 +308,24 @@ def curvature_report(path, seed=None, points=8):
     b = bundle(chart)
     n = chart.n
     nz_r, nz_s = {}, {}
-    # (table, key, component), zero-tested in one batch that shares one
-    # evaluator per sample point
+    # (table, key, component), zero-tested in one batch; each sample point
+    # has one evaluator, which then gives the kappa sample
     comps = [(nz_r, " ".join(str(i + 1) for i in t), b.R.comp(t))
              for t in _orbit_reps4(n)]
     comps += [(nz_s, f"{i + 1} {j + 1}", b.S.comps[i][j])
               for i in range(n) for j in range(i, n)]
-    zero = chart.is_zero_many([e for _, _, e in comps], trials=points,
-                              seed=seed)
-    for (table, key, e), z in zip(comps, zero):
-        if not z:
-            table[key] = str(e)
+    test = ex.ZeroTest([e for _, _, e in comps])
     samples = []
     for pt in chart.sample_points(points, seed):
         pe = PointEval(pt)
+        test.visit(pe)
         try:
             samples.append(_numstr(pe.eval(b.kappa)))
         except DomainError:
             samples.append("undefined")
+    for (table, key, e), z in zip(comps, test.result()):
+        if not z:
+            table[key] = str(e)
     rep["command"] = "curvature"
     rep["curvature"] = {
         "kappa": str(b.kappa),

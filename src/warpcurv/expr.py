@@ -20,16 +20,20 @@ Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
 context at DPS = 50 significant digits: every number the engine makes
 carries that precision, so no caller sets one and the ambient `mpmath.mp`
-precision changes no value and no verdict.  The zero test samples
-deterministic rational points from a box (default [1/3, 2] per coordinate)
-and accepts `|value| <= 1e-30 * (1 + m)` where m is the largest
-intermediate magnitude seen while evaluating.  A point where an exp
-argument exceeds MAX_EXP_ARG in magnitude is undefined, like one outside
-the domain of log.
+precision changes no value and no verdict.  Inside `PointEval` the inexact
+values are raw `mpmath.libmp` tuples at that precision, combined by the libmp
+functions the mpf operators call, and become mpfs only when returned.
+
+The zero test samples deterministic rational points from a box (default
+[1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)` where m
+is the largest intermediate magnitude seen while evaluating.  A point where
+an exp argument exceeds MAX_EXP_ARG in magnitude is undefined, like one
+outside the domain of log.
 
 `PointEval.judge` is the one place where a sampled value is judged zero:
 every per-component verdict (the zero test, the identity catalog, the
-(L1, L2) fit, the warped-product conditions) is built on it.  This module
+(L1, L2) fit, the warped-product conditions) is built on it, and
+`ZeroTest` folds its verdicts over the sample points.  This module
 also owns the mpmath contexts, the single Fraction-to-mpf conversion
 (`to_mpf`, at any context `_as_mpf`) and the single literal-zero predicate
 (`is_literal_zero`).  Parsed text is capped at MAX_NESTING levels, counting
@@ -42,9 +46,12 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from functools import partial
+from operator import add as _fraction_add, mul as _fraction_mul
 
 import mpmath
+from mpmath.libmp import (
+    fone, from_int, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_eq, mpf_exp,
+    mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
@@ -136,7 +143,7 @@ class Const(Expr):
     __slots__ = _fields = ("value",)
 
     def __new__(cls, value):
-        return Expr.__new__(cls, Fraction(value))
+        return Expr.__new__(cls, value if type(value) is Fraction else Fraction(value))
 
 
 class Coord(Expr):
@@ -237,7 +244,7 @@ def add(*terms):
     acc = Fraction(0)
     for t in flat:
         if isinstance(t, Const):
-            if t.value == 0 and const_pos is not None:
+            if t is ZERO and const_pos is not None:
                 continue
             acc += t.value
             if const_pos is None:
@@ -263,7 +270,7 @@ def mul(*factors):
     for f in factors:
         for g in f.factors if isinstance(f, Mul) else (f,):
             if isinstance(g, Const):
-                if g.value == 0:
+                if g is ZERO:
                     return ZERO
                 coeff *= g.value
             else:
@@ -860,18 +867,30 @@ def to_mpf(v):
     return _as_mpf(MP, v)
 
 
+_MPF_FUNCS = {Exp: mpf_exp, Log: mpf_log, Sin: mpf_sin, Cos: mpf_cos}
+_MAX_EXP_MPF = from_int(MAX_EXP_ARG)
+
+
 class PointEval:
     """Memoizing evaluator bound to one point (shared across expressions).
 
     Values are exact Fractions when the subtree is rational, otherwise mpfs
     of the mpmath context of `dps` digits (`MP` at the default DPS), so
-    the ambient `mpmath.mp` precision never enters.  Each memo entry
-    records the largest intermediate magnitude in its subtree so zero tests
-    can scale their tolerance.  The memo is keyed by node: nodes are
-    interned, so a subtree shared by several expressions is evaluated once,
-    and the memo keeps its keys alive for as long as it lives.  An exp
-    argument beyond MAX_EXP_ARG in magnitude makes the point undefined
-    (DomainError) before mpmath is called.
+    the ambient `mpmath.mp` precision never enters.  Each value comes with
+    the largest intermediate magnitude in its subtree so zero tests can
+    scale their tolerance.
+
+    Inside, the walk computes on raw `mpmath.libmp` tuples (`_mpf_`) at
+    the context's precision and rounding, calling the libmp functions the
+    mpf operators call, so every value is bit-identical to mpf arithmetic.
+    A memo entry is (value, its tuple, magnitude tuple): a rational node is
+    rounded to its tuple once and kept next to its exact value, and mpfs
+    are made only for the values that `eval`, `eval_scaled` and `judge`
+    return.  The memo is keyed by node: nodes are interned, so a subtree
+    shared by several expressions is evaluated once, and the memo keeps its
+    keys alive for as long as it lives.  An exp argument beyond
+    MAX_EXP_ARG in magnitude makes the point undefined (DomainError) before
+    mpmath is called.
     """
 
     def __init__(self, env, dps=DPS):
@@ -881,12 +900,15 @@ class PointEval:
                 v = Fraction(v)
             self.env[k] = v
         self._ctx = _context(dps)
-        self._mpf = partial(_as_mpf, self._ctx)
+        self._prec, self._rnd = self._ctx._prec_rounding
         self._memo = {}
-        self._tol = self._ctx.mpf(_ZERO_TOL)
+        self._tol = self._ctx.mpf(_ZERO_TOL)._mpf_
 
     def eval_scaled(self, e):
-        return self._walk(e)
+        """(value, largest intermediate magnitude) of `e` at this point."""
+        v, _, m = self._walk(e)
+        make = self._ctx.make_mpf
+        return (v if type(v) is Fraction else make(v)), make(m)
 
     def eval(self, e):
         return self.eval_scaled(e)[0]
@@ -898,100 +920,112 @@ class PointEval:
         the largest intermediate magnitude; "nonzero" is `judge(e) != 0`.
         Raises DomainError when `e` is undefined at this point.
         """
-        v, m = self.eval_scaled(e)
-        v = self._mpf(v)
-        return v if abs(v) > self._tol * (1 + m) else self._ctx.zero
+        _, m = self.eval_scaled(e)
+        t = self._memo[e][1]  # the tuple eval_scaled just stored
+        prec, rnd = self._prec, self._rnd
+        bound = mpf_mul(self._tol, mpf_add(m._mpf_, fone, prec, rnd), prec, rnd)
+        if mpf_gt(mpf_abs(t, prec, rnd), bound):
+            return self._ctx.make_mpf(t)
+        return self._ctx.zero
 
-    def _mag(self, v):
-        return abs(self._mpf(v))
-
-    def _add(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a + b
-        return self._mpf(a) + self._mpf(b)
-
-    def _mul(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        return self._mpf(a) * self._mpf(b)
-
-    def _div(self, a, b):
-        if b == 0:
-            raise DomainError("division by zero")
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a / b
-        return self._mpf(a) / self._mpf(b)
-
-    def _pow(self, b, e):
-        if b == 0 and e < 0:
-            raise DomainError("zero base with negative exponent")
-        if e.denominator == 1:
-            k = int(e)
-            return b ** k if isinstance(b, Fraction) else self._mpf(b) ** k
-        if b < 0:
-            raise DomainError("negative base with fractional exponent")
-        if b == 0 and isinstance(b, Fraction):
-            return Fraction(0)
-        return self._ctx.power(self._mpf(b), self._mpf(e))
+    def _round(self, v):
+        """The tuple of `v`, an exact Fraction or a number, at this precision."""
+        return _as_mpf(self._ctx, v)._mpf_
 
     def _walk(self, e):
+        """(value, its tuple, magnitude tuple) of `e`; the value is a Fraction
+        when the subtree is rational, else the tuple itself."""
         hit = self._memo.get(e)
         if hit is not None:
             return hit
-        if isinstance(e, Const):
-            v = e.value
-            out = (v, self._mag(v))
-        elif isinstance(e, (Coord, Param)):
-            try:
-                v = self.env[e.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {e.name!r}") from None
-            out = (v, self._mag(v))
-        elif isinstance(e, Add):
-            v = Fraction(0)
-            m = self._ctx.zero
-            for t in e.terms:
-                tv, tm = self._walk(t)
-                v = self._add(v, tv)
-                if tm > m:
-                    m = tm
-            mg = self._mag(v)
-            out = (v, m if m > mg else mg)
-        elif isinstance(e, Mul):
-            v = Fraction(1)
-            m = self._ctx.zero
-            for f in e.factors:
-                fv, fm = self._walk(f)
-                v = self._mul(v, fv)
-                if fm > m:
-                    m = fm
-            mg = self._mag(v)
-            out = (v, m if m > mg else mg)
-        elif isinstance(e, Neg):
-            cv, cm = self._walk(e.child)
-            v = -cv
-            out = (v, cm)
-        elif isinstance(e, Div):
-            nv, nm = self._walk(e.num)
-            dv, dm = self._walk(e.den)
-            v = self._div(nv, dv)
-            m = max(nm, dm, self._mag(v))
-            out = (v, m)
-        elif isinstance(e, Pow):
-            bv, bm = self._walk(e.base)
-            v = self._pow(bv, e.exponent)
-            m = max(bm, self._mag(v))
-            out = (v, m)
-        elif isinstance(e, (Exp, Log, Sin, Cos)):
-            cv, cm = self._walk(e.child)
-            if isinstance(e, Log) and cv <= 0:
-                raise DomainError("log of non-positive value")
-            if isinstance(e, Exp) and abs(cv) > MAX_EXP_ARG:
-                raise DomainError("exp argument too large")
-            v = getattr(self._ctx, e.fname)(self._mpf(cv))
-            out = (v, max(cm, abs(v)))
+        walk = self._walk
+        prec, rnd = self._prec, self._rnd
+        cls = type(e)
+        if cls is Add or cls is Mul:
+            # the accumulator starts from the first child: x + 0 and x * 1
+            # are x exactly at full precision
+            if cls is Add:
+                kids, exact, inexact = iter(e.terms), _fraction_add, mpf_add
+            else:
+                kids, exact, inexact = iter(e.factors), _fraction_mul, mpf_mul
+            v, t, m = walk(next(kids))
+            for k in kids:
+                kv, kt, km = walk(k)
+                if type(v) is Fraction and type(kv) is Fraction:
+                    v = exact(v, kv)
+                    t = None
+                else:
+                    if t is None:
+                        t = self._round(v)
+                    v = t = inexact(t, kt, prec, rnd)
+                if mpf_gt(km, m):
+                    m = km
+            if t is None:
+                t = self._round(v)
+            mg = mpf_abs(t, prec, rnd)
+            out = (v, t, m if mpf_gt(m, mg) else mg)
+        elif cls is Neg:
+            cv, ct, cm = walk(e.child)
+            # rounding to nearest is symmetric, so for a Fraction this is
+            # also the tuple of -cv
+            t = mpf_neg(ct, prec, rnd)
+            out = (-cv if type(cv) is Fraction else t, t, cm)
+        elif cls is Const or cls is Coord or cls is Param:
+            if cls is Const:
+                v = e.value
+            else:
+                try:
+                    v = self.env[e.name]
+                except KeyError:
+                    raise EvalError(f"unbound variable {e.name!r}") from None
+            t = self._round(v)
+            out = (v if type(v) is Fraction else t, t, mpf_abs(t, prec, rnd))
+        elif cls is Div:
+            nv, nt, nm = walk(e.num)
+            dv, dt, dm = walk(e.den)
+            if mpf_eq(dt, fzero):
+                raise DomainError("division by zero")
+            if type(nv) is Fraction and type(dv) is Fraction:
+                v = nv / dv
+                t = self._round(v)
+            else:
+                v = t = mpf_div(nt, dt, prec, rnd)
+            mg = mpf_abs(t, prec, rnd)
+            m = dm if mpf_gt(dm, nm) else nm
+            out = (v, t, mg if mpf_gt(mg, m) else m)
+        elif cls is Pow:
+            bv, bt, bm = walk(e.base)
+            x = e.exponent
+            if mpf_eq(bt, fzero) and x < 0:
+                raise DomainError("zero base with negative exponent")
+            if x.denominator == 1:
+                if type(bv) is Fraction:
+                    v = bv ** x.numerator
+                    t = self._round(v)
+                else:
+                    v = t = mpf_pow_int(bt, x.numerator, prec, rnd)
+            elif mpf_lt(bt, fzero):
+                raise DomainError("negative base with fractional exponent")
+            elif type(bv) is Fraction and bv == 0:
+                v, t = bv, bt
+            else:
+                v = t = mpf_pow(bt, self._round(x), prec, rnd)
+            mg = mpf_abs(t, prec, rnd)
+            out = (v, t, mg if mpf_gt(mg, bm) else bm)
         else:
-            raise TypeError(f"cannot evaluate {e!r}")
+            f = _MPF_FUNCS.get(cls)
+            if f is None:
+                raise TypeError(f"cannot evaluate {e!r}")
+            cv, ct, cm = walk(e.child)
+            if cls is Log and not mpf_gt(ct, fzero):
+                raise DomainError("log of non-positive value")
+            # a Fraction just above the bound may round onto it: compare it exactly
+            if cls is Exp and (abs(cv) > MAX_EXP_ARG if type(cv) is Fraction
+                               else mpf_gt(mpf_abs(ct, prec, rnd), _MAX_EXP_MPF)):
+                raise DomainError("exp argument too large")
+            t = f(ct, prec, rnd)
+            mg = mpf_abs(t, prec, rnd)
+            out = (t, t, mg if mpf_gt(mg, cm) else cm)
         self._memo[e] = out
         return out
 
@@ -1042,27 +1076,49 @@ def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED):
     return is_zero_many([e], coords, box, params, trials, seed)[0]
 
 
-def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED):
-    """Componentwise zero test sharing sample points and evaluation memo.
+class ZeroTest:
+    """Componentwise zero test of `exprs`, fed one evaluator per sample point.
 
-    An expression is zero iff every domain-valid sampled point judges it
-    zero; a literal 0 is zero and valid without sampling.  Points are
-    visited one at a time, so only one evaluation memo is alive.  Returns a
-    list of booleans, one per expression.  Raises InconclusiveError if some
-    expression had no domain-valid point.
+    `visit(pe)` judges at pe's point every expression not yet found
+    nonzero, skipping those undefined there; `result()` gives the verdicts.
+    An expression is zero iff every domain-valid visited point judges it
+    zero; a literal 0 is zero and valid without sampling.  A caller that
+    evaluates more at each point shares the evaluator (and its memo) with
+    the test.
     """
-    zero = [True] * len(exprs)
-    valid = [is_literal_zero(e) for e in exprs]
-    sampled = [(i, e) for i, e in enumerate(exprs) if not valid[i]]
-    for pt in sample_box_points(coords, box, trials, seed, params=params):
-        pe = PointEval(pt)
-        for i, e in sampled:
+
+    def __init__(self, exprs):
+        self._zero = [True] * len(exprs)
+        self._valid = [is_literal_zero(e) for e in exprs]
+        self._sampled = [(i, e) for i, e in enumerate(exprs) if not self._valid[i]]
+
+    def visit(self, pe):
+        zero, valid = self._zero, self._valid
+        for i, e in self._sampled:
             if zero[i]:
                 try:
                     zero[i] = pe.judge(e) == 0
                 except DomainError:
                     continue
                 valid[i] = True
-    if any(z and not v for z, v in zip(zero, valid)):
-        raise InconclusiveError("all sampled points violated domain constraints")
-    return zero
+
+    def result(self):
+        """One boolean per expression; InconclusiveError if some expression
+        had no domain-valid point."""
+        if any(z and not v for z, v in zip(self._zero, self._valid)):
+            raise InconclusiveError("all sampled points violated domain constraints")
+        return self._zero
+
+
+def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED):
+    """Componentwise zero test sharing sample points and evaluation memo.
+
+    A `ZeroTest` visits the sampled points one at a time, so only one
+    evaluation memo is alive.  Returns a list of booleans, one per
+    expression.  Raises InconclusiveError if some expression had no
+    domain-valid point.
+    """
+    test = ZeroTest(exprs)
+    for pt in sample_box_points(coords, box, trials, seed, params=params):
+        test.visit(PointEval(pt))
+    return test.result()

@@ -128,6 +128,111 @@ def plain_to_str(e):
 
 
 # ---------------------------------------------------------------------------
+# Evaluator on mpf objects: the rules of `expr.PointEval` computed with mpf
+# operators and context functions instead of raw libmp tuples.  An oracle for
+# the tuple kernel; its values and magnitudes must match bit for bit.
+
+class MpfPointEval:
+    def __init__(self, env, dps=ex.DPS):
+        self.env = {k: Fraction(v) if isinstance(v, int) else v for k, v in env.items()}
+        self._ctx = ex._context(dps)
+        self._memo = {}
+        self._tol = self._ctx.mpf(ex._ZERO_TOL)
+
+    def _mpf(self, v):
+        return ex._as_mpf(self._ctx, v)
+
+    def eval_scaled(self, e):
+        return self._walk(e)
+
+    def judge(self, e):
+        v, m = self.eval_scaled(e)
+        v = self._mpf(v)
+        return v if abs(v) > self._tol * (1 + m) else self._ctx.zero
+
+    def _mag(self, v):
+        return abs(self._mpf(v))
+
+    def _add(self, a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a + b
+        return self._mpf(a) + self._mpf(b)
+
+    def _mul(self, a, b):
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a * b
+        return self._mpf(a) * self._mpf(b)
+
+    def _div(self, a, b):
+        if b == 0:
+            raise ex.DomainError("division by zero")
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return a / b
+        return self._mpf(a) / self._mpf(b)
+
+    def _pow(self, b, e):
+        if b == 0 and e < 0:
+            raise ex.DomainError("zero base with negative exponent")
+        if e.denominator == 1:
+            k = int(e)
+            return b ** k if isinstance(b, Fraction) else self._mpf(b) ** k
+        if b < 0:
+            raise ex.DomainError("negative base with fractional exponent")
+        if b == 0 and isinstance(b, Fraction):
+            return Fraction(0)
+        return self._ctx.power(self._mpf(b), self._mpf(e))
+
+    def _walk(self, e):
+        hit = self._memo.get(e)
+        if hit is not None:
+            return hit
+        if isinstance(e, ex.Const):
+            v = e.value
+            out = (v, self._mag(v))
+        elif isinstance(e, (ex.Coord, ex.Param)):
+            try:
+                v = self.env[e.name]
+            except KeyError:
+                raise ex.EvalError(f"unbound variable {e.name!r}") from None
+            out = (v, self._mag(v))
+        elif isinstance(e, (ex.Add, ex.Mul)):
+            is_add = isinstance(e, ex.Add)
+            v = Fraction(0 if is_add else 1)
+            m = self._ctx.zero
+            for t in e.terms if is_add else e.factors:
+                tv, tm = self._walk(t)
+                v = self._add(v, tv) if is_add else self._mul(v, tv)
+                if tm > m:
+                    m = tm
+            mg = self._mag(v)
+            out = (v, m if m > mg else mg)
+        elif isinstance(e, ex.Neg):
+            cv, cm = self._walk(e.child)
+            out = (-cv, cm)
+        elif isinstance(e, ex.Div):
+            nv, nm = self._walk(e.num)
+            dv, dm = self._walk(e.den)
+            v = self._div(nv, dv)
+            out = (v, max(nm, dm, self._mag(v)))
+        elif isinstance(e, ex.Pow):
+            bv, bm = self._walk(e.base)
+            v = self._pow(bv, e.exponent)
+            out = (v, max(bm, self._mag(v)))
+        elif isinstance(e, ex._Func):
+            cv, cm = self._walk(e.child)
+            if isinstance(e, ex.Log) and cv <= 0:
+                raise ex.DomainError("log of non-positive value")
+            if isinstance(e, ex.Exp) and abs(cv) > ex.MAX_EXP_ARG:
+                raise ex.DomainError("exp argument too large")
+            v = getattr(self._ctx, e.fname)(self._mpf(cv))
+            out = (v, max(cm, abs(v)))
+        else:
+            raise TypeError(f"cannot evaluate {e!r}")
+        self._memo[e] = out
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Node counter: distinct objects against distinct structures, computed from
 # the fields alone, so it does not rely on how nodes compare.
 

@@ -420,6 +420,39 @@ def test_curvature_batched_verdicts_with_undefined_points(tmp_path):
         curvature_report(path, seed=seed, points=1)
 
 
+def _kappa_oracle(path, seed, points):
+    """kappa samples, each from a fresh evaluator that sees only kappa."""
+    m = load_manifest(path)
+    chart = (build_chart(m) if m.kind == "chart"
+             else assemble_product(build_spec(m)))
+    kappa = bundle(chart).kappa
+    samples = []
+    for pt in chart.sample_points(points, seed):
+        try:
+            samples.append(cli._numstr(ex.PointEval(pt).eval(kappa)))
+        except ex.DomainError:
+            samples.append("undefined")
+    return samples
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_curvature_kappa_samples_match_fresh_evaluator(name):
+    # the report evaluates kappa on the evaluator that zero-tested R and S
+    path = fixture_path(name)
+    _, rep = curvature_report(path, seed=7, points=4)
+    assert rep["curvature"]["kappa_samples"] == _kappa_oracle(path, seed=7, points=4)
+
+
+def test_curvature_kappa_samples_with_undefined_points(tmp_path):
+    path = _write(tmp_path, "dom.mf", "[chart]\ncoords = x1 x2 x3\n"
+                  "g 1 1 = 1\ng 2 2 = x1^2 + log(x1 - 1)^2\n"
+                  "g 3 3 = exp(x2) + x1\n")
+    _, rep = curvature_report(path)
+    samples = rep["curvature"]["kappa_samples"]
+    assert "undefined" in samples and len(set(samples)) > 2
+    assert samples == _kappa_oracle(path, seed=ex.DEFAULT_SEED, points=8)
+
+
 def test_reports_deterministic():
     _, r1 = curvature_report(fixture_path("sphere.mf"), points=4)
     _, r2 = curvature_report(fixture_path("sphere.mf"), points=4)

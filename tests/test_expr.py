@@ -464,6 +464,136 @@ def test_judge_independent_of_ambient_precision():
         assert v == exact
 
 
+def test_judge_calls_eval_scaled_once(monkeypatch):
+    # the trace wraps eval_scaled, so each judge must go through it once
+    calls = []
+    original = ex.PointEval.eval_scaled
+
+    def counting(self, e):
+        calls.append(e)
+        return original(self, e)
+
+    monkeypatch.setattr(ex.PointEval, "eval_scaled", counting)
+    pe = ex.PointEval({"x1": Fraction(1, 3), "x2": Fraction(3, 2)})
+    for e in (p("x1 - 1/3"), p("x1*x2 + 1"), p("exp(x1) - 1"),
+              p("sin(x1)^2 + cos(x1)^2 - 1"), p("x1 - 1/3")):
+        calls.clear()
+        pe.judge(e)
+        assert calls == [e]
+
+
+# ------------------------------------------- tuple kernel vs mpf evaluator
+
+def _pool_trees(rng, size=40):
+    """Random nodes built from a growing pool, so later nodes share earlier
+    subtrees; rational and transcendental leaves, fractional powers and
+    divisions.  Function arguments are shallow so values stay moderate."""
+    pool = [(Coord("x1"), 0), (Coord("x2"), 0), (Param("a"), 0)]
+    pool += [(Const(Fraction(rng.randint(-7, 7), rng.randint(1, 4))), 0)
+             for _ in range(3)]
+    for _ in range(size):
+        (a, da), (b, db) = rng.choice(pool), rng.choice(pool)
+        depth = max(da, db) + 1
+        op = rng.choice(("add", "mul", "div", "neg", "pow", "root",
+                         "exp", "log", "sin", "cos"))
+        if op == "add":
+            node = ex.Add((a, b, rng.choice(pool)[0]))
+        elif op == "mul":
+            node = ex.Mul((a, b))
+        elif op == "div":
+            node = ex.Div(a, b)
+        elif op == "neg":
+            node = ex.Neg(a)
+        elif op == "pow":
+            node = ex.Pow(a, rng.choice((-3, -1, 2, 3)))
+        elif op == "root":
+            node = ex.Pow(a, rng.choice((Fraction(1, 2), Fraction(-3, 2),
+                                         Fraction(2, 3), Fraction(1, 3))))
+        elif da > 2:
+            continue
+        else:
+            node = {"exp": ex.Exp, "log": ex.Log, "sin": ex.Sin,
+                    "cos": ex.Cos}[op](a)
+        pool.append((node, depth))
+    return [node for node, _ in pool]
+
+
+def _outcome(pe, method, e):
+    try:
+        return getattr(pe, method)(e)
+    except DomainError:
+        return "DomainError"
+
+
+def _same_number(a, b):
+    if type(a) is Fraction or type(b) is Fraction:
+        return type(a) is type(b) and a == b
+    return a._mpf_ == b._mpf_
+
+
+@pytest.mark.parametrize("dps", [50, 60])
+def test_tuple_kernel_matches_mpf_evaluator(dps):
+    rng = random.Random(dps)
+    defined = undefined = 0
+    for _ in range(12):
+        nodes = _pool_trees(rng)
+        for pt in helpers.rational_points(rng, XY, 2):
+            pt["a"] = Fraction(rng.randint(-5, 5), 3)
+            new, ref = ex.PointEval(pt, dps), helpers.MpfPointEval(pt, dps)
+            for e in nodes:
+                got, want = _outcome(new, "eval_scaled", e), _outcome(ref, "eval_scaled", e)
+                if want == "DomainError":
+                    assert got == want, e
+                    undefined += 1
+                    continue
+                defined += 1
+                assert _same_number(got[0], want[0]), e
+                assert got[1]._mpf_ == want[1]._mpf_, e
+                assert _same_number(new.judge(e), ref.judge(e)), e
+    assert defined > 500 and undefined > 20
+
+
+DOMAIN_CASES = [
+    "log(x1 - 1)", "log(-x1)", "log(sin(x1 - x1))", "log(-exp(x1))",
+    "1/(x1 - 1)", "x1/sin(x1 - 1)",
+    "(x1 - 1)^(-1)", "sin(x1 - 1)^(-2)",
+    "(-x1)^(1/2)", "(x1 - 2)^(3/2)", "sin(-x1)^(1/3)",
+    "exp(4294967297*x1)", "exp(4294967296*exp(x1))", "exp(exp(exp(exp(x1 + 4))))",
+]
+
+
+@pytest.mark.parametrize("text", DOMAIN_CASES)
+def test_tuple_kernel_domain_errors_match_mpf_evaluator(text):
+    e = p(text)
+    for dps in (50, 60):
+        env = {"x1": Fraction(1), "x2": Fraction(1)}
+        with pytest.raises(DomainError):
+            ex.PointEval(env, dps).eval_scaled(e)
+        with pytest.raises(DomainError):
+            helpers.MpfPointEval(env, dps).eval_scaled(e)
+
+
+def test_tuple_kernel_exp_bound_is_inclusive():
+    # |argument| == MAX_EXP_ARG is still defined, as a Fraction and as an mpf
+    for text in ("exp(4294967296*x1)", "exp(-4294967296*x1)",
+                 "exp(4294967296*exp(x1 - 1))", "exp(-4294967296*cos(x1 - 1))"):
+        env = {"x1": Fraction(1)}
+        got = ex.PointEval(env).eval_scaled(p(text))
+        want = helpers.MpfPointEval(env).eval_scaled(p(text))
+        assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_)
+
+
+def test_point_eval_returns_context_numbers():
+    for dps in (50, 60):
+        pe = ex.PointEval({"x1": Fraction(2, 3)}, dps)
+        v, m = pe.eval_scaled(p("x1 + exp(x1)"))
+        ctx = ex._context(dps)
+        assert type(v) is ctx.mpf and type(m) is ctx.mpf
+        v, m = pe.eval_scaled(p("x1^2 - 1"))
+        assert v == Fraction(-5, 9) and type(m) is ctx.mpf
+        assert type(pe.judge(p("x1^2 - 1"))) is ctx.mpf
+
+
 # --------------------------------------------------------------------- is_zero
 
 def test_is_zero_pythagorean():
