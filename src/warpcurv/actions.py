@@ -3,7 +3,9 @@
 derivation_action turns a (0,4) tensor D into the endomorphism-valued form
 D(X,Y) by raising its first slot and lets it act as a derivation on (0,k)
 tensors.  tachibana does the same with the metric-wedge endomorphism X ^_A Y
-of a symmetric (0,2) tensor A.  Both accept k in {2, 4}.
+of a symmetric (0,2) tensor A.  Both accept k in {2, 4}.  derivation_comps
+and tachibana_comps build the same components, term for term, at chosen
+index tuples only (for instance one per symmetry orbit, tensor.orbit_reps).
 """
 
 from __future__ import annotations
@@ -18,22 +20,17 @@ from .tensor import ChartError, TensorField, _field, raise_first
 _K_ALLOWED = {2, 4}
 
 
-def _alloc(n, rank):
-    if rank == 1:
-        return [None] * n
-    return [_alloc(n, rank - 1) for _ in range(n)]
-
-
 def _get(arr, idx):
     for i in idx:
         arr = arr[i]
     return arr
 
 
-def _set(arr, idx, val):
-    for i in idx[:-1]:
-        arr = arr[i]
-    arr[idx[-1]] = val
+def _nest(flat, n, rank):
+    """The row-major list `flat` of n^rank entries as nested lists."""
+    for _ in range(rank - 1):
+        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return flat
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -45,58 +42,68 @@ def _check_pair(D_valence_ok, D, H):
         raise ChartError("operands live on different charts")
 
 
-def derivation_action(D: TensorField, H: TensorField) -> TensorField:
-    """(D.H)_{i1..ik u v} = -sum_m D^t_{u v i_m} H_{i1.. t ..ik}."""
+def _derivation_comp(dup, h, t):
+    """(D.H) at t = (i1..ik, u, v), from the raised D and H's components."""
+    *idx, u, v = t
+    terms = []
+    for m, im in enumerate(idx):
+        for s in range(len(dup)):
+            c = dup[s][u][v][im]
+            if is_literal_zero(c):
+                continue
+            hv = _get(h, idx[:m] + [s] + idx[m + 1:])
+            if is_literal_zero(hv):
+                continue
+            terms.append(ex.mul(c, hv))
+    return ex.neg(ex.add(*terms))
+
+
+def _tachibana_comp(a, h, t):
+    """Q(A,H) at t = (i1..ik, u, v), from A's and H's components."""
+    *idx, u, v = t
+    terms = []
+    for m, im in enumerate(idx):
+        au = a[u][im]
+        if not is_literal_zero(au):
+            hv = _get(h, idx[:m] + [v] + idx[m + 1:])
+            if not is_literal_zero(hv):
+                terms.append(ex.mul(au, hv))
+        av = a[v][im]
+        if not is_literal_zero(av):
+            hu = _get(h, idx[:m] + [u] + idx[m + 1:])
+            if not is_literal_zero(hu):
+                terms.append(ex.neg(ex.mul(av, hu)))
+    return ex.add(*terms)
+
+
+def derivation_comps(D: TensorField, H: TensorField, tuples) -> list:
+    """(D.H) at the index tuples (i1..ik, u, v) given, in their order."""
     _check_pair(D.valence == (0, 4), D, H)
-    chart = D.chart
-    n = chart.n
-    k = H.rank
     dup = raise_first(D).comps
     h = H.comps
-    out = _alloc(n, k + 2)
-    for idx in iproduct(range(n), repeat=k):
-        for u in range(n):
-            for v in range(n):
-                terms = []
-                for m in range(k):
-                    for t in range(n):
-                        c = dup[t][u][v][idx[m]]
-                        if is_literal_zero(c):
-                            continue
-                        hv = _get(h, idx[:m] + (t,) + idx[m + 1:])
-                        if is_literal_zero(hv):
-                            continue
-                        terms.append(ex.mul(c, hv))
-                _set(out, idx + (u, v), ex.neg(ex.add(*terms)))
-    return _field(chart, (0, k + 2), out)
+    return [_derivation_comp(dup, h, t) for t in tuples]
+
+
+def tachibana_comps(A: TensorField, H: TensorField, tuples) -> list:
+    """Q(A,H) at the index tuples (i1..ik, u, v) given, in their order."""
+    _check_pair(A.valence == (0, 2) and A.sym == "sym2", A, H)
+    a = A.comps
+    h = H.comps
+    return [_tachibana_comp(a, h, t) for t in tuples]
+
+
+def derivation_action(D: TensorField, H: TensorField) -> TensorField:
+    """(D.H)_{i1..ik u v} = -sum_m D^t_{u v i_m} H_{i1.. t ..ik}."""
+    n, rank = D.chart.n, H.rank + 2
+    comps = derivation_comps(D, H, iproduct(range(n), repeat=rank))
+    return _field(D.chart, (0, rank), _nest(comps, n, rank))
 
 
 def tachibana(A: TensorField, H: TensorField) -> TensorField:
     """Q(A,H)_{i1..ik u v} = sum_m [A_{u i_m} H(..v..) - A_{v i_m} H(..u..)]."""
-    _check_pair(A.valence == (0, 2) and A.sym == "sym2", A, H)
-    chart = A.chart
-    n = chart.n
-    k = H.rank
-    a = A.comps
-    h = H.comps
-    out = _alloc(n, k + 2)
-    for idx in iproduct(range(n), repeat=k):
-        for u in range(n):
-            for v in range(n):
-                terms = []
-                for m in range(k):
-                    au = a[u][idx[m]]
-                    if not is_literal_zero(au):
-                        hv = _get(h, idx[:m] + (v,) + idx[m + 1:])
-                        if not is_literal_zero(hv):
-                            terms.append(ex.mul(au, hv))
-                    av = a[v][idx[m]]
-                    if not is_literal_zero(av):
-                        hu = _get(h, idx[:m] + (u,) + idx[m + 1:])
-                        if not is_literal_zero(hu):
-                            terms.append(ex.neg(ex.mul(av, hu)))
-                _set(out, idx + (u, v), ex.add(*terms))
-    return _field(chart, (0, k + 2), out)
+    n, rank = A.chart.n, H.rank + 2
+    comps = tachibana_comps(A, H, iproduct(range(n), repeat=rank))
+    return _field(A.chart, (0, rank), _nest(comps, n, rank))
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,13 @@ from fractions import Fraction
 from importlib import resources
 
 from . import expr as ex
-from .actions import cached_derivation, cached_tachibana
+from .actions import derivation_comps, tachibana_comps
 from .conditions import (
     CATALOG, check_identity, constant_type_check, fit_pseudosymmetry,
 )
 from .curvature import bundle
 from .expr import DEFAULT_SEED, MP, DomainError, PointEval, zero_threshold
-from .tensor import Chart, ChartError, excerpt
+from .tensor import Chart, ChartError, excerpt, orbit_reps
 from .warped import (
     _base_scalar, assemble_product, auxiliaries, block_actions,
     block_curvature, dichotomy_check, make_spec, trichotomy_report,
@@ -268,14 +268,6 @@ def _resolve_seed(m, seed):
     return DEFAULT_SEED
 
 
-def _orbit_reps4(n):
-    """Canonical index tuples, one per symmetry orbit of a curvature tensor."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for a, pi in enumerate(pairs):
-        for pj in pairs[a:]:
-            yield (*pi, *pj)
-
-
 def _scaffold(m, seed, points):
     rep = {
         "schema": SCHEMA,
@@ -311,7 +303,7 @@ def curvature_report(path, seed=None, points=8):
     # (table, key, component), zero-tested in one batch; each sample point
     # has one evaluator, which then gives the kappa sample
     comps = [(nz_r, " ".join(str(i + 1) for i in t), b.R.comp(t))
-             for t in _orbit_reps4(n)]
+             for t in orbit_reps(n, 4)]
     comps += [(nz_s, f"{i + 1} {j + 1}", b.S.comps[i][j])
               for i in range(n) for j in range(i, n)]
     test = ex.ZeroTest([e for _, _, e in comps])
@@ -344,7 +336,7 @@ def classify_report(path, seed=None, points=8):
     b = bundle(chart)
     n = chart.n
     rep["command"] = "classify"
-    rcomps = [b.R.comp(t) for t in _orbit_reps4(n)]
+    rcomps = [b.R.comp(t) for t in orbit_reps(n, 4)]
     flat = all(chart.is_zero_many(rcomps, trials=points, seed=seed))
     fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
     residual_zero = all(rec["residual"] <= zero_threshold(rec["data_scale"])
@@ -427,17 +419,22 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     b = bundle(chart)
     curv = block_curvature(spec)
     acts = block_actions(spec)
+    # the action tensors share the 16 index symmetries of their orbits, so
+    # the direct values are built and compared at the representatives only
+    reps = list(orbit_reps(chart.n, 6))
+
+    def at_reps(key):
+        return [acts[key].comp(t) for t in reps]
+
     oracle = {}
     for key, direct, block in (
             ("R", b.R.flatten(), curv["R"].flatten()),
             ("S", b.S.flatten(), curv["S"].flatten()),
             ("kappa", [b.kappa], [curv["kappa"]]),
-            ("RR", cached_derivation(b, "R", "R").flatten(),
-             acts["RR"].flatten()),
-            ("QgR", cached_tachibana(b, "g", "R").flatten(),
-             acts["QgR"].flatten()),
-            ("QSR", cached_tachibana(b, "S", "R").flatten(),
-             acts["QSR"].flatten())):
+            ("RR", derivation_comps(b.R, b.R, reps), at_reps("RR")),
+            ("QgR", tachibana_comps(chart.metric_field(), b.R, reps),
+             at_reps("QgR")),
+            ("QSR", tachibana_comps(b.S, b.R, reps), at_reps("QSR"))):
         diffs = [ex.sub(d, k) for d, k in zip(direct, block)]
         oracle[key] = all(chart.is_zero_many(diffs, trials=points, seed=seed))
     rep["oracle"] = oracle

@@ -6,12 +6,15 @@ values) and a per-coordinate sampling box for the randomized zero test.
 
 TensorFields are dense nested component arrays.  Storage is deliberately
 dense: at n <= 5 the largest array is 5^6 entries, and dense indexing keeps
-cross-checks against independent loop oracles trivial.
+cross-checks against independent loop oracles trivial.  The one exception is
+the warped product's block-assembled six-index actions, which store one
+component per symmetry orbit (`orbit_reps`) and give the rest by sign.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iproduct
 
 from . import expr as ex
 from .expr import (
@@ -211,6 +214,32 @@ def _field(chart, valence, comps, sym="none"):
     return t
 
 
+class _OrbitField(TensorField):
+    """A curvature-type tensor stored at its orbit representatives only.
+
+    `reps` maps each tuple of `orbit_reps(n, rank)` to its component.  Any
+    other component is the representative's up to the sign `orbit_rep`
+    gives, and literal 0 where an antisymmetric pair repeats an index.
+    """
+
+    def comp(self, idx):
+        sign, rep = orbit_rep(idx)
+        if not sign:
+            return ex.ZERO
+        v = self.reps[rep]
+        return v if sign > 0 else ex.neg(v)
+
+    def flatten(self):
+        return [self.comp(t) for t in iproduct(range(self.chart.n), repeat=self.rank)]
+
+
+def _orbit_field(chart, valence, reps):
+    """An engine-built _OrbitField over `reps` (representative -> component)."""
+    t = object.__new__(_OrbitField)
+    t.chart, t.valence, t.rank, t.sym, t.reps = chart, valence, sum(valence), "curvature", reps
+    return t
+
+
 def _require_same_chart(*fields):
     charts = {id(f.chart) for f in fields}
     if len(charts) != 1:
@@ -330,6 +359,50 @@ def gaussian(chart):
     out = _field(chart, (0, 4), comps, sym="curvature")
     chart._cache["gaussian"] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# Symmetry orbits of curvature-type index tuples
+#
+# A (0,4) curvature-type tensor is antisymmetric in each index pair and
+# symmetric under exchanging the two pairs; the (0,6) actions D.H and Q(A,H)
+# of such an H add a third antisymmetric pair.  Each orbit of that group
+# (order 8 on four indices, 16 on six) with no repeated index inside a pair
+# has one representative: i1 < i2, i3 < i4, (i1, i2) <= (i3, i4), u < v.
+
+
+def orbit_reps(n, rank):
+    """The representatives for rank 4 or 6, in lexicographic order.
+
+    Each is the lexicographically smallest tuple of its orbit.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tails = [()] if rank == 4 else pairs
+    for a, pi in enumerate(pairs):
+        for pj in pairs[a:]:
+            for tail in tails:
+                yield (*pi, *pj, *tail)
+
+
+def orbit_rep(idx):
+    """(sign, representative) of a rank-4 or rank-6 index tuple.
+
+    The component at idx is sign times the one at the representative; the
+    sign is 0, and the representative None, when a pair repeats an index.
+    """
+    sign = 1
+    pairs = []
+    for k in range(0, len(idx), 2):
+        i, j = idx[k], idx[k + 1]
+        if i == j:
+            return 0, None
+        if i > j:
+            i, j = j, i
+            sign = -sign
+        pairs.append((i, j))
+    if pairs[1] < pairs[0]:
+        pairs[0], pairs[1] = pairs[1], pairs[0]
+    return sign, tuple(x for pr in pairs for x in pr)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import mpmath
 
@@ -497,3 +498,91 @@ def expected_array(n, rank, generators, parse_fn):
         return [build(prefix + (i,)) for i in range(n)]
 
     return build(())
+
+
+# ---------------------------------------------------------------------------
+# Conditions (I)-(V) over every index tuple of each block, in the dense loop
+# order: a reference for `warped.verify_conditions`, which keeps one tuple per
+# symmetry orbit.  Verdicts, `failed` and witnesses must match it.
+
+def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
+    from warpcurv import warped as w
+
+    L1 = w._base_scalar(spec, L1, "L1")
+    L2 = w._base_scalar(spec, L2, "L2")
+    aux = w.auxiliaries(spec)
+    c = w._ctx(spec)
+    prod = w.assemble_product(spec)
+    p, q, f = spec.p, spec.q, spec.f
+    out = {"witnesses": {}}
+
+    def combo(t):
+        return ex.sub(w._entry6("RR", spec, aux, c, t),
+                      ex.add(ex.mul(L1, w._entry6("QgR", spec, aux, c, t)),
+                             ex.mul(L2, w._entry6("QSR", spec, aux, c, t))))
+
+    def judge(name, chart, tuples, exprs):
+        flags = chart.is_zero_many(exprs, trials=trials, seed=seed)
+        out[name] = all(flags)
+        if not out[name]:
+            k = flags.index(False)
+            out["witnesses"][name] = {
+                "index": tuple(i + 1 for i in tuples[k]),
+                "defect": str(exprs[k]),
+            }
+
+    tup = list(iproduct(range(p), repeat=6))
+    judge("I", spec.base, tup,
+          [ex.sub(c.RRb.comp(t), ex.add(ex.mul(L1, c.QgRb.comp(t)),
+                                        ex.mul(L2, c.QSRhat.comp(t))))
+           for t in tup])
+    tup = [(a, b, d_, al + p, s, et + p)
+           for a, b, d_, s in iproduct(range(p), repeat=4)
+           for al, et in iproduct(range(q), repeat=2)]
+    judge("II", prod, tup, [combo(t) for t in tup])
+    tup = [(a, al + p, be + p, ga + p, s, et + p)
+           for a, s in iproduct(range(p), repeat=2)
+           for al, be, ga, et in iproduct(range(q), repeat=4)]
+    judge("III", prod, tup, [combo(t) for t in tup])
+    base_zero = all(spec.base.is_zero_many(
+        [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)],
+        trials=trials, seed=seed))
+    fiber_zero = all(spec.fiber.is_zero_many(
+        [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)],
+        trials=trials, seed=seed))
+    out["IV"] = base_zero or fiber_zero
+    out["IV_base_factor_zero"] = base_zero
+    out["IV_fiber_factor_zero"] = fiber_zero
+    c1 = ex.sub(ex.mul(f, ex.sub(L1, aux.Delta)), ex.mul(L2, aux.Omega))
+    c2 = ex.mul(L2, f, aux.Delta)
+    tup = list(iproduct(range(q), repeat=6))
+    judge("V", prod, [tuple(i + p for i in t) for t in tup],
+          [ex.sub(c.RRf.comp(t),
+                  ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
+                                ex.mul(L2, c.QSRf.comp(t))),
+                         ex.mul(c2, c.QSGf.comp(t)))) for t in tup])
+    tup = list(iproduct(range(p), repeat=4))
+    judge("corollary_ii", spec.base, tup,
+          [ex.sub(c.RTb.comp(t), ex.add(ex.mul(L1, c.QgTb.comp(t)),
+                                        ex.mul(L2, c.QSTb.comp(t))))
+           for t in tup])
+    out["failed"] = [k for k in w.CONDITION_NAMES if not out[k]]
+    out["all_hold"] = not out["failed"]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The 16 index symmetries of a (0,6) action of a curvature-type tensor: swap
+# inside each of the three pairs (sign -1 each) and exchange the first two
+# pairs (sign +1).
+
+def index_symmetries6():
+    """[(permutation of the six slots, sign)], identity included."""
+    out = []
+    for s1, s2, s3, x in iproduct((0, 1), repeat=4):
+        pairs = [(1, 0) if s1 else (0, 1), (3, 2) if s2 else (2, 3),
+                 (5, 4) if s3 else (4, 5)]
+        if x:
+            pairs[0], pairs[1] = pairs[1], pairs[0]
+        out.append((tuple(i for pr in pairs for i in pr), (-1) ** (s1 + s2 + s3)))
+    return out

@@ -17,8 +17,8 @@ import helpers
 from helpers import chart_parse, expected_array
 from warpcurv import expr as ex
 from warpcurv.actions import (
-    cached_derivation, cached_tachibana, derivation_action, deszcz_ratio,
-    tachibana,
+    cached_derivation, cached_tachibana, derivation_action, derivation_comps,
+    deszcz_ratio, tachibana, tachibana_comps,
 )
 from warpcurv.curvature import bundle, riemann, ricci_scalar
 from warpcurv.tensor import Chart, ChartError, TensorField, gaussian
@@ -160,6 +160,23 @@ def test_tachibana_matches_naive_loops():
             return _naive_tachibana(An, Hn, H.rank)
 
         _assert_matches_naive(c, out, naive)
+
+
+def test_componentwise_builders_match_dense():
+    # the same trees, node for node, at any tuples in any order
+    c = _poly_chart()
+    b = bundle(c)
+    rng = random.Random(9)
+    for build, comps, A, H in (
+            (derivation_action, derivation_comps, b.R, b.S),
+            (derivation_action, derivation_comps, b.R, b.R),
+            (tachibana, tachibana_comps, c.metric_field(), b.R),
+            (tachibana, tachibana_comps, b.S, b.S)):
+        dense = build(A, H)
+        tuples = _all_idx(3, H.rank + 2)
+        rng.shuffle(tuples)
+        got = comps(A, H, tuples)
+        assert all(e is dense.comp(t) for e, t in zip(got, tuples))
 
 
 def test_operand_validation():

@@ -1,5 +1,6 @@
 """Manifest grammar, command reports, exit codes, and bundled fixtures."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -367,6 +368,29 @@ def test_main_json_output(tmp_path, capsys):
     assert data["curvature"]["flat"] is True
     assert raw == json.dumps(data, sort_keys=True, indent=2) + "\n"
     assert "all curvature components zero" in capsys.readouterr().out
+
+
+# sha256 of `warped-verify --json` on the selftest roster at seed 7, fixed
+# when the oracle and conditions (I)-(V) went over every index tuple
+WARPED_JSON_SHA256 = {
+    ("ex2_warped.mf", 3):
+        "d2d1c7f4973627d726a07afd04ca7c6f172505f8db304119de8c8a0d884e46b0",
+    ("fs_warped.mf", 3):
+        "35c9a564e9a333e32278f1ffc91a26c0073e751d5b7cab6f0c92062c10f5b892",
+    ("cf_warped.mf", 3):
+        "d4fbdafef466145b4afed066bd78f6b6f9e49f01a945fef2c1e51852409b2782",
+    ("ex1_warped.mf", 2):
+        "6a76042666658dc5e5f445879c695d5382a7220ea0199a24f64d451752547392",
+}
+
+
+@pytest.mark.parametrize("name,points", sorted(WARPED_JSON_SHA256))
+def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
+    out_file = tmp_path / "r.json"
+    main(["warped-verify", fixture_path(name), "--points", str(points),
+          "--seed", "7", "--json", str(out_file)])
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == WARPED_JSON_SHA256[(name, points)]
 
 
 def _nonzero_oracle(path, seed, points):

@@ -11,8 +11,8 @@ from warpcurv.expr import Const, is_zero, parse
 from warpcurv.tensor import (
     Chart, ChartError, TensorField,
     gaussian, is_generalized_curvature, kulkarni_nomizu,
-    linear_dependence_check, metric_inverse, raise_first,
-    _elimination_inverse,
+    linear_dependence_check, metric_inverse, orbit_rep, orbit_reps,
+    raise_first, _elimination_inverse, _orbit_field,
 )
 
 import helpers
@@ -353,3 +353,46 @@ def _random_sym2(rng, chart):
             base[i][j] = e
             base[j][i] = e
     return base
+
+
+# ----------------------------------------------------------------- orbits
+
+@pytest.mark.parametrize("n,rank,count", [(4, 4, 21), (5, 4, 55),
+                                          (4, 6, 126), (5, 6, 550)])
+def test_orbit_reps_partition_the_index_tuples(n, rank, count):
+    from itertools import product as iproduct
+    reps = list(orbit_reps(n, rank))
+    assert len(reps) == count
+    assert reps == sorted(set(reps))
+    syms = [(perm[:rank], sign) for perm, sign in helpers.index_symmetries6()
+            if rank == 6 or perm[4:] == (4, 5)]
+    assert len(syms) == (16 if rank == 6 else 8)
+    seen = set()
+    for r in reps:
+        orbit = {}
+        for perm, sign in syms:
+            t = tuple(r[i] for i in perm)
+            assert orbit.setdefault(t, sign) == sign
+        assert min(orbit) == r
+        for t, sign in orbit.items():
+            assert orbit_rep(t) == (sign, r)
+        seen.update(orbit)
+    for t in iproduct(range(n), repeat=rank):
+        repeated = any(t[k] == t[k + 1] for k in range(0, rank, 2))
+        assert (t not in seen) == repeated
+        if repeated:
+            assert orbit_rep(t) == (0, None)
+
+
+def test_orbit_field_components():
+    c = euclid(3)
+    reps = {r: parse(f"x1 + {k}", coords=c.coords)
+            for k, r in enumerate(orbit_reps(3, 6))}
+    field = _orbit_field(c, (0, 6), reps)
+    r = (0, 1, 0, 2, 1, 2)
+    assert field.comp(r) is reps[r]
+    assert field.comp((0, 2, 1, 0, 1, 2)) is ex.neg(reps[r])
+    assert field[(2, 0, 1, 0, 1, 2)] is reps[r]
+    assert field.comp((0, 1, 0, 2, 1, 1)) is ex.ZERO
+    flat = field.flatten()
+    assert len(flat) == 3 ** 6 and flat[0] is ex.ZERO
