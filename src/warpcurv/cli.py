@@ -717,10 +717,7 @@ def main(argv=None):
         else:
             code, rep = selftest_report(
                 seed=args.seed if args.seed is not None else DEFAULT_SEED)
-    except ManifestError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ChartError, ex.ExprError, ValueError, OSError) as err:
+    except (ManifestError, ChartError, ex.ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(_render(code, rep))

@@ -7,8 +7,9 @@ values) and a per-coordinate sampling box for the randomized zero test.
 TensorFields are dense nested component arrays.  Storage is deliberately
 dense: at n <= 5 the largest array is 5^6 entries, and dense indexing keeps
 cross-checks against independent loop oracles trivial.  The one exception is
-the warped product's block-assembled six-index actions, which store one
-component per symmetry orbit (`orbit_reps`) and give the rest by sign.
+the warped product's six-index actions (the block-assembled product ones and
+the base and fiber ones its blocks read), which store one component per
+symmetry orbit (`orbit_reps`) and give the rest by sign.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ The six-index tensors R.R, Q(g,R) and Q(S,R) are antisymmetric in each index
 pair and symmetric under exchanging the first two pairs.  Their blocks are
 therefore built, and the conditions judged, at one index tuple per orbit of
 those symmetries (`tensor.orbit_reps`) wherever a block keeps them; the
-other components follow by sign.
+other components follow by sign.  The base and fiber six-index actions the
+blocks read are likewise stored at their orbit representatives only.
 
 Index bookkeeping: product coordinates are the base coordinates followed by
 the fiber coordinates renamed x{p+1}..x{n}.  Reports carry both labelings.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import expr as ex
-from .actions import cached_derivation, cached_tachibana, derivation_action, tachibana
+from .actions import derivation_action, derivation_comps, tachibana, tachibana_comps
 from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
@@ -155,7 +156,11 @@ def auxiliaries(spec):
 
 
 class _Ctx:
-    """Bundles plus every base/fiber action tensor the block formulas use."""
+    """Bundles plus every base/fiber action tensor the block formulas use.
+
+    The six-index actions are read only at orbit representatives, so they
+    are built there (`_orbit_table`); the four-index ones are dense.
+    """
 
     def __init__(self, spec, aux):
         p, q = spec.p, spec.q
@@ -169,26 +174,30 @@ class _Ctx:
                                ex.mul(aux.Omega, spec.fiber.metric[al][be]))
                         for be in range(q)] for al in range(q)]
         ShatF = _field(spec.base, (0, 2), self.Shat, sym="sym2")
-        gbarF = _field(spec.base, (0, 2),
-                       [[spec.base.metric[i][j] for j in range(p)]
-                        for i in range(p)], sym="sym2")
-        self.RRb = cached_derivation(bb, "R", "R")
-        self.QgRb = cached_tachibana(bb, "g", "R")
-        self.QSRhat = tachibana(ShatF, bb.R)
+        gb, gf = spec.base.metric_field(), spec.fiber.metric_field()
+        self.RRb = _orbit_table(derivation_comps, bb.R, bb.R)
+        self.QgRb = _orbit_table(tachibana_comps, gb, bb.R)
+        self.QSRhat = _orbit_table(tachibana_comps, ShatF, bb.R)
         self.RTb = derivation_action(bb.R, aux.T)
-        self.QgTb = tachibana(gbarF, aux.T)
+        self.QgTb = tachibana(gb, aux.T)
         self.QSTb = tachibana(bb.S, aux.T)
-        self.RRf = cached_derivation(fb, "R", "R")
-        self.QgRf = cached_tachibana(fb, "g", "R")
-        self.QSRf = cached_tachibana(fb, "S", "R")
-        self.QgSf = cached_tachibana(fb, "g", "S")
+        self.RRf = _orbit_table(derivation_comps, fb.R, fb.R)
+        self.QgRf = _orbit_table(tachibana_comps, gf, fb.R)
+        self.QSRf = _orbit_table(tachibana_comps, fb.S, fb.R)
+        self.QgSf = tachibana(gf, fb.S)
         self.Gf = gaussian(spec.fiber)
-        self.QSGf = tachibana(fb.S, self.Gf)
+        self.QSGf = _orbit_table(tachibana_comps, fb.S, self.Gf)
         fD = ex.mul(spec.f, aux.Delta)
         self.RfDG = [[[[ex.add(fb.R.comps[a][b][c][d],
                                ex.mul(fD, self.Gf.comps[a][b][c][d]))
                         for d in range(q)] for c in range(q)]
                       for b in range(q)] for a in range(q)]
+
+
+def _orbit_table(comps_fn, A, H):
+    """The six-index action comps_fn(A, H, ...) at its orbit representatives."""
+    reps = list(orbit_reps(A.chart.n, 6))
+    return _orbit_field(A.chart, (0, 6), dict(zip(reps, comps_fn(A, H, reps))))
 
 
 def _ctx(spec):
@@ -220,8 +229,8 @@ def _normalize6(t, p):
     return sig, norm, sign
 
 
-def _entry6(system, spec, aux, c, t):
-    """One component of the block-assembled R.R / Q(g,R) / Q(S,R)."""
+def _entry6(spec, aux, c, t):
+    """One component of the block-assembled (R.R, Q(g,R), Q(S,R))."""
     p, q, f = spec.p, spec.q, spec.f
     sig, norm, sign = _normalize6(t, p)
     sgn = ex.const(sign)
@@ -234,80 +243,70 @@ def _entry6(system, spec, aux, c, t):
 
     if sig == (0, 0, 0):
         idx = tuple(x for pr in norm for x in pr[1:])
-        src = {"RR": c.RRb, "QgR": c.QgRb, "QSR": c.QSRhat}[system]
-        return ex.mul(sgn, src.comp(idx))
+        return tuple(ex.mul(sgn, src.comp(idx))
+                     for src in (c.RRb, c.QgRb, c.QSRhat))
 
     if sig == (1, 1, 0):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         s, u = norm[2][1], norm[2][2]
-        src = {"RR": c.RTb, "QgR": c.QgTb, "QSR": c.QSTb}[system]
-        return ex.mul(ex.const(-sign), f, gt[al][be], src.comp((a, b, s, u)))
+        return tuple(ex.mul(ex.const(-sign), f, gt[al][be], src.comp((a, b, s, u)))
+                     for src in (c.RTb, c.QgTb, c.QSTb))
 
     if sig == (0, 1, 1):
         a, b = norm[0][1], norm[0][2]
         d, al = norm[1][1], fi(norm[1][2])
         s, et = norm[2][1], fi(norm[2][2])
-        if system == "RR":
-            contr = [ex.mul(aux.Traised[tt][s], c.bb.R.comps[a][b][d][tt])
-                     for tt in range(p)]
-            acc = ex.const(0)
-            for term in contr:
-                acc = ex.add(acc, term)
-            core = ex.sub(ex.sub(ex.mul(T[a][s], T[b][d]),
-                                 ex.mul(T[a][d], T[b][s])), acc)
-            return ex.mul(sgn, f, gt[al][et], core)
-        if system == "QgR":
-            core = ex.sub(ex.sub(ex.mul(gb[a][s], T[b][d]),
-                                 ex.mul(gb[b][s], T[a][d])),
-                          c.bb.R.comps[a][b][d][s])
-            return ex.mul(sgn, f, gt[al][et], core)
-        core = ex.sub(ex.mul(c.Shat[a][s], T[b][d]),
-                      ex.mul(c.Shat[b][s], T[a][d]))
-        return ex.mul(sgn, ex.sub(ex.mul(f, gt[al][et], core),
-                                  ex.mul(c.bb.R.comps[a][b][d][s],
-                                         c.Scheck[al][et])))
+        acc = ex.const(0)
+        for tt in range(p):
+            acc = ex.add(acc, ex.mul(aux.Traised[tt][s], c.bb.R.comps[a][b][d][tt]))
+        rr = ex.sub(ex.sub(ex.mul(T[a][s], T[b][d]),
+                           ex.mul(T[a][d], T[b][s])), acc)
+        qg = ex.sub(ex.sub(ex.mul(gb[a][s], T[b][d]),
+                           ex.mul(gb[b][s], T[a][d])),
+                    c.bb.R.comps[a][b][d][s])
+        qs = ex.sub(ex.mul(c.Shat[a][s], T[b][d]),
+                    ex.mul(c.Shat[b][s], T[a][d]))
+        return (ex.mul(sgn, f, gt[al][et], rr),
+                ex.mul(sgn, f, gt[al][et], qg),
+                ex.mul(sgn, ex.sub(ex.mul(f, gt[al][et], qs),
+                                   ex.mul(c.bb.R.comps[a][b][d][s],
+                                          c.Scheck[al][et]))))
 
     if sig == (1, 2, 1):
         a, al = norm[0][1], fi(norm[0][2])
         be, ga = fi(norm[1][1]), fi(norm[1][2])
         s, et = norm[2][1], fi(norm[2][2])
-        if system == "RR":
-            t1 = ex.mul(f, T[a][s], c.RfDG[et][al][be][ga])
-            t2 = ex.mul(f, f, aux.T2.comps[a][s], c.Gf.comps[et][al][be][ga])
-            return ex.mul(sgn, ex.sub(t1, t2))
-        if system == "QgR":
-            t1 = ex.mul(f, gb[a][s], c.fb.R.comps[et][al][be][ga])
-            coef = ex.sub(ex.mul(aux.Delta, gb[a][s]), T[a][s])
-            t2 = ex.mul(f, f, coef, c.Gf.comps[et][al][be][ga])
-            return ex.mul(sgn, ex.add(t1, t2))
-        t1 = ex.mul(f, c.Shat[a][s], c.RfDG[et][al][be][ga])
+        G = c.Gf.comps[et][al][be][ga]
+        RfDG = c.RfDG[et][al][be][ga]
+        rr = ex.sub(ex.mul(f, T[a][s], RfDG),
+                    ex.mul(f, f, aux.T2.comps[a][s], G))
+        coef = ex.sub(ex.mul(aux.Delta, gb[a][s]), T[a][s])
+        qg = ex.add(ex.mul(f, gb[a][s], c.fb.R.comps[et][al][be][ga]),
+                    ex.mul(f, f, coef, G))
         core = ex.sub(ex.mul(gt[al][ga], c.Scheck[be][et]),
                       ex.mul(gt[al][be], c.Scheck[ga][et]))
-        t2 = ex.mul(f, T[a][s], core)
-        return ex.mul(sgn, ex.add(t1, t2))
+        qs = ex.add(ex.mul(f, c.Shat[a][s], RfDG), ex.mul(f, T[a][s], core))
+        return ex.mul(sgn, rr), ex.mul(sgn, qg), ex.mul(sgn, qs)
 
     if sig == (1, 1, 2):
-        if system != "QSR":
-            return ex.const(0)
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         mu, et = fi(norm[2][1]), fi(norm[2][2])
-        return ex.mul(sgn, f, T[a][b], c.QgSf.comp((al, be, mu, et)))
+        return (ex.ZERO, ex.ZERO,
+                ex.mul(sgn, f, T[a][b], c.QgSf.comp((al, be, mu, et))))
 
     if sig == (2, 2, 2):
         idx = tuple(fi(x) for pr in norm for x in pr[1:])
-        if system == "RR":
-            return ex.mul(sgn, ex.add(ex.mul(f, c.RRf.comp(idx)),
-                                      ex.mul(f, f, aux.Delta, c.QgRf.comp(idx))))
-        if system == "QgR":
-            return ex.mul(sgn, f, f, c.QgRf.comp(idx))
-        inner = ex.add(ex.sub(c.QSRf.comp(idx),
-                              ex.mul(aux.Omega, c.QgRf.comp(idx))),
+        qg = c.QgRf.comp(idx)
+        inner = ex.add(ex.sub(c.QSRf.comp(idx), ex.mul(aux.Omega, qg)),
                        ex.mul(f, aux.Delta, c.QSGf.comp(idx)))
-        return ex.mul(sgn, f, inner)
+        return (ex.mul(sgn, ex.add(ex.mul(f, c.RRf.comp(idx)),
+                                   ex.mul(f, f, aux.Delta, qg))),
+                ex.mul(sgn, f, f, qg),
+                ex.mul(sgn, f, inner))
 
-    return ex.const(0)
+    return ex.ZERO, ex.ZERO, ex.ZERO
 
 
 def _entry4(spec, aux, c, t):
@@ -378,9 +377,9 @@ def block_actions(spec):
     c = _ctx(spec)
     prod = assemble_product(spec)
     reps = list(orbit_reps(spec.n, 6))
-    out = {system: _orbit_field(prod, (0, 6), {t: _entry6(system, spec, aux, c, t)
-                                                for t in reps})
-           for system in ("RR", "QgR", "QSR")}
+    cols = zip(*(_entry6(spec, aux, c, t) for t in reps))
+    out = {system: _orbit_field(prod, (0, 6), dict(zip(reps, col)))
+           for system, col in zip(("RR", "QgR", "QSR"), cols)}
     spec._cache["acts"] = out
     return out
 
@@ -416,9 +415,8 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
     out = {"witnesses": {}}
 
     def combo(t):
-        return ex.sub(_entry6("RR", spec, aux, c, t),
-                      ex.add(ex.mul(L1, _entry6("QgR", spec, aux, c, t)),
-                             ex.mul(L2, _entry6("QSR", spec, aux, c, t))))
+        rr, qg, qs = _entry6(spec, aux, c, t)
+        return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
 
     def judge(name, chart, tuples, exprs):
         flags = chart.is_zero_many(exprs, trials=trials, seed=seed)

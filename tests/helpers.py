@@ -501,6 +501,34 @@ def expected_array(n, rank, generators, parse_fn):
 
 
 # ---------------------------------------------------------------------------
+# Dense base and fiber six-index actions, built with the dense builders over
+# every index tuple: the tables `warped._Ctx` keeps at orbit representatives.
+
+def dense_block_tables(spec):
+    """{name: dense TensorField} for the rank-6 tables of the block formulas."""
+    from warpcurv.actions import derivation_action, tachibana
+    from warpcurv.curvature import bundle
+    from warpcurv.tensor import TensorField, gaussian
+    from warpcurv.warped import auxiliaries
+
+    T = auxiliaries(spec).T.comps
+    bb, fb = bundle(spec.base), bundle(spec.fiber)
+    p = spec.p
+    shat = TensorField(spec.base, (0, 2),
+                       [[ex.add(bb.S.comps[a][c], ex.mul(ex.const(spec.q), T[a][c]))
+                         for c in range(p)] for a in range(p)], sym="sym2")
+    return {
+        "RRb": derivation_action(bb.R, bb.R),
+        "QgRb": tachibana(spec.base.metric_field(), bb.R),
+        "QSRhat": tachibana(shat, bb.R),
+        "RRf": derivation_action(fb.R, fb.R),
+        "QgRf": tachibana(spec.fiber.metric_field(), fb.R),
+        "QSRf": tachibana(fb.S, fb.R),
+        "QSGf": tachibana(fb.S, gaussian(spec.fiber)),
+    }
+
+
+# ---------------------------------------------------------------------------
 # Conditions (I)-(V) over every index tuple of each block, in the dense loop
 # order: a reference for `warped.verify_conditions`, which keeps one tuple per
 # symmetry orbit.  Verdicts, `failed` and witnesses must match it.
@@ -512,14 +540,14 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
     L2 = w._base_scalar(spec, L2, "L2")
     aux = w.auxiliaries(spec)
     c = w._ctx(spec)
+    d = dense_block_tables(spec)
     prod = w.assemble_product(spec)
     p, q, f = spec.p, spec.q, spec.f
     out = {"witnesses": {}}
 
     def combo(t):
-        return ex.sub(w._entry6("RR", spec, aux, c, t),
-                      ex.add(ex.mul(L1, w._entry6("QgR", spec, aux, c, t)),
-                             ex.mul(L2, w._entry6("QSR", spec, aux, c, t))))
+        rr, qg, qs = w._entry6(spec, aux, c, t)
+        return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
 
     def judge(name, chart, tuples, exprs):
         flags = chart.is_zero_many(exprs, trials=trials, seed=seed)
@@ -533,8 +561,8 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
 
     tup = list(iproduct(range(p), repeat=6))
     judge("I", spec.base, tup,
-          [ex.sub(c.RRb.comp(t), ex.add(ex.mul(L1, c.QgRb.comp(t)),
-                                        ex.mul(L2, c.QSRhat.comp(t))))
+          [ex.sub(d["RRb"].comp(t), ex.add(ex.mul(L1, d["QgRb"].comp(t)),
+                                           ex.mul(L2, d["QSRhat"].comp(t))))
            for t in tup])
     tup = [(a, b, d_, al + p, s, et + p)
            for a, b, d_, s in iproduct(range(p), repeat=4)
@@ -557,10 +585,10 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
     c2 = ex.mul(L2, f, aux.Delta)
     tup = list(iproduct(range(q), repeat=6))
     judge("V", prod, [tuple(i + p for i in t) for t in tup],
-          [ex.sub(c.RRf.comp(t),
-                  ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
-                                ex.mul(L2, c.QSRf.comp(t))),
-                         ex.mul(c2, c.QSGf.comp(t)))) for t in tup])
+          [ex.sub(d["RRf"].comp(t),
+                  ex.add(ex.add(ex.mul(c1, d["QgRf"].comp(t)),
+                                ex.mul(L2, d["QSRf"].comp(t))),
+                         ex.mul(c2, d["QSGf"].comp(t)))) for t in tup])
     tup = list(iproduct(range(p), repeat=4))
     judge("corollary_ii", spec.base, tup,
           [ex.sub(c.RTb.comp(t), ex.add(ex.mul(L1, c.QgTb.comp(t)),

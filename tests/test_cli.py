@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 
 import helpers
-from warpcurv import cli
+from warpcurv import cli, tensor
 from warpcurv import expr as ex
 from warpcurv.conditions import fit_pseudosymmetry
 from warpcurv.cli import (
@@ -391,6 +392,79 @@ def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
           "--seed", "7", "--json", str(out_file)])
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == WARPED_JSON_SHA256[(name, points)]
+
+
+def test_warped_verify_six_dimensional_product(tmp_path, monkeypatch):
+    """n = 6: a flat 2-base under ex1_fiber, the one path to elimination."""
+    for name in ("flat2.mf", "ex1_fiber.mf"):
+        shutil.copy(fixture_path(name), tmp_path / name)
+    path = _write(tmp_path, "w6.mf", "[warped]\nbase = flat2.mf\n"
+                  "fiber = ex1_fiber.mf\nwarp = 1 + x1^2 + x2^2\n")
+    inversions = []
+    elimination = tensor._elimination_inverse
+
+    def counting(chart):
+        inversions.append(chart.n)
+        return elimination(chart)
+
+    monkeypatch.setattr(tensor, "_elimination_inverse", counting)
+    code, rep = warped_verify_report(path, points=2, seed=7)
+    assert inversions == [6]
+    assert code == 1
+    assert rep["p"] == 2 and rep["q"] == 4
+    assert all(rep["oracle"].values())
+    conds = rep["conditions"]
+    assert conds["I"] is True                       # the base is flat
+    assert conds["IV"] is True                      # L2 = 0
+    assert conds["IV_base_factor_zero"] is True
+    # with L1 = L2 = 0, (V) reads R.R_F = -f Delta Q(g_F,R_F); ex1_fiber
+    # has R.R = -Q(g,R) with Q(g,R) != 0, and f Delta < 1 on this base
+    assert conds["V"] is False and "V" in conds["failed"]
+
+
+def test_main_exit_code_contract_fuzz(tmp_path, capsys):
+    """Any chart manifest makes `curvature` and `classify` exit 0, 1 or 2."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    atoms = ("a", "2", "1/3", "7/2")
+
+    def expr(draw, coords, depth):
+        if depth == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(coords + atoms))
+        kind = draw(st.sampled_from(("+", "*", "/", "^n", "^q", "exp", "log",
+                                     "sin", "cos")))
+        a = expr(draw, coords, depth - 1)
+        if kind in ("+", "*", "/"):
+            return f"({a}) {kind} ({expr(draw, coords, depth - 1)})"
+        if kind == "^n":
+            return f"({a})^{draw(st.integers(-2, 3))}"
+        if kind == "^q":
+            return f"({a})^({draw(st.sampled_from(('1/2', '3/2', '-1/3')))})"
+        return f"{kind}({a})"
+
+    @st.composite
+    def manifests(draw):
+        n = draw(st.sampled_from((3, 2, 1)))
+        coords = tuple(f"x{i + 1}" for i in range(n))
+        lines = ["[chart]", "coords = " + " ".join(coords), "param a = 3/2"]
+        if draw(st.booleans()):
+            lines.append(f"box {draw(st.sampled_from(coords))} = 1/2 .. 2")
+        for i in range(n):
+            for j in range(i, n):
+                if i == j or draw(st.integers(0, 3)) == 0:
+                    lines.append(f"g {i + 1} {j + 1} = {expr(draw, coords, 2)}")
+        return "\n".join(lines) + "\n"
+
+    @hyp.settings(max_examples=25, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(manifests())
+    def check(text):
+        path = _write(tmp_path, "fuzz.mf", text)
+        for cmd in ("curvature", "classify"):
+            assert main([cmd, path, "--points", "2"]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    check()
 
 
 def _nonzero_oracle(path, seed, points):

@@ -14,6 +14,7 @@ import pytest
 import helpers
 from helpers import chart_parse, expected_array
 from warpcurv import expr as ex
+from warpcurv.cli import build_chart, fixture_path, load_manifest
 from warpcurv.curvature import (
     bundle, christoffel, covariant_hessian, derived_tensors, ricci_scalar,
     riemann,
@@ -346,3 +347,115 @@ def test_curvature_matches_finite_differences(ex2_c):
                 got = helpers.to_mpf(pe.eval(R.comp(t)))
                 i, j, k, l = t
                 assert _close_enough(got, fd[i][j][k][l])
+
+
+# ---------------------------------------------------------------------------
+# An independent oracle: SymPy differentiates the manifest's metric entries,
+# and Gamma, R, S and kappa are contracted numerically at 60 digits.
+
+
+def _sympy_metric(sympy, path):
+    """(coords, symmetric sympy metric) read straight from a chart manifest."""
+    coords, entries = None, {}
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for line in lines:
+        key, _, value = line.split("#")[0].partition("=")
+        toks = key.split()
+        if toks == ["coords"]:
+            coords = value.split()
+        elif toks[:1] == ["g"]:
+            i, j = int(toks[1]) - 1, int(toks[2]) - 1
+            entries[i, j] = entries[j, i] = value.strip().replace("^", "**")
+    syms = sympy.symbols(coords)
+    names = dict(zip(coords, syms))
+    g = sympy.Matrix(len(coords), len(coords),
+                     lambda i, j: sympy.sympify(entries.get((i, j), "0"),
+                                                locals=names))
+    return syms, g
+
+
+def _sympy_curvature(sympy, syms, g, point):
+    """Gamma[k][i][j], R[i][j][k][l], S[j][k] and kappa at `point`.
+
+    R_ijkl = -g(R(d_i, d_j) d_k, d_l) with R(X,Y) = [nabla_X, nabla_Y] -
+    nabla_[X,Y], the README convention: kappa = -2 and S = -g on the unit
+    2-sphere.
+    """
+    n = len(syms)
+    rng = range(n)
+    subs = {s: sympy.Rational(point[str(s)].numerator, point[str(s)].denominator)
+            for s in syms}
+
+    def num(e):
+        return mpmath.mpf(str(sympy.N(e.subs(subs), 70)))
+
+    dg = [[[sympy.diff(g[i, j], syms[d]) for d in rng] for j in rng] for i in rng]
+    G = mpmath.matrix([[num(g[i, j]) for j in rng] for i in rng])
+    Gi = G ** -1
+    d1 = [[[num(dg[i][j][d]) for d in rng] for j in rng] for i in rng]
+    d2 = [[[[num(sympy.diff(dg[i][j][d], syms[e])) for e in rng] for d in rng]
+           for j in rng] for i in rng]
+    # d_e g^{kl} = -g^{ka} (d_e g_ab) g^{bl}
+    dGi = [[[-sum(Gi[k, a] * d1[a][b][e] * Gi[b, l] for a in rng for b in rng)
+             for e in rng] for l in rng] for k in rng]
+
+    def first(i, j, l):                             # d_i g_jl + d_j g_il - d_l g_ij
+        return d1[j][l][i] + d1[i][l][j] - d1[i][j][l]
+
+    def first_d(i, j, l, e):
+        return d2[j][l][i][e] + d2[i][l][j][e] - d2[i][j][l][e]
+
+    gam = [[[sum(Gi[k, l] * first(i, j, l) for l in rng) / 2 for j in rng]
+            for i in rng] for k in rng]
+    dgam = [[[[sum(dGi[k][l][e] * first(i, j, l) + Gi[k, l] * first_d(i, j, l, e)
+                   for l in rng) / 2 for e in rng] for j in rng] for i in rng]
+            for k in rng]
+    R = [[[[-sum(G[l, m] * (dgam[m][j][k][i] - dgam[m][i][k][j]
+                            + sum(gam[e][j][k] * gam[m][i][e]
+                                  - gam[e][i][k] * gam[m][j][e] for e in rng))
+                 for m in rng)
+            for l in rng] for k in rng] for j in rng] for i in rng]
+    S = [[sum(Gi[i, l] * R[i][j][k][l] for i in rng for l in rng) for k in rng]
+         for j in rng]
+    kappa = sum(Gi[j, k] * S[j][k] for j in rng for k in rng)
+    return gam, R, S, kappa
+
+
+def _flat_values(arr):
+    if isinstance(arr, list):
+        return [v for a in arr for v in _flat_values(a)]
+    return [arr]
+
+
+def test_sympy_unit_sphere_anchors():
+    sympy = pytest.importorskip("sympy")
+    syms, g = _sympy_metric(sympy, fixture_path("sphere2.mf"))
+    with mpmath.workdps(60):
+        _, _, S, kappa = _sympy_curvature(sympy, syms, g,
+                                          {"t1": Fraction(2, 3), "t2": Fraction(1, 5)})
+        assert abs(kappa + 2) < mpmath.mpf(10) ** -50
+        gs = [[1, 0], [0, mpmath.sin(mpmath.mpf(2) / 3) ** 2]]
+        assert all(abs(S[j][k] + gs[j][k]) < mpmath.mpf(10) ** -50
+                   for j in range(2) for k in range(2))
+
+
+@pytest.mark.parametrize("name", ["sphere2.mf", "aniso3.mf", "ex1_fiber.mf"])
+def test_curvature_matches_sympy_oracle(name):
+    sympy = pytest.importorskip("sympy")
+    path = fixture_path(name)
+    chart = build_chart(load_manifest(path))
+    syms, g = _sympy_metric(sympy, path)
+    b = bundle(chart)
+    engine = {"Gamma": b.gamma, "R": b.R.comps, "S": b.S.comps, "kappa": b.kappa}
+    for pt in chart.sample_points(2, seed=7):
+        pe = ex.PointEval(pt)
+        with mpmath.workdps(60):
+            gam, R, S, kappa = _sympy_curvature(sympy, syms, g, pt)
+            for key, want in (("Gamma", gam), ("R", R), ("S", S),
+                              ("kappa", kappa)):
+                got = [helpers.to_mpf(pe.eval(e)) for e in _flat_values(engine[key])]
+                want = _flat_values(want)
+                scale = max([abs(w) for w in want] + [mpmath.mpf(1)])
+                worst = max(abs(a - w) for a, w in zip(got, want)) / scale
+                assert worst <= mpmath.mpf(10) ** -30, (name, key, pt)

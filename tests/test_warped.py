@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 import helpers
-from warpcurv import actions, cli, warped
+from warpcurv import actions, cli, conditions, warped
 from warpcurv import expr as ex
 from warpcurv.actions import cached_derivation, cached_tachibana, tachibana
 from warpcurv.conditions import fit_pseudosymmetry, pair_admissible
@@ -210,44 +210,61 @@ def test_direct_actions_have_the_orbit_symmetries(ex2_c, fs_spec, cf_spec):
             assert all(ref.is_zero_many(diffs, trials=3)), (ref.coords, xa, xb)
 
 
+def test_dense_base_and_fiber_tables_have_the_orbit_symmetries(
+        ex2_spec, fs_spec, cf_spec):
+    """`_Ctx` keeps these tables at orbit representatives only."""
+    syms = helpers.index_symmetries6()[1:]          # all but the identity
+    for spec in (ex2_spec, fs_spec, cf_spec):
+        for name, table in helpers.dense_block_tables(spec).items():
+            chart, n = table.chart, table.chart.n
+            diffs = [ex.sub(table.comp(tuple(r[i] for i in perm)),
+                            ex.mul(ex.const(sign), table.comp(r)))
+                     for r in orbit_reps(n, 6) for perm, sign in syms]
+            diffs += [table.comp(t) for t in iproduct(range(n), repeat=6)
+                      if t[0] == t[1] or t[2] == t[3] or t[4] == t[5]]
+            assert all(chart.is_zero_many(diffs, trials=3)), (spec.n, name)
+
+
 def test_block_actions_build_one_entry_per_orbit(monkeypatch, ex2_spec,
                                                  ex1_spec):
     calls = []
     entry6 = warped._entry6
 
-    def counting(system, *args):
-        calls.append(system)
-        return entry6(system, *args)
+    def counting(*args):
+        calls.append(args[-1])
+        return entry6(*args)
 
     monkeypatch.setattr(warped, "_entry6", counting)
-    for spec, count in ((ex2_spec, 378), (ex1_spec, 1650)):
+    for spec, count in ((ex2_spec, 126), (ex1_spec, 550)):
         monkeypatch.delitem(spec._cache, "acts", raising=False)
         calls.clear()
         acts = block_actions(spec)
-        assert len(calls) == count == 3 * len(list(orbit_reps(spec.n, 6)))
+        assert calls == list(orbit_reps(spec.n, 6))
+        assert len(calls) == count
         assert sorted(acts) == ["QSR", "QgR", "RR"]
 
 
 def test_warped_verify_builds_no_dense_product_action(monkeypatch):
-    # the factors of ex2_warped have n = 1 and n = 3; only the product has 4
-    code0, rep0 = cli.warped_verify_report(cli.fixture_path("ex2_warped.mf"),
-                                           points=3, seed=7)
-    for name in ("derivation_action", "tachibana"):
-        orig = getattr(actions, name)
+    """No dense six-index action is built, on the product or on a factor."""
+    runs = (("ex2_warped.mf", 3), ("fs_warped.mf", 3), ("cf_warped.mf", 3),
+            ("ex1_warped.mf", 2))
+    want = [cli.warped_verify_report(cli.fixture_path(name), points=points,
+                                     seed=7) for name, points in runs]
+    for fn in ("derivation_action", "tachibana"):
+        orig = getattr(actions, fn)
 
         def guarded(A, H, orig=orig):
-            if A.chart.n == 4:
-                raise AssertionError("dense action built on the product chart")
+            if H.rank == 4:
+                raise AssertionError(f"dense rank-6 action on {A.chart.coords}")
             return orig(A, H)
 
-        for mod in (actions, warped, cli):
+        for mod in (actions, warped, cli, conditions):
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, attr, guarded)
-    code, rep = cli.warped_verify_report(cli.fixture_path("ex2_warped.mf"),
-                                         points=3, seed=7)
-    assert code == code0 == 0
-    assert rep == rep0
+    got = [cli.warped_verify_report(cli.fixture_path(name), points=points,
+                                    seed=7) for name, points in runs]
+    assert got == want
 
 
 # (spec fixture, L1, L2): rows that fail each of (I)-(V) somewhere
