@@ -15,22 +15,13 @@ from itertools import product as iproduct
 
 from . import expr as ex
 from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
-from .tensor import ChartError, TensorField, _field, raise_first
-
-_K_ALLOWED = {2, 4}
+from .tensor import ChartError, TensorField, _field, _table, raise_first
 
 
 def _get(arr, idx):
     for i in idx:
         arr = arr[i]
     return arr
-
-
-def _nest(flat, n, rank):
-    """The row-major list `flat` of n^rank entries as nested lists."""
-    for _ in range(rank - 1):
-        flat = [flat[i:i + n] for i in range(0, len(flat), n)]
-    return flat
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -42,68 +33,74 @@ def _check_pair(D_valence_ok, D, H):
         raise ChartError("operands live on different charts")
 
 
-def _derivation_comp(dup, h, t):
-    """(D.H) at t = (i1..ik, u, v), from the raised D and H's components."""
-    *idx, u, v = t
-    terms = []
-    for m, im in enumerate(idx):
-        for s in range(len(dup)):
-            c = dup[s][u][v][im]
-            if is_literal_zero(c):
-                continue
-            hv = _get(h, idx[:m] + [s] + idx[m + 1:])
-            if is_literal_zero(hv):
-                continue
-            terms.append(ex.mul(c, hv))
-    return ex.neg(ex.add(*terms))
+def _derivation_fn(D, H):
+    """The function (i1..ik, u, v) -> (D.H) at that index tuple."""
+    _check_pair(D.valence == (0, 4), D, H)
+    dup = raise_first(D).comps
+    h = H.comps
+
+    def comp(*t):
+        *idx, u, v = t
+        terms = []
+        for m, im in enumerate(idx):
+            for s in range(len(dup)):
+                c = dup[s][u][v][im]
+                if is_literal_zero(c):
+                    continue
+                hv = _get(h, idx[:m] + [s] + idx[m + 1:])
+                if is_literal_zero(hv):
+                    continue
+                terms.append(ex.mul(c, hv))
+        return ex.neg(ex.add(*terms))
+    return comp
 
 
-def _tachibana_comp(a, h, t):
-    """Q(A,H) at t = (i1..ik, u, v), from A's and H's components."""
-    *idx, u, v = t
-    terms = []
-    for m, im in enumerate(idx):
-        au = a[u][im]
-        if not is_literal_zero(au):
-            hv = _get(h, idx[:m] + [v] + idx[m + 1:])
-            if not is_literal_zero(hv):
-                terms.append(ex.mul(au, hv))
-        av = a[v][im]
-        if not is_literal_zero(av):
-            hu = _get(h, idx[:m] + [u] + idx[m + 1:])
-            if not is_literal_zero(hu):
-                terms.append(ex.neg(ex.mul(av, hu)))
-    return ex.add(*terms)
+def _tachibana_fn(A, H):
+    """The function (i1..ik, u, v) -> Q(A,H) at that index tuple."""
+    _check_pair(A.valence == (0, 2) and A.sym == "sym2", A, H)
+    a = A.comps
+    h = H.comps
+
+    def comp(*t):
+        *idx, u, v = t
+        terms = []
+        for m, im in enumerate(idx):
+            au = a[u][im]
+            if not is_literal_zero(au):
+                hv = _get(h, idx[:m] + [v] + idx[m + 1:])
+                if not is_literal_zero(hv):
+                    terms.append(ex.mul(au, hv))
+            av = a[v][im]
+            if not is_literal_zero(av):
+                hu = _get(h, idx[:m] + [u] + idx[m + 1:])
+                if not is_literal_zero(hu):
+                    terms.append(ex.neg(ex.mul(av, hu)))
+        return ex.add(*terms)
+    return comp
 
 
 def derivation_comps(D: TensorField, H: TensorField, tuples) -> list:
     """(D.H) at the index tuples (i1..ik, u, v) given, in their order."""
-    _check_pair(D.valence == (0, 4), D, H)
-    dup = raise_first(D).comps
-    h = H.comps
-    return [_derivation_comp(dup, h, t) for t in tuples]
+    fn = _derivation_fn(D, H)
+    return [fn(*t) for t in tuples]
 
 
 def tachibana_comps(A: TensorField, H: TensorField, tuples) -> list:
     """Q(A,H) at the index tuples (i1..ik, u, v) given, in their order."""
-    _check_pair(A.valence == (0, 2) and A.sym == "sym2", A, H)
-    a = A.comps
-    h = H.comps
-    return [_tachibana_comp(a, h, t) for t in tuples]
+    fn = _tachibana_fn(A, H)
+    return [fn(*t) for t in tuples]
 
 
 def derivation_action(D: TensorField, H: TensorField) -> TensorField:
     """(D.H)_{i1..ik u v} = -sum_m D^t_{u v i_m} H_{i1.. t ..ik}."""
     n, rank = D.chart.n, H.rank + 2
-    comps = derivation_comps(D, H, iproduct(range(n), repeat=rank))
-    return _field(D.chart, (0, rank), _nest(comps, n, rank))
+    return _field(D.chart, (0, rank), _table(n, rank, _derivation_fn(D, H)))
 
 
 def tachibana(A: TensorField, H: TensorField) -> TensorField:
     """Q(A,H)_{i1..ik u v} = sum_m [A_{u i_m} H(..v..) - A_{v i_m} H(..u..)]."""
     n, rank = A.chart.n, H.rank + 2
-    comps = tachibana_comps(A, H, iproduct(range(n), repeat=rank))
-    return _field(A.chart, (0, rank), _nest(comps, n, rank))
+    return _field(A.chart, (0, rank), _table(n, rank, _tachibana_fn(A, H)))
 
 
 # ---------------------------------------------------------------------------

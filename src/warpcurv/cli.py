@@ -352,7 +352,11 @@ def classify_report(path, seed=None, points=8):
     catalog = {}
     code = 0
     for name, row in CATALOG.items():
-        if name in requested or not row.parametric:
+        low = row.needs_dim3 and n < 3
+        if low and name in requested:
+            raise ManifestError(f"{m.path}: [check] {name!r} needs dimension "
+                                f">= 3, the chart has {n}")
+        if not low and (name in requested or not row.parametric):
             try:
                 v = check_identity(name, b, scalars=requested.get(name),
                                    trials=points, seed=seed)
@@ -368,7 +372,8 @@ def classify_report(path, seed=None, points=8):
         else:
             catalog[name] = {"name": name, "skipped": True,
                              "requested": False,
-                             "reason": "needs candidate scalars",
+                             "reason": ("needs dimension >= 3" if low
+                                        else "needs candidate scalars"),
                              "qualifier": row.qualifier}
     rep["fit"] = {
         "rank": fit.rank,
@@ -377,6 +382,7 @@ def classify_report(path, seed=None, points=8):
         "max_residual": _numstr(fit.max_residual),
         "residual_zero": bool(residual_zero),
         "constant_type": bool(constant_type_check(fit)),
+        "points_invalid": fit.points_invalid,
         "records": [{"point": _ptstr(rec["point"], chart.coords),
                      "rank": rec["rank"],
                      "L1": _numstr(rec["L1"]),
@@ -603,7 +609,8 @@ def _render(code, rep):
         lines.append("summary: " + (", ".join(flags) if flags else "none"))
         lines.append(f"fit: rank {f['rank']}, max residual "
                      f"{f['max_residual']}, family = {f['family']}, "
-                     f"constant type = {f['constant_type']}")
+                     f"constant type = {f['constant_type']}"
+                     + _invalid_note(f))
         lines.append("catalog:")
         for name, v in rep["catalog"].items():
             if v["skipped"]:
@@ -615,7 +622,7 @@ def _render(code, rep):
             else:
                 status = "fails"
             mark = " [requested]" if v.get("requested") else ""
-            lines.append(f"  {name:35s} {status}{mark}")
+            lines.append(f"  {name:35s} {status}{_invalid_note(v)}{mark}")
     elif cmd == "warped-verify":
         lines.append(f"warped-verify report: {rep['manifest']['file']} "
                      f"(p = {rep['p']}, q = {rep['q']}, n = {rep['n']})")
@@ -660,6 +667,11 @@ def _render(code, rep):
     outcome = {0: "pass", 1: "verdict failure", 2: "input error"}[code]
     lines.append(f"result: {outcome}")
     return "\n".join(lines)
+
+
+def _invalid_note(v):
+    k = v.get("points_invalid", 0)
+    return f", {k} points invalid" if k else ""
 
 
 def _json_arg(sp):

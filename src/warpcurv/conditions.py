@@ -36,6 +36,12 @@ class CatalogRow:
         return any(key is not None for key, _ in self.rhs)
 
     @property
+    def needs_dim3(self):
+        """True when the row reads C, W, K or P, defined only for n >= 3."""
+        names = {*self.lhs, *(x for _, pair in self.rhs for x in pair)}
+        return not names.isdisjoint("CWKP")
+
+    @property
     def qualifier(self):
         quals = [f"Q({a},{h}) != 0" for key, (a, h) in self.rhs if key is not None]
         return " or ".join(quals) if quals else "none"
@@ -72,6 +78,7 @@ class ConditionReport:
     max_residual: object
     family: bool
     trivial: bool
+    points_invalid: int = 0    # sample points where a component is undefined
     verdicts: dict = field(default_factory=dict)
 
 
@@ -118,7 +125,7 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
             defects.append(acc)
     qual_comps = [[c for c in (q.comp(t) for t in idxs) if not is_literal_zero(c)]
                   for q in quals]
-    checked = excluded = 0
+    checked = excluded = invalid = 0
     holds = True
     for pt in chart.sample_points(trials, seed):
         pe = PointEval(pt)
@@ -130,6 +137,7 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
             if any(pe.judge(d) != 0 for d in defects):
                 holds = False
         except DomainError:
+            invalid += 1
             continue
         checked += 1
     if checked + excluded == 0:
@@ -140,6 +148,7 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
         "vacuous": checked == 0,
         "points_checked": checked,
         "points_excluded": excluded,
+        "points_invalid": invalid,
         "qualifier": row.qualifier,
     }
 
@@ -216,8 +225,8 @@ def _ls2(q1, q2, r):
 def fit_pseudosymmetry(b, points) -> ConditionReport:
     """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R) at each point.
 
-    Points where a component is undefined are skipped; InconclusiveError
-    when no point is domain-valid.
+    Points where a component is undefined are skipped and counted in
+    points_invalid; InconclusiveError when no point is domain-valid.
     """
     if len(points) < 5:
         raise ValueError("need at least 5 sample points")
@@ -245,7 +254,8 @@ def fit_pseudosymmetry(b, points) -> ConditionReport:
     max_res = max(rec["residual"] for rec in records)
     family = all(rec["rank"] < 2 for rec in records)
     return ConditionReport(records=records, rank=rank, max_residual=max_res,
-                           family=family, trivial=trivial)
+                           family=family, trivial=trivial,
+                           points_invalid=len(points) - len(records))
 
 
 def pair_residual(b, point, L1, L2):

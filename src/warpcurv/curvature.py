@@ -12,18 +12,32 @@ from fractions import Fraction
 
 from . import expr as ex
 from .tensor import (
-    Chart, ChartError, TensorField, _field, gaussian, kulkarni_nomizu, metric_inverse)
+    Chart, ChartError, TensorField, _field, _table, gaussian, kulkarni_nomizu,
+    metric_inverse)
 
 # global lowering orientation; see module docstring
 LOWERING_SIGN = -1
 
 
+def _cached(build):
+    """A property built on first access and kept in the bundle's `_d`; a plain
+    property, so a wrapper of its getter (perfbench's tracer) keeps the memo."""
+    def get(self):
+        if build.__name__ not in self._d:
+            self._d[build.__name__] = build(self)
+        return self._d[build.__name__]
+    return property(get)
+
+
 class CurvatureBundle:
-    """Connection plus curvature data for one chart, computed lazily.
+    """Connection plus curvature data for one chart, each built on first
+    access and then kept (`_cached`).
 
     gamma is the (1,2) Christoffel array gamma[k][i][j]; R the lowered (0,4)
     curvature; S the Ricci tensor; kappa the scalar curvature.  G, C, W, K, P
-    are built on first access (n >= 3 required for the last four).
+    are the derived family (n >= 3 required for the last four); C, W, K and
+    P are each R or K plus a scalar times a (0,4) table (`_combine`).  `_d`
+    holds these and the action tables and fit vectors built from them.
     """
 
     def __init__(self, chart: Chart):
@@ -32,10 +46,8 @@ class CurvatureBundle:
 
     # -- connection --------------------------------------------------------
 
-    @property
+    @_cached
     def gamma(self):
-        if "gamma" in self._d:
-            return self._d["gamma"]
         c = self.chart
         n = c.n
         g = c.metric
@@ -55,15 +67,12 @@ class CurvatureBundle:
                     val = ex.mul(half, ex.add(*terms))
                     gam[k][i][j] = val
                     gam[k][j][i] = val
-        self._d["gamma"] = gam
         return gam
 
     # -- curvature ---------------------------------------------------------
 
-    @property
+    @_cached
     def R(self):
-        if "R" in self._d:
-            return self._d["R"]
         c = self.chart
         n = c.n
         g = c.metric
@@ -85,36 +94,23 @@ class CurvatureBundle:
                         val = ex.neg(low) if LOWERING_SIGN < 0 else low
                         comps[i][j][k][l] = val
                         comps[j][i][k][l] = ex.neg(val)
-        out = _field(c, (0, 4), comps, sym="curvature")
-        self._d["R"] = out
-        return out
+        return _field(c, (0, 4), comps, sym="curvature")
 
-    @property
+    @_cached
     def S(self):
-        if "S" in self._d:
-            return self._d["S"]
-        c = self.chart
-        n = c.n
-        gi = metric_inverse(c).comps
+        n = self.chart.n
+        gi = metric_inverse(self.chart).comps
         r = self.R.comps
-        comps = [[
-            ex.add(*[ex.mul(gi[i][l], r[i][j][k][l]) for i in range(n) for l in range(n)])
-            for k in range(n)] for j in range(n)]
-        out = _field(c, (0, 2), comps, sym="sym2")
-        self._d["S"] = out
-        return out
+        comps = _table(n, 2, lambda j, k: ex.add(
+            *[ex.mul(gi[i][l], r[i][j][k][l]) for i in range(n) for l in range(n)]))
+        return _field(self.chart, (0, 2), comps, sym="sym2")
 
-    @property
+    @_cached
     def kappa(self):
-        if "kappa" in self._d:
-            return self._d["kappa"]
-        c = self.chart
-        n = c.n
-        gi = metric_inverse(c).comps
+        n = self.chart.n
+        gi = metric_inverse(self.chart).comps
         s = self.S.comps
-        out = ex.add(*[ex.mul(gi[j][k], s[j][k]) for j in range(n) for k in range(n)])
-        self._d["kappa"] = out
-        return out
+        return ex.add(*[ex.mul(gi[j][k], s[j][k]) for j in range(n) for k in range(n)])
 
     # -- derived family ----------------------------------------------------
 
@@ -123,72 +119,44 @@ class CurvatureBundle:
         return gaussian(self.chart)
 
     def _need_dim3(self):
+        """The dimension n; ChartError below 3, where 1/(n-2) is undefined."""
         if self.chart.n < 3:
             raise ChartError("derived tensors require dimension >= 3")
+        return self.chart.n
 
-    @property
+    def _combine(self, a, op, coef, b, sym="curvature"):
+        """The (0,4) field op(a, coef * b), componentwise over tables a, b."""
+        comps = _table(self.chart.n, 4, lambda i, j, k, l: op(
+            a[i][j][k][l], ex.mul(coef, b[i][j][k][l])))
+        return _field(self.chart, (0, 4), comps, sym=sym)
+
+    @_cached
     def K(self):
-        if "K" not in self._d:
-            self._need_dim3()
-            c = self.chart
-            n = c.n
-            gs = kulkarni_nomizu(c.metric_field(), self.S).comps
-            f = ex.const(Fraction(1, n - 2))
-            r = self.R.comps
-            comps = [[[[ex.sub(r[i][j][k][l], ex.mul(f, gs[i][j][k][l]))
-                        for l in range(n)] for k in range(n)]
-                      for j in range(n)] for i in range(n)]
-            self._d["K"] = _field(c, (0, 4), comps, sym="curvature")
-        return self._d["K"]
+        n = self._need_dim3()
+        gs = kulkarni_nomizu(self.chart.metric_field(), self.S).comps
+        return self._combine(self.R.comps, ex.sub, ex.const(Fraction(1, n - 2)), gs)
 
-    @property
+    @_cached
     def C(self):
-        if "C" not in self._d:
-            self._need_dim3()
-            c = self.chart
-            n = c.n
-            coef = ex.mul(ex.const(Fraction(1, (n - 1) * (n - 2))), self.kappa)
-            kc = self.K.comps
-            gc = self.G.comps
-            comps = [[[[ex.add(kc[i][j][k][l], ex.mul(coef, gc[i][j][k][l]))
-                        for l in range(n)] for k in range(n)]
-                      for j in range(n)] for i in range(n)]
-            self._d["C"] = _field(c, (0, 4), comps, sym="curvature")
-        return self._d["C"]
+        n = self._need_dim3()
+        coef = ex.mul(ex.const(Fraction(1, (n - 1) * (n - 2))), self.kappa)
+        return self._combine(self.K.comps, ex.add, coef, self.G.comps)
 
-    @property
+    @_cached
     def W(self):
-        if "W" not in self._d:
-            self._need_dim3()
-            c = self.chart
-            n = c.n
-            coef = ex.mul(ex.const(Fraction(1, n * (n - 1))), self.kappa)
-            r = self.R.comps
-            gc = self.G.comps
-            comps = [[[[ex.sub(r[i][j][k][l], ex.mul(coef, gc[i][j][k][l]))
-                        for l in range(n)] for k in range(n)]
-                      for j in range(n)] for i in range(n)]
-            self._d["W"] = _field(c, (0, 4), comps, sym="curvature")
-        return self._d["W"]
+        n = self._need_dim3()
+        coef = ex.mul(ex.const(Fraction(1, n * (n - 1))), self.kappa)
+        return self._combine(self.R.comps, ex.sub, coef, self.G.comps)
 
-    @property
+    @_cached
     def P(self):
-        if "P" not in self._d:
-            self._need_dim3()
-            c = self.chart
-            n = c.n
-            g = c.metric
-            s = self.S.comps
-            f = ex.const(Fraction(1, n - 2))
-            r = self.R.comps
-            comps = [[[[
-                ex.sub(r[i][j][k][l],
-                       ex.mul(f, ex.sub(ex.mul(s[j][k], g[i][l]),
-                                        ex.mul(s[i][k], g[j][l]))))
-                for l in range(n)] for k in range(n)]
-                for j in range(n)] for i in range(n)]
-            self._d["P"] = _field(c, (0, 4), comps)
-        return self._d["P"]
+        n = self._need_dim3()
+        g = self.chart.metric
+        s = self.S.comps
+        sg = _table(n, 4, lambda i, j, k, l: ex.sub(
+            ex.mul(s[j][k], g[i][l]), ex.mul(s[i][k], g[j][l])))
+        return self._combine(self.R.comps, ex.sub, ex.const(Fraction(1, n - 2)), sg,
+                             sym="none")
 
 
 def bundle(chart: Chart) -> CurvatureBundle:
@@ -221,8 +189,7 @@ def covariant_hessian(chart: Chart, phi) -> TensorField:
     gam = bundle(chart).gamma
     n = chart.n
     dphi = [ex.diff(phi, d) for d in chart.coords]
-    comps = [[
-        ex.add(ex.diff(dphi[a], chart.coords[b]),
-               *[ex.neg(ex.mul(gam[e][a][b], dphi[e])) for e in range(n)])
-        for b in range(n)] for a in range(n)]
+    comps = _table(n, 2, lambda a, b: ex.add(
+        ex.diff(dphi[a], chart.coords[b]),
+        *[ex.neg(ex.mul(gam[e][a][b], dphi[e])) for e in range(n)]))
     return _field(chart, (0, 2), comps, sym="sym2")

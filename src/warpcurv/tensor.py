@@ -4,12 +4,12 @@ A Chart is a coordinate system with a symmetric, non-degenerate metric whose
 entries are expression trees, plus declared parameters (with rational test
 values) and a per-coordinate sampling box for the randomized zero test.
 
-TensorFields are dense nested component arrays.  Storage is deliberately
-dense: at n <= 5 the largest array is 5^6 entries, and dense indexing keeps
-cross-checks against independent loop oracles trivial.  The one exception is
-the warped product's six-index actions (the block-assembled product ones and
-the base and fiber ones its blocks read), which store one component per
-symmetry orbit (`orbit_reps`) and give the rest by sign.
+TensorFields are dense nested component arrays, built row-major by
+`_table`; dense indexing keeps cross-checks against independent loop oracles
+trivial.  The one exception is the warped product's six-index actions (the
+block-assembled product ones and the base and fiber ones its blocks read),
+which store one component per symmetry orbit (`orbit_reps`) and give the
+rest by sign.
 """
 
 from __future__ import annotations
@@ -208,6 +208,15 @@ class TensorField:
         return out
 
 
+def _table(n, rank, fn):
+    """Nested lists, `rank` deep and n wide, holding fn(i1, ..., i_rank) at
+    each index tuple; fn is called in row-major order."""
+    out = [fn(*t) for t in iproduct(range(n), repeat=rank)]
+    for _ in range(rank - 1):
+        out = [out[i:i + n] for i in range(0, len(out), n)]
+    return out
+
+
 def _field(chart, valence, comps, sym="none"):
     """A TensorField the engine built from a validated chart, stored as given."""
     t = object.__new__(TensorField)
@@ -257,16 +266,10 @@ def _require(field, valence):
 
 
 def metric_inverse(chart):
-    """Inverse metric as a (2,0) field; exact cofactor for n <= 5, else
-    fraction-free elimination with zero-tested pivots."""
-    if "metric_inverse" in chart._cache:
-        return chart._cache["metric_inverse"]
-    if chart.n <= 5:
-        out = _cofactor_inverse(chart)
-    else:
-        out = _elimination_inverse(chart)
-    chart._cache["metric_inverse"] = out
-    return out
+    """Inverse metric as a (2,0) field, by exact cofactors at every n."""
+    if "metric_inverse" not in chart._cache:
+        chart._cache["metric_inverse"] = _cofactor_inverse(chart)
+    return chart._cache["metric_inverse"]
 
 
 def _det_expr(mat):
@@ -285,44 +288,15 @@ def _cofactor_inverse(chart):
     g = chart.metric
     n = chart.n
     det = _det_expr(g)
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [g[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = _det_expr(minor) if n > 1 else ex.const(1)
-            signed = cof if (i + j) % 2 == 0 else ex.neg(cof)
-            inv[i][j] = ex.div(signed, det)
-    return _field(chart, (2, 0), inv, sym="sym2")
 
-
-def _elimination_inverse(chart):
-    n = chart.n
-    a = [row[:] + [ex.const(1 if r == c else 0) for c in range(n)]
-         for r, row in enumerate(chart.metric)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not chart.is_zero(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise ChartError("metric singular during elimination")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        pivot = a[col][col]
-        a[col] = [ex.div(v, pivot) for v in a[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if ex.is_literal_zero(f):
-                continue
-            a[r] = [ex.sub(a[r][c], ex.mul(f, a[col][c])) for c in range(2 * n)]
-    inv = [row[n:] for row in a]
-    return _field(chart, (2, 0), inv, sym="sym2")
+    def entry(i, j):
+        minor = [
+            [g[r][c] for c in range(n) if c != i]
+            for r in range(n) if r != j
+        ]
+        cof = _det_expr(minor) if n > 1 else ex.const(1)
+        return ex.div(cof if (i + j) % 2 == 0 else ex.neg(cof), det)
+    return _field(chart, (2, 0), _table(n, 2, entry), sym="sym2")
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +308,25 @@ def kulkarni_nomizu(A, E):
     _require_same_chart(A, E)
     _require(A, (0, 2))
     _require(E, (0, 2))
-    n = A.chart.n
     a = A.comps
     e = E.comps
-    comps = [[[[
-        ex.add(
-            ex.mul(a[i][l], e[j][k]),
-            ex.mul(a[j][k], e[i][l]),
-            ex.neg(ex.mul(a[i][k], e[j][l])),
-            ex.neg(ex.mul(a[j][l], e[i][k])),
-        )
-        for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
+    comps = _table(A.chart.n, 4, lambda i, j, k, l: ex.add(
+        ex.mul(a[i][l], e[j][k]),
+        ex.mul(a[j][k], e[i][l]),
+        ex.neg(ex.mul(a[i][k], e[j][l])),
+        ex.neg(ex.mul(a[j][l], e[i][k])),
+    ))
     return _field(A.chart, (0, 4), comps, sym="curvature")
 
 
 def gaussian(chart):
     """G = (1/2) g ^ g, i.e. G_ijkl = g_il g_jk - g_ik g_jl."""
-    if "gaussian" in chart._cache:
-        return chart._cache["gaussian"]
-    g = chart.metric
-    n = chart.n
-    comps = [[[[
-        ex.sub(ex.mul(g[i][l], g[j][k]), ex.mul(g[i][k], g[j][l]))
-        for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-    out = _field(chart, (0, 4), comps, sym="curvature")
-    chart._cache["gaussian"] = out
-    return out
+    if "gaussian" not in chart._cache:
+        g = chart.metric
+        comps = _table(chart.n, 4, lambda i, j, k, l: ex.sub(
+            ex.mul(g[i][l], g[j][k]), ex.mul(g[i][k], g[j][l])))
+        chart._cache["gaussian"] = _field(chart, (0, 4), comps, sym="curvature")
+    return chart._cache["gaussian"]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +384,8 @@ def raise_first(D):
     gi = metric_inverse(chart).comps
     n = chart.n
     d = D.comps
-    comps = [[[[
-        ex.add(*[ex.mul(gi[l][m], d[i][j][k][m]) for m in range(n)])
-        for k in range(n)] for j in range(n)] for i in range(n)] for l in range(n)]
+    comps = _table(n, 4, lambda l, i, j, k: ex.add(
+        *[ex.mul(gi[l][m], d[i][j][k][m]) for m in range(n)]))
     return _field(chart, (1, 3), comps)
 
 

@@ -31,8 +31,8 @@ from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import (
-    Chart, ChartError, TensorField, _as_expr, _field, _orbit_field, gaussian,
-    metric_inverse, orbit_reps,
+    Chart, ChartError, TensorField, _as_expr, _field, _orbit_field, _table,
+    gaussian, metric_inverse, orbit_reps,
 )
 
 LABEL_T = "T = L1 g"
@@ -188,10 +188,8 @@ class _Ctx:
         self.Gf = gaussian(spec.fiber)
         self.QSGf = _orbit_table(tachibana_comps, fb.S, self.Gf)
         fD = ex.mul(spec.f, aux.Delta)
-        self.RfDG = [[[[ex.add(fb.R.comps[a][b][c][d],
-                               ex.mul(fD, self.Gf.comps[a][b][c][d]))
-                        for d in range(q)] for c in range(q)]
-                      for b in range(q)] for a in range(q)]
+        self.RfDG = _table(q, 4, lambda a, b, c, d: ex.add(
+            fb.R.comps[a][b][c][d], ex.mul(fD, self.Gf.comps[a][b][c][d])))
 
 
 def _orbit_table(comps_fn, A, H):
@@ -340,22 +338,22 @@ def block_curvature(spec):
     c = _ctx(spec)
     prod = assemble_product(spec)
     p, q, n = spec.p, spec.q, spec.n
-    R = [[[[_entry4(spec, aux, c, (i, j, k, l)) for l in range(n)]
-           for k in range(n)] for j in range(n)] for i in range(n)]
-    S = [[ex.const(0) for _ in range(n)] for _ in range(n)]
-    for a in range(p):
-        for b in range(p):
-            S[a][b] = c.Shat[a][b]
-    for al in range(q):
-        for be in range(q):
-            S[p + al][p + be] = c.Scheck[al][be]
+    R = _table(n, 4, lambda *t: _entry4(spec, aux, c, t))
+
+    def ricci(i, j):
+        if i < p and j < p:
+            return c.Shat[i][j]
+        if i >= p and j >= p:
+            return c.Scheck[i - p][j - p]
+        return ex.const(0)
+
     kappa = ex.add(c.bb.kappa, ex.div(c.fb.kappa, spec.f),
                    ex.mul(ex.const(q),
                           ex.add(ex.mul(ex.const(q - 1), aux.Delta),
                                  ex.mul(ex.const(2), aux.trT))))
     out = {
         "R": _field(prod, (0, 4), R),
-        "S": _field(prod, (0, 2), S, sym="sym2"),
+        "S": _field(prod, (0, 2), _table(n, 2, ricci), sym="sym2"),
         "kappa": kappa,
     }
     spec._cache["curv"] = out

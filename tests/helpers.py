@@ -274,6 +274,20 @@ def flat_chart(n):
     return Chart(coords, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def banded_chart(n):
+    """n-chart with g_ii = i + 2 + x_i^2 and g_i,i+1 = x_i x_(i+1) / 7."""
+    from warpcurv.tensor import Chart
+    coords = tuple(f"x{i + 1}" for i in range(n))
+
+    def entry(i, j):
+        if i == j:
+            return f"{i + 3} + x{i + 1}^2"
+        if abs(i - j) == 1:
+            return f"x{i + 1}*x{j + 1}/7"
+        return "0"
+    return Chart(coords, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
 def polar_chart():
     from warpcurv.tensor import Chart
     return Chart(("r", "th"), [["1", "0"], ["0", "r^2"]])

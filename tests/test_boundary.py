@@ -62,6 +62,7 @@ def test_engine_built_rank2_tensors_are_symmetric(name):
 def test_engine_built_tensors_run_no_zero_test(monkeypatch):
     # charts validate their metric with zero tests, so they are built first
     chart = helpers.aniso3_chart()
+    chart6 = helpers.banded_chart(6)
     spec = make_spec(helpers.aniso3_chart(), helpers.flat_chart(1), "exp(x1)")
     assemble_product(spec)
 
@@ -71,6 +72,9 @@ def test_engine_built_tensors_run_no_zero_test(monkeypatch):
     monkeypatch.setattr(ex.PointEval, "judge", no_judge)
     bundle(chart).S
     metric_inverse(chart)
+    # the inverse is exact at every dimension, so n = 6 samples nothing either
+    metric_inverse(chart6)
+    bundle(chart6).S
     auxiliaries(spec)
     block_curvature(spec)
 

@@ -323,6 +323,11 @@ def test_fit_skips_undefined_points(tmp_path, capsys):
     assert 0 < len(records) < 8
     assert all(Fraction(r["point"]["x1"]) > 1 for r in records)
     chart = build_chart(load_manifest(path))
+    undefined = sum(pt["x1"] <= 1 for pt in chart.sample_points(8, ex.DEFAULT_SEED))
+    assert rep["fit"]["points_invalid"] == 8 - len(records) == undefined
+    for v in rep["catalog"].values():
+        if not v["skipped"]:
+            assert v["points_checked"] + v["points_excluded"] + v["points_invalid"] == 8
     outside = [pt for pt in chart.sample_points(32, 1) if pt["x1"] <= 1][:5]
     with pytest.raises(ex.InconclusiveError):
         fit_pseudosymmetry(bundle(chart), outside)
@@ -394,22 +399,75 @@ def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
     assert digest == WARPED_JSON_SHA256[(name, points)]
 
 
+# sha256 of `classify --json` at seed 7 before the points_invalid keys were
+# added; the report without them must keep these bytes
+CLASSIFY_JSON_SHA256 = {
+    ("sphere.mf", 8):
+        "3fab58f58e3bf9375deaa2669fa00897d8d0b7d0107c7bff93d3e9b6b161aaa3",
+    ("aniso3.mf", 8):
+        "8ee8f9a2c8323545a6dd99fb74f3cde66eb17408a929727e353dc83bf5d542da",
+    ("ex1_fiber.mf", 8):
+        "03ebf0a7f1390185da09570213df2182df01a03f405bead771f7aa11991bc37c",
+    ("ex2_warped.mf", 8):
+        "790445dd1c6f323d74f65abfa99b9f10bfa84aacf40759418b1485e0c411711f",
+    ("ex2_warped.mf", 2):
+        "eb91e485f21b6d23c9a43c0a8c81755422686c707d4413141917c7c5bd97d11e",
+}
+
+
+@pytest.mark.parametrize("name,points", sorted(CLASSIFY_JSON_SHA256))
+def test_classify_json_bytes_pinned(tmp_path, capsys, name, points):
+    out_file = tmp_path / "r.json"
+    main(["classify", fixture_path(name), "--points", str(points),
+          "--seed", "7", "--json", str(out_file)])
+    rep = json.loads(out_file.read_text())
+    del rep["fit"]["points_invalid"]
+    for v in rep["catalog"].values():
+        v.pop("points_invalid", None)
+    blob = json.dumps(rep, sort_keys=True, indent=2) + "\n"
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == CLASSIFY_JSON_SHA256[(name, points)]
+
+
+@pytest.mark.parametrize("name", ["flat1.mf", "flat2.mf", "sphere2.mf",
+                                  "hyper2.mf", "ex1_base.mf", "ex2_base.mf"])
+def test_classify_below_dimension_three(name):
+    code, rep = classify_report(fixture_path(name), points=3)
+    assert code == 0 and rep["n"] < 3
+    for row in ("W.R = 0", "P.R = 0", "R.C = L Q(g,C)", "P.S = L2 Q(g,S)"):
+        assert rep["catalog"][row]["skipped"] is True
+        assert rep["catalog"][row]["reason"] == "needs dimension >= 3"
+    assert rep["catalog"]["R.S = 0"]["skipped"] is False
+    if name == "sphere2.mf":
+        assert rep["catalog"]["R.R = 0"]["holds"] is True
+
+
+def test_classify_check_below_dimension_three_is_input_error(tmp_path, capsys):
+    shutil.copy(fixture_path("sphere2.mf"), tmp_path / "s2.mf")
+    path = str(tmp_path / "s2.mf")
+    with open(path, "a") as fh:
+        fh.write("\n[check]\nname = W.R = 0\n")
+    assert main(["classify", path, "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "'W.R = 0' needs dimension >= 3" in err
+
+
 def test_warped_verify_six_dimensional_product(tmp_path, monkeypatch):
-    """n = 6: a flat 2-base under ex1_fiber, the one path to elimination."""
+    """n = 6: a flat 2-base under ex1_fiber, inverted by cofactors too."""
     for name in ("flat2.mf", "ex1_fiber.mf"):
         shutil.copy(fixture_path(name), tmp_path / name)
     path = _write(tmp_path, "w6.mf", "[warped]\nbase = flat2.mf\n"
                   "fiber = ex1_fiber.mf\nwarp = 1 + x1^2 + x2^2\n")
     inversions = []
-    elimination = tensor._elimination_inverse
+    cofactor = tensor._cofactor_inverse
 
     def counting(chart):
         inversions.append(chart.n)
-        return elimination(chart)
+        return cofactor(chart)
 
-    monkeypatch.setattr(tensor, "_elimination_inverse", counting)
+    monkeypatch.setattr(tensor, "_cofactor_inverse", counting)
     code, rep = warped_verify_report(path, points=2, seed=7)
-    assert inversions == [6]
+    assert 6 in inversions
     assert code == 1
     assert rep["p"] == 2 and rep["q"] == 4
     assert all(rep["oracle"].values())
@@ -423,7 +481,8 @@ def test_warped_verify_six_dimensional_product(tmp_path, monkeypatch):
 
 
 def test_main_exit_code_contract_fuzz(tmp_path, capsys):
-    """Any chart manifest makes `curvature` and `classify` exit 0, 1 or 2."""
+    """Any chart manifest makes `curvature` and `classify` exit 0, 1 or 2,
+    and never exit 2 for a dimension below 3."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     atoms = ("a", "2", "1/3", "7/2")
@@ -462,7 +521,10 @@ def test_main_exit_code_contract_fuzz(tmp_path, capsys):
         path = _write(tmp_path, "fuzz.mf", text)
         for cmd in ("curvature", "classify"):
             assert main([cmd, path, "--points", "2"]) in (0, 1, 2)
-        assert "Traceback" not in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            # charts below dimension 3 skip the rows that need C, W, K or P
+            assert "dimension >= 3" not in err
 
     check()
 

@@ -16,8 +16,8 @@ from helpers import chart_parse, expected_array
 from warpcurv import expr as ex
 from warpcurv.cli import build_chart, fixture_path, load_manifest
 from warpcurv.curvature import (
-    bundle, christoffel, covariant_hessian, derived_tensors, ricci_scalar,
-    riemann,
+    CurvatureBundle, bundle, christoffel, covariant_hessian, derived_tensors,
+    ricci_scalar, riemann,
 )
 from warpcurv.tensor import (
     ChartError, TensorField, gaussian, is_generalized_curvature, metric_inverse,
@@ -237,6 +237,15 @@ def test_hessian_of_constant_vanishes(ex2_c):
 
 # ---------------------------------------------------------------------------
 # Derived tensors
+
+
+def test_bundle_tensors_are_memoized_properties():
+    # perfbench/tracer.py replaces a property's getter with a timed wrapper,
+    # so the memo must live in the getter, not in the descriptor
+    for name in ("gamma", "R", "S", "kappa", "K", "C", "W", "P"):
+        assert isinstance(vars(CurvatureBundle)[name], property), name
+    b = bundle(helpers.aniso3_chart())
+    assert b.R is b.R and b.kappa is b.kappa and b.P is b.P
 
 
 def test_derived_tensors_require_three_dimensions():
