@@ -38,7 +38,7 @@ from .conditions import (
     CATALOG, check_identity, constant_type_check, fit_pseudosymmetry,
 )
 from .curvature import bundle
-from .expr import DEFAULT_SEED, MP, DomainError, PointEval, zero_threshold
+from .expr import DEFAULT_SEED, MP, DomainError, PointEval
 from .tensor import Chart, ChartError, excerpt, orbit_reps
 from .warped import (
     _base_scalar, assemble_product, auxiliaries, block_actions,
@@ -339,8 +339,7 @@ def classify_report(path, seed=None, points=8):
     rcomps = [b.R.comp(t) for t in orbit_reps(n, 4)]
     flat = all(chart.is_zero_many(rcomps, trials=points, seed=seed))
     fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
-    residual_zero = all(rec["residual"] <= zero_threshold(rec["data_scale"])
-                        for rec in fit.records)
+    residual_zero = all(rec["residual"] == 0 for rec in fit.records)
     requested = {}
     for chk in m.checks:
         if not chk.name:

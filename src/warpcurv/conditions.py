@@ -180,22 +180,25 @@ def _norm(v):
 
 
 def _ls2(q1, q2, r):
+    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point.
+
+    L1, L2 and the residual are reported only as far as the 50 digits
+    decide them: each snaps to an exact 0 when its share of the data
+    (|L_k| |q_k|, or the residual itself) is within the zero threshold of
+    the data scale, so no rounding noise of the sums reaches a report.
+    """
     n1, n2, nr = _norm(q1), _norm(q2), _norm(r)
     scale = max(n1, n2, nr)
     zero = MP.zero
-    if scale == 0:
-        return {"L1": zero, "L2": zero, "residual": zero, "rank": 0,
-                "nullspace": [(1, 0), (0, 1)], "data_scale": scale}
     col1 = n1 > REL_TOL * scale
     col2 = n2 > REL_TOL * scale
-    if not col1 and not col2:
-        return {"L1": zero, "L2": zero, "residual": nr, "rank": 0,
-                "nullspace": [(1, 0), (0, 1)], "data_scale": scale}
     dot = sum(a * c for a, c in zip(q1, q2))
     gram = n1 * n1 * n2 * n2 - dot * dot
-    parallel = (not col1) or (not col2) or (
-        MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2)
-    if parallel:
+    if not col1 and not col2:
+        L1 = L2 = zero
+        null = [(1, 0), (0, 1)]
+        rank = 0
+    elif (not col1) or (not col2) or MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2:
         if not col1:
             L1, L2 = zero, sum(a * c for a, c in zip(q2, r)) / (n2 * n2)
             null = [(MP.one, zero)]
@@ -210,15 +213,17 @@ def _ls2(q1, q2, r):
             null = [(-rho, MP.one)]
         rank = 1
     else:
-        det = gram
         d1 = sum(a * c for a, c in zip(q1, r))
         d2 = sum(a * c for a, c in zip(q2, r))
-        L1 = (d1 * n2 * n2 - d2 * dot) / det
-        L2 = (n1 * n1 * d2 - dot * d1) / det
+        L1 = (d1 * n2 * n2 - d2 * dot) / gram
+        L2 = (n1 * n1 * d2 - dot * d1) / gram
         null = []
         rank = 2
     res = _norm([rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)])
-    return {"L1": L1, "L2": L2, "residual": res, "rank": rank,
+    tol = zero_threshold(scale)
+    return {"L1": zero if abs(L1) * n1 < tol else L1,
+            "L2": zero if abs(L2) * n2 < tol else L2,
+            "residual": zero if res <= tol else res, "rank": rank,
             "nullspace": null, "data_scale": scale}
 
 

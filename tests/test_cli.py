@@ -399,19 +399,20 @@ def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
     assert digest == WARPED_JSON_SHA256[(name, points)]
 
 
-# sha256 of `classify --json` at seed 7 before the points_invalid keys were
-# added; the report without them must keep these bytes
+# sha256 of `classify --json` at seed 7 without the points_invalid keys,
+# fixed when the fit began to report L1, L2 and residuals below the zero
+# threshold as 0.0 (sphere's fit was exact zeros already)
 CLASSIFY_JSON_SHA256 = {
     ("sphere.mf", 8):
         "3fab58f58e3bf9375deaa2669fa00897d8d0b7d0107c7bff93d3e9b6b161aaa3",
     ("aniso3.mf", 8):
-        "8ee8f9a2c8323545a6dd99fb74f3cde66eb17408a929727e353dc83bf5d542da",
+        "a03e96112b23222435ee5dd72552743dbbd056773facf99cceb4c29977715423",
     ("ex1_fiber.mf", 8):
-        "03ebf0a7f1390185da09570213df2182df01a03f405bead771f7aa11991bc37c",
+        "580e631eafea7fae69f5d4fab61af4d63fad74011de8904b50acad87c7b24fcc",
     ("ex2_warped.mf", 8):
-        "790445dd1c6f323d74f65abfa99b9f10bfa84aacf40759418b1485e0c411711f",
+        "82e38ba1d2858746b7447a39b6693d80314388148801c7bb7def69c43d124c55",
     ("ex2_warped.mf", 2):
-        "eb91e485f21b6d23c9a43c0a8c81755422686c707d4413141917c7c5bd97d11e",
+        "a1e6aa80ef3838cce77ac675f7fe81e2ef3fc1429c7565cfaf39e19529d85777",
 }
 
 

@@ -10,7 +10,7 @@ import helpers
 from warpcurv import expr as ex
 from warpcurv.actions import cached_derivation, cached_tachibana
 from warpcurv.conditions import (
-    CATALOG, ConditionReport, check_identity, constant_type_check,
+    CATALOG, ConditionReport, _ls2, check_identity, constant_type_check,
     einstein_check, fit_pseudosymmetry, pair_admissible, pair_residual,
 )
 from warpcurv.curvature import bundle
@@ -160,6 +160,20 @@ def test_fit_warped_chart_unique_pair(warped5_c):
             assert abs(rec["L1"] - 2) <= mpmath.mpf("1e-30")
             assert abs(rec["L2"]) <= mpmath.mpf("1e-30")
             assert rec["residual"] <= mpmath.mpf("1e-30") * (1 + rec["data_scale"])
+
+
+def test_fit_snaps_what_the_digits_do_not_decide():
+    # data scale about 2: a coefficient or residual of 1e-45 is rounding
+    # noise and reads exact 0; one of 1e-20 is data and is kept
+    one, zero = ex.MP.one, ex.MP.zero
+    q1, q2 = [one, zero, zero], [zero, one, zero]
+    for small, kept in ((ex.MP.mpf("1e-45"), False), (ex.MP.mpf("1e-20"), True)):
+        rec = _ls2(q1, q2, [2 * one, small, zero])
+        assert rec["L1"] == 2 and (rec["L2"] == small if kept else rec["L2"] == 0)
+        assert rec["residual"] == 0
+        rec = _ls2(q1, q2, [2 * one, one, small])
+        assert rec["L1"] == 2 and rec["L2"] == 1
+        assert rec["residual"] == small if kept else rec["residual"] == 0
 
 
 def test_fit_flat_chart_trivial():
