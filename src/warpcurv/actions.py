@@ -3,9 +3,12 @@
 derivation_action turns a (0,4) tensor D into the endomorphism-valued form
 D(X,Y) by raising its first slot and lets it act as a derivation on (0,k)
 tensors.  tachibana does the same with the metric-wedge endomorphism X ^_A Y
-of a symmetric (0,2) tensor A.  Both accept k in {2, 4}.  derivation_comps
-and tachibana_comps build the same components, term for term, at chosen
-index tuples only (for instance one per symmetry orbit, tensor.orbit_reps).
+of a symmetric (0,2) tensor A.  Both accept k in {2, 4} and build every
+component; derivation_comps and tachibana_comps build the same ones, term
+for term, at chosen index tuples only.  The action of an H tagged
+"curvature" (by a D antisymmetric in its first pair) has the 16 index
+symmetries of `tensor.orbit_reps`, so `_orbit_table` builds it at one tuple
+per orbit; the bundle memo stores such actions that way, any other dense.
 """
 
 from __future__ import annotations
@@ -15,13 +18,8 @@ from itertools import product as iproduct
 
 from . import expr as ex
 from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
-from .tensor import ChartError, TensorField, _field, _table, raise_first
-
-
-def _get(arr, idx):
-    for i in idx:
-        arr = arr[i]
-    return arr
+from .tensor import (
+    ChartError, TensorField, _field, _orbit_field, _table, orbit_reps, raise_first)
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -37,7 +35,6 @@ def _derivation_fn(D, H):
     """The function (i1..ik, u, v) -> (D.H) at that index tuple."""
     _check_pair(D.valence == (0, 4), D, H)
     dup = raise_first(D).comps
-    h = H.comps
 
     def comp(*t):
         *idx, u, v = t
@@ -47,7 +44,7 @@ def _derivation_fn(D, H):
                 c = dup[s][u][v][im]
                 if is_literal_zero(c):
                     continue
-                hv = _get(h, idx[:m] + [s] + idx[m + 1:])
+                hv = H.comp(idx[:m] + [s] + idx[m + 1:])
                 if is_literal_zero(hv):
                     continue
                 terms.append(ex.mul(c, hv))
@@ -59,7 +56,6 @@ def _tachibana_fn(A, H):
     """The function (i1..ik, u, v) -> Q(A,H) at that index tuple."""
     _check_pair(A.valence == (0, 2) and A.sym == "sym2", A, H)
     a = A.comps
-    h = H.comps
 
     def comp(*t):
         *idx, u, v = t
@@ -67,12 +63,12 @@ def _tachibana_fn(A, H):
         for m, im in enumerate(idx):
             au = a[u][im]
             if not is_literal_zero(au):
-                hv = _get(h, idx[:m] + [v] + idx[m + 1:])
+                hv = H.comp(idx[:m] + [v] + idx[m + 1:])
                 if not is_literal_zero(hv):
                     terms.append(ex.mul(au, hv))
             av = a[v][im]
             if not is_literal_zero(av):
-                hu = _get(h, idx[:m] + [u] + idx[m + 1:])
+                hu = H.comp(idx[:m] + [u] + idx[m + 1:])
                 if not is_literal_zero(hu):
                     terms.append(ex.neg(ex.mul(av, hu)))
         return ex.add(*terms)
@@ -103,8 +99,14 @@ def tachibana(A: TensorField, H: TensorField) -> TensorField:
     return _field(A.chart, (0, rank), _table(n, rank, _tachibana_fn(A, H)))
 
 
+def _orbit_table(comps_fn, A, H):
+    """The six-index action comps_fn(A, H, ...) at its orbit representatives."""
+    reps = list(orbit_reps(A.chart.n, 6))
+    return _orbit_field(A.chart, (0, 6), dict(zip(reps, comps_fn(A, H, reps))))
+
+
 # ---------------------------------------------------------------------------
-# Per-bundle caching of the commonly used action tables
+# Per-bundle memo of the actions of the bundle's own tensors
 
 
 def _resolve(b, name):
@@ -113,18 +115,23 @@ def _resolve(b, name):
     return getattr(b, name)
 
 
-def cached_derivation(b, dname: str, hname: str) -> TensorField:
-    key = ("D", dname, hname)
+def _memo(b, key, dense, comps_fn):
+    """The action of b's tensors named key[1:], built once."""
     if key not in b._d:
-        b._d[key] = derivation_action(_resolve(b, dname), _resolve(b, hname))
+        A, H = _resolve(b, key[1]), _resolve(b, key[2])
+        b._d[key] = (_orbit_table(comps_fn, A, H) if H.sym == "curvature"
+                     else dense(A, H))
     return b._d[key]
+
+
+def cached_derivation(b, dname: str, hname: str) -> TensorField:
+    """D.H of the bundle's tensors; each D (R, W, C, K, P) is antisymmetric
+    in its first pair."""
+    return _memo(b, ("D", dname, hname), derivation_action, derivation_comps)
 
 
 def cached_tachibana(b, aname: str, hname: str) -> TensorField:
-    key = ("Q", aname, hname)
-    if key not in b._d:
-        b._d[key] = tachibana(_resolve(b, aname), _resolve(b, hname))
-    return b._d[key]
+    return _memo(b, ("Q", aname, hname), tachibana, tachibana_comps)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +163,12 @@ def deszcz_ratio(b, point, pi1, pi2):
     x, y = (_exact_vec(t, n) for t in pi2)
     if not _span_rank2(v, w) or not _span_rank2(x, y):
         raise ValueError("degenerate plane span")
-    rr = cached_derivation(b, "R", "R").comps
-    qgr = cached_tachibana(b, "g", "R").comps
+    rr = cached_derivation(b, "R", "R")
+    qgr = cached_tachibana(b, "g", "R")
     pe = PointEval(point)
     weights = (v, w, v, w, x, y)
 
-    def contract(comps):
+    def contract(field):
         total = scale = MP.zero
         for idx in iproduct(*(range(n),) * 6):
             wt = Fraction(1)
@@ -171,7 +178,7 @@ def deszcz_ratio(b, point, pi1, pi2):
                     break
             if wt == 0:
                 continue
-            e = _get(comps, idx)
+            e = field.comp(idx)
             if is_literal_zero(e):
                 continue
             val, sub = pe.eval_scaled(e)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
@@ -22,7 +21,7 @@ from .expr import (
     DEFAULT_SEED, MP, REL_TOL, DomainError, InconclusiveError, PointEval,
     is_literal_zero, to_mpf, zero_threshold,
 )
-from .tensor import _as_expr
+from .tensor import _as_expr, orbit_reps, orbit_size
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,8 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
             coef = _scalar_expr(scalars[key], chart)
             quals.append(q)
         rhs.append((coef, q))
-    idxs = list(iproduct(range(chart.n), repeat=lhs.rank))
+    # a row's fields share their H, hence the tuples they store
+    idxs = list(lhs.tuples())
     defects = []
     for t in idxs:
         acc = lhs.comp(t)
@@ -158,68 +158,62 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
 
 
 def _fit_vectors(b):
+    """(orbit_size, R.R, Q(g,R), Q(S,R)) at each orbit representative where
+    a column is not literal zero; the columns share the orbits' signs."""
     if "fit_vectors" not in b._d:
-        rr = cached_derivation(b, "R", "R")
-        qg = cached_tachibana(b, "g", "R")
-        qs = cached_tachibana(b, "S", "R")
-        n = b.chart.n
-        triples = []
-        for t in iproduct(range(n), repeat=6):
-            er, eg, es = rr.comp(t), qg.comp(t), qs.comp(t)
-            # entries identically zero in all three columns cannot affect
-            # the normal equations; skip them
-            if is_literal_zero(er) and is_literal_zero(eg) and is_literal_zero(es):
-                continue
-            triples.append((er, eg, es))
-        b._d["fit_vectors"] = triples
+        cols = (cached_derivation(b, "R", "R"), cached_tachibana(b, "g", "R"),
+                cached_tachibana(b, "S", "R"))
+        vecs = [(orbit_size(t), *(c.comp(t) for c in cols))
+                for t in orbit_reps(b.chart.n, 6)]
+        b._d["fit_vectors"] = [v for v in vecs
+                               if not all(is_literal_zero(e) for e in v[1:])]
     return b._d["fit_vectors"]
 
 
-def _norm(v):
-    return MP.sqrt(sum(x * x for x in v))
-
-
-def _ls2(q1, q2, r):
-    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point.
+def _ls2(w, q1, q2, r):
+    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point,
+    where |v|^2 = sum_k w[k] v[k]^2: entry k stands for w[k] components.
 
     L1, L2 and the residual are reported only as far as the 50 digits
     decide them: each snaps to an exact 0 when its share of the data
     (|L_k| |q_k|, or the residual itself) is within the zero threshold of
     the data scale, so no rounding noise of the sums reaches a report.
     """
-    n1, n2, nr = _norm(q1), _norm(q2), _norm(r)
+    def dot(a, c):
+        return sum(k * x * y for k, x, y in zip(w, a, c))
+
+    n1, n2, nr = (MP.sqrt(dot(v, v)) for v in (q1, q2, r))
     scale = max(n1, n2, nr)
     zero = MP.zero
     col1 = n1 > REL_TOL * scale
     col2 = n2 > REL_TOL * scale
-    dot = sum(a * c for a, c in zip(q1, q2))
-    gram = n1 * n1 * n2 * n2 - dot * dot
+    d12 = dot(q1, q2)
+    gram = n1 * n1 * n2 * n2 - d12 * d12
     if not col1 and not col2:
         L1 = L2 = zero
         null = [(1, 0), (0, 1)]
         rank = 0
     elif (not col1) or (not col2) or MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2:
         if not col1:
-            L1, L2 = zero, sum(a * c for a, c in zip(q2, r)) / (n2 * n2)
+            L1, L2 = zero, dot(q2, r) / (n2 * n2)
             null = [(MP.one, zero)]
         elif not col2:
-            L1, L2 = sum(a * c for a, c in zip(q1, r)) / (n1 * n1), zero
+            L1, L2 = dot(q1, r) / (n1 * n1), zero
             null = [(zero, MP.one)]
         else:
-            rho = dot / (n1 * n1)
-            t = sum(a * c for a, c in zip(q1, r)) / (n1 * n1)
-            L1 = t / (1 + rho * rho)
+            rho = d12 / (n1 * n1)
+            L1 = dot(q1, r) / (n1 * n1) / (1 + rho * rho)
             L2 = rho * L1
             null = [(-rho, MP.one)]
         rank = 1
     else:
-        d1 = sum(a * c for a, c in zip(q1, r))
-        d2 = sum(a * c for a, c in zip(q2, r))
-        L1 = (d1 * n2 * n2 - d2 * dot) / gram
-        L2 = (n1 * n1 * d2 - dot * d1) / gram
+        d1, d2 = dot(q1, r), dot(q2, r)
+        L1 = (d1 * n2 * n2 - d2 * d12) / gram
+        L2 = (n1 * n1 * d2 - d12 * d1) / gram
         null = []
         rank = 2
-    res = _norm([rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)])
+    e = [rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)]
+    res = MP.sqrt(dot(e, e))
     tol = zero_threshold(scale)
     return {"L1": zero if abs(L1) * n1 < tol else L1,
             "L2": zero if abs(L2) * n2 < tol else L2,
@@ -235,7 +229,8 @@ def fit_pseudosymmetry(b, points) -> ConditionReport:
     """
     if len(points) < 5:
         raise ValueError("need at least 5 sample points")
-    triples = _fit_vectors(b)
+    vecs = _fit_vectors(b)
+    w = [v[0] for v in vecs]
     records = []
     trivial = True
     for pt in points:
@@ -243,12 +238,12 @@ def fit_pseudosymmetry(b, points) -> ConditionReport:
         # not data; judge() snaps it to an exact zero
         pe = PointEval(pt)
         try:
-            r = [pe.judge(er) for er, _, _ in triples]
-            q1 = [pe.judge(eg) for _, eg, _ in triples]
-            q2 = [pe.judge(es) for _, _, es in triples]
+            r = [pe.judge(er) for _, er, _, _ in vecs]
+            q1 = [pe.judge(eg) for _, _, eg, _ in vecs]
+            q2 = [pe.judge(es) for _, _, _, es in vecs]
         except DomainError:
             continue
-        rec = _ls2(q1, q2, r)
+        rec = _ls2(w, q1, q2, r)
         rec["point"] = pt
         records.append(rec)
         if rec["data_scale"] > 0:
@@ -271,7 +266,6 @@ def pair_residual(b, point, L1, L2):
     the zero-test threshold for that scale.
     """
     chart = b.chart
-    triples = _fit_vectors(b)
     pe = PointEval(point)
 
     def val(x):
@@ -281,11 +275,11 @@ def pair_residual(b, point, L1, L2):
 
     l1, l2 = val(L1), val(L2)
     res = scale = MP.zero
-    for er, eg, es in triples:
+    for w, er, eg, es in _fit_vectors(b):
         rv = to_mpf(pe.eval(er))
         g1 = to_mpf(pe.eval(eg))
         g2 = to_mpf(pe.eval(es))
-        res += (rv - l1 * g1 - l2 * g2) ** 2
+        res += w * (rv - l1 * g1 - l2 * g2) ** 2
         for s in (abs(rv), abs(l1 * g1), abs(l2 * g2)):
             if s > scale:
                 scale = s

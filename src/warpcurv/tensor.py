@@ -6,10 +6,11 @@ values) and a per-coordinate sampling box for the randomized zero test.
 
 TensorFields are dense nested component arrays, built row-major by
 `_table`; dense indexing keeps cross-checks against independent loop oracles
-trivial.  The one exception is the warped product's six-index actions (the
-block-assembled product ones and the base and fiber ones its blocks read),
-which store one component per symmetry orbit (`orbit_reps`) and give the
-rest by sign.
+trivial.  The exception is the six-index actions of a curvature-type tensor
+that the engine builds for itself (`actions._orbit_table`): the catalog and
+fit actions of a bundle and the warped product's block, base and fiber
+ones.  They store one component per symmetry orbit (`orbit_reps`) and give
+the rest by sign.
 """
 
 from __future__ import annotations
@@ -194,18 +195,12 @@ class TensorField:
     def __getitem__(self, idx):
         return self.comp(idx)
 
+    def tuples(self):
+        """The index tuples of the stored components, in row-major order."""
+        return iproduct(range(self.chart.n), repeat=self.rank)
+
     def flatten(self):
-        out = []
-
-        def walk(v, depth):
-            if depth == 0:
-                out.append(v)
-                return
-            for c in v:
-                walk(c, depth - 1)
-
-        walk(self.comps, self.rank)
-        return out
+        return [self.comp(t) for t in iproduct(range(self.chart.n), repeat=self.rank)]
 
 
 def _table(n, rank, fn):
@@ -239,8 +234,8 @@ class _OrbitField(TensorField):
         v = self.reps[rep]
         return v if sign > 0 else ex.neg(v)
 
-    def flatten(self):
-        return [self.comp(t) for t in iproduct(range(self.chart.n), repeat=self.rank)]
+    def tuples(self):
+        return iter(self.reps)
 
 
 def _orbit_field(chart, valence, reps):
@@ -350,6 +345,11 @@ def orbit_reps(n, rank):
         for pj in pairs[a:]:
             for tail in tails:
                 yield (*pi, *pj, *tail)
+
+
+def orbit_size(rep):
+    """How many index tuples the representative `rep` stands for."""
+    return (1 if rep[:2] == rep[2:4] else 2) << len(rep) // 2
 
 
 def orbit_rep(idx):

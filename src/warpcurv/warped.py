@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import expr as ex
-from .actions import derivation_action, derivation_comps, tachibana, tachibana_comps
+from .actions import (
+    _orbit_table, derivation_action, derivation_comps, tachibana, tachibana_comps)
 from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
@@ -159,7 +160,7 @@ class _Ctx:
     """Bundles plus every base/fiber action tensor the block formulas use.
 
     The six-index actions are read only at orbit representatives, so they
-    are built there (`_orbit_table`); the four-index ones are dense.
+    are built there (`actions._orbit_table`); the four-index ones are dense.
     """
 
     def __init__(self, spec, aux):
@@ -190,12 +191,6 @@ class _Ctx:
         fD = ex.mul(spec.f, aux.Delta)
         self.RfDG = _table(q, 4, lambda a, b, c, d: ex.add(
             fb.R.comps[a][b][c][d], ex.mul(fD, self.Gf.comps[a][b][c][d])))
-
-
-def _orbit_table(comps_fn, A, H):
-    """The six-index action comps_fn(A, H, ...) at its orbit representatives."""
-    reps = list(orbit_reps(A.chart.n, 6))
-    return _orbit_field(A.chart, (0, 6), dict(zip(reps, comps_fn(A, H, reps))))
 
 
 def _ctx(spec):

@@ -21,7 +21,7 @@ from warpcurv.actions import (
     deszcz_ratio, tachibana, tachibana_comps,
 )
 from warpcurv.curvature import bundle, riemann, ricci_scalar
-from warpcurv.tensor import Chart, ChartError, TensorField, gaussian
+from warpcurv.tensor import Chart, ChartError, TensorField, _OrbitField, gaussian
 
 
 def _all_idx(n, rank):
@@ -179,6 +179,39 @@ def test_componentwise_builders_match_dense():
         assert all(e is dense.comp(t) for e, t in zip(got, tuples))
 
 
+@pytest.mark.parametrize("name", ["aniso3.mf", "ex1_fiber.mf", "ex2_warped.mf"])
+def test_bundle_orbit_actions_match_dense(name):
+    # the bundle memo stores the actions of a curvature-type H at orbit
+    # representatives; every component it gives equals the dense builder's
+    from warpcurv.cli import _scaffold, fixture_path, load_manifest
+    c, _, _ = _scaffold(load_manifest(fixture_path(name)), 7, 8)
+    b = bundle(c)
+    g = c.metric_field()
+    diffs = []
+    for memo, build, A, H, an, hn in (
+            (cached_derivation, derivation_action, b.R, b.R, "R", "R"),
+            (cached_tachibana, tachibana, g, b.R, "g", "R"),
+            (cached_tachibana, tachibana, b.S, b.R, "S", "R"),
+            (cached_derivation, derivation_action, b.W, b.R, "W", "R"),
+            (cached_derivation, derivation_action, b.P, b.R, "P", "R"),
+            (cached_derivation, derivation_action, b.R, b.C, "R", "C"),
+            (cached_tachibana, tachibana, g, b.C, "g", "C")):
+        orbit = memo(b, an, hn)
+        assert isinstance(orbit, _OrbitField)
+        dense = build(A, H)
+        diffs += [ex.sub(orbit.comp(t), dense.comp(t)) for t in _all_idx(c.n, 6)]
+    assert all(c.is_zero_many(diffs))
+
+
+def test_bundle_keeps_other_actions_dense(ex2_c):
+    # an H tagged sym2 (S) or none (P) gives no orbit symmetry to rely on
+    b = bundle(ex2_c)
+    for field in (cached_derivation(b, "R", "S"), cached_tachibana(b, "g", "S"),
+                  cached_derivation(b, "R", "P"), cached_tachibana(b, "g", "P")):
+        assert not isinstance(field, _OrbitField)
+        assert len(list(field.tuples())) == 4 ** field.rank
+
+
 def test_operand_validation():
     c = _poly_chart()
     c2 = helpers.flat_chart(3)
@@ -247,9 +280,11 @@ def test_fiber_action_tables(fiber_c):
 
 
 def test_fiber_last_pair_antisymmetry(fiber_c):
+    # the dense builders: the orbit storage of the bundle's actions relies
+    # on this symmetry
     b = bundle(fiber_c)
-    rr = cached_derivation(b, "R", "R").comps
-    qgr = cached_tachibana(b, "g", "R").comps
+    rr = derivation_action(b.R, b.R).comps
+    qgr = tachibana(fiber_c.metric_field(), b.R).comps
     defects = []
     for t in _all_idx(4, 4):
         for u in range(4):
@@ -286,12 +321,12 @@ def test_conformal_chart_projective_action(ex2_c):
 def test_projective_action_identity(ex2_c, fiber_c):
     for c in (ex2_c, fiber_c):
         b = bundle(c)
-        pr = cached_derivation(b, "P", "R").comps
-        rr = cached_derivation(b, "R", "R").comps
-        qsr = cached_tachibana(b, "S", "R").comps
+        pr = cached_derivation(b, "P", "R")
+        rr = cached_derivation(b, "R", "R")
+        qsr = cached_tachibana(b, "S", "R")
         f = ex.const(Fraction(1, c.n - 2))
         diffs = [
-            ex.sub(_get(pr, t), ex.sub(_get(rr, t), ex.mul(f, _get(qsr, t))))
+            ex.sub(pr.comp(t), ex.sub(rr.comp(t), ex.mul(f, qsr.comp(t))))
             for t in _all_idx(c.n, 6)
         ]
         assert all(c.is_zero_many(diffs))

@@ -1,6 +1,7 @@
 """Manifest grammar, command reports, exit codes, and bundled fixtures."""
 
 import hashlib
+import itertools
 import json
 import shutil
 import time
@@ -428,6 +429,50 @@ def test_classify_json_bytes_pinned(tmp_path, capsys, name, points):
     blob = json.dumps(rep, sort_keys=True, indent=2) + "\n"
     digest = hashlib.sha256(blob.encode()).hexdigest()
     assert digest == CLASSIFY_JSON_SHA256[(name, points)]
+
+
+@pytest.mark.parametrize("name,points", sorted(CLASSIFY_JSON_SHA256))
+def test_classify_bytes_do_not_depend_on_fit_summation_order(
+        tmp_path, capsys, monkeypatch, name, points):
+    # the fit over the dense tuples in reverse, each of weight 1, instead of
+    # the orbit representatives weighted by orbit size: the same bytes
+    from warpcurv import conditions
+    from warpcurv.actions import derivation_action, tachibana
+
+    def dense_reversed(b):
+        cols = (derivation_action(b.R, b.R),
+                tachibana(b.chart.metric_field(), b.R), tachibana(b.S, b.R))
+        tuples = list(itertools.product(range(b.chart.n), repeat=6))[::-1]
+        return [(1, *(c.comp(t) for c in cols)) for t in tuples]
+
+    monkeypatch.setattr(conditions, "_fit_vectors", dense_reversed)
+    test_classify_json_bytes_pinned(tmp_path, capsys, name, points)
+
+
+def test_classify_builds_no_dense_six_index_action(monkeypatch):
+    # no [check] of a bundled fixture asks for R.P or Q(g,P), the only
+    # six-index actions the bundle keeps dense
+    import sys
+    from warpcurv import actions
+    want = {f: classify_report(fixture_path(f), seed=7, points=2)
+            for f in FIXTURES}
+    want = {f: out for f, out in want.items() if out[1]["n"] >= 3}
+    originals = (actions.derivation_action, actions.tachibana)
+
+    def guarded(build):
+        def run(D, H):
+            out = build(D, H)
+            assert out.rank < 6, f"dense {out.rank}-index action built"
+            return out
+        return run
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("warpcurv")]:
+        for attr, val in list(vars(mod).items()):
+            if any(val is f for f in originals):
+                monkeypatch.setattr(mod, attr, guarded(val))
+    assert len(want) == 10
+    for f, out in want.items():
+        assert classify_report(fixture_path(f), seed=7, points=2) == out
 
 
 @pytest.mark.parametrize("name", ["flat1.mf", "flat2.mf", "sphere2.mf",

@@ -166,12 +166,12 @@ def test_fit_snaps_what_the_digits_do_not_decide():
     # data scale about 2: a coefficient or residual of 1e-45 is rounding
     # noise and reads exact 0; one of 1e-20 is data and is kept
     one, zero = ex.MP.one, ex.MP.zero
-    q1, q2 = [one, zero, zero], [zero, one, zero]
+    w, q1, q2 = [1, 1, 1], [one, zero, zero], [zero, one, zero]
     for small, kept in ((ex.MP.mpf("1e-45"), False), (ex.MP.mpf("1e-20"), True)):
-        rec = _ls2(q1, q2, [2 * one, small, zero])
+        rec = _ls2(w, q1, q2, [2 * one, small, zero])
         assert rec["L1"] == 2 and (rec["L2"] == small if kept else rec["L2"] == 0)
         assert rec["residual"] == 0
-        rec = _ls2(q1, q2, [2 * one, one, small])
+        rec = _ls2(w, q1, q2, [2 * one, one, small])
         assert rec["L1"] == 2 and rec["L2"] == 1
         assert rec["residual"] == small if kept else rec["residual"] == 0
 

@@ -309,12 +309,13 @@ def test_intern_table_shrinks_after_bundle_dropped():
 
 
 def test_rr_table_nodes_distinct_by_structure():
-    # the R.R table of ex1_fiber: 7452 identity-distinct and 1826
+    # the dense R.R table of ex1_fiber: 7452 identity-distinct and 1826
     # structure-distinct nodes before interning
-    from warpcurv.actions import cached_derivation
+    from warpcurv.actions import derivation_action
     from warpcurv.cli import build_chart, fixture_path, load_manifest
     chart = build_chart(load_manifest(fixture_path("ex1_fiber.mf")))
-    rr = cached_derivation(bundle(chart), "R", "R")
+    b = bundle(chart)
+    rr = derivation_action(b.R, b.R)
     assert helpers.count_nodes(rr.flatten()) == (1826, 1826)
 
 

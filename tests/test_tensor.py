@@ -12,7 +12,7 @@ from warpcurv.tensor import (
     Chart, ChartError, TensorField,
     gaussian, is_generalized_curvature, kulkarni_nomizu,
     linear_dependence_check, metric_inverse, orbit_rep, orbit_reps,
-    raise_first, _orbit_field,
+    orbit_size, raise_first, _orbit_field,
 )
 
 import helpers
@@ -367,7 +367,7 @@ def test_orbit_reps_partition_the_index_tuples(n, rank, count):
         for perm, sign in syms:
             t = tuple(r[i] for i in perm)
             assert orbit.setdefault(t, sign) == sign
-        assert min(orbit) == r
+        assert min(orbit) == r and orbit_size(r) == len(orbit)
         for t, sign in orbit.items():
             assert orbit_rep(t) == (sign, r)
         seen.update(orbit)
@@ -376,6 +376,15 @@ def test_orbit_reps_partition_the_index_tuples(n, rank, count):
         assert (t not in seen) == repeated
         if repeated:
             assert orbit_rep(t) == (0, None)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orbit_sizes_count_the_tuples_without_repeated_pairs(n):
+    # the weights of the (L1, L2) fit: each tuple with no repeated index
+    # in a pair is counted once
+    for rank in (4, 6):
+        total = sum(orbit_size(r) for r in orbit_reps(n, rank))
+        assert total == (n * (n - 1)) ** (rank // 2)
 
 
 def test_orbit_field_components():
@@ -390,3 +399,4 @@ def test_orbit_field_components():
     assert field.comp((0, 1, 0, 2, 1, 1)) is ex.ZERO
     flat = field.flatten()
     assert len(flat) == 3 ** 6 and flat[0] is ex.ZERO
+    assert list(field.tuples()) == list(orbit_reps(3, 6))
