@@ -267,29 +267,33 @@ def metric_inverse(chart):
     return chart._cache["metric_inverse"]
 
 
-def _det_expr(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
+def _det_expr(g, rows, cols, memo):
+    """Determinant of g on rows x cols (index tuples) by Laplace expansion
+    along the first row.  `memo` keeps each minor by (rows, cols), so one
+    met again, here or in another cofactor, is expanded only once."""
+    if len(rows) == 1:
+        return g[rows[0]][cols[0]]
     acc = []
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = ex.mul(mat[0][j], _det_expr(minor))
-        acc.append(term if j % 2 == 0 else ex.neg(term))
+    for k, c in enumerate(cols):
+        sub = (rows[1:], cols[:k] + cols[k + 1:])
+        if sub not in memo:
+            memo[sub] = _det_expr(g, *sub, memo)
+        term = ex.mul(g[rows[0]][c], memo[sub])
+        acc.append(term if k % 2 == 0 else ex.neg(term))
     return ex.add(*acc)
 
 
 def _cofactor_inverse(chart):
     g = chart.metric
     n = chart.n
-    det = _det_expr(g)
+    full, memo = tuple(range(n)), {}
+    det = _det_expr(g, full, full, memo)
 
     def entry(i, j):
-        minor = [
-            [g[r][c] for c in range(n) if c != i]
-            for r in range(n) if r != j
-        ]
-        cof = _det_expr(minor) if n > 1 else ex.const(1)
+        minor = (full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+        if minor not in memo:
+            memo[minor] = _det_expr(g, *minor, memo) if n > 1 else ex.const(1)
+        cof = memo[minor]
         return ex.div(cof if (i + j) % 2 == 0 else ex.neg(cof), det)
     return _field(chart, (2, 0), _table(n, 2, entry), sym="sym2")
 

@@ -1,5 +1,6 @@
 """Charts, tensor fields, metric inverse, Kulkarni-Nomizu, symmetry tests."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -151,6 +152,37 @@ def test_inverse_contracts_to_identity_on_banded_six_chart():
                     ex.const(1 if i == j else 0))
              for i in range(6) for j in range(6)]
     assert all(c.is_zero_many(prods))
+
+
+# sha256 of the str of every inverse-metric entry, row-major and joined by
+# newlines, on the banded charts, fixed before minors were shared
+BANDED_INVERSE_SHA256 = {
+    6: "1ee89c21d015205114ef03221985ec42933ccbacf388c3d85dde1832fb2fbc5b",
+    7: "6a51b493b9a3931a430a681693e6b353dff0d2bd73622de4c3abe0e8b6783faf",
+}
+
+
+@pytest.mark.parametrize("n", sorted(BANDED_INVERSE_SHA256))
+def test_banded_inverse_entries_unchanged(n):
+    gi = metric_inverse(helpers.banded_chart(n)).comps
+    text = "\n".join(str(e) for row in gi for e in row)
+    assert hashlib.sha256(text.encode()).hexdigest() == BANDED_INVERSE_SHA256[n]
+
+
+def test_cofactor_inverse_expands_each_minor_once(monkeypatch):
+    # Laplace expansion without reuse made 623 521 calls at n = 8
+    from warpcurv import tensor
+    calls = []
+    expand = tensor._det_expr
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return expand(*args)
+
+    monkeypatch.setattr(tensor, "_det_expr", counted)
+    metric_inverse(helpers.banded_chart(8))
+    assert len(calls) <= 2 ** 8 * 8
+    assert len(set(calls)) == len(calls)
 
 
 def test_inverse_six_dimensional_constant_diagonal():
