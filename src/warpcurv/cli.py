@@ -35,7 +35,7 @@ from importlib import resources
 from . import expr as ex
 from .actions import derivation_comps, tachibana_comps
 from .conditions import (
-    CATALOG, check_identity, constant_type_check, fit_pseudosymmetry,
+    CATALOG, IdentityCheck, PseudosymmetryFit, constant_type_check,
 )
 from .curvature import bundle
 from .expr import DEFAULT_SEED, MP, DomainError, PointEval
@@ -336,10 +336,6 @@ def classify_report(path, seed=None, points=8):
     b = bundle(chart)
     n = chart.n
     rep["command"] = "classify"
-    rcomps = [b.R.comp(t) for t in orbit_reps(n, 4)]
-    flat = all(chart.is_zero_many(rcomps, trials=points, seed=seed))
-    fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), seed))
-    residual_zero = all(rec["residual"] == 0 for rec in fit.records)
     requested = {}
     for chk in m.checks:
         if not chk.name:
@@ -348,8 +344,9 @@ def classify_report(path, seed=None, points=8):
             raise ManifestError(f"{m.path}: unknown identity in [check]: "
                                 f"{chk.name!r}")
         requested[chk.name] = chk.scalars
-    catalog = {}
-    code = 0
+    flat_test = ex.ZeroTest([b.R.comp(t) for t in orbit_reps(n, 4)])
+    fit_test = PseudosymmetryFit(b, max(points, 5))
+    checks = {}
     for name, row in CATALOG.items():
         low = row.needs_dim3 and n < 3
         if low and name in requested:
@@ -357,10 +354,26 @@ def classify_report(path, seed=None, points=8):
                                 f">= 3, the chart has {n}")
         if not low and (name in requested or not row.parametric):
             try:
-                v = check_identity(name, b, scalars=requested.get(name),
-                                   trials=points, seed=seed)
+                checks[name] = IdentityCheck(name, b, requested.get(name))
             except ValueError as err:
                 raise ManifestError(f"{m.path}: {err}") from None
+    # one sweep with one evaluator per point; the sample list is a prefix
+    # of any longer one, so the first `points` feed the flat test and the rows
+    for k, pt in enumerate(chart.sample_points(max(points, 5), seed)):
+        pe = PointEval(pt)
+        if k < points:
+            flat_test.visit(pe)
+            for check in checks.values():
+                check.visit(pe)
+        fit_test.visit(pe, pt)
+    flat = all(flat_test.result())
+    fit = fit_test.result()
+    residual_zero = all(rec["residual"] == 0 for rec in fit.records)
+    catalog = {}
+    code = 0
+    for name, row in CATALOG.items():
+        if name in checks:
+            v = checks[name].result()
             v["requested"] = name in requested
             v["skipped"] = False
             if name in requested:
@@ -371,7 +384,8 @@ def classify_report(path, seed=None, points=8):
         else:
             catalog[name] = {"name": name, "skipped": True,
                              "requested": False,
-                             "reason": ("needs dimension >= 3" if low
+                             "reason": ("needs dimension >= 3"
+                                        if row.needs_dim3 and n < 3
                                         else "needs candidate scalars"),
                              "qualifier": row.qualifier}
     rep["fit"] = {
@@ -431,7 +445,9 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     def at_reps(key):
         return [acts[key].comp(t) for t in reps]
 
-    oracle = {}
+    # one zero-test batch for the six families; spans[key] is a family's
+    # slice of it
+    diffs, spans = [], {}
     for key, direct, block in (
             ("R", b.R.flatten(), curv["R"].flatten()),
             ("S", b.S.flatten(), curv["S"].flatten()),
@@ -440,8 +456,11 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
             ("QgR", tachibana_comps(chart.metric_field(), b.R, reps),
              at_reps("QgR")),
             ("QSR", tachibana_comps(b.S, b.R, reps), at_reps("QSR"))):
-        diffs = [ex.sub(d, k) for d, k in zip(direct, block)]
-        oracle[key] = all(chart.is_zero_many(diffs, trials=points, seed=seed))
+        start = len(diffs)
+        diffs += [ex.sub(d, k) for d, k in zip(direct, block)]
+        spans[key] = slice(start, len(diffs))
+    zero = chart.is_zero_many(diffs, trials=points, seed=seed)
+    oracle = {key: all(zero[span]) for key, span in spans.items()}
     rep["oracle"] = oracle
     try:
         conds = dict(verify_conditions(spec, L1, L2, trials=points, seed=seed))

@@ -92,65 +92,83 @@ def _scalar_expr(val, chart):
 # check_identity
 
 
+class IdentityCheck:
+    """Verdict of one catalog row, fed one evaluator per sample point.
+
+    The row's defects and qualifiers are built at construction (ValueError
+    for an unknown row or a missing candidate scalar); `visit(pe)` judges
+    them at pe's point and `result()` gives the verdict dict, as
+    `expr.ZeroTest` does for its expressions.
+    """
+
+    def __init__(self, name, b, scalars=None):
+        if name not in CATALOG:
+            raise ValueError(f"unknown identity name: {name!r}")
+        self._name = name
+        self._row = row = CATALOG[name]
+        scalars = dict(scalars or {})
+        lhs = cached_derivation(b, *row.lhs)
+        rhs = []
+        quals = []
+        for key, (an, hn) in row.rhs:
+            q = cached_tachibana(b, an, hn)
+            if key is None:
+                coef = ex.const(1)
+            else:
+                if key not in scalars:
+                    raise ValueError(f"identity {name!r} needs a candidate for {key}")
+                coef = _scalar_expr(scalars[key], b.chart)
+                quals.append(q)
+            rhs.append((coef, q))
+        # a row's fields share their H, hence the tuples they store
+        idxs = list(lhs.tuples())
+        self._defects = []
+        for t in idxs:
+            acc = lhs.comp(t)
+            for coef, q in rhs:
+                qc = q.comp(t)
+                if not is_literal_zero(qc):
+                    acc = ex.sub(acc, ex.mul(coef, qc))
+            if not is_literal_zero(acc):
+                self._defects.append(acc)
+        self._quals = [[c for c in (q.comp(t) for t in idxs) if not is_literal_zero(c)]
+                       for q in quals]
+        self._checked = self._excluded = self._invalid = 0
+        self._holds = True
+
+    def visit(self, pe):
+        try:
+            if self._quals and all(pe.judge(c) == 0 for comps in self._quals
+                                   for c in comps):
+                self._excluded += 1
+                return
+            if any(pe.judge(d) != 0 for d in self._defects):
+                self._holds = False
+        except DomainError:
+            self._invalid += 1
+            return
+        self._checked += 1
+
+    def result(self):
+        if self._checked + self._excluded == 0:
+            raise InconclusiveError("no sample point was domain-valid")
+        return {
+            "name": self._name,
+            "holds": self._holds,
+            "vacuous": self._checked == 0,
+            "points_checked": self._checked,
+            "points_excluded": self._excluded,
+            "points_invalid": self._invalid,
+            "qualifier": self._row.qualifier,
+        }
+
+
 def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
     """Verdict dict for one catalog row on a curvature bundle."""
-    if name not in CATALOG:
-        raise ValueError(f"unknown identity name: {name!r}")
-    row = CATALOG[name]
-    scalars = dict(scalars or {})
-    chart = b.chart
-    lhs = cached_derivation(b, *row.lhs)
-    rhs = []
-    quals = []
-    for key, (an, hn) in row.rhs:
-        q = cached_tachibana(b, an, hn)
-        if key is None:
-            coef = ex.const(1)
-        else:
-            if key not in scalars:
-                raise ValueError(f"identity {name!r} needs a candidate for {key}")
-            coef = _scalar_expr(scalars[key], chart)
-            quals.append(q)
-        rhs.append((coef, q))
-    # a row's fields share their H, hence the tuples they store
-    idxs = list(lhs.tuples())
-    defects = []
-    for t in idxs:
-        acc = lhs.comp(t)
-        for coef, q in rhs:
-            qc = q.comp(t)
-            if not is_literal_zero(qc):
-                acc = ex.sub(acc, ex.mul(coef, qc))
-        if not is_literal_zero(acc):
-            defects.append(acc)
-    qual_comps = [[c for c in (q.comp(t) for t in idxs) if not is_literal_zero(c)]
-                  for q in quals]
-    checked = excluded = invalid = 0
-    holds = True
-    for pt in chart.sample_points(trials, seed):
-        pe = PointEval(pt)
-        try:
-            if quals and all(pe.judge(c) == 0 for comps in qual_comps
-                             for c in comps):
-                excluded += 1
-                continue
-            if any(pe.judge(d) != 0 for d in defects):
-                holds = False
-        except DomainError:
-            invalid += 1
-            continue
-        checked += 1
-    if checked + excluded == 0:
-        raise InconclusiveError("no sample point was domain-valid")
-    return {
-        "name": name,
-        "holds": holds,
-        "vacuous": checked == 0,
-        "points_checked": checked,
-        "points_excluded": excluded,
-        "points_invalid": invalid,
-        "qualifier": row.qualifier,
-    }
+    check = IdentityCheck(name, b, scalars)
+    for pt in b.chart.sample_points(trials, seed):
+        check.visit(PointEval(pt))
+    return check.result()
 
 
 # ---------------------------------------------------------------------------
@@ -221,41 +239,57 @@ def _ls2(w, q1, q2, r):
             "nullspace": null, "data_scale": scale}
 
 
-def fit_pseudosymmetry(b, points) -> ConditionReport:
-    """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R) at each point.
+class PseudosymmetryFit:
+    """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R), fed one
+    evaluator per sample point.
 
-    Points where a component is undefined are skipped and counted in
-    points_invalid; InconclusiveError when no point is domain-valid.
+    Built for `npoints` points (ValueError below 5); `visit(pe, point)` fits
+    at pe's point, skipping it when a component is undefined there, and
+    `result()` gives the ConditionReport, with the skipped points counted
+    in points_invalid; InconclusiveError when no point was domain-valid.
     """
-    if len(points) < 5:
-        raise ValueError("need at least 5 sample points")
-    vecs = _fit_vectors(b)
-    w = [v[0] for v in vecs]
-    records = []
-    trivial = True
-    for pt in points:
+
+    def __init__(self, b, npoints):
+        if npoints < 5:
+            raise ValueError("need at least 5 sample points")
+        self._vecs = _fit_vectors(b)
+        self._w = [v[0] for v in self._vecs]
+        self._records = []
+        self._visited = 0
+
+    def visit(self, pe, point):
+        self._visited += 1
         # cancellation residue below the scaled zero threshold is noise,
         # not data; judge() snaps it to an exact zero
-        pe = PointEval(pt)
         try:
-            r = [pe.judge(er) for _, er, _, _ in vecs]
-            q1 = [pe.judge(eg) for _, _, eg, _ in vecs]
-            q2 = [pe.judge(es) for _, _, _, es in vecs]
+            r = [pe.judge(er) for _, er, _, _ in self._vecs]
+            q1 = [pe.judge(eg) for _, _, eg, _ in self._vecs]
+            q2 = [pe.judge(es) for _, _, _, es in self._vecs]
         except DomainError:
-            continue
-        rec = _ls2(w, q1, q2, r)
-        rec["point"] = pt
-        records.append(rec)
-        if rec["data_scale"] > 0:
-            trivial = False
-    if not records:
-        raise InconclusiveError("no sample point was domain-valid")
-    rank = max(rec["rank"] for rec in records)
-    max_res = max(rec["residual"] for rec in records)
-    family = all(rec["rank"] < 2 for rec in records)
-    return ConditionReport(records=records, rank=rank, max_residual=max_res,
-                           family=family, trivial=trivial,
-                           points_invalid=len(points) - len(records))
+            return
+        rec = _ls2(self._w, q1, q2, r)
+        rec["point"] = point
+        self._records.append(rec)
+
+    def result(self) -> ConditionReport:
+        records = self._records
+        if not records:
+            raise InconclusiveError("no sample point was domain-valid")
+        return ConditionReport(
+            records=records, rank=max(rec["rank"] for rec in records),
+            max_residual=max(rec["residual"] for rec in records),
+            family=all(rec["rank"] < 2 for rec in records),
+            trivial=not any(rec["data_scale"] > 0 for rec in records),
+            points_invalid=self._visited - len(records))
+
+
+def fit_pseudosymmetry(b, points) -> ConditionReport:
+    """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R) at each point
+    (see `PseudosymmetryFit`)."""
+    fit = PseudosymmetryFit(b, len(points))
+    for pt in points:
+        fit.visit(PointEval(pt), pt)
+    return fit.result()
 
 
 def pair_residual(b, point, L1, L2):

@@ -38,11 +38,19 @@ class CurvatureBundle:
     are the derived family (n >= 3 required for the last four); C, W, K and
     P are each R or K plus a scalar times a (0,4) table (`_combine`).  `_d`
     holds these and the action tables and fit vectors built from them.
+    `diff` differentiates through one memo per coordinate, so a subtree
+    shared by several entries (the g^-1 cofactors in every Gamma entry) is
+    differentiated once per bundle.
     """
 
     def __init__(self, chart: Chart):
         self.chart = chart
         self._d = {}
+        self._dmemo = {c: {} for c in chart.coords}
+
+    def diff(self, e, name):
+        """d e / d name through the bundle's memo for coordinate `name`."""
+        return ex.diff(e, name, self._dmemo[name])
 
     # -- connection --------------------------------------------------------
 
@@ -52,7 +60,7 @@ class CurvatureBundle:
         n = c.n
         g = c.metric
         gi = metric_inverse(c).comps
-        dg = [[[ex.diff(g[i][j], d) for j in range(n)] for i in range(n)]
+        dg = [[[self.diff(g[i][j], d) for j in range(n)] for i in range(n)]
               for d in c.coords]
         half = ex.const(Fraction(1, 2))
         gam = [[[None] * n for _ in range(n)] for _ in range(n)]
@@ -77,7 +85,7 @@ class CurvatureBundle:
         n = c.n
         g = c.metric
         gam = self.gamma
-        dgam = [[[[ex.diff(gam[m][i][j], d) for j in range(n)] for i in range(n)]
+        dgam = [[[[self.diff(gam[m][i][j], d) for j in range(n)] for i in range(n)]
                  for m in range(n)] for d in c.coords]
         comps = [[[[ex.const(0)] * n for _ in range(n)] for _ in range(n)]
                  for _ in range(n)]
@@ -186,10 +194,11 @@ def covariant_hessian(chart: Chart, phi) -> TensorField:
     """Second covariant derivative of a scalar: phi_{a,b} = d_a d_b phi - Gamma^c_ab d_c phi."""
     if isinstance(phi, str):
         phi = ex.parse(phi, coords=chart.coords, params=tuple(chart.params))
-    gam = bundle(chart).gamma
+    bun = bundle(chart)
+    gam = bun.gamma
     n = chart.n
-    dphi = [ex.diff(phi, d) for d in chart.coords]
+    dphi = [bun.diff(phi, d) for d in chart.coords]
     comps = _table(n, 2, lambda a, b: ex.add(
-        ex.diff(dphi[a], chart.coords[b]),
+        bun.diff(dphi[a], chart.coords[b]),
         *[ex.neg(ex.mul(gam[e][a][b], dphi[e])) for e in range(n)]))
     return _field(chart, (0, 2), comps, sym="sym2")

@@ -748,10 +748,13 @@ def to_str(e):
 # Differentiation (exact)
 
 
-def diff(e, name, _memo=None):
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(e)
+def diff(e, name, memo=None):
+    """d e / d name.  `memo` maps nodes to their derivatives in `name`; a
+    caller that differentiates many trees in the same name passes one dict,
+    so shared subtrees are differentiated once."""
+    if memo is None:
+        memo = {}
+    hit = memo.get(e)
     if hit is not None:
         return hit
     if isinstance(e, (Const, Param)):
@@ -759,36 +762,36 @@ def diff(e, name, _memo=None):
     elif isinstance(e, Coord):
         out = ONE if e.name == name else ZERO
     elif isinstance(e, Add):
-        out = add(*[diff(t, name, _memo) for t in e.terms])
+        out = add(*[diff(t, name, memo) for t in e.terms])
     elif isinstance(e, Mul):
         pieces = []
         fs = e.factors
         for i in range(len(fs)):
-            d = diff(fs[i], name, _memo)
+            d = diff(fs[i], name, memo)
             if is_literal_zero(d):
                 continue
             pieces.append(mul(*fs[:i], d, *fs[i + 1:]))
         out = add(*pieces)
     elif isinstance(e, Neg):
-        out = neg(diff(e.child, name, _memo))
+        out = neg(diff(e.child, name, memo))
     elif isinstance(e, Div):
-        du = diff(e.num, name, _memo)
-        dv = diff(e.den, name, _memo)
+        du = diff(e.num, name, memo)
+        dv = diff(e.den, name, memo)
         out = div(sub(mul(du, e.den), mul(e.num, dv)), pow_(e.den, 2))
     elif isinstance(e, Pow):
-        db = diff(e.base, name, _memo)
+        db = diff(e.base, name, memo)
         out = mul(Const(e.exponent), pow_(e.base, e.exponent - 1), db)
     elif isinstance(e, Exp):
-        out = mul(e, diff(e.child, name, _memo))
+        out = mul(e, diff(e.child, name, memo))
     elif isinstance(e, Log):
-        out = div(diff(e.child, name, _memo), e.child)
+        out = div(diff(e.child, name, memo), e.child)
     elif isinstance(e, Sin):
-        out = mul(cos_(e.child), diff(e.child, name, _memo))
+        out = mul(cos_(e.child), diff(e.child, name, memo))
     elif isinstance(e, Cos):
-        out = neg(mul(sin_(e.child), diff(e.child, name, _memo)))
+        out = neg(mul(sin_(e.child), diff(e.child, name, memo)))
     else:
         raise TypeError(f"cannot differentiate {e!r}")
-    _memo[e] = out
+    memo[e] = out
     return out
 
 
@@ -929,7 +932,14 @@ class PointEval:
         return self._ctx.zero
 
     def _round(self, v):
-        """The tuple of `v`, an exact Fraction or a number, at this precision."""
+        """The tuple of `v`, an exact Fraction or a number, at this precision.
+
+        A Fraction is rounded as `_as_mpf` rounds it, numerator and
+        denominator first and then their quotient, without making mpfs."""
+        if type(v) is Fraction:
+            prec, rnd = self._prec, self._rnd
+            return mpf_div(from_int(v.numerator, prec, rnd),
+                           from_int(v.denominator, prec, rnd), prec, rnd)
         return _as_mpf(self._ctx, v)._mpf_
 
     def _walk(self, e):

@@ -92,6 +92,10 @@ class Chart:
     def _validate(self):
         for i in range(self.n):
             for j in range(i + 1, self.n):
+                # nodes are interned: equal entries are one node, symmetric
+                # without a test
+                if self.metric[i][j] is self.metric[j][i]:
+                    continue
                 d = ex.sub(self.metric[i][j], self.metric[j][i])
                 try:
                     if not self.is_zero(d):

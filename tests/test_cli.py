@@ -14,7 +14,7 @@ import pytest
 import helpers
 from warpcurv import cli, tensor
 from warpcurv import expr as ex
-from warpcurv.conditions import fit_pseudosymmetry
+from warpcurv.conditions import check_identity, fit_pseudosymmetry
 from warpcurv.cli import (
     ManifestError, build_chart, build_spec, classify_report, curvature_report,
     fixture_path, load_manifest, main, selftest_report, warped_verify_report,
@@ -473,6 +473,79 @@ def test_classify_builds_no_dense_six_index_action(monkeypatch):
     assert len(want) == 10
     for f, out in want.items():
         assert classify_report(fixture_path(f), seed=7, points=2) == out
+
+
+def test_classify_builds_one_evaluator_per_sample_point(monkeypatch):
+    # the flat test, the fit and every checked row share one sweep
+    import sys
+    built = []
+    original = ex.PointEval
+
+    class Counting(original):
+        def __init__(self, env, *args, **kwargs):
+            built.append(env)
+            super().__init__(env, *args, **kwargs)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("warpcurv")]:
+        if getattr(mod, "PointEval", None) is original:
+            monkeypatch.setattr(mod, "PointEval", Counting)
+    for name, points in (("aniso3.mf", 8), ("ex2_warped.mf", 2),
+                         ("sphere.mf", 5), ("ex1_fiber.mf", 7)):
+        path = fixture_path(name)
+        built.clear()
+        cli._scaffold(load_manifest(path), 7, points)
+        setup = len(built)
+        built.clear()
+        classify_report(path, seed=7, points=points)
+        assert len(built) == setup + max(points, 5), name
+
+
+@pytest.mark.parametrize("name", ["ex2_warped.mf", "aniso3.mf"])
+@pytest.mark.parametrize("points", [8, 2])
+def test_classify_entries_match_direct_calls(name, points):
+    path = fixture_path(name)
+    _, rep = classify_report(path, seed=7, points=points)
+    m = load_manifest(path)
+    chart = cli._scaffold(m, 7, points)[0]
+    b = bundle(chart)
+    requested = {chk.name: chk.scalars for chk in m.checks}
+    rows = 0
+    for row, v in rep["catalog"].items():
+        if v["skipped"]:
+            continue
+        rows += 1
+        want = {k: x for k, x in v.items()
+                if k not in ("requested", "skipped", "scalars")}
+        assert check_identity(row, b, scalars=requested.get(row),
+                              trials=points, seed=7) == want
+    assert rows >= 5
+    fit = fit_pseudosymmetry(b, chart.sample_points(max(points, 5), 7))
+    f = rep["fit"]
+    assert (fit.rank, fit.family, fit.trivial, fit.points_invalid) == (
+        f["rank"], f["family"], f["trivial"], f["points_invalid"])
+    assert cli._numstr(fit.max_residual) == f["max_residual"]
+    assert [{"point": cli._ptstr(r["point"], chart.coords), "rank": r["rank"],
+             **{k: cli._numstr(r[k]) for k in ("L1", "L2", "residual")}}
+            for r in fit.records] == f["records"]
+
+
+def test_classify_bad_check_with_curvature_undefined_everywhere(tmp_path,
+                                                                capsys):
+    # at a = 0 the metric is defined but d^2 g22 / dx1^2 holds 0^(-1/2), so
+    # every sample point leaves R undefined; the [check] errors are found
+    # before the sweep and reported first
+    chart = ("[chart]\ncoords = x1 x2 x3\nparam a = 0\ng 1 1 = 1\n"
+             "g 2 2 = 1 + (a*x1)^(3/2)\ng 3 3 = 1\n")
+    cases = (("", "violated domain constraints"),
+             ("[check]\nname = No such row\n", "unknown identity"),
+             ("[check]\nscalar L1 = 1\n", "missing its name"),
+             ("[check]\nname = R.R = L1 Q(g,R)\n", "needs a candidate"))
+    for check, msg in cases:
+        path = _write(tmp_path, "undef.mf", chart + check)
+        assert main(["classify", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and msg in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("name", ["flat1.mf", "flat2.mf", "sphere2.mf",

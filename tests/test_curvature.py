@@ -248,6 +248,17 @@ def test_bundle_tensors_are_memoized_properties():
     assert b.R is b.R and b.kappa is b.kappa and b.P is b.P
 
 
+def test_bundle_differentiates_through_one_memo_per_coordinate():
+    b = bundle(helpers.aniso3_chart())
+    entry = b.gamma[1][0][1]
+    first = b.diff(entry, "x1")
+    sizes = {c: len(memo) for c, memo in b._dmemo.items()}
+    assert b.diff(entry, "x1") is first
+    assert {c: len(memo) for c, memo in b._dmemo.items()} == sizes
+    # a fresh memo gives the same node: diff is a function of its node
+    assert ex.diff(entry, "x1") is first
+
+
 def test_derived_tensors_require_three_dimensions():
     c = helpers.polar_chart()
     with pytest.raises(ChartError):

@@ -584,6 +584,22 @@ def test_tuple_kernel_exp_bound_is_inclusive():
         assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_)
 
 
+@pytest.mark.parametrize("dps", [15, 50, 80])
+def test_point_eval_rounds_fractions_as_mpf_division(dps):
+    # _round works on libmp tuples; it must round as mpf(p) / mpf(q) does
+    rng = random.Random(dps)
+    ctx = ex._context(dps)
+    pe = ex.PointEval({}, dps)
+    vals = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(2, 7),
+            Fraction(10 ** 120 + 1, 3), Fraction(-(10 ** 119) - 7, 10 ** 118 + 3),
+            Fraction(1, 10 ** 120 + 9), Fraction(3 ** 400, 2 ** 600 + 1)]
+    vals += [Fraction(rng.randint(-10 ** k, 10 ** k), rng.randint(1, 10 ** j))
+             for k in (1, 20, 60, 120) for j in (1, 20, 60, 120)
+             for _ in range(50)]
+    for v in vals:
+        assert pe._round(v) == ex._as_mpf(ctx, v)._mpf_, v
+
+
 def test_point_eval_returns_context_numbers():
     for dps in (50, 60):
         pe = ex.PointEval({"x1": Fraction(2, 3)}, dps)

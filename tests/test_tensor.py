@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from warpcurv import expr as ex
+from warpcurv import tensor as tensor_mod
 from warpcurv.expr import Const, is_zero, parse
 from warpcurv.tensor import (
     Chart, ChartError, TensorField,
@@ -59,8 +60,29 @@ def test_chart_accepts_indefinite_symmetric_metric():
 
 
 def test_chart_rejects_asymmetric_metric():
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError, match=r"not symmetric at \(1,2\)"):
         Chart(("x1", "x2"), [["1", "x1"], ["0", "1"]])
+    with pytest.raises(ChartError, match=r"not symmetric at \(2,3\)"):
+        Chart(("x1", "x2", "x3"), [["1", "x2", "0"], ["x1*x2/x1", "1", "x3"],
+                                   ["0", "x3^2", "1"]])
+
+
+def test_chart_zero_tests_only_distinct_symmetric_entries(monkeypatch):
+    calls = []
+    real = tensor_mod.is_zero_many
+    monkeypatch.setattr(tensor_mod, "is_zero_many",
+                        lambda exprs, *a, **k: calls.append(exprs) or real(exprs, *a, **k))
+    Chart(("x1", "x2", "x3"), [["1", "x1", "0"], ["x1", "2", "x2"],
+                               ["0", "x2", "3"]])
+    assert calls == []
+    # equal entries spelled apart are distinct nodes, still zero-tested
+    Chart(("x1", "x2"), [["1", "x1 + x2"], ["x2 + x1", "1"]])
+    assert len(calls) == 1
+
+
+def test_chart_off_diagonal_undefined_everywhere():
+    with pytest.raises(ChartError, match="undefined everywhere"):
+        Chart(("x1", "x2"), [["1", "log(x1 - 5)"], ["log(x1 - 5)", "1"]])
 
 
 def test_chart_rejects_degenerate_metric():
