@@ -14,7 +14,15 @@ written with '/' and fold to exact constants.  Fractional exponents require
 parentheses; an unparenthesized `x^1/2` is `(x^1)/2` by precedence.
 
 Nodes are hash-consed: constructing a node equal to a live one returns that
-node, so equal trees are one object and equality is identity.
+node, so equal trees are one object and equality is identity.  The intern
+table `_NODES` is a plain dict from a node's key to a `weakref.KeyedRef` of
+the node.  The key is the class and the fields, with a rational field
+entered as its (numerator, denominator) ints, so a lookup hashes and
+compares only ints, strings and node identities.  When a node dies its
+ref's callback removes the entry, unless a rebuilt node holds the key by
+then.  The smart constructors fold constants: they decide zero, one and
+sign by identity (`is ZERO`, `is ONE`) or by the sign of a numerator, and
+do Fraction arithmetic only when two constants fold into one.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
@@ -44,9 +52,9 @@ from __future__ import annotations
 
 import random
 import sys
-import weakref
 from fractions import Fraction
 from operator import add as _fraction_add, mul as _fraction_mul
+from weakref import KeyedRef
 
 import mpmath
 from mpmath.libmp import (
@@ -63,7 +71,7 @@ _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 _CONTEXTS = {}
-_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+_NODES = {}  # intern key -> KeyedRef of the live node; see Expr
 
 
 def _context(dps):
@@ -110,27 +118,45 @@ class InconclusiveError(ExprError):
 # Node types
 
 
+def _forget(ref, nodes=_NODES):
+    """Callback of a dead node's ref: drop its entry unless rebuilt since."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
+
+
+def _intern(cls, key, fields):
+    """The live node entered under `key`, else a new `cls` node of `fields`."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        setattr(node, name, value)
+    _NODES[key] = KeyedRef(node, _forget, key)
+    return node
+
+
 class Expr:
     """An immutable, hash-consed node: equal trees are one object.
 
     Constructing a node whose class and fields match a live node returns
     that node, so equality and hashing are identity (the `object` defaults)
-    and memos keyed by node are sound.  The table holds nodes weakly, so
-    they die with the last tree that uses them.  A subclass lists its
-    `_fields` and at most normalizes them before `Expr.__new__`.
+    and memos keyed by node are sound.  The table maps the key
+    (class, *fields) to a `KeyedRef` of the node, a rational field entering
+    the key as its numerator and denominator, so no lookup hashes or
+    compares a Fraction.  Nodes are held weakly and die with the last tree
+    that uses them; the dying node's callback deletes its entry only while
+    the entry is still its own ref, so a node rebuilt under the same key
+    stays.  A subclass lists its `_fields` and at most normalizes them
+    before `_intern`.
     """
 
     __slots__ = ("__weakref__",)
 
     def __new__(cls, *fields):
-        key = (cls, *fields)
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                setattr(node, name, value)
-            _NODES[key] = node
-        return node
+        return _intern(cls, (cls, *fields), fields)
 
     def __str__(self):
         return to_str(self)
@@ -143,7 +169,9 @@ class Const(Expr):
     __slots__ = _fields = ("value",)
 
     def __new__(cls, value):
-        return Expr.__new__(cls, value if type(value) is Fraction else Fraction(value))
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        return _intern(cls, (cls, value.numerator, value.denominator), (value,))
 
 
 class Coord(Expr):
@@ -158,21 +186,26 @@ class Add(Expr):
     __slots__ = _fields = ("terms",)
 
     def __new__(cls, terms):
-        return Expr.__new__(cls, tuple(terms))
+        terms = tuple(terms)
+        return _intern(cls, (cls, terms), (terms,))
 
 
 class Mul(Expr):
     __slots__ = _fields = ("factors",)
 
     def __new__(cls, factors):
-        return Expr.__new__(cls, tuple(factors))
+        factors = tuple(factors)
+        return _intern(cls, (cls, factors), (factors,))
 
 
 class Pow(Expr):
     __slots__ = _fields = ("base", "exponent")
 
     def __new__(cls, base, exponent):
-        return Expr.__new__(cls, base, Fraction(exponent))
+        if type(exponent) is not Fraction:
+            exponent = Fraction(exponent)
+        return _intern(cls, (cls, base, exponent.numerator, exponent.denominator),
+                       (base, exponent))
 
 
 class Neg(Expr):
@@ -233,30 +266,22 @@ def const(v):
 
 
 def add(*terms):
-    flat = []
-    for t in terms:
-        if isinstance(t, Add):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
     out = []
-    const_pos = None
-    acc = Fraction(0)
-    for t in flat:
-        if isinstance(t, Const):
-            if t is ZERO and const_pos is not None:
-                continue
-            acc += t.value
-            if const_pos is None:
-                const_pos = len(out)
-                out.append(None)  # placeholder
+    c = pos = None  # the constant term so far, and its place in `out`
+    for t in terms:
+        for u in t.terms if type(t) is Add else (t,):
+            if type(u) is not Const:
+                out.append(u)
+            elif c is None:
+                c, pos = u, len(out)
+                out.append(u)
+            elif u is not ZERO:
+                c = u if c is ZERO else Const(c.value + u.value)
+    if c is not None:
+        if c is ZERO and len(out) > 1:
+            del out[pos]
         else:
-            out.append(t)
-    if const_pos is not None:
-        if acc == 0 and len(out) > 1:
-            out.pop(const_pos)
-        else:
-            out[const_pos] = Const(acc)
+            out[pos] = c
     if not out:
         return ZERO
     if len(out) == 1:
@@ -265,34 +290,40 @@ def add(*terms):
 
 
 def mul(*factors):
-    coeff = 1
+    c = ONE  # the product of the constant factors
     rest = []
     for f in factors:
-        for g in f.factors if isinstance(f, Mul) else (f,):
-            if isinstance(g, Const):
-                if g is ZERO:
-                    return ZERO
-                coeff *= g.value
-            else:
+        for g in f.factors if type(f) is Mul else (f,):
+            if type(g) is not Const:
                 rest.append(g)
-    sign = 1
-    if coeff < 0:
-        sign = -1
-        coeff = -coeff
+            elif g is ZERO:
+                return ZERO
+            elif g is not ONE:
+                c = g if c is ONE else Const(c.value * g.value)
+    negative = c is not ONE and c.value.numerator < 0
+    if negative:
+        c = neg(c)
     if not rest:
-        core = Const(coeff)
+        core = c
+    elif c is ONE:
+        core = rest[0] if len(rest) == 1 else Mul(rest)
     else:
-        items = rest if coeff == 1 else [Const(coeff)] + rest
-        core = items[0] if len(items) == 1 else Mul(items)
-    return neg(core) if sign < 0 else core
+        core = Mul([c] + rest)
+    return neg(core) if negative else core
 
 
 def neg(x):
-    if isinstance(x, Const):
-        return Const(-x.value)
-    if isinstance(x, Neg):
+    cls = type(x)
+    if cls is Neg:
         return x.child
-    return Neg(x)
+    if cls is not Const:
+        return Neg(x)
+    if x is ZERO:
+        return x
+    v = x.value
+    ref = _NODES.get((Const, -v.numerator, v.denominator))
+    node = None if ref is None else ref()
+    return Const(-v) if node is None else node
 
 
 def sub(a, b):
@@ -300,49 +331,43 @@ def sub(a, b):
 
 
 def div(a, b):
-    if isinstance(b, Const):
-        if b.value == 0:
+    if type(b) is Const:
+        if b is ZERO:
             raise DomainError("division by literal zero")
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-        if b.value < 0:
-            return neg(div(a, Const(-b.value)))
-        if b.value == 1:
+        if b is ONE:
             return a
-    if is_literal_zero(a):
+        if type(a) is Const:
+            return Const(a.value / b.value)
+        if b.value.numerator < 0:
+            return neg(div(a, neg(b)))
+    if a is ZERO:
         return ZERO
-    if isinstance(a, Const) and a.value < 0:
-        return neg(div(Const(-a.value), b))
-    if isinstance(a, Neg):
+    if type(a) is Const and a.value.numerator < 0:
+        return neg(div(neg(a), b))
+    if type(a) is Neg:
         return neg(div(a.child, b))
-    if isinstance(b, Neg):
+    if type(b) is Neg:
         return neg(div(a, b.child))
     return Div(a, b)
 
 
 def pow_(base, exponent):
-    e = Fraction(exponent)
-    if e == 1:
+    e = exponent if type(exponent) is Fraction else Fraction(exponent)
+    n, d = e.numerator, e.denominator
+    if d == 1 and n == 1:
         return base
-    if e == 0:
+    if d == 1 and n == 0:
         return ONE
-    if isinstance(base, Const):
-        v = base.value
-        if e.denominator == 1:
-            if v == 0 and e < 0:
-                raise DomainError("zero base with negative exponent")
-            return Const(v ** int(e))
-        if v == 0:
-            return ZERO if e > 0 else _raise_domain()
-        if v == 1:
-            return ONE
-    if isinstance(base, Pow) and e.denominator == 1:
-        return pow_(base.base, base.exponent * e)
+    if type(base) is Const:
+        if base is ZERO and n < 0:
+            raise DomainError("zero base with negative exponent")
+        if d == 1:
+            return Const(base.value ** n)
+        if base is ZERO or base is ONE:
+            return base
+    if type(base) is Pow and d == 1:
+        return pow_(base.base, base.exponent * n)
     return Pow(base, e)
-
-
-def _raise_domain():
-    raise DomainError("zero base with negative exponent")
 
 
 def exp_(x):
@@ -352,10 +377,10 @@ def exp_(x):
 
 
 def log_(x):
-    if isinstance(x, Const):
-        if x.value == 1:
+    if type(x) is Const:
+        if x is ONE:
             return ZERO
-        if x.value <= 0:
+        if x.value.numerator <= 0:
             raise DomainError("log of non-positive constant")
     return Log(x)
 
@@ -780,7 +805,8 @@ def diff(e, name, memo=None):
         out = div(sub(mul(du, e.den), mul(e.num, dv)), pow_(e.den, 2))
     elif isinstance(e, Pow):
         db = diff(e.base, name, memo)
-        out = mul(Const(e.exponent), pow_(e.base, e.exponent - 1), db)
+        x = e.exponent
+        out = ZERO if db is ZERO else mul(Const(x), pow_(e.base, x - 1), db)
     elif isinstance(e, Exp):
         out = mul(e, diff(e.child, name, memo))
     elif isinstance(e, Log):

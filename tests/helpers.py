@@ -234,6 +234,121 @@ class MpfPointEval:
 
 
 # ---------------------------------------------------------------------------
+# Smart constructors as first written: zero, one and sign decided by Fraction
+# comparisons and constants folded by Fraction arithmetic.  An oracle for
+# `expr.add`, `mul`, `neg`, `div` and `pow_`, which decide them by identity
+# and by integers; on the same operands both must return the same node.
+
+class SeedConstructors:
+    @classmethod
+    def add(cls, *terms):
+        flat = []
+        for t in terms:
+            if isinstance(t, ex.Add):
+                flat.extend(t.terms)
+            else:
+                flat.append(t)
+        out = []
+        const_pos = None
+        acc = Fraction(0)
+        for t in flat:
+            if isinstance(t, ex.Const):
+                if t is ex.ZERO and const_pos is not None:
+                    continue
+                acc += t.value
+                if const_pos is None:
+                    const_pos = len(out)
+                    out.append(None)  # placeholder
+            else:
+                out.append(t)
+        if const_pos is not None:
+            if acc == 0 and len(out) > 1:
+                out.pop(const_pos)
+            else:
+                out[const_pos] = ex.Const(acc)
+        if not out:
+            return ex.ZERO
+        if len(out) == 1:
+            return out[0]
+        return ex.Add(out)
+
+    @classmethod
+    def mul(cls, *factors):
+        coeff = 1
+        rest = []
+        for f in factors:
+            for g in f.factors if isinstance(f, ex.Mul) else (f,):
+                if isinstance(g, ex.Const):
+                    if g is ex.ZERO:
+                        return ex.ZERO
+                    coeff *= g.value
+                else:
+                    rest.append(g)
+        sign = 1
+        if coeff < 0:
+            sign = -1
+            coeff = -coeff
+        if not rest:
+            core = ex.Const(coeff)
+        else:
+            items = rest if coeff == 1 else [ex.Const(coeff)] + rest
+            core = items[0] if len(items) == 1 else ex.Mul(items)
+        return cls.neg(core) if sign < 0 else core
+
+    @classmethod
+    def neg(cls, x):
+        if isinstance(x, ex.Const):
+            return ex.Const(-x.value)
+        if isinstance(x, ex.Neg):
+            return x.child
+        return ex.Neg(x)
+
+    @classmethod
+    def div(cls, a, b):
+        if isinstance(b, ex.Const):
+            if b.value == 0:
+                raise ex.DomainError("division by literal zero")
+            if isinstance(a, ex.Const):
+                return ex.Const(a.value / b.value)
+            if b.value < 0:
+                return cls.neg(cls.div(a, ex.Const(-b.value)))
+            if b.value == 1:
+                return a
+        if a is ex.ZERO:
+            return ex.ZERO
+        if isinstance(a, ex.Const) and a.value < 0:
+            return cls.neg(cls.div(ex.Const(-a.value), b))
+        if isinstance(a, ex.Neg):
+            return cls.neg(cls.div(a.child, b))
+        if isinstance(b, ex.Neg):
+            return cls.neg(cls.div(a, b.child))
+        return ex.Div(a, b)
+
+    @classmethod
+    def pow_(cls, base, exponent):
+        e = Fraction(exponent)
+        if e == 1:
+            return base
+        if e == 0:
+            return ex.ONE
+        if isinstance(base, ex.Const):
+            v = base.value
+            if e.denominator == 1:
+                if v == 0 and e < 0:
+                    raise ex.DomainError("zero base with negative exponent")
+                return ex.Const(v ** int(e))
+            if v == 0:
+                if e > 0:
+                    return ex.ZERO
+                raise ex.DomainError("zero base with negative exponent")
+            if v == 1:
+                return ex.ONE
+        if isinstance(base, ex.Pow) and e.denominator == 1:
+            return cls.pow_(base.base, base.exponent * e)
+        return ex.Pow(base, e)
+
+
+# ---------------------------------------------------------------------------
 # Node counter: distinct objects against distinct structures, computed from
 # the fields alone, so it does not rely on how nodes compare.
 

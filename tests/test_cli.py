@@ -431,6 +431,38 @@ def test_classify_json_bytes_pinned(tmp_path, capsys, name, points):
     assert digest == CLASSIFY_JSON_SHA256[(name, points)]
 
 
+# sha256 of `curvature --json` at seed 7 and the default 8 points, for every
+# bundled fixture that exits 0: the report prints the constructors' normal
+# forms of R, S and kappa directly
+CURVATURE_JSON_SHA256 = {
+    "aniso3.mf": "46995eaf6662ff2499a8492c11dbe10e2faa6f2c0d0c96fb40b643d3c3531307",
+    "cf_warped.mf": "ee03f3d34b7a208bbb92a434713ea3867ed91e22908f0652a406c99820209845",
+    "ex1_base.mf": "07a9ae3f67580b10723149ca3670f0bdfda671c5495493ad8b2b7d5edeb462ce",
+    "ex1_fiber.mf": "2462670e1f688a0833a43a57fcfd17f06b7634c38f6aabc8ab90862a5893a0bc",
+    "ex1_warped.mf": "80dd32b7c82e259905dbee6c83e1f44c7f274d7315cf6c9dfb844aca32b1b358",
+    "ex2_base.mf": "ab0857e1aa090de0af706e2c43e01f2acf01917456a658afb05bcbffbb147c6a",
+    "ex2_warped.mf": "542b2b4f27e8a00a26131215d8d0afbccc2a9d15ffdebaaa8da2f5f5ee9bbc22",
+    "flat.mf": "936c9d73ec5ccd5f9a84a6a560194b7f901b98b98ca92a9c0ea3413ffd97520f",
+    "flat1.mf": "590338c6777837492bfc9f634eb848e5e7fe99826a2e3541eb88289a1e6b094b",
+    "flat2.mf": "dbd34a661577fadcef0d436872b0ef90a0b493156d15bddae5a83f3c46412a03",
+    "flat3.mf": "f8c9e0b662ccc50ad837a702bec7ed99b0e2b4cac5ee3966b843f3633f00742b",
+    "fs_warped.mf": "1f0e6d32fea4f89804c21a22573b8cc209f3f35ce08a25954942f48b0e209f9e",
+    "hyper2.mf": "f30f5af0f388cc22f66f9ca3fc0632ff18798d41fb570db8465f87668b359e7f",
+    "product.mf": "c721c25b7b27a573f9fa3c0b86409710b253dd9038284b9a298bb2669f5d985f",
+    "sphere.mf": "33c6523ed7fd512bcf226427e421c15ff88b5c4f6bbcb2de667026b19c4c14b1",
+    "sphere2.mf": "041e5ea41b456cd5f0a30eb86c4aa15b3c3f997c0af48bbb305d64806a45f049",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_JSON_SHA256))
+def test_curvature_json_bytes_pinned(tmp_path, capsys, name):
+    out_file = tmp_path / "r.json"
+    assert main(["curvature", fixture_path(name), "--seed", "7",
+                 "--json", str(out_file)]) == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == CURVATURE_JSON_SHA256[name]
+
+
 @pytest.mark.parametrize("name,points", sorted(CLASSIFY_JSON_SHA256))
 def test_classify_bytes_do_not_depend_on_fit_summation_order(
         tmp_path, capsys, monkeypatch, name, points):

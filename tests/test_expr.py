@@ -308,6 +308,103 @@ def test_intern_table_shrinks_after_bundle_dropped():
     assert len(ex._NODES) <= before
 
 
+def test_rational_fields_key_by_value():
+    # a rational field enters the key as its lowest-terms integers
+    x = Coord("x1")
+    assert ex.neg(Const(Fraction(3, 4))) is Const(Fraction(-3, 4))
+    assert Pow(x, 2) is Pow(x, Fraction(4, 2))
+
+
+def test_rebuilt_node_survives_its_predecessors_callback():
+    gc.collect()
+    key = (Coord, "w_rebuilt")  # a name no other test uses
+    node = Coord("w_rebuilt")
+    dead = ex._NODES[key]
+    callback = dead.__callback__  # cleared once the ref dies
+    del node
+    gc.collect()
+    assert dead() is None and key not in ex._NODES
+    rebuilt = Coord("w_rebuilt")
+    # the dead ref's callback, run late, must leave the rebuilt entry alone
+    callback(dead)
+    assert ex._NODES[key]() is rebuilt
+    assert [k for k, r in ex._NODES.items() if r() is rebuilt] == [key]
+    assert Coord("w_rebuilt") is rebuilt
+
+
+def test_intern_table_holds_only_live_nodes():
+    keep = p("exp(x1)*(x2 - 1/3)^(1/2) + sin(x1/x2)")
+    p("x1^3 - 5/7"), diff(keep, "x1")  # built and dropped
+    gc.collect()
+    for key, ref in ex._NODES.items():
+        assert ref.key is key and ref() is not None
+    assert keep is p("exp(x1)*(x2 - 1/3)^(1/2) + sin(x1/x2)")
+
+
+_ORACLE_CONSTS = (ex.ZERO, ex.ONE, Const(-1), Const(2), Const(-3), Const(Fraction(-3, 4)),
+                  Const(Fraction(5, 2)), Const(Fraction(1, 3)))
+_ORACLE_EXPONENTS = (0, 1, 2, 3, -1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2),
+                     Fraction(2, 3))
+
+
+def _oracle_outcomes(op, args):
+    """(engine, oracle) outcomes of one constructor call: (node, None), or
+    (None, message) when it raises DomainError."""
+    def outcome(ctor):
+        try:
+            return ctor(*args), None
+        except DomainError as err:
+            return None, str(err)
+
+    return outcome(getattr(ex, op)), outcome(getattr(helpers.SeedConstructors, op))
+
+
+def test_smart_constructors_match_seed_oracle_on_pairs():
+    # every constructor on every pair of a pool of leaves and small nodes
+    x = Coord("x1")
+    pool = _ORACLE_CONSTS + (x, Param("a"), Neg(x), Add((x, Const(2))),
+                             Mul((Const(-3), x)), Pow(x, Fraction(1, 2)), Div(x, Coord("x2")))
+    calls = [("neg", (a,)) for a in pool]
+    calls += [("pow_", (a, e)) for a in pool for e in _ORACLE_EXPONENTS]
+    calls += [(op, (a, b)) for op in ("add", "mul", "div") for a in pool for b in pool]
+    for op, args in calls:
+        got, want = _oracle_outcomes(op, args)
+        assert got[0] is want[0] and got[1] == want[1], (op, args)
+
+
+def test_smart_constructors_match_seed_oracle():
+    """`add`, `mul`, `neg`, `div` and `pow_` return the very node that the
+    Fraction-folding constructors of `helpers.SeedConstructors` return, or
+    raise DomainError where they do, on random operand mixes."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    exponents = st.sampled_from(_ORACLE_EXPONENTS)
+    leaves = st.sampled_from(_ORACLE_CONSTS + (Coord("x1"), Coord("x2"), Param("a")))
+    operands = st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.lists(kids, min_size=2, max_size=3).map(Add),
+        st.lists(kids, min_size=2, max_size=3).map(Mul),
+        st.tuples(kids, exponents).map(lambda be: Pow(*be)),
+        st.tuples(kids, kids).map(lambda nd: Div(*nd)),
+    ), max_leaves=6)
+
+    @hyp.settings(max_examples=400, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(st.sampled_from(("add", "mul", "neg", "div", "pow_")),
+               st.lists(operands, min_size=1, max_size=4), exponents)
+    def check(op, args, exponent):
+        if op == "neg":
+            args = args[:1]
+        elif op == "div":
+            args = (args * 2)[:2]
+        elif op == "pow_":
+            args = [args[0], exponent]
+        got, want = _oracle_outcomes(op, args)
+        assert got[0] is want[0] and got[1] == want[1], (op, args)
+
+    check()
+
+
 def test_rr_table_nodes_distinct_by_structure():
     # the dense R.R table of ex1_fiber: 7452 identity-distinct and 1826
     # structure-distinct nodes before interning
