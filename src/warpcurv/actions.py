@@ -8,7 +8,8 @@ component; derivation_comps and tachibana_comps build the same ones, term
 for term, at chosen index tuples only.  The action of an H tagged
 "curvature" (by a D antisymmetric in its first pair) has the 16 index
 symmetries of `tensor.orbit_reps`, so `_orbit_table` builds it at one tuple
-per orbit; the bundle memo stores such actions that way, any other dense.
+per orbit; cached_derivation and cached_tachibana keep a bundle's own actions
+that way, any other dense, in the one memo `tensor._cached`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from itertools import product as iproduct
 from . import expr as ex
 from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
 from .tensor import (
-    ChartError, TensorField, _field, _orbit_field, _table, orbit_reps, raise_first)
+    ChartError, TensorField, _cached, _field, _orbit_field, _table, orbit_reps,
+    raise_first)
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -109,29 +111,21 @@ def _orbit_table(comps_fn, A, H):
 # Per-bundle memo of the actions of the bundle's own tensors
 
 
-def _resolve(b, name):
-    if name == "g":
-        return b.chart.metric_field()
-    return getattr(b, name)
-
-
-def _memo(b, key, dense, comps_fn):
-    """The action of b's tensors named key[1:], built once."""
-    if key not in b._d:
-        A, H = _resolve(b, key[1]), _resolve(b, key[2])
-        b._d[key] = (_orbit_table(comps_fn, A, H) if H.sym == "curvature"
-                     else dense(A, H))
-    return b._d[key]
-
-
+@_cached
 def cached_derivation(b, dname: str, hname: str) -> TensorField:
     """D.H of the bundle's tensors; each D (R, W, C, K, P) is antisymmetric
     in its first pair."""
-    return _memo(b, ("D", dname, hname), derivation_action, derivation_comps)
+    D, H = getattr(b, dname), getattr(b, hname)
+    return (_orbit_table(derivation_comps, D, H) if H.sym == "curvature"
+            else derivation_action(D, H))
 
 
+@_cached
 def cached_tachibana(b, aname: str, hname: str) -> TensorField:
-    return _memo(b, ("Q", aname, hname), tachibana, tachibana_comps)
+    """Q(A,H) of the bundle's tensors."""
+    A, H = getattr(b, aname), getattr(b, hname)
+    return (_orbit_table(tachibana_comps, A, H) if H.sym == "curvature"
+            else tachibana(A, H))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Manifest grammar (line oriented):
   - blank lines and '#' comment lines are ignored
   - a section header line is one of [chart], [warped], [check]
   - every other line reads 'key = value', split at the first '='; the key
-    part is whitespace-tokenized
+    part is whitespace-tokenized, and a key repeats only with its value
   - [chart]  keys: coords = x1 x2 ...
                    g <i> <j> = <expression>      (1-based; symmetric fill)
                    param <name> = <rational>
@@ -95,6 +95,7 @@ def load_manifest(path):
     m = Manifest(path=str(path))
     section = None
     chk = None
+    seen = {}   # (section, [check] count, key) -> value; repeats must match it
 
     def bad(lineno, msg):
         raise ManifestError(f"{path}:{lineno}: {msg}")
@@ -127,6 +128,9 @@ def load_manifest(path):
         value = value.strip()
         if not toks:
             bad(lineno, "missing key before '='")
+        what = " ".join(toks)
+        if seen.setdefault((section, len(m.checks), what), value) != value:
+            bad(lineno, f"conflicting duplicate entry for {what}")
         if section == "chart":
             _chart_entry(m, toks, value, bad, lineno)
         elif section == "warped":
@@ -141,8 +145,6 @@ def load_manifest(path):
 def _chart_entry(m, toks, value, bad, lineno):
     key = toks[0]
     if key == "coords" and len(toks) == 1:
-        if m.coords:
-            bad(lineno, "coords already declared")
         m.coords = tuple(value.split())
         if not m.coords:
             bad(lineno, "coords must list at least one name")
@@ -343,7 +345,9 @@ def classify_report(path, seed=None, points=8):
         if chk.name not in CATALOG:
             raise ManifestError(f"{m.path}: unknown identity in [check]: "
                                 f"{chk.name!r}")
-        requested[chk.name] = chk.scalars
+        if requested.setdefault(chk.name, chk.scalars) != chk.scalars:
+            raise ManifestError(f"{m.path}: conflicting duplicate entry for "
+                                f"[check] {chk.name!r}")
     flat_test = ex.ZeroTest([b.R.comp(t) for t in orbit_reps(n, 4)])
     fit_test = PseudosymmetryFit(b, max(points, 5))
     checks = {}
@@ -453,8 +457,7 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
             ("S", b.S.flatten(), curv["S"].flatten()),
             ("kappa", [b.kappa], [curv["kappa"]]),
             ("RR", derivation_comps(b.R, b.R, reps), at_reps("RR")),
-            ("QgR", tachibana_comps(chart.metric_field(), b.R, reps),
-             at_reps("QgR")),
+            ("QgR", tachibana_comps(b.g, b.R, reps), at_reps("QgR")),
             ("QSR", tachibana_comps(b.S, b.R, reps), at_reps("QSR"))):
         start = len(diffs)
         diffs += [ex.sub(d, k) for d, k in zip(direct, block)]

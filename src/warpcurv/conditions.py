@@ -12,7 +12,7 @@ closed-form candidate under the randomized zero test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -21,7 +21,7 @@ from .expr import (
     DEFAULT_SEED, MP, REL_TOL, DomainError, InconclusiveError, PointEval,
     is_literal_zero, to_mpf, zero_threshold,
 )
-from .tensor import _as_expr, orbit_reps, orbit_size
+from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,6 @@ class ConditionReport:
     family: bool
     trivial: bool
     points_invalid: int = 0    # sample points where a component is undefined
-    verdicts: dict = field(default_factory=dict)
 
 
 def _scalar_expr(val, chart):
@@ -175,17 +174,15 @@ def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
 # Pointwise least squares for R.R = L1 Q(g,R) + L2 Q(S,R)
 
 
+@_cached
 def _fit_vectors(b):
     """(orbit_size, R.R, Q(g,R), Q(S,R)) at each orbit representative where
     a column is not literal zero; the columns share the orbits' signs."""
-    if "fit_vectors" not in b._d:
-        cols = (cached_derivation(b, "R", "R"), cached_tachibana(b, "g", "R"),
-                cached_tachibana(b, "S", "R"))
-        vecs = [(orbit_size(t), *(c.comp(t) for c in cols))
-                for t in orbit_reps(b.chart.n, 6)]
-        b._d["fit_vectors"] = [v for v in vecs
-                               if not all(is_literal_zero(e) for e in v[1:])]
-    return b._d["fit_vectors"]
+    cols = (cached_derivation(b, "R", "R"), cached_tachibana(b, "g", "R"),
+            cached_tachibana(b, "S", "R"))
+    vecs = [(orbit_size(t), *(c.comp(t) for c in cols))
+            for t in orbit_reps(b.chart.n, 6)]
+    return [v for v in vecs if not all(is_literal_zero(e) for e in v[1:])]
 
 
 def _ls2(w, q1, q2, r):

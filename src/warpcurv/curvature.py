@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
+from . import tensor
 from .tensor import (
     Chart, ChartError, TensorField, _field, _table, gaussian, kulkarni_nomizu,
     metric_inverse)
@@ -20,24 +21,20 @@ LOWERING_SIGN = -1
 
 
 def _cached(build):
-    """A property built on first access and kept in the bundle's `_d`; a plain
-    property, so a wrapper of its getter (perfbench's tracer) keeps the memo."""
-    def get(self):
-        if build.__name__ not in self._d:
-            self._d[build.__name__] = build(self)
-        return self._d[build.__name__]
-    return property(get)
+    """`tensor._cached` as a plain property (perfbench's tracer wraps its getter)."""
+    return property(tensor._cached(build))
 
 
 class CurvatureBundle:
-    """Connection plus curvature data for one chart, each built on first
-    access and then kept (`_cached`).
+    """Connection plus curvature data for one chart (`bundle(chart)`), each
+    built on first access and then kept in `_cache`, by `tensor._cached`.
 
     gamma is the (1,2) Christoffel array gamma[k][i][j]; R the lowered (0,4)
-    curvature; S the Ricci tensor; kappa the scalar curvature.  G, C, W, K, P
-    are the derived family (n >= 3 required for the last four); C, W, K and
-    P are each R or K plus a scalar times a (0,4) table (`_combine`).  `_d`
-    holds these and the action tables and fit vectors built from them.
+    curvature; S the Ricci tensor; kappa the scalar curvature; g the metric.
+    G, C, W, K, P are the derived family (n >= 3 required for the last
+    four); C, W, K and P are each R or K plus a scalar times a (0,4) table
+    (`_combine`).  `_cache` also holds the action tables and fit vectors
+    built from them.
     `diff` differentiates through one memo per coordinate, so a subtree
     shared by several entries (the g^-1 cofactors in every Gamma entry) is
     differentiated once per bundle.
@@ -45,7 +42,7 @@ class CurvatureBundle:
 
     def __init__(self, chart: Chart):
         self.chart = chart
-        self._d = {}
+        self._cache = {}
         self._dmemo = {c: {} for c in chart.coords}
 
     def diff(self, e, name):
@@ -123,6 +120,10 @@ class CurvatureBundle:
     # -- derived family ----------------------------------------------------
 
     @property
+    def g(self):
+        return self.chart.metric_field()
+
+    @property
     def G(self):
         return gaussian(self.chart)
 
@@ -167,10 +168,9 @@ class CurvatureBundle:
                              sym="none")
 
 
+@tensor._cached
 def bundle(chart: Chart) -> CurvatureBundle:
-    if "bundle" not in chart._cache:
-        chart._cache["bundle"] = CurvatureBundle(chart)
-    return chart._cache["bundle"]
+    return CurvatureBundle(chart)
 
 
 def christoffel(chart: Chart):

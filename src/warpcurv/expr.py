@@ -88,8 +88,6 @@ def _context(dps):
 MP = _context(DPS)
 REL_TOL = MP.mpf("1e-20")  # relative tolerance of dependence and constancy
 
-_FUNC_NAMES = ("exp", "log", "sin", "cos")
-
 
 class ExprError(Exception):
     pass

@@ -32,8 +32,8 @@ from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import (
-    Chart, ChartError, TensorField, _as_expr, _field, _orbit_field, _table,
-    gaussian, metric_inverse, orbit_reps,
+    Chart, ChartError, TensorField, _as_expr, _cached, _field, _orbit_field,
+    _table, gaussian, metric_inverse, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -85,7 +85,8 @@ class WarpedSpec:
                 continue
             valid += 1
             if not v > 0:
-                raise ChartError(f"warping function must be positive on the box, got {v} at {pt}")
+                raise ChartError(f"warping function must be positive on the box, got "
+                                 f"{v} at {point_str(pt, self.base.coords)}")
         if valid == 0:
             raise ChartError("warping function not evaluable on the sampling box")
 
@@ -94,22 +95,21 @@ def make_spec(base, fiber, f):
     return WarpedSpec(base, fiber, f)
 
 
+@_cached
 def assemble_product(spec):
     """Product chart: base block as-is, fiber block scaled by f, mixed zero."""
-    if "product" not in spec._cache:
-        p, q, n = spec.p, spec.q, spec.n
-        rows = [[ex.const(0) for _ in range(n)] for _ in range(n)]
-        for i in range(p):
-            for j in range(p):
-                rows[i][j] = spec.base.metric[i][j]
-        for i in range(q):
-            for j in range(q):
-                rows[p + i][p + j] = ex.mul(spec.f, spec.fiber.metric[i][j])
-        coords = tuple(spec.base.coords) + tuple(spec.fiber.coords)
-        box = dict(spec.base.box)
-        box.update(spec.fiber.box)
-        spec._cache["product"] = Chart(coords, rows, params=spec.params, box=box)
-    return spec._cache["product"]
+    p, q, n = spec.p, spec.q, spec.n
+    rows = [[ex.const(0) for _ in range(n)] for _ in range(n)]
+    for i in range(p):
+        for j in range(p):
+            rows[i][j] = spec.base.metric[i][j]
+    for i in range(q):
+        for j in range(q):
+            rows[p + i][p + j] = ex.mul(spec.f, spec.fiber.metric[i][j])
+    coords = tuple(spec.base.coords) + tuple(spec.fiber.coords)
+    box = dict(spec.base.box)
+    box.update(spec.fiber.box)
+    return Chart(coords, rows, params=spec.params, box=box)
 
 
 @dataclass
@@ -122,9 +122,8 @@ class WarpedAux:
     Traised: list           # T^t_s = gbar^{ta} T_as
 
 
+@_cached
 def auxiliaries(spec):
-    if "aux" in spec._cache:
-        return spec._cache["aux"]
     b = spec.base
     p, q, f = spec.p, spec.q, spec.f
     H = covariant_hessian(b, f)
@@ -142,14 +141,12 @@ def auxiliaries(spec):
                 for s in range(p)] for t in range(p)]
     T2 = [[ex.add(*[ex.mul(Traised[t][a], T[t][s]) for t in range(p)])
            for s in range(p)] for a in range(p)]
-    aux = WarpedAux(
+    return WarpedAux(
         T=_field(b, (0, 2), T, sym="sym2"),
         trT=trT, Delta=Delta, Omega=Omega,
         T2=_field(b, (0, 2), T2, sym="sym2"),
         Traised=Traised,
     )
-    spec._cache["aux"] = aux
-    return aux
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +172,16 @@ class _Ctx:
                                ex.mul(aux.Omega, spec.fiber.metric[al][be]))
                         for be in range(q)] for al in range(q)]
         ShatF = _field(spec.base, (0, 2), self.Shat, sym="sym2")
-        gb, gf = spec.base.metric_field(), spec.fiber.metric_field()
         self.RRb = _orbit_table(derivation_comps, bb.R, bb.R)
-        self.QgRb = _orbit_table(tachibana_comps, gb, bb.R)
+        self.QgRb = _orbit_table(tachibana_comps, bb.g, bb.R)
         self.QSRhat = _orbit_table(tachibana_comps, ShatF, bb.R)
         self.RTb = derivation_action(bb.R, aux.T)
-        self.QgTb = tachibana(gb, aux.T)
+        self.QgTb = tachibana(bb.g, aux.T)
         self.QSTb = tachibana(bb.S, aux.T)
         self.RRf = _orbit_table(derivation_comps, fb.R, fb.R)
-        self.QgRf = _orbit_table(tachibana_comps, gf, fb.R)
+        self.QgRf = _orbit_table(tachibana_comps, fb.g, fb.R)
         self.QSRf = _orbit_table(tachibana_comps, fb.S, fb.R)
-        self.QgSf = tachibana(gf, fb.S)
+        self.QgSf = tachibana(fb.g, fb.S)
         self.Gf = gaussian(spec.fiber)
         self.QSGf = _orbit_table(tachibana_comps, fb.S, self.Gf)
         fD = ex.mul(spec.f, aux.Delta)
@@ -193,10 +189,9 @@ class _Ctx:
             fb.R.comps[a][b][c][d], ex.mul(fD, self.Gf.comps[a][b][c][d])))
 
 
+@_cached
 def _ctx(spec):
-    if "ctx" not in spec._cache:
-        spec._cache["ctx"] = _Ctx(spec, auxiliaries(spec))
-    return spec._cache["ctx"]
+    return _Ctx(spec, auxiliaries(spec))
 
 
 def _normalize6(t, p):
@@ -325,10 +320,9 @@ def _entry4(spec, aux, c, t):
     return ex.const(0)
 
 
+@_cached
 def block_curvature(spec):
     """Assembled curvature tensor, Ricci tensor, and scalar from the blocks."""
-    if "curv" in spec._cache:
-        return spec._cache["curv"]
     aux = auxiliaries(spec)
     c = _ctx(spec)
     prod = assemble_product(spec)
@@ -346,15 +340,14 @@ def block_curvature(spec):
                    ex.mul(ex.const(q),
                           ex.add(ex.mul(ex.const(q - 1), aux.Delta),
                                  ex.mul(ex.const(2), aux.trT))))
-    out = {
+    return {
         "R": _field(prod, (0, 4), R),
         "S": _field(prod, (0, 2), _table(n, 2, ricci), sym="sym2"),
         "kappa": kappa,
     }
-    spec._cache["curv"] = out
-    return out
 
 
+@_cached
 def block_actions(spec):
     """Assembled R.R, Q(g,R), Q(S,R) on the product chart from the blocks.
 
@@ -364,17 +357,13 @@ def block_actions(spec):
     plus or minus its representative's, and literal 0 where an
     antisymmetric pair repeats an index.
     """
-    if "acts" in spec._cache:
-        return spec._cache["acts"]
     aux = auxiliaries(spec)
     c = _ctx(spec)
     prod = assemble_product(spec)
     reps = list(orbit_reps(spec.n, 6))
     cols = zip(*(_entry6(spec, aux, c, t) for t in reps))
-    out = {system: _orbit_field(prod, (0, 6), dict(zip(reps, col)))
-           for system, col in zip(("RR", "QgR", "QSR"), cols)}
-    spec._cache["acts"] = out
-    return out
+    return {system: _orbit_field(prod, (0, 6), dict(zip(reps, col)))
+            for system, col in zip(("RR", "QgR", "QSR"), cols)}
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +532,8 @@ def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED
             continue
         valid += 1
         if zero:
-            raise ValueError(f"L2 vanishes on the sampling box at {pt}")
+            raise ValueError("L2 vanishes on the sampling box at "
+                             + point_str(pt, spec.base.coords))
     if valid == 0:
         raise ValueError("L2 not evaluable on the sampling box")
     p = spec.p

@@ -84,6 +84,90 @@ def test_manifest_errors(tmp_path):
         load_manifest(path)
 
 
+CHART_HEAD = "[chart]\ncoords = x1\ng 1 1 = 1\n"
+WARPED_HEAD = "[warped]\nbase = b.mf\nfiber = f.mf\nwarp = exp(x1)\n"
+
+
+def _duplicates_rejected(tmp_path, head, lines):
+    """Each line, repeated with its value, loads; followed by the same key
+    with another value, it is rejected as a conflicting duplicate."""
+    for line, other in lines:
+        key = line.partition("=")[0].strip()
+        path = _write(tmp_path, "dup.mf", head + line + "\n" + line + "\n")
+        load_manifest(path)
+        path = _write(tmp_path, "dup.mf", head + line + "\n" + other + "\n")
+        with pytest.raises(ManifestError,
+                           match=f"dup.mf:{head.count(chr(10)) + 2}: "
+                                 f"conflicting duplicate entry for {key}$"):
+            load_manifest(path)
+
+
+def test_manifest_rejects_conflicting_chart_keys(tmp_path):
+    _duplicates_rejected(tmp_path, CHART_HEAD, [
+        ("param a = 1", "param a = 2"),
+        ("box x1 = 0 .. 1", "box x1 = 0 .. 2"),
+        ("seed = 3", "seed = 4"),
+        ("coords = x1", "coords = x2"),
+    ])
+    # a repeat keeps the one value
+    path = _write(tmp_path, "c.mf", CHART_HEAD + "param a = 1\nparam a = 1\n")
+    assert load_manifest(path).params == {"a": Fraction(1)}
+
+
+def test_manifest_rejects_conflicting_warped_keys(tmp_path):
+    _duplicates_rejected(tmp_path, WARPED_HEAD, [
+        ("base = b.mf", "base = c.mf"),
+        ("fiber = f.mf", "fiber = c.mf"),
+        ("warp = exp(x1)", "warp = exp(2*x1)"),
+        ("L1 = 0", "L1 = 1"),
+        ("L2 = 0", "L2 = x1"),
+        ("seed = 3", "seed = 4"),
+    ])
+
+
+def test_manifest_rejects_conflicting_check_keys(tmp_path):
+    _duplicates_rejected(tmp_path, CHART_HEAD + "[check]\n", [
+        ("name = R.R = 0", "name = R.S = 0"),
+        ("scalar L = 1", "scalar L = 2"),
+    ])
+    # the same key in two [check] sections is two requests
+    path = _write(tmp_path, "c.mf", CHART_HEAD + "[check]\nname = R.R = 0\n"
+                  "[check]\nname = R.S = 0\n")
+    assert [c.name for c in load_manifest(path).checks] == ["R.R = 0", "R.S = 0"]
+
+
+def test_classify_rejects_one_row_checked_with_two_scalars(tmp_path, capsys):
+    flat = ("[chart]\ncoords = x1 x2 x3\ng 1 1 = 1\ng 2 2 = 1\ng 3 3 = 1\n"
+            "[check]\nname = R.R = L1 Q(g,R)\nscalar L1 = 1\n")
+    path = _write(tmp_path, "c.mf", flat + flat[flat.index("[check]"):])
+    assert main(["classify", path, "--points", "1"]) == 0
+    path = _write(tmp_path, "c.mf", flat + "[check]\nname = R.R = L1 Q(g,R)\n"
+                  "scalar L1 = 2\n")
+    assert main(["classify", path, "--points", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "conflicting duplicate entry for [check] 'R.R = L1 Q(g,R)'" in err
+
+
+@pytest.mark.parametrize("cmd,text,args,want", [
+    ("curvature", "[chart]\ncoords = x1\nbox x1 = 0 .. 0\ng 1 1 = x1\n", [],
+     "metric degenerate at sampled point x1 = 0\n"),
+    ("warped-verify", "[warped]\nbase = ex2_base.mf\nfiber = flat1.mf\n"
+     "warp = x1 - 5\n", [], "got -4187/1024 at x1 = 933/1024\n"),
+    ("warped-verify", "[warped]\nbase = ex2_base.mf\nfiber = flat1.mf\n"
+     "warp = 1\n", ["--L2", "x1 - 933/1024"],
+     "L2 vanishes on the sampling box at x1 = 933/1024\n"),
+])
+def test_errors_print_sample_points_as_reports_do(tmp_path, capsys, cmd,
+                                                  text, args, want):
+    for name in ("ex2_base.mf", "flat1.mf"):
+        shutil.copy(fixture_path(name), tmp_path / name)
+    path = _write(tmp_path, "m.mf", text)
+    assert main([cmd, path, "--points", "2", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(want)
+    assert "Fraction(" not in err and "Traceback" not in err
+
+
 def test_load_manifest_warped(tmp_path):
     _write(tmp_path, "b.mf", "[chart]\ncoords = x1\ng 1 1 = 1\n")
     _write(tmp_path, "f.mf", "[chart]\ncoords = y1\ng 1 1 = 1\n")
@@ -676,6 +760,53 @@ def test_main_exit_code_contract_fuzz(tmp_path, capsys):
             assert "Traceback" not in err
             # charts below dimension 3 skip the rows that need C, W, K or P
             assert "dimension >= 3" not in err
+
+    check()
+
+
+def test_warped_verify_exit_code_contract_fuzz(tmp_path, capsys):
+    """Any warp and candidates over bundled base and fiber charts make
+    `warped-verify` exit 0, 1 or 2 without a traceback: warps and scalars
+    may name fiber coordinates, vanish, go non-positive or be undefined."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    bases = ("flat1.mf", "flat2.mf", "ex1_base.mf", "ex2_base.mf", "hyper2.mf")
+    fibers = ("flat1.mf", "flat3.mf", "sphere2.mf", "hyper2.mf",
+              "ex1_fiber.mf")
+    dims = {"flat1.mf": 1, "flat2.mf": 2, "ex1_base.mf": 1, "ex2_base.mf": 1,
+            "hyper2.mf": 2}
+    warps = ("1", "exp(x1)", "1 + x1^2", "2 + x1", None)   # None: a random one
+
+    def scalar(draw, p):
+        names = [f"x{i + 1}" for i in range(p)]
+        atom = st.sampled_from(names + [f"x{p + 1}", "0", "-1", "1/3", "a"])
+        kind = draw(st.sampled_from(("atom", "+", "*", "-", "exp", "log")))
+        a = draw(atom)
+        if kind == "atom":
+            return a
+        if kind in ("exp", "log"):
+            return f"{kind}({a} - 5)" if draw(st.booleans()) else f"{kind}({a})"
+        return f"({a}) {kind} ({draw(atom)})"
+
+    @st.composite
+    def manifests(draw):
+        base, fiber = draw(st.sampled_from(bases)), draw(st.sampled_from(fibers))
+        p = dims[base]
+        lines = ["[warped]", f"base = {fixture_path(base)}",
+                 f"fiber = {fixture_path(fiber)}",
+                 f"warp = {draw(st.sampled_from(warps)) or scalar(draw, p)}"]
+        for key in ("L1", "L2"):
+            if draw(st.booleans()):
+                lines.append(f"{key} = {scalar(draw, p)}")
+        return "\n".join(lines) + "\n"
+
+    @hyp.settings(max_examples=25, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(manifests())
+    def check(text):
+        path = _write(tmp_path, "fuzz.mf", text)
+        assert main(["warped-verify", path, "--points", "2"]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     check()
 

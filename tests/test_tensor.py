@@ -454,3 +454,82 @@ def test_orbit_field_components():
     flat = field.flatten()
     assert len(flat) == 3 ** 6 and flat[0] is ex.ZERO
     assert list(field.tuples()) == list(orbit_reps(3, 6))
+
+
+# ---------------------------------------------------------------------------
+# The one memo of derived data
+
+
+def _cache_accesses(tree):
+    """`._cache` accesses outside `_cache = {}` initializers and `_cached`."""
+    import ast
+
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "_cached":
+            allowed.update(id(n) for n in ast.walk(node))
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.value, ast.Dict) and not node.value.keys):
+            allowed.add(id(node.targets[0]))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_cache"
+            and id(node) not in allowed]
+
+
+def test_only_the_memo_touches_an_object_cache():
+    # every per-object cache is written by tensor._cached alone; a
+    # hand-written `if key not in obj._cache` block is a second memo
+    import ast
+    from pathlib import Path
+
+    src = Path(tensor_mod.__file__).resolve().parent
+    offenders = {path.name: lines for path in sorted(src.glob("*.py"))
+                 for lines in [_cache_accesses(ast.parse(path.read_text()))]
+                 if lines}
+    assert offenders == {}
+    text = "def f(spec):\n    if 'k' not in spec._cache:\n        pass\n"
+    assert _cache_accesses(ast.parse(text)) == [2]
+
+
+def test_memoized_builders_build_once(monkeypatch):
+    from warpcurv import actions, cli, conditions, curvature, warped
+
+    built = []
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def run(*args):
+            built.append((name, id(args[0])))
+            return orig(*args)
+        monkeypatch.setattr(owner, name, run)
+
+    counting(tensor_mod, "_cofactor_inverse")     # once per chart
+    counting(curvature, "CurvatureBundle")        # once per chart
+    counting(warped, "_Ctx")                      # once per spec
+    spec = cli.build_spec(cli.load_manifest(cli.fixture_path("ex2_warped.mf")))
+    prod = warped.assemble_product(spec)
+    b = curvature.bundle(prod)
+    builders = [
+        prod.metric_field, lambda: metric_inverse(prod),
+        lambda: gaussian(prod), lambda: curvature.bundle(prod),
+        *(lambda name=name: getattr(b, name)
+          for name in ("gamma", "R", "S", "kappa", "K", "C", "W", "P")),
+        lambda: actions.cached_derivation(b, "R", "R"),
+        lambda: actions.cached_derivation(b, "R", "S"),
+        lambda: actions.cached_tachibana(b, "g", "R"),
+        lambda: actions.cached_tachibana(b, "S", "R"),
+        lambda: conditions._fit_vectors(b),
+        *(lambda fn=fn: fn(spec) for fn in (
+            warped.assemble_product, warped.auxiliaries, warped._ctx,
+            warped.block_curvature, warped.block_actions)),
+    ]
+    first = [build() for build in builders]
+    assert sorted(set(built)) == sorted(built)
+    assert [name for name, _ in built].count("_Ctx") == 1
+    caches = [dict(obj._cache) for obj in (prod, b, spec)]
+    count = len(built)
+    again = [build() for build in builders]
+    assert all(x is y for x, y in zip(first, again))
+    assert len(built) == count
+    assert [obj._cache for obj in (prod, b, spec)] == caches

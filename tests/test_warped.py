@@ -236,7 +236,7 @@ def test_block_actions_build_one_entry_per_orbit(monkeypatch, ex2_spec,
 
     monkeypatch.setattr(warped, "_entry6", counting)
     for spec, count in ((ex2_spec, 126), (ex1_spec, 550)):
-        monkeypatch.delitem(spec._cache, "acts", raising=False)
+        monkeypatch.delitem(spec._cache, ("block_actions",), raising=False)
         calls.clear()
         acts = block_actions(spec)
         assert calls == list(orbit_reps(spec.n, 6))
