@@ -1,12 +1,15 @@
 """Charts, tensor fields, metric inverse, Kulkarni-Nomizu, symmetry tests."""
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from warpcurv import actions, cli, conditions, curvature, warped
 from warpcurv import expr as ex
 from warpcurv import tensor as tensor_mod
 from warpcurv.expr import Const, is_zero, parse
@@ -462,8 +465,6 @@ def test_orbit_field_components():
 
 def _cache_accesses(tree):
     """`._cache` accesses outside `_cache = {}` initializers and `_cached`."""
-    import ast
-
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name == "_cached":
@@ -479,9 +480,6 @@ def _cache_accesses(tree):
 def test_only_the_memo_touches_an_object_cache():
     # every per-object cache is written by tensor._cached alone; a
     # hand-written `if key not in obj._cache` block is a second memo
-    import ast
-    from pathlib import Path
-
     src = Path(tensor_mod.__file__).resolve().parent
     offenders = {path.name: lines for path in sorted(src.glob("*.py"))
                  for lines in [_cache_accesses(ast.parse(path.read_text()))]
@@ -492,8 +490,6 @@ def test_only_the_memo_touches_an_object_cache():
 
 
 def test_memoized_builders_build_once(monkeypatch):
-    from warpcurv import actions, cli, conditions, curvature, warped
-
     built = []
 
     def counting(owner, name):
