@@ -25,6 +25,7 @@ included.  Exit codes: 0 pass, 1 verdict failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -468,7 +469,7 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     try:
         conds = dict(verify_conditions(spec, L1, L2, trials=points, seed=seed))
         l2e = _base_scalar(spec, L2, "L2")
-    except ValueError as err:
+    except (ChartError, ValueError) as err:
         raise ManifestError(f"{m.path}: {err}") from None
     conds["witnesses"] = {k: {"index": list(v["index"]), "defect": v["defect"]}
                           for k, v in conds["witnesses"].items()}
@@ -569,11 +570,14 @@ def selftest_report(seed=DEFAULT_SEED):
         return outs[0] == outs[1], "verdicts agree across seeds"
 
     def json_roundtrip():
+        # the report goes through the writer `--json` uses
         _, rep = curvature_report(fixture_path("sphere2.mf"), seed=seed,
                                   points=3)
-        blob = json.dumps(rep, sort_keys=True, indent=2)
-        stable = json.dumps(json.loads(blob), sort_keys=True,
-                            indent=2) == blob
+        buf = io.StringIO()
+        write_json(rep, buf)
+        blob = buf.getvalue()
+        stable = (blob == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+                  and json.loads(blob) == rep)
         return stable, "emit-parse-emit stable"
 
     item("flat chart has zero curvature", flat_zero)
@@ -602,37 +606,45 @@ def selftest_report(seed=DEFAULT_SEED):
 
 
 def _render(code, rep):
-    lines = []
+    """The text report as pieces to write in order, each line ending in a
+    newline.  Kappa and the R/S component texts, which can run to megabytes,
+    are pieces of their own, so no line that holds them is ever built."""
+    out = []
+
+    def line(*pieces):
+        out.extend(pieces)
+        out.append("\n")
+
     cmd = rep["command"]
     if cmd == "curvature":
         c = rep["curvature"]
-        lines.append(f"curvature report: {rep['manifest']['file']} "
-                     f"({rep['kind']}, n = {rep['n']})")
-        lines.append(f"kappa = {c['kappa']}")
-        lines.append("kappa samples: " + ", ".join(c["kappa_samples"]))
+        line(f"curvature report: {rep['manifest']['file']} "
+             f"({rep['kind']}, n = {rep['n']})")
+        line("kappa = ", c["kappa"])
+        line("kappa samples: " + ", ".join(c["kappa_samples"]))
         if c["flat"]:
-            lines.append("all curvature components zero")
+            line("all curvature components zero")
         else:
-            lines.append("nonzero R components (orbit representatives):")
+            line("nonzero R components (orbit representatives):")
             for key in sorted(c["nonzero_R"]):
-                lines.append(f"  R[{key}] = {c['nonzero_R'][key]}")
+                line(f"  R[{key}] = ", c["nonzero_R"][key])
             if c["nonzero_S"]:
-                lines.append("nonzero S components:")
+                line("nonzero S components:")
                 for key in sorted(c["nonzero_S"]):
-                    lines.append(f"  S[{key}] = {c['nonzero_S'][key]}")
+                    line(f"  S[{key}] = ", c["nonzero_S"][key])
     elif cmd == "classify":
-        lines.append(f"classify report: {rep['manifest']['file']} "
-                     f"({rep['kind']}, n = {rep['n']})")
+        line(f"classify report: {rep['manifest']['file']} "
+             f"({rep['kind']}, n = {rep['n']})")
         s = rep["summary"]
         f = rep["fit"]
         flags = [k for k in ("flat", "semisymmetric", "ricci_semisymmetric",
                              "pseudosymmetric") if s[k]]
-        lines.append("summary: " + (", ".join(flags) if flags else "none"))
-        lines.append(f"fit: rank {f['rank']}, max residual "
-                     f"{f['max_residual']}, family = {f['family']}, "
-                     f"constant type = {f['constant_type']}"
-                     + _invalid_note(f))
-        lines.append("catalog:")
+        line("summary: " + (", ".join(flags) if flags else "none"))
+        line(f"fit: rank {f['rank']}, max residual "
+             f"{f['max_residual']}, family = {f['family']}, "
+             f"constant type = {f['constant_type']}"
+             + _invalid_note(f))
+        line("catalog:")
         for name, v in rep["catalog"].items():
             if v["skipped"]:
                 status = "skipped (" + v["reason"] + ")"
@@ -643,16 +655,16 @@ def _render(code, rep):
             else:
                 status = "fails"
             mark = " [requested]" if v.get("requested") else ""
-            lines.append(f"  {name:35s} {status}{_invalid_note(v)}{mark}")
+            line(f"  {name:35s} {status}{_invalid_note(v)}{mark}")
     elif cmd == "warped-verify":
-        lines.append(f"warped-verify report: {rep['manifest']['file']} "
-                     f"(p = {rep['p']}, q = {rep['q']}, n = {rep['n']})")
-        lines.append(f"warp f = {rep['warp']}")
-        lines.append(f"candidates: L1 = {rep['L1']}, L2 = {rep['L2']}")
-        lines.append("fiber relabeling: " + ", ".join(
+        line(f"warped-verify report: {rep['manifest']['file']} "
+             f"(p = {rep['p']}, q = {rep['q']}, n = {rep['n']})")
+        line(f"warp f = {rep['warp']}")
+        line(f"candidates: L1 = {rep['L1']}, L2 = {rep['L2']}")
+        line("fiber relabeling: " + ", ".join(
             f"{k} -> {v}" for k, v in rep["fiber_map"].items()))
         ora = rep["oracle"]
-        lines.append("oracle equivalence (blocks vs direct): " + ", ".join(
+        line("oracle equivalence (blocks vs direct): " + ", ".join(
             f"{k} {'ok' if v else 'MISMATCH'}" for k, v in ora.items()))
         conds = rep["conditions"]
         for name in ("I", "II", "III", "IV", "V"):
@@ -666,33 +678,94 @@ def _render(code, rep):
                 w = conds["witnesses"][name]
                 extra = (f" (witness index {tuple(w['index'])}: "
                          f"{excerpt(w['defect'])})")
-            lines.append(f"condition ({name}): {status}{extra}")
-        lines.append(f"corollary R.T equation: "
-                     f"{'holds' if conds['corollary_ii'] else 'fails'}")
+            line(f"condition ({name}): {status}{extra}")
+        line(f"corollary R.T equation: "
+             f"{'holds' if conds['corollary_ii'] else 'fails'}")
         tri = rep["trichotomy"]
-        lines.append(f"trichotomy labels: {', '.join(tri['labels'])} "
-                     f"(all points covered: {tri['all_covered']})")
+        line(f"trichotomy labels: {', '.join(tri['labels'])} "
+             f"(all points covered: {tri['all_covered']})")
         d = rep["dichotomy"]
         if d["skipped"]:
-            lines.append("dichotomy: skipped, " + d["reason"])
+            line("dichotomy: skipped, " + d["reason"])
         else:
-            lines.append(f"dichotomy: base flat = {d['base_flat']}, fiber "
-                         f"Einstein = {d['fiber_einstein']}, consistent = "
-                         f"{d['consistent']}")
+            line(f"dichotomy: base flat = {d['base_flat']}, fiber "
+                 f"Einstein = {d['fiber_einstein']}, consistent = "
+                 f"{d['consistent']}")
     elif cmd == "selftest":
         for it in rep["items"]:
             mark = "ok  " if it["ok"] else "FAIL"
-            lines.append(f"{mark} {it['name']}: {it['note']}")
+            line(f"{mark} {it['name']}: {it['note']}")
         good = sum(1 for it in rep["items"] if it["ok"])
-        lines.append(f"{good}/{len(rep['items'])} selftest items passed")
+        line(f"{good}/{len(rep['items'])} selftest items passed")
     outcome = {0: "pass", 1: "verdict failure", 2: "input error"}[code]
-    lines.append(f"result: {outcome}")
-    return "\n".join(lines)
+    line(f"result: {outcome}")
+    return out
 
 
 def _invalid_note(v):
     k = v.get("points_invalid", 0)
     return f", {k} points invalid" if k else ""
+
+
+# printable ASCII but '"' and '\\': a string of only these is its own JSON
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+_JOIN_BELOW = 1 << 16  # characters; see write_json
+
+
+def _json_pieces(v, out, indent="\n"):
+    """Append to `out` the pieces of `json.dumps(v, sort_keys=True,
+    indent=2)` for a report value: dicts with string keys, lists, strings,
+    ints and bools.  A string that JSON keeps as it is is quoted by hand,
+    and one of _JOIN_BELOW characters or more goes in as a piece of its own
+    between quotes, so a long kappa is neither escaped nor copied; any other
+    string or value goes through `json.dumps`."""
+    if isinstance(v, str):
+        if not (v.isascii() and not v.encode("ascii").translate(None, _PLAIN)):
+            out.append(json.dumps(v))
+        elif len(v) < _JOIN_BELOW:
+            out.append('"' + v + '"')
+        else:
+            out += ('"', v, '"')
+    elif v is True or v is False:
+        out.append("true" if v else "false")
+    elif type(v) is int:
+        out.append(repr(v))
+    elif isinstance(v, (dict, list, tuple)) and v:
+        inner = indent + "  "
+        if isinstance(v, dict):
+            sep = "{" + inner
+            for k in sorted(v):
+                out.append(sep + json.dumps(k) + ": ")
+                _json_pieces(v[k], out, inner)
+                sep = "," + inner
+            out.append(indent + "}")
+        else:
+            sep = "[" + inner
+            for x in v:
+                out.append(sep)
+                _json_pieces(x, out, inner)
+                sep = "," + inner
+            out.append(indent + "]")
+    else:
+        out.append(json.dumps(v))
+    return out
+
+
+def write_json(rep, fh):
+    """Write `json.dumps(rep, sort_keys=True, indent=2) + "\\n"` to the text
+    file `fh`, piece by piece; see `_json_pieces` for the value types.
+    Pieces shorter than _JOIN_BELOW are joined into one write, since a
+    write per piece costs more than copying a short piece."""
+    run = []
+    for piece in _json_pieces(rep, []):
+        if len(piece) < _JOIN_BELOW:
+            run.append(piece)
+        else:
+            fh.write("".join(run))
+            fh.write(piece)
+            run = []
+    run.append("\n")
+    fh.write("".join(run))
 
 
 def _json_arg(sp):
@@ -753,10 +826,10 @@ def main(argv=None):
     except (ManifestError, ChartError, ex.ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print(_render(code, rep))
+    sys.stdout.writelines(_render(code, rep))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(rep, sort_keys=True, indent=2) + "\n")
+            write_json(rep, fh)
     return code
 
 

@@ -30,7 +30,8 @@ context at DPS = 50 significant digits: every number the engine makes
 carries that precision, so no caller sets one and the ambient `mpmath.mp`
 precision changes no value and no verdict.  Inside `PointEval` the inexact
 values are raw `mpmath.libmp` tuples at that precision, combined by the libmp
-functions the mpf operators call, and become mpfs only when returned.
+functions the mpf operators call, and become mpfs only when returned; a
+rational subtree is rounded to a tuple only when its scale is read.
 
 The zero test samples deterministic rational points from a box (default
 [1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)` where m
@@ -903,16 +904,21 @@ class PointEval:
 
     Values are exact Fractions when the subtree is rational, otherwise mpfs
     of the mpmath context of `dps` digits (`MP` at the default DPS), so
-    the ambient `mpmath.mp` precision never enters.  Each value comes with
-    the largest intermediate magnitude in its subtree so zero tests can
-    scale their tolerance.
+    the ambient `mpmath.mp` precision never enters.  `eval_scaled` gives
+    each value with the largest intermediate magnitude in its subtree so
+    zero tests can scale their tolerance.
 
     Inside, the walk computes on raw `mpmath.libmp` tuples (`_mpf_`) at
     the context's precision and rounding, calling the libmp functions the
     mpf operators call, so every value is bit-identical to mpf arithmetic.
-    A memo entry is (value, its tuple, magnitude tuple): a rational node is
-    rounded to its tuple once and kept next to its exact value, and mpfs
-    are made only for the values that `eval`, `eval_scaled` and `judge`
+    A memo entry is the bare Fraction of a rational node, else (its tuple,
+    magnitude tuple).  A rational subtree stays unrounded until something
+    reads its scale: an inexact operand beside it in a sum or product, a
+    division, power or function that needs its tuple, `eval_scaled`, or
+    `judge` of a nonzero value.  `_settled` then rounds it and its subtree
+    once, with the formulas an inexact node follows, and keeps (tuple,
+    magnitude) in `_exact`; judging an exact 0 rounds nothing.  mpfs are
+    made only for the values that `eval`, `eval_scaled` and `judge`
     return.  The memo is keyed by node: nodes are interned, so a subtree
     shared by several expressions is evaluated once, and the memo keeps its
     keys alive for as long as it lives.  An exp argument beyond
@@ -929,26 +935,37 @@ class PointEval:
         self._ctx = _context(dps)
         self._prec, self._rnd = self._ctx._prec_rounding
         self._memo = {}
+        self._exact = {}  # settled rational node -> (tuple, magnitude tuple)
         self._tol = self._ctx.mpf(_ZERO_TOL)._mpf_
 
     def eval_scaled(self, e):
         """(value, largest intermediate magnitude) of `e` at this point."""
-        v, _, m = self._walk(e)
+        h = self._memo.get(e)  # judge has walked `e` already
+        if h is None:
+            h = self._walk(e)
         make = self._ctx.make_mpf
-        return (v if type(v) is Fraction else make(v)), make(m)
+        if type(h) is Fraction:
+            return h, make(self._settled(e)[1])
+        return make(h[0]), make(h[1])
 
     def eval(self, e):
-        return self.eval_scaled(e)[0]
+        """Value of `e` at this point, without its magnitude."""
+        h = self._walk(e)
+        return h if type(h) is Fraction else self._ctx.make_mpf(h[0])
 
     def judge(self, e):
         """Value of `e` here as an mpf, snapped to exact 0 when it is zero.
 
         The value is judged zero when `|value| <= 1e-30 * (1 + m)`, m being
         the largest intermediate magnitude; "nonzero" is `judge(e) != 0`.
+        An exact 0 holds for every m, so its scale is not computed.
         Raises DomainError when `e` is undefined at this point.
         """
+        h = self._walk(e)
+        if type(h) is Fraction and not h:
+            return self._ctx.zero
         _, m = self.eval_scaled(e)
-        t = self._memo[e][1]  # the tuple eval_scaled just stored
+        t = self._exact[e][0] if type(h) is Fraction else h[0]
         prec, rnd = self._prec, self._rnd
         bound = mpf_mul(self._tol, mpf_add(m._mpf_, fone, prec, rnd), prec, rnd)
         if mpf_gt(mpf_abs(t, prec, rnd), bound):
@@ -966,9 +983,36 @@ class PointEval:
                            from_int(v.denominator, prec, rnd), prec, rnd)
         return _as_mpf(self._ctx, v)._mpf_
 
+    def _settled(self, e):
+        """(tuple, magnitude tuple) of `e`, a walked rational node, as `_walk`
+        gives them for an inexact one; rounded, with the subtree, on the
+        first request.  Rounding to nearest is symmetric, so the tuple of a
+        Neg is also the negated tuple of its child."""
+        s = self._exact.get(e)
+        if s is None:
+            t = self._round(self._memo[e])
+            mg = mpf_abs(t, self._prec, self._rnd)
+            cls = type(e)
+            if cls is Const or cls is Coord or cls is Param:
+                m = mg
+            else:
+                m = self._largest(_children(e))
+            s = self._exact[e] = (t, m if mpf_gt(m, mg) else mg)
+        return s
+
+    def _largest(self, kids):
+        """Largest magnitude of the rational nodes `kids`, in their order."""
+        settled = self._settled
+        m = settled(kids[0])[1]
+        for k in kids[1:]:
+            km = settled(k)[1]
+            if mpf_gt(km, m):
+                m = km
+        return m
+
     def _walk(self, e):
-        """(value, its tuple, magnitude tuple) of `e`; the value is a Fraction
-        when the subtree is rational, else the tuple itself."""
+        """The memo entry of `e`: a Fraction when the subtree is rational,
+        else (its tuple, magnitude tuple)."""
         hit = self._memo.get(e)
         if hit is not None:
             return hit
@@ -979,31 +1023,48 @@ class PointEval:
             # the accumulator starts from the first child: x + 0 and x * 1
             # are x exactly at full precision
             if cls is Add:
-                kids, exact, inexact = iter(e.terms), _fraction_add, mpf_add
+                kids, exact, inexact = e.terms, _fraction_add, mpf_add
             else:
-                kids, exact, inexact = iter(e.factors), _fraction_mul, mpf_mul
-            v, t, m = walk(next(kids))
-            for k in kids:
-                kv, kt, km = walk(k)
-                if type(v) is Fraction and type(kv) is Fraction:
-                    v = exact(v, kv)
-                    t = None
+                kids, exact, inexact = e.factors, _fraction_mul, mpf_mul
+            it = iter(kids)
+            v = walk(next(it))
+            if type(v) is Fraction:
+                for k in it:
+                    kv = walk(k)
+                    if type(kv) is Fraction:
+                        v = exact(v, kv)
+                        continue
+                    # the first inexact operand: the rational prefix is
+                    # rounded once, as one value, and its children settled
+                    # nodes are interned: the first position of k is j
+                    j = 1 if k is kids[1] else kids.index(k)
+                    if j == 1:
+                        t, m = self._exact.get(kids[0]) or self._settled(kids[0])
+                    else:
+                        t, m = self._round(v), self._largest(kids[:j])
+                    kt, km = kv
+                    t = inexact(t, kt, prec, rnd)
+                    if mpf_gt(km, m):
+                        m = km
+                    break
                 else:
-                    if t is None:
-                        t = self._round(v)
-                    v = t = inexact(t, kt, prec, rnd)
+                    self._memo[e] = v
+                    return v
+            else:
+                t, m = v
+            for k in it:
+                kv = walk(k)
+                if type(kv) is Fraction:
+                    kv = self._exact.get(k) or self._settled(k)
+                kt, km = kv
+                t = inexact(t, kt, prec, rnd)
                 if mpf_gt(km, m):
                     m = km
-            if t is None:
-                t = self._round(v)
             mg = mpf_abs(t, prec, rnd)
-            out = (v, t, m if mpf_gt(m, mg) else mg)
+            out = (t, m if mpf_gt(m, mg) else mg)
         elif cls is Neg:
-            cv, ct, cm = walk(e.child)
-            # rounding to nearest is symmetric, so for a Fraction this is
-            # also the tuple of -cv
-            t = mpf_neg(ct, prec, rnd)
-            out = (-cv if type(cv) is Fraction else t, t, cm)
+            c = walk(e.child)
+            out = -c if type(c) is Fraction else (mpf_neg(c[0], prec, rnd), c[1])
         elif cls is Const or cls is Coord or cls is Param:
             if cls is Const:
                 v = e.value
@@ -1012,54 +1073,62 @@ class PointEval:
                     v = self.env[e.name]
                 except KeyError:
                     raise EvalError(f"unbound variable {e.name!r}") from None
-            t = self._round(v)
-            out = (v if type(v) is Fraction else t, t, mpf_abs(t, prec, rnd))
-        elif cls is Div:
-            nv, nt, nm = walk(e.num)
-            dv, dt, dm = walk(e.den)
-            if mpf_eq(dt, fzero):
-                raise DomainError("division by zero")
-            if type(nv) is Fraction and type(dv) is Fraction:
-                v = nv / dv
+            if type(v) is Fraction:
+                out = v
+            else:
                 t = self._round(v)
+                out = (t, mpf_abs(t, prec, rnd))
+        elif cls is Div:
+            n, d = walk(e.num), walk(e.den)
+            if type(n) is Fraction and type(d) is Fraction:
+                if not d:
+                    raise DomainError("division by zero")
+                out = n / d
             else:
-                v = t = mpf_div(nt, dt, prec, rnd)
-            mg = mpf_abs(t, prec, rnd)
-            m = dm if mpf_gt(dm, nm) else nm
-            out = (v, t, mg if mpf_gt(mg, m) else m)
+                nt, nm = self._settled(e.num) if type(n) is Fraction else n
+                dt, dm = self._settled(e.den) if type(d) is Fraction else d
+                if mpf_eq(dt, fzero):
+                    raise DomainError("division by zero")
+                t = mpf_div(nt, dt, prec, rnd)
+                mg = mpf_abs(t, prec, rnd)
+                m = dm if mpf_gt(dm, nm) else nm
+                out = (t, mg if mpf_gt(mg, m) else m)
         elif cls is Pow:
-            bv, bt, bm = walk(e.base)
+            b = walk(e.base)
             x = e.exponent
-            if mpf_eq(bt, fzero) and x < 0:
-                raise DomainError("zero base with negative exponent")
-            if x.denominator == 1:
-                if type(bv) is Fraction:
-                    v = bv ** x.numerator
-                    t = self._round(v)
-                else:
-                    v = t = mpf_pow_int(bt, x.numerator, prec, rnd)
-            elif mpf_lt(bt, fzero):
-                raise DomainError("negative base with fractional exponent")
-            elif type(bv) is Fraction and bv == 0:
-                v, t = bv, bt
+            if type(b) is Fraction and (x.denominator == 1 or b <= 0):
+                if not b and x < 0:
+                    raise DomainError("zero base with negative exponent")
+                if b < 0 and x.denominator != 1:
+                    raise DomainError("negative base with fractional exponent")
+                out = b ** x.numerator if x.denominator == 1 else b
             else:
-                v = t = mpf_pow(bt, self._round(x), prec, rnd)
-            mg = mpf_abs(t, prec, rnd)
-            out = (v, t, mg if mpf_gt(mg, bm) else bm)
+                bt, bm = self._settled(e.base) if type(b) is Fraction else b
+                if mpf_eq(bt, fzero) and x < 0:
+                    raise DomainError("zero base with negative exponent")
+                if x.denominator == 1:
+                    t = mpf_pow_int(bt, x.numerator, prec, rnd)
+                elif mpf_lt(bt, fzero):
+                    raise DomainError("negative base with fractional exponent")
+                else:
+                    t = mpf_pow(bt, self._round(x), prec, rnd)
+                mg = mpf_abs(t, prec, rnd)
+                out = (t, mg if mpf_gt(mg, bm) else bm)
         else:
             f = _MPF_FUNCS.get(cls)
             if f is None:
                 raise TypeError(f"cannot evaluate {e!r}")
-            cv, ct, cm = walk(e.child)
+            c = walk(e.child)
+            ct, cm = self._settled(e.child) if type(c) is Fraction else c
             if cls is Log and not mpf_gt(ct, fzero):
                 raise DomainError("log of non-positive value")
             # a Fraction just above the bound may round onto it: compare it exactly
-            if cls is Exp and (abs(cv) > MAX_EXP_ARG if type(cv) is Fraction
+            if cls is Exp and (abs(c) > MAX_EXP_ARG if type(c) is Fraction
                                else mpf_gt(mpf_abs(ct, prec, rnd), _MAX_EXP_MPF)):
                 raise DomainError("exp argument too large")
             t = f(ct, prec, rnd)
             mg = mpf_abs(t, prec, rnd)
-            out = (t, t, mg if mpf_gt(mg, cm) else cm)
+            out = (t, mg if mpf_gt(mg, cm) else cm)
         self._memo[e] = out
         return out
 

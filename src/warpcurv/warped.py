@@ -371,7 +371,10 @@ def block_actions(spec):
 
 
 def _base_scalar(spec, val, what):
-    e = _as_expr(val, assemble_product(spec).coords, tuple(spec.params))
+    try:
+        e = _as_expr(val, assemble_product(spec).coords, tuple(spec.params))
+    except ChartError as err:
+        raise ChartError(f"{what}: {err}") from None
     bad = ex.free_coords(e) - set(spec.base.coords)
     if bad:
         raise ValueError(f"{what} may only use base coordinates, found {sorted(bad)}")

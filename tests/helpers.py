@@ -1,8 +1,10 @@
 """Shared test utilities: random expression trees and symmetry-orbit tables."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import mpmath
 
@@ -743,3 +745,12 @@ def index_symmetries6():
             pairs[0], pairs[1] = pairs[1], pairs[0]
         out.append((tuple(i for pr in pairs for i in pr), (-1) ** (s1 + s2 + s3)))
     return out
+
+
+def perfbench_module(name):
+    """A module of the repository's perfbench directory, e.g. "swell"."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,7 @@
 """Manifest grammar, command reports, exit codes, and bundled fixtures."""
 
 import hashlib
+import io
 import itertools
 import json
 import shutil
@@ -333,6 +334,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--L1", "foo"), ("--L2", "1/(")])
+def test_warped_verify_malformed_candidate_names_manifest(capsys, flag, value):
+    # a parse error carries the manifest path and the candidate's name, as
+    # a candidate naming a fiber coordinate does
+    path = fixture_path("ex2_warped.mf")
+    assert main(["warped-verify", path, flag, value, "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {flag[2:]}: bad expression "
+                          f"{value!r}: ")
+    assert "Traceback" not in err
+    assert main(["warped-verify", path, flag, "x2", "--points", "2"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: {flag[2:]} may only use base coordinates")
+
+
 def test_main_deep_nesting_is_input_error(tmp_path, capsys):
     depth = 40000
     path = _write(tmp_path, "deep.mf", "[chart]\ncoords = x1\ng 1 1 = "
@@ -545,6 +561,97 @@ def test_curvature_json_bytes_pinned(tmp_path, capsys, name):
                  "--json", str(out_file)]) == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == CURVATURE_JSON_SHA256[name]
+
+
+def _written(v):
+    buf = io.StringIO()
+    cli.write_json(v, buf)
+    return buf.getvalue()
+
+
+def _dumped(v):
+    return json.dumps(v, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_json_writer_matches_json_dumps_on_reports(name):
+    path = fixture_path(name)
+    reps = [curvature_report(path, seed=7, points=2)[1],
+            classify_report(path, seed=7, points=2)[1]]
+    if load_manifest(path).kind == "warped":
+        reps.append(warped_verify_report(path, seed=7, points=2)[1])
+    for rep in reps:
+        assert _written(rep) == _dumped(rep)
+
+
+def test_json_writer_matches_json_dumps_on_random_values():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # printable ASCII, which json keeps as it is, mixed with what it escapes:
+    # quote, backslash, control characters, DEL, non-ASCII and astral
+    # characters
+    special = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x80",
+                               "\u00e9", "\u2028", "\U0001F600", " ", "~"])
+    plain = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+    text = st.text(st.one_of(plain, special, st.characters()), max_size=8)
+    scalars = st.one_of(text, st.integers(), st.booleans())
+    values = st.recursive(
+        scalars, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                         st.dictionaries(text, inner,
+                                                         max_size=4)),
+        max_leaves=24)
+
+    @hyp.settings(max_examples=150, derandomize=True, deadline=None)
+    @hyp.given(values)
+    def check(v):
+        assert _written(v) == _dumped(v)
+
+    check()
+    # each escaped character alone and between plain ones
+    for c in ('"', "\\", "\x00", "\x1f", "\x7f", "\x80", "\u00e9", "\U0001F600"):
+        for v in (c, "a" + c + "b", ["x", {"k" + c: "a" + c}]):
+            assert _written(v) == _dumped(v)
+    # strings longer than the writer joins, plain and escaped
+    long = "x1*" * 30000
+    for v in ({"a": long, "b": [long + '"', 1, long]}, [long], long):
+        assert _written(v) == _dumped(v)
+
+
+def test_curvature_json_escapes_the_manifest_name(tmp_path, capsys):
+    name = 'q"uo\\te \u00e9.mf'
+    path = tmp_path / name
+    shutil.copy(fixture_path("sphere2.mf"), path)
+    out_file = tmp_path / "r.json"
+    assert main(["curvature", str(path), "--json", str(out_file)]) == 0
+    raw = out_file.read_bytes()
+    rep = json.loads(raw)
+    assert rep["manifest"]["file"] == name
+    assert raw == _dumped(rep).encode()
+    assert b'"file": "q\\"uo\\\\te \\u00e9.mf"' in raw
+    assert f"curvature report: {name} " in capsys.readouterr().out
+
+
+# sha256 of stdout and of `curvature --json` on the benchmark's swell charts
+# (perfbench/swell.py) at seed 7, the manifests named swell<n>.mf; fixed
+# when reports were written whole, before the writer took them piece by piece
+SWELL_SHA256 = {
+    3: ("99b92c90c185e3b46dd7a632d667af785fb4fcc15f7c22e4177e5979b397fa5e",
+        "943ece8c048c48f48261a69f141af78bf57436ef17ad7170e49acf36223ad717"),
+    4: ("4fd01b78f791b1b29e347947f9291968f25e51be48db4a793aeaf6b51f01d30a",
+        "ee33f497796073aa6889d5562b2010e989a812b80d2e1bd9075bfc26dd97c8fc"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SWELL_SHA256))
+def test_curvature_swell_bytes_pinned(tmp_path, capsys, n):
+    swell = helpers.perfbench_module("swell")
+    path = _write(tmp_path, f"swell{n}.mf", swell.manifest_text(n, 7))
+    out_file = tmp_path / "r.json"
+    assert main(["curvature", path, "--seed", "7",
+                 "--json", str(out_file)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(stdout).hexdigest(),
+            hashlib.sha256(out_file.read_bytes()).hexdigest()) == SWELL_SHA256[n]
 
 
 @pytest.mark.parametrize("name,points", sorted(CLASSIFY_JSON_SHA256))

@@ -214,7 +214,9 @@ def test_undeclared_candidate_rejected_before_evaluation(ex2_c, monkeypatch):
     def no_eval(self, e):
         raise AssertionError("evaluated before the candidate was checked")
 
+    # every evaluation walks the tree; eval and exact zeros skip eval_scaled
     monkeypatch.setattr(ex.PointEval, "eval_scaled", no_eval)
+    monkeypatch.setattr(ex.PointEval, "_walk", no_eval)
     bad = ex.mul(ex.Coord("y9"), ex.Coord("x1"))
     with pytest.raises(ChartError, match="y9"):
         check_identity("R.R = L1 Q(g,R)", b, {"L1": bad})

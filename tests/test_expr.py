@@ -563,7 +563,8 @@ def test_judge_independent_of_ambient_precision():
 
 
 def test_judge_calls_eval_scaled_once(monkeypatch):
-    # the trace wraps eval_scaled, so each judge must go through it once
+    # the trace wraps eval_scaled, so a judge that reads a value's scale
+    # goes through it once; an exact 0 is zero at every scale and skips it
     calls = []
     original = ex.PointEval.eval_scaled
 
@@ -573,11 +574,14 @@ def test_judge_calls_eval_scaled_once(monkeypatch):
 
     monkeypatch.setattr(ex.PointEval, "eval_scaled", counting)
     pe = ex.PointEval({"x1": Fraction(1, 3), "x2": Fraction(3, 2)})
-    for e in (p("x1 - 1/3"), p("x1*x2 + 1"), p("exp(x1) - 1"),
-              p("sin(x1)^2 + cos(x1)^2 - 1"), p("x1 - 1/3")):
+    for text, scaled in (("x1 - 1/3", False), ("x1*x2 + 1", True),
+                         ("exp(x1) - 1", True),
+                         ("sin(x1)^2 + cos(x1)^2 - 1", True),
+                         ("x1 - 1/3", False), ("x1*x2 - 1/2", False)):
+        e = p(text)
         calls.clear()
         pe.judge(e)
-        assert calls == [e]
+        assert calls == ([e] if scaled else []), text
 
 
 # ------------------------------------------- tuple kernel vs mpf evaluator
@@ -649,6 +653,70 @@ def test_tuple_kernel_matches_mpf_evaluator(dps):
                 assert got[1]._mpf_ == want[1]._mpf_, e
                 assert _same_number(new.judge(e), ref.judge(e)), e
     assert defined > 500 and undefined > 20
+
+
+@pytest.mark.parametrize("dps", [50, 60])
+def test_tuple_kernel_matches_mpf_evaluator_in_either_visit_order(dps):
+    # rational subtrees are rounded only when their scale is read: roots
+    # judged or evaluated first leave their subtrees unrounded, and a
+    # subtree rounded later, or first, must give the same bits either way
+    rng = random.Random(100 + dps)
+    checked = 0
+    for _ in range(12):
+        nodes = _pool_trees(rng)
+        for pt in helpers.rational_points(rng, XY, 2):
+            pt["a"] = Fraction(rng.randint(-5, 5), 3)
+            ref = helpers.MpfPointEval(pt, dps)
+            want = {e: _outcome(ref, "eval_scaled", e) for e in nodes}
+            roots_first, subtrees_first = (ex.PointEval(pt, dps),
+                                           ex.PointEval(pt, dps))
+            for e in reversed(nodes):
+                judged = _outcome(roots_first, "judge", e)
+                value = _outcome(roots_first, "eval", e)
+                if want[e] == "DomainError":
+                    assert judged == value == "DomainError", e
+                    continue
+                assert _same_number(judged, ref.judge(e)), e
+                assert _same_number(value, want[e][0]), e
+            for e in nodes:
+                for pe in (roots_first, subtrees_first):
+                    got = _outcome(pe, "eval_scaled", e)
+                    if want[e] == "DomainError":
+                        assert got == "DomainError", e
+                        continue
+                    assert _same_number(got[0], want[e][0]), e
+                    assert got[1]._mpf_ == want[e][1]._mpf_, e
+                    checked += 1
+            for e in reversed(nodes):
+                if want[e] != "DomainError":
+                    assert _same_number(subtrees_first.judge(e), ref.judge(e)), e
+                    assert _same_number(subtrees_first.eval(e), want[e][0]), e
+    assert checked > 1000
+
+
+def test_judging_a_flat_rational_chart_rounds_nothing(monkeypatch):
+    # every R and S component and kappa of the pulled-back chart is an
+    # exact 0 at a rational point, so no judge reads a scale and nothing is
+    # rounded
+    b = bundle(_pullback_chart())
+    comps = [e for e in b.R.flatten() + b.S.flatten() + [b.kappa]
+             if not ex.is_literal_zero(e)]
+    assert len(comps) > 10
+    rounded = []
+    original = ex.PointEval._round
+
+    def counting(self, v):
+        rounded.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(ex.PointEval, "_round", counting)
+    for pt in b.chart.sample_points(3, 7):
+        pe = ex.PointEval(pt)
+        assert all(pe.judge(e) == 0 for e in comps)
+    assert rounded == []
+    # the counter sees a judge that reads a scale
+    ex.PointEval({"x1": Fraction(1, 3)}).judge(p("x1 + 1"))
+    assert rounded
 
 
 DOMAIN_CASES = [
