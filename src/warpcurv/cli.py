@@ -263,6 +263,27 @@ def _ptstr(pt, coords):
     return {c: str(pt[c]) for c in coords}
 
 
+def _text(m, name, e):
+    """The `ex.Text` of expression `e`, which the report calls `name`; an
+    expression whose text exceeds the printing budget is refused as input."""
+    try:
+        return ex.to_pieces(e)
+    except ex.PrintBudgetError as err:
+        raise ManifestError(f"{m.path}: {name}: {err}") from None
+
+
+def joined(v):
+    """The report value `v` with every `ex.Text` in it joined into a str:
+    the value that its `--json` text encodes."""
+    if isinstance(v, ex.Text):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: joined(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [joined(x) for x in v]
+    return v
+
+
 def _resolve_seed(m, seed):
     if seed is not None:
         return seed
@@ -305,11 +326,11 @@ def curvature_report(path, seed=None, points=8):
     nz_r, nz_s = {}, {}
     # (table, key, component), zero-tested in one batch; each sample point
     # has one evaluator, which then gives the kappa sample
-    comps = [(nz_r, " ".join(str(i + 1) for i in t), b.R.comp(t))
+    comps = [(nz_r, "R", " ".join(str(i + 1) for i in t), b.R.comp(t))
              for t in orbit_reps(n, 4)]
-    comps += [(nz_s, f"{i + 1} {j + 1}", b.S.comps[i][j])
+    comps += [(nz_s, "S", f"{i + 1} {j + 1}", b.S.comps[i][j])
               for i in range(n) for j in range(i, n)]
-    test = ex.ZeroTest([e for _, _, e in comps])
+    test = ex.ZeroTest([e for *_, e in comps])
     samples = []
     for pt in chart.sample_points(points, seed):
         pe = PointEval(pt)
@@ -318,12 +339,12 @@ def curvature_report(path, seed=None, points=8):
             samples.append(_numstr(pe.eval(b.kappa)))
         except DomainError:
             samples.append("undefined")
-    for (table, key, e), z in zip(comps, test.result()):
+    for (table, name, key, e), z in zip(comps, test.result()):
         if not z:
-            table[key] = str(e)
+            table[key] = _text(m, f"{name}[{key}]", e)
     rep["command"] = "curvature"
     rep["curvature"] = {
-        "kappa": str(b.kappa),
+        "kappa": _text(m, "kappa", b.kappa),
         "kappa_samples": samples,
         "nonzero_R": nz_r,
         "nonzero_S": nz_s,
@@ -430,15 +451,16 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     L2 = L2 if L2 is not None else (m.L2 or "0")
     rep["command"] = "warped-verify"
     rep["p"], rep["q"] = spec.p, spec.q
-    rep["warp"] = str(spec.f)
+    rep["warp"] = _text(m, "warp", spec.f)
     rep["L1"], rep["L2"] = L1, L2
     aux = auxiliaries(spec)
+    T = {f"{a + 1} {c + 1}": aux.T.comps[a][c]
+         for a in range(spec.p) for c in range(a, spec.p)}
     rep["auxiliaries"] = {
-        "T": {f"{a + 1} {c + 1}": str(aux.T.comps[a][c])
-              for a in range(spec.p) for c in range(a, spec.p)},
-        "trT": str(aux.trT),
-        "Delta": str(aux.Delta),
-        "Omega": str(aux.Omega),
+        "T": {key: _text(m, f"T[{key}]", e) for key, e in T.items()},
+        "trT": _text(m, "trT", aux.trT),
+        "Delta": _text(m, "Delta", aux.Delta),
+        "Omega": _text(m, "Omega", aux.Omega),
     }
     b = bundle(chart)
     curv = block_curvature(spec)
@@ -471,8 +493,10 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
         l2e = _base_scalar(spec, L2, "L2")
     except (ChartError, ValueError) as err:
         raise ManifestError(f"{m.path}: {err}") from None
-    conds["witnesses"] = {k: {"index": list(v["index"]), "defect": v["defect"]}
-                          for k, v in conds["witnesses"].items()}
+    conds["witnesses"] = {
+        k: {"index": list(v["index"]),
+            "defect": _text(m, f"condition ({k}) witness defect", v["defect"])}
+        for k, v in conds["witnesses"].items()}
     rep["conditions"] = conds
     tri = trichotomy_report(spec, L1, trials=points, seed=seed)
     rep["trichotomy"] = {
@@ -517,13 +541,13 @@ def selftest_report(seed=DEFAULT_SEED):
         code, rep = curvature_report(fixture_path("flat.mf"), seed=seed,
                                      points=3)
         return (code == 0 and rep["curvature"]["flat"],
-                "kappa = " + rep["curvature"]["kappa"])
+                "kappa = " + str(rep["curvature"]["kappa"]))
 
     def fiber_kappa():
         code, rep = curvature_report(fixture_path("ex1_fiber.mf"), seed=seed,
                                      points=3)
         chart = build_chart(load_manifest(fixture_path("ex1_fiber.mf")))
-        k = ex.parse(rep["curvature"]["kappa"], coords=chart.coords)
+        k = ex.parse(str(rep["curvature"]["kappa"]), coords=chart.coords)
         return (code == 0 and chart.is_zero(ex.sub(k, ex.const(-12)),
                                             seed=seed),
                 "scalar curvature equals -12")
@@ -576,6 +600,7 @@ def selftest_report(seed=DEFAULT_SEED):
         buf = io.StringIO()
         write_json(rep, buf)
         blob = buf.getvalue()
+        rep = joined(rep)
         stable = (blob == json.dumps(rep, sort_keys=True, indent=2) + "\n"
                   and json.loads(blob) == rep)
         return stable, "emit-parse-emit stable"
@@ -606,9 +631,10 @@ def selftest_report(seed=DEFAULT_SEED):
 
 
 def _render(code, rep):
-    """The text report as pieces to write in order, each line ending in a
-    newline.  Kappa and the R/S component texts, which can run to megabytes,
-    are pieces of their own, so no line that holds them is ever built."""
+    """The text report as str pieces to write in order, each line ending in
+    a newline.  The pieces of kappa, the R/S components and the warp, whose
+    texts can run to megabytes, go in as they are, so no line that holds
+    them is ever built."""
     out = []
 
     def line(*pieces):
@@ -620,18 +646,18 @@ def _render(code, rep):
         c = rep["curvature"]
         line(f"curvature report: {rep['manifest']['file']} "
              f"({rep['kind']}, n = {rep['n']})")
-        line("kappa = ", c["kappa"])
+        line("kappa = ", *c["kappa"])
         line("kappa samples: " + ", ".join(c["kappa_samples"]))
         if c["flat"]:
             line("all curvature components zero")
         else:
             line("nonzero R components (orbit representatives):")
             for key in sorted(c["nonzero_R"]):
-                line(f"  R[{key}] = ", c["nonzero_R"][key])
+                line(f"  R[{key}] = ", *c["nonzero_R"][key])
             if c["nonzero_S"]:
                 line("nonzero S components:")
                 for key in sorted(c["nonzero_S"]):
-                    line(f"  S[{key}] = ", c["nonzero_S"][key])
+                    line(f"  S[{key}] = ", *c["nonzero_S"][key])
     elif cmd == "classify":
         line(f"classify report: {rep['manifest']['file']} "
              f"({rep['kind']}, n = {rep['n']})")
@@ -659,7 +685,7 @@ def _render(code, rep):
     elif cmd == "warped-verify":
         line(f"warped-verify report: {rep['manifest']['file']} "
              f"(p = {rep['p']}, q = {rep['q']}, n = {rep['n']})")
-        line(f"warp f = {rep['warp']}")
+        line("warp f = ", *rep["warp"])
         line(f"candidates: L1 = {rep['L1']}, L2 = {rep['L2']}")
         line("fiber relabeling: " + ", ".join(
             f"{k} -> {v}" for k, v in rep["fiber_map"].items()))
@@ -709,41 +735,76 @@ def _invalid_note(v):
 
 # printable ASCII but '"' and '\\': a string of only these is its own JSON
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-_JOIN_BELOW = 1 << 16  # characters; see write_json
+_JOIN_BELOW = 1 << 16  # characters; see _write_pieces
 
 
-def _json_pieces(v, out, indent="\n"):
-    """Append to `out` the pieces of `json.dumps(v, sort_keys=True,
+def _slices(s):
+    """The slices of at most _JOIN_BELOW characters that make up `s`."""
+    return (s[i:i + _JOIN_BELOW] for i in range(0, len(s), _JOIN_BELOW))
+
+
+def _is_plain(s):
+    """Whether JSON keeps `s` as it is, checked slice by slice so that a
+    long `s` is never encoded whole."""
+    if len(s) <= _JOIN_BELOW:
+        return s.isascii() and not s.encode("ascii").translate(None, _PLAIN)
+    return s.isascii() and not any(
+        c.encode("ascii").translate(None, _PLAIN) for c in _slices(s))
+
+
+def _json_text(pieces, out, memo):
+    """Append to `out` the pieces of the JSON string of the text `pieces`.
+    A plain piece goes in by reference; any other is escaped slice by slice,
+    which is the same as escaping the whole text, since JSON escapes each
+    character on its own.  `memo` maps the id of each piece seen to what it
+    became, so a piece shared by many uses is checked once."""
+    out.append('"')
+    for p in pieces:
+        done = memo.get(id(p))
+        if done is None:
+            done = memo[id(p)] = ((p,) if _is_plain(p)
+                                  else [json.dumps(c)[1:-1] for c in _slices(p)])
+        out += done
+    out.append('"')
+
+
+def _json_pieces(v, out, memo, indent="\n"):
+    """Append to `out` the pieces of `json.dumps(joined(v), sort_keys=True,
     indent=2)` for a report value: dicts with string keys, lists, strings,
-    ints and bools.  A string that JSON keeps as it is is quoted by hand,
-    and one of _JOIN_BELOW characters or more goes in as a piece of its own
-    between quotes, so a long kappa is neither escaped nor copied; any other
-    string or value goes through `json.dumps`."""
+    `ex.Text`s, ints and bools.  A string or Text of _JOIN_BELOW characters
+    or more is quoted by `_json_text`, neither copied nor joined; a shorter
+    Text is joined, and a shorter string is quoted by hand when JSON keeps
+    it as it is; any other string or value goes through `json.dumps`."""
     if isinstance(v, str):
-        if not (v.isascii() and not v.encode("ascii").translate(None, _PLAIN)):
-            out.append(json.dumps(v))
-        elif len(v) < _JOIN_BELOW:
+        if len(v) >= _JOIN_BELOW:
+            _json_text((v,), out, memo)
+        elif _is_plain(v):
             out.append('"' + v + '"')
         else:
-            out += ('"', v, '"')
+            out.append(json.dumps(v))
     elif v is True or v is False:
         out.append("true" if v else "false")
     elif type(v) is int:
         out.append(repr(v))
+    elif isinstance(v, ex.Text):
+        if sum(map(len, v)) < _JOIN_BELOW:
+            _json_pieces(str(v), out, memo)
+        else:
+            _json_text(v, out, memo)
     elif isinstance(v, (dict, list, tuple)) and v:
         inner = indent + "  "
         if isinstance(v, dict):
             sep = "{" + inner
             for k in sorted(v):
                 out.append(sep + json.dumps(k) + ": ")
-                _json_pieces(v[k], out, inner)
+                _json_pieces(v[k], out, memo, inner)
                 sep = "," + inner
             out.append(indent + "}")
         else:
             sep = "[" + inner
             for x in v:
                 out.append(sep)
-                _json_pieces(x, out, inner)
+                _json_pieces(x, out, memo, inner)
                 sep = "," + inner
             out.append(indent + "]")
     else:
@@ -751,21 +812,31 @@ def _json_pieces(v, out, indent="\n"):
     return out
 
 
-def write_json(rep, fh):
-    """Write `json.dumps(rep, sort_keys=True, indent=2) + "\\n"` to the text
-    file `fh`, piece by piece; see `_json_pieces` for the value types.
-    Pieces shorter than _JOIN_BELOW are joined into one write, since a
-    write per piece costs more than copying a short piece."""
-    run = []
-    for piece in _json_pieces(rep, []):
-        if len(piece) < _JOIN_BELOW:
-            run.append(piece)
-        else:
+def _write_pieces(pieces, fh):
+    """Write the str `pieces` to the text file `fh` in order.  Runs of short
+    pieces are joined into writes of at most _JOIN_BELOW characters, since
+    a write per piece costs more than copying a short piece, and a longer
+    piece is written in slices of _JOIN_BELOW characters, so that no long
+    text is ever joined or encoded whole."""
+    run, size = [], 0
+    for p in pieces:
+        if size + len(p) > _JOIN_BELOW:
             fh.write("".join(run))
-            fh.write(piece)
-            run = []
-    run.append("\n")
+            run, size = [], 0
+            if len(p) > _JOIN_BELOW:
+                for c in _slices(p):
+                    fh.write(c)
+                continue
+        run.append(p)
+        size += len(p)
     fh.write("".join(run))
+
+
+def write_json(rep, fh):
+    """Write `json.dumps(joined(rep), sort_keys=True, indent=2) + "\\n"` to
+    the text file `fh`, piece by piece; see `_json_pieces` for the value
+    types."""
+    _write_pieces(_json_pieces(rep, [], {}) + ["\n"], fh)
 
 
 def _json_arg(sp):
@@ -826,7 +897,7 @@ def main(argv=None):
     except (ManifestError, ChartError, ex.ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    sys.stdout.writelines(_render(code, rep))
+    _write_pieces(_render(code, rep), sys.stdout)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             write_json(rep, fh)

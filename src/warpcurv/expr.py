@@ -47,6 +47,16 @@ also owns the mpmath contexts, the single Fraction-to-mpf conversion
 (`to_mpf`, at any context `_as_mpf`) and the single literal-zero predicate
 (`is_literal_zero`).  Parsed text is capped at MAX_NESTING levels, counting
 both parentheses and chained divisions.
+
+Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
+pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
+The text grows with `e` expanded as a tree, which can be exponentially
+larger than its DAG.  So one pass over the DAG first counts each node's
+parents and the size of the expanded tree, and a tree of more than
+MAX_PRINTED_NODES nodes raises `PrintBudgetError` before any piece is made.
+A node with several parents is then rendered once, joined into one str
+once, and that same str object is the piece at each of its uses, so the
+pieces number O(DAG) and each shared text is held once, not once per use.
 """
 
 from __future__ import annotations
@@ -70,6 +80,7 @@ DPS = 50  # significant digits of every evaluation and verdict
 _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
+MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 _CONTEXTS = {}
 _NODES = {}  # intern key -> KeyedRef of the live node; see Expr
@@ -111,6 +122,15 @@ class DomainError(ExprError):
 
 class InconclusiveError(ExprError):
     pass
+
+
+class PrintBudgetError(ExprError):
+    """An expression whose text would exceed MAX_PRINTED_NODES tree nodes."""
+
+    def __init__(self, size):
+        super().__init__(f"printed form would have {size} tree nodes, over the "
+                         f"budget of {MAX_PRINTED_NODES} (MAX_PRINTED_NODES)")
+        self.size = size
 
 
 # ---------------------------------------------------------------------------
@@ -632,140 +652,211 @@ def _children(e):
     return ()
 
 
-class _Renderer:
-    """Renders one tree for one to_str call, each distinct node once.
+def _shape(root):
+    """(parents, size): the parent count of each non-leaf node below `root`
+    and the number of nodes of `root` expanded as a tree.
 
-    `_text(e)` is the text of a non-leaf node, except that a Neg's text is
-    its operand as a negated term shows it, without the '-'.  Rendering a
-    parent asks for the text of each of its non-leaf children exactly once,
-    so the text of a node with k parents is kept in the memo from its first
-    use until the k-th, then dropped.
+    One iterative post-order pass over the distinct nodes: a node is
+    expanded once, when first popped, and its size is summed from its
+    children's once they are done, so the pass is O(DAG) however large the
+    tree it stands for.
+    """
+    parents = {}
+    size = {}
+    stack = [(root, False)]
+    while stack:
+        e, done = stack.pop()
+        if done:
+            n = 1
+            for c in _children(e):
+                n += size.get(c, 1)  # a leaf is one node and is not entered
+            size[e] = n
+        elif e not in size:
+            stack.append((e, True))
+            for c in _children(e):
+                if not isinstance(c, _LEAVES):
+                    parents[c] = parents.get(c, 0) + 1
+                    stack.append((c, False))
+    return parents, size[root]
+
+
+class Text(tuple):
+    """An expression's text as a tuple of str pieces; `str(t)` joins them.
+
+    A piece may be shared, by reference, with other positions of the same
+    Text (see `to_pieces`), so a Text is read by iterating its pieces, and
+    joined only where the whole text is wanted as one string.
     """
 
-    def __init__(self, root):
-        parents = {}
-        stack = [root]
-        while stack:
-            for c in _children(stack.pop()):
-                if isinstance(c, _LEAVES):
-                    continue
-                if c in parents:
-                    parents[c] += 1
-                else:
-                    parents[c] = 1
-                    stack.append(c)
-        self._uses_left = {k: v for k, v in parents.items() if v > 1}
+    __slots__ = ()
+
+    def __str__(self):
+        return "".join(self)
+
+
+class _Printer:
+    """Appends the pieces of one tree's text to output lists, for to_pieces.
+
+    `_text(e, out)` appends the text of a non-leaf node, except that a
+    Neg's text is its operand as a negated term shows it, without the '-'.
+    A node with several parents is rendered once into a list of its own,
+    joined once, and then appended by reference at each of its uses; the
+    memo keeps its text from the first use until the last, then drops it.
+    Any other node is rendered straight into its parent's list.
+    """
+
+    def __init__(self, parents):
+        self._uses_left = {c: k for c, k in parents.items() if k > 1}
         self._memo = {}
 
-    def _text(self, e):
+    def _text(self, e, out):
         left = self._uses_left.get(e)
         if left is None:
-            return self._render(e)
+            self._render(e, out)
+            return
         if left == 1:
             del self._uses_left[e]
-            return self._memo.pop(e)
+            out.append(self._memo.pop(e))
+            return
         self._uses_left[e] = left - 1
         s = self._memo.get(e)
         if s is None:
-            s = self._memo[e] = self._render(e)
-        return s
+            sub = []
+            self._render(e, sub)
+            s = self._memo[e] = "".join(sub)
+        out.append(s)
 
-    def _render(self, e):
+    def _render(self, e, out):
         if isinstance(e, Neg):
             c = e.child
-            return "(" + self._text(c) + ")" if isinstance(c, Add) else self._fmt_atom(c)
-        if isinstance(e, Add):
-            return self._fmt_terms(e)
-        return self._fmt_compound(e)
+            if isinstance(c, Add):
+                self._paren(c, out)
+            else:
+                self._atom(c, out)
+        elif isinstance(e, Add):
+            self._terms(e, out)
+        else:
+            self._compound(e, out)
 
-    def _fmt_sum(self, e):
-        if isinstance(e, Add):
-            return self._text(e)
-        return self._fmt_signed_term(e)
+    def _paren(self, e, out):
+        out.append("(")
+        self._sum(e, out)
+        out.append(")")
 
-    def _fmt_atom(self, e):
+    def _sum(self, e, out):
+        if isinstance(e, Add):
+            self._text(e, out)
+        else:
+            self._signed_term(e, out)
+
+    def _atom(self, e, out):
         if isinstance(e, Const):
-            return _fmt_number(e.value)
-        if isinstance(e, (Coord, Param)):
-            return e.name
-        if isinstance(e, (Add, Neg)):
-            raise TypeError(f"unexpected node in factor position: {e!r}")
-        return self._text(e)
+            out.append(_fmt_number(e.value))
+        elif isinstance(e, (Coord, Param)):
+            out.append(e.name)
+        elif isinstance(e, (Add, Neg)):
+            raise TypeError(f"unexpected node in factor position: {type(e).__name__}")
+        else:
+            self._text(e, out)
 
-    def _fmt_factor(self, f, first):
+    def _factor(self, f, first, out):
         if _needs_parens_as_factor(f, first):
-            return "(" + self._fmt_sum(f) + ")"
-        return self._fmt_atom(f)
+            self._paren(f, out)
+        else:
+            self._atom(f, out)
 
-    def _fmt_compound(self, e):
+    def _compound(self, e, out):
         if isinstance(e, _Func):
-            return f"{e.fname}({self._fmt_sum(e.child)})"
-        if isinstance(e, Pow):
-            return self._fmt_pow(e)
-        if isinstance(e, Mul):
-            return "*".join(self._fmt_factor(f, i == 0) for i, f in enumerate(e.factors))
-        if isinstance(e, Div):
-            return self._fmt_div(e)
-        raise TypeError(f"unexpected node in factor position: {e!r}")
+            out.append(e.fname)
+            self._paren(e.child, out)
+        elif isinstance(e, Pow):
+            self._pow(e, out)
+        elif isinstance(e, Mul):
+            first = True
+            for f in e.factors:
+                if not first:
+                    out.append("*")
+                self._factor(f, first, out)
+                first = False
+        elif isinstance(e, Div):
+            self._div(e, out)
+        else:
+            raise TypeError(f"unexpected node in factor position: {type(e).__name__}")
 
-    def _fmt_pow(self, e):
+    def _pow(self, e, out):
         b = e.base
         if isinstance(b, (Add, Mul, Div, Neg, Pow)) or (
             isinstance(b, Const) and (b.value < 0 or b.value.denominator != 1)
         ):
-            bs = "(" + self._fmt_sum(b) + ")"
+            self._paren(b, out)
         else:
-            bs = self._fmt_atom(b)
+            self._atom(b, out)
         exp = e.exponent
         if exp.denominator == 1 and exp >= 0:
-            return f"{bs}^{exp.numerator}"
-        return f"{bs}^({_fmt_number(exp)})"
+            out.append(f"^{exp.numerator}")
+        else:
+            out.append(f"^({_fmt_number(exp)})")
 
-    def _fmt_div(self, e):
+    def _div(self, e, out):
         left = e.num
         if isinstance(left, (Add, Neg)) or (isinstance(left, Const) and left.value < 0):
-            ls = "(" + self._fmt_sum(left) + ")"
+            self._paren(left, out)
         else:
-            ls = self._fmt_atom(left)
+            self._atom(left, out)
+        out.append("/")
         right = e.den
-        naked = (
-            isinstance(right, (Coord, Param, _Func, Pow))
-            or (isinstance(right, Const) and right.value >= 0 and right.value.denominator == 1)
-        )
-        rs = self._fmt_atom(right) if naked else "(" + self._fmt_sum(right) + ")"
-        return f"{ls}/{rs}"
+        if (isinstance(right, (Coord, Param, _Func, Pow))
+                or (isinstance(right, Const) and right.value >= 0
+                    and right.value.denominator == 1)):
+            self._atom(right, out)
+        else:
+            self._paren(right, out)
 
-    def _fmt_signed_term(self, t):
-        """Render a term in leading position; leading '-' applies to the whole term."""
+    def _signed_term(self, t, out):
+        """A term in leading position; a leading '-' applies to the whole term."""
         if isinstance(t, Neg):
-            return "-" + self._text(t)
-        if isinstance(t, Const) and t.value < 0:
-            return "-" + _fmt_number(-t.value)
-        if isinstance(t, Add):
-            return "(" + self._text(t) + ")"
-        return self._fmt_atom(t)
+            out.append("-")
+            self._text(t, out)
+        elif isinstance(t, Const) and t.value < 0:
+            out.append("-" + _fmt_number(-t.value))
+        elif isinstance(t, Add):
+            self._paren(t, out)
+        else:
+            self._atom(t, out)
 
-    def _fmt_terms(self, e):
-        parts = [self._fmt_signed_term(e.terms[0])]
-        for t in e.terms[1:]:
+    def _terms(self, e, out):
+        terms = e.terms
+        self._signed_term(terms[0], out)
+        for t in terms[1:]:
             if isinstance(t, Neg):
-                parts.append(" - " + self._text(t))
+                out.append(" - ")
+                self._text(t, out)
             elif isinstance(t, Const) and t.value < 0:
-                parts.append(" - " + _fmt_number(-t.value))
+                out.append(" - " + _fmt_number(-t.value))
             else:
-                parts.append(" + " + self._fmt_signed_term(t))
-        return "".join(parts)
+                out.append(" + ")
+                self._signed_term(t, out)
+
+
+def to_pieces(e):
+    """The text of `e` as a `Text`; it parses back to an equal tree.
+
+    Raises `PrintBudgetError`, before any piece is made, when `e` expanded
+    as a tree has more than MAX_PRINTED_NODES nodes.  A node with several
+    parents is one piece, the same str object at each of its uses, so the
+    pieces number O(DAG) however long the text.
+    """
+    parents, size = _shape(e)
+    if size > MAX_PRINTED_NODES:
+        raise PrintBudgetError(size)
+    out = []
+    _Printer(parents)._sum(e, out)
+    return Text(out)
 
 
 def to_str(e):
-    """The text of `e`; it parses back to an equal tree.
-
-    The renderer first counts the parents of every distinct node, then walks
-    each distinct node once: the text of a node with several parents is
-    memoized from its first use and dropped after its last parent's, and
-    the renderer and its memo live only for this call.
-    """
-    return _Renderer(e)._fmt_sum(e)
+    """The text of `e` as one str: `to_pieces(e)` joined."""
+    return "".join(to_pieces(e))
 
 
 # ---------------------------------------------------------------------------

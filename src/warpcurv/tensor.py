@@ -32,8 +32,15 @@ class ChartError(Exception):
 
 
 def excerpt(text):
-    """`text`, cut to 70 characters ending in '...' when it is longer."""
-    return text if len(text) <= 70 else text[:67] + "..."
+    """`text`, a str or an `expr.Text` of pieces, as a str cut to 70
+    characters ending in '...' when it is longer; only the pieces that the
+    cut reaches are read."""
+    head = ""
+    for piece in (text,) if isinstance(text, str) else text:
+        head += piece[:71 - len(head)]
+        if len(head) > 70:
+            return head[:67] + "..."
+    return head
 
 
 def point_str(pt, coords):

@@ -410,7 +410,7 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
             k = flags.index(False)
             out["witnesses"][name] = {
                 "index": tuple(i + 1 for i in tuples[k]),
-                "defect": str(exprs[k]),
+                "defect": exprs[k],
             }
 
     # Each list is in the order of the dense loop over its block, keeping

@@ -687,7 +687,7 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
             k = flags.index(False)
             out["witnesses"][name] = {
                 "index": tuple(i + 1 for i in tuples[k]),
-                "defect": str(exprs[k]),
+                "defect": exprs[k],
             }
 
     tup = list(iproduct(range(p), repeat=6))

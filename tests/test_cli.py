@@ -215,14 +215,14 @@ def test_curvature_flat():
     assert code == 0
     assert rep["curvature"]["flat"] is True
     assert rep["curvature"]["nonzero_R"] == {}
-    assert rep["curvature"]["kappa"] == "0"
+    assert str(rep["curvature"]["kappa"]) == "0"
 
 
 def test_curvature_fiber_scalar():
     code, rep = curvature_report(fixture_path("ex1_fiber.mf"), points=4)
     assert code == 0
     chart = build_chart(load_manifest(fixture_path("ex1_fiber.mf")))
-    k = ex.parse(rep["curvature"]["kappa"], coords=chart.coords,
+    k = ex.parse(str(rep["curvature"]["kappa"]), coords=chart.coords,
                  params=tuple(chart.params))
     assert chart.is_zero(ex.sub(k, ex.const(-12)))
     assert rep["curvature"]["flat"] is False
@@ -235,7 +235,7 @@ def test_curvature_warped_product():
     assert rep["kind"] == "warped"
     assert rep["fiber_map"] == {"x1": "x2", "x2": "x3", "x3": "x4"}
     chart = helpers.ex2_chart()
-    k = ex.parse(rep["curvature"]["kappa"], coords=chart.coords)
+    k = ex.parse(str(rep["curvature"]["kappa"]), coords=chart.coords)
     want = helpers.chart_parse(chart)(
         "6*exp(x1)*(1 + exp(x1))/(1 + 2*exp(x1))^3")
     assert chart.is_zero(ex.sub(k, want))
@@ -580,8 +580,9 @@ def test_json_writer_matches_json_dumps_on_reports(name):
             classify_report(path, seed=7, points=2)[1]]
     if load_manifest(path).kind == "warped":
         reps.append(warped_verify_report(path, seed=7, points=2)[1])
+    assert isinstance(reps[0]["curvature"]["kappa"], ex.Text)
     for rep in reps:
-        assert _written(rep) == _dumped(rep)
+        assert _written(rep) == _dumped(cli.joined(rep))
 
 
 def test_json_writer_matches_json_dumps_on_random_values():
@@ -652,6 +653,94 @@ def test_curvature_swell_bytes_pinned(tmp_path, capsys, n):
     stdout = capsys.readouterr().out.encode()
     assert (hashlib.sha256(stdout).hexdigest(),
             hashlib.sha256(out_file.read_bytes()).hexdigest()) == SWELL_SHA256[n]
+
+
+def test_curvature_refuses_a_swell_over_the_print_budget(tmp_path, capsys):
+    """swell6's kappa expands to 3.6e9 tree nodes: exit 2 at once, naming
+    the expression, its size and the budget, instead of a MemoryError."""
+    swell = helpers.perfbench_module("swell")
+    path = _write(tmp_path, "swell6.mf", swell.manifest_text(6, 7))
+    out_file = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    code = main(["curvature", path, "--points", "2", "--json", str(out_file)])
+    seconds = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and not out_file.exists()
+    assert err == (f"error: {path}: kappa: printed form would have 3634318165 "
+                   f"tree nodes, over the budget of {2 ** 28} "
+                   f"(MAX_PRINTED_NODES)\n")
+    assert seconds < 2
+
+
+def test_print_budget_names_each_report_expression(monkeypatch, capsys):
+    from warpcurv.warped import auxiliaries
+    monkeypatch.setattr(ex, "MAX_PRINTED_NODES", 1)
+    assert main(["curvature", fixture_path("sphere2.mf")]) == 2
+    assert ": R[1 2 1 2]: printed form would have " in capsys.readouterr().err
+    assert main(["warped-verify", fixture_path("cf_warped.mf")]) == 2
+    assert ": warp: printed form would have " in capsys.readouterr().err
+    # a budget that every auxiliary text meets but the witness defects do not
+    spec = build_spec(load_manifest(fixture_path("cf_warped.mf")))
+    aux = auxiliaries(spec)
+    texts = [spec.f, aux.trT, aux.Delta, aux.Omega, *aux.T.flatten()]
+    monkeypatch.setattr(ex, "MAX_PRINTED_NODES",
+                        max(ex._shape(e)[1] for e in texts))
+    assert main(["warped-verify", fixture_path("cf_warped.mf")]) == 2
+    assert ": condition (I) witness defect: printed form would have " in (
+        capsys.readouterr().err)
+
+
+def test_json_writer_matches_json_dumps_on_texts():
+    """A Text is written as the JSON string of its pieces joined: shared
+    pieces, pieces past _JOIN_BELOW, and pieces that JSON escapes."""
+    long = "x1*" * 30000
+    odd = "\u00e9" * 40000 + '"'
+    texts = [ex.Text(()), ex.Text(("",)), ex.Text((long,)),
+             ex.Text(("a", long, " + ", long, "\u00e9", odd, long, odd, "\\")),
+             ex.Text(("(", "\x7f", ")"))]
+    rep = {"t": texts, "k": {"kappa": texts[3], "n": 3}, "s": long}
+    assert _written(rep) == _dumped(cli.joined(rep))
+    for t in texts:
+        assert _written(t) == _dumped(str(t))
+    # a report's own texts: a shared subtree below a non-ASCII coordinate
+    e = ex.Coord("\u00e9")
+    for _ in range(14):
+        e = ex.mul(ex.add(e, ex.const(1)), ex.add(e, ex.const(2)))
+    t = ex.to_pieces(e)
+    assert len(str(t)) > 2 * cli._JOIN_BELOW
+    assert _written({"kappa": t}) == _dumped({"kappa": str(t)})
+
+
+def test_writers_never_write_a_long_text_whole(tmp_path, monkeypatch):
+    """Every write to the report files is at most _JOIN_BELOW characters,
+    whatever the length of the texts: stdout and --json of swell4, whose
+    kappa is 22.5 MB of text."""
+    class Recorder(io.StringIO):
+        longest = 0
+
+        def write(self, s):
+            Recorder.longest = max(Recorder.longest, len(s))
+            return super().write(s)
+
+    swell = helpers.perfbench_module("swell")
+    path = _write(tmp_path, "swell4.mf", swell.manifest_text(4, 7))
+    code, rep = curvature_report(path, seed=7, points=2)
+    assert sum(map(len, rep["curvature"]["kappa"])) > 2 * 10 ** 7
+    for pieces in (cli._render(code, rep), cli._json_pieces(rep, [], {})):
+        out = Recorder()
+        cli._write_pieces(pieces, out)
+        assert out.getvalue() == "".join(pieces)
+    cli.write_json(rep, Recorder())
+    assert 0 < Recorder.longest <= cli._JOIN_BELOW
+
+
+def test_excerpt_reads_only_the_head_of_a_text():
+    long = "x1*" * 30000
+    t = ex.Text(("ab", "", "cd" * 20, long, long))
+    assert tensor.excerpt(t) == tensor.excerpt(str(t)) == str(t)[:67] + "..."
+    for short in (ex.Text(()), ex.Text(("a", "b")), ex.Text(("x" * 70,))):
+        assert tensor.excerpt(short) == tensor.excerpt(str(short)) == str(short)
+    assert tensor.excerpt(ex.Text(("x" * 70, "y"))) == "x" * 67 + "..."
 
 
 @pytest.mark.parametrize("name,points", sorted(CLASSIFY_JSON_SHA256))

@@ -240,11 +240,141 @@ def test_print_matches_plain_printer():
 
 def test_print_memo_released_after_last_use():
     e = _shared_dag(6)
-    r = ex._Renderer(e)
+    r = ex._Printer(ex._shape(e)[0])
     # e_1 .. e_5 have two parents each; x1 is a leaf, rendered in place
     assert sorted(r._uses_left.values()) == [2] * 5
-    assert r._fmt_sum(e) == helpers.plain_to_str(e)
+    out = []
+    r._sum(e, out)
+    assert "".join(out) == helpers.plain_to_str(e)
     assert r._uses_left == {} and r._memo == {}
+
+
+def _tree_size(e):
+    """Nodes of `e` expanded as a tree, counted naively."""
+    return 1 + sum(_tree_size(c) for c in ex._children(e))
+
+
+_DAG_STEPS = (
+    (2, ex.add), (2, ex.mul), (2, ex.sub), (2, ex.div), (1, ex.neg),
+    (1, ex.exp_), (1, ex.log_), (1, ex.sin_), (1, ex.cos_),
+    (1, lambda a: ex.pow_(a, 2)), (1, lambda a: ex.pow_(a, Fraction(-1, 3))),
+    (3, ex.add), (3, ex.mul),
+)
+
+
+def _dag_strategy(st, names=("x1", "x2")):
+    """Expressions built step by step from a pool that every step adds to
+    and draws its operands from, so subtrees are shared at random."""
+    leaves = [Coord(n) for n in names] + [Param("a")] + [
+        ex.const(Fraction(k, d)) for k, d in ((-3, 1), (2, 1), (5, 7), (-1, 2))]
+
+    @st.composite
+    def dags(draw):
+        pool = list(leaves)
+        for _ in range(draw(st.integers(1, 14))):
+            arity, step = draw(st.sampled_from(_DAG_STEPS))
+            args = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(arity)]
+            try:
+                pool.append(step(*args))
+            except ex.ExprError:
+                pass
+        return pool[-1]
+
+    return dags()
+
+
+def test_printed_size_is_counted_over_the_dag():
+    """`_shape`'s O(DAG) tree size matches a naive recursive count, and its
+    parent counts match the children lists of the distinct nodes."""
+    rng = random.Random(11)
+    trees = [_shared_dag(d) for d in range(8)]
+    for _ in range(200):
+        e = helpers.random_expr(rng, XY, depth=rng.randint(0, 5))
+        trees += [e, ex.add(ex.mul(e, ex.neg(e)), ex.div(e, ex.add(ex.const(1), ex.pow_(e, 2))))]
+    for e in trees:
+        parents, size = ex._shape(e)
+        assert size == _tree_size(e)
+        want, todo = {}, [e]
+        seen = set()
+        while todo:
+            node = todo.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            for c in ex._children(node):
+                if not isinstance(c, ex._LEAVES):
+                    want[c] = want.get(c, 0) + 1
+                    todo.append(c)
+        assert parents == want
+    # size(e_k) = 5 + 2 size(e_(k-1)) and size(x1) = 1, over 3k + 1 DAG nodes
+    assert ex._shape(_shared_dag(40))[1] == 6 * 2 ** 40 - 5
+
+
+def test_print_budget_refuses_before_any_piece(monkeypatch):
+    e = _shared_dag(10)
+    size = _tree_size(e)
+    monkeypatch.setattr(ex, "MAX_PRINTED_NODES", size)
+    assert str(ex.to_pieces(e)) == helpers.plain_to_str(e)
+    monkeypatch.setattr(ex, "MAX_PRINTED_NODES", size - 1)
+
+    def no_printer(*args):
+        raise AssertionError("rendering began over the budget")
+
+    monkeypatch.setattr(ex, "_Printer", no_printer)
+    for render in (ex.to_pieces, to_str, str):
+        with pytest.raises(ex.PrintBudgetError) as err:
+            render(e)
+        assert err.value.size == size
+        assert f"{size} tree nodes" in str(err.value)
+        assert f"budget of {size - 1}" in str(err.value)
+    assert issubclass(ex.PrintBudgetError, ex.ExprError)
+    # a tree of 2^41 copies of x1 is refused at once
+    monkeypatch.undo()
+    with pytest.raises(ex.PrintBudgetError):
+        ex.to_pieces(_shared_dag(40))
+
+
+def test_pieces_match_plain_printer_on_shared_dags():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(_dag_strategy(hyp.strategies))
+    def check(e):
+        t = ex.to_pieces(e)
+        assert type(t) is ex.Text and all(type(p) is str for p in t)
+        assert str(t) == to_str(e) == helpers.plain_to_str(e)
+
+    check()
+
+
+def test_shared_text_is_one_piece_object():
+    """A node with several parents is one str object at each of its uses,
+    and the number of pieces follows the DAG, not the text."""
+    e = _shared_dag(14)
+    t = ex.to_pieces(e)
+    below = ex._children(ex._children(e)[0])[0]          # e_13, used twice
+    assert ex._shape(e)[0][below] == 2
+    uses = [p for p in t if p == helpers.plain_to_str(below)]
+    assert len(uses) == 2 and uses[0] is uses[1]
+    # the text doubles with each level; the pieces stay as many
+    assert len(str(t)) > 2 ** 14 and len(t) == len(ex.to_pieces(_shared_dag(3)))
+    kappa = bundle(_pullback_chart()).kappa
+    dag = len(ex._shape(kappa)[0])
+    t = ex.to_pieces(kappa)
+    assert len(str(t)) == 451142
+    assert len(t) < dag < len(str(t)) // 100
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=100, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(_dag_strategy(hyp.strategies))
+    def check(e):
+        parents, _ = ex._shape(e)
+        edges = sum(len(ex._children(c)) for c in parents) + len(ex._children(e))
+        assert len(ex.to_pieces(e)) <= 3 * (len(parents) + edges) + 2
+
+    check()
 
 
 # ---------------------------------------------------------------- constructors

@@ -279,7 +279,7 @@ WITNESS_ROWS = [
 
 @pytest.mark.parametrize("name,L1,L2", WITNESS_ROWS)
 def test_orbit_conditions_match_dense_reference(request, name, L1, L2):
-    """Verdicts and witnesses, index and defect text, match the dense loops."""
+    """Verdicts and witnesses, index and defect expression, match the dense loops."""
     spec = request.getfixturevalue(name)
     got = verify_conditions(spec, L1, L2, trials=3, seed=7)
     want = helpers.dense_verify_conditions(spec, L1, L2, trials=3, seed=7)
