@@ -848,6 +848,10 @@ def _point_count(text):
     k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
+    if k > ex.MAX_POINTS:
+        # the sample list is built whole, before any point is evaluated
+        raise argparse.ArgumentTypeError(
+            f"must be at most {ex.MAX_POINTS} (MAX_POINTS), got {k}")
     return k
 
 
@@ -855,7 +859,8 @@ def _common_args(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="sampling seed (overrides the manifest)")
     sp.add_argument("--points", type=_point_count, default=8,
-                    help="number of sample points per zero test (at least 1)")
+                    help="number of sample points per zero test "
+                         f"(1 to {ex.MAX_POINTS})")
     _json_arg(sp)
 
 

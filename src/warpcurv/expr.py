@@ -28,16 +28,18 @@ Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
 context at DPS = 50 significant digits: every number the engine makes
 carries that precision, so no caller sets one and the ambient `mpmath.mp`
-precision changes no value and no verdict.  Inside `PointEval` the inexact
-values are raw `mpmath.libmp` tuples at that precision, combined by the libmp
-functions the mpf operators call, and become mpfs only when returned; a
-rational subtree is rounded to a tuple only when its scale is read.
+precision changes no value and no verdict.  Inside `PointEval` an exact
+value is a (numerator, denominator) pair of ints in lowest terms and an
+inexact one a raw `mpmath.libmp` tuple at that precision, combined by the
+libmp functions the mpf operators call; they become a Fraction or an mpf
+only when returned, and a rational subtree is rounded to a tuple only when
+its scale is read.
 
 The zero test samples deterministic rational points from a box (default
-[1/3, 2] per coordinate) and accepts `|value| <= 1e-30 * (1 + m)` where m
-is the largest intermediate magnitude seen while evaluating.  A point where
-an exp argument exceeds MAX_EXP_ARG in magnitude is undefined, like one
-outside the domain of log.
+[1/3, 2] per coordinate; the CLI draws at most MAX_POINTS per test) and
+accepts `|value| <= 1e-30 * (1 + m)` where m is the largest intermediate
+magnitude seen while evaluating.  A point where an exp argument exceeds
+MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
 
 `PointEval.judge` is the one place where a sampled value is judged zero:
 every per-component verdict (the zero test, the identity catalog, the
@@ -64,7 +66,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from operator import add as _fraction_add, mul as _fraction_mul
+from math import gcd
 from weakref import KeyedRef
 
 import mpmath
@@ -82,6 +84,7 @@ _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
 MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
+MAX_POINTS = 10_000  # sample points a command may draw per zero test
 _CONTEXTS = {}
 _NODES = {}  # intern key -> KeyedRef of the live node; see Expr
 
@@ -990,6 +993,12 @@ _MPF_FUNCS = {Exp: mpf_exp, Log: mpf_log, Sin: mpf_sin, Cos: mpf_cos}
 _MAX_EXP_MPF = from_int(MAX_EXP_ARG)
 
 
+def _reduced(n, d):
+    """The pair (n, d), d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
 class PointEval:
     """Memoizing evaluator bound to one point (shared across expressions).
 
@@ -999,32 +1008,40 @@ class PointEval:
     each value with the largest intermediate magnitude in its subtree so
     zero tests can scale their tolerance.
 
-    Inside, the walk computes on raw `mpmath.libmp` tuples (`_mpf_`) at
-    the context's precision and rounding, calling the libmp functions the
-    mpf operators call, so every value is bit-identical to mpf arithmetic.
-    A memo entry is the bare Fraction of a rational node, else (its tuple,
-    magnitude tuple).  A rational subtree stays unrounded until something
-    reads its scale: an inexact operand beside it in a sum or product, a
-    division, power or function that needs its tuple, `eval_scaled`, or
-    `judge` of a nonzero value.  `_settled` then rounds it and its subtree
-    once, with the formulas an inexact node follows, and keeps (tuple,
-    magnitude) in `_exact`; judging an exact 0 rounds nothing.  mpfs are
-    made only for the values that `eval`, `eval_scaled` and `judge`
-    return.  The memo is keyed by node: nodes are interned, so a subtree
-    shared by several expressions is evaluated once, and the memo keeps its
-    keys alive for as long as it lives.  An exp argument beyond
-    MAX_EXP_ARG in magnitude makes the point undefined (DomainError) before
-    mpmath is called.
+    Inside, the walk computes on plain ints and raw `mpmath.libmp` tuples.
+    The memo entry of a rational node is a tuple (numerator, denominator)
+    of ints in lowest terms, with a positive denominator; a rational Add or
+    Mul combines its children's ints and reduces once.  Lowest terms
+    matter: `_round` rounds the numerator and the denominator separately,
+    as `_as_mpf` rounds a Fraction, so an unreduced pair of more than DPS
+    digits could round to other bits.  The entry of an inexact node is a
+    list [tuple, magnitude tuple] of libmp tuples (`_mpf_`) at the
+    context's precision and rounding, combined by the libmp functions the
+    mpf operators call, so every value is bit-identical to mpf arithmetic;
+    the entry's type tells the two kinds apart.  A rational subtree stays
+    unrounded until something reads its scale: an inexact operand beside
+    it in a sum or product, a division, power or function that needs its
+    tuple, `eval_scaled`, or `judge` of a nonzero value.  `_settled` then
+    rounds it and its subtree once, with the formulas an inexact node
+    follows, and keeps (tuple, magnitude) in `_exact`; judging an exact 0
+    rounds nothing.  Fractions and mpfs are made only for the values that
+    `eval`, `eval_scaled` and `judge` return.  The memo is keyed by node:
+    nodes are interned, so a subtree shared by several expressions is
+    evaluated once, and the memo keeps its keys alive for as long as it
+    lives.  An exp argument beyond MAX_EXP_ARG in magnitude makes the point
+    undefined (DomainError) before mpmath is called.
     """
 
     def __init__(self, env, dps=DPS):
-        self.env = {}
-        for k, v in env.items():
-            if isinstance(v, int):
-                v = Fraction(v)
-            self.env[k] = v
         self._ctx = _context(dps)
-        self._prec, self._rnd = self._ctx._prec_rounding
+        self._prec, self._rnd = prec, rnd = self._ctx._prec_rounding
+        self._env = {}  # name -> the memo entry of a leaf bound to it
+        for k, v in env.items():
+            if isinstance(v, (int, Fraction)):
+                self._env[k] = (v.numerator, v.denominator)
+            else:
+                t = _as_mpf(self._ctx, v)._mpf_
+                self._env[k] = [t, mpf_abs(t, prec, rnd)]
         self._memo = {}
         self._exact = {}  # settled rational node -> (tuple, magnitude tuple)
         self._tol = self._ctx.mpf(_ZERO_TOL)._mpf_
@@ -1035,14 +1052,14 @@ class PointEval:
         if h is None:
             h = self._walk(e)
         make = self._ctx.make_mpf
-        if type(h) is Fraction:
-            return h, make(self._settled(e)[1])
+        if type(h) is tuple:
+            return Fraction(*h), make(self._settled(e)[1])
         return make(h[0]), make(h[1])
 
     def eval(self, e):
         """Value of `e` at this point, without its magnitude."""
         h = self._walk(e)
-        return h if type(h) is Fraction else self._ctx.make_mpf(h[0])
+        return Fraction(*h) if type(h) is tuple else self._ctx.make_mpf(h[0])
 
     def judge(self, e):
         """Value of `e` here as an mpf, snapped to exact 0 when it is zero.
@@ -1053,10 +1070,11 @@ class PointEval:
         Raises DomainError when `e` is undefined at this point.
         """
         h = self._walk(e)
-        if type(h) is Fraction and not h:
+        exact = type(h) is tuple
+        if exact and not h[0]:
             return self._ctx.zero
         _, m = self.eval_scaled(e)
-        t = self._exact[e][0] if type(h) is Fraction else h[0]
+        t = self._exact[e][0] if exact else h[0]
         prec, rnd = self._prec, self._rnd
         bound = mpf_mul(self._tol, mpf_add(m._mpf_, fone, prec, rnd), prec, rnd)
         if mpf_gt(mpf_abs(t, prec, rnd), bound):
@@ -1064,15 +1082,14 @@ class PointEval:
         return self._ctx.zero
 
     def _round(self, v):
-        """The tuple of `v`, an exact Fraction or a number, at this precision.
+        """The tuple of `v`, an exact (numerator, denominator) pair in lowest
+        terms, at this precision.
 
-        A Fraction is rounded as `_as_mpf` rounds it, numerator and
+        It is rounded as `_as_mpf` rounds the Fraction, numerator and
         denominator first and then their quotient, without making mpfs."""
-        if type(v) is Fraction:
-            prec, rnd = self._prec, self._rnd
-            return mpf_div(from_int(v.numerator, prec, rnd),
-                           from_int(v.denominator, prec, rnd), prec, rnd)
-        return _as_mpf(self._ctx, v)._mpf_
+        prec, rnd = self._prec, self._rnd
+        return mpf_div(from_int(v[0], prec, rnd), from_int(v[1], prec, rnd),
+                       prec, rnd)
 
     def _settled(self, e):
         """(tuple, magnitude tuple) of `e`, a walked rational node, as `_walk`
@@ -1102,8 +1119,8 @@ class PointEval:
         return m
 
     def _walk(self, e):
-        """The memo entry of `e`: a Fraction when the subtree is rational,
-        else (its tuple, magnitude tuple)."""
+        """The memo entry of `e`: a (numerator, denominator) tuple when the
+        subtree is rational, else a [tuple, magnitude tuple] list."""
         hit = self._memo.get(e)
         if hit is not None:
             return hit
@@ -1112,114 +1129,140 @@ class PointEval:
         cls = type(e)
         if cls is Add or cls is Mul:
             # the accumulator starts from the first child: x + 0 and x * 1
-            # are x exactly at full precision
-            if cls is Add:
-                kids, exact, inexact = e.terms, _fraction_add, mpf_add
-            else:
-                kids, exact, inexact = e.factors, _fraction_mul, mpf_mul
+            # are x exactly at full precision.  A child's memo hit is read
+            # here, without a call.
+            kids, inexact = ((e.terms, mpf_add) if cls is Add
+                             else (e.factors, mpf_mul))
+            get = self._memo.get
             it = iter(kids)
-            v = walk(next(it))
-            if type(v) is Fraction:
-                for k in it:
-                    kv = walk(k)
-                    if type(kv) is Fraction:
-                        v = exact(v, kv)
-                        continue
-                    # the first inexact operand: the rational prefix is
-                    # rounded once, as one value, and its children settled
-                    # nodes are interned: the first position of k is j
-                    j = 1 if k is kids[1] else kids.index(k)
-                    if j == 1:
-                        t, m = self._exact.get(kids[0]) or self._settled(kids[0])
-                    else:
-                        t, m = self._round(v), self._largest(kids[:j])
-                    kt, km = kv
-                    t = inexact(t, kt, prec, rnd)
-                    if mpf_gt(km, m):
-                        m = km
-                    break
+            k = next(it)
+            kv = v = get(k) or walk(k)
+            if type(v) is tuple:
+                # rational operands: their ints are combined unreduced up to
+                # the first inexact one, or to the end and then reduced once
+                n, d = v
+                if cls is Add:
+                    for k in it:
+                        kv = get(k) or walk(k)
+                        if type(kv) is not tuple:
+                            break
+                        kn, kd = kv
+                        if kd == d:
+                            n += kn
+                        else:
+                            n, d = n * kd + kn * d, d * kd
                 else:
-                    self._memo[e] = v
-                    return v
+                    for k in it:
+                        kv = get(k) or walk(k)
+                        if type(kv) is not tuple:
+                            break
+                        kn, kd = kv
+                        n *= kn
+                        d *= kd
+                if type(kv) is tuple:
+                    g = gcd(n, d)
+                    out = self._memo[e] = (n, d) if g == 1 else (n // g, d // g)
+                    return out
+                # the first inexact operand: the rational prefix is rounded
+                # once, as one value, and its children settled; nodes are
+                # interned, so the first position of k is j
+                j = 1 if k is kids[1] else kids.index(k)
+                if j == 1:
+                    t, m = self._exact.get(kids[0]) or self._settled(kids[0])
+                else:
+                    t, m = self._round(_reduced(n, d)), self._largest(kids[:j])
+                kt, km = kv
+                t = inexact(t, kt, prec, rnd)
+                if mpf_gt(km, m):
+                    m = km
             else:
                 t, m = v
             for k in it:
-                kv = walk(k)
-                if type(kv) is Fraction:
+                kv = get(k) or walk(k)
+                if type(kv) is tuple:
                     kv = self._exact.get(k) or self._settled(k)
                 kt, km = kv
                 t = inexact(t, kt, prec, rnd)
                 if mpf_gt(km, m):
                     m = km
             mg = mpf_abs(t, prec, rnd)
-            out = (t, m if mpf_gt(m, mg) else mg)
+            out = [t, m if mpf_gt(m, mg) else mg]
         elif cls is Neg:
             c = walk(e.child)
-            out = -c if type(c) is Fraction else (mpf_neg(c[0], prec, rnd), c[1])
-        elif cls is Const or cls is Coord or cls is Param:
-            if cls is Const:
-                v = e.value
+            if type(c) is tuple:
+                out = (-c[0], c[1])
             else:
-                try:
-                    v = self.env[e.name]
-                except KeyError:
-                    raise EvalError(f"unbound variable {e.name!r}") from None
-            if type(v) is Fraction:
-                out = v
-            else:
-                t = self._round(v)
-                out = (t, mpf_abs(t, prec, rnd))
+                out = [mpf_neg(c[0], prec, rnd), c[1]]
+        elif cls is Const:
+            v = e.value
+            out = (v.numerator, v.denominator)
+        elif cls is Coord or cls is Param:
+            try:
+                out = self._env[e.name]
+            except KeyError:
+                raise EvalError(f"unbound variable {e.name!r}") from None
         elif cls is Div:
             n, d = walk(e.num), walk(e.den)
-            if type(n) is Fraction and type(d) is Fraction:
-                if not d:
+            if type(n) is tuple and type(d) is tuple:
+                if not d[0]:
                     raise DomainError("division by zero")
-                out = n / d
+                if d[0] < 0:
+                    out = _reduced(-n[0] * d[1], -n[1] * d[0])
+                else:
+                    out = _reduced(n[0] * d[1], n[1] * d[0])
             else:
-                nt, nm = self._settled(e.num) if type(n) is Fraction else n
-                dt, dm = self._settled(e.den) if type(d) is Fraction else d
+                nt, nm = self._settled(e.num) if type(n) is tuple else n
+                dt, dm = self._settled(e.den) if type(d) is tuple else d
                 if mpf_eq(dt, fzero):
                     raise DomainError("division by zero")
                 t = mpf_div(nt, dt, prec, rnd)
                 mg = mpf_abs(t, prec, rnd)
                 m = dm if mpf_gt(dm, nm) else nm
-                out = (t, mg if mpf_gt(mg, m) else m)
+                out = [t, mg if mpf_gt(mg, m) else m]
         elif cls is Pow:
             b = walk(e.base)
             x = e.exponent
-            if type(b) is Fraction and (x.denominator == 1 or b <= 0):
-                if not b and x < 0:
+            xn, xd = x.numerator, x.denominator
+            if type(b) is tuple and (xd == 1 or b[0] <= 0):
+                bn, bd = b
+                if not bn and xn < 0:
                     raise DomainError("zero base with negative exponent")
-                if b < 0 and x.denominator != 1:
+                if bn < 0 and xd != 1:
                     raise DomainError("negative base with fractional exponent")
-                out = b ** x.numerator if x.denominator == 1 else b
+                if xd != 1:
+                    out = b  # a zero base
+                elif xn >= 0:
+                    out = (bn ** xn, bd ** xn)
+                else:
+                    n, d = bd ** -xn, bn ** -xn
+                    out = (-n, -d) if d < 0 else (n, d)
             else:
-                bt, bm = self._settled(e.base) if type(b) is Fraction else b
-                if mpf_eq(bt, fzero) and x < 0:
+                bt, bm = self._settled(e.base) if type(b) is tuple else b
+                if mpf_eq(bt, fzero) and xn < 0:
                     raise DomainError("zero base with negative exponent")
-                if x.denominator == 1:
-                    t = mpf_pow_int(bt, x.numerator, prec, rnd)
+                if xd == 1:
+                    t = mpf_pow_int(bt, xn, prec, rnd)
                 elif mpf_lt(bt, fzero):
                     raise DomainError("negative base with fractional exponent")
                 else:
-                    t = mpf_pow(bt, self._round(x), prec, rnd)
+                    t = mpf_pow(bt, self._round((xn, xd)), prec, rnd)
                 mg = mpf_abs(t, prec, rnd)
-                out = (t, mg if mpf_gt(mg, bm) else bm)
+                out = [t, mg if mpf_gt(mg, bm) else bm]
         else:
             f = _MPF_FUNCS.get(cls)
             if f is None:
                 raise TypeError(f"cannot evaluate {e!r}")
             c = walk(e.child)
-            ct, cm = self._settled(e.child) if type(c) is Fraction else c
+            ct, cm = self._settled(e.child) if type(c) is tuple else c
             if cls is Log and not mpf_gt(ct, fzero):
                 raise DomainError("log of non-positive value")
-            # a Fraction just above the bound may round onto it: compare it exactly
-            if cls is Exp and (abs(c) > MAX_EXP_ARG if type(c) is Fraction
+            # a rational just above the bound may round onto it: compare it exactly
+            if cls is Exp and (abs(c[0]) > MAX_EXP_ARG * c[1] if type(c) is tuple
                                else mpf_gt(mpf_abs(ct, prec, rnd), _MAX_EXP_MPF)):
                 raise DomainError("exp argument too large")
             t = f(ct, prec, rnd)
             mg = mpf_abs(t, prec, rnd)
-            out = (t, mg if mpf_gt(mg, cm) else cm)
+            out = [t, mg if mpf_gt(mg, cm) else cm]
         self._memo[e] = out
         return out
 

@@ -410,6 +410,21 @@ def test_main_points_below_one_rejected(capsys, cmd):
         assert "--points" in err and "at least 1" in err
 
 
+@pytest.mark.parametrize("cmd", ["curvature", "classify", "warped-verify"])
+def test_main_points_above_the_limit_rejected(capsys, cmd):
+    # the sample list is built whole, so a huge count would exhaust memory
+    # before the first point; it is refused as input instead
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as stop:
+        main([cmd, fixture_path("sphere.mf"), "--points", "100000000000000000000"])
+    assert time.perf_counter() - t0 < 1
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "--points" in err and f"at most {ex.MAX_POINTS} (MAX_POINTS)" in err
+    assert "Traceback" not in err
+    assert cli._point_count(str(ex.MAX_POINTS)) == ex.MAX_POINTS
+
+
 def test_fit_skips_undefined_points(tmp_path, capsys):
     # (x1 - 1)^(1/2) and its derivatives are undefined on x1 <= 1, about
     # half of the box x1 = 0 .. 2
@@ -1005,6 +1020,55 @@ def test_warped_verify_exit_code_contract_fuzz(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
     check()
+
+
+def _assert_swell_is_flat(tmp_path, capsys, swell, n, chart_seed, seed):
+    """`curvature` on swell.manifest_text(n, chart_seed) at sample seed
+    `seed` exits 0, flat.  The known answer is the construction's: the
+    manifest's metric is checked to be J^T J for the map's Jacobian J at a
+    sample point, so it is the Euclidean metric pulled back, which is flat."""
+    path = _write(tmp_path, f"swell{n}.mf", swell.manifest_text(n, chart_seed))
+    chart = build_chart(load_manifest(path))
+    c = swell.draw_map(n, chart_seed)
+    pt = chart.sample_points(1, seed)[0]
+    x = [pt[name] for name in chart.coords]
+    # the map is quadratic, so a central difference is its exact derivative:
+    # cols[j][i] = d y_i / d x_j
+    h = Fraction(1, 3)
+    cols = []
+    for j in range(n):
+        up = swell.apply_map(c, n, [v + h * (k == j) for k, v in enumerate(x)])
+        down = swell.apply_map(c, n, [v - h * (k == j) for k, v in enumerate(x)])
+        cols.append([(a - b) / (2 * h) for a, b in zip(up, down)])
+    for j in range(n):
+        for l in range(n):
+            gram = sum(cols[j][i] * cols[l][i] for i in range(n))
+            assert ex.evaluate(chart.metric[j][l], pt) == gram
+    out_file = tmp_path / "r.json"
+    assert main(["curvature", path, "--seed", str(seed),
+                 "--json", str(out_file)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "all curvature components zero" in out
+    rep = json.loads(out_file.read_text(encoding="utf-8"))["curvature"]
+    assert rep["flat"] is True
+    assert rep["nonzero_R"] == {} and rep["nonzero_S"] == {}
+
+
+def test_curvature_swell_exit_code_contract_fuzz(tmp_path, capsys):
+    """Swelling charts over map seeds and sample seeds: `curvature` exits 0
+    and finds every one flat, without a traceback."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    swell = helpers.perfbench_module("swell")
+
+    @hyp.settings(max_examples=30, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(st.integers(0, 10 ** 6), st.integers(0, 2 ** 32))
+    def check(chart_seed, seed):
+        _assert_swell_is_flat(tmp_path, capsys, swell, 3, chart_seed, seed)
+
+    check()
+    _assert_swell_is_flat(tmp_path, capsys, swell, 4, 11, 3)
 
 
 def _nonzero_oracle(path, seed, points):

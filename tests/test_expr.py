@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import math
 import random
 import re
 from fractions import Fraction
@@ -18,6 +19,7 @@ from warpcurv.expr import (
     parse, rename, sample_box_points, to_str,
 )
 
+from warpcurv.cli import build_chart, load_manifest
 from warpcurv.curvature import bundle
 from warpcurv.tensor import Chart
 
@@ -849,6 +851,209 @@ def test_judging_a_flat_rational_chart_rounds_nothing(monkeypatch):
     assert rounded
 
 
+def test_judging_swell3_makes_no_fraction_arithmetic(tmp_path, monkeypatch):
+    # the exact path combines ints: judging every R and S component and
+    # kappa of the swelling n = 3 chart calls no Fraction operator
+    swell = helpers.perfbench_module("swell")
+    path = tmp_path / "swell3.mf"
+    path.write_text(swell.manifest_text(3, 7), encoding="utf-8")
+    b = bundle(build_chart(load_manifest(str(path))))
+    comps = [e for e in b.R.flatten() + b.S.flatten() + [b.kappa]
+             if not ex.is_literal_zero(e)]
+    assert len(comps) > 10
+    points = b.chart.sample_points(3, 7)
+    calls = []
+    for name in ("__add__", "__mul__", "__truediv__", "__pow__", "__neg__"):
+        def counting(self, *args, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    for pt in points:
+        pe = ex.PointEval(pt)
+        assert all(pe.judge(e) == 0 for e in comps)
+    assert calls == []
+    # the counters see Fraction arithmetic
+    v = -(Fraction(1, 2) + Fraction(1, 3)) ** 2
+    assert calls == ["__add__", "__pow__", "__neg__"] and v == Fraction(-25, 36)
+
+
+# ------------------------------------------- exact path vs plain Fractions
+
+_BIG = Fraction(3 ** 140 + 1, 2 ** 230 + 7)  # 223-bit numerator, 231-bit denominator
+
+
+def _fraction_value(e, env, memo):
+    """Value of `e` by plain Fraction arithmetic, or None where the engine's
+    value is inexact: below an inexact leaf or a function, or a root of a
+    positive base.  Raises DomainError where the rational path does."""
+    if e in memo:
+        return memo[e]
+    cls = type(e)
+    kids = [_fraction_value(k, env, memo) for k in ex._children(e)]
+    if cls is Const:
+        v = e.value
+    elif cls in (Coord, Param):
+        v = env[e.name] if isinstance(env[e.name], Fraction) else None
+    elif any(k is None for k in kids) or isinstance(e, ex._Func):
+        v = None
+    elif cls is Add:
+        v = sum(kids, Fraction(0))
+    elif cls is Mul:
+        v = math.prod(kids, start=Fraction(1))
+    elif cls is Neg:
+        v = -kids[0]
+    elif cls is Div:
+        if kids[1] == 0:
+            raise DomainError("division by zero")
+        v = kids[0] / kids[1]
+    else:
+        b, x = kids[0], e.exponent
+        if b == 0 and x < 0:
+            raise DomainError("zero base with negative exponent")
+        if x.denominator == 1:
+            v = b ** x.numerator
+        elif b < 0:
+            raise DomainError("negative base with fractional exponent")
+        else:
+            v = b if b == 0 else None
+    memo[e] = v
+    return v
+
+
+def _exact_path_pools(st):
+    """Growing pools of shared nodes built with the raw node classes, so no
+    constant is folded: Add and Mul of 2-11 operands drawn from rational
+    and inexact nodes, Neg, Div by negative and zero values, integer powers
+    of negative bases, roots of zero, and exp at and just past MAX_EXP_ARG.
+    The rationals include operands above 200 bits that cancel in a
+    product or a sum.  Each node's weight bounds its bits, so that no
+    product of products grows without bound."""
+    x1, x2 = Coord("x1"), Coord("x2")
+    edge = Fraction(ex.MAX_EXP_ARG)
+    exact = [x1, x2, Neg(x2), Const(0), Const(1), Const(-3), Const(Fraction(2, 7)),
+             Const(_BIG), Const(-_BIG), Const(1 / _BIG), Add((x1, Neg(x1))),
+             Mul((Const(_BIG), x2)), Const(edge), Const(-edge),
+             Const(edge + Fraction(1, 2 ** 200))]
+    inexact = [Param("a"), ex.Sin(x1), ex.Cos(x2), ex.Exp(Neg(x1))]
+
+    def weight(e):
+        v = e.value if type(e) is Const else Fraction(1)
+        return max(abs(v.numerator), v.denominator).bit_length() + 8
+
+    @st.composite
+    def pools(draw):
+        pool = exact + inexact
+        weights = [weight(e) for e in pool]
+
+        def pick(budget):
+            cands = [i for i, w in enumerate(weights) if w <= max(budget, 16)]
+            i = cands[draw(st.integers(0, len(cands) - 1))]
+            return pool[i], weights[i]
+
+        for _ in range(draw(st.integers(1, 12))):
+            op = draw(st.sampled_from(("add", "mul", "add", "mul", "neg", "div",
+                                       "pow", "root", "exp")))
+            if op in ("add", "mul"):
+                kids, w = [], 0
+                for _ in range(draw(st.integers(2, 11))):
+                    k, kw = pick(3000 - w)
+                    kids.append(k)
+                    w += kw
+                node = (Add if op == "add" else Mul)(kids)
+            elif op == "div":
+                (a, aw), (b, bw) = pick(1500), pick(1500)
+                node, w = Div(a, b), aw + bw
+            elif op == "pow":
+                k = draw(st.sampled_from((-3, -2, -1, 0, 2, 3)))
+                a, aw = pick(1000)
+                node, w = Pow(a, k), max(abs(k), 1) * aw
+            else:
+                a, w = pick(3000)
+                if op == "neg":
+                    node = Neg(a)
+                elif op == "root":
+                    node = Pow(a, draw(st.sampled_from(
+                        (Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)))))
+                else:
+                    node = ex.Exp(a)
+            pool.append(node)
+            weights.append(w)
+        return pool
+
+    return pools()
+
+
+def _outcome_or_error(f, e):
+    try:
+        return f(e)
+    except DomainError as err:
+        return ("DomainError", str(err))
+
+
+def _failed(outcome):
+    return type(outcome) is tuple and type(outcome[0]) is str
+
+
+def _same_outcome(got, want):
+    if _failed(want) or _failed(got):
+        return got == want
+    return _same_number(got, want)
+
+
+def test_exact_path_matches_plain_fractions_and_mpf_evaluator():
+    """`eval` of a rational node equals plain Fraction arithmetic; values,
+    magnitudes, verdicts and DomainError messages match `MpfPointEval` bit
+    for bit, whether roots or subtrees are visited first."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.fractions(-3, 3, max_denominator=64)
+    seen = {"rational": 0, "inexact": 0, "undefined": 0}
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(_exact_path_pools(st), coord, coord, st.sampled_from((50, 60)))
+    def check(pool, x1, x2, dps):
+        env = {"x1": x1, "x2": x2, "a": ex.MP.mpf(2) / 3}
+        ref = helpers.MpfPointEval(env, dps)
+        want = {e: _outcome_or_error(ref.eval_scaled, e) for e in pool}
+        verdict = {e: _outcome_or_error(ref.judge, e) for e in pool}
+        memo = {}
+        plain = {e: _outcome_or_error(lambda e: _fraction_value(e, env, memo), e)
+                 for e in pool}
+        roots_first, subtrees_first = ex.PointEval(env, dps), ex.PointEval(env, dps)
+        values = {}
+        for e in reversed(pool):
+            judged = _outcome_or_error(roots_first.judge, e)
+            value = values[e] = _outcome_or_error(roots_first.eval, e)
+            assert _same_outcome(judged, verdict[e]), e
+            if _failed(want[e]):
+                assert value == want[e], e
+                seen["undefined"] += 1
+            elif plain[e] is None:
+                assert _same_number(value, want[e][0]), e
+                seen["inexact"] += 1
+            else:
+                assert type(value) is Fraction and value == plain[e], e
+                seen["rational"] += 1
+        for e in pool:
+            for pe in (subtrees_first, roots_first):
+                got = _outcome_or_error(pe.eval_scaled, e)
+                if _failed(want[e]):
+                    assert got == want[e], e
+                    continue
+                assert _same_number(got[0], want[e][0]), e
+                assert got[1]._mpf_ == want[e][1]._mpf_, e
+        for e in reversed(pool):
+            assert _same_outcome(_outcome_or_error(subtrees_first.judge, e),
+                                 verdict[e]), e
+            assert _same_outcome(_outcome_or_error(subtrees_first.eval, e),
+                                 values[e]), e
+
+    check()
+    assert min(seen.values()) > 100, seen
+
+
 DOMAIN_CASES = [
     "log(x1 - 1)", "log(-x1)", "log(sin(x1 - x1))", "log(-exp(x1))",
     "1/(x1 - 1)", "x1/sin(x1 - 1)",
@@ -881,7 +1086,7 @@ def test_tuple_kernel_exp_bound_is_inclusive():
 
 @pytest.mark.parametrize("dps", [15, 50, 80])
 def test_point_eval_rounds_fractions_as_mpf_division(dps):
-    # _round works on libmp tuples; it must round as mpf(p) / mpf(q) does
+    # _round takes an exact (p, q) pair; it must round as mpf(p) / mpf(q) does
     rng = random.Random(dps)
     ctx = ex._context(dps)
     pe = ex.PointEval({}, dps)
@@ -892,7 +1097,7 @@ def test_point_eval_rounds_fractions_as_mpf_division(dps):
              for k in (1, 20, 60, 120) for j in (1, 20, 60, 120)
              for _ in range(50)]
     for v in vals:
-        assert pe._round(v) == ex._as_mpf(ctx, v)._mpf_, v
+        assert pe._round((v.numerator, v.denominator)) == ex._as_mpf(ctx, v)._mpf_, v
 
 
 def test_point_eval_returns_context_numbers():
