@@ -18,8 +18,8 @@ from fractions import Fraction
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, MP, REL_TOL, DomainError, InconclusiveError, PointEval,
-    is_literal_zero, to_mpf, zero_threshold,
+    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, is_literal_zero,
+    zero_threshold,
 )
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
@@ -185,57 +185,6 @@ def _fit_vectors(b):
     return [v for v in vecs if not all(is_literal_zero(e) for e in v[1:])]
 
 
-def _ls2(w, q1, q2, r):
-    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point,
-    where |v|^2 = sum_k w[k] v[k]^2: entry k stands for w[k] components.
-
-    L1, L2 and the residual are reported only as far as the 50 digits
-    decide them: each snaps to an exact 0 when its share of the data
-    (|L_k| |q_k|, or the residual itself) is within the zero threshold of
-    the data scale, so no rounding noise of the sums reaches a report.
-    """
-    def dot(a, c):
-        return sum(k * x * y for k, x, y in zip(w, a, c))
-
-    n1, n2, nr = (MP.sqrt(dot(v, v)) for v in (q1, q2, r))
-    scale = max(n1, n2, nr)
-    zero = MP.zero
-    col1 = n1 > REL_TOL * scale
-    col2 = n2 > REL_TOL * scale
-    d12 = dot(q1, q2)
-    gram = n1 * n1 * n2 * n2 - d12 * d12
-    if not col1 and not col2:
-        L1 = L2 = zero
-        null = [(1, 0), (0, 1)]
-        rank = 0
-    elif (not col1) or (not col2) or MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2:
-        if not col1:
-            L1, L2 = zero, dot(q2, r) / (n2 * n2)
-            null = [(MP.one, zero)]
-        elif not col2:
-            L1, L2 = dot(q1, r) / (n1 * n1), zero
-            null = [(zero, MP.one)]
-        else:
-            rho = d12 / (n1 * n1)
-            L1 = dot(q1, r) / (n1 * n1) / (1 + rho * rho)
-            L2 = rho * L1
-            null = [(-rho, MP.one)]
-        rank = 1
-    else:
-        d1, d2 = dot(q1, r), dot(q2, r)
-        L1 = (d1 * n2 * n2 - d2 * d12) / gram
-        L2 = (n1 * n1 * d2 - d12 * d1) / gram
-        null = []
-        rank = 2
-    e = [rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)]
-    res = MP.sqrt(dot(e, e))
-    tol = zero_threshold(scale)
-    return {"L1": zero if abs(L1) * n1 < tol else L1,
-            "L2": zero if abs(L2) * n2 < tol else L2,
-            "residual": zero if res <= tol else res, "rank": rank,
-            "nullspace": null, "data_scale": scale}
-
-
 class PseudosymmetryFit:
     """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R), fed one
     evaluator per sample point.
@@ -257,14 +206,15 @@ class PseudosymmetryFit:
     def visit(self, pe, point):
         self._visited += 1
         # cancellation residue below the scaled zero threshold is noise,
-        # not data; judge() snaps it to an exact zero
+        # not data; judged() snaps it to an exact zero
+        judged = pe.judged
         try:
-            r = [pe.judge(er) for _, er, _, _ in self._vecs]
-            q1 = [pe.judge(eg) for _, _, eg, _ in self._vecs]
-            q2 = [pe.judge(es) for _, _, _, es in self._vecs]
+            r = [judged(er) for _, er, _, _ in self._vecs]
+            q1 = [judged(eg) for _, _, eg, _ in self._vecs]
+            q2 = [judged(es) for _, _, _, es in self._vecs]
         except DomainError:
             return
-        rec = _ls2(self._w, q1, q2, r)
+        rec = ex.ls2(self._w, q1, q2, r)
         rec["point"] = point
         self._records.append(rec)
 
@@ -301,20 +251,18 @@ def pair_residual(b, point, L1, L2):
 
     def val(x):
         if isinstance(x, (ex.Expr, str)):
-            return to_mpf(pe.eval(_scalar_expr(x, chart)))
-        return to_mpf(x)
+            return pe.rounded(_scalar_expr(x, chart))
+        return ex.as_tuple(x)
 
     l1, l2 = val(L1), val(L2)
-    res = scale = MP.zero
-    for w, er, eg, es in _fit_vectors(b):
-        rv = to_mpf(pe.eval(er))
-        g1 = to_mpf(pe.eval(eg))
-        g2 = to_mpf(pe.eval(es))
-        res += w * (rv - l1 * g1 - l2 * g2) ** 2
-        for s in (abs(rv), abs(l1 * g1), abs(l2 * g2)):
-            if s > scale:
-                scale = s
-    return {"residual": MP.sqrt(res), "scale": scale}
+    w, r, q1, q2 = [], [], [], []
+    for k, er, eg, es in _fit_vectors(b):
+        w.append(k)
+        r.append(pe.rounded(er))
+        q1.append(pe.rounded(eg))
+        q2.append(pe.rounded(es))
+    res, scale = ex.fit_residual(w, q1, q2, r, l1, l2)
+    return {"residual": res, "scale": scale}
 
 
 def pair_admissible(b, point, L1, L2):
@@ -341,8 +289,4 @@ def constant_type_check(report: ConditionReport):
     recs = report.records
     if not recs:
         return True
-    vals = [(to_mpf(r["L1"]), to_mpf(r["L2"])) for r in recs]
-    scale = max(max(abs(a), abs(c)) for a, c in vals)
-    a0, c0 = vals[0]
-    tol = REL_TOL * (1 + scale)
-    return all(abs(a - a0) <= tol and abs(c - c0) <= tol for a, c in vals)
+    return ex.rows_constant([(r["L1"], r["L2"]) for r in recs])

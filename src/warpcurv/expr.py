@@ -33,7 +33,9 @@ value is a (numerator, denominator) pair of ints in lowest terms and an
 inexact one a raw `mpmath.libmp` tuple at that precision, combined by the
 libmp functions the mpf operators call; they become a Fraction or an mpf
 only when returned, and a rational subtree is rounded to a tuple only when
-its scale is read.
+its scale is read.  The dense kernels compute on such tuples too: the
+determinant of chart validation (`numeric_det`), the (L1, L2) fit (`ls2`)
+and the dependence and constancy checks, built on one `dot` and `norm`.
 
 The zero test samples deterministic rational points from a box (default
 [1/3, 2] per coordinate; the CLI draws at most MAX_POINTS per test) and
@@ -41,14 +43,15 @@ accepts `|value| <= 1e-30 * (1 + m)` where m is the largest intermediate
 magnitude seen while evaluating.  A point where an exp argument exceeds
 MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
 
-`PointEval.judge` is the one place where a sampled value is judged zero:
-every per-component verdict (the zero test, the identity catalog, the
-(L1, L2) fit, the warped-product conditions) is built on it, and
-`ZeroTest` folds its verdicts over the sample points.  This module
-also owns the mpmath contexts, the single Fraction-to-mpf conversion
-(`to_mpf`, at any context `_as_mpf`) and the single literal-zero predicate
-(`is_literal_zero`).  Parsed text is capped at MAX_NESTING levels, counting
-both parentheses and chained divisions.
+`PointEval.judged` (`judge` as an mpf) is the one place where a sampled
+value is judged zero: every per-component verdict (the zero test, the
+identity catalog, the (L1, L2) fit, the warped-product conditions) is built
+on it, and `ZeroTest` folds its verdicts over the sample points.  This
+module also owns the mpmath contexts, the single Fraction-to-mpf conversion
+(`to_mpf`, at any context `_as_mpf`), the single literal-zero predicate
+(`is_literal_zero`) and, as no other module imports mpmath, every kernel
+that computes on libmp tuples.  Parsed text is capped at MAX_NESTING
+levels, counting both parentheses and chained divisions.
 
 Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
 pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
@@ -72,7 +75,8 @@ from weakref import KeyedRef
 import mpmath
 from mpmath.libmp import (
     fone, from_int, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_eq, mpf_exp,
-    mpf_gt, mpf_log, mpf_lt, mpf_mul, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin)
+    mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow,
+    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
@@ -1069,17 +1073,26 @@ class PointEval:
         An exact 0 holds for every m, so its scale is not computed.
         Raises DomainError when `e` is undefined at this point.
         """
+        t = self.judged(e)
+        return self._ctx.zero if t is fzero else self._ctx.make_mpf(t)
+
+    def judged(self, e):
+        """`judge(e)` as a raw libmp tuple, the object `fzero` when zero."""
         h = self._walk(e)
         exact = type(h) is tuple
         if exact and not h[0]:
-            return self._ctx.zero
+            return fzero
         _, m = self.eval_scaled(e)
         t = self._exact[e][0] if exact else h[0]
         prec, rnd = self._prec, self._rnd
         bound = mpf_mul(self._tol, mpf_add(m._mpf_, fone, prec, rnd), prec, rnd)
-        if mpf_gt(mpf_abs(t, prec, rnd), bound):
-            return self._ctx.make_mpf(t)
-        return self._ctx.zero
+        return t if mpf_gt(mpf_abs(t, prec, rnd), bound) else fzero
+
+    def rounded(self, e):
+        """Value of `e` here as a raw libmp tuple, unjudged; a rational value
+        is rounded as `_as_mpf` rounds its Fraction (at DPS, `to_mpf`)."""
+        h = self._walk(e)
+        return self._round(h) if type(h) is tuple else h[0]
 
     def _round(self, v):
         """The tuple of `v`, an exact (numerator, denominator) pair in lowest
@@ -1270,6 +1283,246 @@ class PointEval:
 def evaluate(e, env):
     """Evaluate at a point; exact Fraction when possible, else an mpf of MP."""
     return PointEval(env).eval(e)
+
+
+# ---------------------------------------------------------------------------
+# Dense kernels on raw libmp tuples
+#
+# Chart validation's determinant, the (L1, L2) fit and the dependence and
+# constancy checks compute on tuples at DPS, as `PointEval` does.  Each step
+# is the libmp function that the mpf operator calls, with the operands in
+# the operator's order (`k * x` for an int k is `mpf_mul_int`, `1 + x` is
+# `mpf_add(x, 1)`), so every result is bit-identical to the same formula
+# written with mpfs of MP.  A term with an exact-zero factor is skipped: a
+# product with 0 is 0, and adding 0 to a normalized tuple returns it.  Only
+# the values these kernels return to reports are mpfs.
+
+_PREC, _RND = MP._prec_rounding
+_TOL = MP.mpf(_ZERO_TOL)._mpf_
+_REL = REL_TOL._mpf_
+
+
+def _mul(a, b):
+    return mpf_mul(a, b, _PREC, _RND)
+
+
+def _div(a, b):
+    return mpf_div(a, b, _PREC, _RND)
+
+
+def _sub(a, b):
+    return mpf_sub(a, b, _PREC, _RND)
+
+
+def as_tuple(v):
+    """`v`, an exact Fraction or a number, as the tuple of `to_mpf(v)`."""
+    return to_mpf(v)._mpf_
+
+
+def _threshold(scale):
+    """The tuple of `zero_threshold(scale)` for a tuple `scale`."""
+    return _mul(_TOL, mpf_add(scale, fone, _PREC, _RND))
+
+
+def negligible(v, scale):
+    """True iff `|v| <= zero_threshold(scale)`, for tuples `v` and `scale`."""
+    return mpf_le(mpf_abs(v, _PREC, _RND), _threshold(scale))
+
+
+def numeric_det(mat):
+    """LU determinant of a square matrix of tuples, with partial pivoting.
+
+    Returns (det, scale): scale is the largest magnitude of an entry, of an
+    intermediate or of det.  A column's pivot is its first entry of largest
+    magnitude below the diagonal, and det is fzero at a zero pivot.  A row
+    whose multiplier is 0 keeps its entries, which the scale has seen.
+    """
+    prec, rnd = _PREC, _RND
+    n = len(mat)
+    a = [row[:] for row in mat]
+    det = fone
+    scale = fzero
+    for row in a:
+        for x in row:
+            ax = mpf_abs(x, prec, rnd)
+            if mpf_gt(ax, scale):
+                scale = ax
+    for col in range(n):
+        piv, best = col, mpf_abs(a[col][col], prec, rnd)
+        for r in range(col + 1, n):
+            ar = mpf_abs(a[r][col], prec, rnd)
+            if mpf_gt(ar, best):
+                piv, best = r, ar
+        if mpf_eq(a[piv][col], fzero):
+            return fzero, scale
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = mpf_neg(det, prec, rnd)
+        top = a[col]
+        p = top[col]
+        det = mpf_mul(det, p, prec, rnd)
+        for r in range(col + 1, n):
+            row = a[r]
+            if mpf_eq(row[col], fzero):
+                continue
+            f = mpf_div(row[col], p, prec, rnd)
+            for c2 in range(col, n):
+                x = row[c2] = mpf_sub(row[c2], mpf_mul(f, top[c2], prec, rnd),
+                                      prec, rnd)
+                ax = mpf_abs(x, prec, rnd)
+                if mpf_gt(ax, scale):
+                    scale = ax
+    ad = mpf_abs(det, prec, rnd)
+    return det, ad if mpf_gt(ad, scale) else scale
+
+
+def dot(a, c, w=None):
+    """sum_k w[k] a[k] c[k] of tuples, with int weights `w` (none: all 1),
+    summed in order as `sum` sums mpfs."""
+    prec, rnd = _PREC, _RND
+    s = fzero
+    if w is None:
+        for x, y in zip(a, c):
+            if x != fzero and y != fzero:
+                s = mpf_add(s, mpf_mul(x, y, prec, rnd), prec, rnd)
+    else:
+        for k, x, y in zip(w, a, c):
+            if x != fzero and y != fzero:
+                s = mpf_add(s, mpf_mul(mpf_mul_int(x, k, prec, rnd), y, prec, rnd),
+                            prec, rnd)
+    return s
+
+
+def norm(v, w=None):
+    """sqrt(dot(v, v, w)), the weighted Euclidean norm of tuples."""
+    return mpf_sqrt(dot(v, v, w), _PREC, _RND)
+
+
+def _above(n, scale):
+    """True iff `n > REL_TOL * scale`: a norm that is not negligible."""
+    return mpf_gt(n, _mul(_REL, scale))
+
+
+def _gram(n1, n2, d12):
+    """(gram, parallel) of two vectors of norms n1, n2 and dot product d12:
+    gram = n1^2 n2^2 - d12^2, and parallel when sqrt(max(gram, 0)) is
+    within REL_TOL n1 n2."""
+    gram = _sub(_mul(_mul(_mul(n1, n1), n2), n2), _mul(d12, d12))
+    root = mpf_sqrt(fzero if mpf_gt(fzero, gram) else gram, _PREC, _RND)
+    return gram, mpf_le(root, _mul(_mul(_REL, n1), n2))
+
+
+def _residual(w, q1, q2, r, c1, c2):
+    """(|r - c1 q1 - c2 q2| in the weighted norm, the largest |r[k]|,
+    |c1 q1[k]| and |c2 q2[k]|) of tuples."""
+    prec, rnd = _PREC, _RND
+    e = []
+    scale = fzero
+    for a, c, rv in zip(q1, q2, r):
+        p1 = mpf_mul(c1, a, prec, rnd)
+        p2 = mpf_mul(c2, c, prec, rnd)
+        if p1 == fzero and p2 == fzero:
+            e.append(rv)
+        else:
+            e.append(mpf_sub(mpf_sub(rv, p1, prec, rnd), p2, prec, rnd))
+        for x in (rv, p1, p2):
+            if x != fzero:
+                ax = mpf_abs(x, prec, rnd)
+                if mpf_gt(ax, scale):
+                    scale = ax
+    return norm(e, w), scale
+
+
+def fit_residual(w, q1, q2, r, c1, c2):
+    """`_residual` of tuples as (residual, scale) mpfs of MP."""
+    res, scale = _residual(w, q1, q2, r, c1, c2)
+    return MP.make_mpf(res), MP.make_mpf(scale)
+
+
+def ls2(w, q1, q2, r):
+    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point,
+    where |v|^2 = sum_k w[k] v[k]^2: entry k stands for w[k] components.
+
+    `q1`, `q2` and `r` are judged tuples, `w` ints.  L1, L2 and the residual
+    are reported only as far as the 50 digits decide them: each snaps to an
+    exact 0 when its share of the data (|L_k| |q_k|, or the residual
+    itself) is within the zero threshold of the data scale, so no rounding
+    noise of the sums reaches a report.  The record's numbers are mpfs of
+    MP, except a rank-0 nullspace of ints.
+    """
+    n1, n2, nr = norm(q1, w), norm(q2, w), norm(r, w)
+    scale = n1
+    if mpf_gt(n2, scale):
+        scale = n2
+    if mpf_gt(nr, scale):
+        scale = nr
+    col1, col2 = _above(n1, scale), _above(n2, scale)
+    d12 = dot(q1, q2, w)
+    gram, parallel = _gram(n1, n2, d12)
+    zero, one = MP.zero, MP.one
+    if not col1 and not col2:
+        L1 = L2 = fzero
+        null = [(1, 0), (0, 1)]
+        rank = 0
+    elif not col1 or not col2 or parallel:
+        if not col1:
+            L1, L2 = fzero, _div(dot(q2, r, w), _mul(n2, n2))
+            null = [(one, zero)]
+        elif not col2:
+            L1, L2 = _div(dot(q1, r, w), _mul(n1, n1)), fzero
+            null = [(zero, one)]
+        else:
+            rho = _div(d12, _mul(n1, n1))
+            L1 = _div(_div(dot(q1, r, w), _mul(n1, n1)),
+                      mpf_add(_mul(rho, rho), fone, _PREC, _RND))
+            L2 = _mul(rho, L1)
+            null = [(MP.make_mpf(mpf_neg(rho, _PREC, _RND)), one)]
+        rank = 1
+    else:
+        d1, d2 = dot(q1, r, w), dot(q2, r, w)
+        L1 = _div(_sub(_mul(_mul(d1, n2), n2), _mul(d2, d12)), gram)
+        L2 = _div(_sub(_mul(_mul(n1, n1), d2), _mul(d12, d1)), gram)
+        null = []
+        rank = 2
+    res = _residual(w, q1, q2, r, L1, L2)[0]
+    tol = _threshold(scale)
+    make = MP.make_mpf
+    return {"L1": zero if mpf_lt(_mul(mpf_abs(L1, _PREC, _RND), n1), tol) else make(L1),
+            "L2": zero if mpf_lt(_mul(mpf_abs(L2, _PREC, _RND), n2), tol) else make(L2),
+            "residual": zero if mpf_le(res, tol) else make(res), "rank": rank,
+            "nullspace": null, "data_scale": make(scale)}
+
+
+def parallel_ratio(va, vb):
+    """(dependent, ratio) of two vectors of tuples: dependent when either
+    norm is negligible beside the other or they are parallel within
+    REL_TOL; ratio, an mpf r with va = r vb, only when neither is
+    negligible and they are parallel, else None."""
+    na, nb = norm(va), norm(vb)
+    scale = nb if mpf_gt(nb, na) else na
+    if not _above(na, scale) or not _above(nb, scale):
+        return True, None
+    d = dot(va, vb)
+    if not _gram(na, nb, d)[1]:
+        return False, None
+    return True, MP.make_mpf(_div(d, _mul(nb, nb)))
+
+
+def rows_constant(rows):
+    """True iff every row of numbers equals the first entrywise within
+    REL_TOL * (1 + the largest magnitude in `rows`)."""
+    prec, rnd = _PREC, _RND
+    rows = [[as_tuple(v) for v in row] for row in rows]
+    scale = fzero
+    for row in rows:
+        for x in row:
+            ax = mpf_abs(x, prec, rnd)
+            if mpf_gt(ax, scale):
+                scale = ax
+    tol = _mul(_REL, mpf_add(scale, fone, prec, rnd))
+    first = rows[0]
+    return all(mpf_le(mpf_abs(_sub(x, x0), prec, rnd), tol)
+               for row in rows for x, x0 in zip(row, first))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from itertools import product as iproduct
 
 from . import expr as ex
 from .expr import (
-    DEFAULT_SEED, MP, REL_TOL, DomainError, Expr, PointEval, is_zero_many,
-    parse, sample_box_points, to_mpf, zero_threshold,
+    DEFAULT_SEED, DomainError, Expr, PointEval, is_zero_many, parse,
+    sample_box_points,
 )
 
 
@@ -133,12 +133,11 @@ class Chart:
         for pt in pts:
             pe = PointEval(pt)
             try:
-                mat = [[to_mpf(pe.eval(entry)) for entry in row] for row in self.metric]
+                mat = [[pe.rounded(entry) for entry in row] for row in self.metric]
             except DomainError:
                 continue
             valid += 1
-            det, scale = _numeric_det(mat)
-            if abs(det) <= zero_threshold(scale):
+            if ex.negligible(*ex.numeric_det(mat)):
                 raise ChartError("metric degenerate at sampled point "
                                  + point_str(pt, self.coords))
         if valid == 0:
@@ -151,29 +150,18 @@ class Chart:
         return _field(self, (0, 2), self.metric, sym="sym2")
 
 
-def _numeric_det(mat):
-    """LU determinant with partial pivoting; returns (det, max intermediate)."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = MP.one
-    scale = max((abs(x) for row in a for x in row), default=MP.zero)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            return MP.zero, scale
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            for c2 in range(col, n):
-                a[r][c2] -= f * a[col][c2]
-                if abs(a[r][c2]) > scale:
-                    scale = abs(a[r][c2])
-    if abs(det) > scale:
-        scale = abs(det)
-    return det, scale
+def _chart(coords, metric, params, box):
+    """A Chart the engine derived from a validated one, stored as given.
+
+    Its caller answers for what `Chart.__init__` would check: renaming a
+    chart's coordinates, its box with them, keeps the sample values and
+    the symmetry verdicts, so the renamed chart needs no second check.
+    """
+    c = object.__new__(Chart)
+    c.coords, c.n, c.params, c.box = tuple(coords), len(coords), dict(params), dict(box)
+    c.metric = metric
+    c._cache = {}
+    return c
 
 
 class TensorField:
@@ -457,19 +445,6 @@ def linear_dependence_check(A, E, point):
     if A.valence != E.valence:
         raise ChartError("valence mismatch")
     pe = PointEval(point)
-    va = [to_mpf(pe.eval(c)) for c in A.flatten()]
-    vb = [to_mpf(pe.eval(c)) for c in E.flatten()]
-    na = MP.sqrt(sum(x * x for x in va))
-    nb = MP.sqrt(sum(x * x for x in vb))
-    scale = max(na, nb)
-    if scale == 0:
-        return {"dependent": True, "ratio": None}
-    if na <= REL_TOL * scale or nb <= REL_TOL * scale:
-        return {"dependent": True, "ratio": None}
-    dot = sum(x * y for x, y in zip(va, vb))
-    gram = na * na * nb * nb - dot * dot
-    if gram < 0:
-        gram = MP.zero
-    dependent = MP.sqrt(gram) <= REL_TOL * na * nb
-    ratio = dot / (nb * nb) if dependent else None
-    return {"dependent": bool(dependent), "ratio": ratio}
+    dependent, ratio = ex.parallel_ratio([pe.rounded(c) for c in A.flatten()],
+                                         [pe.rounded(c) for c in E.flatten()])
+    return {"dependent": dependent, "ratio": ratio}

@@ -32,8 +32,8 @@ from .conditions import einstein_check
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import (
-    Chart, ChartError, TensorField, _as_expr, _cached, _field, _orbit_field,
-    _table, gaussian, metric_inverse, orbit_reps, point_str,
+    Chart, ChartError, TensorField, _as_expr, _cached, _chart, _field,
+    _orbit_field, _table, gaussian, metric_inverse, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -72,7 +72,9 @@ class WarpedSpec:
         fmetric = [[ex.rename(fiber.metric[i][j], mapping) for j in range(fiber.n)]
                    for i in range(fiber.n)]
         fbox = {mapping.get(k, k): v for k, v in fiber.box.items()}
-        self.fiber = Chart(new_names, fmetric, params=fiber.params, box=fbox)
+        # the renamed fiber samples the fiber's values at the same seed, so
+        # the fiber's own validation stands for it
+        self.fiber = _chart(new_names, fmetric, fiber.params, fbox)
         self._check_f_positive()
         self._cache = {}
 

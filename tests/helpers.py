@@ -236,6 +236,85 @@ class MpfPointEval:
 
 
 # ---------------------------------------------------------------------------
+# The dense kernels on mpf objects: chart validation's determinant and the
+# (L1, L2) fit as first written, with mpf operators and `MP.sqrt`.  Oracles
+# for `expr.numeric_det` and `expr.ls2`, which compute on libmp tuples and
+# must match these bit for bit.
+
+def numeric_det_mpf(mat):
+    """LU determinant with partial pivoting; returns (det, max intermediate)."""
+    MP = ex.MP
+    n = len(mat)
+    a = [row[:] for row in mat]
+    det = MP.one
+    scale = max((abs(x) for row in a for x in row), default=MP.zero)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            return MP.zero, scale
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            for c2 in range(col, n):
+                a[r][c2] -= f * a[col][c2]
+                if abs(a[r][c2]) > scale:
+                    scale = abs(a[r][c2])
+    if abs(det) > scale:
+        scale = abs(det)
+    return det, scale
+
+
+def ls2_mpf(w, q1, q2, r):
+    """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point,
+    where |v|^2 = sum_k w[k] v[k]^2, on mpfs of MP."""
+    MP, REL_TOL = ex.MP, ex.REL_TOL
+
+    def dot(a, c):
+        return sum(k * x * y for k, x, y in zip(w, a, c))
+
+    n1, n2, nr = (MP.sqrt(dot(v, v)) for v in (q1, q2, r))
+    scale = max(n1, n2, nr)
+    zero = MP.zero
+    col1 = n1 > REL_TOL * scale
+    col2 = n2 > REL_TOL * scale
+    d12 = dot(q1, q2)
+    gram = n1 * n1 * n2 * n2 - d12 * d12
+    if not col1 and not col2:
+        L1 = L2 = zero
+        null = [(1, 0), (0, 1)]
+        rank = 0
+    elif (not col1) or (not col2) or MP.sqrt(max(gram, zero)) <= REL_TOL * n1 * n2:
+        if not col1:
+            L1, L2 = zero, dot(q2, r) / (n2 * n2)
+            null = [(MP.one, zero)]
+        elif not col2:
+            L1, L2 = dot(q1, r) / (n1 * n1), zero
+            null = [(zero, MP.one)]
+        else:
+            rho = d12 / (n1 * n1)
+            L1 = dot(q1, r) / (n1 * n1) / (1 + rho * rho)
+            L2 = rho * L1
+            null = [(-rho, MP.one)]
+        rank = 1
+    else:
+        d1, d2 = dot(q1, r), dot(q2, r)
+        L1 = (d1 * n2 * n2 - d2 * d12) / gram
+        L2 = (n1 * n1 * d2 - d12 * d1) / gram
+        null = []
+        rank = 2
+    e = [rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)]
+    res = MP.sqrt(dot(e, e))
+    tol = ex.zero_threshold(scale)
+    return {"L1": zero if abs(L1) * n1 < tol else L1,
+            "L2": zero if abs(L2) * n2 < tol else L2,
+            "residual": zero if res <= tol else res, "rank": rank,
+            "nullspace": null, "data_scale": scale}
+
+
+# ---------------------------------------------------------------------------
 # Smart constructors as first written: zero, one and sign decided by Fraction
 # comparisons and constants folded by Fraction arithmetic.  An oracle for
 # `expr.add`, `mul`, `neg`, `div` and `pow_`, which decide them by identity

@@ -229,6 +229,26 @@ def test_curvature_fiber_scalar():
     assert rep["curvature"]["nonzero_R"]
 
 
+TOWER = """[chart]
+coords = x1 x2
+g 1 1 = 1
+g 2 2 = exp(exp(exp(exp(x1))))
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="the zero test scales its threshold by "
+                   "the largest intermediate magnitude, which a division brings "
+                   "back down, so real curvature of size 1e65 is judged zero")
+def test_exp_tower_curvature_is_not_flat(tmp_path):
+    code, rep = curvature_report(_write(tmp_path, "tower.mf", TOWER), points=4)
+    assert code == 0
+    # kappa is far from zero at the first three points (the fourth is
+    # undefined: an exp argument beyond MAX_EXP_ARG)
+    samples = rep["curvature"]["kappa_samples"]
+    assert all(abs(float(v)) > 1e9 for v in samples[:3])
+    assert rep["curvature"]["flat"] is False
+
+
 def test_curvature_warped_product():
     code, rep = curvature_report(fixture_path("ex2_warped.mf"), points=4)
     assert code == 0

@@ -10,7 +10,7 @@ import helpers
 from warpcurv import expr as ex
 from warpcurv.actions import cached_derivation, cached_tachibana
 from warpcurv.conditions import (
-    CATALOG, ConditionReport, _ls2, check_identity, constant_type_check,
+    CATALOG, ConditionReport, check_identity, constant_type_check,
     einstein_check, fit_pseudosymmetry, pair_admissible, pair_residual,
 )
 from warpcurv.curvature import bundle
@@ -165,13 +165,14 @@ def test_fit_warped_chart_unique_pair(warped5_c):
 def test_fit_snaps_what_the_digits_do_not_decide():
     # data scale about 2: a coefficient or residual of 1e-45 is rounding
     # noise and reads exact 0; one of 1e-20 is data and is kept
-    one, zero = ex.MP.one, ex.MP.zero
+    one, zero = ex.MP.one._mpf_, ex.MP.zero._mpf_
+    two = (2 * ex.MP.one)._mpf_
     w, q1, q2 = [1, 1, 1], [one, zero, zero], [zero, one, zero]
     for small, kept in ((ex.MP.mpf("1e-45"), False), (ex.MP.mpf("1e-20"), True)):
-        rec = _ls2(w, q1, q2, [2 * one, small, zero])
+        rec = ex.ls2(w, q1, q2, [two, small._mpf_, zero])
         assert rec["L1"] == 2 and (rec["L2"] == small if kept else rec["L2"] == 0)
         assert rec["residual"] == 0
-        rec = _ls2(w, q1, q2, [2 * one, one, small])
+        rec = ex.ls2(w, q1, q2, [two, one, small._mpf_])
         assert rec["L1"] == 2 and rec["L2"] == 1
         assert rec["residual"] == small if kept else rec["residual"] == 0
 

@@ -1214,3 +1214,145 @@ def test_mpmath_lives_only_in_expr():
                  for path in sorted(SRC.glob("*.py")) if path.name != "expr.py"
                  for m in MPMATH_USE.finditer(path.read_text())]
     assert offenders == []
+
+
+# ------------------------------------------------- dense kernels vs mpf oracles
+
+def _kernel_numbers(st):
+    """(tuple, mpf) pairs of one number: exact zeros, small signed ints (so
+    magnitudes tie), Fractions rounded as `PointEval` rounds a rational
+    value, and inexact square roots.  The tuple feeds the kernel, the mpf
+    its oracle."""
+    pe = ex.PointEval({})
+
+    def exact(v):
+        return pe.rounded(ex.const(v)), ex.to_mpf(v)
+
+    def root(v):
+        x = ex.MP.sqrt(ex.to_mpf(abs(v)))
+        x = x if v > 0 else -x
+        return x._mpf_, x
+
+    return st.one_of(st.just(Fraction(0)).map(exact),
+                     st.integers(-3, 3).map(lambda k: exact(Fraction(k))),
+                     st.fractions(-7, 7, max_denominator=10**30).map(exact),
+                     st.fractions(-7, 7, max_denominator=50).filter(bool).map(root))
+
+
+def test_numeric_det_matches_mpf_oracle():
+    """`numeric_det` on tuples gives the bits of the mpf-object kernel it
+    replaced: det, scale and the degenerate verdict, at n <= 6 with exact
+    zeros, zero pivots, ties in pivot magnitude and negative entries."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    num = _kernel_numbers(st)
+    seen = {"zero det": 0, "noise det": 0, "tied pivot": 0, "regular": 0}
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(1, 6))
+        rows = [draw(st.lists(num, min_size=n, max_size=n)) for _ in range(n)]
+        if n > 1 and draw(st.booleans()):
+            # a multiple of the first row: singular, so a pivot cancels to 0
+            # or, under an inexact factor, to rounding noise
+            c = draw(st.sampled_from((1, -2, ex.MP.mpf(1) / 3, ex.MP.sqrt(2))))
+            rows[draw(st.integers(1, n - 1))] = [((x * c)._mpf_, x * c)
+                                                 for _, x in rows[0]]
+        return rows
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(matrices())
+    def check(rows):
+        got = ex.numeric_det([[t for t, _ in row] for row in rows])
+        det, scale = helpers.numeric_det_mpf([[x for _, x in row] for row in rows])
+        assert got == (det._mpf_, scale._mpf_)
+        degenerate = abs(det) <= ex.zero_threshold(scale)
+        assert ex.negligible(*got) == degenerate
+        first = [abs(row[0][1]) for row in rows]
+        seen["tied pivot"] += max(first) > 0 and first.count(max(first)) > 1
+        seen["zero det" if not det else "noise det" if degenerate else "regular"] += 1
+
+    check()
+    assert min(seen.values()) > 15, seen
+
+
+def test_ls2_matches_mpf_oracle():
+    """`ls2` on judged tuples gives the bits of the mpf-object fit it
+    replaced (L1, L2, residual, rank, nullspace, data_scale) in each branch:
+    rank 0, either column alone, collinear columns on both sides of the
+    REL_TOL edge, rank 2, and zero vectors."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    MP = ex.MP
+    num = _kernel_numbers(st).map(lambda pair: pair[1])
+    seen = {}
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(1, 8))
+        w = draw(st.lists(st.sampled_from((1, 3, 8, 16)), min_size=m, max_size=m))
+        q1, q2, r = (draw(st.lists(num, min_size=m, max_size=m)) for _ in range(3))
+        shape = draw(st.sampled_from(("free", "no columns", "no q1", "no q2",
+                                      "tiny q1", "tiny q2", "collinear", "edge",
+                                      "zero r", "exact fit")))
+        if shape in ("no columns", "no q1"):
+            q1 = [MP.zero] * m
+        if shape in ("no columns", "no q2"):
+            q2 = [MP.zero] * m
+        if shape == "tiny q1":
+            q1 = [x * MP.mpf("1e-25") for x in q1]
+        if shape == "tiny q2":
+            q2 = [x * MP.mpf("1e-25") for x in q2]
+        if shape in ("collinear", "edge"):
+            c = draw(num) or MP.one
+            if shape == "edge":
+                # q2 = c q1 + y, y orthogonal to q1 and sized so that the
+                # sine of the angle is f * REL_TOL
+                f = draw(st.sampled_from(("0.5", "0.99", "1.01", "2")))
+                d = sum(k * a * b for k, a, b in zip(w, q1, q2))
+                n11 = sum(k * a * a for k, a in zip(w, q1))
+                y = [b - (d / n11 if n11 else 0) * a for a, b in zip(q1, q2)]
+                ny = MP.sqrt(sum(k * b * b for k, b in zip(w, y)))
+                s = (MP.mpf(f) * ex.REL_TOL * abs(c) * MP.sqrt(n11) / ny
+                     if ny else MP.zero)
+                q2 = [c * a + s * b for a, b in zip(q1, y)]
+            else:
+                q2 = [c * a for a in q1]
+        if shape == "zero r":
+            r = [MP.zero] * m
+        if shape == "exact fit":
+            a, b = draw(num), draw(num)
+            r = [a * x + b * y for x, y in zip(q1, q2)]
+        return shape, w, q1, q2, r
+
+    def same(g, v):
+        return type(g) is type(v) and (g._mpf_ == v._mpf_ if isinstance(v, MP.mpf)
+                                       else g == v)
+
+    @hyp.settings(max_examples=400, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(cases())
+    def check(case):
+        shape, w, q1, q2, r = case
+        want = helpers.ls2_mpf(w, q1, q2, r)
+        got = ex.ls2(w, *([x._mpf_ for x in v] for v in (q1, q2, r)))
+        assert sorted(got) == sorted(want)
+        for key in ("L1", "L2", "residual", "data_scale", "rank"):
+            assert same(got[key], want[key]), key
+        assert len(got["nullspace"]) == len(want["nullspace"])
+        for gv, wv in zip(got["nullspace"], want["nullspace"]):
+            assert all(same(g, v) for g, v in zip(gv, wv))
+        null = want["nullspace"]
+        branch = {0: "rank 0", 2: "rank 2"}.get(want["rank"])
+        if branch is None:
+            branch = ("only q2" if null[0][0] is MP.one
+                      else "only q1" if null[0][0] is MP.zero else "collinear")
+        seen[branch] = seen.get(branch, 0) + 1
+        if shape == "edge":
+            seen["edge, " + branch] = seen.get("edge, " + branch, 0) + 1
+
+    check()
+    for branch in ("rank 0", "only q1", "only q2", "collinear", "rank 2",
+                   "edge, collinear", "edge, rank 2"):
+        assert seen.get(branch, 0) > 5, seen

@@ -267,6 +267,23 @@ def test_warped_verify_builds_no_dense_product_action(monkeypatch):
     assert got == want
 
 
+def test_warped_verify_validates_each_chart_once(monkeypatch):
+    """Base, fiber and product are validated once each; the renamed fiber
+    samples the fiber's values at the same seed and is not checked again."""
+    validated = []
+    orig = Chart._validate
+
+    def counting(self):
+        validated.append(self.coords)
+        orig(self)
+
+    monkeypatch.setattr(Chart, "_validate", counting)
+    code, _ = cli.warped_verify_report(cli.fixture_path("ex2_warped.mf"),
+                                       points=3, seed=7)
+    assert code == 0
+    assert validated == [("x1",), ("x1", "x2", "x3"), ("x1", "x2", "x3", "x4")]
+
+
 # (spec fixture, L1, L2): rows that fail each of (I)-(V) somewhere
 WITNESS_ROWS = [
     ("rp_spec", 0, 0), ("rp_spec", 1, "x1"),
