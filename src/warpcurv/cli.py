@@ -42,9 +42,8 @@ from .curvature import bundle
 from .expr import DEFAULT_SEED, MP, DomainError, PointEval
 from .tensor import Chart, ChartError, excerpt, orbit_reps
 from .warped import (
-    _base_scalar, assemble_product, auxiliaries, block_actions,
-    block_curvature, dichotomy_check, make_spec, trichotomy_report,
-    verify_conditions,
+    Conditions, Defects, Dichotomy, Trichotomy, _base_scalar, assemble_product,
+    auxiliaries, block_actions, block_curvature, make_spec, sweep_charts,
 )
 
 SCHEMA = "warpcurv-report/1"
@@ -383,15 +382,11 @@ def classify_report(path, seed=None, points=8):
                 checks[name] = IdentityCheck(name, b, requested.get(name))
             except ValueError as err:
                 raise ManifestError(f"{m.path}: {err}") from None
-    # one sweep with one evaluator per point; the sample list is a prefix
-    # of any longer one, so the first `points` feed the flat test and the rows
-    for k, pt in enumerate(chart.sample_points(max(points, 5), seed)):
-        pe = PointEval(pt)
-        if k < points:
-            flat_test.visit(pe)
-            for check in checks.values():
-                check.visit(pe)
-        fit_test.visit(pe, pt)
+    # one evaluator per point; the sample list is a prefix of any longer
+    # one, so the first `points` feed the flat test and the rows
+    pts = chart.sample_points(max(points, 5), seed)
+    ex.sweep(pts[:points], [flat_test, *checks.values(), fit_test])
+    ex.sweep(pts[points:], [fit_test])
     flat = all(flat_test.result())
     fit = fit_test.result()
     residual_zero = all(rec["residual"] == 0 for rec in fit.records)
@@ -449,6 +444,12 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     chart, spec, rep = _scaffold(m, seed, points)
     L1 = L1 if L1 is not None else (m.L1 or "0")
     L2 = L2 if L2 is not None else (m.L2 or "0")
+    # the candidates are input, checked before any sample point is evaluated
+    try:
+        l1e = _base_scalar(spec, L1, "L1")
+        l2e = _base_scalar(spec, L2, "L2")
+    except (ChartError, ValueError) as err:
+        raise ManifestError(f"{m.path}: {err}") from None
     rep["command"] = "warped-verify"
     rep["p"], rep["q"] = spec.p, spec.q
     rep["warp"] = _text(m, "warp", spec.f)
@@ -462,58 +463,53 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
         "Delta": _text(m, "Delta", aux.Delta),
         "Omega": _text(m, "Omega", aux.Omega),
     }
+    # the block formulas against the direct computation: the action tensors
+    # share the 16 index symmetries of their orbits, so both sides are
+    # compared at the representatives only
     b = bundle(chart)
     curv = block_curvature(spec)
     acts = block_actions(spec)
-    # the action tensors share the 16 index symmetries of their orbits, so
-    # the direct values are built and compared at the representatives only
     reps = list(orbit_reps(chart.n, 6))
-
-    def at_reps(key):
-        return [acts[key].comp(t) for t in reps]
-
-    # one zero-test batch for the six families; spans[key] is a family's
-    # slice of it
-    diffs, spans = [], {}
+    oracle = Defects()
     for key, direct, block in (
             ("R", b.R.flatten(), curv["R"].flatten()),
             ("S", b.S.flatten(), curv["S"].flatten()),
             ("kappa", [b.kappa], [curv["kappa"]]),
-            ("RR", derivation_comps(b.R, b.R, reps), at_reps("RR")),
-            ("QgR", tachibana_comps(b.g, b.R, reps), at_reps("QgR")),
-            ("QSR", tachibana_comps(b.S, b.R, reps), at_reps("QSR"))):
-        start = len(diffs)
-        diffs += [ex.sub(d, k) for d, k in zip(direct, block)]
-        spans[key] = slice(start, len(diffs))
-    zero = chart.is_zero_many(diffs, trials=points, seed=seed)
-    oracle = {key: all(zero[span]) for key, span in spans.items()}
-    rep["oracle"] = oracle
-    try:
-        conds = dict(verify_conditions(spec, L1, L2, trials=points, seed=seed))
-        l2e = _base_scalar(spec, L2, "L2")
-    except (ChartError, ValueError) as err:
-        raise ManifestError(f"{m.path}: {err}") from None
+            ("RR", derivation_comps(b.R, b.R, reps), map(acts["RR"].comp, reps)),
+            ("QgR", tachibana_comps(b.g, b.R, reps), map(acts["QgR"].comp, reps)),
+            ("QSR", tachibana_comps(b.S, b.R, reps), map(acts["QSR"].comp, reps))):
+        oracle.add(key, "product", [ex.sub(d, k) for d, k in zip(direct, block)])
+    conditions = Conditions(spec, l1e, l2e)
+    trichotomy = Trichotomy(spec, l1e)
+    visitors = oracle.visitors + conditions.visitors + trichotomy.visitors
+    # no branch is forced when L2 is identically zero
+    dichotomy = None if ex.is_literal_zero(l2e) else Dichotomy(spec, l2e)
+    if dichotomy is not None:
+        visitors += dichotomy.visitors
+    # one sweep per chart; every check on a chart shares its evaluator
+    sweep_charts(spec, visitors, points, seed)
+    rep["oracle"], _ = oracle.verdicts()
+    conds = conditions.result()
     conds["witnesses"] = {
         k: {"index": list(v["index"]),
             "defect": _text(m, f"condition ({k}) witness defect", v["defect"])}
         for k, v in conds["witnesses"].items()}
     rep["conditions"] = conds
-    tri = trichotomy_report(spec, L1, trials=points, seed=seed)
+    tri = trichotomy.result()
     rep["trichotomy"] = {
         "labels": list(tri["labels"]),
         "all_covered": bool(tri["all_covered"]),
         "records": [{"point": _ptstr(r["point"], chart.coords),
                      "label": r["label"]} for r in tri["records"]],
     }
-    if ex.is_literal_zero(l2e):
+    if dichotomy is None:
         rep["dichotomy"] = {"skipped": True,
                             "reason": "L2 is identically zero; "
                                       "no branch forced"}
         dich_ok = True
     else:
         try:
-            d = dichotomy_check(spec, L2, conditions_hold=False,
-                                trials=points, seed=seed)
+            d = dichotomy.result()
         except ValueError as err:
             raise ManifestError(f"{m.path}: dichotomy: {err}") from None
         consistent = ((not conds["all_hold"]) or d["base_flat"]
@@ -523,7 +519,7 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
                             "fiber_einstein": d["fiber_einstein"],
                             "consistent": consistent}
         dich_ok = consistent
-    ok = all(oracle.values()) and conds["all_hold"] and dich_ok
+    ok = all(rep["oracle"].values()) and conds["all_hold"] and dich_ok
     return (0 if ok else 1), rep
 
 

@@ -165,8 +165,7 @@ class IdentityCheck:
 def check_identity(name, b, scalars=None, trials=8, seed=DEFAULT_SEED):
     """Verdict dict for one catalog row on a curvature bundle."""
     check = IdentityCheck(name, b, scalars)
-    for pt in b.chart.sample_points(trials, seed):
-        check.visit(PointEval(pt))
+    ex.sweep(b.chart.sample_points(trials, seed), [check])
     return check.result()
 
 
@@ -189,8 +188,8 @@ class PseudosymmetryFit:
     """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R), fed one
     evaluator per sample point.
 
-    Built for `npoints` points (ValueError below 5); `visit(pe, point)` fits
-    at pe's point, skipping it when a component is undefined there, and
+    Built for `npoints` points (ValueError below 5); `visit(pe)` fits at
+    pe's point, skipping it when a component is undefined there, and
     `result()` gives the ConditionReport, with the skipped points counted
     in points_invalid; InconclusiveError when no point was domain-valid.
     """
@@ -203,7 +202,7 @@ class PseudosymmetryFit:
         self._records = []
         self._visited = 0
 
-    def visit(self, pe, point):
+    def visit(self, pe):
         self._visited += 1
         # cancellation residue below the scaled zero threshold is noise,
         # not data; judged() snaps it to an exact zero
@@ -215,7 +214,7 @@ class PseudosymmetryFit:
         except DomainError:
             return
         rec = ex.ls2(self._w, q1, q2, r)
-        rec["point"] = point
+        rec["point"] = pe.point
         self._records.append(rec)
 
     def result(self) -> ConditionReport:
@@ -234,8 +233,7 @@ def fit_pseudosymmetry(b, points) -> ConditionReport:
     """Least-squares (L1, L2) of R.R = L1 Q(g,R) + L2 Q(S,R) at each point
     (see `PseudosymmetryFit`)."""
     fit = PseudosymmetryFit(b, len(points))
-    for pt in points:
-        fit.visit(PointEval(pt), pt)
+    ex.sweep(points, [fit])
     return fit.result()
 
 
@@ -274,14 +272,17 @@ def pair_admissible(b, point, L1, L2):
 # Einstein and constant-type checks
 
 
+def einstein_defects(b):
+    """The components of S - (kappa/n) g."""
+    n = b.chart.n
+    coef = ex.mul(ex.const(Fraction(1, n)), b.kappa)
+    return [ex.sub(b.S.comps[i][j], ex.mul(coef, b.chart.metric[i][j]))
+            for i in range(n) for j in range(n)]
+
+
 def einstein_check(b, trials=8, seed=DEFAULT_SEED):
     """True iff S = (kappa/n) g under the randomized zero test."""
-    c = b.chart
-    n = c.n
-    coef = ex.mul(ex.const(Fraction(1, n)), b.kappa)
-    diffs = [ex.sub(b.S.comps[i][j], ex.mul(coef, c.metric[i][j]))
-             for i in range(n) for j in range(n)]
-    return all(c.is_zero_many(diffs, trials=trials, seed=seed))
+    return all(b.chart.is_zero_many(einstein_defects(b), trials=trials, seed=seed))
 
 
 def constant_type_check(report: ConditionReport):

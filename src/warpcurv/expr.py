@@ -46,7 +46,9 @@ MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
 `PointEval.judged` (`judge` as an mpf) is the one place where a sampled
 value is judged zero: every per-component verdict (the zero test, the
 identity catalog, the (L1, L2) fit, the warped-product conditions) is built
-on it, and `ZeroTest` folds its verdicts over the sample points.  This
+on it, and `ZeroTest` folds its verdicts over the sample points.  Every
+check is a visitor like it, and `sweep` feeds the visitors of one chart one
+shared evaluator per sample point.  This
 module also owns the mpmath contexts, the single Fraction-to-mpf conversion
 (`to_mpf`, at any context `_as_mpf`), the single literal-zero predicate
 (`is_literal_zero`) and, as no other module imports mpmath, every kernel
@@ -1033,10 +1035,12 @@ class PointEval:
     nodes are interned, so a subtree shared by several expressions is
     evaluated once, and the memo keeps its keys alive for as long as it
     lives.  An exp argument beyond MAX_EXP_ARG in magnitude makes the point
-    undefined (DomainError) before mpmath is called.
+    undefined (DomainError) before mpmath is called.  `point` is the env
+    the evaluator was built for.
     """
 
     def __init__(self, env, dps=DPS):
+        self.point = env
         self._ctx = _context(dps)
         self._prec, self._rnd = prec, rnd = self._ctx._prec_rounding
         self._env = {}  # name -> the memo entry of a leaf bound to it
@@ -1600,15 +1604,21 @@ class ZeroTest:
         return self._zero
 
 
+def sweep(points, visitors):
+    """Feed every visitor one shared evaluator per point, point by point, so
+    that only one evaluator (and its memo) is alive at a time."""
+    for pt in points:
+        pe = PointEval(pt)
+        for v in visitors:
+            v.visit(pe)
+
+
 def is_zero_many(exprs, coords, box=None, params=None, trials=8, seed=DEFAULT_SEED):
     """Componentwise zero test sharing sample points and evaluation memo.
 
-    A `ZeroTest` visits the sampled points one at a time, so only one
-    evaluation memo is alive.  Returns a list of booleans, one per
-    expression.  Raises InconclusiveError if some expression had no
-    domain-valid point.
+    Returns a list of booleans, one per expression.  Raises
+    InconclusiveError if some expression had no domain-valid point.
     """
     test = ZeroTest(exprs)
-    for pt in sample_box_points(coords, box, trials, seed, params=params):
-        test.visit(PointEval(pt))
+    sweep(sample_box_points(coords, box, trials, seed, params=params), [test])
     return test.result()

@@ -9,6 +9,11 @@ against), and checks the five block conditions (I)-(V) that characterize
 R.R = L1 Q(g,R) + L2 Q(S,R) on such a product, together with the associated
 trichotomy and dichotomy classification of where the conditions can hold.
 
+Every check builds its expressions up front and lists its `visitors` as
+(chart, visitor) pairs, the chart being "base", "fiber" or "product";
+`sweep_charts` sweeps each chart once, so all checks of a `warped-verify`
+run, its oracle included, share one evaluator per sample point.
+
 The six-index tensors R.R, Q(g,R) and Q(S,R) are antisymmetric in each index
 pair and symmetric under exchanging the first two pairs.  Their blocks are
 therefore built, and the conditions judged, at one index tuple per orbit of
@@ -28,7 +33,7 @@ from itertools import product as iproduct
 from . import expr as ex
 from .actions import (
     _orbit_table, derivation_action, derivation_comps, tachibana, tachibana_comps)
-from .conditions import einstein_check
+from .conditions import einstein_defects
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
 from .tensor import (
@@ -369,7 +374,17 @@ def block_actions(spec):
 
 
 # ---------------------------------------------------------------------------
-# Conditions (I)-(V)
+# Checks
+
+
+def sweep_charts(spec, visitors, trials=8, seed=DEFAULT_SEED):
+    """Sweep the base, fiber and product charts once each at (trials, seed);
+    at each point, the visitors of that chart share one evaluator."""
+    for role, chart in (("base", spec.base), ("fiber", spec.fiber),
+                        ("product", assemble_product(spec))):
+        mine = [v for r, v in visitors if r == role]
+        if mine:
+            ex.sweep(chart.sample_points(trials, seed), mine)
 
 
 def _base_scalar(spec, val, what):
@@ -383,8 +398,36 @@ def _base_scalar(spec, val, what):
     return e
 
 
-def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
-    """Check the five block conditions for R.R = L1 Q(g,R) + L2 Q(S,R).
+class Defects:
+    """Named families of defects, each zero-tested on its chart by its own
+    `ZeroTest`.  `verdicts()` reads them in the order added: whether each
+    vanishes, and for a failed family given its index tuples, the witness
+    (the first failing tuple, 1-based, and its defect)."""
+
+    def __init__(self):
+        self.visitors = []
+        self._families = {}     # name -> (index tuples or None, defects, test)
+
+    def add(self, name, chart, defects, tuples=None):
+        test = ex.ZeroTest(defects)
+        self._families[name] = tuples, defects, test
+        self.visitors.append((chart, test))
+
+    def verdicts(self):
+        holds, witnesses = {}, {}
+        for name, (tuples, defects, test) in self._families.items():
+            zero = test.result()
+            holds[name] = all(zero)
+            if not holds[name] and tuples is not None:
+                k = zero.index(False)
+                witnesses[name] = {"index": tuple(i + 1 for i in tuples[k]),
+                                   "defect": defects[k]}
+        return holds, witnesses
+
+
+class Conditions(Defects):
+    """The five block conditions for R.R = L1 Q(g,R) + L2 Q(S,R), for base
+    scalar expressions L1 and L2.
 
     (I) is the base-block equation, (II) and (III) the two mixed-block
     equations, (IV) the vanishing of L2 T Q(gf,Sf) decided per factor, and
@@ -393,115 +436,102 @@ def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
     base is reported alongside.  For every failed equation, "witnesses"
     records one offending component (1-based index and defect expression).
     """
-    L1 = _base_scalar(spec, L1, "L1")
-    L2 = _base_scalar(spec, L2, "L2")
-    aux = auxiliaries(spec)
-    c = _ctx(spec)
-    prod = assemble_product(spec)
-    p, q, f = spec.p, spec.q, spec.f
-    out = {"witnesses": {}}
 
-    def combo(t):
-        rr, qg, qs = _entry6(spec, aux, c, t)
-        return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
+    def __init__(self, spec, L1, L2):
+        super().__init__()
+        aux = auxiliaries(spec)
+        c = _ctx(spec)
+        p, q, f = spec.p, spec.q, spec.f
 
-    def judge(name, chart, tuples, exprs):
-        flags = chart.is_zero_many(exprs, trials=trials, seed=seed)
-        out[name] = all(flags)
-        if not out[name]:
-            k = flags.index(False)
-            out["witnesses"][name] = {
-                "index": tuple(i + 1 for i in tuples[k]),
-                "defect": exprs[k],
-            }
+        def combo(t):
+            rr, qg, qs = _entry6(spec, aux, c, t)
+            return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
 
-    # Each list is in the order of the dense loop over its block, keeping
-    # one tuple per orbit of the index symmetries the block shares; the
-    # first failing tuple, hence the witness, is the dense loop's.
-    tup = list(orbit_reps(p, 6))
-    judge("I", spec.base,
-          tup,
-          [ex.sub(c.RRb.comp(t),
-                  ex.add(ex.mul(L1, c.QgRb.comp(t)),
-                         ex.mul(L2, c.QSRhat.comp(t)))) for t in tup])
+        # Each list is in the order of the dense loop over its block, keeping
+        # one tuple per orbit of the index symmetries the block shares; the
+        # first failing tuple, hence the witness, is the dense loop's.
+        tup = list(orbit_reps(p, 6))
+        self.add("I", "base",
+                 [ex.sub(c.RRb.comp(t),
+                         ex.add(ex.mul(L1, c.QgRb.comp(t)),
+                                ex.mul(L2, c.QSRhat.comp(t)))) for t in tup], tup)
 
-    tup = [(a, b, d_, al + p, s, et + p)
-           for a, b, d_, s in iproduct(range(p), repeat=4) if a < b
-           for al, et in iproduct(range(q), repeat=2)]
-    judge("II", prod, tup, [combo(t) for t in tup])
+        tup = [(a, b, d_, al + p, s, et + p)
+               for a, b, d_, s in iproduct(range(p), repeat=4) if a < b
+               for al, et in iproduct(range(q), repeat=2)]
+        self.add("II", "product", [combo(t) for t in tup], tup)
 
-    tup = [(a, al + p, be + p, ga + p, s, et + p)
-           for a, s in iproduct(range(p), repeat=2)
-           for al, be, ga, et in iproduct(range(q), repeat=4) if be < ga]
-    judge("III", prod, tup, [combo(t) for t in tup])
+        tup = [(a, al + p, be + p, ga + p, s, et + p)
+               for a, s in iproduct(range(p), repeat=2)
+               for al, be, ga, et in iproduct(range(q), repeat=4) if be < ga]
+        self.add("III", "product", [combo(t) for t in tup], tup)
 
-    # product of a base factor and a fiber factor vanishes iff one factor does
-    base_zero = all(spec.base.is_zero_many(
-        [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)],
-        trials=trials, seed=seed))
-    fiber_zero = all(spec.fiber.is_zero_many(
-        [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)],
-        trials=trials, seed=seed))
-    out["IV"] = base_zero or fiber_zero
-    out["IV_base_factor_zero"] = base_zero
-    out["IV_fiber_factor_zero"] = fiber_zero
+        # product of a base factor and a fiber factor vanishes iff one factor
+        # does; the factors report no witness
+        self.add("IV_base_factor_zero", "base",
+                 [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)])
+        self.add("IV_fiber_factor_zero", "fiber",
+                 [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)])
 
-    c1 = ex.sub(ex.mul(f, ex.sub(L1, aux.Delta)), ex.mul(L2, aux.Omega))
-    c2 = ex.mul(L2, f, aux.Delta)
-    tup = list(orbit_reps(q, 6))
-    # witness indices are reported in product labels, hence the +p shift
-    judge("V", prod, [tuple(i + p for i in t) for t in tup],
-          [ex.sub(c.RRf.comp(t),
-                  ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
-                                ex.mul(L2, c.QSRf.comp(t))),
-                         ex.mul(c2, c.QSGf.comp(t)))) for t in tup])
+        c1 = ex.sub(ex.mul(f, ex.sub(L1, aux.Delta)), ex.mul(L2, aux.Omega))
+        c2 = ex.mul(L2, f, aux.Delta)
+        tup = list(orbit_reps(q, 6))
+        # witness indices are reported in product labels, hence the +p shift
+        self.add("V", "product",
+                 [ex.sub(c.RRf.comp(t),
+                         ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
+                                       ex.mul(L2, c.QSRf.comp(t))),
+                                ex.mul(c2, c.QSGf.comp(t)))) for t in tup],
+                 [tuple(i + p for i in t) for t in tup])
 
-    tup = list(iproduct(range(p), repeat=4))
-    judge("corollary_ii", spec.base, tup,
-          [ex.sub(c.RTb.comp(t),
-                  ex.add(ex.mul(L1, c.QgTb.comp(t)),
-                         ex.mul(L2, c.QSTb.comp(t)))) for t in tup])
+        tup = list(iproduct(range(p), repeat=4))
+        self.add("corollary_ii", "base",
+                 [ex.sub(c.RTb.comp(t),
+                         ex.add(ex.mul(L1, c.QgTb.comp(t)),
+                                ex.mul(L2, c.QSTb.comp(t)))) for t in tup], tup)
 
-    out["failed"] = [k for k in CONDITION_NAMES if not out[k]]
-    out["all_hold"] = not out["failed"]
-    return out
+    def result(self):
+        out, witnesses = self.verdicts()
+        out["witnesses"] = witnesses
+        out["IV"] = out["IV_base_factor_zero"] or out["IV_fiber_factor_zero"]
+        out["failed"] = [k for k in CONDITION_NAMES if not out[k]]
+        out["all_hold"] = not out["failed"]
+        return out
 
 
-# ---------------------------------------------------------------------------
-# Trichotomy / dichotomy
-
-
-def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED):
+class Trichotomy:
     """Pointwise labels: T = L1 g, fiber-Einstein, base-flat, or none.
 
     The three defining sets can overlap; the label reports the first match
     in that order.  A "none" label flags a point where the union hypothesis
-    fails on the sampled box.
+    fails on the sampled box.  A product point where any of the three is
+    undefined is skipped.
     """
-    L1 = _base_scalar(spec, L1, "L1")
-    aux = auxiliaries(spec)
-    bb, fb = bundle(spec.base), bundle(spec.fiber)
-    prod = assemble_product(spec)
-    p, q = spec.p, spec.q
-    flat_comps = [e for t in iproduct(range(p), repeat=4)
-                  for e in [bb.R.comp(t)] if not is_literal_zero(e)]
-    t_comps = [ex.sub(aux.T.comps[a][b], ex.mul(L1, spec.base.metric[a][b]))
-               for a in range(p) for b in range(p)]
-    kq = ex.div(fb.kappa, ex.const(q))
-    e_comps = [ex.sub(fb.S.comps[al][be], ex.mul(kq, spec.fiber.metric[al][be]))
-               for al in range(q) for be in range(q)]
-    records = []
-    for pt in prod.sample_points(trials, seed):
-        pe = PointEval(pt)
+
+    def __init__(self, spec, L1):
+        aux = auxiliaries(spec)
+        bb, fb = bundle(spec.base), bundle(spec.fiber)
+        p, q = spec.p, spec.q
+        kq = ex.div(fb.kappa, ex.const(q))
+        self._sets = {
+            "T_matches": [ex.sub(aux.T.comps[a][b], ex.mul(L1, spec.base.metric[a][b]))
+                          for a in range(p) for b in range(p)],
+            "fiber_einstein": [ex.sub(fb.S.comps[al][be],
+                                      ex.mul(kq, spec.fiber.metric[al][be]))
+                               for al in range(q) for be in range(q)],
+            "base_flat": [e for t in iproduct(range(p), repeat=4)
+                          for e in [bb.R.comp(t)] if not is_literal_zero(e)],
+        }
+        self._records = []
+        self.visitors = [("product", self)]
+
+    def visit(self, pe):
+        rec = {"point": pe.point}
         try:
-            rec = {
-                "point": pt,
-                "T_matches": all(pe.judge(e) == 0 for e in t_comps),
-                "fiber_einstein": all(pe.judge(e) == 0 for e in e_comps),
-                "base_flat": all(pe.judge(e) == 0 for e in flat_comps),
-            }
+            for key, comps in self._sets.items():
+                rec[key] = all(pe.judge(e) == 0 for e in comps)
         except DomainError:
-            continue
+            return
         if rec["T_matches"]:
             rec["label"] = LABEL_T
         elif rec["fiber_einstein"]:
@@ -510,44 +540,76 @@ def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED):
             rec["label"] = LABEL_BASE
         else:
             rec["label"] = LABEL_NONE
-        records.append(rec)
-    labels = sorted({r["label"] for r in records})
-    return {
-        "records": records,
-        "labels": labels,
-        "all_covered": bool(records) and LABEL_NONE not in labels,
-    }
+        self._records.append(rec)
+
+    def result(self):
+        records = self._records
+        labels = sorted({r["label"] for r in records})
+        return {
+            "records": records,
+            "labels": labels,
+            "all_covered": bool(records) and LABEL_NONE not in labels,
+        }
+
+
+class Dichotomy(Defects):
+    """Which branch holds when L2 is nowhere zero: flat base or Einstein fiber.
+
+    The check itself visits the base points to judge L2; `result()` raises
+    ValueError at the first where L2 vanishes, or when L2 was nowhere
+    evaluable.  If the caller claims the five conditions hold, at least one
+    branch must come out true; otherwise a consistency violation is raised
+    rather than returned.
+    """
+
+    def __init__(self, spec, L2):
+        super().__init__()
+        self._L2, self._coords = L2, spec.base.coords
+        self._l2_zero = []      # (point, whether L2 is zero) at valid points
+        self.visitors.append(("base", self))
+        self.add("base_flat", "base", [bundle(spec.base).R.comp(t)
+                                       for t in iproduct(range(spec.p), repeat=4)])
+        self.add("fiber_einstein", "fiber", einstein_defects(bundle(spec.fiber)))
+
+    def visit(self, pe):
+        try:
+            self._l2_zero.append((pe.point, pe.judge(self._L2) == 0))
+        except DomainError:
+            pass
+
+    def result(self, conditions_hold=False):
+        for pt, zero in self._l2_zero:
+            if zero:
+                raise ValueError("L2 vanishes on the sampling box at "
+                                 + point_str(pt, self._coords))
+        if not self._l2_zero:
+            raise ValueError("L2 not evaluable on the sampling box")
+        out, _ = self.verdicts()
+        if conditions_hold and not (out["base_flat"] or out["fiber_einstein"]):
+            raise ValueError(
+                "consistency violation: conditions claimed to hold but the base "
+                "is not flat and the fiber is not Einstein on the sampled box")
+        return out
+
+
+def verify_conditions(spec, L1, L2, trials=8, seed=DEFAULT_SEED):
+    """`Conditions` at (trials, seed); L1 and L2 may also be strings."""
+    check = Conditions(spec, _base_scalar(spec, L1, "L1"),
+                       _base_scalar(spec, L2, "L2"))
+    sweep_charts(spec, check.visitors, trials, seed)
+    return check.result()
+
+
+def trichotomy_report(spec, L1, trials=8, seed=DEFAULT_SEED):
+    """`Trichotomy` at (trials, seed); L1 may also be a string."""
+    check = Trichotomy(spec, _base_scalar(spec, L1, "L1"))
+    sweep_charts(spec, check.visitors, trials, seed)
+    return check.result()
 
 
 def dichotomy_check(spec, L2, conditions_hold=False, trials=8, seed=DEFAULT_SEED):
-    """Which branch holds when L2 is nowhere zero: flat base or Einstein fiber.
-
-    The same check serves the constant-L2 specializations (L2 = 1 and
-    L2 = 1/(n-2)).  If the caller claims the five conditions hold, at least
-    one branch must come out true; otherwise a consistency violation is
-    raised rather than returned.
-    """
-    L2 = _base_scalar(spec, L2, "L2")
-    bb, fb = bundle(spec.base), bundle(spec.fiber)
-    valid = 0
-    for pt in spec.base.sample_points(trials, seed):
-        try:
-            zero = PointEval(pt).judge(L2) == 0
-        except DomainError:
-            continue
-        valid += 1
-        if zero:
-            raise ValueError("L2 vanishes on the sampling box at "
-                             + point_str(pt, spec.base.coords))
-    if valid == 0:
-        raise ValueError("L2 not evaluable on the sampling box")
-    p = spec.p
-    base_flat = all(spec.base.is_zero_many(
-        [bb.R.comp(t) for t in iproduct(range(p), repeat=4)],
-        trials=trials, seed=seed))
-    fiber_einstein = einstein_check(fb, trials=trials, seed=seed)
-    if conditions_hold and not (base_flat or fiber_einstein):
-        raise ValueError(
-            "consistency violation: conditions claimed to hold but the base "
-            "is not flat and the fiber is not Einstein on the sampled box")
-    return {"base_flat": base_flat, "fiber_einstein": fiber_einstein}
+    """`Dichotomy` at (trials, seed); L2 may also be a string.  The same
+    check serves the constant-L2 specializations (L2 = 1 and L2 = 1/(n-2))."""
+    check = Dichotomy(spec, _base_scalar(spec, L2, "L2"))
+    sweep_charts(spec, check.visitors, trials, seed)
+    return check.result(conditions_hold)

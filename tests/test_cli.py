@@ -21,7 +21,9 @@ from warpcurv.cli import (
     fixture_path, load_manifest, main, selftest_report, warped_verify_report,
 )
 from warpcurv.curvature import bundle
-from warpcurv.warped import assemble_product
+from warpcurv.warped import (
+    assemble_product, dichotomy_check, trichotomy_report, verify_conditions,
+)
 
 FIXTURES = [
     "flat.mf", "flat1.mf", "flat2.mf", "flat3.mf", "sphere.mf", "sphere2.mf",
@@ -369,6 +371,31 @@ def test_warped_verify_malformed_candidate_names_manifest(capsys, flag, value):
         f"error: {path}: {flag[2:]} may only use base coordinates")
 
 
+@pytest.mark.parametrize("flag,value", [("--L1", "foo"), ("--L2", "1/("),
+                                        ("--L1", "x2"), ("--L2", "x2")])
+def test_warped_verify_rejects_candidate_before_evaluating(monkeypatch, capsys,
+                                                         flag, value):
+    # a candidate is input: it is checked right after the manifest, so no
+    # point of the command's own sample lists is ever evaluated
+    path = fixture_path("ex2_warped.mf")
+    spec = build_spec(load_manifest(path))
+    at_seed = [pt for chart in (spec.base, spec.fiber, assemble_product(spec))
+               for pt in chart.sample_points(2, 7)]
+    built = []
+    init = ex.PointEval.__init__
+
+    def spy(self, env, *args, **kwargs):
+        built.append(env)
+        init(self, env, *args, **kwargs)
+
+    monkeypatch.setattr(ex.PointEval, "__init__", spy)
+    assert main(["warped-verify", path, flag, value, "--points", "2",
+                 "--seed", "7"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {flag[2:]}")
+    assert built    # chart validation evaluates at DEFAULT_SEED
+    assert not [env for env in built if env in at_seed]
+
+
 def test_main_deep_nesting_is_input_error(tmp_path, capsys):
     depth = 40000
     path = _write(tmp_path, "deep.mf", "[chart]\ncoords = x1\ng 1 1 = "
@@ -533,6 +560,77 @@ def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
           "--seed", "7", "--json", str(out_file)])
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == WARPED_JSON_SHA256[(name, points)]
+
+
+@pytest.mark.parametrize("name,points", sorted(WARPED_JSON_SHA256))
+def test_warped_verify_draws_each_chart_once(monkeypatch, name, points):
+    # every check of the command shares one sweep per chart: the base, the
+    # renamed fiber and the product each draw their sample list once at the
+    # command's (points, seed); validation draws at DEFAULT_SEED
+    draws = []
+    draw = ex.sample_box_points
+
+    def spy(coords, box, k, seed, params=None):
+        draws.append((tuple(coords), k, seed))
+        return draw(coords, box, k, seed, params=params)
+
+    monkeypatch.setattr(ex, "sample_box_points", spy)
+    monkeypatch.setattr(tensor, "sample_box_points", spy)
+    _, rep = warped_verify_report(fixture_path(name), seed=7, points=points)
+    p, n = rep["p"], rep["n"]
+    coords = tuple(f"x{i + 1}" for i in range(n))
+    assert sorted(d for d in draws if d[2] != ex.DEFAULT_SEED) == sorted(
+        (c, points, 7) for c in (coords[:p], coords[p:], coords))
+
+
+DOMAIN_PARTIAL_BASE = """[chart]
+coords = x1 x2
+box x1 = 0 .. 2
+g 1 1 = 1
+g 2 2 = (x1 - 1)^(1/2) + 1
+"""
+DOMAIN_PARTIAL_WARPED = """[warped]
+base = dbase.mf
+fiber = sphere2.mf
+warp = 1 + x1^2
+L1 = 0
+L2 = 1
+"""
+
+
+def test_warped_verify_domain_partial_base(tmp_path, capsys):
+    # the base metric is undefined for x1 < 1, so the shared sweeps skip
+    # points: per expression in the zero tests, per point in the trichotomy
+    _write(tmp_path, "dbase.mf", DOMAIN_PARTIAL_BASE)
+    shutil.copy(fixture_path("sphere2.mf"), tmp_path / "sphere2.mf")
+    path = _write(tmp_path, "dpart.mf", DOMAIN_PARTIAL_WARPED)
+    out_file = tmp_path / "r.json"
+    assert main(["warped-verify", path, "--points", "4", "--seed", "7",
+                 "--json", str(out_file)]) == 1
+    # fixed before the checks shared one sweep per chart
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "3e64c094d9c188c12b95ca135d30751c37ff394021e3e02f82da4d13be208a7d")
+    code, rep = warped_verify_report(path, seed=7, points=4)
+    assert code == 1 and rep["conditions"]["failed"] == ["II", "III"]
+    assert len(rep["trichotomy"]["records"]) == 2
+    # each check swept alone gives what the shared sweep reported
+    spec = build_spec(load_manifest(path))
+    conds = verify_conditions(spec, "0", "1", trials=4, seed=7)
+    got = rep["conditions"]
+    assert {k: v for k, v in conds.items() if k != "witnesses"} == {
+        k: v for k, v in got.items() if k != "witnesses"}
+    assert {k: (list(w["index"]), ex.to_str(w["defect"]))
+            for k, w in conds["witnesses"].items()} == {
+        k: (w["index"], str(w["defect"])) for k, w in got["witnesses"].items()}
+    tri = trichotomy_report(spec, "0", trials=4, seed=7)
+    assert [(cli._ptstr(r["point"], rep["coords"]), r["label"])
+            for r in tri["records"]] == [
+        (r["point"], r["label"]) for r in rep["trichotomy"]["records"]]
+    assert tri["labels"] == rep["trichotomy"]["labels"]
+    assert tri["all_covered"] == rep["trichotomy"]["all_covered"]
+    dich = dichotomy_check(spec, "1", trials=4, seed=7)
+    assert dich == {k: rep["dichotomy"][k]
+                    for k in ("base_flat", "fiber_einstein")}
 
 
 # sha256 of `classify --json` at seed 7 without the points_invalid keys,
