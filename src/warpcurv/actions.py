@@ -15,7 +15,6 @@ that way, any other dense, in the one memo `tensor._cached`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
 from . import expr as ex
 from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
@@ -160,23 +159,21 @@ def deszcz_ratio(b, point, pi1, pi2):
     rr = cached_derivation(b, "R", "R")
     qgr = cached_tachibana(b, "g", "R")
     pe = PointEval(point)
-    weights = (v, w, v, w, x, y)
+    # the index tuples whose six plane weights are all nonzero, in
+    # lexicographic order, each with its weight as a running product
+    terms = [((), Fraction(1))]
+    for vec in (v, w, v, w, x, y):
+        terms = [(idx + (i,), wt * c) for idx, wt in terms
+                 for i, c in enumerate(vec) if c]
+    terms = [(idx, to_mpf(wt)) for idx, wt in terms]
 
     def contract(field):
         total = scale = MP.zero
-        for idx in iproduct(*(range(n),) * 6):
-            wt = Fraction(1)
-            for slot, i in enumerate(idx):
-                wt *= weights[slot][i]
-                if wt == 0:
-                    break
-            if wt == 0:
-                continue
+        for idx, wtm in terms:
             e = field.comp(idx)
             if is_literal_zero(e):
                 continue
             val, sub = pe.eval_scaled(e)
-            wtm = to_mpf(wt)
             term = to_mpf(val) * wtm
             total += term
             for s in (abs(term), sub * abs(wtm)):

@@ -25,6 +25,7 @@ included.  Exit codes: 0 pass, 1 verdict failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -860,7 +861,9 @@ def _common_args(sp):
     _json_arg(sp)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="warpcurv",
         description="curvature, classification, and warped-product "
@@ -880,7 +883,11 @@ def main(argv=None):
     sp = sub.add_parser("selftest")
     sp.add_argument("--seed", type=int, default=None)
     _json_arg(sp)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.cmd == "curvature":
             code, rep = curvature_report(args.manifest, seed=args.seed,

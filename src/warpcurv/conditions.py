@@ -18,8 +18,8 @@ from fractions import Fraction
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, is_literal_zero,
-    zero_threshold,
+    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, fzero,
+    is_literal_zero, zero_threshold,
 )
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
@@ -136,12 +136,13 @@ class IdentityCheck:
         self._holds = True
 
     def visit(self, pe):
+        judged = pe.judged
         try:
-            if self._quals and all(pe.judge(c) == 0 for comps in self._quals
+            if self._quals and all(judged(c) is fzero for comps in self._quals
                                    for c in comps):
                 self._excluded += 1
                 return
-            if any(pe.judge(d) != 0 for d in self._defects):
+            if any(judged(d) is not fzero for d in self._defects):
                 self._holds = False
         except DomainError:
             self._invalid += 1

@@ -42,6 +42,13 @@ The zero test samples deterministic rational points from a box (default
 accepts `|value| <= 1e-30 * (1 + m)` where m is the largest intermediate
 magnitude seen while evaluating.  A point where an exp argument exceeds
 MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
+Magnitudes are compared on the tuples' ints: a normalized tuple
+(0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)), so `mag_gt` orders
+two of them by exp + bc and only a tie compares the aligned mantissas, with
+the answer `mpf_gt` gives; the magnitude of a tuple at the working
+precision is the tuple with sign 0, without `mpf_abs`.  The zero test's
+verdict is decided on orders too when powers of two separate |value| from
+the bound, and by the mpf formula itself otherwise.
 
 `PointEval.judged` (`judge` as an mpf) is the one place where a sampled
 value is judged zero: every per-component verdict (the zero test, the
@@ -999,6 +1006,26 @@ _MPF_FUNCS = {Exp: mpf_exp, Log: mpf_log, Sin: mpf_sin, Cos: mpf_cos}
 _MAX_EXP_MPF = from_int(MAX_EXP_ARG)
 
 
+def mag_gt(s, t):
+    """`mpf_gt(s, t)` for nonnegative libmp tuples, decided on their ints.
+
+    A normalized tuple (0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)),
+    so unequal sums exp + bc order the two values, and equal sums are
+    settled by the mantissas aligned to the smaller exponent.  A zero or
+    special operand (man 0) goes to `mpf_gt` itself.  The magnitude of a
+    tuple rounded at the working precision is (0, man, exp, bc), so callers
+    take it without `mpf_abs`.
+    """
+    _, sm, se, sb = s
+    _, tm, te, tb = t
+    if sm and tm:
+        a, b = se + sb, te + tb
+        if a != b:
+            return a > b
+        return sm << (se - te) > tm if se >= te else sm > tm << (te - se)
+    return mpf_gt(s, t)
+
+
 def _reduced(n, d):
     """The pair (n, d), d > 0, in lowest terms."""
     g = gcd(n, d)
@@ -1030,8 +1057,15 @@ class PointEval:
     tuple, `eval_scaled`, or `judge` of a nonzero value.  `_settled` then
     rounds it and its subtree once, with the formulas an inexact node
     follows, and keeps (tuple, magnitude) in `_exact`; judging an exact 0
-    rounds nothing.  Fractions and mpfs are made only for the values that
-    `eval`, `eval_scaled` and `judge` return.  The memo is keyed by node:
+    rounds nothing.  A magnitude is the value's tuple with sign 0, and
+    the largest is kept by `mag_gt`, which decides on binary orders
+    (exp + bc) and compares mantissas only on a tie; the Add and Mul loop
+    inlines its order test.  `judged` brackets |value| and 1e-30 * (1 + m)
+    between powers of two read off their orders and takes the exact mpf
+    formula only when the brackets overlap, so every verdict is the
+    formula's.
+    Fractions and mpfs are made only for the values that `eval`,
+    `eval_scaled` and `judge` return.  The memo is keyed by node:
     nodes are interned, so a subtree shared by several expressions is
     evaluated once, and the memo keeps its keys alive for as long as it
     lives.  An exp argument beyond MAX_EXP_ARG in magnitude makes the point
@@ -1086,10 +1120,21 @@ class PointEval:
         exact = type(h) is tuple
         if exact and not h[0]:
             return fzero
-        _, m = self.eval_scaled(e)
+        m = self.eval_scaled(e)[1]._mpf_
         t = self._exact[e][0] if exact else h[0]
+        tol = self._tol
+        if t[1]:
+            # |t| lies in [2^(a-1), 2^a) and tol (1 + m) in [2^(b-2), 2^(b+1)]
+            # (1 + m in [2^(k-1), 2^(k+1)], k = max(1, m's order)), so orders
+            # two or more apart decide; closer ones take the exact formula
+            a = t[2] + t[3]
+            b = tol[2] + tol[3] + (m[2] + m[3] if m[1] and m[2] + m[3] > 1 else 1)
+            if a >= b + 3:
+                return t
+            if a <= b - 2:
+                return fzero
         prec, rnd = self._prec, self._rnd
-        bound = mpf_mul(self._tol, mpf_add(m._mpf_, fone, prec, rnd), prec, rnd)
+        bound = mpf_mul(tol, mpf_add(m, fone, prec, rnd), prec, rnd)
         return t if mpf_gt(mpf_abs(t, prec, rnd), bound) else fzero
 
     def rounded(self, e):
@@ -1116,13 +1161,13 @@ class PointEval:
         s = self._exact.get(e)
         if s is None:
             t = self._round(self._memo[e])
-            mg = mpf_abs(t, self._prec, self._rnd)
+            mg = (0, t[1], t[2], t[3])
             cls = type(e)
             if cls is Const or cls is Coord or cls is Param:
                 m = mg
             else:
                 m = self._largest(_children(e))
-            s = self._exact[e] = (t, m if mpf_gt(m, mg) else mg)
+            s = self._exact[e] = (t, m if mag_gt(m, mg) else mg)
         return s
 
     def _largest(self, kids):
@@ -1131,7 +1176,7 @@ class PointEval:
         m = settled(kids[0])[1]
         for k in kids[1:]:
             km = settled(k)[1]
-            if mpf_gt(km, m):
+            if mag_gt(km, m):
                 m = km
         return m
 
@@ -1190,7 +1235,7 @@ class PointEval:
                     t, m = self._round(_reduced(n, d)), self._largest(kids[:j])
                 kt, km = kv
                 t = inexact(t, kt, prec, rnd)
-                if mpf_gt(km, m):
+                if mag_gt(km, m):
                     m = km
             else:
                 t, m = v
@@ -1200,10 +1245,12 @@ class PointEval:
                     kv = self._exact.get(k) or self._settled(k)
                 kt, km = kv
                 t = inexact(t, kt, prec, rnd)
-                if mpf_gt(km, m):
+                # mag_gt(km, m) inlined: unequal binary orders decide
+                d = km[2] + km[3] - m[2] - m[3]
+                if (d > 0) if d and km[1] and m[1] else mag_gt(km, m):
                     m = km
-            mg = mpf_abs(t, prec, rnd)
-            out = [t, m if mpf_gt(m, mg) else mg]
+            mg = (0, t[1], t[2], t[3])
+            out = [t, m if mag_gt(m, mg) else mg]
         elif cls is Neg:
             c = walk(e.child)
             if type(c) is tuple:
@@ -1233,9 +1280,9 @@ class PointEval:
                 if mpf_eq(dt, fzero):
                     raise DomainError("division by zero")
                 t = mpf_div(nt, dt, prec, rnd)
-                mg = mpf_abs(t, prec, rnd)
-                m = dm if mpf_gt(dm, nm) else nm
-                out = [t, mg if mpf_gt(mg, m) else m]
+                mg = (0, t[1], t[2], t[3])
+                m = dm if mag_gt(dm, nm) else nm
+                out = [t, mg if mag_gt(mg, m) else m]
         elif cls is Pow:
             b = walk(e.base)
             x = e.exponent
@@ -1263,8 +1310,8 @@ class PointEval:
                     raise DomainError("negative base with fractional exponent")
                 else:
                     t = mpf_pow(bt, self._round((xn, xd)), prec, rnd)
-                mg = mpf_abs(t, prec, rnd)
-                out = [t, mg if mpf_gt(mg, bm) else bm]
+                mg = (0, t[1], t[2], t[3])
+                out = [t, mg if mag_gt(mg, bm) else bm]
         else:
             f = _MPF_FUNCS.get(cls)
             if f is None:
@@ -1275,11 +1322,11 @@ class PointEval:
                 raise DomainError("log of non-positive value")
             # a rational just above the bound may round onto it: compare it exactly
             if cls is Exp and (abs(c[0]) > MAX_EXP_ARG * c[1] if type(c) is tuple
-                               else mpf_gt(mpf_abs(ct, prec, rnd), _MAX_EXP_MPF)):
+                               else mag_gt((0, ct[1], ct[2], ct[3]), _MAX_EXP_MPF)):
                 raise DomainError("exp argument too large")
             t = f(ct, prec, rnd)
-            mg = mpf_abs(t, prec, rnd)
-            out = [t, mg if mpf_gt(mg, cm) else cm]
+            mg = (0, t[1], t[2], t[3])
+            out = [t, mg if mag_gt(mg, cm) else cm]
         self._memo[e] = out
         return out
 
@@ -1298,8 +1345,9 @@ def evaluate(e, env):
 # the operator's order (`k * x` for an int k is `mpf_mul_int`, `1 + x` is
 # `mpf_add(x, 1)`), so every result is bit-identical to the same formula
 # written with mpfs of MP.  A term with an exact-zero factor is skipped: a
-# product with 0 is 0, and adding 0 to a normalized tuple returns it.  Only
-# the values these kernels return to reports are mpfs.
+# product with 0 is 0, and adding 0 to a normalized tuple returns it.  The
+# largest magnitude (a scale, a pivot) is picked with `mag_gt`, which answers
+# as `mpf_gt`.  Only the values these kernels return to reports are mpfs.
 
 _PREC, _RND = MP._prec_rounding
 _TOL = MP.mpf(_ZERO_TOL)._mpf_
@@ -1348,14 +1396,16 @@ def numeric_det(mat):
     scale = fzero
     for row in a:
         for x in row:
-            ax = mpf_abs(x, prec, rnd)
-            if mpf_gt(ax, scale):
+            ax = (0, x[1], x[2], x[3])
+            if mag_gt(ax, scale):
                 scale = ax
     for col in range(n):
-        piv, best = col, mpf_abs(a[col][col], prec, rnd)
+        x = a[col][col]
+        piv, best = col, (0, x[1], x[2], x[3])
         for r in range(col + 1, n):
-            ar = mpf_abs(a[r][col], prec, rnd)
-            if mpf_gt(ar, best):
+            x = a[r][col]
+            ar = (0, x[1], x[2], x[3])
+            if mag_gt(ar, best):
                 piv, best = r, ar
         if mpf_eq(a[piv][col], fzero):
             return fzero, scale
@@ -1373,11 +1423,11 @@ def numeric_det(mat):
             for c2 in range(col, n):
                 x = row[c2] = mpf_sub(row[c2], mpf_mul(f, top[c2], prec, rnd),
                                       prec, rnd)
-                ax = mpf_abs(x, prec, rnd)
-                if mpf_gt(ax, scale):
+                ax = (0, x[1], x[2], x[3])
+                if mag_gt(ax, scale):
                     scale = ax
-    ad = mpf_abs(det, prec, rnd)
-    return det, ad if mpf_gt(ad, scale) else scale
+    ad = (0, det[1], det[2], det[3])
+    return det, ad if mag_gt(ad, scale) else scale
 
 
 def dot(a, c, w=None):
@@ -1431,8 +1481,8 @@ def _residual(w, q1, q2, r, c1, c2):
             e.append(mpf_sub(mpf_sub(rv, p1, prec, rnd), p2, prec, rnd))
         for x in (rv, p1, p2):
             if x != fzero:
-                ax = mpf_abs(x, prec, rnd)
-                if mpf_gt(ax, scale):
+                ax = (0, x[1], x[2], x[3])
+                if mag_gt(ax, scale):
                     scale = ax
     return norm(e, w), scale
 
@@ -1456,9 +1506,9 @@ def ls2(w, q1, q2, r):
     """
     n1, n2, nr = norm(q1, w), norm(q2, w), norm(r, w)
     scale = n1
-    if mpf_gt(n2, scale):
+    if mag_gt(n2, scale):
         scale = n2
-    if mpf_gt(nr, scale):
+    if mag_gt(nr, scale):
         scale = nr
     col1, col2 = _above(n1, scale), _above(n2, scale)
     d12 = dot(q1, q2, w)
@@ -1503,7 +1553,7 @@ def parallel_ratio(va, vb):
     REL_TOL; ratio, an mpf r with va = r vb, only when neither is
     negligible and they are parallel, else None."""
     na, nb = norm(va), norm(vb)
-    scale = nb if mpf_gt(nb, na) else na
+    scale = nb if mag_gt(nb, na) else na
     if not _above(na, scale) or not _above(nb, scale):
         return True, None
     d = dot(va, vb)
@@ -1520,8 +1570,8 @@ def rows_constant(rows):
     scale = fzero
     for row in rows:
         for x in row:
-            ax = mpf_abs(x, prec, rnd)
-            if mpf_gt(ax, scale):
+            ax = (0, x[1], x[2], x[3])
+            if mag_gt(ax, scale):
                 scale = ax
     tol = _mul(_REL, mpf_add(scale, fone, prec, rnd))
     first = rows[0]
@@ -1558,7 +1608,7 @@ def sample_box_points(coords, box, k, seed, params=None):
 def zero_threshold(scale):
     """Tolerance of the zero test for an aggregate of magnitude `scale`.
 
-    Per-component verdicts go through `PointEval.judge` instead.
+    Per-component verdicts go through `PointEval.judged` instead.
     """
     return MP.mpf(_ZERO_TOL) * (1 + scale)
 
@@ -1587,11 +1637,11 @@ class ZeroTest:
         self._sampled = [(i, e) for i, e in enumerate(exprs) if not self._valid[i]]
 
     def visit(self, pe):
-        zero, valid = self._zero, self._valid
+        zero, valid, judged = self._zero, self._valid, pe.judged
         for i, e in self._sampled:
             if zero[i]:
                 try:
-                    zero[i] = pe.judge(e) == 0
+                    zero[i] = judged(e) is fzero
                 except DomainError:
                     continue
                 valid[i] = True

@@ -35,7 +35,7 @@ from .actions import (
     _orbit_table, derivation_action, derivation_comps, tachibana, tachibana_comps)
 from .conditions import einstein_defects
 from .curvature import bundle, covariant_hessian
-from .expr import DEFAULT_SEED, DomainError, PointEval, is_literal_zero
+from .expr import DEFAULT_SEED, DomainError, PointEval, fzero, is_literal_zero
 from .tensor import (
     Chart, ChartError, TensorField, _as_expr, _cached, _chart, _field,
     _orbit_field, _table, gaussian, metric_inverse, orbit_reps, point_str,
@@ -527,9 +527,10 @@ class Trichotomy:
 
     def visit(self, pe):
         rec = {"point": pe.point}
+        judged = pe.judged
         try:
             for key, comps in self._sets.items():
-                rec[key] = all(pe.judge(e) == 0 for e in comps)
+                rec[key] = all(judged(e) is fzero for e in comps)
         except DomainError:
             return
         if rec["T_matches"]:
@@ -573,7 +574,7 @@ class Dichotomy(Defects):
 
     def visit(self, pe):
         try:
-            self._l2_zero.append((pe.point, pe.judge(self._L2) == 0))
+            self._l2_zero.append((pe.point, pe.judged(self._L2) is fzero))
         except DomainError:
             pass
 

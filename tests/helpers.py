@@ -314,6 +314,52 @@ def ls2_mpf(w, q1, q2, r):
             "nullspace": null, "data_scale": scale}
 
 
+def deszcz_ratio_loop(b, point, pi1, pi2):
+    """`actions.deszcz_ratio` as first written: every one of the n^6 index
+    tuples visited, its plane weight multiplied out per contraction.  An
+    oracle for the version that lists the nonzero-weight tuples once; both
+    sum the same terms in the same order, so their numbers are equal bits."""
+    from warpcurv.actions import cached_derivation, cached_tachibana
+
+    MP, n = ex.MP, b.chart.n
+    v, w = ([Fraction(t) for t in vec] for vec in pi1)
+    x, y = ([Fraction(t) for t in vec] for vec in pi2)
+    rr = cached_derivation(b, "R", "R")
+    qgr = cached_tachibana(b, "g", "R")
+    pe = ex.PointEval(point)
+    weights = (v, w, v, w, x, y)
+
+    def contract(field):
+        total = scale = MP.zero
+        for idx in iproduct(*(range(n),) * 6):
+            wt = Fraction(1)
+            for slot, i in enumerate(idx):
+                wt *= weights[slot][i]
+                if wt == 0:
+                    break
+            if wt == 0:
+                continue
+            e = field.comp(idx)
+            if ex.is_literal_zero(e):
+                continue
+            val, sub = pe.eval_scaled(e)
+            wtm = ex.to_mpf(wt)
+            term = ex.to_mpf(val) * wtm
+            total += term
+            for s in (abs(term), sub * abs(wtm)):
+                if s > scale:
+                    scale = s
+        return total, scale
+
+    num, s1 = contract(rr)
+    den, s2 = contract(qgr)
+    if abs(den) <= ex.zero_threshold(max(s1, s2)):
+        return {"defined": False, "ratio": None,
+                "numerator": num, "denominator": den}
+    return {"defined": True, "ratio": num / den,
+            "numerator": num, "denominator": den}
+
+
 # ---------------------------------------------------------------------------
 # Smart constructors as first written: zero, one and sign decided by Fraction
 # comparisons and constants folded by Fraction arithmetic.  An oracle for

@@ -430,6 +430,33 @@ def test_deszcz_ratio_plane_independence(ex2_c):
         assert all(abs(r - base) <= mpmath.mpf("1e-20") * abs(base) for r in ratios)
 
 
+def test_deszcz_ratio_matches_full_loop_oracle(ex2_c, sphere3_c):
+    # the nonzero-weight tuples, listed once, give the terms of the loop over
+    # all n^6 tuples in its order: every number is the same bits
+    cases = []
+    rng = random.Random(1618)
+    pt = {"x1": Fraction(5, 4), "x2": Fraction(1), "x3": Fraction(1, 2),
+          "x4": Fraction(7, 4)}
+    cases += [(ex2_c, pt, *_rand_plane_pair(rng, 4)) for _ in range(10)]
+    e = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    cases.append((ex2_c, pt, (e[0], e[1]), (e[0], e[2])))
+    pt3 = {"t1": Fraction(1), "t2": Fraction(1, 2), "t3": Fraction(3, 2)}
+    cases.append((sphere3_c, pt3, ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1))))
+    defined = 0
+    for chart, point, pi1, pi2 in cases:
+        b = bundle(chart)
+        got = deszcz_ratio(b, point, pi1, pi2)
+        want = helpers.deszcz_ratio_loop(b, point, pi1, pi2)
+        assert got["defined"] == want["defined"]
+        defined += got["defined"]
+        for key in ("numerator", "denominator", "ratio"):
+            if want[key] is None:
+                assert got[key] is None
+            else:
+                assert got[key]._mpf_ == want[key]._mpf_, key
+    assert defined == 10
+
+
 def test_deszcz_ratio_undefined_cases(ex2_c, sphere3_c):
     b = bundle(ex2_c)
     pt = {"x1": Fraction(1), "x2": Fraction(1), "x3": Fraction(1),

@@ -472,6 +472,24 @@ def test_main_points_above_the_limit_rejected(capsys, cmd):
     assert cli._point_count(str(ex.MAX_POINTS)) == ex.MAX_POINTS
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    # one parser serves every main() call of a process; a rejected argument
+    # leaves it as it was, so the next call parses and errs as the first did
+    assert cli._parser() is cli._parser()
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as stop:
+            main(["classify", fixture_path("sphere.mf"), "--points", "0"])
+        assert stop.value.code == 2
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] and "at least 1" in outs[0].err
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "warped-verify" in capsys.readouterr().out
+    assert main(["curvature", fixture_path("sphere.mf"), "--points", "2"]) == 0
+
+
 def test_fit_skips_undefined_points(tmp_path, capsys):
     # (x1 - 1)^(1/2) and its derivatives are undefined on x1 <= 1, about
     # half of the box x1 = 0 .. 2

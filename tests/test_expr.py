@@ -716,6 +716,89 @@ def test_judge_calls_eval_scaled_once(monkeypatch):
         assert calls == ([e] if scaled else []), text
 
 
+def test_mag_gt_matches_mpf_gt():
+    """`mag_gt` gives `mpf_gt`'s answer on nonnegative tuples: random
+    values, pairs of equal exp + bc, powers of two and their neighbours at
+    the working precision, and zero."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from mpmath.libmp import from_man_exp, fzero, mpf_gt
+    prec = ex.MP._prec_rounding[0]
+    seen = {"zero": 0, "tied order": 0, "equal": 0, "power of two": 0, "other": 0}
+
+    def near_power(k, step):
+        # 2^k, or its neighbour `step` units in the last place away
+        if step < 0:
+            return from_man_exp((1 << prec) + step, k - prec)
+        return from_man_exp((1 << (prec - 1)) + step, k - prec + 1)
+
+    exps = st.integers(-300, 300)
+    value = st.one_of(
+        st.just(fzero),
+        st.builds(from_man_exp, st.integers(1, (1 << prec) - 1), exps),
+        st.builds(near_power, exps, st.integers(-2, 2)))
+
+    @st.composite
+    def pairs(draw):
+        s = draw(value)
+        if s[1] and draw(st.booleans()):
+            # the same binary order as s, so the mantissas decide
+            man = draw(st.integers(1, (1 << prec) - 1) | st.just(s[1]))
+            return s, from_man_exp(man, s[2] + s[3] - man.bit_length())
+        return s, draw(value)
+
+    @hyp.settings(max_examples=600, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(pairs())
+    def check(pair):
+        s, t = pair
+        assert ex.mag_gt(s, t) == mpf_gt(s, t), pair
+        assert ex.mag_gt(t, s) == mpf_gt(t, s), pair
+        if not s[1] or not t[1]:
+            seen["zero"] += 1
+        elif s == t:
+            seen["equal"] += 1
+        elif s[2] + s[3] == t[2] + t[3]:
+            seen["tied order"] += 1
+        elif s[1] == 1 or t[1] == 1:
+            seen["power of two"] += 1
+        else:
+            seen["other"] += 1
+
+    check()
+    assert min(seen.values()) > 20, seen
+
+
+def test_judged_decides_as_the_exact_formula_near_the_threshold():
+    """`judged` snaps to zero exactly when `|t| <= 1e-30 (1 + m)` in mpf
+    arithmetic, for values 0 to 4 binary orders on each side of that bound
+    and at its neighbours, with m below and above 1.  In `a + b*c` with
+    c = 0 the value is a and the scale max(|a|, |b|)."""
+    from mpmath.libmp import fzero
+    MP = ex.MP
+    e = p("a + b*c", params=("a", "b", "c"))
+    ulp = MP.mpf(2) ** (1 - MP.prec)
+    tol = MP.mpf(ex._ZERO_TOL)
+    zero = nonzero = 0
+    for b in (0, MP.mpf(1) / 3, 1, MP.mpf(3) * 2 ** 10, MP.mpf("1e60"),
+              MP.mpf(2) ** 200):
+        bound = tol * (1 + abs(MP.mpf(b)))
+        for j in range(-4, 5):
+            for f in (1, 1 - ulp, 1 + ulp, MP.mpf(3) / 4, MP.mpf(3) / 2):
+                for sign in (1, -1):
+                    a = sign * bound * f * MP.mpf(2) ** j
+                    env = {"a": a, "b": MP.mpf(b), "c": Fraction(0)}
+                    want = helpers.MpfPointEval(env).judge(e)
+                    got = ex.PointEval(env).judged(e)
+                    if want == 0:
+                        assert got is fzero, (b, j, f, sign)
+                        zero += 1
+                    else:
+                        assert got == want._mpf_, (b, j, f, sign)
+                        nonzero += 1
+    assert zero > 100 and nonzero > 100, (zero, nonzero)
+
+
 # ------------------------------------------- tuple kernel vs mpf evaluator
 
 def _pool_trees(rng, size=40):
