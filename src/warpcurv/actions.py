@@ -10,6 +10,18 @@ for term, at chosen index tuples only.  The action of an H tagged
 symmetries of `tensor.orbit_reps`, so `_orbit_table` builds it at one tuple
 per orbit; cached_derivation and cached_tachibana keep a bundle's own actions
 that way, any other dense, in the one memo `tensor._cached`.
+
+The concircular and projective tensors are R less a multiple of the wedge
+tensor E(A)_ijkl = A_jk g_il - A_ik g_jl of a symmetric A:
+W = R - kappa/(n(n-1)) E(g), where E(g) = G, and P = R - 1/(n-2) E(S).
+The derivation by E(A) is Q(A,.), and D.H is linear in D, so
+cached_derivation builds W.H and P.H from the bundle's R.H, Q(g,H) and
+Q(S,H), component by component, and never W or P themselves:
+
+    W.H = R.H - kappa/(n(n-1)) Q(g,H),    P.H = R.H - 1/(n-2) Q(S,H).
+
+`derivation_action(b.W, H)` and `derivation_action(b.P, H)` give the same
+tensors from the dense derivation; the tests use them as the oracle.
 """
 
 from __future__ import annotations
@@ -19,8 +31,8 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
 from .tensor import (
-    ChartError, TensorField, _cached, _field, _orbit_field, _table, orbit_reps,
-    raise_first)
+    ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
+    orbit_reps, raise_first)
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -32,10 +44,16 @@ def _check_pair(D_valence_ok, D, H):
         raise ChartError("operands live on different charts")
 
 
+@_cached
+def _raised(chart, D):
+    """raise_first(D), built once per tensor D on its chart."""
+    return raise_first(D)
+
+
 def _derivation_fn(D, H):
     """The function (i1..ik, u, v) -> (D.H) at that index tuple."""
     _check_pair(D.valence == (0, 4), D, H)
-    dup = raise_first(D).comps
+    dup = _raised(D.chart, D).comps
 
     def comp(*t):
         *idx, u, v = t
@@ -113,7 +131,21 @@ def _orbit_table(comps_fn, A, H):
 @_cached
 def cached_derivation(b, dname: str, hname: str) -> TensorField:
     """D.H of the bundle's tensors; each D (R, W, C, K, P) is antisymmetric
-    in its first pair."""
+    in its first pair.  W.H and P.H are R.H - coef Q(A,H) (module
+    docstring); ChartError below dimension 3, as for W and P."""
+    if dname in ("W", "P"):
+        n = b._need_dim3()
+        if dname == "W":
+            aname, coef = "g", ex.mul(ex.const(Fraction(1, n * (n - 1))), b.kappa)
+        else:
+            aname, coef = "S", ex.const(Fraction(1, n - 2))
+        rh = cached_derivation(b, "R", hname)
+        q = cached_tachibana(b, aname, hname)
+        if isinstance(rh, _OrbitField):
+            return _orbit_field(b.chart, rh.valence, {
+                t: ex.sub(v, ex.mul(coef, q.reps[t])) for t, v in rh.reps.items()})
+        return _field(b.chart, rh.valence, _table(n, rh.rank, lambda *t: ex.sub(
+            rh.comp(t), ex.mul(coef, q.comp(t)))))
     D, H = getattr(b, dname), getattr(b, hname)
     return (_orbit_table(derivation_comps, D, H) if H.sym == "curvature"
             else derivation_action(D, H))

@@ -45,7 +45,8 @@ MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
 Magnitudes are compared on the tuples' ints: a normalized tuple
 (0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)), so `mag_gt` orders
 two of them by exp + bc and only a tie compares the aligned mantissas, with
-the answer `mpf_gt` gives; the magnitude of a tuple at the working
+the answer `mpf_gt` gives (zero is decided on ints too; only inf and nan
+reach `mpf_gt`); the magnitude of a tuple at the working
 precision is the tuple with sign 0, without `mpf_abs`.  The zero test's
 verdict is decided on orders too when powers of two separate |value| from
 the bound, and by the mpf formula itself otherwise.
@@ -1011,10 +1012,11 @@ def mag_gt(s, t):
 
     A normalized tuple (0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)),
     so unequal sums exp + bc order the two values, and equal sums are
-    settled by the mantissas aligned to the smaller exponent.  A zero or
-    special operand (man 0) goes to `mpf_gt` itself.  The magnitude of a
-    tuple rounded at the working precision is (0, man, exp, bc), so callers
-    take it without `mpf_abs`.
+    settled by the mantissas aligned to the smaller exponent.  Zero,
+    fzero = (0, 0, 0, 0), lies below every nonzero value and not above
+    zero; only a special operand (man 0, exp != 0: inf or nan) goes to
+    `mpf_gt` itself.  The magnitude of a tuple rounded at the working
+    precision is (0, man, exp, bc), so callers take it without `mpf_abs`.
     """
     _, sm, se, sb = s
     _, tm, te, tb = t
@@ -1023,6 +1025,11 @@ def mag_gt(s, t):
         if a != b:
             return a > b
         return sm << (se - te) > tm if se >= te else sm > tm << (te - se)
+    if sm:
+        if not te:
+            return True
+    elif not se and (tm or not te):
+        return False
     return mpf_gt(s, t)
 
 

@@ -332,6 +332,54 @@ def test_projective_action_identity(ex2_c, fiber_c):
         assert all(c.is_zero_many(diffs))
 
 
+@pytest.mark.parametrize("chart", ["ex2_c", "fiber_c", "sphere3_c"])
+def test_decomposed_actions_match_dense_derivation(request, chart):
+    # cached_derivation builds W.H and P.H as R.H - coef Q(A,H), never W
+    # or P; the dense derivation by b.W and b.P is the oracle, at every
+    # six-index tuple for H = R and every four-index tuple for H = S
+    c = request.getfixturevalue(chart)
+    b = bundle(c)
+    diffs = []
+    for dname in ("W", "P"):
+        for hname, rank in (("R", 6), ("S", 4)):
+            got = cached_derivation(b, dname, hname)
+            assert got.valence == (0, rank)
+            dense = derivation_action(getattr(b, dname), getattr(b, hname))
+            diffs += [ex.sub(got.comp(t), dense.comp(t))
+                      for t in _all_idx(c.n, rank)]
+    assert len(diffs) == 2 * (c.n ** 6 + c.n ** 4)
+    assert all(c.is_zero_many(diffs))
+
+
+def test_decomposed_actions_need_dimension_three():
+    b = bundle(helpers.flat_chart(2))
+    for dname in ("W", "P"):
+        for hname in ("R", "S"):
+            with pytest.raises(ChartError, match="dimension >= 3"):
+                cached_derivation(b, dname, hname)
+
+
+def test_raise_first_runs_once_per_tensor(monkeypatch, ex2_c):
+    # the dense R.S and the orbit R.R read one raised R
+    from warpcurv import actions
+    raised = []
+    original = actions.raise_first
+
+    def spy(D):
+        raised.append(D)
+        return original(D)
+
+    monkeypatch.setattr(actions, "raise_first", spy)
+    c = Chart(ex2_c.coords, ex2_c.metric, ex2_c.params, ex2_c.box)
+    b = bundle(c)
+    for hname in ("R", "S"):
+        cached_derivation(b, "R", hname)
+        derivation_action(b.R, getattr(b, hname))
+    cached_derivation(b, "P", "R")
+    cached_derivation(b, "W", "S")
+    assert raised == [b.R]
+
+
 # ---------------------------------------------------------------------------
 # Structural identities
 

@@ -653,7 +653,9 @@ def test_warped_verify_domain_partial_base(tmp_path, capsys):
 
 # sha256 of `classify --json` at seed 7 without the points_invalid keys,
 # fixed when the fit began to report L1, L2 and residuals below the zero
-# threshold as 0.0 (sphere's fit was exact zeros already)
+# threshold as 0.0 (sphere's fit was exact zeros already); the entries of
+# the other fixtures were fixed while W.R and P.R were still derived from
+# the dense W and P, before they came from the decomposition identities
 CLASSIFY_JSON_SHA256 = {
     ("sphere.mf", 8):
         "3fab58f58e3bf9375deaa2669fa00897d8d0b7d0107c7bff93d3e9b6b161aaa3",
@@ -665,6 +667,30 @@ CLASSIFY_JSON_SHA256 = {
         "82e38ba1d2858746b7447a39b6693d80314388148801c7bb7def69c43d124c55",
     ("ex2_warped.mf", 2):
         "a1e6aa80ef3838cce77ac675f7fe81e2ef3fc1429c7565cfaf39e19529d85777",
+    ("cf_warped.mf", 8):
+        "b4d0f1ff128233c72dd60a5522b13763e5576262ecfcb09b7bb4cac935eb97ae",
+    ("ex1_base.mf", 8):
+        "0b9e37f256d55b4c14842d6b24645bc0a705dba15630b378e08808524b8e9c6b",
+    ("ex1_warped.mf", 8):
+        "d3cb2043ae3987e998f770b046c5c15ea39d7c4b8abf4040db67c8cc51368d25",
+    ("ex2_base.mf", 8):
+        "2b96cb9ee3d8d5fa3fe5efc9ca81e5cb33bc55701398b13ccb45861904317ad0",
+    ("flat.mf", 8):
+        "b509dda132694b513be61175f9fb3acef6a0ae702a005fd7918c8faaa8cd4076",
+    ("flat1.mf", 8):
+        "3f2a66fae1327e79052e8dbb6188e60a650d4df754ad2af97667c22216867d52",
+    ("flat2.mf", 8):
+        "1ff93081b1c753635e8670d5e158886e30c750c7dcf0758188c41dbd5ec2a603",
+    ("flat3.mf", 8):
+        "857f761072b53e1b745c4ab4bd64456ae0cb1db3e68b66cfd678bf07b8d34f06",
+    ("fs_warped.mf", 8):
+        "8f9c739b2e36ce843fa74d0753fc86c7532beb5b7060ace972f3da5ed33e1aea",
+    ("hyper2.mf", 8):
+        "9b8c58efa8044cfc737f92df19cc92c3e74b086625ea9dee7b1296618441c349",
+    ("product.mf", 8):
+        "36a4174a51ef4c21a3243da527f1d93cd8fae0d88ac540b4c7b56e2ae76e446c",
+    ("sphere2.mf", 8):
+        "4dc3da895abd92b7f265fa73fde896f801ca31b5b62c555d6dfecc736c85e5fd",
 }
 
 
@@ -936,6 +962,24 @@ def test_classify_builds_no_dense_six_index_action(monkeypatch):
     assert len(want) == 10
     for f, out in want.items():
         assert classify_report(fixture_path(f), seed=7, points=2) == out
+
+
+def test_classify_builds_neither_w_nor_p(monkeypatch):
+    # the W.R and P.R rows come from R.R, Q(g,R) and Q(S,R) by the
+    # decomposition identities; no [check] of ex1_fiber asks for R.P
+    from warpcurv import curvature
+    built = []
+
+    def spy(chart):
+        built.append(curvature.bundle(chart))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "bundle", spy)
+    classify_report(fixture_path("ex1_fiber.mf"), seed=7, points=8)
+    (b,) = set(built)
+    assert ("cached_derivation", "W", "R") in b._cache
+    assert ("cached_derivation", "P", "R") in b._cache
+    assert ("W",) not in b._cache and ("P",) not in b._cache
 
 
 def test_classify_builds_one_evaluator_per_sample_point(monkeypatch):

@@ -769,6 +769,28 @@ def test_mag_gt_matches_mpf_gt():
     assert min(seen.values()) > 20, seen
 
 
+def test_mag_gt_decides_zero_on_ints(monkeypatch):
+    """Zero against zero or a nonzero value is decided without `mpf_gt`;
+    only a special operand (inf, nan) reaches it, with its answer."""
+    from mpmath.libmp import finf, fnan, from_man_exp, fzero, mpf_gt
+    nonzero = [from_man_exp(1, -1100), from_man_exp(3, -7), from_man_exp(1, 0),
+               from_man_exp((1 << 166) - 1, 40)]
+    specials = [finf, fnan]
+    calls = []
+
+    def counting(s, t):
+        calls.append((s, t))
+        return mpf_gt(s, t)
+
+    monkeypatch.setattr(ex, "mpf_gt", counting)
+    values = [fzero, *nonzero, *specials]
+    for s in values:
+        for t in values:
+            calls.clear()
+            assert ex.mag_gt(s, t) == mpf_gt(s, t), (s, t)
+            assert len(calls) == (s in specials or t in specials), (s, t)
+
+
 def test_judged_decides_as_the_exact_formula_near_the_threshold():
     """`judged` snaps to zero exactly when `|t| <= 1e-30 (1 + m)` in mpf
     arithmetic, for values 0 to 4 binary orders on each side of that bound
