@@ -30,9 +30,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 
 from . import expr as ex
 from .actions import derivation_comps, tachibana_comps
@@ -54,33 +52,43 @@ class ManifestError(Exception):
     """Unreadable, malformed, or inconsistent manifest input."""
 
 
-@dataclass
 class CheckRequest:
-    name: str = ""
-    scalars: dict = field(default_factory=dict)
+    """One [check] section: a catalog row name and its candidate scalars."""
+
+    def __init__(self, name="", scalars=None):
+        self.name = name
+        self.scalars = {} if scalars is None else scalars
 
 
-@dataclass
 class Manifest:
-    path: str
-    kind: str = ""
-    lines: list = field(default_factory=list)
-    coords: tuple = ()
-    params: dict = field(default_factory=dict)
-    box: dict = field(default_factory=dict)
-    entries: dict = field(default_factory=dict)   # (i, j) -> expression string
-    base: str = ""
-    fiber: str = ""
-    warp: str = ""
-    L1: str = ""
-    L2: str = ""
-    seed: int | None = None
-    checks: list = field(default_factory=list)
+    """A parsed manifest: its nonblank lines and the values of its keys."""
+
+    def __init__(self, path, kind="", lines=None, coords=(), params=None,
+                 box=None, entries=None, base="", fiber="", warp="", L1="",
+                 L2="", seed=None, checks=None):
+        self.path = path
+        self.kind = kind
+        self.lines = [] if lines is None else lines
+        self.coords = coords
+        self.params = {} if params is None else params
+        self.box = {} if box is None else box
+        # (i, j) -> expression string
+        self.entries = {} if entries is None else entries
+        self.base = base
+        self.fiber = fiber
+        self.warp = warp
+        self.L1 = L1
+        self.L2 = L2
+        self.seed = seed
+        self.checks = [] if checks is None else checks
+
+
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 def fixture_path(name):
     """Filesystem path of a bundled fixture manifest."""
-    return str(resources.files("warpcurv").joinpath("fixtures", name))
+    return os.path.join(_FIXTURES, name)
 
 
 # ---------------------------------------------------------------------------

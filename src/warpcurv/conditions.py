@@ -12,7 +12,6 @@ closed-form candidate under the randomized zero test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import expr as ex
@@ -24,11 +23,13 @@ from .expr import (
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
 
-@dataclass(frozen=True)
 class CatalogRow:
-    name: str
-    lhs: tuple                 # (D name, H name) for the derivation action
-    rhs: tuple = ()            # ((scalar key or None, (A name, H name)), ...)
+    """A named condition D.H = sum of scalar * Q(A, H') terms."""
+
+    def __init__(self, name, lhs, rhs=()):
+        self.name = name
+        self.lhs = lhs         # (D name, H name) for the derivation action
+        self.rhs = rhs         # ((scalar key or None, (A name, H name)), ...)
 
     @property
     def parametric(self):
@@ -70,14 +71,18 @@ def _rows():
 CATALOG = _rows()
 
 
-@dataclass
 class ConditionReport:
-    records: list
-    rank: int
-    max_residual: object
-    family: bool
-    trivial: bool
-    points_invalid: int = 0    # sample points where a component is undefined
+    """Per-point (L1, L2) fit records and the rank, residual and type verdicts."""
+
+    def __init__(self, records, rank, max_residual, family, trivial,
+                 points_invalid=0):
+        self.records = records
+        self.rank = rank
+        self.max_residual = max_residual
+        self.family = family
+        self.trivial = trivial
+        # sample points where a component is undefined
+        self.points_invalid = points_invalid
 
 
 def _scalar_expr(val, chart):

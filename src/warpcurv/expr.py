@@ -61,7 +61,10 @@ module also owns the mpmath contexts, the single Fraction-to-mpf conversion
 (`to_mpf`, at any context `_as_mpf`), the single literal-zero predicate
 (`is_literal_zero`) and, as no other module imports mpmath, every kernel
 that computes on libmp tuples.  Parsed text is capped at MAX_NESTING
-levels, counting both parentheses and chained divisions.
+levels, counting both parentheses and chained divisions.  A power whose
+exponent, after (x^a)^b is merged to x^(ab), exceeds MAX_EXPONENT in
+magnitude raises `ExponentBudgetError`: exact evaluation raises integer
+pairs to that power, and reducing them costs about its square in time.
 
 Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
 pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
@@ -99,6 +102,7 @@ MAX_NESTING = 1000  # nesting levels accepted by the parser
 MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 MAX_POINTS = 10_000  # sample points a command may draw per zero test
+MAX_EXPONENT = 1000  # largest |exponent| of a power node
 _CONTEXTS = {}
 _NODES = {}  # intern key -> KeyedRef of the live node; see Expr
 
@@ -148,6 +152,15 @@ class PrintBudgetError(ExprError):
         super().__init__(f"printed form would have {size} tree nodes, over the "
                          f"budget of {MAX_PRINTED_NODES} (MAX_PRINTED_NODES)")
         self.size = size
+
+
+class ExponentBudgetError(ExprError):
+    """A power whose exponent exceeds MAX_EXPONENT in magnitude."""
+
+    def __init__(self, exponent):
+        super().__init__(f"exponent {exponent} is over the budget of "
+                         f"{MAX_EXPONENT} (MAX_EXPONENT)")
+        self.exponent = exponent
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +403,12 @@ def div(a, b):
 def pow_(base, exponent):
     e = exponent if type(exponent) is Fraction else Fraction(exponent)
     n, d = e.numerator, e.denominator
+    if type(base) is Pow and d == 1:
+        return pow_(base.base, base.exponent * n)
+    # checked after merging and before folding, so that (x^a)^b and c^b
+    # are refused too: exact evaluation raises int pairs to n
+    if abs(n) > MAX_EXPONENT * d:
+        raise ExponentBudgetError(e)
     if d == 1 and n == 1:
         return base
     if d == 1 and n == 0:
@@ -401,8 +420,6 @@ def pow_(base, exponent):
             return Const(base.value ** n)
         if base is ZERO or base is ONE:
             return base
-    if type(base) is Pow and d == 1:
-        return pow_(base.base, base.exponent * n)
     return Pow(base, e)
 
 

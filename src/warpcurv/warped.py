@@ -27,7 +27,6 @@ the fiber coordinates renamed x{p+1}..x{n}.  Reports carry both labelings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import expr as ex
@@ -37,8 +36,8 @@ from .conditions import einstein_defects
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, fzero, is_literal_zero
 from .tensor import (
-    Chart, ChartError, TensorField, _as_expr, _cached, _chart, _field,
-    _orbit_field, _table, gaussian, metric_inverse, orbit_reps, point_str,
+    Chart, ChartError, _as_expr, _cached, _chart, _field, _orbit_field,
+    _table, gaussian, metric_inverse, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -119,14 +118,16 @@ def assemble_product(spec):
     return Chart(coords, rows, params=spec.params, box=box)
 
 
-@dataclass
 class WarpedAux:
-    T: TensorField          # (1/2f)(Hess f - (1/2f) df x df), sym2 on base
-    trT: ex.Expr
-    Delta: ex.Expr          # |df|^2 / 4f^2
-    Omega: ex.Expr          # -f((q-1) Delta + tr T)
-    T2: TensorField         # T^t_a T_ts, sym2 on base
-    Traised: list           # T^t_s = gbar^{ta} T_as
+    """The warping function's auxiliary tensors and scalars on the base."""
+
+    def __init__(self, T, trT, Delta, Omega, T2, Traised):
+        self.T = T              # (1/2f)(Hess f - (1/2f) df x df), sym2 on base
+        self.trT = trT
+        self.Delta = Delta      # |df|^2 / 4f^2
+        self.Omega = Omega      # -f((q-1) Delta + tr T)
+        self.T2 = T2            # T^t_a T_ts, sym2 on base
+        self.Traised = Traised  # T^t_s = gbar^{ta} T_as
 
 
 @_cached

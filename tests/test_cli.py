@@ -447,6 +447,21 @@ def test_main_exp_tower_is_input_error(tmp_path, capsys, depth):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("g11", ["2 + x1^100000", "2 + (x1^1000)^1000",
+                                 "2 + 3^99999999"])
+def test_main_large_exponent_is_input_error(tmp_path, capsys, g11):
+    # exact evaluation would raise int pairs to the exponent and reduce them
+    # with gcd: 33 s for x1^100000, and no end for the others
+    path = _write(tmp_path, "pow.mf", "[chart]\ncoords = x1 x2\n"
+                  f"g 1 1 = {g11}\ng 2 2 = 1 + x2^2\n")
+    t0 = time.perf_counter()
+    assert main(["curvature", path, "--points", "2"]) == 2
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"budget of {ex.MAX_EXPONENT} (MAX_EXPONENT)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["curvature", "classify", "warped-verify"])
 def test_main_points_below_one_rejected(capsys, cmd):
     for k in ("0", "-1"):

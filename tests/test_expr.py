@@ -399,6 +399,28 @@ def test_power_merging():
     assert isinstance(nested, Pow) and isinstance(nested.base, Pow)
 
 
+def test_exponent_budget():
+    # exact evaluation raises int pairs to the exponent, so a power over
+    # MAX_EXPONENT is refused when built: after merging, before folding
+    x = Coord("x1")
+    top = ex.MAX_EXPONENT
+    assert ex.pow_(x, top) == Pow(x, Fraction(top))
+    assert ex.pow_(x, -top) == Pow(x, Fraction(-top))
+    assert ex.pow_(x, Fraction(2 * top + 1, 3)) == Pow(x, Fraction(2 * top + 1, 3))
+    assert p(f"2^{top}") == Const(Fraction(2) ** top)
+    over = [lambda: ex.pow_(x, top + 1), lambda: ex.pow_(x, -top - 1),
+            lambda: ex.pow_(x, Fraction(2 * top + 1, 2)),
+            lambda: ex.pow_(ex.pow_(x, top), 2), lambda: ex.pow_(ex.const(3), top + 1),
+            lambda: p(f"x1^{top + 1}"), lambda: p(f"(x1^{top})^{top}"),
+            lambda: p("3^99999999"), lambda: ex.diff(ex.pow_(x, -top), "x1")]
+    for build in over:
+        with pytest.raises(ex.ExponentBudgetError) as err:
+            build()
+        assert f"over the budget of {top} (MAX_EXPONENT)" in str(err.value)
+        assert abs(err.value.exponent) > top
+    assert issubclass(ex.ExponentBudgetError, ex.ExprError)
+
+
 def test_division_by_literal_zero_rejected():
     with pytest.raises(DomainError):
         ex.div(Coord("x1"), ex.const(0))
