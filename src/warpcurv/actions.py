@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import MP, PointEval, is_literal_zero, to_mpf, zero_threshold
+from .expr import PointEval, is_literal_zero, to_mpf, zero_threshold
 from .tensor import (
     ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
     orbit_reps, raise_first)
@@ -200,7 +200,7 @@ def deszcz_ratio(b, point, pi1, pi2):
     terms = [(idx, to_mpf(wt)) for idx, wt in terms]
 
     def contract(field):
-        total = scale = MP.zero
+        total = scale = ex.MP.zero
         for idx, wtm in terms:
             e = field.comp(idx)
             if is_literal_zero(e):

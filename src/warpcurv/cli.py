@@ -38,7 +38,7 @@ from .conditions import (
     CATALOG, IdentityCheck, PseudosymmetryFit, constant_type_check,
 )
 from .curvature import bundle
-from .expr import DEFAULT_SEED, MP, DomainError, PointEval
+from .expr import DEFAULT_SEED, DomainError, PointEval
 from .tensor import Chart, ChartError, excerpt, orbit_reps
 from .warped import (
     Conditions, Defects, Dichotomy, Trichotomy, _base_scalar, assemble_product,
@@ -263,8 +263,9 @@ def build_spec(m):
 # Report plumbing
 
 
-def _numstr(v):
-    return MP.nstr(ex.to_mpf(v), 20)
+def _numstr(t):
+    """A sampled value, a libmp tuple, as the report prints it."""
+    return ex.num_str(t, 20)
 
 
 def _ptstr(pt, coords):
@@ -344,7 +345,7 @@ def curvature_report(path, seed=None, points=8):
         pe = PointEval(pt)
         test.visit(pe)
         try:
-            samples.append(_numstr(pe.eval(b.kappa)))
+            samples.append(_numstr(pe.rounded(b.kappa)))
         except DomainError:
             samples.append("undefined")
     for (table, name, key, e), z in zip(comps, test.result()):
@@ -398,7 +399,7 @@ def classify_report(path, seed=None, points=8):
     ex.sweep(pts[points:], [fit_test])
     flat = all(flat_test.result())
     fit = fit_test.result()
-    residual_zero = all(rec["residual"] == 0 for rec in fit.records)
+    residual_zero = all(rec["residual"] == ex.fzero for rec in fit.records)
     catalog = {}
     code = 0
     for name, row in CATALOG.items():

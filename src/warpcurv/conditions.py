@@ -18,7 +18,7 @@ from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
     DEFAULT_SEED, DomainError, InconclusiveError, PointEval, fzero,
-    is_literal_zero, zero_threshold,
+    is_literal_zero, mag_gt, zero_threshold,
 )
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
@@ -72,7 +72,8 @@ CATALOG = _rows()
 
 
 class ConditionReport:
-    """Per-point (L1, L2) fit records and the rank, residual and type verdicts."""
+    """Per-point (L1, L2) fit records and the rank, residual and type verdicts;
+    their numbers are libmp tuples (see `expr.ls2`)."""
 
     def __init__(self, records, rank, max_residual, family, trivial,
                  points_invalid=0):
@@ -227,11 +228,16 @@ class PseudosymmetryFit:
         records = self._records
         if not records:
             raise InconclusiveError("no sample point was domain-valid")
+        worst = records[0]["residual"]
+        for rec in records[1:]:
+            if mag_gt(rec["residual"], worst):
+                worst = rec["residual"]
         return ConditionReport(
             records=records, rank=max(rec["rank"] for rec in records),
-            max_residual=max(rec["residual"] for rec in records),
+            max_residual=worst,
             family=all(rec["rank"] < 2 for rec in records),
-            trivial=not any(rec["data_scale"] > 0 for rec in records),
+            # a data scale is a magnitude: it is 0 iff its mantissa is
+            trivial=not any(rec["data_scale"][1] for rec in records),
             points_invalid=self._visited - len(records))
 
 
@@ -256,7 +262,7 @@ def pair_residual(b, point, L1, L2):
     def val(x):
         if isinstance(x, (ex.Expr, str)):
             return pe.rounded(_scalar_expr(x, chart))
-        return ex.as_tuple(x)
+        return ex.to_mpf(x)._mpf_
 
     l1, l2 = val(L1), val(L2)
     w, r, q1, q2 = [], [], [], []

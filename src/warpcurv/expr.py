@@ -25,17 +25,26 @@ sign by identity (`is ZERO`, `is ONE`) or by the sign of a numerator, and
 do Fraction arithmetic only when two constants fold into one.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
-fast path when the tree is rational and otherwise mpfs of `MP`, one mpmath
-context at DPS = 50 significant digits: every number the engine makes
-carries that precision, so no caller sets one and the ambient `mpmath.mp`
-precision changes no value and no verdict.  Inside `PointEval` an exact
-value is a (numerator, denominator) pair of ints in lowest terms and an
-inexact one a raw `mpmath.libmp` tuple at that precision, combined by the
-libmp functions the mpf operators call; they become a Fraction or an mpf
-only when returned, and a rational subtree is rounded to a tuple only when
-its scale is read.  The dense kernels compute on such tuples too: the
+fast path when the tree is rational and otherwise raw libmp tuples at
+DPS = 50 significant digits: every number the engine makes carries that
+precision, so no caller sets one and the ambient `mpmath.mp` precision
+changes no value and no verdict.  Inside `PointEval` an exact value is a
+(numerator, denominator) pair of ints in lowest terms and an inexact one a
+libmp tuple at that precision, combined by the libmp functions the mpf
+operators call, and a rational subtree is rounded to a tuple only when its
+scale is read.  The dense kernels compute on such tuples too: the
 determinant of chart validation (`numeric_det`), the (L1, L2) fit (`ls2`)
-and the dependence and constancy checks, built on one `dot` and `norm`.
+and the dependence and constancy checks, built on one `dot` and `norm`;
+`num_str` prints a tuple as `MP.nstr` prints its mpf.
+
+The engine needs only mpmath's `libmp` subpackage, which `_load_libmp`
+executes as the private package `warpcurv._libmp` without running
+`mpmath/__init__`, so importing warpcurv and running its commands does not
+load the mpmath package.  `MP`, one mpmath context at DPS digits, and
+`REL_TOL` are made on first use (a module `__getattr__`), and the public
+functions that return mpfs (`PointEval.eval`, `eval_scaled` and `judge`,
+`evaluate`, `to_mpf`, `zero_threshold`, `fit_residual`, `parallel_ratio`)
+load mpmath when first called.
 
 The zero test samples deterministic rational points from a box (default
 [1/3, 2] per coordinate; the CLI draws at most MAX_POINTS per test) and
@@ -65,6 +74,11 @@ levels, counting both parentheses and chained divisions.  A power whose
 exponent, after (x^a)^b is merged to x^(ab), exceeds MAX_EXPONENT in
 magnitude raises `ExponentBudgetError`: exact evaluation raises integer
 pairs to that power, and reducing them costs about its square in time.
+Nested powers still multiply, so an exact power (n/d)^k is refused, both
+when `pow_` folds a constant and when `PointEval` raises a rational value,
+if max(bit_length(n), bit_length(d)) * |k| exceeds MAX_EXACT_BITS
+(`ExactBudgetError`, an ExprError that is not a DomainError, so the point
+is not skipped and the command fails as on malformed input).
 
 Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
 pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
@@ -79,17 +93,51 @@ pieces number O(DAG) and each shared text is held once, not once per use.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from fractions import Fraction
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from math import gcd
 from weakref import KeyedRef
 
-import mpmath
-from mpmath.libmp import (
-    fone, from_int, fzero, mpf_abs, mpf_add, mpf_cos, mpf_div, mpf_eq, mpf_exp,
-    mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow,
-    mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub)
+
+def _load_libmp():
+    """mpmath's `libmp` subpackage, executed as the private package
+    `warpcurv._libmp`.
+
+    Only mpmath's directory is looked up, so `mpmath/__init__` (its
+    contexts, functions, calculus, matrices, ...) does not run: libmp's
+    modules import only each other.  The private copy is used even when
+    mpmath is loaded, so that `fzero` is one object whatever the import
+    order, and mpmath's own `mpmath.libmp` is left alone.  Its tuples are
+    plain ints, so they pass freely between the two copies.
+    """
+    name = "warpcurv._libmp"
+    lib = sys.modules.get(name)
+    if lib is None:
+        found = PathFinder.find_spec("mpmath")
+        if found is None or not found.submodule_search_locations:
+            raise ImportError("warpcurv needs mpmath", name="mpmath")
+        where = os.path.join(found.submodule_search_locations[0], "libmp")
+        spec = spec_from_file_location(name, os.path.join(where, "__init__.py"),
+                                       submodule_search_locations=[where])
+        lib = sys.modules[name] = module_from_spec(spec)
+        try:
+            spec.loader.exec_module(lib)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return lib
+
+
+_load_libmp()
+from ._libmp import (  # noqa: E402  (loaded just above)
+    dps_to_prec, fone, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos,
+    mpf_div, mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
+    mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub,
+    round_nearest, to_str as _libmp_str)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
 
@@ -103,23 +151,51 @@ MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 MAX_POINTS = 10_000  # sample points a command may draw per zero test
 MAX_EXPONENT = 1000  # largest |exponent| of a power node
+MAX_EXACT_BITS = 2 ** 18  # largest bit size of an exact power, see pow_
+_REL_TOL = "1e-20"  # relative tolerance of dependence and constancy
 _CONTEXTS = {}
+_PRECISIONS = {}  # dps -> (precision in bits, rounding, tuple of 1e-30)
 _NODES = {}  # intern key -> KeyedRef of the live node; see Expr
 
 
+def _precision(dps):
+    """(prec, rounding, tuple of 1e-30) at `dps` digits, made once per `dps`:
+    the `_prec_rounding` and `mpf(_ZERO_TOL)._mpf_` of `_context(dps)`,
+    without building it."""
+    p = _PRECISIONS.get(dps)
+    if p is None:
+        prec = dps_to_prec(dps)
+        p = _PRECISIONS[dps] = (prec, round_nearest,
+                                from_str(_ZERO_TOL, prec, round_nearest))
+    return p
+
+
 def _context(dps):
-    """The mpmath context of `dps` significant digits, made once per `dps`."""
+    """The mpmath context of `dps` significant digits, made once per `dps`.
+
+    Only the functions that return mpfs call it, so mpmath itself is loaded
+    on the first such call."""
     ctx = _CONTEXTS.get(dps)
     if ctx is None:
+        import mpmath
         ctx = _CONTEXTS[dps] = mpmath.MPContext()
         ctx.dps = dps
     return ctx
 
 
-# Every number the engine makes is an mpf of MP: its arithmetic and its
-# functions (MP.sqrt, MP.nstr, ...) run at DPS digits whatever mpmath.mp is.
-MP = _context(DPS)
-REL_TOL = MP.mpf("1e-20")  # relative tolerance of dependence and constancy
+def __getattr__(name):
+    """`MP`, the mpmath context at DPS digits, and `REL_TOL`, its mpf of
+    1e-20, made on first use.  Every mpf the public functions return is an
+    mpf of MP: its arithmetic and its functions run at DPS digits whatever
+    mpmath.mp is."""
+    if name == "MP":
+        value = _context(DPS)
+    elif name == "REL_TOL":
+        value = _context(DPS).make_mpf(_REL)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 class ExprError(Exception):
@@ -161,6 +237,23 @@ class ExponentBudgetError(ExprError):
         super().__init__(f"exponent {exponent} is over the budget of "
                          f"{MAX_EXPONENT} (MAX_EXPONENT)")
         self.exponent = exponent
+
+
+class ExactBudgetError(ExprError):
+    """An exact power whose value would exceed MAX_EXACT_BITS bits."""
+
+    def __init__(self, bits):
+        super().__init__(f"exact power of about {bits} bits is over the budget "
+                         f"of {MAX_EXACT_BITS} (MAX_EXACT_BITS)")
+        self.bits = bits
+
+
+def _check_power(n, d, k):
+    """Raise ExactBudgetError when (n/d)^k, about max(bit_length(n),
+    bit_length(d)) * |k| bits, exceeds MAX_EXACT_BITS."""
+    bits = max(n.bit_length(), d.bit_length()) * abs(k)
+    if bits > MAX_EXACT_BITS:
+        raise ExactBudgetError(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +510,9 @@ def pow_(base, exponent):
         if base is ZERO and n < 0:
             raise DomainError("zero base with negative exponent")
         if d == 1:
-            return Const(base.value ** n)
+            v = base.value
+            _check_power(v.numerator, v.denominator, n)
+            return Const(v ** n)
         if base is ZERO or base is ONE:
             return base
     return Pow(base, e)
@@ -1017,7 +1112,13 @@ def _as_mpf(MP, v):
 
 def to_mpf(v):
     """An exact Fraction or a number as an mpf of `MP`, at DPS digits."""
-    return _as_mpf(MP, v)
+    return _as_mpf(_context(DPS), v)
+
+
+def num_str(t, digits=20):
+    """The libmp tuple `t` in decimal to `digits` significant digits, the
+    text `MP.nstr` gives for its mpf; `str` of an mpf is `num_str(t, DPS)`."""
+    return _libmp_str(t, digits)
 
 
 _MPF_FUNCS = {Exp: mpf_exp, Log: mpf_log, Sin: mpf_sin, Cos: mpf_cos}
@@ -1063,7 +1164,12 @@ class PointEval:
     of the mpmath context of `dps` digits (`MP` at the default DPS), so
     the ambient `mpmath.mp` precision never enters.  `eval_scaled` gives
     each value with the largest intermediate magnitude in its subtree so
-    zero tests can scale their tolerance.
+    zero tests can scale their tolerance.  `judged`, `rounded` and
+    `value_str` give the same values as tuples and text, and the engine
+    reads only those: the evaluator takes its precision and tolerance from
+    `_precision(dps)`, and its mpmath context is made only when a method that
+    returns an mpf, or a point with a value other than an int or Fraction,
+    needs it.
 
     Inside, the walk computes on plain ints and raw `mpmath.libmp` tuples.
     The memo entry of a rational node is a tuple (numerator, denominator)
@@ -1099,8 +1205,9 @@ class PointEval:
 
     def __init__(self, env, dps=DPS):
         self.point = env
-        self._ctx = _context(dps)
-        self._prec, self._rnd = prec, rnd = self._ctx._prec_rounding
+        self._dps = dps
+        self._prec, self._rnd, self._tol = _precision(dps)
+        prec, rnd = self._prec, self._rnd
         self._env = {}  # name -> the memo entry of a leaf bound to it
         for k, v in env.items():
             if isinstance(v, (int, Fraction)):
@@ -1110,7 +1217,11 @@ class PointEval:
                 self._env[k] = [t, mpf_abs(t, prec, rnd)]
         self._memo = {}
         self._exact = {}  # settled rational node -> (tuple, magnitude tuple)
-        self._tol = self._ctx.mpf(_ZERO_TOL)._mpf_
+
+    @property
+    def _ctx(self):
+        """The mpmath context of this evaluator's precision."""
+        return _context(self._dps)
 
     def eval_scaled(self, e):
         """(value, largest intermediate magnitude) of `e` at this point."""
@@ -1141,11 +1252,12 @@ class PointEval:
     def judged(self, e):
         """`judge(e)` as a raw libmp tuple, the object `fzero` when zero."""
         h = self._walk(e)
-        exact = type(h) is tuple
-        if exact and not h[0]:
-            return fzero
-        m = self.eval_scaled(e)[1]._mpf_
-        t = self._exact[e][0] if exact else h[0]
+        if type(h) is tuple:
+            if not h[0]:
+                return fzero
+            t, m = self._settled(e)
+        else:
+            t, m = h
         tol = self._tol
         if t[1]:
             # |t| lies in [2^(a-1), 2^a) and tol (1 + m) in [2^(b-2), 2^(b+1)]
@@ -1166,6 +1278,12 @@ class PointEval:
         is rounded as `_as_mpf` rounds its Fraction (at DPS, `to_mpf`)."""
         h = self._walk(e)
         return self._round(h) if type(h) is tuple else h[0]
+
+    def value_str(self, e):
+        """`str(self.eval(e))`, without making an mpf: an exact value as its
+        Fraction, an inexact one to this evaluator's digits."""
+        h = self._walk(e)
+        return str(Fraction(*h)) if type(h) is tuple else num_str(h[0], self._dps)
 
     def _round(self, v):
         """The tuple of `v`, an exact (numerator, denominator) pair in lowest
@@ -1319,11 +1437,13 @@ class PointEval:
                     raise DomainError("negative base with fractional exponent")
                 if xd != 1:
                     out = b  # a zero base
-                elif xn >= 0:
-                    out = (bn ** xn, bd ** xn)
                 else:
-                    n, d = bd ** -xn, bn ** -xn
-                    out = (-n, -d) if d < 0 else (n, d)
+                    _check_power(bn, bd, xn)
+                    if xn >= 0:
+                        out = (bn ** xn, bd ** xn)
+                    else:
+                        n, d = bd ** -xn, bn ** -xn
+                        out = (-n, -d) if d < 0 else (n, d)
             else:
                 bt, bm = self._settled(e.base) if type(b) is tuple else b
                 if mpf_eq(bt, fzero) and xn < 0:
@@ -1371,11 +1491,11 @@ def evaluate(e, env):
 # written with mpfs of MP.  A term with an exact-zero factor is skipped: a
 # product with 0 is 0, and adding 0 to a normalized tuple returns it.  The
 # largest magnitude (a scale, a pivot) is picked with `mag_gt`, which answers
-# as `mpf_gt`.  Only the values these kernels return to reports are mpfs.
+# as `mpf_gt`.  Reports print the tuples themselves (`num_str`); only
+# `fit_residual` and `parallel_ratio`, which return mpfs, load mpmath.
 
-_PREC, _RND = MP._prec_rounding
-_TOL = MP.mpf(_ZERO_TOL)._mpf_
-_REL = REL_TOL._mpf_
+_PREC, _RND, _TOL = _precision(DPS)
+_REL = from_str(_REL_TOL, _PREC, _RND)
 
 
 def _mul(a, b):
@@ -1388,11 +1508,6 @@ def _div(a, b):
 
 def _sub(a, b):
     return mpf_sub(a, b, _PREC, _RND)
-
-
-def as_tuple(v):
-    """`v`, an exact Fraction or a number, as the tuple of `to_mpf(v)`."""
-    return to_mpf(v)._mpf_
 
 
 def _threshold(scale):
@@ -1514,7 +1629,8 @@ def _residual(w, q1, q2, r, c1, c2):
 def fit_residual(w, q1, q2, r, c1, c2):
     """`_residual` of tuples as (residual, scale) mpfs of MP."""
     res, scale = _residual(w, q1, q2, r, c1, c2)
-    return MP.make_mpf(res), MP.make_mpf(scale)
+    make = _context(DPS).make_mpf
+    return make(res), make(scale)
 
 
 def ls2(w, q1, q2, r):
@@ -1525,8 +1641,8 @@ def ls2(w, q1, q2, r):
     are reported only as far as the 50 digits decide them: each snaps to an
     exact 0 when its share of the data (|L_k| |q_k|, or the residual
     itself) is within the zero threshold of the data scale, so no rounding
-    noise of the sums reaches a report.  The record's numbers are mpfs of
-    MP, except a rank-0 nullspace of ints.
+    noise of the sums reaches a report.  The record's numbers are tuples,
+    an exact zero being `fzero`, except a rank-0 nullspace of ints.
     """
     n1, n2, nr = norm(q1, w), norm(q2, w), norm(r, w)
     scale = n1
@@ -1537,7 +1653,6 @@ def ls2(w, q1, q2, r):
     col1, col2 = _above(n1, scale), _above(n2, scale)
     d12 = dot(q1, q2, w)
     gram, parallel = _gram(n1, n2, d12)
-    zero, one = MP.zero, MP.one
     if not col1 and not col2:
         L1 = L2 = fzero
         null = [(1, 0), (0, 1)]
@@ -1545,16 +1660,16 @@ def ls2(w, q1, q2, r):
     elif not col1 or not col2 or parallel:
         if not col1:
             L1, L2 = fzero, _div(dot(q2, r, w), _mul(n2, n2))
-            null = [(one, zero)]
+            null = [(fone, fzero)]
         elif not col2:
             L1, L2 = _div(dot(q1, r, w), _mul(n1, n1)), fzero
-            null = [(zero, one)]
+            null = [(fzero, fone)]
         else:
             rho = _div(d12, _mul(n1, n1))
             L1 = _div(_div(dot(q1, r, w), _mul(n1, n1)),
                       mpf_add(_mul(rho, rho), fone, _PREC, _RND))
             L2 = _mul(rho, L1)
-            null = [(MP.make_mpf(mpf_neg(rho, _PREC, _RND)), one)]
+            null = [(mpf_neg(rho, _PREC, _RND), fone)]
         rank = 1
     else:
         d1, d2 = dot(q1, r, w), dot(q2, r, w)
@@ -1564,11 +1679,10 @@ def ls2(w, q1, q2, r):
         rank = 2
     res = _residual(w, q1, q2, r, L1, L2)[0]
     tol = _threshold(scale)
-    make = MP.make_mpf
-    return {"L1": zero if mpf_lt(_mul(mpf_abs(L1, _PREC, _RND), n1), tol) else make(L1),
-            "L2": zero if mpf_lt(_mul(mpf_abs(L2, _PREC, _RND), n2), tol) else make(L2),
-            "residual": zero if mpf_le(res, tol) else make(res), "rank": rank,
-            "nullspace": null, "data_scale": make(scale)}
+    return {"L1": fzero if mpf_lt(_mul(mpf_abs(L1, _PREC, _RND), n1), tol) else L1,
+            "L2": fzero if mpf_lt(_mul(mpf_abs(L2, _PREC, _RND), n2), tol) else L2,
+            "residual": fzero if mpf_le(res, tol) else res, "rank": rank,
+            "nullspace": null, "data_scale": scale}
 
 
 def parallel_ratio(va, vb):
@@ -1583,14 +1697,13 @@ def parallel_ratio(va, vb):
     d = dot(va, vb)
     if not _gram(na, nb, d)[1]:
         return False, None
-    return True, MP.make_mpf(_div(d, _mul(nb, nb)))
+    return True, _context(DPS).make_mpf(_div(d, _mul(nb, nb)))
 
 
 def rows_constant(rows):
-    """True iff every row of numbers equals the first entrywise within
+    """True iff every row of tuples equals the first entrywise within
     REL_TOL * (1 + the largest magnitude in `rows`)."""
     prec, rnd = _PREC, _RND
-    rows = [[as_tuple(v) for v in row] for row in rows]
     scale = fzero
     for row in rows:
         for x in row:
@@ -1611,20 +1724,25 @@ def sample_box_points(coords, box, k, seed, params=None):
     """Deterministic rational sample points from a per-coordinate box.
 
     Returns a list of env dicts (coordinates plus fixed parameter values).
-    Missing box entries fall back to DEFAULT_BOX.
+    Missing box entries fall back to DEFAULT_BOX.  Coordinate c takes
+    lo + (hi - lo) r / _GRID for a random int r in [0, _GRID], computed
+    over the common denominator lo_d hi_d _GRID in ints: one Fraction per
+    value, which reduces it.
     """
     box = box or {}
     rng = random.Random(seed)
+    # per coordinate (lo_n hi_d _GRID, hi_n lo_d - lo_n hi_d, denominator)
+    spans = []
+    for c in coords:
+        lo, hi = box.get(c, DEFAULT_BOX)
+        lo, hi = Fraction(lo), Fraction(hi)
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        spans.append((c, ln * hd * _GRID, hn * ld - ln * hd, ld * hd * _GRID))
+    fixed = {k2: Fraction(v) for k2, v in (params or {}).items()}
     pts = []
     for _ in range(k):
-        env = {}
-        for c in coords:
-            lo, hi = box.get(c, DEFAULT_BOX)
-            lo = Fraction(lo)
-            hi = Fraction(hi)
-            env[c] = lo + (hi - lo) * Fraction(rng.randint(0, _GRID), _GRID)
-        if params:
-            env.update({k2: Fraction(v) for k2, v in params.items()})
+        env = {c: Fraction(a + b * rng.randint(0, _GRID), d) for c, a, b, d in spans}
+        env.update(fixed)
         pts.append(env)
     return pts
 
@@ -1634,7 +1752,7 @@ def zero_threshold(scale):
 
     Per-component verdicts go through `PointEval.judged` instead.
     """
-    return MP.mpf(_ZERO_TOL) * (1 + scale)
+    return _context(DPS).make_mpf(_TOL) * (1 + scale)
 
 
 def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED):

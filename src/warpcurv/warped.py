@@ -85,14 +85,18 @@ class WarpedSpec:
     def _check_f_positive(self):
         valid = 0
         for pt in self.base.sample_points():
+            pe = PointEval(pt)
             try:
-                v = PointEval(pt).eval(self.f)
+                t = pe.rounded(self.f)
             except DomainError:
                 continue
             valid += 1
-            if not v > 0:
+            # rounding keeps a rational's sign: the value is positive iff its
+            # tuple has sign 0 and lies above zero
+            if t[0] or not ex.mag_gt(t, fzero):
                 raise ChartError(f"warping function must be positive on the box, got "
-                                 f"{v} at {point_str(pt, self.base.coords)}")
+                                 f"{pe.value_str(self.f)} at "
+                                 f"{point_str(pt, self.base.coords)}")
         if valid == 0:
             raise ChartError("warping function not evaluable on the sampling box")
 

@@ -314,6 +314,39 @@ def ls2_mpf(w, q1, q2, r):
             "nullspace": null, "data_scale": scale}
 
 
+def record_mpfs(rec):
+    """A fit record of `expr.ls2`, whose numbers are libmp tuples, with each
+    tuple made an mpf of MP, as `ls2_mpf` gives them (a rank-0 nullspace
+    keeps its ints)."""
+    make = ex.MP.make_mpf
+    out = dict(rec)
+    for key in ("L1", "L2", "residual", "data_scale"):
+        out[key] = make(rec[key])
+    out["nullspace"] = [tuple(v if type(v) is int else make(v) for v in vec)
+                        for vec in rec["nullspace"]]
+    return out
+
+
+def sample_box_points_fractions(coords, box, k, seed, params=None):
+    """`expr.sample_box_points` as first written, with Fraction arithmetic
+    on every value: lo + (hi - lo) * Fraction(r, 1024).  An oracle for the
+    version that computes over the common denominator in ints."""
+    box = box or {}
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(k):
+        env = {}
+        for c in coords:
+            lo, hi = box.get(c, ex.DEFAULT_BOX)
+            lo = Fraction(lo)
+            hi = Fraction(hi)
+            env[c] = lo + (hi - lo) * Fraction(rng.randint(0, 1024), 1024)
+        if params:
+            env.update({k2: Fraction(v) for k2, v in params.items()})
+        pts.append(env)
+    return pts
+
+
 def deszcz_ratio_loop(b, point, pi1, pi2):
     """`actions.deszcz_ratio` as first written: every one of the n^6 index
     tuples visited, its plane weight multiplied out per contraction.  An

@@ -363,7 +363,7 @@ def test_conformal_chart_fit_rank_one_zero_residual(ex2_c):
     assert rep.family is True
     assert rep.trivial is False
     with mpmath.workdps(50):
-        for rec in rep.records:
+        for rec in map(helpers.record_mpfs, rep.records):
             assert rec["residual"] <= zero_threshold(rec["data_scale"])
 
 

@@ -462,6 +462,22 @@ def test_main_large_exponent_is_input_error(tmp_path, capsys, g11):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("g11", ["2 + (1 + x1^1000)^1000", "2 + x1*(10^1000)^1000"])
+def test_main_huge_exact_power_is_input_error(tmp_path, capsys, g11):
+    # each exponent is within MAX_EXPONENT, but nested powers multiply: chart
+    # validation would reduce 10-million-bit ints at a sample point, and the
+    # parser would fold a 3.3-million-bit constant
+    path = _write(tmp_path, "pow.mf", "[chart]\ncoords = x1 x2\n"
+                  f"g 1 1 = {g11}\ng 2 2 = 1 + x2^2\n")
+    t0 = time.perf_counter()
+    assert main(["curvature", path, "--points", "2"]) == 2
+    assert time.perf_counter() - t0 < 10
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: exact power of about ")
+    assert f"budget of {ex.MAX_EXACT_BITS} (MAX_EXACT_BITS)" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["curvature", "classify", "warped-verify"])
 def test_main_points_below_one_rejected(capsys, cmd):
     for k in ("0", "-1"):
@@ -1326,7 +1342,7 @@ def _kappa_oracle(path, seed, points):
     samples = []
     for pt in chart.sample_points(points, seed):
         try:
-            samples.append(cli._numstr(ex.PointEval(pt).eval(kappa)))
+            samples.append(ex.MP.nstr(ex.to_mpf(ex.PointEval(pt).eval(kappa)), 20))
         except ex.DomainError:
             samples.append("undefined")
     return samples

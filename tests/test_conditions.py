@@ -125,7 +125,7 @@ def test_fit_conformal_chart_reports_family(ex2_c):
     assert isinstance(rep, ConditionReport)
     assert rep.rank == 1 and rep.family and not rep.trivial
     with mpmath.workdps(50):
-        for rec in rep.records:
+        for rec in map(helpers.record_mpfs, rep.records):
             assert rec["rank"] == 1
             assert rec["residual"] <= mpmath.mpf("1e-30") * (1 + rec["data_scale"])
             assert len(rec["nullspace"]) == 1
@@ -155,7 +155,7 @@ def test_fit_warped_chart_unique_pair(warped5_c):
     rep = fit_pseudosymmetry(b, pts)
     assert rep.rank == 2 and not rep.family and not rep.trivial
     with mpmath.workdps(50):
-        for rec in rep.records:
+        for rec in map(helpers.record_mpfs, rep.records):
             assert rec["rank"] == 2 and rec["nullspace"] == []
             assert abs(rec["L1"] - 2) <= mpmath.mpf("1e-30")
             assert abs(rec["L2"]) <= mpmath.mpf("1e-30")
@@ -168,13 +168,14 @@ def test_fit_snaps_what_the_digits_do_not_decide():
     one, zero = ex.MP.one._mpf_, ex.MP.zero._mpf_
     two = (2 * ex.MP.one)._mpf_
     w, q1, q2 = [1, 1, 1], [one, zero, zero], [zero, one, zero]
-    for small, kept in ((ex.MP.mpf("1e-45"), False), (ex.MP.mpf("1e-20"), True)):
-        rec = ex.ls2(w, q1, q2, [two, small._mpf_, zero])
-        assert rec["L1"] == 2 and (rec["L2"] == small if kept else rec["L2"] == 0)
-        assert rec["residual"] == 0
-        rec = ex.ls2(w, q1, q2, [two, one, small._mpf_])
-        assert rec["L1"] == 2 and rec["L2"] == 1
-        assert rec["residual"] == small if kept else rec["residual"] == 0
+    for small, kept in ((ex.MP.mpf("1e-45")._mpf_, False),
+                        (ex.MP.mpf("1e-20")._mpf_, True)):
+        rec = ex.ls2(w, q1, q2, [two, small, zero])
+        assert rec["L1"] == two and (rec["L2"] == small if kept else rec["L2"] == zero)
+        assert rec["residual"] == zero
+        rec = ex.ls2(w, q1, q2, [two, one, small])
+        assert rec["L1"] == two and rec["L2"] == one
+        assert rec["residual"] == small if kept else rec["residual"] == zero
 
 
 def test_fit_flat_chart_trivial():
@@ -183,7 +184,7 @@ def test_fit_flat_chart_trivial():
     with pytest.raises(ValueError):
         fit_pseudosymmetry(b, c.sample_points(4))
     rep = fit_pseudosymmetry(b, c.sample_points(5))
-    assert rep.trivial and rep.rank == 0 and rep.max_residual == 0
+    assert rep.trivial and rep.rank == 0 and rep.max_residual == ex.fzero
     assert constant_type_check(rep)
 
 
@@ -194,7 +195,8 @@ def test_constant_type_verdicts(ex2_c, warped5_c):
     repm1 = fit_pseudosymmetry(b5, warped5_c.sample_points(5, params={"a": Fraction(-1)}))
     assert constant_type_check(repm1)
     with mpmath.workdps(50):
-        assert all(abs(r["L1"] + 1) <= mpmath.mpf("1e-30") for r in repm1.records)
+        assert all(abs(r["L1"] + 1) <= mpmath.mpf("1e-30")
+                   for r in map(helpers.record_mpfs, repm1.records))
 
 
 def test_pair_admissible_string_candidates(ex2_c):

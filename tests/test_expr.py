@@ -19,9 +19,9 @@ from warpcurv.expr import (
     parse, rename, sample_box_points, to_str,
 )
 
-from warpcurv.cli import build_chart, load_manifest
+from warpcurv.cli import build_chart, fixture_path, load_manifest
 from warpcurv.curvature import bundle
-from warpcurv.tensor import Chart
+from warpcurv.tensor import Chart, orbit_reps
 
 import helpers
 
@@ -421,6 +421,35 @@ def test_exponent_budget():
     assert issubclass(ex.ExponentBudgetError, ex.ExprError)
 
 
+def test_exact_power_budget():
+    # (n/d)^k is refused when max(bit_length(n), bit_length(d)) |k| exceeds
+    # MAX_EXACT_BITS, both when a constant is folded and when a rational
+    # value is raised at a point; a point is never skipped for it
+    top = ex.MAX_EXACT_BITS
+    k = ex.MAX_EXPONENT
+    under = 2 ** (top // k - 1)  # top // k bits
+    over = 2 ** (top // k)
+    x = Coord("x1")
+    assert ex.pow_(Const(under), k) == Const(Fraction(under) ** k)
+    assert ex.pow_(Const(Fraction(1, under)), -k) == Const(Fraction(under) ** k)
+    assert ex.PointEval({"x1": Fraction(1, under)}).eval(ex.pow_(x, -k)) == under ** k
+    for build in (lambda: ex.pow_(Const(over), k), lambda: ex.pow_(Const(-over), -k),
+                  lambda: ex.pow_(Const(Fraction(1, over)), k),
+                  lambda: p(f"x1*({over})^{k}")):
+        with pytest.raises(ex.ExactBudgetError) as err:
+            build()
+        assert err.value.bits == (top // k + 1) * k > top
+        assert f"over the budget of {top} (MAX_EXACT_BITS)" in str(err.value)
+    for value in (Fraction(over), Fraction(-1, over), Fraction(over, 3)):
+        with pytest.raises(ex.ExactBudgetError):
+            ex.PointEval({"x1": value}).eval(ex.pow_(x, -k))
+    with pytest.raises(ex.ExactBudgetError):
+        ex.is_zero_many([ex.pow_(ex.add(x, ex.ONE), k)], ["x1"],
+                        box={"x1": (over, over + 1)}, trials=2)
+    assert issubclass(ex.ExactBudgetError, ex.ExprError)
+    assert not issubclass(ex.ExactBudgetError, DomainError)
+
+
 def test_division_by_literal_zero_rejected():
     with pytest.raises(DomainError):
         ex.div(Coord("x1"), ex.const(0))
@@ -716,26 +745,24 @@ def test_judge_independent_of_ambient_precision():
         assert v == exact
 
 
-def test_judge_calls_eval_scaled_once(monkeypatch):
-    # the trace wraps eval_scaled, so a judge that reads a value's scale
-    # goes through it once; an exact 0 is zero at every scale and skips it
-    calls = []
-    original = ex.PointEval.eval_scaled
+def test_judged_makes_no_mpf(monkeypatch):
+    # judged reads a value and its scale from the memo as tuples: with no
+    # mpmath context to be had, the zero test of R still runs
+    charts = [build_chart(load_manifest(fixture_path(name)))
+              for name in ("sphere.mf", "ex1_fiber.mf")]
+    comps = [[bundle(c).R.comp(t) for t in orbit_reps(c.n, 4)] for c in charts]
 
-    def counting(self, e):
-        calls.append(e)
-        return original(self, e)
+    def no_context(dps):
+        raise AssertionError("an mpmath context was built")
 
-    monkeypatch.setattr(ex.PointEval, "eval_scaled", counting)
-    pe = ex.PointEval({"x1": Fraction(1, 3), "x2": Fraction(3, 2)})
-    for text, scaled in (("x1 - 1/3", False), ("x1*x2 + 1", True),
-                         ("exp(x1) - 1", True),
-                         ("sin(x1)^2 + cos(x1)^2 - 1", True),
-                         ("x1 - 1/3", False), ("x1*x2 - 1/2", False)):
-        e = p(text)
-        calls.clear()
-        pe.judge(e)
-        assert calls == ([e] if scaled else []), text
+    monkeypatch.setattr(ex, "_context", no_context)
+    for chart, exprs in zip(charts, comps):
+        test = ex.ZeroTest(exprs)
+        ex.sweep(chart.sample_points(4, 7), [test])
+        verdicts = test.result()
+        assert not all(verdicts), chart.coords
+    with pytest.raises(AssertionError, match="context was built"):
+        ex.PointEval({"x1": Fraction(1, 3)}).eval(p("exp(x1)"))
 
 
 def test_mag_gt_matches_mpf_gt():
@@ -818,7 +845,7 @@ def test_judged_decides_as_the_exact_formula_near_the_threshold():
     arithmetic, for values 0 to 4 binary orders on each side of that bound
     and at its neighbours, with m below and above 1.  In `a + b*c` with
     c = 0 the value is a and the scale max(|a|, |b|)."""
-    from mpmath.libmp import fzero
+    fzero = ex.fzero
     MP = ex.MP
     e = p("a + b*c", params=("a", "b", "c"))
     ulp = MP.mpf(2) ** (1 - MP.prec)
@@ -1307,6 +1334,29 @@ def test_sample_box_points_deterministic():
     assert c != [{k: v for k, v in pt.items() if k != "a"} for pt in a]
 
 
+def test_sample_box_points_match_fraction_formula():
+    """The int formula over the common denominator gives the points of
+    lo + (hi - lo) * Fraction(r, 1024), Fractions in lowest terms, for any
+    box (ints, Fractions, reversed or missing bounds), seed and parameters."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    bound = st.one_of(st.integers(-50, 50),
+                      st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+    coords = ("x1", "x2", "x3")
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None)
+    @hyp.given(st.dictionaries(st.sampled_from(coords), st.tuples(bound, bound)),
+               st.integers(0, 8), st.integers(0, 2 ** 64),
+               st.one_of(st.none(), st.dictionaries(st.sampled_from(("a", "b")), bound)))
+    def check(box, k, seed, params):
+        got = sample_box_points(coords, box, k, seed, params=params)
+        want = helpers.sample_box_points_fractions(coords, box, k, seed, params=params)
+        assert got == want
+        assert all(type(v) is Fraction for pt in got for v in pt.values())
+
+    check()
+
+
 # ------------------------------------------------------------ one copy of each
 
 SRC = Path(ex.__file__).resolve().parent
@@ -1454,8 +1504,10 @@ def test_ls2_matches_mpf_oracle():
         return shape, w, q1, q2, r
 
     def same(g, v):
-        return type(g) is type(v) and (g._mpf_ == v._mpf_ if isinstance(v, MP.mpf)
-                                       else g == v)
+        # ls2 gives tuples where the oracle gives mpfs, and the same ints
+        if isinstance(v, MP.mpf):
+            return type(g) is tuple and g == v._mpf_
+        return type(g) is type(v) and g == v
 
     @hyp.settings(max_examples=400, derandomize=True, deadline=None,
                   suppress_health_check=list(hyp.HealthCheck))

@@ -431,7 +431,7 @@ def test_fit_recovers_ricci_coefficient_on_sphere_fiber_product(fs_spec):
     rep = fit_pseudosymmetry(b, pts)
     assert rep.rank == 2 and not rep.trivial and not rep.family
     with mpmath.workdps(50):
-        for rec in rep.records:
+        for rec in map(helpers.record_mpfs, rep.records):
             assert abs(rec["L1"]) < mpmath.mpf("1e-30")
             assert abs(rec["L2"] - 1) < mpmath.mpf("1e-30")
     assert pair_admissible(b, pts[0], 0, 1)
