@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import PointEval, is_literal_zero, to_mpf, zero_threshold
+from .expr import PointEval, is_literal_zero
 from .tensor import (
     ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
     orbit_reps, raise_first)
@@ -190,33 +190,15 @@ def deszcz_ratio(b, point, pi1, pi2):
         raise ValueError("degenerate plane span")
     rr = cached_derivation(b, "R", "R")
     qgr = cached_tachibana(b, "g", "R")
-    pe = PointEval(point)
     # the index tuples whose six plane weights are all nonzero, in
     # lexicographic order, each with its weight as a running product
     terms = [((), Fraction(1))]
     for vec in (v, w, v, w, x, y):
         terms = [(idx + (i,), wt * c) for idx, wt in terms
                  for i, c in enumerate(vec) if c]
-    terms = [(idx, to_mpf(wt)) for idx, wt in terms]
-
-    def contract(field):
-        total = scale = ex.MP.zero
-        for idx, wtm in terms:
-            e = field.comp(idx)
-            if is_literal_zero(e):
-                continue
-            val, sub = pe.eval_scaled(e)
-            term = to_mpf(val) * wtm
-            total += term
-            for s in (abs(term), sub * abs(wtm)):
-                if s > scale:
-                    scale = s
-        return total, scale
-
-    num, s1 = contract(rr)
-    den, s2 = contract(qgr)
-    if abs(den) <= zero_threshold(max(s1, s2)):
-        return {"defined": False, "ratio": None,
-                "numerator": num, "denominator": den}
-    return {"defined": True, "ratio": num / den,
-            "numerator": num, "denominator": den}
+    num, den, ratio = ex.weighted_ratio(
+        PointEval(point), [wt for _, wt in terms],
+        [rr.comp(idx) for idx, _ in terms], [qgr.comp(idx) for idx, _ in terms])
+    mpf = ex.as_mpf
+    return {"defined": ratio is not None, "ratio": None if ratio is None else mpf(ratio),
+            "numerator": mpf(num), "denominator": mpf(den)}

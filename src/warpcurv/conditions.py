@@ -17,8 +17,7 @@ from fractions import Fraction
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, fzero,
-    is_literal_zero, mag_gt, zero_threshold,
+    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, fzero, is_literal_zero,
 )
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
@@ -228,16 +227,11 @@ class PseudosymmetryFit:
         records = self._records
         if not records:
             raise InconclusiveError("no sample point was domain-valid")
-        worst = records[0]["residual"]
-        for rec in records[1:]:
-            if mag_gt(rec["residual"], worst):
-                worst = rec["residual"]
         return ConditionReport(
             records=records, rank=max(rec["rank"] for rec in records),
-            max_residual=worst,
+            max_residual=ex.largest(rec["residual"] for rec in records),
             family=all(rec["rank"] < 2 for rec in records),
-            # a data scale is a magnitude: it is 0 iff its mantissa is
-            trivial=not any(rec["data_scale"][1] for rec in records),
+            trivial=all(rec["data_scale"] == fzero for rec in records),
             points_invalid=self._visited - len(records))
 
 
@@ -249,6 +243,22 @@ def fit_pseudosymmetry(b, points) -> ConditionReport:
     return fit.result()
 
 
+def _pair_residual(b, point, L1, L2):
+    """(residual, scale) of `pair_residual`, as the engine's numbers."""
+    chart = b.chart
+    pe = PointEval(point)
+
+    def val(x):
+        if isinstance(x, (ex.Expr, str)):
+            return pe.rounded(_scalar_expr(x, chart))
+        return ex.to_tuple(x)
+
+    l1, l2 = val(L1), val(L2)
+    vecs = _fit_vectors(b)
+    r, q1, q2 = ([pe.rounded(v[j]) for v in vecs] for j in (1, 2, 3))
+    return ex.residual([v[0] for v in vecs], q1, q2, r, l1, l2)
+
+
 def pair_residual(b, point, L1, L2):
     """Residual of a specific (L1, L2) candidate at one point.
 
@@ -256,28 +266,13 @@ def pair_residual(b, point, L1, L2):
     {"residual", "scale"}; the pair is admissible when the residual is below
     the zero-test threshold for that scale.
     """
-    chart = b.chart
-    pe = PointEval(point)
-
-    def val(x):
-        if isinstance(x, (ex.Expr, str)):
-            return pe.rounded(_scalar_expr(x, chart))
-        return ex.to_mpf(x)._mpf_
-
-    l1, l2 = val(L1), val(L2)
-    w, r, q1, q2 = [], [], [], []
-    for k, er, eg, es in _fit_vectors(b):
-        w.append(k)
-        r.append(pe.rounded(er))
-        q1.append(pe.rounded(eg))
-        q2.append(pe.rounded(es))
-    res, scale = ex.fit_residual(w, q1, q2, r, l1, l2)
-    return {"residual": res, "scale": scale}
+    res, scale = _pair_residual(b, point, L1, L2)
+    return {"residual": ex.as_mpf(res), "scale": ex.as_mpf(scale)}
 
 
 def pair_admissible(b, point, L1, L2):
-    out = pair_residual(b, point, L1, L2)
-    return out["residual"] <= zero_threshold(out["scale"])
+    """True iff (L1, L2) is admissible at `point` (see `pair_residual`)."""
+    return ex.negligible(*_pair_residual(b, point, L1, L2))
 
 
 # ---------------------------------------------------------------------------

@@ -26,59 +26,58 @@ do Fraction arithmetic only when two constants fold into one.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise raw libmp tuples at
-DPS = 50 significant digits: every number the engine makes carries that
-precision, so no caller sets one and the ambient `mpmath.mp` precision
-changes no value and no verdict.  Inside `PointEval` an exact value is a
+DPS = 50 significant digits, so the ambient `mpmath.mp` precision changes
+no value and no verdict.  Inside `PointEval` an exact value is a
 (numerator, denominator) pair of ints in lowest terms and an inexact one a
-libmp tuple at that precision, combined by the libmp functions the mpf
-operators call, and a rational subtree is rounded to a tuple only when its
-scale is read.  The dense kernels compute on such tuples too: the
-determinant of chart validation (`numeric_det`), the (L1, L2) fit (`ls2`)
-and the dependence and constancy checks, built on one `dot` and `norm`;
-`num_str` prints a tuple as `MP.nstr` prints its mpf.
-
-The engine needs only mpmath's `libmp` subpackage, which `_load_libmp`
-executes as the private package `warpcurv._libmp` without running
-`mpmath/__init__`, so importing warpcurv and running its commands does not
-load the mpmath package.  `MP`, one mpmath context at DPS digits, and
-`REL_TOL` are made on first use (a module `__getattr__`), and the public
-functions that return mpfs (`PointEval.eval`, `eval_scaled` and `judge`,
-`evaluate`, `to_mpf`, `zero_threshold`, `fit_residual`, `parallel_ratio`)
-load mpmath when first called.
+libmp tuple, combined by the libmp functions the mpf operators call; a
+rational subtree is rounded only when its scale is read.  The dense kernels
+compute on tuples too (`numeric_det`, `ls2`, `residual`, `weighted_ratio`
+and the dependence and constancy checks), and `num_str` prints a tuple as
+`MP.nstr` prints its mpf.  This module is the only one that knows how
+numbers are represented: a number becomes a tuple only in `_to_tuple`, a
+tuple becomes an mpf only in `_as_mpf` (public at DPS as `to_tuple` and
+`as_mpf`), and no other module does arithmetic on numbers or reads a
+tuple's fields.  Every function that returns mpfs (`PointEval.eval`,
+`eval_scaled` and `judge`, `evaluate`, `to_mpf`, `parallel_ratio`,
+`zero_threshold`, and elsewhere `deszcz_ratio`, `pair_residual` and
+`linear_dependence_check`) computes on tuples and makes its mpfs at
+return.  The engine needs only mpmath's `libmp` subpackage, which
+`_load_libmp` executes as the private package `warpcurv._libmp` without
+running `mpmath/__init__`; mpmath itself is loaded by the first mpf made
+(`MP` and `REL_TOL` come from a module `__getattr__`), which no command
+makes.
 
 The zero test samples deterministic rational points from a box (default
 [1/3, 2] per coordinate; the CLI draws at most MAX_POINTS per test) and
 accepts `|value| <= 1e-30 * (1 + m)` where m is the largest intermediate
 magnitude seen while evaluating.  A point where an exp argument exceeds
 MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
-Magnitudes are compared on the tuples' ints: a normalized tuple
+The magnitude of a tuple is the tuple with sign 0, and a normalized tuple
 (0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)), so `mag_gt` orders
-two of them by exp + bc and only a tie compares the aligned mantissas, with
-the answer `mpf_gt` gives (zero is decided on ints too; only inf and nan
-reach `mpf_gt`); the magnitude of a tuple at the working
-precision is the tuple with sign 0, without `mpf_abs`.  The zero test's
-verdict is decided on orders too when powers of two separate |value| from
-the bound, and by the mpf formula itself otherwise.
+two magnitudes by exp + bc and only a tie compares the aligned mantissas,
+with the answer `mpf_gt` gives; `largest` picks the largest with it.  The
+zero test's verdict is decided on orders too when powers of two separate
+|value| from the bound, and by the mpf formula itself otherwise.
 
 `PointEval.judged` (`judge` as an mpf) is the one place where a sampled
 value is judged zero: every per-component verdict (the zero test, the
 identity catalog, the (L1, L2) fit, the warped-product conditions) is built
 on it, and `ZeroTest` folds its verdicts over the sample points.  Every
 check is a visitor like it, and `sweep` feeds the visitors of one chart one
-shared evaluator per sample point.  This
-module also owns the mpmath contexts, the single Fraction-to-mpf conversion
-(`to_mpf`, at any context `_as_mpf`), the single literal-zero predicate
-(`is_literal_zero`) and, as no other module imports mpmath, every kernel
-that computes on libmp tuples.  Parsed text is capped at MAX_NESTING
-levels, counting both parentheses and chained divisions.  A power whose
-exponent, after (x^a)^b is merged to x^(ab), exceeds MAX_EXPONENT in
-magnitude raises `ExponentBudgetError`: exact evaluation raises integer
-pairs to that power, and reducing them costs about its square in time.
-Nested powers still multiply, so an exact power (n/d)^k is refused, both
-when `pow_` folds a constant and when `PointEval` raises a rational value,
-if max(bit_length(n), bit_length(d)) * |k| exceeds MAX_EXACT_BITS
-(`ExactBudgetError`, an ExprError that is not a DomainError, so the point
-is not skipped and the command fails as on malformed input).
+shared evaluator per sample point; an aggregate is judged by `negligible`.
+
+Parsed text is capped at MAX_NESTING levels, counting both parentheses and
+chained divisions.  A power whose exponent, after (x^a)^b is merged to
+x^(ab), exceeds MAX_EXPONENT in magnitude raises `ExponentBudgetError`:
+exact evaluation raises integer pairs to that power, and reducing them
+costs about its square in time.  Nested powers still multiply, and so do
+sums and products of powers, so an exact value n/d over MAX_EXACT_BITS bits
+raises `ExactBudgetError` (an ExprError that is not a DomainError, so the
+point is not skipped and the command fails as on malformed input), both
+when the constructors fold constants and when `PointEval` computes a
+rational value: a power (n/d)^k before it is taken, when max(bit_length(n),
+bit_length(d)) * |k| exceeds the budget, and a sum, product or quotient as
+soon as its numerator or denominator does, before the gcd that reduces it.
 
 Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
 pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
@@ -97,6 +96,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
 from math import gcd
@@ -151,7 +151,7 @@ MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 MAX_POINTS = 10_000  # sample points a command may draw per zero test
 MAX_EXPONENT = 1000  # largest |exponent| of a power node
-MAX_EXACT_BITS = 2 ** 18  # largest bit size of an exact power, see pow_
+MAX_EXACT_BITS = 2 ** 18  # largest bit size of an exact value, see _check_exact
 _REL_TOL = "1e-20"  # relative tolerance of dependence and constancy
 _CONTEXTS = {}
 _PRECISIONS = {}  # dps -> (precision in bits, rounding, tuple of 1e-30)
@@ -191,7 +191,7 @@ def __getattr__(name):
     if name == "MP":
         value = _context(DPS)
     elif name == "REL_TOL":
-        value = _context(DPS).make_mpf(_REL)
+        value = as_mpf(_REL)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -240,20 +240,26 @@ class ExponentBudgetError(ExprError):
 
 
 class ExactBudgetError(ExprError):
-    """An exact power whose value would exceed MAX_EXACT_BITS bits."""
+    """An exact value that would exceed MAX_EXACT_BITS bits."""
 
     def __init__(self, bits):
-        super().__init__(f"exact power of about {bits} bits is over the budget "
+        super().__init__(f"exact value of about {bits} bits is over the budget "
                          f"of {MAX_EXACT_BITS} (MAX_EXACT_BITS)")
         self.bits = bits
 
 
-def _check_power(n, d, k):
+def _check_exact(n, d, k):
     """Raise ExactBudgetError when (n/d)^k, about max(bit_length(n),
-    bit_length(d)) * |k| bits, exceeds MAX_EXACT_BITS."""
+    bit_length(d)) * |k| bits, exceeds MAX_EXACT_BITS (k = 1: n/d itself)."""
     bits = max(n.bit_length(), d.bit_length()) * abs(k)
     if bits > MAX_EXACT_BITS:
         raise ExactBudgetError(bits)
+
+
+def _folded(v):
+    """Const(v) for a Fraction `v` that two constants folded into."""
+    _check_exact(v.numerator, v.denominator, 1)
+    return Const(v)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def add(*terms):
                 c, pos = u, len(out)
                 out.append(u)
             elif u is not ZERO:
-                c = u if c is ZERO else Const(c.value + u.value)
+                c = u if c is ZERO else _folded(c.value + u.value)
     if c is not None:
         if c is ZERO and len(out) > 1:
             del out[pos]
@@ -441,7 +447,7 @@ def mul(*factors):
             elif g is ZERO:
                 return ZERO
             elif g is not ONE:
-                c = g if c is ONE else Const(c.value * g.value)
+                c = g if c is ONE else _folded(c.value * g.value)
     negative = c is not ONE and c.value.numerator < 0
     if negative:
         c = neg(c)
@@ -479,7 +485,7 @@ def div(a, b):
         if b is ONE:
             return a
         if type(a) is Const:
-            return Const(a.value / b.value)
+            return _folded(a.value / b.value)
         if b.value.numerator < 0:
             return neg(div(a, neg(b)))
     if a is ZERO:
@@ -511,7 +517,7 @@ def pow_(base, exponent):
             raise DomainError("zero base with negative exponent")
         if d == 1:
             v = base.value
-            _check_power(v.numerator, v.denominator, n)
+            _check_exact(v.numerator, v.denominator, n)
             return Const(v ** n)
         if base is ZERO or base is ONE:
             return base
@@ -1103,16 +1109,41 @@ def rename(e, mapping, _memo=None):
 # Evaluation
 
 
-def _as_mpf(MP, v):
-    """`v`, an exact Fraction or a number, as an mpf of the context `MP`."""
-    if isinstance(v, Fraction):
-        return MP.mpf(v.numerator) / MP.mpf(v.denominator)
-    return MP.mpf(v)
+def _rational(n, d, prec, rnd):
+    """n/d, ints in lowest terms with d > 0, as a libmp tuple at `prec`,
+    rounded as `mpf(n) / mpf(d)` rounds it (n and d first)."""
+    return mpf_div(from_int(n, prec, rnd), from_int(d, prec, rnd), prec, rnd)
+
+
+def _to_tuple(v, dps):
+    """`v`, an int, a Fraction or another real number, as a libmp tuple at
+    `dps` digits: the one conversion of a number to a tuple.  A rational is
+    rounded by `_rational`; any other number is read as `mpf(v)` reads it."""
+    prec, rnd, _ = _precision(dps)
+    if isinstance(v, (int, Fraction)):
+        return _rational(v.numerator, v.denominator, prec, rnd)
+    return _context(dps).mpf(v)._mpf_
+
+
+def _as_mpf(t, dps):
+    """The libmp tuple `t` as an mpf of the context of `dps` digits: the one
+    conversion of a tuple to an mpf."""
+    return _context(dps).make_mpf(t)
+
+
+def to_tuple(v):
+    """A number as a libmp tuple at DPS digits (`_to_tuple`)."""
+    return _to_tuple(v, DPS)
+
+
+def as_mpf(t):
+    """A libmp tuple as an mpf of `MP` (`_as_mpf`)."""
+    return _as_mpf(t, DPS)
 
 
 def to_mpf(v):
     """An exact Fraction or a number as an mpf of `MP`, at DPS digits."""
-    return _as_mpf(_context(DPS), v)
+    return as_mpf(to_tuple(v))
 
 
 def num_str(t, digits=20):
@@ -1152,7 +1183,9 @@ def mag_gt(s, t):
 
 
 def _reduced(n, d):
-    """The pair (n, d), d > 0, in lowest terms."""
+    """The pair (n, d), d > 0, in lowest terms; ExactBudgetError, before
+    the gcd, when n or d has more than MAX_EXACT_BITS bits."""
+    _check_exact(n, d, 1)
     g = gcd(n, d)
     return (n, d) if g == 1 else (n // g, d // g)
 
@@ -1160,46 +1193,36 @@ def _reduced(n, d):
 class PointEval:
     """Memoizing evaluator bound to one point (shared across expressions).
 
-    Values are exact Fractions when the subtree is rational, otherwise mpfs
-    of the mpmath context of `dps` digits (`MP` at the default DPS), so
-    the ambient `mpmath.mp` precision never enters.  `eval_scaled` gives
-    each value with the largest intermediate magnitude in its subtree so
-    zero tests can scale their tolerance.  `judged`, `rounded` and
-    `value_str` give the same values as tuples and text, and the engine
-    reads only those: the evaluator takes its precision and tolerance from
-    `_precision(dps)`, and its mpmath context is made only when a method that
-    returns an mpf, or a point with a value other than an int or Fraction,
-    needs it.
+    `judged`, `rounded`, `positive` and `value_str` give a value at this
+    point as a tuple, a verdict or text, and the engine reads only those;
+    `eval`, `eval_scaled` (with the largest intermediate magnitude in the
+    subtree, which scales the zero test's tolerance) and `judge` give an
+    exact Fraction or an mpf of the context of `dps` digits, made at return
+    by `_as_mpf`.  Precision and tolerance come from `_precision(dps)`.
 
-    Inside, the walk computes on plain ints and raw `mpmath.libmp` tuples.
     The memo entry of a rational node is a tuple (numerator, denominator)
     of ints in lowest terms, with a positive denominator; a rational Add or
     Mul combines its children's ints and reduces once.  Lowest terms
     matter: `_round` rounds the numerator and the denominator separately,
-    as `_as_mpf` rounds a Fraction, so an unreduced pair of more than DPS
+    as `to_tuple` rounds a Fraction, so an unreduced pair of more than DPS
     digits could round to other bits.  The entry of an inexact node is a
-    list [tuple, magnitude tuple] of libmp tuples (`_mpf_`) at the
-    context's precision and rounding, combined by the libmp functions the
-    mpf operators call, so every value is bit-identical to mpf arithmetic;
-    the entry's type tells the two kinds apart.  A rational subtree stays
-    unrounded until something reads its scale: an inexact operand beside
-    it in a sum or product, a division, power or function that needs its
-    tuple, `eval_scaled`, or `judge` of a nonzero value.  `_settled` then
-    rounds it and its subtree once, with the formulas an inexact node
-    follows, and keeps (tuple, magnitude) in `_exact`; judging an exact 0
-    rounds nothing.  A magnitude is the value's tuple with sign 0, and
-    the largest is kept by `mag_gt`, which decides on binary orders
-    (exp + bc) and compares mantissas only on a tie; the Add and Mul loop
-    inlines its order test.  `judged` brackets |value| and 1e-30 * (1 + m)
-    between powers of two read off their orders and takes the exact mpf
-    formula only when the brackets overlap, so every verdict is the
-    formula's.
-    Fractions and mpfs are made only for the values that `eval`,
-    `eval_scaled` and `judge` return.  The memo is keyed by node:
+    list [tuple, magnitude tuple] of libmp tuples at this precision,
+    combined by the libmp functions the mpf operators call, so every value
+    is bit-identical to mpf arithmetic; the entry's type tells the two kinds
+    apart.  A rational subtree stays unrounded until something reads its
+    scale: an inexact operand beside it in a sum or product, a division,
+    power or function that needs its tuple, `eval_scaled`, or `judge` of a
+    nonzero value.  `_settled` then rounds it and its subtree once, with the
+    formulas an inexact node follows, and keeps (tuple, magnitude) in
+    `_exact`; judging an exact 0 rounds nothing.  The largest magnitude is
+    kept by `mag_gt`, whose order test the Add and Mul loop inlines.
+    `judged` brackets |value| and 1e-30 * (1 + m) between powers of two read
+    off their orders and takes the exact mpf formula only when the brackets
+    overlap, so every verdict is the formula's.  The memo is keyed by node:
     nodes are interned, so a subtree shared by several expressions is
     evaluated once, and the memo keeps its keys alive for as long as it
     lives.  An exp argument beyond MAX_EXP_ARG in magnitude makes the point
-    undefined (DomainError) before mpmath is called.  `point` is the env
+    undefined (DomainError) before libmp is called.  `point` is the env
     the evaluator was built for.
     """
 
@@ -1213,30 +1236,24 @@ class PointEval:
             if isinstance(v, (int, Fraction)):
                 self._env[k] = (v.numerator, v.denominator)
             else:
-                t = _as_mpf(self._ctx, v)._mpf_
+                t = _to_tuple(v, dps)
                 self._env[k] = [t, mpf_abs(t, prec, rnd)]
         self._memo = {}
         self._exact = {}  # settled rational node -> (tuple, magnitude tuple)
 
-    @property
-    def _ctx(self):
-        """The mpmath context of this evaluator's precision."""
-        return _context(self._dps)
-
     def eval_scaled(self, e):
         """(value, largest intermediate magnitude) of `e` at this point."""
-        h = self._memo.get(e)  # judge has walked `e` already
-        if h is None:
-            h = self._walk(e)
-        make = self._ctx.make_mpf
-        if type(h) is tuple:
-            return Fraction(*h), make(self._settled(e)[1])
-        return make(h[0]), make(h[1])
+        return self.eval(e), _as_mpf(self._scaled(e)[1], self._dps)
+
+    def _scaled(self, e):
+        """`eval_scaled(e)` as (tuple, magnitude tuple), a rational rounded."""
+        h = self._walk(e)
+        return self._settled(e) if type(h) is tuple else h
 
     def eval(self, e):
         """Value of `e` at this point, without its magnitude."""
         h = self._walk(e)
-        return Fraction(*h) if type(h) is tuple else self._ctx.make_mpf(h[0])
+        return Fraction(*h) if type(h) is tuple else _as_mpf(h[0], self._dps)
 
     def judge(self, e):
         """Value of `e` here as an mpf, snapped to exact 0 when it is zero.
@@ -1246,8 +1263,7 @@ class PointEval:
         An exact 0 holds for every m, so its scale is not computed.
         Raises DomainError when `e` is undefined at this point.
         """
-        t = self.judged(e)
-        return self._ctx.zero if t is fzero else self._ctx.make_mpf(t)
+        return _as_mpf(self.judged(e), self._dps)
 
     def judged(self, e):
         """`judge(e)` as a raw libmp tuple, the object `fzero` when zero."""
@@ -1275,9 +1291,14 @@ class PointEval:
 
     def rounded(self, e):
         """Value of `e` here as a raw libmp tuple, unjudged; a rational value
-        is rounded as `_as_mpf` rounds its Fraction (at DPS, `to_mpf`)."""
+        is rounded as `to_tuple` rounds its Fraction."""
         h = self._walk(e)
         return self._round(h) if type(h) is tuple else h[0]
+
+    def positive(self, e):
+        """True iff the value of `e` here is above zero (an exact one: > 0)."""
+        h = self._walk(e)
+        return h[0] > 0 if type(h) is tuple else mpf_gt(h[0], fzero)
 
     def value_str(self, e):
         """`str(self.eval(e))`, without making an mpf: an exact value as its
@@ -1286,14 +1307,9 @@ class PointEval:
         return str(Fraction(*h)) if type(h) is tuple else num_str(h[0], self._dps)
 
     def _round(self, v):
-        """The tuple of `v`, an exact (numerator, denominator) pair in lowest
-        terms, at this precision.
-
-        It is rounded as `_as_mpf` rounds the Fraction, numerator and
-        denominator first and then their quotient, without making mpfs."""
-        prec, rnd = self._prec, self._rnd
-        return mpf_div(from_int(v[0], prec, rnd), from_int(v[1], prec, rnd),
-                       prec, rnd)
+        """`_rational` of `v`, an exact (numerator, denominator) pair in
+        lowest terms, at this precision."""
+        return _rational(v[0], v[1], self._prec, self._rnd)
 
     def _settled(self, e):
         """(tuple, magnitude tuple) of `e`, a walked rational node, as `_walk`
@@ -1343,8 +1359,11 @@ class PointEval:
             kv = v = get(k) or walk(k)
             if type(v) is tuple:
                 # rational operands: their ints are combined unreduced up to
-                # the first inexact one, or to the end and then reduced once
+                # the first inexact one, or to the end and then reduced once;
+                # each step is held to MAX_EXACT_BITS (`_check_exact`'s test
+                # inlined), so no gcd below sees larger ints
                 n, d = v
+                top = MAX_EXACT_BITS
                 if cls is Add:
                     for k in it:
                         kv = get(k) or walk(k)
@@ -1355,6 +1374,8 @@ class PointEval:
                             n += kn
                         else:
                             n, d = n * kd + kn * d, d * kd
+                        if n.bit_length() > top or d.bit_length() > top:
+                            _check_exact(n, d, 1)
                 else:
                     for k in it:
                         kv = get(k) or walk(k)
@@ -1363,6 +1384,8 @@ class PointEval:
                         kn, kd = kv
                         n *= kn
                         d *= kd
+                        if n.bit_length() > top or d.bit_length() > top:
+                            _check_exact(n, d, 1)
                 if type(kv) is tuple:
                     g = gcd(n, d)
                     out = self._memo[e] = (n, d) if g == 1 else (n // g, d // g)
@@ -1438,7 +1461,7 @@ class PointEval:
                 if xd != 1:
                     out = b  # a zero base
                 else:
-                    _check_power(bn, bd, xn)
+                    _check_exact(bn, bd, xn)
                     if xn >= 0:
                         out = (bn ** xn, bd ** xn)
                     else:
@@ -1483,16 +1506,17 @@ def evaluate(e, env):
 # ---------------------------------------------------------------------------
 # Dense kernels on raw libmp tuples
 #
-# Chart validation's determinant, the (L1, L2) fit and the dependence and
-# constancy checks compute on tuples at DPS, as `PointEval` does.  Each step
-# is the libmp function that the mpf operator calls, with the operands in
-# the operator's order (`k * x` for an int k is `mpf_mul_int`, `1 + x` is
-# `mpf_add(x, 1)`), so every result is bit-identical to the same formula
-# written with mpfs of MP.  A term with an exact-zero factor is skipped: a
-# product with 0 is 0, and adding 0 to a normalized tuple returns it.  The
-# largest magnitude (a scale, a pivot) is picked with `mag_gt`, which answers
-# as `mpf_gt`.  Reports print the tuples themselves (`num_str`); only
-# `fit_residual` and `parallel_ratio`, which return mpfs, load mpmath.
+# Chart validation's determinant, the (L1, L2) fit, a candidate pair's
+# residual, the Deszcz ratio's sums and the dependence and constancy checks
+# compute on tuples at DPS, as `PointEval` does.  Each step is the libmp
+# function that the mpf operator calls, with the operands in the operator's
+# order (`k * x` for an int k is `mpf_mul_int`, `1 + x` is `mpf_add(x, 1)`),
+# so every result is bit-identical to the same formula written with mpfs of
+# MP.  A term with an exact-zero factor is skipped: a product with 0 is 0,
+# and adding 0 to a normalized tuple returns it.  The largest magnitude (a
+# scale, a pivot) is picked by `largest`, with `mag_gt`, which answers as
+# `mpf_gt`.  Reports print the tuples themselves (`num_str`), and a verdict
+# against the zero threshold is `negligible`.
 
 _PREC, _RND, _TOL = _precision(DPS)
 _REL = from_str(_REL_TOL, _PREC, _RND)
@@ -1520,6 +1544,18 @@ def negligible(v, scale):
     return mpf_le(mpf_abs(v, _PREC, _RND), _threshold(scale))
 
 
+def largest(values):
+    """The magnitude of the first of `values`, libmp tuples, of largest
+    magnitude, fzero for none: a later one replaces it only when `mag_gt`
+    puts it strictly above.  A magnitude is the tuple with sign 0."""
+    m = fzero
+    for x in values:
+        ax = (0, x[1], x[2], x[3])
+        if mag_gt(ax, m):
+            m = ax
+    return m
+
+
 def numeric_det(mat):
     """LU determinant of a square matrix of tuples, with partial pivoting.
 
@@ -1532,20 +1568,10 @@ def numeric_det(mat):
     n = len(mat)
     a = [row[:] for row in mat]
     det = fone
-    scale = fzero
-    for row in a:
-        for x in row:
-            ax = (0, x[1], x[2], x[3])
-            if mag_gt(ax, scale):
-                scale = ax
+    scale = largest(x for row in a for x in row)
     for col in range(n):
-        x = a[col][col]
-        piv, best = col, (0, x[1], x[2], x[3])
-        for r in range(col + 1, n):
-            x = a[r][col]
-            ar = (0, x[1], x[2], x[3])
-            if mag_gt(ar, best):
-                piv, best = r, ar
+        mags = [(0, x[1], x[2], x[3]) for x in (row[col] for row in a[col:])]
+        piv = col + mags.index(largest(mags))
         if mpf_eq(a[piv][col], fzero):
             return fzero, scale
         if piv != col:
@@ -1560,29 +1586,19 @@ def numeric_det(mat):
                 continue
             f = mpf_div(row[col], p, prec, rnd)
             for c2 in range(col, n):
-                x = row[c2] = mpf_sub(row[c2], mpf_mul(f, top[c2], prec, rnd),
-                                      prec, rnd)
-                ax = (0, x[1], x[2], x[3])
-                if mag_gt(ax, scale):
-                    scale = ax
-    ad = (0, det[1], det[2], det[3])
-    return det, ad if mag_gt(ad, scale) else scale
+                row[c2] = mpf_sub(row[c2], mpf_mul(f, top[c2], prec, rnd), prec, rnd)
+            scale = largest((scale, *row[col:]))
+    return det, largest((scale, det))
 
 
 def dot(a, c, w=None):
-    """sum_k w[k] a[k] c[k] of tuples, with int weights `w` (none: all 1),
-    summed in order as `sum` sums mpfs."""
+    """sum_k w[k] a[k] c[k] of tuples, with int weights `w` (none: all 1,
+    and 1 * x is x), summed in order as `sum` sums mpfs."""
     prec, rnd = _PREC, _RND
     s = fzero
-    if w is None:
-        for x, y in zip(a, c):
-            if x != fzero and y != fzero:
-                s = mpf_add(s, mpf_mul(x, y, prec, rnd), prec, rnd)
-    else:
-        for k, x, y in zip(w, a, c):
-            if x != fzero and y != fzero:
-                s = mpf_add(s, mpf_mul(mpf_mul_int(x, k, prec, rnd), y, prec, rnd),
-                            prec, rnd)
+    for k, x, y in zip(repeat(1) if w is None else w, a, c):
+        if x != fzero and y != fzero:
+            s = mpf_add(s, mpf_mul(mpf_mul_int(x, k, prec, rnd), y, prec, rnd), prec, rnd)
     return s
 
 
@@ -1605,12 +1621,12 @@ def _gram(n1, n2, d12):
     return gram, mpf_le(root, _mul(_mul(_REL, n1), n2))
 
 
-def _residual(w, q1, q2, r, c1, c2):
+def residual(w, q1, q2, r, c1, c2):
     """(|r - c1 q1 - c2 q2| in the weighted norm, the largest |r[k]|,
     |c1 q1[k]| and |c2 q2[k]|) of tuples."""
     prec, rnd = _PREC, _RND
     e = []
-    scale = fzero
+    terms = []
     for a, c, rv in zip(q1, q2, r):
         p1 = mpf_mul(c1, a, prec, rnd)
         p2 = mpf_mul(c2, c, prec, rnd)
@@ -1618,19 +1634,8 @@ def _residual(w, q1, q2, r, c1, c2):
             e.append(rv)
         else:
             e.append(mpf_sub(mpf_sub(rv, p1, prec, rnd), p2, prec, rnd))
-        for x in (rv, p1, p2):
-            if x != fzero:
-                ax = (0, x[1], x[2], x[3])
-                if mag_gt(ax, scale):
-                    scale = ax
-    return norm(e, w), scale
-
-
-def fit_residual(w, q1, q2, r, c1, c2):
-    """`_residual` of tuples as (residual, scale) mpfs of MP."""
-    res, scale = _residual(w, q1, q2, r, c1, c2)
-    make = _context(DPS).make_mpf
-    return make(res), make(scale)
+        terms += (rv, p1, p2)
+    return norm(e, w), largest(terms)
 
 
 def ls2(w, q1, q2, r):
@@ -1645,11 +1650,7 @@ def ls2(w, q1, q2, r):
     an exact zero being `fzero`, except a rank-0 nullspace of ints.
     """
     n1, n2, nr = norm(q1, w), norm(q2, w), norm(r, w)
-    scale = n1
-    if mag_gt(n2, scale):
-        scale = n2
-    if mag_gt(nr, scale):
-        scale = nr
+    scale = largest((n1, n2, nr))
     col1, col2 = _above(n1, scale), _above(n2, scale)
     d12 = dot(q1, q2, w)
     gram, parallel = _gram(n1, n2, d12)
@@ -1677,7 +1678,7 @@ def ls2(w, q1, q2, r):
         L2 = _div(_sub(_mul(_mul(n1, n1), d2), _mul(d12, d1)), gram)
         null = []
         rank = 2
-    res = _residual(w, q1, q2, r, L1, L2)[0]
+    res = residual(w, q1, q2, r, L1, L2)[0]
     tol = _threshold(scale)
     return {"L1": fzero if mpf_lt(_mul(mpf_abs(L1, _PREC, _RND), n1), tol) else L1,
             "L2": fzero if mpf_lt(_mul(mpf_abs(L2, _PREC, _RND), n2), tol) else L2,
@@ -1691,29 +1692,50 @@ def parallel_ratio(va, vb):
     REL_TOL; ratio, an mpf r with va = r vb, only when neither is
     negligible and they are parallel, else None."""
     na, nb = norm(va), norm(vb)
-    scale = nb if mag_gt(nb, na) else na
+    scale = largest((na, nb))
     if not _above(na, scale) or not _above(nb, scale):
         return True, None
     d = dot(va, vb)
     if not _gram(na, nb, d)[1]:
         return False, None
-    return True, _context(DPS).make_mpf(_div(d, _mul(nb, nb)))
+    return True, as_mpf(_div(d, _mul(nb, nb)))
 
 
 def rows_constant(rows):
     """True iff every row of tuples equals the first entrywise within
     REL_TOL * (1 + the largest magnitude in `rows`)."""
     prec, rnd = _PREC, _RND
-    scale = fzero
-    for row in rows:
-        for x in row:
-            ax = (0, x[1], x[2], x[3])
-            if mag_gt(ax, scale):
-                scale = ax
+    scale = largest(x for row in rows for x in row)
     tol = _mul(_REL, mpf_add(scale, fone, prec, rnd))
     first = rows[0]
     return all(mpf_le(mpf_abs(_sub(x, x0), prec, rnd), tol)
                for row in rows for x, x0 in zip(row, first))
+
+
+def weighted_ratio(pe, weights, nums, dens):
+    """(numerator, denominator, ratio) tuples of sum_k w_k a_k / sum_k w_k b_k
+    at pe's point, for rational weights w_k and expressions a_k (`nums`) and
+    b_k (`dens`); the ratio is None when the denominator is negligible beside
+    the larger scale of the two sums, a sum's scale being the largest
+    |w_k a_k| and m_k |w_k| of its terms (m_k: the largest intermediate
+    magnitude of a_k).  Terms are summed in order; a literal 0 adds none."""
+    wts = [to_tuple(w) for w in weights]
+
+    def contract(exprs):
+        total = scale = fzero
+        for e, w in zip(exprs, wts):
+            if e is ZERO:
+                continue
+            t, m = pe._scaled(e)
+            term = _mul(t, w)
+            total = mpf_add(total, term, _PREC, _RND)
+            scale = largest((scale, term, _mul(m, (0, w[1], w[2], w[3]))))
+        return total, scale
+
+    (num, s1), (den, s2) = contract(nums), contract(dens)
+    if negligible(den, largest((s1, s2))):
+        return num, den, None
+    return num, den, _div(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1748,11 +1770,12 @@ def sample_box_points(coords, box, k, seed, params=None):
 
 
 def zero_threshold(scale):
-    """Tolerance of the zero test for an aggregate of magnitude `scale`.
+    """Tolerance of the zero test for an aggregate of magnitude `scale` (a
+    number, read as `to_tuple` reads it), as an mpf of MP.
 
-    Per-component verdicts go through `PointEval.judged` instead.
+    The engine judges with `PointEval.judged` and `negligible` instead.
     """
-    return _context(DPS).make_mpf(_TOL) * (1 + scale)
+    return as_mpf(_threshold(to_tuple(scale)))
 
 
 def is_zero(e, coords=None, box=None, params=None, trials=8, seed=DEFAULT_SEED):

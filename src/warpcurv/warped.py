@@ -87,13 +87,11 @@ class WarpedSpec:
         for pt in self.base.sample_points():
             pe = PointEval(pt)
             try:
-                t = pe.rounded(self.f)
+                positive = pe.positive(self.f)
             except DomainError:
                 continue
             valid += 1
-            # rounding keeps a rational's sign: the value is positive iff its
-            # tuple has sign 0 and lies above zero
-            if t[0] or not ex.mag_gt(t, fzero):
+            if not positive:
                 raise ChartError(f"warping function must be positive on the box, got "
                                  f"{pe.value_str(self.f)} at "
                                  f"{point_str(pt, self.base.coords)}")

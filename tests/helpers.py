@@ -135,6 +135,14 @@ def plain_to_str(e):
 # operators and context functions instead of raw libmp tuples.  An oracle for
 # the tuple kernel; its values and magnitudes must match bit for bit.
 
+def context_mpf(ctx, v):
+    """`v`, an exact Fraction or a number, as an mpf of the context `ctx`:
+    mpf(numerator) / mpf(denominator) for a Fraction."""
+    if isinstance(v, Fraction):
+        return ctx.mpf(v.numerator) / ctx.mpf(v.denominator)
+    return ctx.mpf(v)
+
+
 class MpfPointEval:
     def __init__(self, env, dps=ex.DPS):
         self.env = {k: Fraction(v) if isinstance(v, int) else v for k, v in env.items()}
@@ -143,7 +151,7 @@ class MpfPointEval:
         self._tol = self._ctx.mpf(ex._ZERO_TOL)
 
     def _mpf(self, v):
-        return ex._as_mpf(self._ctx, v)
+        return context_mpf(self._ctx, v)
 
     def eval_scaled(self, e):
         return self._walk(e)
@@ -267,6 +275,16 @@ def numeric_det_mpf(mat):
     return det, scale
 
 
+def residual_mpf(w, q1, q2, r, L1, L2):
+    """(|r - L1 q1 - L2 q2| in the weighted norm, the largest |r[k]|,
+    |L1 q1[k]| and |L2 q2[k]|) on mpfs of MP: the residual of `ls2_mpf`,
+    and an oracle for `expr.residual`."""
+    e = [rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)]
+    scale = max((abs(x) for a, c, rv in zip(q1, q2, r) for x in (rv, L1 * a, L2 * c)),
+                default=ex.MP.zero)
+    return ex.MP.sqrt(sum(k * x * x for k, x in zip(w, e))), scale
+
+
 def ls2_mpf(w, q1, q2, r):
     """Least-squares (L1, L2) minimizing |r - L1 q1 - L2 q2| at one point,
     where |v|^2 = sum_k w[k] v[k]^2, on mpfs of MP."""
@@ -305,8 +323,7 @@ def ls2_mpf(w, q1, q2, r):
         L2 = (n1 * n1 * d2 - d12 * d1) / gram
         null = []
         rank = 2
-    e = [rv - L1 * a - L2 * c for a, c, rv in zip(q1, q2, r)]
-    res = MP.sqrt(dot(e, e))
+    res = residual_mpf(w, q1, q2, r, L1, L2)[0]
     tol = ex.zero_threshold(scale)
     return {"L1": zero if abs(L1) * n1 < tol else L1,
             "L2": zero if abs(L2) * n2 < tol else L2,

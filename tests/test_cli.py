@@ -462,18 +462,24 @@ def test_main_large_exponent_is_input_error(tmp_path, capsys, g11):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("g11", ["2 + (1 + x1^1000)^1000", "2 + x1*(10^1000)^1000"])
+PRODUCT_OF_POWERS = "2 + " + "*".join(f"({k} + x1^1000)^20" for k in range(1, 31))
+
+
+@pytest.mark.parametrize("g11", ["2 + (1 + x1^1000)^1000", "2 + x1*(10^1000)^1000",
+                                 PRODUCT_OF_POWERS])
 def test_main_huge_exact_power_is_input_error(tmp_path, capsys, g11):
     # each exponent is within MAX_EXPONENT, but nested powers multiply: chart
     # validation would reduce 10-million-bit ints at a sample point, and the
-    # parser would fold a 3.3-million-bit constant
+    # parser would fold a 3.3-million-bit constant; each of the 30 powers of
+    # the product is under MAX_EXACT_BITS, but the product of their values
+    # at a point would reach 6 million bits
     path = _write(tmp_path, "pow.mf", "[chart]\ncoords = x1 x2\n"
                   f"g 1 1 = {g11}\ng 2 2 = 1 + x2^2\n")
     t0 = time.perf_counter()
     assert main(["curvature", path, "--points", "2"]) == 2
     assert time.perf_counter() - t0 < 10
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: exact power of about ")
+    assert err.startswith(f"error: {path}: exact value of about ")
     assert f"budget of {ex.MAX_EXACT_BITS} (MAX_EXACT_BITS)" in err
     assert "Traceback" not in err
 

@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 import helpers
-from warpcurv import expr as ex
+from warpcurv import conditions, expr as ex
 from warpcurv.actions import cached_derivation, cached_tachibana
 from warpcurv.conditions import (
     CATALOG, ConditionReport, check_identity, constant_type_check,
@@ -232,6 +232,55 @@ def test_pair_residual_reports_scale(ex2_c):
     pt = ex2_c.sample_points(1)[0]
     out = pair_residual(b, pt, 0, 0)
     assert out["residual"] > 0 and out["scale"] > 0
+
+
+def _candidates(p):
+    return [(p(L_EX2), 0), (0, 1), (1, 0), (Fraction(1, 27), Fraction(-2, 3)),
+            (p("x1*x2"), "exp(x3)/7")]
+
+
+def test_pair_residual_matches_mpf_oracle(ex2_c):
+    # the residual and scale are the bits of |r - L1 q1 - L2 q2| computed
+    # with mpf operators, each number rounded from the point's value
+    b = bundle(ex2_c)
+    p = helpers.chart_parse(ex2_c)
+    vecs = conditions._fit_vectors(b)
+    w = [v[0] for v in vecs]
+    for pt in ex2_c.sample_points(3):
+        pe = ex.PointEval(pt)
+
+        def mpf(x):
+            if isinstance(x, str):
+                x = p(x)
+            return helpers.context_mpf(ex.MP, pe.eval(x) if isinstance(x, ex.Expr) else x)
+
+        r, q1, q2 = ([mpf(v[j]) for v in vecs] for j in (1, 2, 3))
+        for L1, L2 in _candidates(p):
+            res, scale = helpers.residual_mpf(w, q1, q2, r, mpf(L1), mpf(L2))
+            got = pair_residual(b, pt, L1, L2)
+            assert got["residual"]._mpf_ == res._mpf_, (L1, L2)
+            assert got["scale"]._mpf_ == scale._mpf_, (L1, L2)
+            assert pair_admissible(b, pt, L1, L2) == (
+                res <= mpmath.mpf("1e-30") * (1 + scale))
+
+
+def test_pair_admissible_makes_no_mpf(ex2_c, monkeypatch):
+    # the verdict is decided on tuples: with no mpmath context to be had,
+    # every candidate is still checked
+    b = bundle(ex2_c)
+    p = helpers.chart_parse(ex2_c)
+    pts = ex2_c.sample_points(3)
+    want = [[pair_admissible(b, pt, L1, L2) for L1, L2 in _candidates(p)] for pt in pts]
+    assert want == [[True, True, False, False, False]] * 3
+
+    def no_context(dps):
+        raise AssertionError("an mpmath context was built")
+
+    monkeypatch.setattr(ex, "_context", no_context)
+    assert [[pair_admissible(b, pt, L1, L2) for L1, L2 in _candidates(p)]
+            for pt in pts] == want
+    with pytest.raises(AssertionError, match="context was built"):
+        pair_residual(b, pts[0], 0, 1)
 
 
 # ---------------------------------------------------------------------------

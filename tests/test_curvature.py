@@ -199,6 +199,43 @@ def test_curvature_symmetries_hold(ex2_c, fiber_c):
     assert is_generalized_curvature(riemann(fiber_c))
 
 
+def test_riemann_of_random_diagonal_charts_is_a_curvature_tensor():
+    """R of a random diagonal 2- or 3-chart is antisymmetric in its first
+    pair, symmetric under pair exchange and satisfies the first Bianchi
+    identity (`is_generalized_curvature`)."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from warpcurv.tensor import Chart
+
+    @st.composite
+    def diagonal_chart(draw):
+        # each g_ii is c + sum of a x^k terms, times exp(x / q) or not:
+        # positive on the default box
+        n = draw(st.integers(2, 3))
+        coords = tuple(f"x{i + 1}" for i in range(n))
+        rows = []
+        for i in range(n):
+            terms = [str(draw(st.integers(1, 4)))]
+            for _ in range(draw(st.integers(1, 2))):
+                terms.append(f"{draw(st.integers(1, 3))}*{draw(st.sampled_from(coords))}"
+                             f"^{draw(st.integers(1, 3))}")
+            g = " + ".join(terms)
+            if draw(st.booleans()):
+                g = f"({g})*exp({draw(st.sampled_from(coords))}/{draw(st.integers(2, 5))})"
+            rows.append([g if j == i else "0" for j in range(n)])
+        return Chart(coords, rows)
+
+    @hyp.settings(max_examples=10, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(diagonal_chart())
+    def check(chart):
+        R = riemann(chart)
+        assert not all(ex.is_literal_zero(c) for c in R.flatten())
+        assert is_generalized_curvature(R)
+
+    check()
+
+
 def test_warped_first_bianchi(warped5_c):
     d = riemann(warped5_c).comps
     defects = []

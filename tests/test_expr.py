@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import re
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -448,6 +449,32 @@ def test_exact_power_budget():
                         box={"x1": (over, over + 1)}, trials=2)
     assert issubclass(ex.ExactBudgetError, ex.ExprError)
     assert not issubclass(ex.ExactBudgetError, DomainError)
+
+
+def test_exact_sum_and_product_budget():
+    # a sum, product or quotient of exact values under MAX_EXACT_BITS may
+    # exceed it: it is refused before it is reduced, at a point and when
+    # two constants fold
+    top = ex.MAX_EXACT_BITS
+    half = 2 ** (top // 2 + 8)  # top / 2 + 9 bits
+    x, y = Coord("x1"), Coord("x2")
+    for e, env in ((ex.mul(x, y), {"x1": half, "x2": half}),
+                   (ex.add(x, y), {"x1": Fraction(1, half), "x2": Fraction(1, half + 1)}),
+                   (ex.div(x, y), {"x1": half, "x2": Fraction(1, half)})):
+        with pytest.raises(ex.ExactBudgetError) as err:
+            ex.PointEval(env).eval(e)
+        assert err.value.bits > top
+        assert str(err.value).startswith("exact value of about ")
+    # under the budget, the same shapes are exact
+    small = 2 ** (top // 4)
+    assert ex.PointEval({"x1": small, "x2": small}).eval(ex.mul(x, y)) == small ** 2
+    for fold in (lambda: ex.mul(Const(half), Const(half)),
+                 lambda: ex.add(Const(Fraction(1, half)), Const(Fraction(1, half + 1))),
+                 lambda: ex.div(Const(half), Const(Fraction(1, half))),
+                 lambda: p("x1 + " + "*".join(["3^1000"] * 170))):
+        with pytest.raises(ex.ExactBudgetError):
+            fold()
+    assert ex.mul(Const(small), Const(small)) is Const(small ** 2)
 
 
 def test_division_by_literal_zero_rejected():
@@ -1251,7 +1278,7 @@ def test_point_eval_rounds_fractions_as_mpf_division(dps):
              for k in (1, 20, 60, 120) for j in (1, 20, 60, 120)
              for _ in range(50)]
     for v in vals:
-        assert pe._round((v.numerator, v.denominator)) == ex._as_mpf(ctx, v)._mpf_, v
+        assert pe._round((v.numerator, v.denominator)) == helpers.context_mpf(ctx, v)._mpf_, v
 
 
 def test_point_eval_returns_context_numbers():
@@ -1360,14 +1387,18 @@ def test_sample_box_points_match_fraction_formula():
 # ------------------------------------------------------------ one copy of each
 
 SRC = Path(ex.__file__).resolve().parent
-FRACTION_TO_MPF = re.compile(r"\.numerator\)\s*/\s*(?:mpmath|MP)\.mpf\(")
+# a Fraction rounded by hand: mpf(numerator) / mpf(denominator), or its
+# numerator and denominator rounded to libmp tuples and divided
+FRACTION_TO_MPF = re.compile(
+    r"\.numerator\)\s*/\s*(?:mpmath|MP)\.mpf\(|mpf_div\(\s*from_int\(")
 LITERAL_ZERO = re.compile(
     r"isinstance\(\s*\w+\s*,\s*(?:\w+\.)?Const\s*\)\s*and\s*\w+\.value\s*==\s*0\b")
 
 
 def test_numeric_helpers_live_only_in_expr():
-    # expr.to_mpf and expr.is_literal_zero are the only copies; other
-    # modules must call them instead of spelling the test out again
+    # expr._rational (which to_tuple and to_mpf use) and expr.is_literal_zero
+    # are the only copies; other modules must call them instead of spelling
+    # the formula out again
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "expr.py":
@@ -1379,6 +1410,24 @@ def test_numeric_helpers_live_only_in_expr():
     text = (SRC / "expr.py").read_text()
     assert len(FRACTION_TO_MPF.findall(text)) == 1
     assert len(LITERAL_ZERO.findall(text)) == 1
+
+
+NUMBER_NAMES = {"to_mpf", "zero_threshold", "fit_residual", "mag_gt", "make_mpf", "MP"}
+
+
+def test_number_representation_lives_only_in_expr():
+    # only expr knows that values are libmp tuples and that outside callers
+    # get mpfs: no other module names its mpf helpers, its context or the
+    # magnitude order of tuples (comments and strings aside)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        with path.open("rb") as f:
+            offenders += [f"{path.name}:{tok.start[0]}: {tok.string}"
+                          for tok in tokenize.tokenize(f.readline)
+                          if tok.type == tokenize.NAME and tok.string in NUMBER_NAMES]
+    assert offenders == []
 
 
 MPMATH_USE = re.compile(r"\bworkdps\b|^\s*(?:import|from)\s+mpmath\b", re.M)

@@ -118,7 +118,7 @@ def test_point_eval_precision_matches_the_context(dps):
     pe = ex.PointEval({}, dps=dps)
     assert (pe._prec, pe._rnd) == tuple(ctx._prec_rounding)
     assert pe._tol == ctx.mpf("1e-30")._mpf_
-    assert pe._ctx is ctx
+    assert type(pe.eval(ex.exp_(ex.ONE))) is ctx.mpf
 
 
 def test_records_get_their_own_containers():
