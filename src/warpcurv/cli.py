@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 
 from . import expr as ex
-from .actions import derivation_comps, tachibana_comps
+from .actions import cached_derivation, cached_tachibana
 from .conditions import (
     CATALOG, IdentityCheck, PseudosymmetryFit, constant_type_check,
 )
@@ -55,32 +55,29 @@ class ManifestError(Exception):
 class CheckRequest:
     """One [check] section: a catalog row name and its candidate scalars."""
 
-    def __init__(self, name="", scalars=None):
+    def __init__(self, name=""):
         self.name = name
-        self.scalars = {} if scalars is None else scalars
+        self.scalars = {}
 
 
 class Manifest:
     """A parsed manifest: its nonblank lines and the values of its keys."""
 
-    def __init__(self, path, kind="", lines=None, coords=(), params=None,
-                 box=None, entries=None, base="", fiber="", warp="", L1="",
-                 L2="", seed=None, checks=None):
+    def __init__(self, path):
         self.path = path
-        self.kind = kind
-        self.lines = [] if lines is None else lines
-        self.coords = coords
-        self.params = {} if params is None else params
-        self.box = {} if box is None else box
-        # (i, j) -> expression string
-        self.entries = {} if entries is None else entries
-        self.base = base
-        self.fiber = fiber
-        self.warp = warp
-        self.L1 = L1
-        self.L2 = L2
-        self.seed = seed
-        self.checks = [] if checks is None else checks
+        self.kind = ""
+        self.lines = []
+        self.coords = ()
+        self.params = {}
+        self.box = {}
+        self.entries = {}       # (i, j) -> expression string
+        self.base = ""
+        self.fiber = ""
+        self.warp = ""
+        self.L1 = ""
+        self.L2 = ""
+        self.seed = None
+        self.checks = []
 
 
 _FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -263,11 +260,6 @@ def build_spec(m):
 # Report plumbing
 
 
-def _numstr(t):
-    """A sampled value, a libmp tuple, as the report prints it."""
-    return ex.num_str(t, 20)
-
-
 def _ptstr(pt, coords):
     return {c: str(pt[c]) for c in coords}
 
@@ -345,7 +337,7 @@ def curvature_report(path, seed=None, points=8):
         pe = PointEval(pt)
         test.visit(pe)
         try:
-            samples.append(_numstr(pe.rounded(b.kappa)))
+            samples.append(ex.num_str(pe.rounded(b.kappa)))
         except DomainError:
             samples.append("undefined")
     for (table, name, key, e), z in zip(comps, test.result()):
@@ -423,15 +415,15 @@ def classify_report(path, seed=None, points=8):
         "rank": fit.rank,
         "family": fit.family,
         "trivial": fit.trivial,
-        "max_residual": _numstr(fit.max_residual),
+        "max_residual": ex.num_str(fit.max_residual),
         "residual_zero": bool(residual_zero),
         "constant_type": bool(constant_type_check(fit)),
         "points_invalid": fit.points_invalid,
         "records": [{"point": _ptstr(rec["point"], chart.coords),
                      "rank": rec["rank"],
-                     "L1": _numstr(rec["L1"]),
-                     "L2": _numstr(rec["L2"]),
-                     "residual": _numstr(rec["residual"])}
+                     "L1": ex.num_str(rec["L1"]),
+                     "L2": ex.num_str(rec["L2"]),
+                     "residual": ex.num_str(rec["residual"])}
                     for rec in fit.records],
     }
     rep["catalog"] = catalog
@@ -475,7 +467,8 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     }
     # the block formulas against the direct computation: the action tensors
     # share the 16 index symmetries of their orbits, so both sides are
-    # compared at the representatives only
+    # compared at the representatives only; the direct actions are the
+    # bundle's memoized ones, which classify reads too
     b = bundle(chart)
     curv = block_curvature(spec)
     acts = block_actions(spec)
@@ -484,11 +477,13 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     for key, direct, block in (
             ("R", b.R.flatten(), curv["R"].flatten()),
             ("S", b.S.flatten(), curv["S"].flatten()),
-            ("kappa", [b.kappa], [curv["kappa"]]),
-            ("RR", derivation_comps(b.R, b.R, reps), map(acts["RR"].comp, reps)),
-            ("QgR", tachibana_comps(b.g, b.R, reps), map(acts["QgR"].comp, reps)),
-            ("QSR", tachibana_comps(b.S, b.R, reps), map(acts["QSR"].comp, reps))):
+            ("kappa", [b.kappa], [curv["kappa"]])):
         oracle.add(key, "product", [ex.sub(d, k) for d, k in zip(direct, block)])
+    for key, direct in (("RR", cached_derivation(b, "R", "R")),
+                        ("QgR", cached_tachibana(b, "g", "R")),
+                        ("QSR", cached_tachibana(b, "S", "R"))):
+        oracle.add(key, "product",
+                   [ex.sub(direct.comp(t), acts[key].comp(t)) for t in reps])
     conditions = Conditions(spec, l1e, l2e)
     trichotomy = Trichotomy(spec, l1e)
     visitors = oracle.visitors + conditions.visitors + trichotomy.visitors

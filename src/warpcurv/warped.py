@@ -15,11 +15,14 @@ Every check builds its expressions up front and lists its `visitors` as
 run, its oracle included, share one evaluator per sample point.
 
 The six-index tensors R.R, Q(g,R) and Q(S,R) are antisymmetric in each index
-pair and symmetric under exchanging the first two pairs.  Their blocks are
-therefore built, and the conditions judged, at one index tuple per orbit of
-those symmetries (`tensor.orbit_reps`) wherever a block keeps them; the
-other components follow by sign.  The base and fiber six-index actions the
-blocks read are likewise stored at their orbit representatives only.
+pair and symmetric under exchanging the first two pairs.  Their block
+formulas (`_entry6`) are therefore evaluated once each, by `block_actions`,
+at one index tuple per orbit of those symmetries (`tensor.orbit_reps`); the
+other components follow by sign.  Conditions (I)-(III) read these assembled
+entries, judged at one tuple per orbit wherever a block keeps the
+symmetries.  The curvature tensor's blocks (`_entry4`) are likewise stored
+per rank-4 orbit, and the base and fiber six-index actions the blocks read
+at their orbit representatives.
 
 Index bookkeeping: product coordinates are the base coordinates followed by
 the fiber coordinates renamed x{p+1}..x{n}.  Reports carry both labelings.
@@ -164,10 +167,12 @@ def auxiliaries(spec):
 
 
 class _Ctx:
-    """Bundles plus every base/fiber action tensor the block formulas use.
+    """Bundles plus every base/fiber tensor the block formulas use.
 
-    The six-index actions are read only at orbit representatives, so they
-    are built there (`actions._orbit_table`); the four-index ones are dense.
+    `_entry6` and `_entry4` read it at product orbit representatives only.
+    The six-index actions are read at base or fiber orbit representatives,
+    so they are built there (`actions._orbit_table`); the four-index ones
+    are dense.
     """
 
     def __init__(self, spec, aux):
@@ -205,33 +210,25 @@ def _ctx(spec):
 
 
 def _normalize6(t, p):
-    """Sort a six-index tuple into block-canonical form.
+    """Group an orbit representative's index pairs by block.
 
-    Within the first and third pairs a fiber index may precede a base index;
-    swapping costs a sign (pair antisymmetry).  The first two pairs may be
-    exchanged freely.  Returns (signature, normalized pairs, sign) where the
-    signature counts fiber indices per pair.
+    A representative has i < j in each pair, so a mixed pair already lists
+    its base index first.  The first two pairs are exchanged, freely, when
+    the first holds more fiber indices.  Returns (signature, pairs) where
+    the signature counts fiber indices per pair and each pair is
+    (count, i, j).
     """
-    pairs = [[t[0], t[1]], [t[2], t[3]], [t[4], t[5]]]
-    sign = 1
-    norm = []
-    for i, j in pairs:
-        ci = (i >= p) + (j >= p)
-        if ci == 1 and i >= p:
-            i, j = j, i
-            sign = -sign
-        norm.append((ci, i, j))
+    norm = [((i >= p) + (j >= p), i, j) for i, j in (t[0:2], t[2:4], t[4:6])]
     if norm[0][0] > norm[1][0]:
         norm[0], norm[1] = norm[1], norm[0]
-    sig = (norm[0][0], norm[1][0], norm[2][0])
-    return sig, norm, sign
+    return tuple(pr[0] for pr in norm), norm
 
 
 def _entry6(spec, aux, c, t):
-    """One component of the block-assembled (R.R, Q(g,R), Q(S,R))."""
-    p, q, f = spec.p, spec.q, spec.f
-    sig, norm, sign = _normalize6(t, p)
-    sgn = ex.const(sign)
+    """The components of the block-assembled (R.R, Q(g,R), Q(S,R)) at an
+    orbit representative t; `block_actions` is the only caller."""
+    p, f = spec.p, spec.f
+    sig, norm = _normalize6(t, p)
     gt = spec.fiber.metric
     gb = spec.base.metric
     T = aux.T.comps
@@ -241,14 +238,13 @@ def _entry6(spec, aux, c, t):
 
     if sig == (0, 0, 0):
         idx = tuple(x for pr in norm for x in pr[1:])
-        return tuple(ex.mul(sgn, src.comp(idx))
-                     for src in (c.RRb, c.QgRb, c.QSRhat))
+        return tuple(src.comp(idx) for src in (c.RRb, c.QgRb, c.QSRhat))
 
     if sig == (1, 1, 0):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         s, u = norm[2][1], norm[2][2]
-        return tuple(ex.mul(ex.const(-sign), f, gt[al][be], src.comp((a, b, s, u)))
+        return tuple(ex.neg(ex.mul(f, gt[al][be], src.comp((a, b, s, u))))
                      for src in (c.RTb, c.QgTb, c.QSTb))
 
     if sig == (0, 1, 1):
@@ -265,11 +261,10 @@ def _entry6(spec, aux, c, t):
                     c.bb.R.comps[a][b][d][s])
         qs = ex.sub(ex.mul(c.Shat[a][s], T[b][d]),
                     ex.mul(c.Shat[b][s], T[a][d]))
-        return (ex.mul(sgn, f, gt[al][et], rr),
-                ex.mul(sgn, f, gt[al][et], qg),
-                ex.mul(sgn, ex.sub(ex.mul(f, gt[al][et], qs),
-                                   ex.mul(c.bb.R.comps[a][b][d][s],
-                                          c.Scheck[al][et]))))
+        return (ex.mul(f, gt[al][et], rr),
+                ex.mul(f, gt[al][et], qg),
+                ex.sub(ex.mul(f, gt[al][et], qs),
+                       ex.mul(c.bb.R.comps[a][b][d][s], c.Scheck[al][et])))
 
     if sig == (1, 2, 1):
         a, al = norm[0][1], fi(norm[0][2])
@@ -285,30 +280,29 @@ def _entry6(spec, aux, c, t):
         core = ex.sub(ex.mul(gt[al][ga], c.Scheck[be][et]),
                       ex.mul(gt[al][be], c.Scheck[ga][et]))
         qs = ex.add(ex.mul(f, c.Shat[a][s], RfDG), ex.mul(f, T[a][s], core))
-        return ex.mul(sgn, rr), ex.mul(sgn, qg), ex.mul(sgn, qs)
+        return rr, qg, qs
 
     if sig == (1, 1, 2):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         mu, et = fi(norm[2][1]), fi(norm[2][2])
-        return (ex.ZERO, ex.ZERO,
-                ex.mul(sgn, f, T[a][b], c.QgSf.comp((al, be, mu, et))))
+        return ex.ZERO, ex.ZERO, ex.mul(f, T[a][b], c.QgSf.comp((al, be, mu, et)))
 
     if sig == (2, 2, 2):
         idx = tuple(fi(x) for pr in norm for x in pr[1:])
         qg = c.QgRf.comp(idx)
         inner = ex.add(ex.sub(c.QSRf.comp(idx), ex.mul(aux.Omega, qg)),
                        ex.mul(f, aux.Delta, c.QSGf.comp(idx)))
-        return (ex.mul(sgn, ex.add(ex.mul(f, c.RRf.comp(idx)),
-                                   ex.mul(f, f, aux.Delta, qg))),
-                ex.mul(sgn, f, f, qg),
-                ex.mul(sgn, f, inner))
+        return (ex.add(ex.mul(f, c.RRf.comp(idx)), ex.mul(f, f, aux.Delta, qg)),
+                ex.mul(f, f, qg),
+                ex.mul(f, inner))
 
     return ex.ZERO, ex.ZERO, ex.ZERO
 
 
 def _entry4(spec, aux, c, t):
-    """One component of the block-assembled curvature tensor."""
+    """The component of the block-assembled curvature tensor at a rank-4
+    orbit representative t, whose mixed pairs list the base index first."""
     p, f = spec.p, spec.f
     i, j, k, l = t
     m = [x >= p for x in t]
@@ -318,16 +312,8 @@ def _entry4(spec, aux, c, t):
         a, b, d, e = (x - p for x in t)
         return ex.mul(f, c.RfDG[a][b][d][e])
     if m[0] != m[1] and m[2] != m[3]:
-        sign = 1
-        a, al = (i, j) if not m[0] else (j, i)
-        if m[0]:
-            sign = -sign
-        b, be = (k, l) if not m[2] else (l, k)
-        if m[2]:
-            sign = -sign
-        return ex.mul(ex.const(-sign), f, aux.T.comps[a][b],
-                      spec.fiber.metric[al - p][be - p])
-    return ex.const(0)
+        return ex.neg(ex.mul(f, aux.T.comps[i][k], spec.fiber.metric[j - p][l - p]))
+    return ex.ZERO
 
 
 @_cached
@@ -337,7 +323,7 @@ def block_curvature(spec):
     c = _ctx(spec)
     prod = assemble_product(spec)
     p, q, n = spec.p, spec.q, spec.n
-    R = _table(n, 4, lambda *t: _entry4(spec, aux, c, t))
+    R = {t: _entry4(spec, aux, c, t) for t in orbit_reps(n, 4)}
 
     def ricci(i, j):
         if i < p and j < p:
@@ -351,7 +337,7 @@ def block_curvature(spec):
                           ex.add(ex.mul(ex.const(q - 1), aux.Delta),
                                  ex.mul(ex.const(2), aux.trT))))
     return {
-        "R": _field(prod, (0, 4), R),
+        "R": _orbit_field(prod, (0, 4), R),
         "S": _field(prod, (0, 2), _table(n, 2, ricci), sym="sym2"),
         "kappa": kappa,
     }
@@ -444,20 +430,20 @@ class Conditions(Defects):
         super().__init__()
         aux = auxiliaries(spec)
         c = _ctx(spec)
+        acts = block_actions(spec)
+        rr, qg, qs = acts["RR"], acts["QgR"], acts["QSR"]
         p, q, f = spec.p, spec.q, spec.f
 
         def combo(t):
-            rr, qg, qs = _entry6(spec, aux, c, t)
-            return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
+            return ex.sub(rr.comp(t), ex.add(ex.mul(L1, qg.comp(t)),
+                                             ex.mul(L2, qs.comp(t))))
 
-        # Each list is in the order of the dense loop over its block, keeping
-        # one tuple per orbit of the index symmetries the block shares; the
-        # first failing tuple, hence the witness, is the dense loop's.
+        # (I)-(III) read the assembled block entries.  Each list is in the
+        # order of the dense loop over its block, keeping one tuple per orbit
+        # of the index symmetries the block shares; the first failing tuple,
+        # hence the witness, is the dense loop's.
         tup = list(orbit_reps(p, 6))
-        self.add("I", "base",
-                 [ex.sub(c.RRb.comp(t),
-                         ex.add(ex.mul(L1, c.QgRb.comp(t)),
-                                ex.mul(L2, c.QSRhat.comp(t)))) for t in tup], tup)
+        self.add("I", "base", [combo(t) for t in tup], tup)
 
         tup = [(a, b, d_, al + p, s, et + p)
                for a, b, d_, s in iproduct(range(p), repeat=4) if a < b

@@ -847,13 +847,16 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
     aux = w.auxiliaries(spec)
     c = w._ctx(spec)
     d = dense_block_tables(spec)
+    acts = w.block_actions(spec)
     prod = w.assemble_product(spec)
     p, q, f = spec.p, spec.q, spec.f
     out = {"witnesses": {}}
 
+    # the assembled entries at every tuple; test_block_actions_match_direct
+    # checks them against the direct computation on the product
     def combo(t):
-        rr, qg, qs = w._entry6(spec, aux, c, t)
-        return ex.sub(rr, ex.add(ex.mul(L1, qg), ex.mul(L2, qs)))
+        return ex.sub(acts["RR"].comp(t), ex.add(ex.mul(L1, acts["QgR"].comp(t)),
+                                                 ex.mul(L2, acts["QSR"].comp(t))))
 
     def judge(name, chart, tuples, exprs):
         flags = chart.is_zero_many(exprs, trials=trials, seed=seed)

@@ -1067,9 +1067,9 @@ def test_classify_entries_match_direct_calls(name, points):
     f = rep["fit"]
     assert (fit.rank, fit.family, fit.trivial, fit.points_invalid) == (
         f["rank"], f["family"], f["trivial"], f["points_invalid"])
-    assert cli._numstr(fit.max_residual) == f["max_residual"]
+    assert ex.num_str(fit.max_residual) == f["max_residual"]
     assert [{"point": cli._ptstr(r["point"], chart.coords), "rank": r["rank"],
-             **{k: cli._numstr(r[k]) for k in ("L1", "L2", "residual")}}
+             **{k: ex.num_str(r[k]) for k in ("L1", "L2", "residual")}}
             for r in fit.records] == f["records"]
 
 

@@ -225,16 +225,23 @@ def test_dense_base_and_fiber_tables_have_the_orbit_symmetries(
             assert all(chart.is_zero_many(diffs, trials=3)), (spec.n, name)
 
 
-def test_block_actions_build_one_entry_per_orbit(monkeypatch, ex2_spec,
-                                                 ex1_spec):
+def _count_calls(monkeypatch, name):
+    """Patch warped.<name>, an entry builder, to record the index tuple of
+    each call; returns the list of tuples."""
     calls = []
-    entry6 = warped._entry6
+    orig = getattr(warped, name)
 
     def counting(*args):
         calls.append(args[-1])
-        return entry6(*args)
+        return orig(*args)
 
-    monkeypatch.setattr(warped, "_entry6", counting)
+    monkeypatch.setattr(warped, name, counting)
+    return calls
+
+
+def test_block_actions_build_one_entry_per_orbit(monkeypatch, ex2_spec,
+                                                 ex1_spec):
+    calls = _count_calls(monkeypatch, "_entry6")
     for spec, count in ((ex2_spec, 126), (ex1_spec, 550)):
         monkeypatch.delitem(spec._cache, ("block_actions",), raising=False)
         calls.clear()
@@ -242,6 +249,31 @@ def test_block_actions_build_one_entry_per_orbit(monkeypatch, ex2_spec,
         assert calls == list(orbit_reps(spec.n, 6))
         assert len(calls) == count
         assert sorted(acts) == ["QSR", "QgR", "RR"]
+
+
+def test_warped_verify_evaluates_block_formulas_at_representatives_only(
+        monkeypatch):
+    """The six- and four-index block formulas run once per product orbit:
+    the conditions read the assembled entries instead of evaluating them
+    again, and R's blocks are stored per rank-4 orbit."""
+    calls6 = _count_calls(monkeypatch, "_entry6")
+    calls4 = _count_calls(monkeypatch, "_entry4")
+    for name, points, n in (("ex2_warped.mf", 3, 4), ("fs_warped.mf", 3, 4),
+                            ("cf_warped.mf", 3, 4), ("ex1_warped.mf", 2, 5)):
+        calls6.clear()
+        calls4.clear()
+        cli.warped_verify_report(cli.fixture_path(name), points=points, seed=7)
+        assert calls6 == list(orbit_reps(n, 6)), name
+        assert calls4 == list(orbit_reps(n, 4)), name
+
+
+def test_verify_conditions_reuses_the_block_entries(monkeypatch, ex2_spec):
+    """Another (L1, L2) on the same spec builds no block entry again."""
+    verify_conditions(ex2_spec, 0, 0, trials=3, seed=7)
+    calls = _count_calls(monkeypatch, "_entry6")
+    got = verify_conditions(ex2_spec, 3, "x1", trials=3, seed=7)
+    assert calls == []
+    assert got["failed"]
 
 
 def test_warped_verify_builds_no_dense_product_action(monkeypatch):
