@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import PointEval, is_literal_zero
+from .expr import ZERO, PointEval
 from .tensor import (
     ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
     orbit_reps, raise_first)
@@ -45,28 +45,28 @@ def _check_pair(D_valence_ok, D, H):
 
 
 @_cached
-def _raised(chart, D):
-    """raise_first(D), built once per tensor D on its chart."""
-    return raise_first(D)
+def _raised_terms(chart, D):
+    """The nonzero (s, D^s_{u v i}) of raise_first(D), listed at [u][v][i];
+    built once per tensor D on its chart."""
+    n, dup = chart.n, raise_first(D).comps
+    return [[[[(s, dup[s][u][v][i]) for s in range(n) if dup[s][u][v][i] is not ZERO]
+              for i in range(n)] for v in range(n)] for u in range(n)]
 
 
 def _derivation_fn(D, H):
     """The function (i1..ik, u, v) -> (D.H) at that index tuple."""
     _check_pair(D.valence == (0, 4), D, H)
-    dup = _raised(D.chart, D).comps
+    raised = _raised_terms(D.chart, D)
 
     def comp(*t):
         *idx, u, v = t
+        row = raised[u][v]
         terms = []
         for m, im in enumerate(idx):
-            for s in range(len(dup)):
-                c = dup[s][u][v][im]
-                if is_literal_zero(c):
-                    continue
+            for s, c in row[im]:
                 hv = H.comp(idx[:m] + [s] + idx[m + 1:])
-                if is_literal_zero(hv):
-                    continue
-                terms.append(ex.mul(c, hv))
+                if hv is not ZERO:
+                    terms.append(ex.mul(c, hv))
         return ex.neg(ex.add(*terms))
     return comp
 
@@ -81,14 +81,14 @@ def _tachibana_fn(A, H):
         terms = []
         for m, im in enumerate(idx):
             au = a[u][im]
-            if not is_literal_zero(au):
+            if au is not ZERO:
                 hv = H.comp(idx[:m] + [v] + idx[m + 1:])
-                if not is_literal_zero(hv):
+                if hv is not ZERO:
                     terms.append(ex.mul(au, hv))
             av = a[v][im]
-            if not is_literal_zero(av):
+            if av is not ZERO:
                 hu = H.comp(idx[:m] + [u] + idx[m + 1:])
-                if not is_literal_zero(hu):
+                if hu is not ZERO:
                     terms.append(ex.neg(ex.mul(av, hu)))
         return ex.add(*terms)
     return comp
@@ -136,16 +136,17 @@ def cached_derivation(b, dname: str, hname: str) -> TensorField:
     if dname in ("W", "P"):
         n = b._need_dim3()
         if dname == "W":
-            aname, coef = "g", ex.mul(ex.const(Fraction(1, n * (n - 1))), b.kappa)
+            aname, coef = "g", ex.product(ex.const(Fraction(1, n * (n - 1))), b.kappa)
         else:
             aname, coef = "S", ex.const(Fraction(1, n - 2))
         rh = cached_derivation(b, "R", hname)
         q = cached_tachibana(b, aname, hname)
         if isinstance(rh, _OrbitField):
             return _orbit_field(b.chart, rh.valence, {
-                t: ex.sub(v, ex.mul(coef, q.reps[t])) for t, v in rh.reps.items()})
-        return _field(b.chart, rh.valence, _table(n, rh.rank, lambda *t: ex.sub(
-            rh.comp(t), ex.mul(coef, q.comp(t)))))
+                t: ex.sum_products(lead=(v,), negate=((coef, q.reps[t]),))
+                for t, v in rh.reps.items()})
+        return _field(b.chart, rh.valence, _table(n, rh.rank, lambda *t: ex.sum_products(
+            lead=(rh.comp(t),), negate=((coef, q.comp(t)),))))
     D, H = getattr(b, dname), getattr(b, hname)
     return (_orbit_table(derivation_comps, D, H) if H.sym == "curvature"
             else derivation_action(D, H))

@@ -483,7 +483,7 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
                         ("QgR", cached_tachibana(b, "g", "R")),
                         ("QSR", cached_tachibana(b, "S", "R"))):
         oracle.add(key, "product",
-                   [ex.sub(direct.comp(t), acts[key].comp(t)) for t in reps])
+                   [ex.sub(direct.reps[t], acts[key].reps[t]) for t in reps])
     conditions = Conditions(spec, l1e, l2e)
     trichotomy = Trichotomy(spec, l1e)
     visitors = oracle.visitors + conditions.visitors + trichotomy.visitors

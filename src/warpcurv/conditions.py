@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import expr as ex
 from .actions import cached_derivation, cached_tachibana
 from .expr import (
-    DEFAULT_SEED, DomainError, InconclusiveError, PointEval, fzero, is_literal_zero,
+    DEFAULT_SEED, ZERO, DomainError, InconclusiveError, PointEval, fzero,
 )
 from .tensor import _as_expr, _cached, orbit_reps, orbit_size
 
@@ -115,7 +115,7 @@ class IdentityCheck:
         rhs = []
         quals = []
         for key, (an, hn) in row.rhs:
-            q = cached_tachibana(b, an, hn)
+            q = cached_tachibana(b, an, hn).stored()
             if key is None:
                 coef = ex.const(1)
             else:
@@ -125,18 +125,15 @@ class IdentityCheck:
                 quals.append(q)
             rhs.append((coef, q))
         # a row's fields share their H, hence the tuples they store
-        idxs = list(lhs.tuples())
         self._defects = []
-        for t in idxs:
-            acc = lhs.comp(t)
+        for k, acc in enumerate(lhs.stored()):
             for coef, q in rhs:
-                qc = q.comp(t)
-                if not is_literal_zero(qc):
+                qc = q[k]
+                if qc is not ZERO and coef is not ZERO:
                     acc = ex.sub(acc, ex.mul(coef, qc))
-            if not is_literal_zero(acc):
+            if acc is not ZERO:
                 self._defects.append(acc)
-        self._quals = [[c for c in (q.comp(t) for t in idxs) if not is_literal_zero(c)]
-                       for q in quals]
+        self._quals = [[c for c in q if c is not ZERO] for q in quals]
         self._checked = self._excluded = self._invalid = 0
         self._holds = True
 
@@ -185,9 +182,9 @@ def _fit_vectors(b):
     a column is not literal zero; the columns share the orbits' signs."""
     cols = (cached_derivation(b, "R", "R"), cached_tachibana(b, "g", "R"),
             cached_tachibana(b, "S", "R"))
-    vecs = [(orbit_size(t), *(c.comp(t) for c in cols))
+    vecs = [(orbit_size(t), *(c.reps[t] for c in cols))
             for t in orbit_reps(b.chart.n, 6)]
-    return [v for v in vecs if not all(is_literal_zero(e) for e in v[1:])]
+    return [v for v in vecs if not all(e is ZERO for e in v[1:])]
 
 
 class PseudosymmetryFit:
@@ -282,8 +279,9 @@ def pair_admissible(b, point, L1, L2):
 def einstein_defects(b):
     """The components of S - (kappa/n) g."""
     n = b.chart.n
-    coef = ex.mul(ex.const(Fraction(1, n)), b.kappa)
-    return [ex.sub(b.S.comps[i][j], ex.mul(coef, b.chart.metric[i][j]))
+    coef = ex.product(ex.const(Fraction(1, n)), b.kappa)
+    return [ex.sum_products(lead=(b.S.comps[i][j],),
+                            negate=((coef, b.chart.metric[i][j]),))
             for i in range(n) for j in range(n)]
 
 

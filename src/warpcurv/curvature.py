@@ -61,17 +61,14 @@ class CurvatureBundle:
               for d in c.coords]
         half = ex.const(Fraction(1, 2))
         gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    terms = [
-                        ex.mul(gi[k][l],
-                               ex.add(dg[i][j][l], dg[j][i][l], ex.neg(dg[l][i][j])))
-                        for l in range(n)
-                    ]
-                    val = ex.mul(half, ex.add(*terms))
-                    gam[k][i][j] = val
-                    gam[k][j][i] = val
+        for i in range(n):
+            for j in range(i, n):
+                # the Christoffel symbols of the first kind [ij, l]
+                first = [ex.add(dg[i][j][l], dg[j][i][l], ex.neg(dg[l][i][j]))
+                         for l in range(n)]
+                for k in range(n):
+                    s = ex.sum_products(zip(gi[k], first))
+                    gam[k][i][j] = gam[k][j][i] = ex.product(half, s)
         return gam
 
     # -- curvature ---------------------------------------------------------
@@ -89,13 +86,13 @@ class CurvatureBundle:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(n):
-                    ups = []
-                    for m in range(n):
-                        quad = [ex.mul(gam[e][j][k], gam[m][i][e]) for e in range(n)]
-                        quad += [ex.neg(ex.mul(gam[e][i][k], gam[m][j][e])) for e in range(n)]
-                        ups.append(ex.add(dgam[i][m][j][k], ex.neg(dgam[j][m][i][k]), *quad))
+                    ups = [ex.sum_products(
+                        [(gam[e][j][k], gam[m][i][e]) for e in range(n)],
+                        lead=(dgam[i][m][j][k], ex.neg(dgam[j][m][i][k])),
+                        negate=[(gam[e][i][k], gam[m][j][e]) for e in range(n)])
+                        for m in range(n)]
                     for l in range(n):
-                        low = ex.add(*[ex.mul(g[l][m], ups[m]) for m in range(n)])
+                        low = ex.sum_products(zip(g[l], ups))
                         val = ex.neg(low) if LOWERING_SIGN < 0 else low
                         comps[i][j][k][l] = val
                         comps[j][i][k][l] = ex.neg(val)
@@ -106,8 +103,8 @@ class CurvatureBundle:
         n = self.chart.n
         gi = metric_inverse(self.chart).comps
         r = self.R.comps
-        comps = _table(n, 2, lambda j, k: ex.add(
-            *[ex.mul(gi[i][l], r[i][j][k][l]) for i in range(n) for l in range(n)]))
+        comps = _table(n, 2, lambda j, k: ex.sum_products(
+            p for i in range(n) for p in zip(gi[i], r[i][j][k])))
         return _field(self.chart, (0, 2), comps, sym="sym2")
 
     @_cached
@@ -115,7 +112,7 @@ class CurvatureBundle:
         n = self.chart.n
         gi = metric_inverse(self.chart).comps
         s = self.S.comps
-        return ex.add(*[ex.mul(gi[j][k], s[j][k]) for j in range(n) for k in range(n)])
+        return ex.sum_products(p for j in range(n) for p in zip(gi[j], s[j]))
 
     # -- derived family ----------------------------------------------------
 
@@ -136,7 +133,7 @@ class CurvatureBundle:
     def _combine(self, a, op, coef, b, sym="curvature"):
         """The (0,4) field op(a, coef * b), componentwise over tables a, b."""
         comps = _table(self.chart.n, 4, lambda i, j, k, l: op(
-            a[i][j][k][l], ex.mul(coef, b[i][j][k][l])))
+            a[i][j][k][l], ex.product(coef, b[i][j][k][l])))
         return _field(self.chart, (0, 4), comps, sym=sym)
 
     @_cached
@@ -148,13 +145,13 @@ class CurvatureBundle:
     @_cached
     def C(self):
         n = self._need_dim3()
-        coef = ex.mul(ex.const(Fraction(1, (n - 1) * (n - 2))), self.kappa)
+        coef = ex.product(ex.const(Fraction(1, (n - 1) * (n - 2))), self.kappa)
         return self._combine(self.K.comps, ex.add, coef, self.G.comps)
 
     @_cached
     def W(self):
         n = self._need_dim3()
-        coef = ex.mul(ex.const(Fraction(1, n * (n - 1))), self.kappa)
+        coef = ex.product(ex.const(Fraction(1, n * (n - 1))), self.kappa)
         return self._combine(self.R.comps, ex.sub, coef, self.G.comps)
 
     @_cached
@@ -162,8 +159,8 @@ class CurvatureBundle:
         n = self._need_dim3()
         g = self.chart.metric
         s = self.S.comps
-        sg = _table(n, 4, lambda i, j, k, l: ex.sub(
-            ex.mul(s[j][k], g[i][l]), ex.mul(s[i][k], g[j][l])))
+        sg = _table(n, 4, lambda i, j, k, l: ex.sum_products(
+            ((s[j][k], g[i][l]),), negate=((s[i][k], g[j][l]),)))
         return self._combine(self.R.comps, ex.sub, ex.const(Fraction(1, n - 2)), sg,
                              sym="none")
 
@@ -198,7 +195,7 @@ def covariant_hessian(chart: Chart, phi) -> TensorField:
     gam = bun.gamma
     n = chart.n
     dphi = [bun.diff(phi, d) for d in chart.coords]
-    comps = _table(n, 2, lambda a, b: ex.add(
-        bun.diff(dphi[a], chart.coords[b]),
-        *[ex.neg(ex.mul(gam[e][a][b], dphi[e])) for e in range(n)]))
+    comps = _table(n, 2, lambda a, b: ex.sum_products(
+        lead=(bun.diff(dphi[a], chart.coords[b]),),
+        negate=[(gam[e][a][b], dphi[e]) for e in range(n)]))
     return _field(chart, (0, 2), comps, sym="sym2")

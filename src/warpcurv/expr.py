@@ -407,6 +407,14 @@ def is_literal_zero(e):
 # ---------------------------------------------------------------------------
 # Smart constructors.  Simplification is deliberately limited to constant
 # folding, 0/1 absorption, and power merging; nothing downstream relies on it.
+#
+# The zero-slot rule: `add` puts the folded constant of its terms in the
+# slot of the first Const it meets, a literal 0 included, and drops it there
+# when it folds to 0.  So add(0, x2*x1 + 3, 1/3) is 10/3 + x2*x1, while
+# add(x2*x1 + 3, 1/3) is x2*x1 + 10/3: a 0 term can move the constant.  Only
+# the first Const-or-0 sets the slot, so a caller that skips zero terms
+# (`sum_products`) keeps one 0 where it skipped the first, and none at all
+# when no term follows it.
 
 
 def const(v):
@@ -476,6 +484,43 @@ def neg(x):
 
 def sub(a, b):
     return add(a, neg(b))
+
+
+def product(*factors):
+    """mul(*factors), the same node; literal 0, without calling mul, when a
+    factor is literal 0."""
+    return ZERO if ZERO in factors else mul(*factors)
+
+
+def sum_products(pairs=(), lead=(), negate=()):
+    """add(*lead, *[mul(a, b) for a, b in pairs],
+    *[neg(mul(a, b)) for a, b in negate]): the same node, built without
+    calling mul on a pair with a literal-0 factor.
+
+    Such a pair's product is 0.  It is skipped, as the sparse sums of
+    GiNaC's `expairseq` skip zero coefficients, but the first one leaves a
+    0 at its place when a term follows it (the zero-slot rule above).
+    Every node in `lead` and every factor must be one the constructors
+    built.
+    """
+    terms = list(lead)
+    gap = None  # the place of the first skipped product
+    for a, b in pairs:
+        if a is ZERO or b is ZERO:
+            if gap is None:
+                gap = len(terms)
+        else:
+            terms.append(mul(a, b))
+    for a, b in negate:
+        if a is ZERO or b is ZERO:
+            if gap is None:
+                gap = len(terms)
+        else:
+            terms.append(neg(mul(a, b)))
+    if gap is not None and gap < len(terms):
+        terms.insert(gap, ZERO)
+    # a node the constructors built is its own sum
+    return terms[0] if len(terms) == 1 else add(*terms)
 
 
 def div(a, b):
@@ -1027,19 +1072,19 @@ def diff(e, name, memo=None):
     elif isinstance(e, Div):
         du = diff(e.num, name, memo)
         dv = diff(e.den, name, memo)
-        out = div(sub(mul(du, e.den), mul(e.num, dv)), pow_(e.den, 2))
+        out = div(sum_products(((du, e.den),), negate=((e.num, dv),)), pow_(e.den, 2))
     elif isinstance(e, Pow):
         db = diff(e.base, name, memo)
         x = e.exponent
         out = ZERO if db is ZERO else mul(Const(x), pow_(e.base, x - 1), db)
     elif isinstance(e, Exp):
-        out = mul(e, diff(e.child, name, memo))
+        out = product(e, diff(e.child, name, memo))
     elif isinstance(e, Log):
         out = div(diff(e.child, name, memo), e.child)
     elif isinstance(e, Sin):
-        out = mul(cos_(e.child), diff(e.child, name, memo))
+        out = product(cos_(e.child), diff(e.child, name, memo))
     elif isinstance(e, Cos):
-        out = neg(mul(sin_(e.child), diff(e.child, name, memo)))
+        out = neg(product(sin_(e.child), diff(e.child, name, memo)))
     else:
         raise TypeError(f"cannot differentiate {e!r}")
     memo[e] = out

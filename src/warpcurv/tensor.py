@@ -220,6 +220,10 @@ class TensorField:
     def flatten(self):
         return [self.comp(t) for t in iproduct(range(self.chart.n), repeat=self.rank)]
 
+    def stored(self):
+        """The components at `tuples()`, in that order."""
+        return self.flatten()
+
 
 def _table(n, rank, fn):
     """Nested lists, `rank` deep and n wide, holding fn(i1, ..., i_rank) at
@@ -254,6 +258,9 @@ class _OrbitField(TensorField):
 
     def tuples(self):
         return iter(self.reps)
+
+    def stored(self):
+        return list(self.reps.values())
 
 
 def _orbit_field(chart, valence, reps):
@@ -292,10 +299,13 @@ def _det_expr(g, rows, cols, memo):
         return g[rows[0]][cols[0]]
     acc = []
     for k, c in enumerate(cols):
-        sub = (rows[1:], cols[:k] + cols[k + 1:])
-        if sub not in memo:
-            memo[sub] = _det_expr(g, *sub, memo)
-        term = ex.mul(g[rows[0]][c], memo[sub])
+        term = g[rows[0]][c]
+        # a literal-0 entry's minor is not expanded; the 0 stays in the sum
+        if term is not ex.ZERO:
+            sub = (rows[1:], cols[:k] + cols[k + 1:])
+            if sub not in memo:
+                memo[sub] = _det_expr(g, *sub, memo)
+            term = ex.product(term, memo[sub])
         acc.append(term if k % 2 == 0 else ex.neg(term))
     return ex.add(*acc)
 
@@ -326,12 +336,9 @@ def kulkarni_nomizu(A, E):
     _require(E, (0, 2))
     a = A.comps
     e = E.comps
-    comps = _table(A.chart.n, 4, lambda i, j, k, l: ex.add(
-        ex.mul(a[i][l], e[j][k]),
-        ex.mul(a[j][k], e[i][l]),
-        ex.neg(ex.mul(a[i][k], e[j][l])),
-        ex.neg(ex.mul(a[j][l], e[i][k])),
-    ))
+    comps = _table(A.chart.n, 4, lambda i, j, k, l: ex.sum_products(
+        ((a[i][l], e[j][k]), (a[j][k], e[i][l])),
+        negate=((a[i][k], e[j][l]), (a[j][l], e[i][k]))))
     return _field(A.chart, (0, 4), comps, sym="curvature")
 
 
@@ -339,8 +346,8 @@ def kulkarni_nomizu(A, E):
 def gaussian(chart):
     """G = (1/2) g ^ g, i.e. G_ijkl = g_il g_jk - g_ik g_jl."""
     g = chart.metric
-    comps = _table(chart.n, 4, lambda i, j, k, l: ex.sub(
-        ex.mul(g[i][l], g[j][k]), ex.mul(g[i][k], g[j][l])))
+    comps = _table(chart.n, 4, lambda i, j, k, l: ex.sum_products(
+        ((g[i][l], g[j][k]),), negate=((g[i][k], g[j][l]),)))
     return _field(chart, (0, 4), comps, sym="curvature")
 
 
@@ -404,8 +411,7 @@ def raise_first(D):
     gi = metric_inverse(chart).comps
     n = chart.n
     d = D.comps
-    comps = _table(n, 4, lambda l, i, j, k: ex.add(
-        *[ex.mul(gi[l][m], d[i][j][k][m]) for m in range(n)]))
+    comps = _table(n, 4, lambda l, i, j, k: ex.sum_products(zip(gi[l], d[i][j][k])))
     return _field(chart, (1, 3), comps)
 
 

@@ -37,7 +37,7 @@ from .actions import (
     _orbit_table, derivation_action, derivation_comps, tachibana, tachibana_comps)
 from .conditions import einstein_defects
 from .curvature import bundle, covariant_hessian
-from .expr import DEFAULT_SEED, DomainError, PointEval, fzero, is_literal_zero
+from .expr import DEFAULT_SEED, DomainError, PointEval, fzero
 from .tensor import (
     Chart, ChartError, _as_expr, _cached, _chart, _field, _orbit_field,
     _table, gaussian, metric_inverse, orbit_reps, point_str,
@@ -116,7 +116,7 @@ def assemble_product(spec):
             rows[i][j] = spec.base.metric[i][j]
     for i in range(q):
         for j in range(q):
-            rows[p + i][p + j] = ex.mul(spec.f, spec.fiber.metric[i][j])
+            rows[p + i][p + j] = ex.product(spec.f, spec.fiber.metric[i][j])
     coords = tuple(spec.base.coords) + tuple(spec.fiber.coords)
     box = dict(spec.base.box)
     box.update(spec.fiber.box)
@@ -142,17 +142,18 @@ def auxiliaries(spec):
     H = covariant_hessian(b, f)
     fa = [ex.diff(f, c) for c in b.coords]
     inv2f = ex.div(ex.const(1), ex.mul(ex.const(2), f))
-    T = [[ex.mul(inv2f, ex.sub(H.comps[a][c], ex.mul(inv2f, ex.mul(fa[a], fa[c]))))
+    dfdf = [[ex.product(fa[a], fa[c]) for c in range(p)] for a in range(p)]
+    T = [[ex.product(inv2f, ex.sum_products(lead=(H.comps[a][c],),
+                                            negate=((inv2f, dfdf[a][c]),)))
           for c in range(p)] for a in range(p)]
     gi = metric_inverse(b).comps
-    trT = ex.add(*[ex.mul(gi[a][c], T[a][c]) for a in range(p) for c in range(p)])
-    Delta = ex.mul(ex.div(ex.const(1), ex.mul(ex.const(4), ex.mul(f, f))),
-                   ex.add(*[ex.mul(gi[a][c], ex.mul(fa[a], fa[c]))
-                            for a in range(p) for c in range(p)]))
-    Omega = ex.neg(ex.mul(f, ex.add(ex.mul(ex.const(q - 1), Delta), trT)))
-    Traised = [[ex.add(*[ex.mul(gi[t][a], T[a][s]) for a in range(p)])
+    trT = ex.sum_products(pr for a in range(p) for pr in zip(gi[a], T[a]))
+    Delta = ex.product(ex.div(ex.const(1), ex.mul(ex.const(4), ex.mul(f, f))),
+                       ex.sum_products(pr for a in range(p) for pr in zip(gi[a], dfdf[a])))
+    Omega = ex.neg(ex.product(f, ex.add(ex.product(ex.const(q - 1), Delta), trT)))
+    Traised = [[ex.sum_products((gi[t][a], T[a][s]) for a in range(p))
                 for s in range(p)] for t in range(p)]
-    T2 = [[ex.add(*[ex.mul(Traised[t][a], T[t][s]) for t in range(p)])
+    T2 = [[ex.sum_products((Traised[t][a], T[t][s]) for t in range(p))
            for s in range(p)] for a in range(p)]
     return WarpedAux(
         T=_field(b, (0, 2), T, sym="sym2"),
@@ -181,10 +182,11 @@ class _Ctx:
         fb = bundle(spec.fiber)
         self.bb, self.fb = bb, fb
         T = aux.T.comps
-        self.Shat = [[ex.add(bb.S.comps[a][c], ex.mul(ex.const(q), T[a][c]))
+        cq = ex.const(q)
+        self.Shat = [[ex.sum_products(((cq, T[a][c]),), lead=(bb.S.comps[a][c],))
                       for c in range(p)] for a in range(p)]
-        self.Scheck = [[ex.sub(fb.S.comps[al][be],
-                               ex.mul(aux.Omega, spec.fiber.metric[al][be]))
+        self.Scheck = [[ex.sum_products(lead=(fb.S.comps[al][be],),
+                                        negate=((aux.Omega, spec.fiber.metric[al][be]),))
                         for be in range(q)] for al in range(q)]
         ShatF = _field(spec.base, (0, 2), self.Shat, sym="sym2")
         self.RRb = _orbit_table(derivation_comps, bb.R, bb.R)
@@ -199,9 +201,9 @@ class _Ctx:
         self.QgSf = tachibana(fb.g, fb.S)
         self.Gf = gaussian(spec.fiber)
         self.QSGf = _orbit_table(tachibana_comps, fb.S, self.Gf)
-        fD = ex.mul(spec.f, aux.Delta)
-        self.RfDG = _table(q, 4, lambda a, b, c, d: ex.add(
-            fb.R.comps[a][b][c][d], ex.mul(fD, self.Gf.comps[a][b][c][d])))
+        fD = ex.product(spec.f, aux.Delta)
+        self.RfDG = _table(q, 4, lambda a, b, c, d: ex.sum_products(
+            ((fD, self.Gf.comps[a][b][c][d]),), lead=(fb.R.comps[a][b][c][d],)))
 
 
 @_cached
@@ -237,34 +239,36 @@ def _entry6(spec, aux, c, t):
         return i - p
 
     if sig == (0, 0, 0):
-        idx = tuple(x for pr in norm for x in pr[1:])
-        return tuple(src.comp(idx) for src in (c.RRb, c.QgRb, c.QSRhat))
+        return tuple(src.reps[t] for src in (c.RRb, c.QgRb, c.QSRhat))
 
     if sig == (1, 1, 0):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         s, u = norm[2][1], norm[2][2]
-        return tuple(ex.neg(ex.mul(f, gt[al][be], src.comp((a, b, s, u))))
+        return tuple(ex.neg(ex.product(f, gt[al][be], src.comp((a, b, s, u))))
                      for src in (c.RTb, c.QgTb, c.QSTb))
 
     if sig == (0, 1, 1):
         a, b = norm[0][1], norm[0][2]
         d, al = norm[1][1], fi(norm[1][2])
         s, et = norm[2][1], fi(norm[2][2])
-        acc = ex.const(0)
-        for tt in range(p):
-            acc = ex.add(acc, ex.mul(aux.Traised[tt][s], c.bb.R.comps[a][b][d][tt]))
-        rr = ex.sub(ex.sub(ex.mul(T[a][s], T[b][d]),
-                           ex.mul(T[a][d], T[b][s])), acc)
-        qg = ex.sub(ex.sub(ex.mul(gb[a][s], T[b][d]),
-                           ex.mul(gb[b][s], T[a][d])),
-                    c.bb.R.comps[a][b][d][s])
-        qs = ex.sub(ex.mul(c.Shat[a][s], T[b][d]),
-                    ex.mul(c.Shat[b][s], T[a][d]))
-        return (ex.mul(f, gt[al][et], rr),
-                ex.mul(f, gt[al][et], qg),
-                ex.sub(ex.mul(f, gt[al][et], qs),
-                       ex.mul(c.bb.R.comps[a][b][d][s], c.Scheck[al][et])))
+        R = c.bb.R.comps[a][b][d]
+        g = gt[al][et]
+        rr = qg = qs = ex.ZERO
+        if g is not ex.ZERO:
+            acc = ex.ZERO
+            for tt in range(p):
+                if aux.Traised[tt][s] is not ex.ZERO and R[tt] is not ex.ZERO:
+                    acc = ex.add(acc, ex.mul(aux.Traised[tt][s], R[tt]))
+            rr = ex.sub(ex.sum_products(((T[a][s], T[b][d]),),
+                                        negate=((T[a][d], T[b][s]),)), acc)
+            qg = ex.sub(ex.sum_products(((gb[a][s], T[b][d]),),
+                                        negate=((gb[b][s], T[a][d]),)), R[s])
+            qs = ex.sum_products(((c.Shat[a][s], T[b][d]),),
+                                 negate=((c.Shat[b][s], T[a][d]),))
+        return (ex.product(f, g, rr), ex.product(f, g, qg),
+                ex.sum_products(lead=(ex.product(f, g, qs),),
+                                negate=((R[s], c.Scheck[al][et]),)))
 
     if sig == (1, 2, 1):
         a, al = norm[0][1], fi(norm[0][2])
@@ -272,30 +276,30 @@ def _entry6(spec, aux, c, t):
         s, et = norm[2][1], fi(norm[2][2])
         G = c.Gf.comps[et][al][be][ga]
         RfDG = c.RfDG[et][al][be][ga]
-        rr = ex.sub(ex.mul(f, T[a][s], RfDG),
-                    ex.mul(f, f, aux.T2.comps[a][s], G))
-        coef = ex.sub(ex.mul(aux.Delta, gb[a][s]), T[a][s])
-        qg = ex.add(ex.mul(f, gb[a][s], c.fb.R.comps[et][al][be][ga]),
-                    ex.mul(f, f, coef, G))
-        core = ex.sub(ex.mul(gt[al][ga], c.Scheck[be][et]),
-                      ex.mul(gt[al][be], c.Scheck[ga][et]))
-        qs = ex.add(ex.mul(f, c.Shat[a][s], RfDG), ex.mul(f, T[a][s], core))
+        rr = ex.sub(ex.product(f, T[a][s], RfDG),
+                    ex.product(f, f, aux.T2.comps[a][s], G))
+        coef = ex.sub(ex.product(aux.Delta, gb[a][s]), T[a][s])
+        qg = ex.add(ex.product(f, gb[a][s], c.fb.R.comps[et][al][be][ga]),
+                    ex.product(f, f, coef, G))
+        core = ex.sum_products(((gt[al][ga], c.Scheck[be][et]),),
+                               negate=((gt[al][be], c.Scheck[ga][et]),))
+        qs = ex.add(ex.product(f, c.Shat[a][s], RfDG), ex.product(f, T[a][s], core))
         return rr, qg, qs
 
     if sig == (1, 1, 2):
         a, al = norm[0][1], fi(norm[0][2])
         b, be = norm[1][1], fi(norm[1][2])
         mu, et = fi(norm[2][1]), fi(norm[2][2])
-        return ex.ZERO, ex.ZERO, ex.mul(f, T[a][b], c.QgSf.comp((al, be, mu, et)))
+        return ex.ZERO, ex.ZERO, ex.product(f, T[a][b], c.QgSf.comp((al, be, mu, et)))
 
     if sig == (2, 2, 2):
-        idx = tuple(fi(x) for pr in norm for x in pr[1:])
-        qg = c.QgRf.comp(idx)
-        inner = ex.add(ex.sub(c.QSRf.comp(idx), ex.mul(aux.Omega, qg)),
-                       ex.mul(f, aux.Delta, c.QSGf.comp(idx)))
-        return (ex.add(ex.mul(f, c.RRf.comp(idx)), ex.mul(f, f, aux.Delta, qg)),
-                ex.mul(f, f, qg),
-                ex.mul(f, inner))
+        idx = tuple(x - p for x in t)
+        qg = c.QgRf.reps[idx]
+        inner = ex.add(ex.sum_products(lead=(c.QSRf.reps[idx],), negate=((aux.Omega, qg),)),
+                       ex.product(f, aux.Delta, c.QSGf.reps[idx]))
+        return (ex.add(ex.product(f, c.RRf.reps[idx]), ex.product(f, f, aux.Delta, qg)),
+                ex.product(f, f, qg),
+                ex.product(f, inner))
 
     return ex.ZERO, ex.ZERO, ex.ZERO
 
@@ -310,9 +314,9 @@ def _entry4(spec, aux, c, t):
         return c.bb.R.comps[i][j][k][l]
     if all(m):
         a, b, d, e = (x - p for x in t)
-        return ex.mul(f, c.RfDG[a][b][d][e])
+        return ex.product(f, c.RfDG[a][b][d][e])
     if m[0] != m[1] and m[2] != m[3]:
-        return ex.neg(ex.mul(f, aux.T.comps[i][k], spec.fiber.metric[j - p][l - p]))
+        return ex.neg(ex.product(f, aux.T.comps[i][k], spec.fiber.metric[j - p][l - p]))
     return ex.ZERO
 
 
@@ -333,9 +337,9 @@ def block_curvature(spec):
         return ex.const(0)
 
     kappa = ex.add(c.bb.kappa, ex.div(c.fb.kappa, spec.f),
-                   ex.mul(ex.const(q),
-                          ex.add(ex.mul(ex.const(q - 1), aux.Delta),
-                                 ex.mul(ex.const(2), aux.trT))))
+                   ex.product(ex.const(q),
+                              ex.sum_products(((ex.const(q - 1), aux.Delta),
+                                               (ex.const(2), aux.trT)))))
     return {
         "R": _orbit_field(prod, (0, 4), R),
         "S": _field(prod, (0, 2), _table(n, 2, ricci), sym="sym2"),
@@ -435,8 +439,8 @@ class Conditions(Defects):
         p, q, f = spec.p, spec.q, spec.f
 
         def combo(t):
-            return ex.sub(rr.comp(t), ex.add(ex.mul(L1, qg.comp(t)),
-                                             ex.mul(L2, qs.comp(t))))
+            return ex.sub(rr.comp(t), ex.sum_products(((L1, qg.comp(t)),
+                                                       (L2, qs.comp(t)))))
 
         # (I)-(III) read the assembled block entries.  Each list is in the
         # order of the dense loop over its block, keeping one tuple per orbit
@@ -458,26 +462,28 @@ class Conditions(Defects):
         # product of a base factor and a fiber factor vanishes iff one factor
         # does; the factors report no witness
         self.add("IV_base_factor_zero", "base",
-                 [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)])
+                 [ex.product(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)])
         self.add("IV_fiber_factor_zero", "fiber",
                  [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)])
 
-        c1 = ex.sub(ex.mul(f, ex.sub(L1, aux.Delta)), ex.mul(L2, aux.Omega))
-        c2 = ex.mul(L2, f, aux.Delta)
+        c1 = ex.sum_products(((f, ex.sub(L1, aux.Delta)),), negate=((L2, aux.Omega),))
+        c2 = ex.product(L2, f, aux.Delta)
+
+        def fiber_rhs(t):
+            """(c1 Q(g,R_F) + L2 Q(S_F,R_F)) + c2 Q(S_F,G_F), summed in that nesting."""
+            inner = ex.sum_products(((c1, c.QgRf.reps[t]), (L2, c.QSRf.reps[t])))
+            return ex.sum_products(((c2, c.QSGf.reps[t]),), lead=(inner,))
+
         tup = list(orbit_reps(q, 6))
         # witness indices are reported in product labels, hence the +p shift
-        self.add("V", "product",
-                 [ex.sub(c.RRf.comp(t),
-                         ex.add(ex.add(ex.mul(c1, c.QgRf.comp(t)),
-                                       ex.mul(L2, c.QSRf.comp(t))),
-                                ex.mul(c2, c.QSGf.comp(t)))) for t in tup],
+        self.add("V", "product", [ex.sub(c.RRf.reps[t], fiber_rhs(t)) for t in tup],
                  [tuple(i + p for i in t) for t in tup])
 
         tup = list(iproduct(range(p), repeat=4))
         self.add("corollary_ii", "base",
-                 [ex.sub(c.RTb.comp(t),
-                         ex.add(ex.mul(L1, c.QgTb.comp(t)),
-                                ex.mul(L2, c.QSTb.comp(t)))) for t in tup], tup)
+                 [ex.sub(c.RTb.comp(t), ex.sum_products(((L1, c.QgTb.comp(t)),
+                                                         (L2, c.QSTb.comp(t)))))
+                  for t in tup], tup)
 
     def result(self):
         out, witnesses = self.verdicts()
@@ -503,13 +509,14 @@ class Trichotomy:
         p, q = spec.p, spec.q
         kq = ex.div(fb.kappa, ex.const(q))
         self._sets = {
-            "T_matches": [ex.sub(aux.T.comps[a][b], ex.mul(L1, spec.base.metric[a][b]))
+            "T_matches": [ex.sum_products(lead=(aux.T.comps[a][b],),
+                                          negate=((L1, spec.base.metric[a][b]),))
                           for a in range(p) for b in range(p)],
-            "fiber_einstein": [ex.sub(fb.S.comps[al][be],
-                                      ex.mul(kq, spec.fiber.metric[al][be]))
+            "fiber_einstein": [ex.sum_products(lead=(fb.S.comps[al][be],),
+                                               negate=((kq, spec.fiber.metric[al][be]),))
                                for al in range(q) for be in range(q)],
             "base_flat": [e for t in iproduct(range(p), repeat=4)
-                          for e in [bb.R.comp(t)] if not is_literal_zero(e)],
+                          for e in [bb.R.comp(t)] if e is not ex.ZERO],
         }
         self._records = []
         self.visitors = [("product", self)]

@@ -908,6 +908,105 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
     return out
 
 
+def counting_mul(calls):
+    """A stand-in for `expr.mul` that appends to `calls`, per call, whether
+    a factor is literal 0."""
+    mul = ex.mul
+
+    def counting(*factors):
+        calls.append(any(f is ex.ZERO for f in factors))
+        return mul(*factors)
+    return counting
+
+
+# ---------------------------------------------------------------------------
+# Dense builders of g^-1, the connection, R, S, kappa and raise_first: every
+# product of the contractions is built, literal-0 factors included, and
+# `add` folds the zeros away.  The engine skips those products
+# (`expr.sum_products`); its tables must hold the very same nodes.
+
+def dense_inverse(chart):
+    """g^-1 of `chart` by cofactors, expanding every minor."""
+    g, n = chart.metric, chart.n
+    memo = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return g[rows[0]][cols[0]]
+        acc = []
+        for k, c in enumerate(cols):
+            sub = (rows[1:], cols[:k] + cols[k + 1:])
+            if sub not in memo:
+                memo[sub] = det(*sub)
+            term = ex.mul(g[rows[0]][c], memo[sub])
+            acc.append(term if k % 2 == 0 else ex.neg(term))
+        return ex.add(*acc)
+
+    full = tuple(range(n))
+    d = det(full, full)
+
+    def entry(i, j):
+        minor = (full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+        cof = det(*minor) if n > 1 else ex.const(1)
+        return ex.div(cof if (i + j) % 2 == 0 else ex.neg(cof), d)
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def dense_gamma(chart, gi):
+    n, g = chart.n, chart.metric
+    memo = {c: {} for c in chart.coords}
+    dg = [[[ex.diff(g[i][j], d, memo[d]) for j in range(n)] for i in range(n)]
+          for d in chart.coords]
+    half = ex.const(Fraction(1, 2))
+    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                terms = [ex.mul(gi[k][l], ex.add(dg[i][j][l], dg[j][i][l], ex.neg(dg[l][i][j])))
+                         for l in range(n)]
+                gam[k][i][j] = gam[k][j][i] = ex.mul(half, ex.add(*terms))
+    return gam
+
+
+def dense_riemann(chart, gam):
+    """The lowered R, with the engine's LOWERING_SIGN of -1."""
+    n, g = chart.n, chart.metric
+    memo = {c: {} for c in chart.coords}
+    dgam = [[[[ex.diff(gam[m][i][j], d, memo[d]) for j in range(n)] for i in range(n)]
+             for m in range(n)] for d in chart.coords]
+    comps = [[[[ex.const(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                ups = []
+                for m in range(n):
+                    quad = [ex.mul(gam[e][j][k], gam[m][i][e]) for e in range(n)]
+                    quad += [ex.neg(ex.mul(gam[e][i][k], gam[m][j][e])) for e in range(n)]
+                    ups.append(ex.add(dgam[i][m][j][k], ex.neg(dgam[j][m][i][k]), *quad))
+                for l in range(n):
+                    val = ex.neg(ex.add(*[ex.mul(g[l][m], ups[m]) for m in range(n)]))
+                    comps[i][j][k][l] = val
+                    comps[j][i][k][l] = ex.neg(val)
+    return comps
+
+
+def dense_ricci(gi, r):
+    n = len(gi)
+    return [[ex.add(*[ex.mul(gi[i][l], r[i][j][k][l]) for i in range(n) for l in range(n)])
+             for k in range(n)] for j in range(n)]
+
+
+def dense_scalar(gi, s):
+    n = len(gi)
+    return ex.add(*[ex.mul(gi[j][k], s[j][k]) for j in range(n) for k in range(n)])
+
+
+def dense_raise_first(gi, d):
+    n = len(gi)
+    return [[[[ex.add(*[ex.mul(gi[l][m], d[i][j][k][m]) for m in range(n)])
+               for k in range(n)] for j in range(n)] for i in range(n)] for l in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # The 16 index symmetries of a (0,6) action of a curvature-type tensor: swap
 # inside each of the three pairs (sign -1 each) and exchange the first two

@@ -516,3 +516,79 @@ def test_curvature_matches_sympy_oracle(name):
                 scale = max([abs(w) for w in want] + [mpmath.mpf(1)])
                 worst = max(abs(a - w) for a, w in zip(got, want)) / scale
                 assert worst <= mpmath.mpf(10) ** -30, (name, key, pt)
+
+
+# ---------------------------------------------------------------------------
+# The sparse contractions against the dense oracles of `helpers`
+
+
+def _assert_dense_nodes(chart):
+    """g^-1, Gamma, R, S, kappa and raise_first(R) of `chart` are the very
+    nodes that the dense builders of `helpers` return."""
+    from warpcurv.tensor import raise_first
+
+    b = bundle(chart)
+    gi = helpers.dense_inverse(chart)
+    gam = helpers.dense_gamma(chart, gi)
+    r = helpers.dense_riemann(chart, gam)
+    s = helpers.dense_ricci(gi, r)
+    tables = ((metric_inverse(chart).comps, gi, 2), (b.gamma, gam, 3), (b.R.comps, r, 4),
+              (b.S.comps, s, 2), (raise_first(b.R).comps, helpers.dense_raise_first(gi, r), 4))
+    for got, want, rank in tables:
+        for t in _all_idx(chart.n, rank):
+            g, w = got, want
+            for i in t:
+                g, w = g[i], w[i]
+            assert g is w, (chart.coords, rank, t)
+    assert b.kappa is helpers.dense_scalar(gi, s)
+
+
+def test_sparse_contractions_match_dense_builders_on_random_charts():
+    """Random diagonal and banded charts with n <= 4: skipping the literal-0
+    products keeps every node of the dense contractions."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from warpcurv.tensor import Chart
+
+    @st.composite
+    def charts(draw):
+        n = draw(st.integers(2, 4))
+        coords = tuple(f"x{i + 1}" for i in range(n))
+        banded = draw(st.booleans())
+
+        def entry(i, j):
+            if i == j:
+                terms = [str(draw(st.integers(2, 5)))]
+                for _ in range(draw(st.integers(0, 2))):
+                    terms.append(f"{draw(st.integers(1, 3))}*{draw(st.sampled_from(coords))}"
+                                 f"^{draw(st.integers(1, 2))}")
+                return " + ".join(terms)
+            if banded and abs(i - j) == 1:
+                lo = min(i, j)
+                return f"x{lo + 1}*x{lo + 2}/{draw(st.integers(7, 9))}"
+            return "0"
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry(i, j)
+        return Chart(coords, rows)
+
+    @hyp.settings(max_examples=8, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(charts())
+    def check(chart):
+        _assert_dense_nodes(chart)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["ex2_warped.mf", "fs_warped.mf", "cf_warped.mf",
+                                  "ex1_warped.mf"])
+def test_sparse_contractions_match_dense_builders_on_warped_products(name):
+    """The warped-verify roster: base, fiber and assembled product."""
+    from warpcurv.cli import build_spec
+    from warpcurv.warped import assemble_product
+
+    spec = build_spec(load_manifest(fixture_path(name)))
+    for chart in (spec.base, spec.fiber, assemble_product(spec)):
+        _assert_dense_nodes(chart)

@@ -615,6 +615,52 @@ def test_smart_constructors_match_seed_oracle():
     check()
 
 
+def test_sum_products_keeps_the_zero_slot():
+    """The first skipped product leaves its 0, which moves the folded
+    constant: add(0, x2*x1 + 3, 1/3) is not add(x2*x1 + 3, 1/3)."""
+    x1, x2 = Coord("x1"), Coord("x2")
+    s = ex.add(ex.mul(x2, x1), ex.const(3))
+    third = ex.const(Fraction(1, 3))
+    want = ex.add(ex.ZERO, s, third)
+    assert want is not ex.add(s, third)
+    assert str(want) == "10/3 + x2*x1" and str(ex.add(s, third)) == "x2*x1 + 10/3"
+    assert ex.sum_products([(x1, ex.ZERO), (ex.ONE, s), (ex.ZERO, x2), (third, ex.ONE)]) is want
+    # a trailing 0 moves nothing, so none is kept
+    assert ex.sum_products([(ex.ONE, s), (x1, ex.ZERO)], negate=[(ex.ZERO, x2)]) is s
+
+
+def test_sum_products_is_the_dense_sum(monkeypatch):
+    """`sum_products` and `product` return the very node of the add/mul/neg
+    expression on random operands mixing literal zeros, constants and Add
+    terms, and never call mul with a literal-0 factor."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    leaves = st.sampled_from((ex.ZERO, ex.ONE, ex.const(3), ex.const(Fraction(1, 3)),
+                              ex.const(-2), Coord("x1"), Coord("x2"), Param("a")))
+    # built by the constructors, as every node the engine holds
+    nodes = st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: ex.add(*ts)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda fs: ex.mul(*fs)),
+        kids.map(ex.neg)), max_leaves=5)
+    pairs = st.lists(st.tuples(nodes, nodes), max_size=6)
+    calls = []
+    monkeypatch.setattr(ex, "mul", helpers.counting_mul(calls))
+
+    @hyp.settings(max_examples=200, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(pairs, st.lists(nodes, max_size=2), pairs, st.lists(nodes, max_size=3))
+    def check(pairs, lead, negate, factors):
+        want = ex.add(*lead, *[ex.mul(a, b) for a, b in pairs],
+                      *[ex.neg(ex.mul(a, b)) for a, b in negate])
+        prod = ex.mul(*factors)
+        calls.clear()
+        assert ex.sum_products(pairs, lead, negate) is want
+        assert ex.product(*factors) is prod
+        assert not any(calls)
+
+    check()
+
+
 def test_rr_table_nodes_distinct_by_structure():
     # the dense R.R table of ex1_fiber: 7452 identity-distinct and 1826
     # structure-distinct nodes before interning

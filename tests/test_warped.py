@@ -267,6 +267,25 @@ def test_warped_verify_evaluates_block_formulas_at_representatives_only(
         assert calls4 == list(orbit_reps(n, 4)), name
 
 
+def test_warped_verify_calls_mul_on_no_literal_zero(monkeypatch):
+    """Block diagonal metrics make most products of the contractions 0:
+    every builder skips them (`expr.sum_products`, `expr.product`), so no
+    mul call of a warped-verify run gets a literal-0 factor.  The totals
+    pin the remaining calls; the dense builders made 4 309, 3 772, 4 555
+    and 15 881, of which 24 473 had a literal-0 factor."""
+    calls = []
+    monkeypatch.setattr(ex, "mul", helpers.counting_mul(calls))
+    totals = {}
+    for name, points in (("ex2_warped.mf", 3), ("fs_warped.mf", 3),
+                         ("cf_warped.mf", 3), ("ex1_warped.mf", 2)):
+        calls.clear()
+        cli.warped_verify_report(cli.fixture_path(name), points=points, seed=7)
+        assert not any(calls), name
+        totals[name] = len(calls)
+    assert totals == {"ex2_warped.mf": 334, "fs_warped.mf": 373,
+                      "cf_warped.mf": 470, "ex1_warped.mf": 2861}
+
+
 def test_verify_conditions_reuses_the_block_entries(monkeypatch, ex2_spec):
     """Another (L1, L2) on the same spec builds no block entry again."""
     verify_conditions(ex2_spec, 0, 0, trials=3, seed=7)
