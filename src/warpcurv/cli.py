@@ -754,13 +754,14 @@ def _is_plain(s):
 
 
 def _json_text(pieces, out, memo):
-    """Append to `out` the pieces of the JSON string of the text `pieces`.
-    A plain piece goes in by reference; any other is escaped slice by slice,
-    which is the same as escaping the whole text, since JSON escapes each
-    character on its own.  `memo` maps the id of each piece seen to what it
-    became, so a piece shared by many uses is checked once."""
+    """Append to `out` the pieces of the JSON string of the text `pieces`, a
+    Text or a tuple of strs, read with ropes flattened.  A plain str goes in
+    by reference; any other is escaped slice by slice, which is the same as
+    escaping the whole text, since JSON escapes each character on its own.
+    `memo` maps the id of each str seen to what it became, so a str shared
+    by many uses is checked once."""
     out.append('"')
-    for p in pieces:
+    for p in ex.strs(pieces):
         done = memo.get(id(p))
         if done is None:
             done = memo[id(p)] = ((p,) if _is_plain(p)
@@ -772,10 +773,13 @@ def _json_text(pieces, out, memo):
 def _json_pieces(v, out, memo, indent="\n"):
     """Append to `out` the pieces of `json.dumps(joined(v), sort_keys=True,
     indent=2)` for a report value: dicts with string keys, lists, strings,
-    `ex.Text`s, ints and bools.  A string or Text of _JOIN_BELOW characters
-    or more is quoted by `_json_text`, neither copied nor joined; a shorter
-    Text is joined, and a shorter string is quoted by hand when JSON keeps
-    it as it is; any other string or value goes through `json.dumps`."""
+    `ex.Text`s, ints and bools.  A Text shorter than _JOIN_BELOW characters
+    is joined.  A longer one goes in whole, by reference, when it is plain
+    (see `ex.Text`), so that JSON keeps it as it is, and `_write_pieces`
+    flattens it; any other string or Text that long is quoted by
+    `_json_text`, neither copied nor joined.  A shorter string is quoted by
+    hand when JSON keeps it as it is, which a joined plain Text does by
+    construction; any other string or value goes through `json.dumps`."""
     if isinstance(v, str):
         if len(v) >= _JOIN_BELOW:
             _json_text((v,), out, memo)
@@ -788,8 +792,10 @@ def _json_pieces(v, out, memo, indent="\n"):
     elif type(v) is int:
         out.append(repr(v))
     elif isinstance(v, ex.Text):
-        if sum(map(len, v)) < _JOIN_BELOW:
-            _json_pieces(str(v), out, memo)
+        if v.size < _JOIN_BELOW:
+            out.append('"' + str(v) + '"' if v.plain else json.dumps(str(v)))
+        elif v.plain:
+            out += ('"', v, '"')
         else:
             _json_text(v, out, memo)
     elif isinstance(v, (dict, list, tuple)) and v:
@@ -814,22 +820,32 @@ def _json_pieces(v, out, memo, indent="\n"):
 
 
 def _write_pieces(pieces, fh):
-    """Write the str `pieces` to the text file `fh` in order.  Runs of short
-    pieces are joined into writes of at most _JOIN_BELOW characters, since
-    a write per piece costs more than copying a short piece, and a longer
-    piece is written in slices of _JOIN_BELOW characters, so that no long
-    text is ever joined or encoded whole."""
+    """Write the text of `pieces`, strs and `ex.Text`s, to the text file
+    `fh` in order, flattening each Text with an explicit stack, since ropes
+    nest as deep as the DAG they print (the walk of `ex.strs`, inlined: its
+    generator costs a resume per piece).  Runs of short strs are joined into
+    writes of at most _JOIN_BELOW characters, since a write per piece costs
+    more than copying a short piece, and a longer str is written in slices
+    of _JOIN_BELOW characters, so that no long text is ever joined or
+    encoded whole."""
     run, size = [], 0
-    for p in pieces:
-        if size + len(p) > _JOIN_BELOW:
-            fh.write("".join(run))
-            run, size = [], 0
-            if len(p) > _JOIN_BELOW:
-                for c in _slices(p):
-                    fh.write(c)
-                continue
-        run.append(p)
-        size += len(p)
+    stack = [iter(pieces)]
+    while stack:
+        for p in stack[-1]:
+            if type(p) is not str:
+                stack.append(iter(p))
+                break
+            if size + len(p) > _JOIN_BELOW:
+                fh.write("".join(run))
+                run, size = [], 0
+                if len(p) > _JOIN_BELOW:
+                    for c in _slices(p):
+                        fh.write(c)
+                    continue
+            run.append(p)
+            size += len(p)
+        else:
+            stack.pop()
     fh.write("".join(run))
 
 

@@ -79,15 +79,19 @@ rational value: a power (n/d)^k before it is taken, when max(bit_length(n),
 bit_length(d)) * |k| exceeds the budget, and a sum, product or quotient as
 soon as its numerator or denominator does, before the gcd that reduces it.
 
-Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a tuple of str
-pieces, and `to_str(e)` joins them; the text parses back to an equal tree.
-The text grows with `e` expanded as a tree, which can be exponentially
-larger than its DAG.  So one pass over the DAG first counts each node's
-parents and the size of the expanded tree, and a tree of more than
-MAX_PRINTED_NODES nodes raises `PrintBudgetError` before any piece is made.
-A node with several parents is then rendered once, joined into one str
-once, and that same str object is the piece at each of its uses, so the
-pieces number O(DAG) and each shared text is held once, not once per use.
+Printing: `to_pieces(e)` gives the text of `e` as a `Text`, a rope of str
+and Text pieces, and `to_str(e)` joins it; the text parses back to an equal
+tree.  The text grows with `e` expanded as a tree, which can be
+exponentially larger than its DAG.  So one pass over the DAG first counts
+each node's parents and the size of the expanded tree, and a tree of more
+than MAX_PRINTED_NODES nodes raises `PrintBudgetError` before any piece is
+made.  A node with several parents is then rendered once, and that one
+piece object is placed at each of its uses: a joined str when its text is
+shorter than _ROPE_BELOW characters, else a rope of its own runs of short
+text, joined, and of the longer shared texts inside it, by reference.  So
+each character is copied about once, and the text held and the pieces
+number O(DAG), however long the text.  Ropes nest as deep as the DAG, so
+`strs`, and every reader of a Text, flattens them with an explicit stack.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import groupby, repeat
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
 from math import gcd
@@ -148,6 +152,7 @@ _ZERO_TOL = "1e-30"
 _GRID = 1024  # denominator of sampled rational offsets
 MAX_NESTING = 1000  # nesting levels accepted by the parser
 MAX_PRINTED_NODES = 2 ** 28  # tree nodes a printed expression may expand to
+_ROPE_BELOW = 1 << 12  # characters; a longer shared text is a rope, see _Printer
 MAX_EXP_ARG = 2 ** 32  # largest |argument| of exp at which a point is defined
 MAX_POINTS = 10_000  # sample points a command may draw per zero test
 MAX_EXPONENT = 1000  # largest |exponent| of a power node
@@ -861,17 +866,49 @@ def _shape(root):
 
 
 class Text(tuple):
-    """An expression's text as a tuple of str pieces; `str(t)` joins them.
+    """An expression's text as a rope: a tuple of pieces, each a str or a
+    Text, whose texts in order make up this one; `str(t)` joins them.
 
     A piece may be shared, by reference, with other positions of the same
-    Text (see `to_pieces`), so a Text is read by iterating its pieces, and
-    joined only where the whole text is wanted as one string.
+    Text, at any depth (see `to_pieces`), so the text a Text stands for can
+    be far longer than the characters it holds.  `size` is its length in
+    characters, `flat` says that every piece is a str, and `plain` that
+    every character is printable ASCII other than '"' and '\\', which JSON
+    keeps as it is (False when not known).  A Text is read through
+    `strs(t)`, and joined only where the whole text is wanted as one string.
     """
 
-    __slots__ = ()
+    def __new__(cls, pieces=(), plain=False, flat=None):
+        t = super().__new__(cls, pieces)
+        if flat is None:
+            flat = all(type(p) is str for p in t)
+        t.size = sum(map(len, t)) if flat else sum(
+            len(p) if type(p) is str else p.size for p in t)
+        t.flat, t.plain = flat, plain
+        return t
 
     def __str__(self):
-        return "".join(self)
+        return "".join(self if self.flat else strs(self))
+
+
+def strs(pieces):
+    """The str pieces of `pieces`, a Text or a sequence of strs and Texts,
+    in order, with every Text among them flattened.  Ropes nest as deep as
+    the DAG they print, so the walk keeps its own stack."""
+    stack = [iter(pieces)]
+    while stack:
+        for p in stack[-1]:
+            if type(p) is not str:
+                stack.append(iter(p))
+                break
+            yield p
+        else:
+            stack.pop()
+
+
+def _plain(name):
+    """Whether `name` is printable ASCII other than '"' and '\\'."""
+    return name.isascii() and name.isprintable() and '"' not in name and "\\" not in name
 
 
 class _Printer:
@@ -879,15 +916,21 @@ class _Printer:
 
     `_text(e, out)` appends the text of a non-leaf node, except that a
     Neg's text is its operand as a negated term shows it, without the '-'.
-    A node with several parents is rendered once into a list of its own,
-    joined once, and then appended by reference at each of its uses; the
-    memo keeps its text from the first use until the last, then drops it.
-    Any other node is rendered straight into its parent's list.
+    A node with several parents is rendered once into a list of its own and
+    then appended by reference at each of its uses; the memo keeps its text
+    from the first use until the last, then drops it.  That text is one
+    joined str when it is shorter than _ROPE_BELOW characters and holds no
+    rope, and otherwise a rope: a `Text` of its runs of strs, each joined,
+    and the ropes between them, which are not copied.  Any other node is
+    rendered straight into its parent's list.  `_ropes` counts the ropes
+    appended so far and `_names` holds the Coord and Param names printed.
     """
 
     def __init__(self, parents):
         self._uses_left = {c: k for c, k in parents.items() if k > 1}
         self._memo = {}
+        self._ropes = 0
+        self._names = set()
 
     def _text(self, e, out):
         left = self._uses_left.get(e)
@@ -896,15 +939,35 @@ class _Printer:
             return
         if left == 1:
             del self._uses_left[e]
-            out.append(self._memo.pop(e))
-            return
-        self._uses_left[e] = left - 1
-        s = self._memo.get(e)
-        if s is None:
-            sub = []
-            self._render(e, sub)
-            s = self._memo[e] = "".join(sub)
+            s = self._memo.pop(e)
+        else:
+            self._uses_left[e] = left - 1
+            s = self._memo.get(e)
+            if s is None:
+                s = self._memo[e] = self._shared(e)
+        if type(s) is not str:
+            self._ropes += 1
         out.append(s)
+
+    def _shared(self, e):
+        """The text of a node with several parents, as a str or a rope."""
+        ropes = self._ropes
+        sub = []
+        self._render(e, sub)
+        if self._ropes == ropes:
+            s = "".join(sub)
+            return s if len(s) < _ROPE_BELOW else Text((s,), self.plain(), True)
+        pieces = []
+        for is_str, run in groupby(sub, lambda p: type(p) is str):
+            if is_str:
+                pieces.append("".join(run))
+            else:
+                pieces += run
+        return Text(pieces, self.plain(), False)
+
+    def plain(self):
+        """Whether every name printed so far is plain (see `Text`)."""
+        return all(map(_plain, self._names))
 
     def _render(self, e, out):
         if isinstance(e, Neg):
@@ -933,6 +996,7 @@ class _Printer:
         if isinstance(e, Const):
             out.append(_fmt_number(e.value))
         elif isinstance(e, (Coord, Param)):
+            self._names.add(e.name)
             out.append(e.name)
         elif isinstance(e, (Add, Neg)):
             raise TypeError(f"unexpected node in factor position: {type(e).__name__}")
@@ -1023,20 +1087,24 @@ def to_pieces(e):
 
     Raises `PrintBudgetError`, before any piece is made, when `e` expanded
     as a tree has more than MAX_PRINTED_NODES nodes.  A node with several
-    parents is one piece, the same str object at each of its uses, so the
-    pieces number O(DAG) however long the text.
+    parents is one piece, the same object at each of its uses: a str when
+    its text is shorter than _ROPE_BELOW characters, a rope otherwise (see
+    `_Printer`), so the pieces and the characters held number O(DAG) however
+    long the text.  The Text is `plain` when every Coord and Param name in
+    it is printable ASCII other than '"' and '\\'.
     """
     parents, size = _shape(e)
     if size > MAX_PRINTED_NODES:
         raise PrintBudgetError(size)
     out = []
-    _Printer(parents)._sum(e, out)
-    return Text(out)
+    printer = _Printer(parents)
+    printer._sum(e, out)
+    return Text(out, printer.plain(), not printer._ropes)
 
 
 def to_str(e):
     """The text of `e` as one str: `to_pieces(e)` joined."""
-    return "".join(to_pieces(e))
+    return str(to_pieces(e))
 
 
 # ---------------------------------------------------------------------------

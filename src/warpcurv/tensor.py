@@ -32,11 +32,11 @@ class ChartError(Exception):
 
 
 def excerpt(text):
-    """`text`, a str or an `expr.Text` of pieces, as a str cut to 70
-    characters ending in '...' when it is longer; only the pieces that the
-    cut reaches are read."""
+    """`text`, a str or an `expr.Text`, as a str cut to 70 characters ending
+    in '...' when it is longer; only the pieces that the cut reaches are
+    read, ropes included."""
     head = ""
-    for piece in (text,) if isinstance(text, str) else text:
+    for piece in (text,) if isinstance(text, str) else ex.strs(text):
         head += piece[:71 - len(head)]
         if len(head) > 70:
             return head[:67] + "..."
@@ -261,6 +261,17 @@ class _OrbitField(TensorField):
 
     def stored(self):
         return list(self.reps.values())
+
+
+def orbit_comps(fields, idx):
+    """`[f.comp(idx) for f in fields]` for _OrbitFields of one rank, with
+    `idx` resolved to its representative once."""
+    sign, rep = orbit_rep(idx)
+    if not sign:
+        return [ex.ZERO] * len(fields)
+    if sign > 0:
+        return [f.reps[rep] for f in fields]
+    return [ex.neg(f.reps[rep]) for f in fields]
 
 
 def _orbit_field(chart, valence, reps):

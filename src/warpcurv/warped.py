@@ -40,7 +40,7 @@ from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, fzero
 from .tensor import (
     Chart, ChartError, _as_expr, _cached, _chart, _field, _orbit_field,
-    _table, gaussian, metric_inverse, orbit_reps, point_str,
+    _table, gaussian, metric_inverse, orbit_comps, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -439,8 +439,8 @@ class Conditions(Defects):
         p, q, f = spec.p, spec.q, spec.f
 
         def combo(t):
-            return ex.sub(rr.comp(t), ex.sum_products(((L1, qg.comp(t)),
-                                                       (L2, qs.comp(t)))))
+            a, b, d = orbit_comps((rr, qg, qs), t)
+            return ex.sub(a, ex.sum_products(((L1, b), (L2, d))))
 
         # (I)-(III) read the assembled block entries.  Each list is in the
         # order of the dense loop over its block, keeping one tuple per orbit

@@ -130,6 +130,19 @@ def plain_to_str(e):
     return "".join(parts)
 
 
+def rope_nodes(t):
+    """The distinct Texts and strs reachable from the `ex.Text` `t`, each
+    once, whatever the number of places it is used."""
+    seen, todo = {}, [t]
+    while todo:
+        p = todo.pop()
+        if id(p) not in seen:
+            seen[id(p)] = p
+            if type(p) is ex.Text:
+                todo.extend(p)
+    return list(seen.values())
+
+
 # ---------------------------------------------------------------------------
 # Evaluator on mpf objects: the rules of `expr.PointEval` computed with mpf
 # operators and context functions instead of raw libmp tuples.  An oracle for

@@ -939,13 +939,24 @@ def test_writers_never_write_a_long_text_whole(tmp_path, monkeypatch):
     swell = helpers.perfbench_module("swell")
     path = _write(tmp_path, "swell4.mf", swell.manifest_text(4, 7))
     code, rep = curvature_report(path, seed=7, points=2)
-    assert sum(map(len, rep["curvature"]["kappa"])) > 2 * 10 ** 7
+    assert rep["curvature"]["kappa"].size > 2 * 10 ** 7
     for pieces in (cli._render(code, rep), cli._json_pieces(rep, [], {})):
         out = Recorder()
         cli._write_pieces(pieces, out)
-        assert out.getvalue() == "".join(pieces)
+        assert out.getvalue() == "".join(ex.strs(pieces))
     cli.write_json(rep, Recorder())
     assert 0 < Recorder.longest <= cli._JOIN_BELOW
+
+
+def test_swell4_kappa_holds_each_shared_text_once(tmp_path):
+    """swell4's kappa is 22.5 MB of text; as a rope its distinct strs hold
+    under 2 MB (11.2 MB when each shared text was copied into the join of
+    every shared ancestor)."""
+    swell = helpers.perfbench_module("swell")
+    path = _write(tmp_path, "swell4.mf", swell.manifest_text(4, 7))
+    t = ex.to_pieces(bundle(build_chart(load_manifest(path))).kappa)
+    assert t.size == sum(map(len, ex.strs(t))) == 22512966
+    assert sum(len(p) for p in helpers.rope_nodes(t) if type(p) is str) < 2 * 10 ** 6
 
 
 def test_excerpt_reads_only_the_head_of_a_text():

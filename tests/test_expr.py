@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import io
+import json
 import math
 import random
 import re
@@ -12,6 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from warpcurv import cli, tensor
 from warpcurv import expr as ex
 from warpcurv.expr import (
     Add, Const, Coord, Div, Exp, Mul, Neg, Param, Pow,
@@ -345,21 +348,25 @@ def test_pieces_match_plain_printer_on_shared_dags():
     @hyp.given(_dag_strategy(hyp.strategies))
     def check(e):
         t = ex.to_pieces(e)
-        assert type(t) is ex.Text and all(type(p) is str for p in t)
-        assert str(t) == to_str(e) == helpers.plain_to_str(e)
+        flat = list(ex.strs(t))
+        assert type(t) is ex.Text and all(type(p) is str for p in flat)
+        assert "".join(flat) == str(t) == to_str(e) == helpers.plain_to_str(e)
+        assert t.size == len(str(t))
 
     check()
 
 
 def test_shared_text_is_one_piece_object():
-    """A node with several parents is one str object at each of its uses,
-    and the number of pieces follows the DAG, not the text."""
-    e = _shared_dag(14)
-    t = ex.to_pieces(e)
-    below = ex._children(ex._children(e)[0])[0]          # e_13, used twice
-    assert ex._shape(e)[0][below] == 2
-    uses = [p for p in t if p == helpers.plain_to_str(below)]
-    assert len(uses) == 2 and uses[0] is uses[1]
+    """A node with several parents is one piece object at each of its uses,
+    a str when short and a rope when long, and the number of pieces follows
+    the DAG, not the text."""
+    for depth, kind in ((7, str), (14, ex.Text)):
+        e = _shared_dag(depth)
+        t = ex.to_pieces(e)
+        below = ex._children(ex._children(e)[0])[0]      # e_(depth-1), used twice
+        assert ex._shape(e)[0][below] == 2
+        uses = [p for p in t if str(p) == helpers.plain_to_str(below)]
+        assert len(uses) == 2 and uses[0] is uses[1] and type(uses[0]) is kind
     # the text doubles with each level; the pieces stay as many
     assert len(str(t)) > 2 ** 14 and len(t) == len(ex.to_pieces(_shared_dag(3)))
     kappa = bundle(_pullback_chart()).kappa
@@ -376,6 +383,54 @@ def test_shared_text_is_one_piece_object():
         parents, _ = ex._shape(e)
         edges = sum(len(ex._children(c)) for c in parents) + len(ex._children(e))
         assert len(ex.to_pieces(e)) <= 3 * (len(parents) + edges) + 2
+
+    check()
+
+
+def test_ropes_read_as_the_plain_printer_writes(monkeypatch):
+    """With _ROPE_BELOW at 1 to 8 characters every shared text is a rope
+    and ropes nest; `str`, `excerpt`, the writers and the JSON writer (with
+    _JOIN_BELOW small too, so that texts are sliced and quoted piece by
+    piece) read each as the plain printer and `json.dumps` write it, and
+    `plain` is set exactly when every name is plain JSON."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    names = st.sampled_from([("x1", "x2"), ("x1", "\u00e9"), ('q"', "x2"), ("x1", "b\\")])
+
+    @hyp.settings(max_examples=200, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(st.data(), names, st.integers(0, 3), st.integers(1, 8), st.integers(1, 64))
+    def check(data, pair, levels, rope_below, join_below):
+        e = data.draw(_dag_strategy(st, pair))
+        for _ in range(levels):  # each level uses the one below four times
+            e = ex.add(ex.mul(e, ex.neg(e)), ex.div(e, ex.add(ex.const(1), ex.pow_(e, 2))))
+        monkeypatch.setattr(ex, "_ROPE_BELOW", rope_below)
+        monkeypatch.setattr(cli, "_JOIN_BELOW", join_below)
+        t = ex.to_pieces(e)
+        want = helpers.plain_to_str(e)
+        assert str(t) == to_str(e) == want and t.size == len(want)
+        assert t.plain == all(ex._plain(n) for n in free_coords(e) | free_params(e))
+        for r in helpers.rope_nodes(t):
+            if type(r) is ex.Text:
+                assert r.size == len(str(r)) and r.flat == all(type(p) is str for p in r)
+        assert tensor.excerpt(t) == tensor.excerpt(want)
+        writes = []
+
+        class Out(io.StringIO):
+            def write(self, s):
+                writes.append(len(s))
+                return super().write(s)
+
+        out = Out()
+        cli._write_pieces(["f = ", t, "\n"], out)
+        assert out.getvalue() == "f = " + want + "\n"
+        assert max(writes) <= join_below
+        out = Out()
+        rep = {"kappa": t, "pair": [t, "x"], "n": 3}
+        cli.write_json(rep, out)
+        assert out.getvalue() == json.dumps(cli.joined(rep), sort_keys=True, indent=2) + "\n"
+        assert max(writes) <= join_below
+        monkeypatch.undo()
 
     check()
 
