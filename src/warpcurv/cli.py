@@ -41,8 +41,8 @@ from .curvature import bundle
 from .expr import DEFAULT_SEED, DomainError, PointEval
 from .tensor import Chart, ChartError, excerpt, orbit_reps
 from .warped import (
-    Conditions, Defects, Dichotomy, Trichotomy, _base_scalar, assemble_product,
-    auxiliaries, block_actions, block_curvature, make_spec, sweep_charts,
+    Conditions, Defects, Dichotomy, Trichotomy, WarpedSpec, _base_scalar,
+    assemble_product, auxiliaries, block_actions, block_curvature, sweep_charts,
 )
 
 SCHEMA = "warpcurv-report/1"
@@ -137,12 +137,19 @@ def load_manifest(path):
         what = " ".join(toks)
         if seen.setdefault((section, len(m.checks), what), value) != value:
             bad(lineno, f"conflicting duplicate entry for {what}")
-        if section == "chart":
-            _chart_entry(m, toks, value, bad, lineno)
-        elif section == "warped":
-            _warped_entry(m, toks, value, bad, lineno)
-        else:
+        if section == "check":
             _check_entry(chk, toks, value, bad, lineno)
+        elif what == "seed":
+            try:
+                m.seed = int(value)
+            except ValueError:
+                bad(lineno, f"seed must be an integer, got {value!r}")
+        elif section == "chart":
+            _chart_entry(m, toks, value, bad, lineno)
+        elif what in ("base", "fiber", "warp", "L1", "L2"):
+            setattr(m, what, value)
+        else:
+            bad(lineno, f"unknown key {what!r} in [warped]")
     if not m.kind:
         raise ManifestError(f"{path}: no [chart] or [warped] section")
     return m
@@ -180,27 +187,8 @@ def _chart_entry(m, toks, value, bad, lineno):
             m.box[toks[1]] = (Fraction(lo.strip()), Fraction(hi.strip()))
         except (ValueError, ZeroDivisionError):
             bad(lineno, "box bounds must be rational")
-    elif key == "seed" and len(toks) == 1:
-        try:
-            m.seed = int(value)
-        except ValueError:
-            bad(lineno, f"seed must be an integer, got {value!r}")
     else:
         bad(lineno, f"unknown key {' '.join(toks)!r} in [chart]")
-
-
-def _warped_entry(m, toks, value, bad, lineno):
-    key = toks[0]
-    if len(toks) != 1 or key not in ("base", "fiber", "warp", "L1", "L2",
-                                     "seed"):
-        bad(lineno, f"unknown key {' '.join(toks)!r} in [warped]")
-    if key == "seed":
-        try:
-            m.seed = int(value)
-        except ValueError:
-            bad(lineno, f"seed must be an integer, got {value!r}")
-    else:
-        setattr(m, key, value)
 
 
 def _check_entry(chk, toks, value, bad, lineno):
@@ -244,14 +232,10 @@ def build_spec(m):
     if not (m.base and m.fiber and m.warp):
         raise ManifestError(f"{m.path}: [warped] needs base, fiber, and warp")
     root = os.path.dirname(os.path.abspath(m.path))
-    charts = []
-    for ref in (m.base, m.fiber):
-        subm = load_manifest(os.path.join(root, ref))
-        if subm.kind != "chart":
-            raise ManifestError(f"{subm.path}: expected a chart manifest")
-        charts.append(build_chart(subm))
+    base, fiber = (build_chart(load_manifest(os.path.join(root, ref)))
+                   for ref in (m.base, m.fiber))
     try:
-        return make_spec(charts[0], charts[1], m.warp)
+        return WarpedSpec(base, fiber, m.warp)
     except (ChartError, ex.ExprError) as err:
         raise ManifestError(f"{m.path}: {err}") from None
 
@@ -734,23 +718,12 @@ def _invalid_note(v):
     return f", {k} points invalid" if k else ""
 
 
-# printable ASCII but '"' and '\\': a string of only these is its own JSON
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 _JOIN_BELOW = 1 << 16  # characters; see _write_pieces
 
 
 def _slices(s):
     """The slices of at most _JOIN_BELOW characters that make up `s`."""
     return (s[i:i + _JOIN_BELOW] for i in range(0, len(s), _JOIN_BELOW))
-
-
-def _is_plain(s):
-    """Whether JSON keeps `s` as it is, checked slice by slice so that a
-    long `s` is never encoded whole."""
-    if len(s) <= _JOIN_BELOW:
-        return s.isascii() and not s.encode("ascii").translate(None, _PLAIN)
-    return s.isascii() and not any(
-        c.encode("ascii").translate(None, _PLAIN) for c in _slices(s))
 
 
 def _json_text(pieces, out, memo):
@@ -764,7 +737,7 @@ def _json_text(pieces, out, memo):
     for p in ex.strs(pieces):
         done = memo.get(id(p))
         if done is None:
-            done = memo[id(p)] = ((p,) if _is_plain(p)
+            done = memo[id(p)] = ((p,) if ex.is_plain(p)
                                   else [json.dumps(c)[1:-1] for c in _slices(p)])
         out += done
     out.append('"')
@@ -783,7 +756,7 @@ def _json_pieces(v, out, memo, indent="\n"):
     if isinstance(v, str):
         if len(v) >= _JOIN_BELOW:
             _json_text((v,), out, memo)
-        elif _is_plain(v):
+        elif ex.is_plain(v):
             out.append('"' + v + '"')
         else:
             out.append(json.dumps(v))

@@ -16,9 +16,6 @@ from .tensor import (
     Chart, ChartError, TensorField, _field, _table, gaussian, kulkarni_nomizu,
     metric_inverse)
 
-# global lowering orientation; see module docstring
-LOWERING_SIGN = -1
-
 
 def _cached(build):
     """`tensor._cached` as a plain property (perfbench's tracer wraps its getter)."""
@@ -92,8 +89,8 @@ class CurvatureBundle:
                         negate=[(gam[e][i][k], gam[m][j][e]) for e in range(n)])
                         for m in range(n)]
                     for l in range(n):
-                        low = ex.sum_products(zip(g[l], ups))
-                        val = ex.neg(low) if LOWERING_SIGN < 0 else low
+                        # the lowering orientation; see module docstring
+                        val = ex.neg(ex.sum_products(zip(g[l], ups)))
                         comps[i][j][k][l] = val
                         comps[j][i][k][l] = ex.neg(val)
         return _field(c, (0, 4), comps, sym="curvature")
@@ -170,27 +167,8 @@ def bundle(chart: Chart) -> CurvatureBundle:
     return CurvatureBundle(chart)
 
 
-def christoffel(chart: Chart):
-    return bundle(chart).gamma
-
-
-def riemann(chart: Chart) -> TensorField:
-    return bundle(chart).R
-
-
-def ricci_scalar(chart: Chart):
-    b = bundle(chart)
-    return b.S, b.kappa
-
-
-def derived_tensors(b: CurvatureBundle) -> dict:
-    return {"C": b.C, "W": b.W, "K": b.K, "P": b.P}
-
-
 def covariant_hessian(chart: Chart, phi) -> TensorField:
     """Second covariant derivative of a scalar: phi_{a,b} = d_a d_b phi - Gamma^c_ab d_c phi."""
-    if isinstance(phi, str):
-        phi = ex.parse(phi, coords=chart.coords, params=tuple(chart.params))
     bun = bundle(chart)
     gam = bun.gamma
     n = chart.n

@@ -37,15 +37,14 @@ and the dependence and constancy checks), and `num_str` prints a tuple as
 numbers are represented: a number becomes a tuple only in `_to_tuple`, a
 tuple becomes an mpf only in `_as_mpf` (public at DPS as `to_tuple` and
 `as_mpf`), and no other module does arithmetic on numbers or reads a
-tuple's fields.  Every function that returns mpfs (`PointEval.eval`,
-`eval_scaled` and `judge`, `evaluate`, `to_mpf`, `parallel_ratio`,
-`zero_threshold`, and elsewhere `deszcz_ratio`, `pair_residual` and
-`linear_dependence_check`) computes on tuples and makes its mpfs at
-return.  The engine needs only mpmath's `libmp` subpackage, which
-`_load_libmp` executes as the private package `warpcurv._libmp` without
-running `mpmath/__init__`; mpmath itself is loaded by the first mpf made
-(`MP` and `REL_TOL` come from a module `__getattr__`), which no command
-makes.
+tuple's fields.  Every function that returns mpfs (`PointEval.eval` and
+`eval_scaled`, `evaluate`, `to_mpf`, `parallel_ratio`, `zero_threshold`,
+and elsewhere `deszcz_ratio`, `pair_residual` and `linear_dependence_check`)
+computes on tuples and makes its mpfs at return.  The engine needs only
+mpmath's `libmp` subpackage, which `_load_libmp` executes as the private
+package `warpcurv._libmp` without running `mpmath/__init__`; mpmath itself
+is loaded by the first mpf made (`MP` and `REL_TOL` come from a module
+`__getattr__`), which no command makes.
 
 The zero test samples deterministic rational points from a box (default
 [1/3, 2] per coordinate; the CLI draws at most MAX_POINTS per test) and
@@ -59,12 +58,12 @@ with the answer `mpf_gt` gives; `largest` picks the largest with it.  The
 zero test's verdict is decided on orders too when powers of two separate
 |value| from the bound, and by the mpf formula itself otherwise.
 
-`PointEval.judged` (`judge` as an mpf) is the one place where a sampled
-value is judged zero: every per-component verdict (the zero test, the
-identity catalog, the (L1, L2) fit, the warped-product conditions) is built
-on it, and `ZeroTest` folds its verdicts over the sample points.  Every
-check is a visitor like it, and `sweep` feeds the visitors of one chart one
-shared evaluator per sample point; an aggregate is judged by `negligible`.
+`PointEval.judged` is the one place where a sampled value is judged zero:
+every per-component verdict (the zero test, the identity catalog, the (L1,
+L2) fit, the warped-product conditions) is built on it, and `ZeroTest`
+folds its verdicts over the sample points.  Every check is a visitor like
+it, and `sweep` feeds the visitors of one chart one shared evaluator per
+sample point; an aggregate is judged by `negligible`.
 
 Parsed text is capped at MAX_NESTING levels, counting both parentheses and
 chained divisions.  A power whose exponent, after (x^a)^b is merged to
@@ -906,9 +905,10 @@ def strs(pieces):
             stack.pop()
 
 
-def _plain(name):
-    """Whether `name` is printable ASCII other than '"' and '\\'."""
-    return name.isascii() and name.isprintable() and '"' not in name and "\\" not in name
+def is_plain(s):
+    """Whether `s` is printable ASCII other than '"' and '\\': a string of
+    only these is its own JSON text.  Each test scans `s` without copying."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
 
 
 class _Printer:
@@ -967,7 +967,7 @@ class _Printer:
 
     def plain(self):
         """Whether every name printed so far is plain (see `Text`)."""
-        return all(map(_plain, self._names))
+        return all(map(is_plain, self._names))
 
     def _render(self, e, out):
         if isinstance(e, Neg):
@@ -1308,10 +1308,10 @@ class PointEval:
 
     `judged`, `rounded`, `positive` and `value_str` give a value at this
     point as a tuple, a verdict or text, and the engine reads only those;
-    `eval`, `eval_scaled` (with the largest intermediate magnitude in the
-    subtree, which scales the zero test's tolerance) and `judge` give an
-    exact Fraction or an mpf of the context of `dps` digits, made at return
-    by `_as_mpf`.  Precision and tolerance come from `_precision(dps)`.
+    `eval` and `eval_scaled` (with the largest intermediate magnitude in
+    the subtree, which scales the zero test's tolerance) give an exact
+    Fraction or an mpf of the context of `dps` digits, made at return by
+    `_as_mpf`.  Precision and tolerance come from `_precision(dps)`.
 
     The memo entry of a rational node is a tuple (numerator, denominator)
     of ints in lowest terms, with a positive denominator; a rational Add or
@@ -1324,7 +1324,7 @@ class PointEval:
     is bit-identical to mpf arithmetic; the entry's type tells the two kinds
     apart.  A rational subtree stays unrounded until something reads its
     scale: an inexact operand beside it in a sum or product, a division,
-    power or function that needs its tuple, `eval_scaled`, or `judge` of a
+    power or function that needs its tuple, `eval_scaled`, or `judged` of a
     nonzero value.  `_settled` then rounds it and its subtree once, with the
     formulas an inexact node follows, and keeps (tuple, magnitude) in
     `_exact`; judging an exact 0 rounds nothing.  The largest magnitude is
@@ -1368,18 +1368,15 @@ class PointEval:
         h = self._walk(e)
         return Fraction(*h) if type(h) is tuple else _as_mpf(h[0], self._dps)
 
-    def judge(self, e):
-        """Value of `e` here as an mpf, snapped to exact 0 when it is zero.
+    def judged(self, e):
+        """Value of `e` here as a raw libmp tuple, the object `fzero` when
+        it is judged zero.
 
         The value is judged zero when `|value| <= 1e-30 * (1 + m)`, m being
-        the largest intermediate magnitude; "nonzero" is `judge(e) != 0`.
-        An exact 0 holds for every m, so its scale is not computed.
+        the largest intermediate magnitude; "nonzero" is `judged(e) is not
+        fzero`.  An exact 0 holds for every m, so its scale is not computed.
         Raises DomainError when `e` is undefined at this point.
         """
-        return _as_mpf(self.judged(e), self._dps)
-
-    def judged(self, e):
-        """`judge(e)` as a raw libmp tuple, the object `fzero` when zero."""
         h = self._walk(e)
         if type(h) is tuple:
             if not h[0]:

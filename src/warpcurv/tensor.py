@@ -263,17 +263,6 @@ class _OrbitField(TensorField):
         return list(self.reps.values())
 
 
-def orbit_comps(fields, idx):
-    """`[f.comp(idx) for f in fields]` for _OrbitFields of one rank, with
-    `idx` resolved to its representative once."""
-    sign, rep = orbit_rep(idx)
-    if not sign:
-        return [ex.ZERO] * len(fields)
-    if sign > 0:
-        return [f.reps[rep] for f in fields]
-    return [ex.neg(f.reps[rep]) for f in fields]
-
-
 def _orbit_field(chart, valence, reps):
     """An engine-built _OrbitField over `reps` (representative -> component)."""
     t = object.__new__(_OrbitField)

@@ -40,7 +40,7 @@ from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, fzero
 from .tensor import (
     Chart, ChartError, _as_expr, _cached, _chart, _field, _orbit_field,
-    _table, gaussian, metric_inverse, orbit_comps, orbit_reps, point_str,
+    _table, gaussian, metric_inverse, orbit_rep, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -100,10 +100,6 @@ class WarpedSpec:
                                  f"{point_str(pt, self.base.coords)}")
         if valid == 0:
             raise ChartError("warping function not evaluable on the sampling box")
-
-
-def make_spec(base, fiber, f):
-    return WarpedSpec(base, fiber, f)
 
 
 @_cached
@@ -439,8 +435,10 @@ class Conditions(Defects):
         p, q, f = spec.p, spec.q, spec.f
 
         def combo(t):
-            a, b, d = orbit_comps((rr, qg, qs), t)
-            return ex.sub(a, ex.sum_products(((L1, b), (L2, d))))
+            # each pair of every (I)-(III) tuple increases, so the sign is +1
+            r = orbit_rep(t)[1]
+            return ex.sub(rr.reps[r],
+                          ex.sum_products(((L1, qg.reps[r]), (L2, qs.reps[r]))))
 
         # (I)-(III) read the assembled block entries.  Each list is in the
         # order of the dense loop over its block, keeping one tuple per orbit

@@ -106,31 +106,31 @@ def sphere3_c():
 
 @pytest.fixture(scope="session")
 def ex1_spec():
-    from warpcurv.warped import make_spec
-    return make_spec(helpers.ex1_base_chart(), helpers.ex1_fiber_chart(),
-                     "(1 + x1)^2")
+    from warpcurv.warped import WarpedSpec
+    return WarpedSpec(helpers.ex1_base_chart(), helpers.ex1_fiber_chart(),
+                      "(1 + x1)^2")
 
 
 @pytest.fixture(scope="session")
 def ex2_spec():
-    from warpcurv.warped import make_spec
-    return make_spec(helpers.ex2_base_chart(), helpers.flat_chart(3),
-                     "1 + 2*exp(x1)")
+    from warpcurv.warped import WarpedSpec
+    return WarpedSpec(helpers.ex2_base_chart(), helpers.flat_chart(3),
+                      "1 + 2*exp(x1)")
 
 
 @pytest.fixture(scope="session")
 def fs_spec():
-    from warpcurv.warped import make_spec
-    return make_spec(helpers.flat_chart(2), helpers.sphere2_chart(), "exp(x1)")
+    from warpcurv.warped import WarpedSpec
+    return WarpedSpec(helpers.flat_chart(2), helpers.sphere2_chart(), "exp(x1)")
 
 
 @pytest.fixture(scope="session")
 def cf_spec():
-    from warpcurv.warped import make_spec
-    return make_spec(helpers.aniso3_chart(), helpers.flat_chart(1), "exp(x1)")
+    from warpcurv.warped import WarpedSpec
+    return WarpedSpec(helpers.aniso3_chart(), helpers.flat_chart(1), "exp(x1)")
 
 
 @pytest.fixture(scope="session")
 def rp_spec():
-    from warpcurv.warped import make_spec
-    return make_spec(helpers.hyper2_chart(), helpers.aniso3_chart(), 1)
+    from warpcurv.warped import WarpedSpec
+    return WarpedSpec(helpers.hyper2_chart(), helpers.aniso3_chart(), 1)

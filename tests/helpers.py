@@ -982,7 +982,7 @@ def dense_gamma(chart, gi):
 
 
 def dense_riemann(chart, gam):
-    """The lowered R, with the engine's LOWERING_SIGN of -1."""
+    """The lowered R, with the engine's lowering orientation (a sign of -1)."""
     n, g = chart.n, chart.metric
     memo = {c: {} for c in chart.coords}
     dgam = [[[[ex.diff(gam[m][i][j], d, memo[d]) for j in range(n)] for i in range(n)]

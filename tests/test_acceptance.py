@@ -29,7 +29,7 @@ from warpcurv.actions import (
     tachibana,
 )
 from warpcurv.conditions import check_identity, fit_pseudosymmetry
-from warpcurv.curvature import bundle, derived_tensors
+from warpcurv.curvature import bundle
 from warpcurv.expr import zero_threshold
 from warpcurv.tensor import (
     TensorField, gaussian, is_generalized_curvature, linear_dependence_check,
@@ -441,8 +441,7 @@ def test_curvature_symmetry_suite(ex2_c, fiber_c, warped5_c, sphere3_c):
     # first-pair antisymmetry, pair exchange, and the first Bianchi identity
     for chart in (ex2_c, fiber_c, warped5_c, sphere3_c):
         b = bundle(chart)
-        d = derived_tensors(b)
-        for tensor in (b.R, b.G, d["C"], d["W"], d["K"]):
+        for tensor in (b.R, b.G, b.C, b.W, b.K):
             assert is_generalized_curvature(tensor)
 
 

@@ -20,7 +20,7 @@ from warpcurv.cli import build_chart, build_spec, fixture_path, load_manifest
 from warpcurv.curvature import bundle, covariant_hessian
 from warpcurv.tensor import metric_inverse
 from warpcurv.warped import (
-    _ctx, assemble_product, auxiliaries, block_curvature, make_spec,
+    WarpedSpec, _ctx, assemble_product, auxiliaries, block_curvature,
 )
 
 LOADABLE = sorted(f.name for f in resources.files("warpcurv").joinpath("fixtures").iterdir()
@@ -63,13 +63,13 @@ def test_engine_built_tensors_run_no_zero_test(monkeypatch):
     # charts validate their metric with zero tests, so they are built first
     chart = helpers.aniso3_chart()
     chart6 = helpers.banded_chart(6)
-    spec = make_spec(helpers.aniso3_chart(), helpers.flat_chart(1), "exp(x1)")
+    spec = WarpedSpec(helpers.aniso3_chart(), helpers.flat_chart(1), "exp(x1)")
     assemble_product(spec)
 
     def no_judge(self, e):
         raise AssertionError("zero test while building an engine tensor")
 
-    monkeypatch.setattr(ex.PointEval, "judge", no_judge)
+    monkeypatch.setattr(ex.PointEval, "judged", no_judge)
     bundle(chart).S
     metric_inverse(chart)
     # the inverse is exact at every dimension, so n = 6 samples nothing either

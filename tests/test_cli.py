@@ -62,7 +62,7 @@ g 2 2 = 1
     assert chart.is_zero(ex.sub(chart.metric[0][1], chart.metric[1][0]))
 
 
-def test_manifest_errors(tmp_path):
+def test_manifest_errors(tmp_path, capsys):
     cases = [
         ("coords = x1\n", "before any section"),
         ("[weird]\n", "unknown section"),
@@ -75,12 +75,27 @@ def test_manifest_errors(tmp_path):
         ("[chart]\ncoords = x1\ng 1 1 = 1\n[chart]\ncoords = y\n", "one"),
         ("[chart]\ng 1 1 = 1\n", "coords"),
         ("[chart]\ncoords = x1\ng 1 1 = exp(zz)\n", "zz"),
+        ("[chart]\ncoords = x1\n= 1\ng 1 1 = 1\n", "missing key before '='"),
+        ("[check]\nname = R.R = 0\n", "no [chart] or [warped] section"),
+        ("[chart]\ncoords =\ng 1 1 = 1\n", "coords must list at least one name"),
+        ("[chart]\ncoords = x1\ng 1 a = 1\n", "metric index must be an integer"),
+        ("[chart]\ncoords = x1 x2\ng 1 1 = 1\ng 2 2 = 1\ng 1 2 = 1/3\ng 2 1 = 1/4\n",
+         "conflicting duplicate entry for g 1 2"),
+        ("[chart]\ncoords = x1\nbox x1 = a .. 2\ng 1 1 = 1\n", "box bounds must be rational"),
+        ("[chart]\ncoords = x1\nseed = 1.5\ng 1 1 = 1\n", "seed must be an integer"),
+        ("[chart]\ncoords = x1\ng 1 1 = 1\ng 1 2 = 1\n", "exceeds dimension 1"),
+        ("[chart]\ncoords = x1\nbox y1 = 0 .. 1\ng 1 1 = 1\n",
+         "box names unknown coordinate 'y1'"),
     ]
     for text, frag in cases:
         path = _write(tmp_path, "bad.mf", text)
         with pytest.raises(ManifestError) as err:
             build_chart(load_manifest(path))
         assert frag in str(err.value), text
+        # the command line reports it as input: exit 2, no traceback
+        assert main(["curvature", path]) == 2, text
+        stderr = capsys.readouterr().err
+        assert frag in stderr and "Traceback" not in stderr, text
 
     path = _write(tmp_path, "bad.mf", "[chart]\ncoords = x1\ng 1 1 : 1\n")
     with pytest.raises(ManifestError, match="bad.mf:3"):
@@ -126,6 +141,46 @@ def test_manifest_rejects_conflicting_warped_keys(tmp_path):
         ("L2 = 0", "L2 = x1"),
         ("seed = 3", "seed = 4"),
     ])
+
+
+def test_warped_manifest_errors(tmp_path, capsys):
+    _write(tmp_path, "b.mf", "[chart]\ncoords = x1\ng 1 1 = 1\n")
+    _write(tmp_path, "f.mf", "[chart]\ncoords = y1\ng 1 1 = 1\n")
+    _write(tmp_path, "w.mf", WARPED_HEAD)
+    needs = "[warped] needs base, fiber, and warp"
+    cases = [
+        (WARPED_HEAD + "seed = x\n", "seed must be an integer, got 'x'"),
+        (WARPED_HEAD + "metric = 1\n", "unknown key 'metric' in [warped]"),
+        (WARPED_HEAD + "[check]\nscalar = 1\n", "unknown key 'scalar' in [check]"),
+        ("[warped]\nfiber = f.mf\nwarp = 1\n", needs),
+        ("[warped]\nbase = b.mf\nwarp = 1\n", needs),
+        ("[warped]\nbase = b.mf\nfiber = f.mf\n", needs),
+        # a warped manifest is no base
+        ("[warped]\nbase = w.mf\nfiber = f.mf\nwarp = 1\n",
+         "w.mf: expected a chart manifest"),
+    ]
+    for text, frag in cases:
+        path = _write(tmp_path, "bad.mf", text)
+        for cmd in ("warped-verify", "classify"):
+            assert main([cmd, path]) == 2, (cmd, text)
+            err = capsys.readouterr().err
+            assert frag in err and "Traceback" not in err, (cmd, text)
+
+
+def test_manifest_seed_applies_unless_seed_is_given(tmp_path):
+    _write(tmp_path, "b.mf", "[chart]\ncoords = x1\ng 1 1 = 1 + x1^2\n")
+    _write(tmp_path, "f.mf", "[chart]\ncoords = y1\ng 1 1 = 1\n")
+    out = tmp_path / "r.json"
+    for text, cmd in ((CHART_HEAD + "seed = 5\n", "curvature"),
+                      (WARPED_HEAD + "seed = 5\n", "warped-verify")):
+        path = _write(tmp_path, "s.mf", text)
+        reports = {}
+        for extra in ([], ["--seed", "5"], ["--seed", "9"]):
+            code = main([cmd, path, "--points", "2", "--json", str(out)] + extra)
+            assert code in (0, 1), (cmd, extra)
+            reports[tuple(extra)] = code, out.read_bytes()
+        assert reports[()] == reports[("--seed", "5")], cmd
+        assert json.loads(reports[("--seed", "9")][1])["seed"] == "9", cmd
 
 
 def test_manifest_rejects_conflicting_check_keys(tmp_path):
@@ -605,6 +660,9 @@ WARPED_JSON_SHA256 = {
         "d4fbdafef466145b4afed066bd78f6b6f9e49f01a945fef2c1e51852409b2782",
     ("ex1_warped.mf", 2):
         "6a76042666658dc5e5f445879c695d5382a7220ea0199a24f64d451752547392",
+    # exits 1: condition (V) fails, with a witness
+    ("product.mf", 3):
+        "b7b8b33f84156656616c2e3c059ce74061db17548076e0d2b8127ca19cfa5e00",
 }
 
 
@@ -651,6 +709,54 @@ warp = 1 + x1^2
 L1 = 0
 L2 = 1
 """
+
+
+def test_warp_and_L2_undefined_on_part_or_all_of_the_box(tmp_path, capsys):
+    _write(tmp_path, "b.mf", "[chart]\ncoords = x1 x2\nbox x1 = 0 .. 2\n"
+                             "g 1 1 = 1\ng 2 2 = 1\n")
+    shutil.copy(fixture_path("sphere2.mf"), tmp_path / "sphere2.mf")
+    head = "[warped]\nbase = b.mf\nfiber = sphere2.mf\n"
+    half = "(x1 - 1)^(1/2) + 1"     # undefined for x1 < 1
+    none = "log(x1 - 3)"            # undefined on the whole box
+    # a warp undefined at some validation points is checked at the others
+    path = _write(tmp_path, "w.mf", head + f"warp = {half}\n")
+    spec = build_spec(load_manifest(path))
+    assert any(pt["x1"] < 1 for pt in spec.base.sample_points())
+    assert main(["warped-verify", path, "--points", "4", "--seed", "7"]) == 1
+    path = _write(tmp_path, "w.mf", head + f"warp = {none}\n")
+    assert main(["warped-verify", path, "--points", "4", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "warping function not evaluable on the sampling box" in err
+    assert "Traceback" not in err
+    # the dichotomy judges L2 at the base points where it is defined
+    path = _write(tmp_path, "w.mf", head + f"warp = 1 + x1^2\nL2 = {half}\n")
+    spec = build_spec(load_manifest(path))
+    assert any(pt["x1"] < 1 for pt in spec.base.sample_points(4, 7))
+    code, rep = warped_verify_report(path, seed=7, points=4)
+    assert code == 1 and rep["dichotomy"]["skipped"] is False
+    assert dichotomy_check(spec, half, trials=4, seed=7) == {
+        k: rep["dichotomy"][k] for k in ("base_flat", "fiber_einstein")}
+    # an L2 defined nowhere: the command's zero tests stop first, so the
+    # dichotomy's own check is reached through dichotomy_check
+    with pytest.raises(ValueError, match="L2 not evaluable on the sampling box"):
+        dichotomy_check(spec, none, trials=4, seed=7)
+
+
+def test_warped_verify_renames_a_fiber_with_a_parameter(tmp_path):
+    # the renamed fiber keeps its parameter and its Neg, Div and Mul nodes,
+    # and a leaf shared within an entry is renamed once
+    _write(tmp_path, "b.mf", "[chart]\ncoords = x1\ng 1 1 = 1\n")
+    _write(tmp_path, "f.mf", "[chart]\ncoords = y1 y2\nparam a = 2\n"
+                             "g 1 1 = 1/(a + y1^2)\ng 2 2 = exp(-y1) + a*y1^2\n")
+    path = _write(tmp_path, "w.mf", "[warped]\nbase = b.mf\nfiber = f.mf\n"
+                                    "warp = exp(x1)\n")
+    fiber = build_spec(load_manifest(path)).fiber
+    assert fiber.coords == ("x2", "x3") and fiber.params == {"a": Fraction(2)}
+    for (i, j), text in (((0, 0), "1/(a + x2^2)"), ((1, 1), "exp(-x2) + a*x2^2"),
+                         ((0, 1), "0")):
+        assert fiber.metric[i][j] is ex.parse(text, coords=fiber.coords, params=("a",))
+    _, rep = warped_verify_report(path, seed=7, points=3)
+    assert rep["oracle"] == dict.fromkeys(("R", "S", "kappa", "RR", "QgR", "QSR"), True)
 
 
 def test_warped_verify_domain_partial_base(tmp_path, capsys):

@@ -15,10 +15,7 @@ import helpers
 from helpers import chart_parse, expected_array
 from warpcurv import expr as ex
 from warpcurv.cli import build_chart, fixture_path, load_manifest
-from warpcurv.curvature import (
-    CurvatureBundle, bundle, christoffel, covariant_hessian, derived_tensors,
-    ricci_scalar, riemann,
-)
+from warpcurv.curvature import CurvatureBundle, bundle, covariant_hessian
 from warpcurv.tensor import (
     ChartError, TensorField, gaussian, is_generalized_curvature, metric_inverse,
 )
@@ -48,7 +45,7 @@ def _diffs(field, expected):
 def test_polar_connection_components():
     c = helpers.polar_chart()
     p = chart_parse(c)
-    gam = christoffel(c)
+    gam = bundle(c).gamma
     assert c.is_zero(ex.sub(gam[0][1][1], p("-r")))
     assert c.is_zero(ex.sub(gam[1][0][1], p("1/r")))
     assert gam[0][0][0] == ex.const(0)
@@ -57,14 +54,14 @@ def test_polar_connection_components():
 
 def test_flat_connection_vanishes():
     c = helpers.flat_chart(3)
-    gam = christoffel(c)
+    gam = bundle(c).gamma
     assert all(gam[k][i][j] == ex.const(0)
                for k in range(3) for i in range(3) for j in range(3))
 
 
 def test_segment_connection_component(base_c):
     p = chart_parse(base_c)
-    gam = christoffel(base_c)
+    gam = bundle(base_c).gamma
     want = p("-a*(1 + x1)/(1 + a*(1 + x1)^2)")
     d = ex.sub(gam[0][0][0], want)
     assert base_c.is_zero(d)
@@ -72,7 +69,7 @@ def test_segment_connection_component(base_c):
 
 
 def test_connection_symmetric_in_lower_pair(ex2_c):
-    gam = christoffel(ex2_c)
+    gam = bundle(ex2_c).gamma
     for k in range(4):
         for i in range(4):
             for j in range(i + 1, 4):
@@ -84,7 +81,7 @@ def test_connection_symmetric_in_lower_pair(ex2_c):
 
 
 def test_flat_curvature_vanishes():
-    R = riemann(helpers.flat_chart(3))
+    R = bundle(helpers.flat_chart(3)).R
     assert all(R.comp(t) == ex.const(0) for t in _all_idx(3, 4))
 
 
@@ -100,7 +97,7 @@ EX2_R = {
 
 def test_conformally_flat_chart_curvature(ex2_c):
     want = expected_array(4, 4, EX2_R, chart_parse(ex2_c))
-    assert all(ex2_c.is_zero_many(_diffs(riemann(ex2_c), want)))
+    assert all(ex2_c.is_zero_many(_diffs(bundle(ex2_c).R, want)))
 
 
 EX2_S = [
@@ -113,7 +110,7 @@ EX2_S = [
 
 def test_conformally_flat_chart_ricci_and_scalar(ex2_c):
     p = chart_parse(ex2_c)
-    S, kappa = ricci_scalar(ex2_c)
+    S, kappa = bundle(ex2_c).S, bundle(ex2_c).kappa
     assert S.sym == "sym2"
     diffs = [ex.sub(S.comps[i][j], p(EX2_S[i][j])) for i in range(4) for j in range(4)]
     assert all(ex2_c.is_zero_many(diffs))
@@ -133,7 +130,7 @@ FIBER_R = {
 
 def test_null_direction_fiber_curvature(fiber_c):
     want = expected_array(4, 4, FIBER_R, chart_parse(fiber_c))
-    assert all(fiber_c.is_zero_many(_diffs(riemann(fiber_c), want)))
+    assert all(fiber_c.is_zero_many(_diffs(bundle(fiber_c).R, want)))
 
 
 FIBER_S = [
@@ -146,7 +143,7 @@ FIBER_S = [
 
 def test_null_direction_fiber_ricci_and_scalar(fiber_c):
     p = chart_parse(fiber_c)
-    S, kappa = ricci_scalar(fiber_c)
+    S, kappa = bundle(fiber_c).S, bundle(fiber_c).kappa
     diffs = [ex.sub(S.comps[i][j], p(FIBER_S[i][j])) for i in range(4) for j in range(4)]
     assert all(fiber_c.is_zero_many(diffs))
     assert fiber_c.is_zero(ex.sub(kappa, ex.const(-12)))
@@ -168,7 +165,7 @@ WARPED5_R = {
 
 def test_warped_five_chart_curvature(warped5_c):
     want = expected_array(5, 4, WARPED5_R, chart_parse(warped5_c))
-    diffs = _diffs(riemann(warped5_c), want)
+    diffs = _diffs(bundle(warped5_c).R, want)
     assert all(warped5_c.is_zero_many(diffs))
     assert all(warped5_c.is_zero_many(diffs, params={"a": Fraction(3, 7)}))
 
@@ -185,7 +182,7 @@ WARPED5_S = {
 
 def test_warped_five_chart_ricci_and_scalar(warped5_c):
     p = chart_parse(warped5_c)
-    S, kappa = ricci_scalar(warped5_c)
+    S, kappa = bundle(warped5_c).S, bundle(warped5_c).kappa
     diffs = [ex.sub(S.comps[i][j], p(WARPED5_S.get((i, j), "0")))
              for i in range(5) for j in range(5)]
     assert all(warped5_c.is_zero_many(diffs))
@@ -195,8 +192,8 @@ def test_warped_five_chart_ricci_and_scalar(warped5_c):
 
 
 def test_curvature_symmetries_hold(ex2_c, fiber_c):
-    assert is_generalized_curvature(riemann(ex2_c))
-    assert is_generalized_curvature(riemann(fiber_c))
+    assert is_generalized_curvature(bundle(ex2_c).R)
+    assert is_generalized_curvature(bundle(fiber_c).R)
 
 
 def test_riemann_of_random_diagonal_charts_is_a_curvature_tensor():
@@ -229,7 +226,7 @@ def test_riemann_of_random_diagonal_charts_is_a_curvature_tensor():
                   suppress_health_check=list(hyp.HealthCheck))
     @hyp.given(diagonal_chart())
     def check(chart):
-        R = riemann(chart)
+        R = bundle(chart).R
         assert not all(ex.is_literal_zero(c) for c in R.flatten())
         assert is_generalized_curvature(R)
 
@@ -237,7 +234,7 @@ def test_riemann_of_random_diagonal_charts_is_a_curvature_tensor():
 
 
 def test_warped_first_bianchi(warped5_c):
-    d = riemann(warped5_c).comps
+    d = bundle(warped5_c).R.comps
     defects = []
     for (i, j, k) in _all_idx(5, 3):
         for l in range(5):
@@ -298,10 +295,9 @@ def test_bundle_differentiates_through_one_memo_per_coordinate():
 
 def test_derived_tensors_require_three_dimensions():
     c = helpers.polar_chart()
-    with pytest.raises(ChartError):
-        derived_tensors(bundle(c))
-    with pytest.raises(ChartError):
-        bundle(c).C
+    for name in ("C", "W", "K", "P"):
+        with pytest.raises(ChartError):
+            getattr(bundle(c), name)
 
 
 def test_conformal_tensor_is_trace_free(ex2_c):
@@ -318,12 +314,10 @@ def test_conformal_tensor_is_trace_free(ex2_c):
 
 def test_derived_family_symmetries(ex2_c):
     b = bundle(ex2_c)
-    d = derived_tensors(b)
-    assert set(d) == {"C", "W", "K", "P"}
-    assert is_generalized_curvature(d["C"])
-    assert is_generalized_curvature(d["W"])
-    assert is_generalized_curvature(d["K"])
-    assert not is_generalized_curvature(d["P"])
+    assert is_generalized_curvature(b.C)
+    assert is_generalized_curvature(b.W)
+    assert is_generalized_curvature(b.K)
+    assert not is_generalized_curvature(b.P)
 
 
 def test_constant_curvature_weyl_vanishes(sphere3_c):
@@ -366,8 +360,8 @@ def test_bundle_results_are_cached(ex2_c):
     b = bundle(ex2_c)
     assert bundle(ex2_c) is b
     assert b.C is b.C
-    assert christoffel(ex2_c) is christoffel(ex2_c)
-    assert riemann(ex2_c) is riemann(ex2_c)
+    assert bundle(ex2_c).gamma is bundle(ex2_c).gamma
+    assert bundle(ex2_c).R is bundle(ex2_c).R
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +374,7 @@ def _close_enough(a, b, tol="1e-5"):
 
 
 def test_connection_matches_finite_differences(ex2_c):
-    gam = christoffel(ex2_c)
+    gam = bundle(ex2_c).gamma
     pts = ex2_c.sample_points(5, seed=20240601)
     for pt in pts:
         pe = ex.PointEval(pt, dps=60)
@@ -394,7 +388,7 @@ def test_connection_matches_finite_differences(ex2_c):
 
 
 def test_curvature_matches_finite_differences(ex2_c):
-    R = riemann(ex2_c)
+    R = bundle(ex2_c).R
     pts = ex2_c.sample_points(5, seed=20240602)
     for pt in pts:
         pe = ex.PointEval(pt, dps=60)

@@ -409,7 +409,7 @@ def test_ropes_read_as_the_plain_printer_writes(monkeypatch):
         t = ex.to_pieces(e)
         want = helpers.plain_to_str(e)
         assert str(t) == to_str(e) == want and t.size == len(want)
-        assert t.plain == all(ex._plain(n) for n in free_coords(e) | free_params(e))
+        assert t.plain == all(ex.is_plain(n) for n in free_coords(e) | free_params(e))
         for r in helpers.rope_nodes(t):
             if type(r) is ex.Text:
                 assert r.size == len(str(r)) and r.flat == all(type(p) is str for p in r)
@@ -838,8 +838,7 @@ def test_point_eval_memo_ignores_freed_trees():
 # ----------------------------------------------------------------------- judge
 
 def test_judge_snaps_exact_zero():
-    v = ex.PointEval({"x1": Fraction(1, 3)}).judge(p("x1 - 1/3"))
-    assert isinstance(v, ex.MP.mpf) and v == 0
+    assert ex.PointEval({"x1": Fraction(1, 3)}).judged(p("x1 - 1/3")) is ex.fzero
 
 
 def test_judge_threshold_boundary():
@@ -850,14 +849,14 @@ def test_judge_threshold_boundary():
     edge = Fraction(4, 10**30)
     under = ex.add(x, ex.neg(x), Const(edge * (1 - Fraction(1, 10**12))))
     over = ex.add(x, ex.neg(x), Const(edge * (1 + Fraction(1, 10**12))))
-    assert pe.judge(under) == 0
+    assert pe.judged(under) is ex.fzero
     with mpmath.workdps(50):
-        assert pe.judge(over) == ex.to_mpf(edge * (1 + Fraction(1, 10**12)))
+        assert ex.as_mpf(pe.judged(over)) == ex.to_mpf(edge * (1 + Fraction(1, 10**12)))
 
 
 def test_judge_domain_error_propagates():
     with pytest.raises(DomainError):
-        ex.PointEval({"x1": Fraction(1)}).judge(p("log(x1 - 1)"))
+        ex.PointEval({"x1": Fraction(1)}).judged(p("log(x1 - 1)"))
 
 
 def test_judge_independent_of_ambient_precision():
@@ -869,7 +868,7 @@ def test_judge_independent_of_ambient_precision():
         exact = ex.to_mpf(value)
     for dps in (15, 30, 80):
         with mpmath.workdps(dps):
-            v = pe.judge(e)
+            v = ex.as_mpf(pe.judged(e))
         assert v == exact
 
 
@@ -1065,7 +1064,7 @@ def test_tuple_kernel_matches_mpf_evaluator(dps):
                 defined += 1
                 assert _same_number(got[0], want[0]), e
                 assert got[1]._mpf_ == want[1]._mpf_, e
-                assert _same_number(new.judge(e), ref.judge(e)), e
+                assert new.judged(e) == ref.judge(e)._mpf_, e
     assert defined > 500 and undefined > 20
 
 
@@ -1085,12 +1084,12 @@ def test_tuple_kernel_matches_mpf_evaluator_in_either_visit_order(dps):
             roots_first, subtrees_first = (ex.PointEval(pt, dps),
                                            ex.PointEval(pt, dps))
             for e in reversed(nodes):
-                judged = _outcome(roots_first, "judge", e)
+                judged = _outcome(roots_first, "judged", e)
                 value = _outcome(roots_first, "eval", e)
                 if want[e] == "DomainError":
                     assert judged == value == "DomainError", e
                     continue
-                assert _same_number(judged, ref.judge(e)), e
+                assert judged == ref.judge(e)._mpf_, e
                 assert _same_number(value, want[e][0]), e
             for e in nodes:
                 for pe in (roots_first, subtrees_first):
@@ -1103,7 +1102,7 @@ def test_tuple_kernel_matches_mpf_evaluator_in_either_visit_order(dps):
                     checked += 1
             for e in reversed(nodes):
                 if want[e] != "DomainError":
-                    assert _same_number(subtrees_first.judge(e), ref.judge(e)), e
+                    assert subtrees_first.judged(e) == ref.judge(e)._mpf_, e
                     assert _same_number(subtrees_first.eval(e), want[e][0]), e
     assert checked > 1000
 
@@ -1126,10 +1125,10 @@ def test_judging_a_flat_rational_chart_rounds_nothing(monkeypatch):
     monkeypatch.setattr(ex.PointEval, "_round", counting)
     for pt in b.chart.sample_points(3, 7):
         pe = ex.PointEval(pt)
-        assert all(pe.judge(e) == 0 for e in comps)
+        assert all(pe.judged(e) is ex.fzero for e in comps)
     assert rounded == []
     # the counter sees a judge that reads a scale
-    ex.PointEval({"x1": Fraction(1, 3)}).judge(p("x1 + 1"))
+    ex.PointEval({"x1": Fraction(1, 3)}).judged(p("x1 + 1"))
     assert rounded
 
 
@@ -1153,7 +1152,7 @@ def test_judging_swell3_makes_no_fraction_arithmetic(tmp_path, monkeypatch):
         monkeypatch.setattr(Fraction, name, counting)
     for pt in points:
         pe = ex.PointEval(pt)
-        assert all(pe.judge(e) == 0 for e in comps)
+        assert all(pe.judged(e) is ex.fzero for e in comps)
     assert calls == []
     # the counters see Fraction arithmetic
     v = -(Fraction(1, 2) + Fraction(1, 3)) ** 2
@@ -1306,7 +1305,8 @@ def test_exact_path_matches_plain_fractions_and_mpf_evaluator():
         roots_first, subtrees_first = ex.PointEval(env, dps), ex.PointEval(env, dps)
         values = {}
         for e in reversed(pool):
-            judged = _outcome_or_error(roots_first.judge, e)
+            judged = _outcome_or_error(
+                lambda e: ex._as_mpf(roots_first.judged(e), dps), e)
             value = values[e] = _outcome_or_error(roots_first.eval, e)
             assert _same_outcome(judged, verdict[e]), e
             if _failed(want[e]):
@@ -1327,8 +1327,8 @@ def test_exact_path_matches_plain_fractions_and_mpf_evaluator():
                 assert _same_number(got[0], want[e][0]), e
                 assert got[1]._mpf_ == want[e][1]._mpf_, e
         for e in reversed(pool):
-            assert _same_outcome(_outcome_or_error(subtrees_first.judge, e),
-                                 verdict[e]), e
+            assert _same_outcome(_outcome_or_error(
+                lambda e: ex._as_mpf(subtrees_first.judged(e), dps), e), verdict[e]), e
             assert _same_outcome(_outcome_or_error(subtrees_first.eval, e),
                                  values[e]), e
 
@@ -1390,7 +1390,7 @@ def test_point_eval_returns_context_numbers():
         assert type(v) is ctx.mpf and type(m) is ctx.mpf
         v, m = pe.eval_scaled(p("x1^2 - 1"))
         assert v == Fraction(-5, 9) and type(m) is ctx.mpf
-        assert type(pe.judge(p("x1^2 - 1"))) is ctx.mpf
+        assert pe.judged(p("x1^2 - 1")) == (ctx.mpf(-5) / 9)._mpf_
 
 
 # --------------------------------------------------------------------- is_zero

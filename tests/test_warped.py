@@ -20,8 +20,8 @@ from warpcurv.conditions import fit_pseudosymmetry, pair_admissible
 from warpcurv.curvature import bundle
 from warpcurv.tensor import Chart, ChartError, orbit_reps
 from warpcurv.warped import (
-    LABEL_BASE, LABEL_FIBER, LABEL_NONE, LABEL_T, assemble_product,
-    auxiliaries, block_actions, block_curvature, dichotomy_check, make_spec,
+    LABEL_BASE, LABEL_FIBER, LABEL_NONE, LABEL_T, WarpedSpec, assemble_product,
+    auxiliaries, block_actions, block_curvature, dichotomy_check,
     trichotomy_report, verify_conditions,
 )
 
@@ -33,30 +33,30 @@ L2_EX2 = "1 - exp(-x1)*(1 + 2*exp(x1))^3"
 @pytest.fixture(scope="module")
 def ex1a0_spec():
     # a = 0 flattens the base segment and turns off T entirely
-    return make_spec(helpers.ex1_base_chart(0), helpers.ex1_fiber_chart(),
-                     "(1 + x1)^2")
+    return WarpedSpec(helpers.ex1_base_chart(0), helpers.ex1_fiber_chart(),
+                      "(1 + x1)^2")
 
 
 @pytest.fixture(scope="module")
 def rpflat_spec():
-    return make_spec(helpers.flat_chart(2), helpers.aniso3_chart(), 1)
+    return WarpedSpec(helpers.flat_chart(2), helpers.aniso3_chart(), 1)
 
 
 def test_spec_validation_errors():
     with pytest.raises(ChartError, match="collide"):
-        make_spec(Chart(("x1", "x3"), [[1, 0], [0, 1]]),
-                  helpers.flat_chart(1), 1)
+        WarpedSpec(Chart(("x1", "x3"), [[1, 0], [0, 1]]),
+                   helpers.flat_chart(1), 1)
     with pytest.raises(ChartError, match="positive"):
-        make_spec(helpers.flat_chart(2), helpers.flat_chart(1), "-1")
+        WarpedSpec(helpers.flat_chart(2), helpers.flat_chart(1), "-1")
     with pytest.raises(ChartError, match="positive"):
-        make_spec(helpers.flat_chart(2), helpers.flat_chart(1), "x1 - 5")
+        WarpedSpec(helpers.flat_chart(2), helpers.flat_chart(1), "x1 - 5")
     # the warp must be a function of base coordinates only
     with pytest.raises(ChartError):
-        make_spec(helpers.flat_chart(2), helpers.flat_chart(1), "x3")
+        WarpedSpec(helpers.flat_chart(2), helpers.flat_chart(1), "x3")
     base = Chart(("x1",), [["b"]], params={"b": 3})
     fib = Chart(("y1",), [["b"]], params={"b": 2})
     with pytest.raises(ChartError, match="conflicting"):
-        make_spec(base, fib, 1)
+        WarpedSpec(base, fib, 1)
 
 
 def test_fiber_relabeling_map(ex1_spec, ex2_spec, fs_spec):
@@ -293,6 +293,29 @@ def test_verify_conditions_reuses_the_block_entries(monkeypatch, ex2_spec):
     got = verify_conditions(ex2_spec, 3, "x1", trials=3, seed=7)
     assert calls == []
     assert got["failed"]
+
+
+def test_conditions_read_block_entries_at_sign_plus_one(
+        monkeypatch, ex1_spec, ex2_spec, fs_spec, cf_spec):
+    """(I)-(III) read the block entries at `orbit_rep(t)[1]` with no sign:
+    each index pair of their tuples increases, so every sign is +1."""
+    signs = []
+
+    def spy(t, orbit_rep=warped.orbit_rep):
+        sign, rep = orbit_rep(t)
+        signs.append(sign)
+        return sign, rep
+
+    monkeypatch.setattr(warped, "orbit_rep", spy)
+    for spec in (ex1_spec, ex2_spec, fs_spec, cf_spec):
+        p, q = spec.p, spec.q
+        signs.clear()
+        warped.Conditions(spec, ex.ZERO, ex.ZERO)
+        # (I) at the base's rank-6 representatives, (II) at a < b, (III) at be < ga
+        want = (len(list(orbit_reps(p, 6))) + p * (p - 1) // 2 * p * p * q * q
+                + p * p * q * (q - 1) // 2 * q * q)
+        assert signs == [1] * want
+    assert want
 
 
 def test_warped_verify_builds_no_dense_product_action(monkeypatch):
