@@ -59,14 +59,18 @@ def _derivation_fn(D, H):
     raised = _raised_terms(D.chart, D)
 
     def comp(*t):
-        *idx, u, v = t
+        # one index list per component: slot m is set to each raised index
+        # s in turn, then restored
+        *j, u, v = t
         row = raised[u][v]
         terms = []
-        for m, im in enumerate(idx):
+        for m, im in enumerate(t[:-2]):
             for s, c in row[im]:
-                hv = H.comp(idx[:m] + [s] + idx[m + 1:])
+                j[m] = s
+                hv = H.comp(j)
                 if hv is not ZERO:
                     terms.append(ex.mul(c, hv))
+            j[m] = im
         return ex.neg(ex.add(*terms))
     return comp
 
@@ -77,19 +81,23 @@ def _tachibana_fn(A, H):
     a = A.comps
 
     def comp(*t):
-        *idx, u, v = t
+        # one index list per component, as in `_derivation_fn`
+        *j, u, v = t
         terms = []
-        for m, im in enumerate(idx):
+        for m, im in enumerate(t[:-2]):
             au = a[u][im]
             if au is not ZERO:
-                hv = H.comp(idx[:m] + [v] + idx[m + 1:])
+                j[m] = v
+                hv = H.comp(j)
                 if hv is not ZERO:
                     terms.append(ex.mul(au, hv))
             av = a[v][im]
             if av is not ZERO:
-                hu = H.comp(idx[:m] + [u] + idx[m + 1:])
+                j[m] = u
+                hu = H.comp(j)
                 if hu is not ZERO:
                     terms.append(ex.neg(ex.mul(av, hu)))
+            j[m] = im
         return ex.add(*terms)
     return comp
 

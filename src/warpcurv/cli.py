@@ -475,8 +475,15 @@ def warped_verify_report(path, L1=None, L2=None, seed=None, points=8):
     dichotomy = None if ex.is_literal_zero(l2e) else Dichotomy(spec, l2e)
     if dichotomy is not None:
         visitors += dichotomy.visitors
+    # the candidates are judged at the base points too, so that one defined
+    # at none of them is named, before a zero test that reads it fails
+    candidates = ex.ZeroTest([l1e, l2e])
+    visitors.append(("base", candidates))
     # one sweep per chart; every check on a chart shares its evaluator
     sweep_charts(spec, visitors, points, seed)
+    for what, undefined in zip(("L1", "L2"), candidates.undefined()):
+        if undefined:
+            raise ManifestError(f"{m.path}: {what} not evaluable on the sampling box")
     rep["oracle"], _ = oracle.verdicts()
     conds = conditions.result()
     conds["witnesses"] = {

@@ -15,14 +15,18 @@ parentheses; an unparenthesized `x^1/2` is `(x^1)/2` by precedence.
 
 Nodes are hash-consed: constructing a node equal to a live one returns that
 node, so equal trees are one object and equality is identity.  The intern
-table `_NODES` is a plain dict from a node's key to a `weakref.KeyedRef` of
-the node.  The key is the class and the fields, with a rational field
-entered as its (numerator, denominator) ints, so a lookup hashes and
-compares only ints, strings and node identities.  When a node dies its
-ref's callback removes the entry, unless a rebuilt node holds the key by
-then.  The smart constructors fold constants: they decide zero, one and
-sign by identity (`is ZERO`, `is ONE`) or by the sign of a numerator, and
-do Fraction arithmetic only when two constants fold into one.
+table `_NODES` is a plain dict from a node's key to a `_Ref` of the node: a
+`weakref.ref` subclass with one slot, `key`, built by the C constructor.
+The key is the class and the fields, with a rational field entered as its
+(numerator, denominator) ints, so a lookup hashes and compares only ints,
+strings and node identities.  When a node dies its ref's callback removes
+the entry, unless a rebuilt node holds the key by then.  The smart
+constructors fold constants: they decide zero, one and sign by identity
+(`is ZERO`, `is ONE`) or by the sign of a numerator, and do Fraction
+arithmetic only when two constants fold into one.  Three common shapes skip
+the folding loop and are interned at once: `mul` of two factors neither a
+Mul nor a Const, `add` of two or more terms none an Add or a Const, and
+`neg` of a node neither a Neg nor a Const.
 
 Constants are exact rationals throughout.  Evaluation uses an exact rational
 fast path when the tree is rational and otherwise raw libmp tuples at
@@ -103,7 +107,7 @@ from itertools import groupby, repeat
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec, spec_from_file_location
 from math import gcd
-from weakref import KeyedRef
+from weakref import ref as _weakref
 
 
 def _load_libmp():
@@ -159,7 +163,7 @@ MAX_EXACT_BITS = 2 ** 18  # largest bit size of an exact value, see _check_exact
 _REL_TOL = "1e-20"  # relative tolerance of dependence and constancy
 _CONTEXTS = {}
 _PRECISIONS = {}  # dps -> (precision in bits, rounding, tuple of 1e-30)
-_NODES = {}  # intern key -> KeyedRef of the live node; see Expr
+_NODES = {}  # intern key -> _Ref of the live node; see Expr
 
 
 def _precision(dps):
@@ -270,6 +274,14 @@ def _folded(v):
 # Node types
 
 
+class _Ref(_weakref):
+    """The intern table's weak reference to a node, with the node's key in
+    its one slot.  The C constructor builds it and the key is set after, so
+    no Python-level `__new__` or `__init__` runs, as one does for `KeyedRef`."""
+
+    __slots__ = ("key",)
+
+
 def _forget(ref, nodes=_NODES):
     """Callback of a dead node's ref: drop its entry unless rebuilt since."""
     if nodes.get(ref.key) is ref:
@@ -286,7 +298,22 @@ def _intern(cls, key, fields):
     node = object.__new__(cls)
     for name, value in zip(cls._fields, fields):
         setattr(node, name, value)
-    _NODES[key] = KeyedRef(node, _forget, key)
+    ref = _NODES[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
+def _intern1(cls, key, value):
+    """`_intern` for a `cls` of one field, set to `value` through its slot."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    cls._set(node, value)
+    ref = _NODES[key] = _Ref(node, _forget)
+    ref.key = key
     return node
 
 
@@ -296,13 +323,14 @@ class Expr:
     Constructing a node whose class and fields match a live node returns
     that node, so equality and hashing are identity (the `object` defaults)
     and memos keyed by node are sound.  The table maps the key
-    (class, *fields) to a `KeyedRef` of the node, a rational field entering
-    the key as its numerator and denominator, so no lookup hashes or
-    compares a Fraction.  Nodes are held weakly and die with the last tree
-    that uses them; the dying node's callback deletes its entry only while
-    the entry is still its own ref, so a node rebuilt under the same key
-    stays.  A subclass lists its `_fields` and at most normalizes them
-    before `_intern`.
+    (class, *fields) to a `_Ref` of the node, a weak reference whose one
+    slot holds the key, a rational field entering the key as its numerator
+    and denominator, so no lookup hashes or compares a Fraction.  Nodes are
+    held weakly and die with the last tree that uses them; the dying node's
+    callback deletes its entry only while the entry is still its own ref, so
+    a node rebuilt under the same key stays.  A subclass lists its `_fields` and at most normalizes them
+    before `_intern`; a hot one-field class (Const, Add, Mul, Neg) goes
+    through `_intern1`, which sets the field through the slot's setter.
     """
 
     __slots__ = ("__weakref__",)
@@ -323,7 +351,7 @@ class Const(Expr):
     def __new__(cls, value):
         if type(value) is not Fraction:
             value = Fraction(value)
-        return _intern(cls, (cls, value.numerator, value.denominator), (value,))
+        return _intern1(cls, (cls, value.numerator, value.denominator), value)
 
 
 class Coord(Expr):
@@ -339,7 +367,7 @@ class Add(Expr):
 
     def __new__(cls, terms):
         terms = tuple(terms)
-        return _intern(cls, (cls, terms), (terms,))
+        return _intern1(cls, (cls, terms), terms)
 
 
 class Mul(Expr):
@@ -347,7 +375,7 @@ class Mul(Expr):
 
     def __new__(cls, factors):
         factors = tuple(factors)
-        return _intern(cls, (cls, factors), (factors,))
+        return _intern1(cls, (cls, factors), factors)
 
 
 class Pow(Expr):
@@ -362,6 +390,9 @@ class Pow(Expr):
 
 class Neg(Expr):
     __slots__ = _fields = ("child",)
+
+    def __new__(cls, child):
+        return _intern1(cls, (cls, child), child)
 
 
 class Div(Expr):
@@ -395,6 +426,10 @@ class Cos(_Func):
 
 _FUNC_CLASSES = {"exp": Exp, "log": Log, "sin": Sin, "cos": Cos}
 
+for _cls in (Const, Add, Mul, Neg):
+    _cls._set = vars(_cls)[_cls._fields[0]].__set__  # the setter `_intern1` calls
+del _cls
+
 ZERO = Const(0)
 ONE = Const(1)
 
@@ -419,6 +454,9 @@ def is_literal_zero(e):
 # the first Const-or-0 sets the slot, so a caller that skips zero terms
 # (`sum_products`) keeps one 0 where it skipped the first, and none at all
 # when no term follows it.
+#
+# The three shapes the module docstring lists are interned at once: each is
+# the very node the general loop returns.
 
 
 def const(v):
@@ -426,6 +464,13 @@ def const(v):
 
 
 def add(*terms):
+    if len(terms) > 1:
+        for t in terms:
+            cls = type(t)
+            if cls is Add or cls is Const:
+                break
+        else:
+            return _intern1(Add, (Add, terms), terms)
     out = []
     c = pos = None  # the constant term so far, and its place in `out`
     for t in terms:
@@ -450,6 +495,11 @@ def add(*terms):
 
 
 def mul(*factors):
+    if len(factors) == 2:
+        a, b = factors
+        ca, cb = type(a), type(b)
+        if ca is not Const and ca is not Mul and cb is not Const and cb is not Mul:
+            return _intern1(Mul, (Mul, factors), factors)
     c = ONE  # the product of the constant factors
     rest = []
     for f in factors:
@@ -477,7 +527,7 @@ def neg(x):
     if cls is Neg:
         return x.child
     if cls is not Const:
-        return Neg(x)
+        return _intern1(Neg, (Neg, x), x)
     if x is ZERO:
         return x
     v = x.value
@@ -1524,14 +1574,29 @@ class PointEval:
                 d = km[2] + km[3] - m[2] - m[3]
                 if (d > 0) if d and km[1] and m[1] else mag_gt(km, m):
                     m = km
-            mg = (0, t[1], t[2], t[3])
-            out = [t, m if mag_gt(m, mg) else mg]
+            # |t| against m, as mag_gt(m, |t|) with the orders inlined: the
+            # magnitude tuple is made only when |t| is kept, and a t of sign
+            # 0 is its own magnitude
+            ts, tm, te, tb = t
+            d = te + tb - m[2] - m[3]
+            if d and tm and m[1]:
+                if d > 0:
+                    m = (0, tm, te, tb) if ts else t
+            else:
+                mg = (0, tm, te, tb) if ts else t
+                if not mag_gt(m, mg):
+                    m = mg
+            out = [t, m]
         elif cls is Neg:
             c = walk(e.child)
             if type(c) is tuple:
                 out = (-c[0], c[1])
             else:
-                out = [mpf_neg(c[0], prec, rnd), c[1]]
+                # mpf_neg of a normalized nonzero tuple with bc <= prec, as
+                # every value here is, flips the sign and nothing else
+                ct = c[0]
+                out = [(1 - ct[0], ct[1], ct[2], ct[3]) if ct[1] else mpf_neg(ct, prec, rnd),
+                       c[1]]
         elif cls is Const:
             v = e.value
             out = (v.numerator, v.denominator)
@@ -1921,10 +1986,14 @@ class ZeroTest:
                     continue
                 valid[i] = True
 
+    def undefined(self):
+        """One boolean per expression: True iff no visited point defined it."""
+        return [z and not v for z, v in zip(self._zero, self._valid)]
+
     def result(self):
         """One boolean per expression; InconclusiveError if some expression
         had no domain-valid point."""
-        if any(z and not v for z, v in zip(self._zero, self._valid)):
+        if any(self.undefined()):
             raise InconclusiveError("all sampled points violated domain constraints")
         return self._zero
 

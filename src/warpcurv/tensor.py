@@ -246,7 +246,8 @@ class _OrbitField(TensorField):
 
     `reps` maps each tuple of `orbit_reps(n, rank)` to its component.  Any
     other component is the representative's up to the sign `orbit_rep`
-    gives, and literal 0 where an antisymmetric pair repeats an index.
+    gives, and literal 0 where an antisymmetric pair repeats an index;
+    `flatten` reads those signs from the table `_orbit_signs`.
     """
 
     def comp(self, idx):
@@ -255,6 +256,11 @@ class _OrbitField(TensorField):
             return ex.ZERO
         v = self.reps[rep]
         return v if sign > 0 else ex.neg(v)
+
+    def flatten(self):
+        reps, neg, zero = self.reps, ex.neg, ex.ZERO
+        return [reps[rep] if sign > 0 else neg(reps[rep]) if sign else zero
+                for sign, rep in _orbit_signs(self.chart.n, self.rank)]
 
     def tuples(self):
         return iter(self.reps)
@@ -377,6 +383,13 @@ def orbit_reps(n, rank):
 def orbit_size(rep):
     """How many index tuples the representative `rep` stands for."""
     return (1 if rep[:2] == rep[2:4] else 2) << len(rep) // 2
+
+
+@functools.cache
+def _orbit_signs(n, rank):
+    """`orbit_rep` of every rank-4 or rank-6 index tuple over n, in
+    row-major order; built once per (n, rank)."""
+    return tuple(orbit_rep(t) for t in iproduct(range(n), repeat=rank))
 
 
 def orbit_rep(idx):

@@ -736,10 +736,33 @@ def test_warp_and_L2_undefined_on_part_or_all_of_the_box(tmp_path, capsys):
     assert code == 1 and rep["dichotomy"]["skipped"] is False
     assert dichotomy_check(spec, half, trials=4, seed=7) == {
         k: rep["dichotomy"][k] for k in ("base_flat", "fiber_einstein")}
-    # an L2 defined nowhere: the command's zero tests stop first, so the
+    # an L2 defined nowhere: the command names it after its sweep, so the
     # dichotomy's own check is reached through dichotomy_check
     with pytest.raises(ValueError, match="L2 not evaluable on the sampling box"):
         dichotomy_check(spec, none, trials=4, seed=7)
+
+
+@pytest.mark.parametrize("name", ["L1", "L2"])
+def test_warped_verify_names_a_candidate_defined_nowhere(tmp_path, capsys, name):
+    # a candidate defined at no base point used to fail the first zero test
+    # that read it, with "all sampled points violated domain constraints"
+    _write(tmp_path, "b.mf", "[chart]\ncoords = x1 x2\nbox x1 = 0 .. 2\n"
+                             "g 1 1 = 1\ng 2 2 = 1\n")
+    shutil.copy(fixture_path("sphere2.mf"), tmp_path / "sphere2.mf")
+    path = _write(tmp_path, "w.mf", "[warped]\nbase = b.mf\nfiber = sphere2.mf\n"
+                                    f"warp = 1 + x1^2\n{name} = log(x1 - 3)\n")
+    assert main(["warped-verify", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} not evaluable on the sampling box" in err
+    assert "Traceback" not in err
+    # the same through the options, the manifest's candidates left at 0
+    path = _write(tmp_path, "w.mf", "[warped]\nbase = b.mf\nfiber = sphere2.mf\n"
+                                    "warp = 1 + x1^2\n")
+    assert main(["warped-verify", path, f"--{name}", "log(x1 - 3)",
+                 "--points", "3", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert f"{name} not evaluable on the sampling box" in err
+    assert "Traceback" not in err
 
 
 def test_warped_verify_renames_a_fiber_with_a_parameter(tmp_path):

@@ -640,7 +640,12 @@ def test_smart_constructors_match_seed_oracle_on_pairs():
 def test_smart_constructors_match_seed_oracle():
     """`add`, `mul`, `neg`, `div` and `pow_` return the very node that the
     Fraction-folding constructors of `helpers.SeedConstructors` return, or
-    raise DomainError where they do, on random operand mixes."""
+    raise DomainError where they do, on random operand mixes.  Operands with
+    no Const, Add or Mul among them reach the shapes the constructors intern
+    directly: `mul` of two factors, `add` of two or more terms, and `neg` of
+    a Neg or another non-Const.  The check runs a second time with the
+    collector's first threshold at 1, so nodes die and are rebuilt between
+    the engine's call and the oracle's."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     exponents = st.sampled_from(_ORACLE_EXPONENTS)
@@ -652,22 +657,45 @@ def test_smart_constructors_match_seed_oracle():
         st.tuples(kids, exponents).map(lambda be: Pow(*be)),
         st.tuples(kids, kids).map(lambda nd: Div(*nd)),
     ), max_leaves=6)
+    # neither a Const nor an Add nor a Mul
+    plain = st.one_of(
+        st.sampled_from((Coord("x1"), Coord("x2"), Param("a"))),
+        operands.map(Neg),
+        st.tuples(operands, exponents).map(lambda be: Pow(*be)),
+        st.tuples(operands, operands).map(lambda nd: Div(*nd)))
+    shapes = set()
 
-    @hyp.settings(max_examples=400, derandomize=True, deadline=None,
-                  suppress_health_check=list(hyp.HealthCheck))
-    @hyp.given(st.sampled_from(("add", "mul", "neg", "div", "pow_")),
-               st.lists(operands, min_size=1, max_size=4), exponents)
-    def check(op, args, exponent):
-        if op == "neg":
-            args = args[:1]
-        elif op == "div":
-            args = (args * 2)[:2]
-        elif op == "pow_":
-            args = [args[0], exponent]
-        got, want = _oracle_outcomes(op, args)
-        assert got[0] is want[0] and got[1] == want[1], (op, args)
+    def check(examples):
+        @hyp.settings(max_examples=examples, derandomize=True, deadline=None,
+                      suppress_health_check=list(hyp.HealthCheck))
+        @hyp.given(st.sampled_from(("add", "mul", "neg", "div", "pow_")),
+                   st.lists(operands, min_size=1, max_size=4), exponents,
+                   st.lists(plain, min_size=2, max_size=4))
+        def one(op, args, exponent, direct):
+            if op == "neg":
+                args = args[:1]
+            elif op == "div":
+                args = (args * 2)[:2]
+            elif op == "pow_":
+                args = [args[0], exponent]
+            calls = [(op, args), ("mul", direct[:2]), ("add", direct), ("neg", direct[:1])]
+            for op, args in calls:
+                got, want = _oracle_outcomes(op, args)
+                assert got[0] is want[0] and got[1] == want[1], (op, args)
+            shapes.add(type(direct[0]).__name__)
 
-    check()
+        one()
+
+    check(400)
+    # fewer examples: a collection at nearly every allocation is slow
+    threshold = gc.get_threshold()
+    gc.set_threshold(1)
+    try:
+        check(100)
+    finally:
+        gc.set_threshold(*threshold)
+    # neg of a Neg and of a non-Const other than a Neg were both reached
+    assert {"Neg", "Coord"} <= shapes
 
 
 def test_sum_products_keeps_the_zero_slot():
@@ -1066,6 +1094,52 @@ def test_tuple_kernel_matches_mpf_evaluator(dps):
                 assert got[1]._mpf_ == want[1]._mpf_, e
                 assert new.judged(e) == ref.judge(e)._mpf_, e
     assert defined > 500 and undefined > 20
+
+
+@pytest.mark.parametrize("dps", [50, 60])
+def test_tuple_kernel_matches_mpf_evaluator_on_signed_sums(dps):
+    """Sums and products of inexact values, many of them negative, many
+    with |value| of the same binary order as the largest magnitude below
+    it: `eval_scaled`'s value and scale and `judged` are the bits of
+    `helpers.MpfPointEval`.  This covers the inexact Add and Mul tail's
+    order test, where the magnitude tuple is made only when it is kept, and
+    the inline negation of an inexact Neg."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    roots = [Pow(Const(k), Fraction(1, 2)) for k in (2, 3, 5, 7)]
+    # c * sqrt(k), c * x1 * sqrt(k) and exp(-x1): inexact, of either sign
+    leaves = st.one_of(
+        st.tuples(st.integers(-9, 9).filter(bool), st.sampled_from(roots),
+                  st.booleans()).map(
+            lambda t: Mul((Const(t[0]), t[1], Coord("x1")) if t[2] else (Const(t[0]), t[1]))),
+        st.sampled_from((Exp(Neg(Coord("x1"))), Neg(Exp(Coord("x1"))))))
+    trees = st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.lists(kids, min_size=2, max_size=3).map(Add),
+        st.lists(kids, min_size=2, max_size=3).map(Mul),
+    ), max_leaves=6)
+    seen = {"negative": 0, -1: 0, 0: 0, 1: 0}  # and |t| below, of, above m's order
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(trees, st.integers(10, 60))
+    def check(e, x30):
+        pt = {"x1": Fraction(x30, 30)}
+        new, ref = ex.PointEval(pt, dps), helpers.MpfPointEval(pt, dps)
+        got, want = new.eval_scaled(e), ref.eval_scaled(e)
+        assert got[0]._mpf_ == want[0]._mpf_, e
+        assert got[1]._mpf_ == want[1]._mpf_, e
+        assert new.judged(e) == ref.judge(e)._mpf_, e
+        t = got[0]._mpf_
+        seen["negative"] += t[0] == 1
+        if type(e) is not Neg:
+            # the largest magnitude among the children, which |t| meets last
+            kids = e.terms if type(e) is Add else e.factors
+            m = ex.largest([new.eval_scaled(k)[1]._mpf_ for k in kids])
+            seen[(t[2] + t[3] > m[2] + m[3]) - (t[2] + t[3] < m[2] + m[3])] += 1
+
+    check()
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize("dps", [50, 60])

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 import mpmath
@@ -17,7 +18,7 @@ from warpcurv.tensor import (
     Chart, ChartError, TensorField,
     gaussian, is_generalized_curvature, kulkarni_nomizu,
     linear_dependence_check, metric_inverse, orbit_rep, orbit_reps,
-    orbit_size, raise_first, _orbit_field,
+    orbit_size, raise_first, _orbit_field, _orbit_signs,
 )
 
 import helpers
@@ -411,7 +412,6 @@ def _random_sym2(rng, chart):
 @pytest.mark.parametrize("n,rank,count", [(4, 4, 21), (5, 4, 55),
                                           (4, 6, 126), (5, 6, 550)])
 def test_orbit_reps_partition_the_index_tuples(n, rank, count):
-    from itertools import product as iproduct
     reps = list(orbit_reps(n, rank))
     assert len(reps) == count
     assert reps == sorted(set(reps))
@@ -433,6 +433,7 @@ def test_orbit_reps_partition_the_index_tuples(n, rank, count):
         assert (t not in seen) == repeated
         if repeated:
             assert orbit_rep(t) == (0, None)
+    assert _orbit_signs(n, rank) == tuple(orbit_rep(t) for t in iproduct(range(n), repeat=rank))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -456,6 +457,8 @@ def test_orbit_field_components():
     assert field.comp((0, 1, 0, 2, 1, 1)) is ex.ZERO
     flat = field.flatten()
     assert len(flat) == 3 ** 6 and flat[0] is ex.ZERO
+    # flatten reads the signs from a table; comp resolves each tuple itself
+    assert all(f is field.comp(t) for f, t in zip(flat, iproduct(range(3), repeat=6)))
     assert list(field.tuples()) == list(orbit_reps(3, 6))
 
 

@@ -13,7 +13,7 @@ import mpmath
 import pytest
 
 import helpers
-from warpcurv import actions, cli, conditions, warped
+from warpcurv import actions, cli, conditions, tensor, warped
 from warpcurv import expr as ex
 from warpcurv.actions import cached_derivation, cached_tachibana, tachibana
 from warpcurv.conditions import fit_pseudosymmetry, pair_admissible
@@ -284,6 +284,33 @@ def test_warped_verify_calls_mul_on_no_literal_zero(monkeypatch):
         totals[name] = len(calls)
     assert totals == {"ex2_warped.mf": 334, "fs_warped.mf": 373,
                       "cf_warped.mf": 470, "ex1_warped.mf": 2861}
+
+
+def test_warped_verify_resolves_oracle_tuples_from_a_table(monkeypatch):
+    """The oracle's `flatten()` of the block R reads each tuple's sign and
+    representative from `tensor._orbit_signs`, built once per (n, rank), so
+    a roster command calls `orbit_rep` only where the block formulas and
+    conditions (I)-(III) resolve a tuple.  Resolving every flattened tuple
+    took 283, 289, 301 and 721 calls."""
+    for n in (4, 5):
+        tensor._orbit_signs(n, 4)  # the tables, built before counting
+    calls = []
+    orbit_rep = tensor.orbit_rep
+
+    def spy(idx):
+        calls.append(idx)
+        return orbit_rep(idx)
+
+    monkeypatch.setattr(tensor, "orbit_rep", spy)
+    monkeypatch.setattr(warped, "orbit_rep", spy)
+    totals = {}
+    for name, points in (("ex2_warped.mf", 3), ("fs_warped.mf", 3),
+                         ("cf_warped.mf", 3), ("ex1_warped.mf", 2)):
+        calls.clear()
+        cli.warped_verify_report(cli.fixture_path(name), points=points, seed=7)
+        totals[name] = len(calls)
+    assert totals == {"ex2_warped.mf": 27, "fs_warped.mf": 33,
+                      "cf_warped.mf": 45, "ex1_warped.mf": 96}
 
 
 def test_verify_conditions_reuses_the_block_entries(monkeypatch, ex2_spec):
