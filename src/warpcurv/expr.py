@@ -33,8 +33,11 @@ fast path when the tree is rational and otherwise raw libmp tuples at
 DPS = 50 significant digits, so the ambient `mpmath.mp` precision changes
 no value and no verdict.  Inside `PointEval` an exact value is a
 (numerator, denominator) pair of ints in lowest terms and an inexact one a
-libmp tuple, combined by the libmp functions the mpf operators call; a
-rational subtree is rounded only when its scale is read.  The dense kernels
+libmp tuple, combined by a fixed-precision kernel on its ints (`_add`,
+`_sub`, `_mul`, `_div`, all rounding through `_nearest`) that returns the
+tuples of libmp's `round_nearest` arithmetic, which the mpf operators call,
+bit for bit; a rational subtree is rounded only when its scale is read,
+by the kernel's `_rational`.  The dense kernels
 compute on tuples too (`numeric_det`, `ls2`, `residual`, `weighted_ratio`
 and the dependence and constancy checks), and `num_str` prints a tuple as
 `MP.nstr` prints its mpf.  This module is the only one that knows how
@@ -143,7 +146,7 @@ _load_libmp()
 from ._libmp import (  # noqa: E402  (loaded just above)
     dps_to_prec, fone, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos,
     mpf_div, mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
-    mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt, mpf_sub,
+    mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
     round_nearest, to_str as _libmp_str)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
@@ -1272,19 +1275,118 @@ def rename(e, mapping, _memo=None):
 # Evaluation
 
 
-def _rational(n, d, prec, rnd):
+# The fixed-precision kernel.  Every inexact value is a libmp tuple (sign,
+# man, exp, bc) rounded to nearest, ties to even, at the working precision:
+# man is odd (or the tuple is zero or special) and bc is its bit count.  The
+# sum, difference, product and quotient of two regular tuples are computed
+# here on their ints and rounded by `_nearest`, which is libmp's `normalize`
+# at `round_nearest` with the bit count taken by `int.bit_length`; each
+# result is the tuple that libmp's `mpf_add`, `mpf_sub`, `mpf_mul` and
+# `mpf_div` return, bit for bit, without their generic normalization and
+# rounding-mode dispatch.  libmp keeps a zero or special (inf, nan) operand,
+# a sum whose operands lie so far apart that `mpf_add` perturbs the larger
+# one instead of shifting it, and powers, exp, log, sin, cos, sqrt and
+# printing.
+
+_PREC, _RND, _TOL = _precision(DPS)
+
+
+def _nearest(sign, man, exp, prec):
+    """The libmp tuple of (-1)^sign * man * 2^exp, for an int man > 0,
+    rounded half to even to `prec` bits and stripped of trailing zero bits:
+    what libmp's `normalize` returns at `round_nearest`."""
+    bc = man.bit_length()
+    n = bc - prec
+    if n > 0:
+        h = man >> (n - 1)  # the kept bits and the first dropped one
+        if h & 1 and (h & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (h >> 1) + 1
+        else:
+            man = h >> 1
+        exp += n
+        bc = prec
+    if not man & 1:
+        z = (man & -man).bit_length() - 1
+        man >>= z
+        exp += z
+        bc = man.bit_length()
+    return sign, man, exp, bc
+
+
+def _add(s, t, prec=_PREC, sub=0):
+    """s + t (s - t when `sub` is 1) of libmp tuples at `prec`, as `mpf_add`
+    gives it: the operands aligned to the smaller exponent, summed as signed
+    ints and rounded.  A zero or special operand, and operands more than 100
+    exponents and prec + 4 binary orders apart (which `mpf_add` perturbs),
+    go to libmp."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    off = sexp - texp
+    if (not sman or not tman or off > 100 and off + sbc - tbc > prec + 4
+            or off < -100 and tbc - sbc - off > prec + 4):
+        return mpf_add(s, t, prec, round_nearest, sub)
+    if ssign:
+        sman = -sman
+    if tsign ^ sub:
+        tman = -tman
+    if off >= 0:
+        man, exp = (sman << off) + tman, texp
+    else:
+        man, exp = sman + (tman << -off), sexp
+    if man > 0:
+        return _nearest(0, man, exp, prec)
+    return _nearest(1, -man, exp, prec) if man else fzero
+
+
+def _sub(s, t, prec=_PREC):
+    """s - t of libmp tuples at `prec`, as `mpf_sub` gives it."""
+    return _add(s, t, prec, 1)
+
+
+def _mul(s, t, prec=_PREC):
+    """s * t of libmp tuples at `prec`, as `mpf_mul` gives it; a zero or
+    special operand goes to libmp."""
+    man = s[1] * t[1]
+    if man:
+        return _nearest(s[0] ^ t[0], man, s[2] + t[2], prec)
+    return mpf_mul(s, t, prec, round_nearest)
+
+
+def _div(s, t, prec=_PREC):
+    """s / t of libmp tuples at `prec`, as `mpf_div` gives it: the mantissas'
+    quotient to at least prec + 5 bits, with one more bit set when the
+    remainder is not zero (the sticky bit), so it rounds as the exact
+    quotient does.  A zero or special operand goes to libmp, which raises
+    ZeroDivisionError for t = 0."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        return mpf_div(s, t, prec, round_nearest)
+    extra = prec - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    quot, rem = divmod(sman << extra, tman)
+    if rem:
+        quot = quot << 1 | 1
+        extra += 1
+    return _nearest(ssign ^ tsign, quot, sexp - texp - extra, prec)
+
+
+def _rational(n, d, prec=_PREC):
     """n/d, ints in lowest terms with d > 0, as a libmp tuple at `prec`,
-    rounded as `mpf(n) / mpf(d)` rounds it (n and d first)."""
-    return mpf_div(from_int(n, prec, rnd), from_int(d, prec, rnd), prec, rnd)
+    rounded as `mpf(n) / mpf(d)` rounds it: n and d are rounded to `prec`
+    bits first, as `from_int` rounds them, and then divided."""
+    if not n:
+        return fzero
+    return _div(_nearest(1 if n < 0 else 0, abs(n), 0, prec), _nearest(0, d, 0, prec), prec)
 
 
 def _to_tuple(v, dps):
     """`v`, an int, a Fraction or another real number, as a libmp tuple at
     `dps` digits: the one conversion of a number to a tuple.  A rational is
     rounded by `_rational`; any other number is read as `mpf(v)` reads it."""
-    prec, rnd, _ = _precision(dps)
     if isinstance(v, (int, Fraction)):
-        return _rational(v.numerator, v.denominator, prec, rnd)
+        return _rational(v.numerator, v.denominator, _precision(dps)[0])
     return _context(dps).mpf(v)._mpf_
 
 
@@ -1369,13 +1471,17 @@ class PointEval:
     matter: `_round` rounds the numerator and the denominator separately,
     as `to_tuple` rounds a Fraction, so an unreduced pair of more than DPS
     digits could round to other bits.  The entry of an inexact node is a
-    list [tuple, magnitude tuple] of libmp tuples at this precision,
-    combined by the libmp functions the mpf operators call, so every value
-    is bit-identical to mpf arithmetic; the entry's type tells the two kinds
-    apart.  A rational subtree stays unrounded until something reads its
-    scale: an inexact operand beside it in a sum or product, a division,
-    power or function that needs its tuple, `eval_scaled`, or `judged` of a
-    nonzero value.  `_settled` then rounds it and its subtree once, with the
+    list [tuple, magnitude tuple] of libmp tuples at this precision.  Their
+    sums, products and quotients are the kernel's (`_add`, `_mul` and
+    `_div`, rounding through `_nearest`), which returns the tuples of
+    libmp's `round_nearest` arithmetic bit for bit, so every value is
+    bit-identical to mpf arithmetic; libmp itself combines a zero or
+    special operand and a sum of operands too far apart to shift (which
+    `mpf_add` perturbs), and takes powers and exp, log, sin and cos.  The
+    entry's type tells the two kinds apart.  A rational subtree stays
+    unrounded until something reads its scale: an inexact operand beside
+    it in a sum or product, a division, power or function that needs its
+    tuple, `eval_scaled`, or `judged` of a nonzero value.  `_settled` then rounds it and its subtree once, with the
     formulas an inexact node follows, and keeps (tuple, magnitude) in
     `_exact`; judging an exact 0 rounds nothing.  The largest magnitude is
     kept by `mag_gt`, whose order test the Add and Mul loop inlines.
@@ -1445,9 +1551,9 @@ class PointEval:
                 return t
             if a <= b - 2:
                 return fzero
-        prec, rnd = self._prec, self._rnd
-        bound = mpf_mul(tol, mpf_add(m, fone, prec, rnd), prec, rnd)
-        return t if mpf_gt(mpf_abs(t, prec, rnd), bound) else fzero
+        prec = self._prec
+        bound = _mul(tol, _add(m, fone, prec), prec)
+        return t if mpf_gt(mpf_abs(t, prec, self._rnd), bound) else fzero
 
     def rounded(self, e):
         """Value of `e` here as a raw libmp tuple, unjudged; a rational value
@@ -1469,7 +1575,7 @@ class PointEval:
     def _round(self, v):
         """`_rational` of `v`, an exact (numerator, denominator) pair in
         lowest terms, at this precision."""
-        return _rational(v[0], v[1], self._prec, self._rnd)
+        return _rational(v[0], v[1], self._prec)
 
     def _settled(self, e):
         """(tuple, magnitude tuple) of `e`, a walked rational node, as `_walk`
@@ -1511,8 +1617,7 @@ class PointEval:
             # the accumulator starts from the first child: x + 0 and x * 1
             # are x exactly at full precision.  A child's memo hit is read
             # here, without a call.
-            kids, inexact = ((e.terms, mpf_add) if cls is Add
-                             else (e.factors, mpf_mul))
+            kids, combine = (e.factors, _mul) if cls is Mul else (e.terms, _add)
             get = self._memo.get
             it = iter(kids)
             k = next(it)
@@ -1559,7 +1664,7 @@ class PointEval:
                 else:
                     t, m = self._round(_reduced(n, d)), self._largest(kids[:j])
                 kt, km = kv
-                t = inexact(t, kt, prec, rnd)
+                t = combine(t, kt, prec)
                 if mag_gt(km, m):
                     m = km
             else:
@@ -1569,7 +1674,7 @@ class PointEval:
                 if type(kv) is tuple:
                     kv = self._exact.get(k) or self._settled(k)
                 kt, km = kv
-                t = inexact(t, kt, prec, rnd)
+                t = combine(t, kt, prec)
                 # mag_gt(km, m) inlined: unequal binary orders decide
                 d = km[2] + km[3] - m[2] - m[3]
                 if (d > 0) if d and km[1] and m[1] else mag_gt(km, m):
@@ -1619,7 +1724,7 @@ class PointEval:
                 dt, dm = self._settled(e.den) if type(d) is tuple else d
                 if mpf_eq(dt, fzero):
                     raise DomainError("division by zero")
-                t = mpf_div(nt, dt, prec, rnd)
+                t = _div(nt, dt, prec)
                 mg = (0, t[1], t[2], t[3])
                 m = dm if mag_gt(dm, nm) else nm
                 out = [t, mg if mag_gt(mg, m) else m]
@@ -1683,35 +1788,23 @@ def evaluate(e, env):
 #
 # Chart validation's determinant, the (L1, L2) fit, a candidate pair's
 # residual, the Deszcz ratio's sums and the dependence and constancy checks
-# compute on tuples at DPS, as `PointEval` does.  Each step is the libmp
-# function that the mpf operator calls, with the operands in the operator's
-# order (`k * x` for an int k is `mpf_mul_int`, `1 + x` is `mpf_add(x, 1)`),
-# so every result is bit-identical to the same formula written with mpfs of
-# MP.  A term with an exact-zero factor is skipped: a product with 0 is 0,
-# and adding 0 to a normalized tuple returns it.  The largest magnitude (a
+# compute on tuples at DPS, as `PointEval` does.  Each step is the kernel's
+# `_add`, `_sub`, `_mul` or `_div`, which return the tuple of the libmp
+# function the mpf operator calls (an int k times x is x times the exact
+# tuple of k, rounded once, as `mpf_mul_int` rounds it), so every result is
+# bit-identical to the same formula written with mpfs of MP.  A term with an
+# exact-zero factor is skipped: a product with 0 is 0, and adding 0 to a
+# normalized tuple returns it.  The largest magnitude (a
 # scale, a pivot) is picked by `largest`, with `mag_gt`, which answers as
 # `mpf_gt`.  Reports print the tuples themselves (`num_str`), and a verdict
 # against the zero threshold is `negligible`.
 
-_PREC, _RND, _TOL = _precision(DPS)
 _REL = from_str(_REL_TOL, _PREC, _RND)
-
-
-def _mul(a, b):
-    return mpf_mul(a, b, _PREC, _RND)
-
-
-def _div(a, b):
-    return mpf_div(a, b, _PREC, _RND)
-
-
-def _sub(a, b):
-    return mpf_sub(a, b, _PREC, _RND)
 
 
 def _threshold(scale):
     """The tuple of `zero_threshold(scale)` for a tuple `scale`."""
-    return _mul(_TOL, mpf_add(scale, fone, _PREC, _RND))
+    return _mul(_TOL, _add(scale, fone))
 
 
 def negligible(v, scale):
@@ -1739,7 +1832,6 @@ def numeric_det(mat):
     magnitude below the diagonal, and det is fzero at a zero pivot.  A row
     whose multiplier is 0 keeps its entries, which the scale has seen.
     """
-    prec, rnd = _PREC, _RND
     n = len(mat)
     a = [row[:] for row in mat]
     det = fone
@@ -1751,17 +1843,17 @@ def numeric_det(mat):
             return fzero, scale
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
-            det = mpf_neg(det, prec, rnd)
+            det = mpf_neg(det, _PREC, _RND)
         top = a[col]
         p = top[col]
-        det = mpf_mul(det, p, prec, rnd)
+        det = _mul(det, p)
         for r in range(col + 1, n):
             row = a[r]
             if mpf_eq(row[col], fzero):
                 continue
-            f = mpf_div(row[col], p, prec, rnd)
+            f = _div(row[col], p)
             for c2 in range(col, n):
-                row[c2] = mpf_sub(row[c2], mpf_mul(f, top[c2], prec, rnd), prec, rnd)
+                row[c2] = _sub(row[c2], _mul(f, top[c2]))
             scale = largest((scale, *row[col:]))
     return det, largest((scale, det))
 
@@ -1769,11 +1861,10 @@ def numeric_det(mat):
 def dot(a, c, w=None):
     """sum_k w[k] a[k] c[k] of tuples, with int weights `w` (none: all 1,
     and 1 * x is x), summed in order as `sum` sums mpfs."""
-    prec, rnd = _PREC, _RND
     s = fzero
     for k, x, y in zip(repeat(1) if w is None else w, a, c):
         if x != fzero and y != fzero:
-            s = mpf_add(s, mpf_mul(mpf_mul_int(x, k, prec, rnd), y, prec, rnd), prec, rnd)
+            s = _add(s, _mul(x if k == 1 else _mul(x, from_int(k)), y))
     return s
 
 
@@ -1799,16 +1890,15 @@ def _gram(n1, n2, d12):
 def residual(w, q1, q2, r, c1, c2):
     """(|r - c1 q1 - c2 q2| in the weighted norm, the largest |r[k]|,
     |c1 q1[k]| and |c2 q2[k]|) of tuples."""
-    prec, rnd = _PREC, _RND
     e = []
     terms = []
     for a, c, rv in zip(q1, q2, r):
-        p1 = mpf_mul(c1, a, prec, rnd)
-        p2 = mpf_mul(c2, c, prec, rnd)
+        p1 = _mul(c1, a)
+        p2 = _mul(c2, c)
         if p1 == fzero and p2 == fzero:
             e.append(rv)
         else:
-            e.append(mpf_sub(mpf_sub(rv, p1, prec, rnd), p2, prec, rnd))
+            e.append(_sub(_sub(rv, p1), p2))
         terms += (rv, p1, p2)
     return norm(e, w), largest(terms)
 
@@ -1843,7 +1933,7 @@ def ls2(w, q1, q2, r):
         else:
             rho = _div(d12, _mul(n1, n1))
             L1 = _div(_div(dot(q1, r, w), _mul(n1, n1)),
-                      mpf_add(_mul(rho, rho), fone, _PREC, _RND))
+                      _add(_mul(rho, rho), fone))
             L2 = _mul(rho, L1)
             null = [(mpf_neg(rho, _PREC, _RND), fone)]
         rank = 1
@@ -1879,11 +1969,10 @@ def parallel_ratio(va, vb):
 def rows_constant(rows):
     """True iff every row of tuples equals the first entrywise within
     REL_TOL * (1 + the largest magnitude in `rows`)."""
-    prec, rnd = _PREC, _RND
     scale = largest(x for row in rows for x in row)
-    tol = _mul(_REL, mpf_add(scale, fone, prec, rnd))
+    tol = _mul(_REL, _add(scale, fone))
     first = rows[0]
-    return all(mpf_le(mpf_abs(_sub(x, x0), prec, rnd), tol)
+    return all(mpf_le(mpf_abs(_sub(x, x0), _PREC, _RND), tol)
                for row in rows for x, x0 in zip(row, first))
 
 
@@ -1903,7 +1992,7 @@ def weighted_ratio(pe, weights, nums, dens):
                 continue
             t, m = pe._scaled(e)
             term = _mul(t, w)
-            total = mpf_add(total, term, _PREC, _RND)
+            total = _add(total, term)
             scale = largest((scale, term, _mul(m, (0, w[1], w[2], w[3]))))
         return total, scale
 

@@ -40,7 +40,7 @@ from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, fzero
 from .tensor import (
     Chart, ChartError, _as_expr, _cached, _chart, _field, _orbit_field,
-    _table, gaussian, metric_inverse, orbit_rep, orbit_reps, point_str,
+    _table, gaussian, metric_inverse, orbit_reps, point_str,
 )
 
 LABEL_T = "T = L1 g"
@@ -436,7 +436,8 @@ class Conditions(Defects):
 
         def combo(t):
             # each pair of every (I)-(III) tuple increases, so the sign is +1
-            r = orbit_rep(t)[1]
+            # and the orbit representative only orders the first two pairs
+            r = t if t[:2] <= t[2:4] else (*t[2:4], *t[:2], *t[4:])
             return ex.sub(rr.reps[r],
                           ex.sum_products(((L1, qg.reps[r]), (L2, qs.reps[r]))))
 

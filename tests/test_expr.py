@@ -1440,6 +1440,168 @@ def test_tuple_kernel_exp_bound_is_inclusive():
         assert (got[0]._mpf_, got[1]._mpf_) == (want[0]._mpf_, want[1]._mpf_)
 
 
+# ------------------------------------------- the fixed-precision kernel
+
+def _same_tuple(got, want):
+    """Equal libmp tuples, with no bool field (a bool sign equals 1 but is
+    not libmp's int)."""
+    return got == want and not any(type(x) is bool for x in got)
+
+
+@pytest.mark.parametrize("dps", [50, 60, 80])
+def test_kernel_matches_libmp(dps, monkeypatch):
+    """`_add`, `_sub`, `_mul` and `_div` return the tuples of libmp's
+    `mpf_add`, `mpf_sub`, `mpf_mul` and `mpf_div` at `round_nearest`, bit for
+    bit, and hand libmp exactly the pairs with a zero or special operand and
+    the sums whose operands are more than 100 exponents and prec + 4 binary
+    orders apart (which `mpf_add` perturbs).  The operands reach equal
+    exponents, exact cancellation, a rounding carry to a new power of two
+    (mantissas 2^k - 1), exact results of prec and prec + 1 bits, exponent
+    gaps near 100 and beyond prec + 4, zero and negative operands, and
+    operands rounded at prec or kept exact with up to prec + 2 bits; each
+    case is counted."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
+                              mpf_neg, mpf_sub, round_nearest)
+    prec = ex._precision(dps)[0]
+    mans = st.one_of(st.integers(1, 2 ** (prec + 2)), st.integers(1, 12),
+                     st.integers(-2, 1).map(lambda k: 2 ** (prec + k) - 1),
+                     st.integers(-1, 1).map(lambda k: 2 ** (prec + k) + 1))
+    gaps = st.one_of(st.sampled_from((0, 1, 98, 99, 100, 101, 102,
+                                      prec + 3, prec + 4, prec + 5, prec + 6)),
+                     st.integers(0, 3 * prec))
+
+    def number(man, exp, neg, wide):
+        if not man:
+            return fzero
+        man = -man if neg else man
+        return from_man_exp(man, exp) if wide else from_man_exp(man, exp, prec, round_nearest)
+
+    libmp_calls = []
+    for name in ("mpf_add", "mpf_mul", "mpf_div"):
+        def counting(*args, _libmp=getattr(ex, name)):
+            libmp_calls.append(args)
+            return _libmp(*args)
+        monkeypatch.setattr(ex, name, counting)
+    operands = st.tuples(st.one_of(st.just(0), mans, mans, mans), st.booleans(),
+                         st.integers(0, 3).map(lambda k: k == 0))
+    seen = {name: 0 for name in ("equal exponents", "cancellation", "carry",
+                                 "bc = prec", "bc = prec + 1", "gap near 100",
+                                 "perturbed", "zero operand", "negative operand")}
+
+    @hyp.settings(max_examples=700, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(operands, operands, st.integers(-400, 400), gaps, st.booleans(),
+               st.sampled_from(("free", "free", "free", "negated", "same")))
+    def check(a, b, e0, gap, swap, relation):
+        s = number(a[0], e0, *a[1:])
+        t = number(b[0], e0 - gap if swap else e0 + gap, *b[1:])
+        if relation != "free":
+            t = mpf_neg(s) if relation == "negated" else s
+        regular = bool(s[1] and t[1])
+        off, orders = s[2] - t[2], s[2] + s[3] - t[2] - t[3]
+        far = regular and abs(off) > 100 and (orders if off > 0 else -orders) > prec + 4
+        for kernel, libmp, to_libmp in ((ex._add, mpf_add, far), (ex._sub, mpf_sub, far),
+                                        (ex._mul, mpf_mul, False), (ex._div, mpf_div, False)):
+            libmp_calls.clear()
+            if kernel is ex._div and t == fzero:
+                with pytest.raises(ZeroDivisionError):
+                    kernel(s, t, prec)
+                continue
+            got = kernel(s, t, prec)
+            assert _same_tuple(got, libmp(s, t, prec, round_nearest)), (kernel, s, t)
+            assert len(libmp_calls) == (not regular or to_libmp), (kernel, s, t)
+        seen["zero operand"] += s == fzero or t == fzero
+        seen["negative operand"] += bool(s[0] or t[0])
+        if not regular:
+            return
+        seen["equal exponents"] += off == 0
+        seen["gap near 100"] += 98 <= abs(off) <= 102
+        seen["perturbed"] += far
+        for op in (mpf_add, mpf_sub, mpf_mul):
+            exact, rounded = op(s, t), op(s, t, prec, round_nearest)
+            seen["cancellation"] += exact == fzero
+            seen["bc = prec"] += exact[3] == prec
+            seen["bc = prec + 1"] += exact[3] == prec + 1
+            seen["carry"] += rounded[1] == 1 and exact[1] != 1
+
+    check()
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("dps", [50, 60, 80])
+def test_kernel_rational_matches_libmp(dps):
+    """`_rational(n, d)` is `mpf_div(from_int(n), from_int(d))` with n and d
+    rounded at prec first, as `mpf(n) / mpf(d)` rounds them, for ints of up
+    to MAX_EXACT_BITS bits; when both fit in prec bits it is also the
+    correctly rounded quotient of the exact ints."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from mpmath.libmp import from_int, mpf_div, round_nearest
+    prec = ex._precision(dps)[0]
+    bits = st.one_of(st.integers(1, 2 * prec),
+                     st.sampled_from((prec - 1, prec, prec + 1, ex.MAX_EXACT_BITS)),
+                     st.integers(1, ex.MAX_EXACT_BITS))
+
+    def sized(b, top, low, ones):
+        # an int of exactly b bits: all ones, or its top and low bits drawn
+        if ones:
+            return (1 << b) - 1
+        mask = (1 << (b - 1)) - 1
+        return 1 << (b - 1) | (top << max(b - 65, 0) | low) & mask
+
+    ints = st.builds(sized, bits, st.integers(0, 2 ** 64), st.integers(0, 2 ** 64),
+                     st.integers(0, 3).map(lambda k: k == 0))
+    long_ints = []
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(st.one_of(st.just(0), ints, ints.map(lambda n: -n)), ints)
+    def check(n, d):
+        got = ex._rational(n, d, prec)
+        want = mpf_div(from_int(n, prec, round_nearest), from_int(d, prec, round_nearest),
+                       prec, round_nearest)
+        assert _same_tuple(got, want), (n, d)
+        if max(abs(n).bit_length(), d.bit_length()) <= prec:
+            assert got == mpf_div(from_int(n), from_int(d), prec, round_nearest), (n, d)
+        else:
+            long_ints.append(max(abs(n).bit_length(), d.bit_length()))
+
+    check()
+    assert len(long_ints) >= 20 and max(long_ints) == ex.MAX_EXACT_BITS
+
+
+def test_only_zero_special_or_far_operands_reach_libmp(monkeypatch, capsys):
+    """The kernel hands libmp's `mpf_add`, `mpf_mul` and `mpf_div` only a
+    zero or special operand, or a sum whose operands are more than 100
+    exponents and prec + 4 binary orders apart.  The totals pin the calls
+    that remain; with libmp doing every inexact operation, the same runs
+    made 6 716 and 1 546 calls."""
+    calls = {"mpf_add": [], "mpf_mul": [], "mpf_div": []}
+    for name, got in calls.items():
+        def counting(s, t, *rest, _libmp=getattr(ex, name), _got=got):
+            _got.append((s, t, rest[0]))
+            return _libmp(s, t, *rest)
+        monkeypatch.setattr(ex, name, counting)
+    totals = {}
+    for argv in (["classify", fixture_path("sphere.mf"), "--points", "8", "--seed", "7"],
+                 ["warped-verify", fixture_path("ex2_warped.mf"), "--points", "3",
+                  "--seed", "7"]):
+        for got in calls.values():
+            got.clear()
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        for name, got in calls.items():
+            for s, t, prec in got:
+                off, orders = s[2] - t[2], s[2] + s[3] - t[2] - t[3]
+                far = abs(off) > 100 and (orders if off > 0 else -orders) > prec + 4
+                assert not s[1] or not t[1] or name == "mpf_add" and far, (name, s, t)
+        totals[argv[0]] = {name: len(got) for name, got in calls.items()}
+    assert totals == {"classify": {"mpf_add": 521, "mpf_mul": 769, "mpf_div": 9},
+                      "warped-verify": {"mpf_add": 3, "mpf_mul": 3, "mpf_div": 0}}
+
+
 @pytest.mark.parametrize("dps", [15, 50, 80])
 def test_point_eval_rounds_fractions_as_mpf_division(dps):
     # _round takes an exact (p, q) pair; it must round as mpf(p) / mpf(q) does
@@ -1563,9 +1725,11 @@ def test_sample_box_points_match_fraction_formula():
 
 SRC = Path(ex.__file__).resolve().parent
 # a Fraction rounded by hand: mpf(numerator) / mpf(denominator), or its
-# numerator and denominator rounded to libmp tuples and divided
+# numerator and denominator rounded to libmp tuples and divided, by libmp
+# or by the kernel (`_div` of two `_nearest` roundings)
 FRACTION_TO_MPF = re.compile(
-    r"\.numerator\)\s*/\s*(?:mpmath|MP)\.mpf\(|mpf_div\(\s*from_int\(")
+    r"\.numerator\)\s*/\s*(?:mpmath|MP)\.mpf\(|mpf_div\(\s*from_int\("
+    r"|_div\(\s*_nearest\(")
 LITERAL_ZERO = re.compile(
     r"isinstance\(\s*\w+\s*,\s*(?:\w+\.)?Const\s*\)\s*and\s*\w+\.value\s*==\s*0\b")
 
@@ -1587,13 +1751,15 @@ def test_numeric_helpers_live_only_in_expr():
     assert len(LITERAL_ZERO.findall(text)) == 1
 
 
-NUMBER_NAMES = {"to_mpf", "zero_threshold", "fit_residual", "mag_gt", "make_mpf", "MP"}
+NUMBER_NAMES = {"to_mpf", "zero_threshold", "fit_residual", "mag_gt", "make_mpf", "MP",
+                "_nearest"}
 
 
 def test_number_representation_lives_only_in_expr():
     # only expr knows that values are libmp tuples and that outside callers
-    # get mpfs: no other module names its mpf helpers, its context or the
-    # magnitude order of tuples (comments and strings aside)
+    # get mpfs: no other module names its mpf helpers, its context, the
+    # magnitude order of tuples or the kernel's rounding primitive
+    # (comments and strings aside)
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "expr.py":
