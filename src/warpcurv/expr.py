@@ -61,9 +61,12 @@ MAX_EXP_ARG in magnitude is undefined, like one outside the domain of log.
 The magnitude of a tuple is the tuple with sign 0, and a normalized tuple
 (0, man, exp, bc) lies in [2^(exp+bc-1), 2^(exp+bc)), so `mag_gt` orders
 two magnitudes by exp + bc and only a tie compares the aligned mantissas,
-with the answer `mpf_gt` gives; `largest` picks the largest with it.  The
-zero test's verdict is decided on orders too when powers of two separate
-|value| from the bound, and by the mpf formula itself otherwise.
+with the answer `mpf_gt` gives; `largest` picks the largest with it.
+Point evaluation keeps only m's binary order, the int exp + bc of the
+largest magnitude, which is the largest exp + bc of the subtree's nonzero
+values.  The zero test's verdict is decided on orders when powers of two
+separate |value| from the bound, and by the mpf formula itself otherwise,
+with m computed from the memo (`PointEval._magnitude`) only then.
 
 `PointEval.judged` is the one place where a sampled value is judged zero:
 every per-component verdict (the zero test, the identity catalog, the (L1,
@@ -1283,10 +1286,11 @@ def rename(e, mapping, _memo=None):
 # at `round_nearest` with the bit count taken by `int.bit_length`; each
 # result is the tuple that libmp's `mpf_add`, `mpf_sub`, `mpf_mul` and
 # `mpf_div` return, bit for bit, without their generic normalization and
-# rounding-mode dispatch.  libmp keeps a zero or special (inf, nan) operand,
-# a sum whose operands lie so far apart that `mpf_add` perturbs the larger
-# one instead of shifting it, and powers, exp, log, sin, cos, sqrt and
-# printing.
+# rounding-mode dispatch; a zero operand (x + 0, 0 - t, x * 0, 0 / t) is
+# answered here too.  libmp keeps a special (inf, nan) operand, division by
+# zero, a sum whose operands lie so far apart that `mpf_add` perturbs the
+# larger one instead of shifting it, and powers, exp, log, sin, cos, sqrt
+# and printing.
 
 _PREC, _RND, _TOL = _precision(DPS)
 
@@ -1316,14 +1320,26 @@ def _nearest(sign, man, exp, prec):
 def _add(s, t, prec=_PREC, sub=0):
     """s + t (s - t when `sub` is 1) of libmp tuples at `prec`, as `mpf_add`
     gives it: the operands aligned to the smaller exponent, summed as signed
-    ints and rounded.  A zero or special operand, and operands more than 100
-    exponents and prec + 4 binary orders apart (which `mpf_add` perturbs),
-    go to libmp."""
+    ints and rounded; with a zero operand it is the other operand, rounded
+    to prec bits if it has more.  A special operand, and operands more than
+    100 exponents and prec + 4 binary orders apart (which `mpf_add`
+    perturbs), go to libmp."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
+    if not sman or not tman:
+        # a zero operand (man 0, exp 0) leaves the other one, rounded
+        if sman:
+            if not texp:
+                return s if sbc <= prec else _nearest(ssign, sman, sexp, prec)
+        elif tman:
+            if not sexp:
+                tsign ^= sub
+                return (tsign, tman, texp, tbc) if tbc <= prec else _nearest(tsign, tman, texp, prec)
+        elif not sexp and not texp:
+            return fzero
+        return mpf_add(s, t, prec, round_nearest, sub)
     off = sexp - texp
-    if (not sman or not tman or off > 100 and off + sbc - tbc > prec + 4
-            or off < -100 and tbc - sbc - off > prec + 4):
+    if off > 100 and off + sbc - tbc > prec + 4 or off < -100 and tbc - sbc - off > prec + 4:
         return mpf_add(s, t, prec, round_nearest, sub)
     if ssign:
         sman = -sman
@@ -1344,11 +1360,14 @@ def _sub(s, t, prec=_PREC):
 
 
 def _mul(s, t, prec=_PREC):
-    """s * t of libmp tuples at `prec`, as `mpf_mul` gives it; a zero or
-    special operand goes to libmp."""
+    """s * t of libmp tuples at `prec`, as `mpf_mul` gives it: fzero when
+    an operand is zero and neither is special; a special operand goes to
+    libmp."""
     man = s[1] * t[1]
     if man:
         return _nearest(s[0] ^ t[0], man, s[2] + t[2], prec)
+    if (s[1] or not s[2]) and (t[1] or not t[2]):
+        return fzero
     return mpf_mul(s, t, prec, round_nearest)
 
 
@@ -1356,11 +1375,13 @@ def _div(s, t, prec=_PREC):
     """s / t of libmp tuples at `prec`, as `mpf_div` gives it: the mantissas'
     quotient to at least prec + 5 bits, with one more bit set when the
     remainder is not zero (the sticky bit), so it rounds as the exact
-    quotient does.  A zero or special operand goes to libmp, which raises
-    ZeroDivisionError for t = 0."""
+    quotient does.  0 / t is fzero for a regular t; a zero t or a special
+    operand goes to libmp, which raises ZeroDivisionError for t = 0."""
     ssign, sman, sexp, sbc = s
     tsign, tman, texp, tbc = t
     if not sman or not tman:
+        if tman and not sexp:
+            return fzero
         return mpf_div(s, t, prec, round_nearest)
     extra = prec - sbc + tbc + 5
     if extra < 5:
@@ -1419,6 +1440,8 @@ def num_str(t, digits=20):
 
 _MPF_FUNCS = {Exp: mpf_exp, Log: mpf_log, Sin: mpf_sin, Cos: mpf_cos}
 _MAX_EXP_MPF = from_int(MAX_EXP_ARG)
+_NO_ORDER = float("-inf")  # the order of zero, below every exp + bc
+_SPECIAL_ORDER = float("inf")  # the order of inf and nan, above every exp + bc
 
 
 def mag_gt(s, t):
@@ -1471,23 +1494,27 @@ class PointEval:
     matter: `_round` rounds the numerator and the denominator separately,
     as `to_tuple` rounds a Fraction, so an unreduced pair of more than DPS
     digits could round to other bits.  The entry of an inexact node is a
-    list [tuple, magnitude tuple] of libmp tuples at this precision.  Their
+    list [tuple, order]: a libmp tuple at this precision and the binary
+    order of the largest magnitude in its subtree, the largest exp + bc of
+    its nodes' nonzero values, an int (`_NO_ORDER`, -inf, when all are
+    zero; `_SPECIAL_ORDER`, +inf, below an inf or nan input).  Their
     sums, products and quotients are the kernel's (`_add`, `_mul` and
     `_div`, rounding through `_nearest`), which returns the tuples of
     libmp's `round_nearest` arithmetic bit for bit, so every value is
-    bit-identical to mpf arithmetic; libmp itself combines a zero or
-    special operand and a sum of operands too far apart to shift (which
+    bit-identical to mpf arithmetic; libmp itself combines a special
+    operand and a sum of operands too far apart to shift (which
     `mpf_add` perturbs), and takes powers and exp, log, sin and cos.  The
     entry's type tells the two kinds apart.  A rational subtree stays
     unrounded until something reads its scale: an inexact operand beside
     it in a sum or product, a division, power or function that needs its
-    tuple, `eval_scaled`, or `judged` of a nonzero value.  `_settled` then rounds it and its subtree once, with the
-    formulas an inexact node follows, and keeps (tuple, magnitude) in
-    `_exact`; judging an exact 0 rounds nothing.  The largest magnitude is
-    kept by `mag_gt`, whose order test the Add and Mul loop inlines.
-    `judged` brackets |value| and 1e-30 * (1 + m) between powers of two read
-    off their orders and takes the exact mpf formula only when the brackets
-    overlap, so every verdict is the formula's.  The memo is keyed by node:
+    tuple, `eval_scaled`, or `judged` of a nonzero value.  `_settled` then
+    rounds it and its subtree once, with the formulas an inexact node
+    follows, and keeps (tuple, order) in `_exact`; judging an exact 0 rounds
+    nothing.  `judged` brackets |value| and 1e-30 * (1 + m) between powers
+    of two read off their orders and takes the exact mpf formula only when
+    the brackets overlap, so every verdict is the formula's; only then, and
+    for `eval_scaled` and `weighted_ratio`, does `_magnitude` compute m
+    itself from the memo, with `mag_gt`.  The memo is keyed by node:
     nodes are interned, so a subtree shared by several expressions is
     evaluated once, and the memo keeps its keys alive for as long as it
     lives.  An exp argument beyond MAX_EXP_ARG in magnitude makes the point
@@ -1499,16 +1526,18 @@ class PointEval:
         self.point = env
         self._dps = dps
         self._prec, self._rnd, self._tol = _precision(dps)
-        prec, rnd = self._prec, self._rnd
+        self._tol_order = self._tol[2] + self._tol[3]
         self._env = {}  # name -> the memo entry of a leaf bound to it
         for k, v in env.items():
             if isinstance(v, (int, Fraction)):
                 self._env[k] = (v.numerator, v.denominator)
             else:
                 t = _to_tuple(v, dps)
-                self._env[k] = [t, mpf_abs(t, prec, rnd)]
+                self._env[k] = [t, t[2] + t[3] if t[1] else _NO_ORDER if t == fzero
+                                else _SPECIAL_ORDER]
         self._memo = {}
-        self._exact = {}  # settled rational node -> (tuple, magnitude tuple)
+        self._exact = {}  # settled rational node -> (tuple, order)
+        self._magnitudes = {}  # node -> largest intermediate magnitude, see _magnitude
 
     def eval_scaled(self, e):
         """(value, largest intermediate magnitude) of `e` at this point."""
@@ -1517,7 +1546,7 @@ class PointEval:
     def _scaled(self, e):
         """`eval_scaled(e)` as (tuple, magnitude tuple), a rational rounded."""
         h = self._walk(e)
-        return self._settled(e) if type(h) is tuple else h
+        return self._settled(e)[0] if type(h) is tuple else h[0], self._magnitude(e)
 
     def eval(self, e):
         """Value of `e` at this point, without its magnitude."""
@@ -1537,22 +1566,25 @@ class PointEval:
         if type(h) is tuple:
             if not h[0]:
                 return fzero
-            t, m = self._settled(e)
+            t, o = self._settled(e)
         else:
-            t, m = h
-        tol = self._tol
+            t, o = h
         if t[1]:
             # |t| lies in [2^(a-1), 2^a) and tol (1 + m) in [2^(b-2), 2^(b+1)]
-            # (1 + m in [2^(k-1), 2^(k+1)], k = max(1, m's order)), so orders
-            # two or more apart decide; closer ones take the exact formula
+            # (1 + m in [2^(k-1), 2^(k+1)], k = max(1, m's order o)), so
+            # orders two or more apart decide; closer ones take the exact
+            # formula.  Below an inf or nan input o is +inf, and a finite t
+            # there has m inf or nan, a bound no value exceeds
             a = t[2] + t[3]
-            b = tol[2] + tol[3] + (m[2] + m[3] if m[1] and m[2] + m[3] > 1 else 1)
+            b = self._tol_order + (o if o > 1 else 1)
             if a >= b + 3:
                 return t
             if a <= b - 2:
                 return fzero
+        elif t == fzero:
+            return fzero
         prec = self._prec
-        bound = _mul(tol, _add(m, fone, prec), prec)
+        bound = _mul(self._tol, _add(self._magnitude(e), fone, prec), prec)
         return t if mpf_gt(mpf_abs(t, prec, self._rnd), bound) else fzero
 
     def rounded(self, e):
@@ -1578,35 +1610,76 @@ class PointEval:
         return _rational(v[0], v[1], self._prec)
 
     def _settled(self, e):
-        """(tuple, magnitude tuple) of `e`, a walked rational node, as `_walk`
-        gives them for an inexact one; rounded, with the subtree, on the
-        first request.  Rounding to nearest is symmetric, so the tuple of a
-        Neg is also the negated tuple of its child."""
+        """(tuple, order) of `e`, a walked rational node, as `_walk` gives
+        them for an inexact one; rounded, with the subtree, on the first
+        request.  Rounding to nearest is symmetric, so the tuple of a Neg is
+        also the negated tuple of its child."""
         s = self._exact.get(e)
         if s is None:
             t = self._round(self._memo[e])
-            mg = (0, t[1], t[2], t[3])
+            o = t[2] + t[3] if t[1] else _NO_ORDER
             cls = type(e)
-            if cls is Const or cls is Coord or cls is Param:
-                m = mg
-            else:
-                m = self._largest(_children(e))
-            s = self._exact[e] = (t, m if mag_gt(m, mg) else mg)
+            if not (cls is Const or cls is Coord or cls is Param):
+                ko = self._largest(_children(e))
+                if ko > o:
+                    o = ko
+            s = self._exact[e] = (t, o)
         return s
 
     def _largest(self, kids):
-        """Largest magnitude of the rational nodes `kids`, in their order."""
+        """Largest order of the rational nodes `kids`, settled in order."""
         settled = self._settled
-        m = settled(kids[0])[1]
-        for k in kids[1:]:
-            km = settled(k)[1]
-            if mag_gt(km, m):
-                m = km
+        o = _NO_ORDER
+        for k in kids:
+            ko = settled(k)[1]
+            if ko > o:
+                o = ko
+        return o
+
+    def _magnitude(self, e):
+        """The largest intermediate magnitude m of the walked node `e`, a
+        tuple: the first largest `mag_gt` magnitude of its subtree's values,
+        folded as children left to right and then the node's own |value|.
+        Its order is the memo's; only the zero test near its threshold,
+        `eval_scaled` and `weighted_ratio` read m itself.  Memoized."""
+        m = self._magnitudes.get(e)
+        if m is not None:
+            return m
+        mag = self._magnitude
+        h = self._memo[e]
+        exact = type(h) is tuple
+        t = self._settled(e)[0] if exact else h[0]
+        mg = (0, t[1], t[2], t[3])
+        cls = type(e)
+        kids = _children(e)
+        if exact or cls is Add or cls is Mul:
+            # the children left to right, then |t|, which wins a tie
+            m = mg
+            if kids:
+                m = mag(kids[0])
+                for k in kids[1:]:
+                    km = mag(k)
+                    if mag_gt(km, m):
+                        m = km
+                if not mag_gt(m, mg):
+                    m = mg
+        elif cls is Neg:
+            m = mag(e.child)
+        elif cls is Div:
+            nm, dm = mag(e.num), mag(e.den)
+            m = dm if mag_gt(dm, nm) else nm
+            m = mg if mag_gt(mg, m) else m
+        elif kids:  # a power or a function
+            km = mag(kids[0])
+            m = mg if mag_gt(mg, km) else km
+        else:  # an inexact variable
+            m = mpf_abs(t, self._prec, self._rnd)
+        self._magnitudes[e] = m
         return m
 
     def _walk(self, e):
         """The memo entry of `e`: a (numerator, denominator) tuple when the
-        subtree is rational, else a [tuple, magnitude tuple] list."""
+        subtree is rational, else a [tuple, order] list."""
         hit = self._memo.get(e)
         if hit is not None:
             return hit
@@ -1660,38 +1733,28 @@ class PointEval:
                 # interned, so the first position of k is j
                 j = 1 if k is kids[1] else kids.index(k)
                 if j == 1:
-                    t, m = self._exact.get(kids[0]) or self._settled(kids[0])
+                    t, o = self._exact.get(kids[0]) or self._settled(kids[0])
                 else:
-                    t, m = self._round(_reduced(n, d)), self._largest(kids[:j])
-                kt, km = kv
+                    t, o = self._round(_reduced(n, d)), self._largest(kids[:j])
+                kt, ko = kv
                 t = combine(t, kt, prec)
-                if mag_gt(km, m):
-                    m = km
+                if ko > o:
+                    o = ko
             else:
-                t, m = v
+                t, o = v
             for k in it:
                 kv = get(k) or walk(k)
                 if type(kv) is tuple:
                     kv = self._exact.get(k) or self._settled(k)
-                kt, km = kv
+                kt, ko = kv
                 t = combine(t, kt, prec)
-                # mag_gt(km, m) inlined: unequal binary orders decide
-                d = km[2] + km[3] - m[2] - m[3]
-                if (d > 0) if d and km[1] and m[1] else mag_gt(km, m):
-                    m = km
-            # |t| against m, as mag_gt(m, |t|) with the orders inlined: the
-            # magnitude tuple is made only when |t| is kept, and a t of sign
-            # 0 is its own magnitude
-            ts, tm, te, tb = t
-            d = te + tb - m[2] - m[3]
-            if d and tm and m[1]:
-                if d > 0:
-                    m = (0, tm, te, tb) if ts else t
-            else:
-                mg = (0, tm, te, tb) if ts else t
-                if not mag_gt(m, mg):
-                    m = mg
-            out = [t, m]
+                if ko > o:
+                    o = ko
+            if t[1]:
+                ko = t[2] + t[3]
+                if ko > o:
+                    o = ko
+            out = [t, o]
         elif cls is Neg:
             c = walk(e.child)
             if type(c) is tuple:
@@ -1720,14 +1783,15 @@ class PointEval:
                 else:
                     out = _reduced(n[0] * d[1], n[1] * d[0])
             else:
-                nt, nm = self._settled(e.num) if type(n) is tuple else n
-                dt, dm = self._settled(e.den) if type(d) is tuple else d
+                nt, no = self._settled(e.num) if type(n) is tuple else n
+                dt, do = self._settled(e.den) if type(d) is tuple else d
                 if mpf_eq(dt, fzero):
                     raise DomainError("division by zero")
                 t = _div(nt, dt, prec)
-                mg = (0, t[1], t[2], t[3])
-                m = dm if mag_gt(dm, nm) else nm
-                out = [t, mg if mag_gt(mg, m) else m]
+                o = do if do > no else no
+                if t[1] and t[2] + t[3] > o:
+                    o = t[2] + t[3]
+                out = [t, o]
         elif cls is Pow:
             b = walk(e.base)
             x = e.exponent
@@ -1748,7 +1812,7 @@ class PointEval:
                         n, d = bd ** -xn, bn ** -xn
                         out = (-n, -d) if d < 0 else (n, d)
             else:
-                bt, bm = self._settled(e.base) if type(b) is tuple else b
+                bt, o = self._settled(e.base) if type(b) is tuple else b
                 if mpf_eq(bt, fzero) and xn < 0:
                     raise DomainError("zero base with negative exponent")
                 if xd == 1:
@@ -1757,14 +1821,15 @@ class PointEval:
                     raise DomainError("negative base with fractional exponent")
                 else:
                     t = mpf_pow(bt, self._round((xn, xd)), prec, rnd)
-                mg = (0, t[1], t[2], t[3])
-                out = [t, mg if mag_gt(mg, bm) else bm]
+                if t[1] and t[2] + t[3] > o:
+                    o = t[2] + t[3]
+                out = [t, o]
         else:
             f = _MPF_FUNCS.get(cls)
             if f is None:
                 raise TypeError(f"cannot evaluate {e!r}")
             c = walk(e.child)
-            ct, cm = self._settled(e.child) if type(c) is tuple else c
+            ct, o = self._settled(e.child) if type(c) is tuple else c
             if cls is Log and not mpf_gt(ct, fzero):
                 raise DomainError("log of non-positive value")
             # a rational just above the bound may round onto it: compare it exactly
@@ -1772,8 +1837,9 @@ class PointEval:
                                else mag_gt((0, ct[1], ct[2], ct[3]), _MAX_EXP_MPF)):
                 raise DomainError("exp argument too large")
             t = f(ct, prec, rnd)
-            mg = (0, t[1], t[2], t[3])
-            out = [t, mg if mag_gt(mg, cm) else cm]
+            if t[1] and t[2] + t[3] > o:
+                o = t[2] + t[3]
+            out = [t, o]
         self._memo[e] = out
         return out
 

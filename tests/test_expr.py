@@ -865,13 +865,28 @@ def test_point_eval_memo_ignores_freed_trees():
 
 # ----------------------------------------------------------------------- judge
 
+def _counting_magnitude(monkeypatch):
+    """A list that gets every node `PointEval._magnitude` is called on."""
+    calls = []
+    original = ex.PointEval._magnitude
+
+    def counting(self, e):
+        calls.append(e)
+        return original(self, e)
+
+    monkeypatch.setattr(ex.PointEval, "_magnitude", counting)
+    return calls
+
+
 def test_judge_snaps_exact_zero():
     assert ex.PointEval({"x1": Fraction(1, 3)}).judged(p("x1 - 1/3")) is ex.fzero
 
 
-def test_judge_threshold_boundary():
+def test_judge_threshold_boundary(monkeypatch):
     # x1 - x1 + c equals c exactly, with largest intermediate magnitude
-    # m = |x1| = 3, so the threshold is 1e-30 * (1 + 3)
+    # m = |x1| = 3, so the threshold is 1e-30 * (1 + 3); c is within two
+    # binary orders of it, so the exact m is computed
+    calls = _counting_magnitude(monkeypatch)
     pe = ex.PointEval({"x1": Fraction(3)})
     x = Coord("x1")
     edge = Fraction(4, 10**30)
@@ -880,6 +895,7 @@ def test_judge_threshold_boundary():
     assert pe.judged(under) is ex.fzero
     with mpmath.workdps(50):
         assert ex.as_mpf(pe.judged(over)) == ex.to_mpf(edge * (1 + Fraction(1, 10**12)))
+    assert calls
 
 
 def test_judge_domain_error_propagates():
@@ -995,17 +1011,19 @@ def test_mag_gt_decides_zero_on_ints(monkeypatch):
             assert len(calls) == (s in specials or t in specials), (s, t)
 
 
-def test_judged_decides_as_the_exact_formula_near_the_threshold():
+def test_judged_decides_as_the_exact_formula_near_the_threshold(monkeypatch):
     """`judged` snaps to zero exactly when `|t| <= 1e-30 (1 + m)` in mpf
     arithmetic, for values 0 to 4 binary orders on each side of that bound
     and at its neighbours, with m below and above 1.  In `a + b*c` with
-    c = 0 the value is a and the scale max(|a|, |b|)."""
+    c = 0 the value is a and the scale max(|a|, |b|).  Values within two
+    orders of the bound compute the exact m; the others decide on orders."""
+    calls = _counting_magnitude(monkeypatch)
     fzero = ex.fzero
     MP = ex.MP
     e = p("a + b*c", params=("a", "b", "c"))
     ulp = MP.mpf(2) ** (1 - MP.prec)
     tol = MP.mpf(ex._ZERO_TOL)
-    zero = nonzero = 0
+    zero = nonzero = exact = 0
     for b in (0, MP.mpf(1) / 3, 1, MP.mpf(3) * 2 ** 10, MP.mpf("1e60"),
               MP.mpf(2) ** 200):
         bound = tol * (1 + abs(MP.mpf(b)))
@@ -1015,7 +1033,9 @@ def test_judged_decides_as_the_exact_formula_near_the_threshold():
                     a = sign * bound * f * MP.mpf(2) ** j
                     env = {"a": a, "b": MP.mpf(b), "c": Fraction(0)}
                     want = helpers.MpfPointEval(env).judge(e)
+                    before = len(calls)
                     got = ex.PointEval(env).judged(e)
+                    exact += len(calls) > before
                     if want == 0:
                         assert got is fzero, (b, j, f, sign)
                         zero += 1
@@ -1023,6 +1043,7 @@ def test_judged_decides_as_the_exact_formula_near_the_threshold():
                         assert got == want._mpf_, (b, j, f, sign)
                         nonzero += 1
     assert zero > 100 and nonzero > 100, (zero, nonzero)
+    assert 0 < exact < zero + nonzero, exact
 
 
 # ------------------------------------------- tuple kernel vs mpf evaluator
@@ -1179,6 +1200,89 @@ def test_tuple_kernel_matches_mpf_evaluator_in_either_visit_order(dps):
                     assert subtrees_first.judged(e) == ref.judge(e)._mpf_, e
                     assert _same_number(subtrees_first.eval(e), want[e][0]), e
     assert checked > 1000
+
+
+def _memo_order(pe, e):
+    """The order the memo keeps for the walked node `e`, or None for a
+    rational node not yet rounded."""
+    h = pe._memo[e]
+    if type(h) is tuple:
+        s = pe._exact.get(e)
+        return None if s is None else s[1]
+    return h[1]
+
+
+def test_memo_order_is_the_order_of_the_largest_magnitude():
+    """Every walked node's order, inexact or rounded rational, is exp + bc
+    of `_magnitude`'s m, or `_NO_ORDER` when m is fzero, whether roots or
+    subtrees are visited first; `judged` gives `MpfPointEval.judge`'s bits
+    on the same trees."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coord = st.fractions(-2, 2, max_denominator=64)
+    seen = {"inexact": 0, "rational": 0, "zero": 0, "nonzero verdict": 0, "zero verdict": 0}
+
+    @hyp.settings(max_examples=120, derandomize=True, deadline=None,
+                  suppress_health_check=list(hyp.HealthCheck))
+    @hyp.given(st.integers(0, 2 ** 32), coord, coord, coord)
+    def check(seed, x1, x2, a):
+        nodes = _pool_trees(random.Random(seed), 30)
+        env = {"x1": x1, "x2": x2, "a": a}
+        ref = helpers.MpfPointEval(env)
+        for order in (reversed(nodes), nodes):
+            pe = ex.PointEval(env)
+            for e in order:
+                got = _outcome(pe, "judged", e)
+                want = _outcome(ref, "judge", e)
+                if want == "DomainError":
+                    assert got == want, e
+                    continue
+                assert got == want._mpf_, e
+                seen["zero verdict" if got is ex.fzero else "nonzero verdict"] += 1
+            for e in list(pe._memo):
+                o = _memo_order(pe, e)
+                if o is None:
+                    continue
+                m = pe._magnitude(e)
+                assert o == (m[2] + m[3] if m[1] else ex._NO_ORDER), e
+                seen["zero" if not m[1] else
+                     "rational" if type(pe._memo[e]) is tuple else "inexact"] += 1
+
+    check()
+    assert min(seen.values()) > 50, seen
+
+
+def test_exact_magnitude_is_computed_only_near_the_threshold(monkeypatch, capsys):
+    """`_magnitude` runs on none of the commands below, where every verdict
+    is decided on orders, nor for a value far above the zero test's bound;
+    the two threshold tests above see it run near the bound."""
+    calls = _counting_magnitude(monkeypatch)
+    for argv in (["classify", fixture_path("sphere.mf"), "--points", "8"],
+                 ["classify", fixture_path("ex1_fiber.mf"), "--points", "8"],
+                 ["warped-verify", fixture_path("ex1_warped.mf"), "--points", "2"]):
+        assert cli.main(argv + ["--seed", "7"]) == 0
+        capsys.readouterr()
+        assert calls == [], argv
+    x = Coord("x1")
+    far = ex.add(x, ex.neg(x), Const(Fraction(4, 10 ** 20)))
+    assert ex.PointEval({"x1": Fraction(3)}).judged(far) is not ex.fzero
+    assert calls == []
+
+
+def test_inf_and_nan_inputs_judge_as_the_mpf_evaluator():
+    """A subtree below an inf or nan input has the order `_SPECIAL_ORDER`:
+    `judged` gives `MpfPointEval`'s verdict, where m is inf or nan, and
+    `eval_scaled` its scale."""
+    x, a = Coord("x1"), Param("a")
+    nodes = [Add((x, a)), Add((x, Mul((a, Const(0))))), Add((Pow(a, 0), Const(5))),
+             Add((Div(x, a), Const(1))), Div(a, x), ex.Sin(a), Add((Const(3), a, Neg(a)))]
+    for av in ("inf", "-inf", "nan"):
+        env = {"x1": Fraction(1, 3), "a": ex.MP.mpf(av)}
+        for e in nodes:
+            pe, ref = ex.PointEval(env), helpers.MpfPointEval(env)
+            assert pe.judged(e) == ref.judge(e)._mpf_, (av, e)
+            assert pe.eval_scaled(e)[1]._mpf_ == ref.eval_scaled(e)[1]._mpf_, (av, e)
+            assert pe._memo[e][1] == ex._SPECIAL_ORDER, (av, e)
 
 
 def test_judging_a_flat_rational_chart_rounds_nothing(monkeypatch):
@@ -1452,18 +1556,20 @@ def _same_tuple(got, want):
 def test_kernel_matches_libmp(dps, monkeypatch):
     """`_add`, `_sub`, `_mul` and `_div` return the tuples of libmp's
     `mpf_add`, `mpf_sub`, `mpf_mul` and `mpf_div` at `round_nearest`, bit for
-    bit, and hand libmp exactly the pairs with a zero or special operand and
-    the sums whose operands are more than 100 exponents and prec + 4 binary
+    bit, and hand libmp exactly the pairs with a special operand and the
+    sums whose operands are more than 100 exponents and prec + 4 binary
     orders apart (which `mpf_add` perturbs).  The operands reach equal
     exponents, exact cancellation, a rounding carry to a new power of two
     (mantissas 2^k - 1), exact results of prec and prec + 1 bits, exponent
-    gaps near 100 and beyond prec + 4, zero and negative operands, and
-    operands rounded at prec or kept exact with up to prec + 2 bits; each
-    case is counted."""
+    gaps near 100 and beyond prec + 4, zero and negative operands, x + 0,
+    0 - t and x * 0 with the nonzero operand of at most and of more than
+    prec bits, and operands rounded at prec or kept exact with up to
+    prec + 2 bits; each case is counted.  Every pair of a special and a
+    zero, regular or special operand goes to libmp."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_div, mpf_mul,
-                              mpf_neg, mpf_sub, round_nearest)
+    from mpmath.libmp import (finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_div,
+                              mpf_mul, mpf_neg, mpf_sub, round_nearest)
     prec = ex._precision(dps)[0]
     mans = st.one_of(st.integers(1, 2 ** (prec + 2)), st.integers(1, 12),
                      st.integers(-2, 1).map(lambda k: 2 ** (prec + k) - 1),
@@ -1511,7 +1617,7 @@ def test_kernel_matches_libmp(dps, monkeypatch):
                 continue
             got = kernel(s, t, prec)
             assert _same_tuple(got, libmp(s, t, prec, round_nearest)), (kernel, s, t)
-            assert len(libmp_calls) == (not regular or to_libmp), (kernel, s, t)
+            assert len(libmp_calls) == to_libmp, (kernel, s, t)
         seen["zero operand"] += s == fzero or t == fzero
         seen["negative operand"] += bool(s[0] or t[0])
         if not regular:
@@ -1528,6 +1634,41 @@ def test_kernel_matches_libmp(dps, monkeypatch):
 
     check()
     assert min(seen.values()) >= 10, seen
+    # a zero and a nonzero operand of at most or of more than prec bits:
+    # x + 0, x - 0, 0 + t, 0 - t, x * 0, 0 * t and 0 / t, without libmp
+    zeros = {f"{case}, bc {wide} prec": 0 for case in ("x + 0", "0 - t", "x * 0")
+             for wide in ("<=", ">")}
+    for man in (1, 3, 2 ** (prec - 1) + 1, 2 ** prec - 1, 2 ** prec + 1, 2 ** prec + 2,
+                2 ** (prec + 1) + 3, 2 ** (prec + 2) - 1, 3 ** (prec // 2) * 5):
+        for exp in (-400, -7, 0, 300):
+            for x in (from_man_exp(man, exp), from_man_exp(-man, exp)):
+                wide = ">" if x[3] > prec else "<="
+                for s, t in ((x, fzero), (fzero, x)):
+                    for kernel, libmp in ((ex._add, mpf_add), (ex._sub, mpf_sub),
+                                          (ex._mul, mpf_mul), (ex._div, mpf_div)):
+                        if kernel is ex._div and t == fzero:
+                            continue
+                        libmp_calls.clear()
+                        assert _same_tuple(kernel(s, t, prec),
+                                           libmp(s, t, prec, round_nearest)), (kernel, s, t)
+                        assert not libmp_calls, (kernel, s, t)
+                    zeros[f"{'x + 0' if s is x else '0 - t'}, bc {wide} prec"] += 1
+                    zeros[f"x * 0, bc {wide} prec"] += 1
+    assert min(zeros.values()) >= 10, zeros
+    values = (fzero, from_man_exp(3, -7), from_man_exp(-5, 40), finf, fninf, fnan)
+    for s in values:
+        for t in values:
+            special = s in (finf, fninf, fnan) or t in (finf, fninf, fnan)
+            for kernel, libmp in ((ex._add, mpf_add), (ex._sub, mpf_sub),
+                                  (ex._mul, mpf_mul), (ex._div, mpf_div)):
+                libmp_calls.clear()
+                if kernel is ex._div and t == fzero:
+                    with pytest.raises(ZeroDivisionError):
+                        kernel(s, t, prec)
+                    continue
+                assert _same_tuple(kernel(s, t, prec), libmp(s, t, prec, round_nearest)), \
+                    (kernel, s, t)
+                assert len(libmp_calls) == special, (kernel, s, t)
 
 
 @pytest.mark.parametrize("dps", [50, 60, 80])
@@ -1574,10 +1715,11 @@ def test_kernel_rational_matches_libmp(dps):
 
 def test_only_zero_special_or_far_operands_reach_libmp(monkeypatch, capsys):
     """The kernel hands libmp's `mpf_add`, `mpf_mul` and `mpf_div` only a
-    zero or special operand, or a sum whose operands are more than 100
-    exponents and prec + 4 binary orders apart.  The totals pin the calls
-    that remain; with libmp doing every inexact operation, the same runs
-    made 6 716 and 1 546 calls."""
+    special operand, or a sum whose operands are more than 100 exponents
+    and prec + 4 binary orders apart; a zero operand is answered by the
+    kernel.  The totals pin the calls that remain; with libmp doing every
+    inexact operation, the same runs made 6 716 and 1 546 calls, and with
+    libmp taking the zero operands too, 521/769/9 and 3/3/0."""
     calls = {"mpf_add": [], "mpf_mul": [], "mpf_div": []}
     for name, got in calls.items():
         def counting(s, t, *rest, _libmp=getattr(ex, name), _got=got):
@@ -1596,10 +1738,11 @@ def test_only_zero_special_or_far_operands_reach_libmp(monkeypatch, capsys):
             for s, t, prec in got:
                 off, orders = s[2] - t[2], s[2] + s[3] - t[2] - t[3]
                 far = abs(off) > 100 and (orders if off > 0 else -orders) > prec + 4
-                assert not s[1] or not t[1] or name == "mpf_add" and far, (name, s, t)
+                special = not s[1] and s[2] or not t[1] and t[2]
+                assert special or name == "mpf_add" and s[1] and t[1] and far, (name, s, t)
         totals[argv[0]] = {name: len(got) for name, got in calls.items()}
-    assert totals == {"classify": {"mpf_add": 521, "mpf_mul": 769, "mpf_div": 9},
-                      "warped-verify": {"mpf_add": 3, "mpf_mul": 3, "mpf_div": 0}}
+    assert totals == {"classify": {"mpf_add": 78, "mpf_mul": 0, "mpf_div": 0},
+                      "warped-verify": {"mpf_add": 0, "mpf_mul": 0, "mpf_div": 0}}
 
 
 @pytest.mark.parametrize("dps", [15, 50, 80])
