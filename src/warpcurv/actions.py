@@ -5,11 +5,15 @@ D(X,Y) by raising its first slot and lets it act as a derivation on (0,k)
 tensors.  tachibana does the same with the metric-wedge endomorphism X ^_A Y
 of a symmetric (0,2) tensor A.  Both accept k in {2, 4} and build every
 component; derivation_comps and tachibana_comps build the same ones, term
-for term, at chosen index tuples only.  The action of an H tagged
-"curvature" (by a D antisymmetric in its first pair) has the 16 index
-symmetries of `tensor.orbit_reps`, so `_orbit_table` builds it at one tuple
-per orbit; cached_derivation and cached_tachibana keep a bundle's own actions
-that way, any other dense, in the one memo `tensor._cached`.
+for term, at chosen index tuples only.  By a D antisymmetric in its first
+pair (or a symmetric A), the action of an H tagged "curvature" has the 16
+index symmetries of `tensor.orbit_reps`, and the action of an H tagged
+"sym2" is symmetric in its first pair and antisymmetric in its last
+(`tensor.pair_reps`), so `_orbit_table` builds either at one tuple per
+orbit: 126 of 4 096 at n = 4 for H = R, 60 of 256 for H = S.
+cached_derivation and cached_tachibana keep a bundle's own actions that
+way, in the one memo `tensor._cached`; only an H with no such symmetry (P)
+gets the dense builders.
 
 The concircular and projective tensors are R less a multiple of the wedge
 tensor E(A)_ijkl = A_jk g_il - A_ik g_jl of a symmetric A:
@@ -32,7 +36,7 @@ from . import expr as ex
 from .expr import ZERO, PointEval
 from .tensor import (
     ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
-    orbit_reps, raise_first)
+    orbit_reps, pair_reps, raise_first)
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -126,10 +130,19 @@ def tachibana(A: TensorField, H: TensorField) -> TensorField:
     return _field(A.chart, (0, rank), _table(n, rank, _tachibana_fn(A, H)))
 
 
+_ORBIT_TAGS = ("curvature", "sym2")  # an H whose actions `_orbit_table` builds
+
+
 def _orbit_table(comps_fn, A, H):
-    """The six-index action comps_fn(A, H, ...) at its orbit representatives."""
-    reps = list(orbit_reps(A.chart.n, 6))
-    return _orbit_field(A.chart, (0, 6), dict(zip(reps, comps_fn(A, H, reps))))
+    """The action comps_fn(A, H, ...) of an H tagged "curvature" (six
+    indices) or "sym2" (four) at the representatives of its orbits."""
+    n = A.chart.n
+    if H.sym == "curvature":
+        reps, sym = list(orbit_reps(n, 6)), "curvature"
+    else:
+        reps, sym = list(pair_reps(n)), "pair"
+    comps = comps_fn(A, H, reps)
+    return _orbit_field(A.chart, (0, H.rank + 2), dict(zip(reps, comps)), sym)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +165,11 @@ def cached_derivation(b, dname: str, hname: str) -> TensorField:
         if isinstance(rh, _OrbitField):
             return _orbit_field(b.chart, rh.valence, {
                 t: ex.sum_products(lead=(v,), negate=((coef, q.reps[t]),))
-                for t, v in rh.reps.items()})
+                for t, v in rh.reps.items()}, rh.sym)
         return _field(b.chart, rh.valence, _table(n, rh.rank, lambda *t: ex.sum_products(
             lead=(rh.comp(t),), negate=((coef, q.comp(t)),))))
     D, H = getattr(b, dname), getattr(b, hname)
-    return (_orbit_table(derivation_comps, D, H) if H.sym == "curvature"
+    return (_orbit_table(derivation_comps, D, H) if H.sym in _ORBIT_TAGS
             else derivation_action(D, H))
 
 
@@ -164,7 +177,7 @@ def cached_derivation(b, dname: str, hname: str) -> TensorField:
 def cached_tachibana(b, aname: str, hname: str) -> TensorField:
     """Q(A,H) of the bundle's tensors."""
     A, H = getattr(b, aname), getattr(b, hname)
-    return (_orbit_table(tachibana_comps, A, H) if H.sym == "curvature"
+    return (_orbit_table(tachibana_comps, A, H) if H.sym in _ORBIT_TAGS
             else tachibana(A, H))
 
 

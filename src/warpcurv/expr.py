@@ -48,8 +48,10 @@ tuple's fields.  Every function that returns mpfs (`PointEval.eval` and
 `eval_scaled`, `evaluate`, `to_mpf`, `parallel_ratio`, `zero_threshold`,
 and elsewhere `deszcz_ratio`, `pair_residual` and `linear_dependence_check`)
 computes on tuples and makes its mpfs at return.  The engine needs only
-mpmath's `libmp` subpackage, which `_load_libmp` executes as the private
-package `warpcurv._libmp` without running `mpmath/__init__`; mpmath itself
+two modules of mpmath's `libmp` subpackage, `libmpf` and `libelefun` (with
+the `backend` and `libintmath` they import), which it imports from the
+private package `warpcurv._libmp` that `_load_libmp` makes of libmp's
+directory, running neither `mpmath/__init__` nor libmp's; mpmath itself
 is loaded by the first mpf made (`MP` and `REL_TOL` come from a module
 `__getattr__`), which no command makes.
 
@@ -110,22 +112,25 @@ import random
 import sys
 from fractions import Fraction
 from itertools import groupby, repeat
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.machinery import ModuleSpec, PathFinder
+from importlib.util import module_from_spec
 from math import gcd
 from weakref import ref as _weakref
 
 
 def _load_libmp():
-    """mpmath's `libmp` subpackage, executed as the private package
-    `warpcurv._libmp`.
+    """mpmath's `libmp` directory as the private package `warpcurv._libmp`,
+    whose modules are then imported one by one.
 
     Only mpmath's directory is looked up, so `mpmath/__init__` (its
-    contexts, functions, calculus, matrices, ...) does not run: libmp's
-    modules import only each other.  The private copy is used even when
-    mpmath is loaded, so that `fzero` is one object whatever the import
-    order, and mpmath's own `mpmath.libmp` is left alone.  Its tuples are
-    plain ints, so they pass freely between the two copies.
+    contexts, functions, calculus, matrices, ...) does not run, and neither
+    does libmp's own `__init__`, which would import `libmpc`, `libmpi`,
+    `gammazeta` and `libhyper` too: the engine imports `libmpf` and
+    `libelefun`, which pull in only `backend` and `libintmath`.  The private
+    copy is used even when mpmath is loaded, so that `fzero` is one object
+    whatever the import order, and mpmath's own `mpmath.libmp` is left
+    alone.  Its tuples are plain ints, so they pass freely between the two
+    copies.
     """
     name = "warpcurv._libmp"
     lib = sys.modules.get(name)
@@ -134,22 +139,18 @@ def _load_libmp():
         if found is None or not found.submodule_search_locations:
             raise ImportError("warpcurv needs mpmath", name="mpmath")
         where = os.path.join(found.submodule_search_locations[0], "libmp")
-        spec = spec_from_file_location(name, os.path.join(where, "__init__.py"),
-                                       submodule_search_locations=[where])
+        spec = ModuleSpec(name, None, is_package=True)
+        spec.submodule_search_locations.append(where)
         lib = sys.modules[name] = module_from_spec(spec)
-        try:
-            spec.loader.exec_module(lib)
-        except BaseException:
-            del sys.modules[name]
-            raise
     return lib
 
 
 _load_libmp()
-from ._libmp import (  # noqa: E402  (loaded just above)
-    dps_to_prec, fone, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_cos,
-    mpf_div, mpf_eq, mpf_exp, mpf_gt, mpf_le, mpf_log, mpf_lt, mpf_mul,
-    mpf_neg, mpf_pow, mpf_pow_int, mpf_sin, mpf_sqrt,
+from ._libmp.libelefun import (  # noqa: E402  (loaded just above)
+    mpf_cos, mpf_exp, mpf_log, mpf_pow, mpf_sin)
+from ._libmp.libmpf import (  # noqa: E402
+    dps_to_prec, fone, from_int, from_str, fzero, mpf_abs, mpf_add, mpf_div,
+    mpf_eq, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_sqrt,
     round_nearest, to_str as _libmp_str)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))

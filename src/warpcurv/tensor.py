@@ -6,12 +6,15 @@ values) and a per-coordinate sampling box for the randomized zero test.
 
 TensorFields are dense nested component arrays, built row-major by
 `_table`; dense indexing keeps cross-checks against independent loop oracles
-trivial.  The exception is the six-index actions of a curvature-type tensor
-that the engine builds for itself (`actions._orbit_table`): the catalog and
-fit actions of a bundle and the warped product's block, base and fiber
-ones.  They store one component per symmetry orbit (`orbit_reps`) and give
-the rest by sign.  Derived data (g^-1 and G of a chart, a bundle's tensors
-and actions, a warped spec's blocks) is built once, by the memo `_cached`.
+trivial.  The exception is the actions the engine builds for itself on a
+curvature-type or a symmetric tensor (`actions._orbit_table`): the catalog
+and fit actions of a bundle and the warped product's block, base and fiber
+ones.  They store one component per orbit of their index symmetry group
+and give the rest by sign: a six-index action of a curvature-type tensor at
+the `orbit_reps` of the curvature group, a four-index action of a symmetric
+one at the `pair_reps`, i <= j and u < v.  Derived data (g^-1 and G of a
+chart, a bundle's tensors and actions, a warped spec's blocks) is built
+once, by the memo `_cached`.
 """
 
 from __future__ import annotations
@@ -242,16 +245,19 @@ def _field(chart, valence, comps, sym="none"):
 
 
 class _OrbitField(TensorField):
-    """A curvature-type tensor stored at its orbit representatives only.
+    """A tensor stored at the representatives of its index symmetry orbits.
 
-    `reps` maps each tuple of `orbit_reps(n, rank)` to its component.  Any
-    other component is the representative's up to the sign `orbit_rep`
-    gives, and literal 0 where an antisymmetric pair repeats an index;
-    `flatten` reads those signs from the table `_orbit_signs`.
+    The tag names the group: "curvature" for the curvature group
+    (`orbit_reps(n, rank)`, `orbit_rep`), "pair" for a four-index tensor
+    symmetric in its first pair and antisymmetric in its last (`pair_reps`,
+    `pair_rep`).  `reps` maps each representative to its component.  Any
+    other component is the representative's up to the sign the group's rep
+    function gives, and literal 0 where an antisymmetric pair repeats an
+    index; `flatten` reads those signs from the table `_orbit_signs`.
     """
 
     def comp(self, idx):
-        sign, rep = orbit_rep(idx)
+        sign, rep = (pair_rep if self.sym == "pair" else orbit_rep)(idx)
         if not sign:
             return ex.ZERO
         v = self.reps[rep]
@@ -260,7 +266,7 @@ class _OrbitField(TensorField):
     def flatten(self):
         reps, neg, zero = self.reps, ex.neg, ex.ZERO
         return [reps[rep] if sign > 0 else neg(reps[rep]) if sign else zero
-                for sign, rep in _orbit_signs(self.chart.n, self.rank)]
+                for sign, rep in _orbit_signs(self.chart.n, self.rank, self.sym)]
 
     def tuples(self):
         return iter(self.reps)
@@ -269,10 +275,11 @@ class _OrbitField(TensorField):
         return list(self.reps.values())
 
 
-def _orbit_field(chart, valence, reps):
-    """An engine-built _OrbitField over `reps` (representative -> component)."""
+def _orbit_field(chart, valence, reps, sym="curvature"):
+    """An engine-built _OrbitField over `reps` (representative -> component)
+    of the group that `sym` names."""
     t = object.__new__(_OrbitField)
-    t.chart, t.valence, t.rank, t.sym, t.reps = chart, valence, sum(valence), "curvature", reps
+    t.chart, t.valence, t.rank, t.sym, t.reps = chart, valence, sum(valence), sym, reps
     return t
 
 
@@ -385,11 +392,16 @@ def orbit_size(rep):
     return (1 if rep[:2] == rep[2:4] else 2) << len(rep) // 2
 
 
+def _orbit_signs(n, rank, sym="curvature"):
+    """`orbit_rep` (`pair_rep` when sym is "pair") of every index tuple of
+    the rank over n, in row-major order; built once per (n, rank, sym)."""
+    return _signs(n, rank, sym)
+
+
 @functools.cache
-def _orbit_signs(n, rank):
-    """`orbit_rep` of every rank-4 or rank-6 index tuple over n, in
-    row-major order; built once per (n, rank)."""
-    return tuple(orbit_rep(t) for t in iproduct(range(n), repeat=rank))
+def _signs(n, rank, sym):
+    rep = pair_rep if sym == "pair" else orbit_rep
+    return tuple(rep(t) for t in iproduct(range(n), repeat=rank))
 
 
 def orbit_rep(idx):
@@ -411,6 +423,33 @@ def orbit_rep(idx):
     if pairs[1] < pairs[0]:
         pairs[0], pairs[1] = pairs[1], pairs[0]
     return sign, tuple(x for pr in pairs for x in pr)
+
+
+# The four-index actions D.S and Q(A,S) of a symmetric S, by a D
+# antisymmetric in its first pair and a symmetric A, are symmetric in their
+# first pair and antisymmetric in their last.  Each orbit of that group
+# (order 4) with u != v has one representative: i <= j, u < v.
+
+
+def pair_reps(n):
+    """The representatives (i, j, u, v), i <= j and u < v, in lexicographic
+    order: n(n+1)/2 * n(n-1)/2 of them."""
+    for i in range(n):
+        for j in range(i, n):
+            for u in range(n):
+                for v in range(u + 1, n):
+                    yield (i, j, u, v)
+
+
+def pair_rep(idx):
+    """(sign, representative) of a four-index tuple under the pair group;
+    (0, None) when u = v."""
+    i, j, u, v = idx
+    if u == v:
+        return 0, None
+    if i > j:
+        i, j = j, i
+    return (1, (i, j, u, v)) if u < v else (-1, (i, j, v, u))
 
 
 # ---------------------------------------------------------------------------

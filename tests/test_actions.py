@@ -21,7 +21,8 @@ from warpcurv.actions import (
     deszcz_ratio, tachibana, tachibana_comps,
 )
 from warpcurv.curvature import bundle
-from warpcurv.tensor import Chart, ChartError, TensorField, _OrbitField, gaussian
+from warpcurv.tensor import (
+    Chart, ChartError, TensorField, _OrbitField, gaussian, pair_rep, pair_reps)
 
 
 def _all_idx(n, rank):
@@ -203,13 +204,60 @@ def test_bundle_orbit_actions_match_dense(name):
     assert all(c.is_zero_many(diffs))
 
 
-def test_bundle_keeps_other_actions_dense(ex2_c):
-    # an H tagged sym2 (S) or none (P) gives no orbit symmetry to rely on
-    b = bundle(ex2_c)
-    for field in (cached_derivation(b, "R", "S"), cached_tachibana(b, "g", "S"),
-                  cached_derivation(b, "R", "P"), cached_tachibana(b, "g", "P")):
-        assert not isinstance(field, _OrbitField)
-        assert len(list(field.tuples())) == 4 ** field.rank
+def _actions_on_s(b):
+    """(memo field, dense oracle) of R.S, Q(g,S), Q(S,S), and of W.S and
+    P.S from dimension 3 on."""
+    g = b.chart.metric_field()
+    pairs = [(cached_derivation(b, "R", "S"), derivation_action(b.R, b.S)),
+             (cached_tachibana(b, "g", "S"), tachibana(g, b.S)),
+             (cached_tachibana(b, "S", "S"), tachibana(b.S, b.S))]
+    if b.chart.n >= 3:
+        pairs += [(cached_derivation(b, d, "S"), derivation_action(getattr(b, d), b.S))
+                  for d in ("W", "P")]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["sphere2.mf", "hyper2.mf", "sphere.mf",
+                                  "aniso3.mf", "ex1_fiber.mf", "ex2_warped.mf"])
+def test_bundle_pair_actions_match_dense(name):
+    # the bundle memo stores the actions of an H tagged sym2 at i <= j,
+    # u < v; every component it gives equals the dense builder's
+    from warpcurv.cli import _scaffold, fixture_path, load_manifest
+    c, _, _ = _scaffold(load_manifest(fixture_path(name)), 7, 8)
+    b = bundle(c)
+    n = c.n
+    pairs = _actions_on_s(b)
+    assert len(pairs) == (5 if n >= 3 else 3)
+    diffs = []
+    for field, dense in pairs:
+        assert isinstance(field, _OrbitField) and field.sym == "pair"
+        assert list(field.tuples()) == list(pair_reps(n))
+        assert len(field.stored()) == n * (n + 1) // 2 * n * (n - 1) // 2
+        diffs += [ex.sub(field.comp(t), dense.comp(t)) for t in _all_idx(n, 4)]
+    assert all(c.is_zero_many(diffs))
+    # an H tagged none (P) has no pair symmetry: its actions stay dense
+    if n >= 3:
+        for field in (cached_derivation(b, "R", "P"), cached_tachibana(b, "g", "P")):
+            assert not isinstance(field, _OrbitField)
+            assert len(list(field.tuples())) == n ** field.rank
+
+
+def test_dense_actions_on_s_have_the_pair_symmetry():
+    # on a polynomial chart every component is rational: each dense
+    # component is, exactly, its representative's times the sign of
+    # pair_rep, and 0 where u = v
+    c = _poly_chart()
+    b = bundle(c)
+    pairs = _actions_on_s(b)
+    for pt in c.sample_points(3, seed=2024):
+        pe = ex.PointEval(pt)
+        for field, dense in pairs:
+            for t in _all_idx(3, 4):
+                sign, rep = pair_rep(t)
+                got = pe.eval(dense.comp(t))
+                assert type(got) is Fraction
+                assert got == (sign * pe.eval(dense.comp(rep)) if sign else 0), t
+                assert pe.eval(field.comp(t)) == got, t
 
 
 def test_operand_validation():
@@ -360,7 +408,7 @@ def test_decomposed_actions_need_dimension_three():
 
 
 def test_raise_first_runs_once_per_tensor(monkeypatch, ex2_c):
-    # the dense R.S and the orbit R.R read one raised R
+    # the dense and the orbit R.S and R.R read one raised R
     from warpcurv import actions
     raised = []
     original = actions.raise_first

@@ -1115,30 +1115,31 @@ def test_classify_bytes_do_not_depend_on_fit_summation_order(
     test_classify_json_bytes_pinned(tmp_path, capsys, name, points)
 
 
-def test_classify_builds_no_dense_six_index_action(monkeypatch):
+def test_classify_builds_no_dense_action(monkeypatch):
+    # every action classify reads is stored at its orbit representatives:
     # no [check] of a bundled fixture asks for R.P or Q(g,P), the only
-    # six-index actions the bundle keeps dense
+    # actions the bundle builds with the dense derivation_action or tachibana
     import sys
     from warpcurv import actions
-    want = {f: classify_report(fixture_path(f), seed=7, points=2)
-            for f in FIXTURES}
-    want = {f: out for f, out in want.items() if out[1]["n"] >= 3}
     originals = (actions.derivation_action, actions.tachibana)
+    built = []
 
-    def guarded(build):
+    def counted(build):
         def run(D, H):
-            out = build(D, H)
-            assert out.rank < 6, f"dense {out.rank}-index action built"
-            return out
+            built.append((build.__name__, H.rank))
+            return build(D, H)
         return run
 
     for mod in [m for k, m in sys.modules.items() if k.startswith("warpcurv")]:
         for attr, val in list(vars(mod).items()):
             if any(val is f for f in originals):
-                monkeypatch.setattr(mod, attr, guarded(val))
-    assert len(want) == 10
-    for f, out in want.items():
-        assert classify_report(fixture_path(f), seed=7, points=2) == out
+                monkeypatch.setattr(mod, attr, counted(val))
+    checked = 0
+    for f in FIXTURES:
+        _, rep = classify_report(fixture_path(f), seed=7, points=2)
+        checked += not rep["catalog"]["R.S = 0"]["skipped"]
+    assert checked == len(FIXTURES) == 16
+    assert built == []
 
 
 def test_classify_builds_neither_w_nor_p(monkeypatch):

@@ -44,9 +44,16 @@ def test_import_adds_only_warpcurv_modules():
     assert [m for m in added if m != "warpcurv" and not m.startswith("warpcurv.")] == []
 
 
+# the modules of mpmath's libmp that the engine imports: libmpf and
+# libelefun, and what they import; libmp's own __init__ is not run
+_LIBMP = {"warpcurv._libmp", "warpcurv._libmp.backend", "warpcurv._libmp.libintmath",
+          "warpcurv._libmp.libmpf", "warpcurv._libmp.libelefun"}
+
+
 def test_commands_do_not_load_mpmath():
     # every command on every fixture it accepts, in one process: none loads
-    # the mpmath package, whose mpfs only the public mpf-returning API makes
+    # the mpmath package, whose mpfs only the public mpf-returning API makes,
+    # nor a module of libmp beyond the four the engine imports
     code = """if True:
         import contextlib, glob, io, json, os, sys
         import warpcurv.cli as cli
@@ -67,13 +74,15 @@ def test_commands_do_not_load_mpmath():
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)
             loaded = sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")
+            libmp = sorted(m for m in sys.modules if m.startswith("warpcurv._libmp"))
             name = "" if argv[0] == "selftest" else os.path.basename(argv[1])
-            out.append([argv[0], name, code, loaded])
+            out.append([argv[0], name, code, loaded, libmp])
         print(json.dumps(out))
     """
     runs = json.loads(_clean_python(code))
     assert [r for r in runs if r[3]] == []
-    codes = {(cmd, name): code for cmd, name, code, _ in runs}
+    assert [r for r in runs if set(r[4]) != _LIBMP] == []
+    codes = {(cmd, name): code for cmd, name, code, *_ in runs}
     assert len(runs) >= 2 * 16 + 4 + 1
     assert codes[("curvature", "sphere.mf")] == 0
     assert codes[("classify", "ex1_fiber.mf")] == 0

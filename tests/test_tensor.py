@@ -18,7 +18,7 @@ from warpcurv.tensor import (
     Chart, ChartError, TensorField,
     gaussian, is_generalized_curvature, kulkarni_nomizu,
     linear_dependence_check, metric_inverse, orbit_rep, orbit_reps,
-    orbit_size, raise_first, _orbit_field, _orbit_signs,
+    orbit_size, pair_rep, pair_reps, raise_first, _orbit_field, _orbit_signs,
 )
 
 import helpers
@@ -460,6 +460,44 @@ def test_orbit_field_components():
     # flatten reads the signs from a table; comp resolves each tuple itself
     assert all(f is field.comp(t) for f, t in zip(flat, iproduct(range(3), repeat=6)))
     assert list(field.tuples()) == list(orbit_reps(3, 6))
+
+
+@pytest.mark.parametrize("n,count", [(1, 0), (2, 3), (3, 18), (4, 60), (5, 150)])
+def test_pair_reps_partition_the_index_tuples(n, count):
+    # symmetric in the first pair, antisymmetric in the last: a group of
+    # order 4, each orbit with u != v represented by its smallest tuple
+    reps = list(pair_reps(n))
+    assert len(reps) == count == n * (n + 1) // 2 * n * (n - 1) // 2
+    assert reps == sorted(set(reps))
+    syms = [((0, 1, 2, 3), 1), ((1, 0, 2, 3), 1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), -1)]
+    seen = set()
+    for r in reps:
+        orbit = {}
+        for perm, sign in syms:
+            orbit.setdefault(tuple(r[i] for i in perm), sign)
+        assert min(orbit) == r
+        for t, sign in orbit.items():
+            assert pair_rep(t) == (sign, r)
+        seen.update(orbit)
+    for t in iproduct(range(n), repeat=4):
+        assert (t not in seen) == (t[2] == t[3])
+        if t[2] == t[3]:
+            assert pair_rep(t) == (0, None)
+    assert _orbit_signs(n, 4, "pair") == tuple(pair_rep(t) for t in iproduct(range(n), repeat=4))
+
+
+def test_pair_field_components():
+    c = euclid(3)
+    reps = {r: parse(f"x1 + {k}", coords=c.coords) for k, r in enumerate(pair_reps(3))}
+    field = _orbit_field(c, (0, 4), reps, "pair")
+    r = (0, 2, 0, 1)
+    assert field.comp(r) is reps[r] and field[(2, 0, 0, 1)] is reps[r]
+    assert field.comp((0, 2, 1, 0)) is field.comp((2, 0, 1, 0)) is ex.neg(reps[r])
+    assert field.comp((1, 1, 2, 2)) is ex.ZERO
+    flat = field.flatten()
+    assert len(flat) == 3 ** 4 and flat[0] is ex.ZERO
+    assert all(f is field.comp(t) for f, t in zip(flat, iproduct(range(3), repeat=4)))
+    assert list(field.tuples()) == list(pair_reps(3)) and field.stored() == list(reps.values())
 
 
 # ---------------------------------------------------------------------------
