@@ -10,22 +10,26 @@ pair (or a symmetric A), the action of an H tagged "curvature" has the 16
 index symmetries of `tensor.orbit_reps`, and the action of an H tagged
 "sym2" is symmetric in its first pair and antisymmetric in its last
 (`tensor.pair_reps`), so `_orbit_table` builds either at one tuple per
-orbit: 126 of 4 096 at n = 4 for H = R, 60 of 256 for H = S.
-cached_derivation and cached_tachibana keep a bundle's own actions that
-way, in the one memo `tensor._cached`; only an H with no such symmetry (P)
-gets the dense builders.
+orbit: 126 of 4 096 at n = 4 for H = R, 60 of 256 for H = S.  That is the
+one storage rule for the actions the engine builds: cached_derivation and
+cached_tachibana keep a bundle's own actions that way, in the one memo
+`tensor._cached`, and `warped._Ctx` builds the base and fiber actions of
+the block formulas so.  Only an H with no such symmetry (P) gets the dense
+builders, and only when a catalog row reads R.P or Q(g,P).
 
 The concircular and projective tensors are R less a multiple of the wedge
 tensor E(A)_ijkl = A_jk g_il - A_ik g_jl of a symmetric A:
 W = R - kappa/(n(n-1)) E(g), where E(g) = G, and P = R - 1/(n-2) E(S).
-The derivation by E(A) is Q(A,.), and D.H is linear in D, so
-cached_derivation builds W.H and P.H from the bundle's R.H, Q(g,H) and
-Q(S,H), component by component, and never W or P themselves:
+The derivation by E(A) is Q(A,.), and D.H is linear in D, so for an H of
+either tag cached_derivation builds W.H and P.H from the bundle's R.H,
+Q(g,H) and Q(S,H), one representative at a time, and never W or P
+themselves:
 
     W.H = R.H - kappa/(n(n-1)) Q(g,H),    P.H = R.H - 1/(n-2) Q(S,H).
 
 `derivation_action(b.W, H)` and `derivation_action(b.P, H)` give the same
-tensors from the dense derivation; the tests use them as the oracle.
+tensors from the dense derivation; the tests use them as the oracle, and
+cached_derivation uses them for W.P and P.P, which no command reads.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import ZERO, PointEval
 from .tensor import (
-    ChartError, TensorField, _cached, _field, _orbit_field, _OrbitField, _table,
-    orbit_reps, pair_reps, raise_first)
+    ChartError, TensorField, _cached, _field, _orbit_field, _table, orbit_reps,
+    pair_reps, raise_first)
 
 
 def _check_pair(D_valence_ok, D, H):
@@ -152,25 +156,24 @@ def _orbit_table(comps_fn, A, H):
 @_cached
 def cached_derivation(b, dname: str, hname: str) -> TensorField:
     """D.H of the bundle's tensors; each D (R, W, C, K, P) is antisymmetric
-    in its first pair.  W.H and P.H are R.H - coef Q(A,H) (module
-    docstring); ChartError below dimension 3, as for W and P."""
-    if dname in ("W", "P"):
-        n = b._need_dim3()
-        if dname == "W":
-            aname, coef = "g", ex.product(ex.const(Fraction(1, n * (n - 1))), b.kappa)
-        else:
-            aname, coef = "S", ex.const(Fraction(1, n - 2))
-        rh = cached_derivation(b, "R", hname)
-        q = cached_tachibana(b, aname, hname)
-        if isinstance(rh, _OrbitField):
-            return _orbit_field(b.chart, rh.valence, {
-                t: ex.sum_products(lead=(v,), negate=((coef, q.reps[t]),))
-                for t, v in rh.reps.items()}, rh.sym)
-        return _field(b.chart, rh.valence, _table(n, rh.rank, lambda *t: ex.sum_products(
-            lead=(rh.comp(t),), negate=((coef, q.comp(t)),))))
-    D, H = getattr(b, dname), getattr(b, hname)
-    return (_orbit_table(derivation_comps, D, H) if H.sym in _ORBIT_TAGS
-            else derivation_action(D, H))
+    in its first pair.  For an H that `_orbit_table` serves, W.H and P.H
+    are R.H - coef Q(A,H) (module docstring); ChartError below dimension 3,
+    as for W and P."""
+    H = getattr(b, hname)
+    if H.sym not in _ORBIT_TAGS:
+        return derivation_action(getattr(b, dname), H)
+    if dname not in ("W", "P"):
+        return _orbit_table(derivation_comps, getattr(b, dname), H)
+    n = b._need_dim3()
+    if dname == "W":
+        aname, coef = "g", ex.product(ex.const(Fraction(1, n * (n - 1))), b.kappa)
+    else:
+        aname, coef = "S", ex.const(Fraction(1, n - 2))
+    rh = cached_derivation(b, "R", hname)
+    q = cached_tachibana(b, aname, hname)
+    return _orbit_field(b.chart, rh.valence, {
+        t: ex.sum_products(lead=(v,), negate=((coef, q.reps[t]),))
+        for t, v in rh.reps.items()}, rh.sym)
 
 
 @_cached

@@ -277,12 +277,13 @@ def pair_admissible(b, point, L1, L2):
 
 
 def einstein_defects(b):
-    """The components of S - (kappa/n) g."""
+    """The components of S - (kappa/n) g at i <= j; the tensor is symmetric,
+    so they stand for all n^2."""
     n = b.chart.n
     coef = ex.product(ex.const(Fraction(1, n)), b.kappa)
     return [ex.sum_products(lead=(b.S.comps[i][j],),
                             negate=((coef, b.chart.metric[i][j]),))
-            for i in range(n) for j in range(n)]
+            for i in range(n) for j in range(i, n)]
 
 
 def einstein_check(b, trials=8, seed=DEFAULT_SEED):

@@ -6,15 +6,16 @@ values) and a per-coordinate sampling box for the randomized zero test.
 
 TensorFields are dense nested component arrays, built row-major by
 `_table`; dense indexing keeps cross-checks against independent loop oracles
-trivial.  The exception is the actions the engine builds for itself on a
+trivial.  The exception is every action the engine builds for itself on a
 curvature-type or a symmetric tensor (`actions._orbit_table`): the catalog
 and fit actions of a bundle and the warped product's block, base and fiber
-ones.  They store one component per orbit of their index symmetry group
-and give the rest by sign: a six-index action of a curvature-type tensor at
-the `orbit_reps` of the curvature group, a four-index action of a symmetric
-one at the `pair_reps`, i <= j and u < v.  Derived data (g^-1 and G of a
-chart, a bundle's tensors and actions, a warped spec's blocks) is built
-once, by the memo `_cached`.
+ones, six-index and four-index alike.  They store one component per orbit
+of their index symmetry group and give the rest by sign: a six-index action
+of a curvature-type tensor at the `orbit_reps` of the curvature group, a
+four-index action of a symmetric one at the `pair_reps`, i <= j and u < v.
+Readers that go through `tuples()` and `stored()` serve either storage.
+Derived data (g^-1 and G of a chart, a bundle's tensors and actions, a
+warped spec's blocks) is built once, by the memo `_cached`.
 """
 
 from __future__ import annotations

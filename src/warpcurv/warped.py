@@ -21,8 +21,12 @@ at one index tuple per orbit of those symmetries (`tensor.orbit_reps`); the
 other components follow by sign.  Conditions (I)-(III) read these assembled
 entries, judged at one tuple per orbit wherever a block keeps the
 symmetries.  The curvature tensor's blocks (`_entry4`) are likewise stored
-per rank-4 orbit, and the base and fiber six-index actions the blocks read
-at their orbit representatives.
+per rank-4 orbit.  The base and fiber actions the blocks read follow the
+same rule (`actions._orbit_table`): those on R and G at `orbit_reps`, those
+on the symmetric T and S_F at `tensor.pair_reps` (i <= j, u < v), where the
+corollary and condition (IV)'s fiber factor judge them.  Base flatness is
+judged at `orbit_reps(p, 4)`, and the symmetric rank-2 defects (L2 T,
+T - L1 g, S_F - (kappa_F/q) g_F) at i <= j.
 
 Index bookkeeping: product coordinates are the base coordinates followed by
 the fiber coordinates renamed x{p+1}..x{n}.  Reports carry both labelings.
@@ -33,8 +37,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from . import expr as ex
-from .actions import (
-    _orbit_table, derivation_action, derivation_comps, tachibana, tachibana_comps)
+from .actions import _orbit_table, derivation_comps, tachibana_comps
 from .conditions import einstein_defects
 from .curvature import bundle, covariant_hessian
 from .expr import DEFAULT_SEED, DomainError, PointEval, fzero
@@ -167,9 +170,9 @@ class _Ctx:
     """Bundles plus every base/fiber tensor the block formulas use.
 
     `_entry6` and `_entry4` read it at product orbit representatives only.
-    The six-index actions are read at base or fiber orbit representatives,
-    so they are built there (`actions._orbit_table`); the four-index ones
-    are dense.
+    Every action in it is built by `actions._orbit_table` at its orbit
+    representatives (module docstring); the four-index ones are read
+    through `comp`, `tuples()` and `stored()`, which serve any storage.
     """
 
     def __init__(self, spec, aux):
@@ -188,13 +191,13 @@ class _Ctx:
         self.RRb = _orbit_table(derivation_comps, bb.R, bb.R)
         self.QgRb = _orbit_table(tachibana_comps, bb.g, bb.R)
         self.QSRhat = _orbit_table(tachibana_comps, ShatF, bb.R)
-        self.RTb = derivation_action(bb.R, aux.T)
-        self.QgTb = tachibana(bb.g, aux.T)
-        self.QSTb = tachibana(bb.S, aux.T)
+        self.RTb = _orbit_table(derivation_comps, bb.R, aux.T)
+        self.QgTb = _orbit_table(tachibana_comps, bb.g, aux.T)
+        self.QSTb = _orbit_table(tachibana_comps, bb.S, aux.T)
         self.RRf = _orbit_table(derivation_comps, fb.R, fb.R)
         self.QgRf = _orbit_table(tachibana_comps, fb.g, fb.R)
         self.QSRf = _orbit_table(tachibana_comps, fb.S, fb.R)
-        self.QgSf = tachibana(fb.g, fb.S)
+        self.QgSf = _orbit_table(tachibana_comps, fb.g, fb.S)
         self.Gf = gaussian(spec.fiber)
         self.QSGf = _orbit_table(tachibana_comps, fb.S, self.Gf)
         fD = ex.product(spec.f, aux.Delta)
@@ -461,9 +464,8 @@ class Conditions(Defects):
         # product of a base factor and a fiber factor vanishes iff one factor
         # does; the factors report no witness
         self.add("IV_base_factor_zero", "base",
-                 [ex.product(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)])
-        self.add("IV_fiber_factor_zero", "fiber",
-                 [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)])
+                 [ex.product(L2, aux.T.comps[a][b]) for a in range(p) for b in range(a, p)])
+        self.add("IV_fiber_factor_zero", "fiber", c.QgSf.stored())
 
         c1 = ex.sum_products(((f, ex.sub(L1, aux.Delta)),), negate=((L2, aux.Omega),))
         c2 = ex.product(L2, f, aux.Delta)
@@ -478,11 +480,14 @@ class Conditions(Defects):
         self.add("V", "product", [ex.sub(c.RRf.reps[t], fiber_rhs(t)) for t in tup],
                  [tuple(i + p for i in t) for t in tup])
 
-        tup = list(iproduct(range(p), repeat=4))
+        # the three tables share their H = T, hence their stored tuples; the
+        # first failing one is the dense loop's, as each stored tuple is the
+        # lexicographically smallest of its orbit
         self.add("corollary_ii", "base",
-                 [ex.sub(c.RTb.comp(t), ex.sum_products(((L1, c.QgTb.comp(t)),
-                                                         (L2, c.QSTb.comp(t)))))
-                  for t in tup], tup)
+                 [ex.sub(rt, ex.sum_products(((L1, qgt), (L2, qst))))
+                  for rt, qgt, qst in zip(c.RTb.stored(), c.QgTb.stored(),
+                                          c.QSTb.stored())],
+                 list(c.RTb.tuples()))
 
     def result(self):
         out, witnesses = self.verdicts()
@@ -504,18 +509,14 @@ class Trichotomy:
 
     def __init__(self, spec, L1):
         aux = auxiliaries(spec)
-        bb, fb = bundle(spec.base), bundle(spec.fiber)
-        p, q = spec.p, spec.q
-        kq = ex.div(fb.kappa, ex.const(q))
+        R, p = bundle(spec.base).R, spec.p
         self._sets = {
             "T_matches": [ex.sum_products(lead=(aux.T.comps[a][b],),
                                           negate=((L1, spec.base.metric[a][b]),))
-                          for a in range(p) for b in range(p)],
-            "fiber_einstein": [ex.sum_products(lead=(fb.S.comps[al][be],),
-                                               negate=((kq, spec.fiber.metric[al][be]),))
-                               for al in range(q) for be in range(q)],
-            "base_flat": [e for t in iproduct(range(p), repeat=4)
-                          for e in [bb.R.comp(t)] if e is not ex.ZERO],
+                          for a in range(p) for b in range(a, p)],
+            "fiber_einstein": einstein_defects(bundle(spec.fiber)),
+            "base_flat": [e for t in orbit_reps(p, 4)
+                          for e in [R.comp(t)] if e is not ex.ZERO],
         }
         self._records = []
         self.visitors = [("product", self)]
@@ -564,7 +565,7 @@ class Dichotomy(Defects):
         self._l2_zero = []      # (point, whether L2 is zero) at valid points
         self.visitors.append(("base", self))
         self.add("base_flat", "base", [bundle(spec.base).R.comp(t)
-                                       for t in iproduct(range(spec.p), repeat=4)])
+                                       for t in orbit_reps(spec.p, 4)])
         self.add("fiber_einstein", "fiber", einstein_defects(bundle(spec.fiber)))
 
     def visit(self, pe):

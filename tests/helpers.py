@@ -820,30 +820,36 @@ def expected_array(n, rank, generators, parse_fn):
 
 
 # ---------------------------------------------------------------------------
-# Dense base and fiber six-index actions, built with the dense builders over
-# every index tuple: the tables `warped._Ctx` keeps at orbit representatives.
+# Dense base and fiber actions, built with the dense builders over every
+# index tuple: the tables `warped._Ctx` keeps at orbit representatives.
 
 def dense_block_tables(spec):
-    """{name: dense TensorField} for the rank-6 tables of the block formulas."""
+    """{name: dense TensorField} for the rank-6 and rank-4 actions of the
+    block formulas, the corollary and condition (IV)."""
     from warpcurv.actions import derivation_action, tachibana
     from warpcurv.curvature import bundle
     from warpcurv.tensor import TensorField, gaussian
     from warpcurv.warped import auxiliaries
 
-    T = auxiliaries(spec).T.comps
+    T = auxiliaries(spec).T
     bb, fb = bundle(spec.base), bundle(spec.fiber)
     p = spec.p
     shat = TensorField(spec.base, (0, 2),
-                       [[ex.add(bb.S.comps[a][c], ex.mul(ex.const(spec.q), T[a][c]))
+                       [[ex.add(bb.S.comps[a][c], ex.mul(ex.const(spec.q), T.comps[a][c]))
                          for c in range(p)] for a in range(p)], sym="sym2")
+    gb, gf = spec.base.metric_field(), spec.fiber.metric_field()
     return {
         "RRb": derivation_action(bb.R, bb.R),
-        "QgRb": tachibana(spec.base.metric_field(), bb.R),
+        "QgRb": tachibana(gb, bb.R),
         "QSRhat": tachibana(shat, bb.R),
         "RRf": derivation_action(fb.R, fb.R),
-        "QgRf": tachibana(spec.fiber.metric_field(), fb.R),
+        "QgRf": tachibana(gf, fb.R),
         "QSRf": tachibana(fb.S, fb.R),
         "QSGf": tachibana(fb.S, gaussian(spec.fiber)),
+        "RTb": derivation_action(bb.R, T),
+        "QgTb": tachibana(gb, T),
+        "QSTb": tachibana(bb.S, T),
+        "QgSf": tachibana(gf, fb.S),
     }
 
 
@@ -858,7 +864,6 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
     L1 = w._base_scalar(spec, L1, "L1")
     L2 = w._base_scalar(spec, L2, "L2")
     aux = w.auxiliaries(spec)
-    c = w._ctx(spec)
     d = dense_block_tables(spec)
     acts = w.block_actions(spec)
     prod = w.assemble_product(spec)
@@ -898,7 +903,7 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
         [ex.mul(L2, aux.T.comps[a][b]) for a in range(p) for b in range(p)],
         trials=trials, seed=seed))
     fiber_zero = all(spec.fiber.is_zero_many(
-        [c.QgSf.comp(t) for t in iproduct(range(q), repeat=4)],
+        [d["QgSf"].comp(t) for t in iproduct(range(q), repeat=4)],
         trials=trials, seed=seed))
     out["IV"] = base_zero or fiber_zero
     out["IV_base_factor_zero"] = base_zero
@@ -913,8 +918,8 @@ def dense_verify_conditions(spec, L1, L2, trials=8, seed=ex.DEFAULT_SEED):
                          ex.mul(c2, d["QSGf"].comp(t)))) for t in tup])
     tup = list(iproduct(range(p), repeat=4))
     judge("corollary_ii", spec.base, tup,
-          [ex.sub(c.RTb.comp(t), ex.add(ex.mul(L1, c.QgTb.comp(t)),
-                                        ex.mul(L2, c.QSTb.comp(t))))
+          [ex.sub(d["RTb"].comp(t), ex.add(ex.mul(L1, d["QgTb"].comp(t)),
+                                           ex.mul(L2, d["QSTb"].comp(t))))
            for t in tup])
     out["failed"] = [k for k in w.CONDITION_NAMES if not out[k]]
     out["all_hold"] = not out["failed"]

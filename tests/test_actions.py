@@ -242,6 +242,18 @@ def test_bundle_pair_actions_match_dense(name):
             assert len(list(field.tuples())) == n ** field.rank
 
 
+def test_bundle_w_and_p_actions_on_p_are_the_dense_derivations():
+    # P has neither the curvature nor the pair symmetry, so W.P and P.P,
+    # which no command reads, are the dense derivations by W and P
+    from warpcurv.cli import _scaffold, fixture_path, load_manifest
+    c, _, _ = _scaffold(load_manifest(fixture_path("sphere.mf")), 7, 8)
+    b = bundle(c)
+    for dname in ("W", "P"):
+        got = cached_derivation(b, dname, "P").flatten()
+        want = derivation_action(getattr(b, dname), b.P).flatten()
+        assert len(got) == 3 ** 6 and all(x is y for x, y in zip(got, want, strict=True))
+
+
 def test_dense_actions_on_s_have_the_pair_symmetry():
     # on a polynomial chart every component is rational: each dense
     # component is, exactly, its representative's times the sign of

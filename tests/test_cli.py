@@ -675,6 +675,30 @@ def test_warped_verify_json_bytes_pinned(tmp_path, capsys, name, points):
     assert digest == WARPED_JSON_SHA256[(name, points)]
 
 
+# sha256 of `warped-verify --json` at seed 7 with candidates that give a
+# corollary witness (cf, fs), a false (IV) fiber factor (ex1), and dichotomy
+# and trichotomy records: fixed while the corollary, (IV) and the base
+# flatness checks still went over every index tuple
+WARPED_CANDIDATE_JSON_SHA256 = {
+    ("cf_warped.mf", 3, "x1", "1/2"):
+        "93dd528d42aa13991cfcb318e6d4c615dfa737c4e06bcf4197f14810a6a1fdf4",
+    ("fs_warped.mf", 3, "1", "1"):
+        "c036bb2823ac20b6405edebea120bacec760ab80eddcae283d0de41dcc4e3e04",
+    ("ex1_warped.mf", 2, "1", "1"):
+        "605aa9e9d7a6f8db3e55c100d7bbe40340ae2950863f2946b911da91588f086f",
+}
+
+
+@pytest.mark.parametrize("name,points,L1,L2", sorted(WARPED_CANDIDATE_JSON_SHA256))
+def test_warped_verify_candidate_json_bytes_pinned(tmp_path, capsys, name, points,
+                                                   L1, L2):
+    out_file = tmp_path / "r.json"
+    assert main(["warped-verify", fixture_path(name), "--L1", L1, "--L2", L2,
+                 "--points", str(points), "--seed", "7", "--json", str(out_file)]) == 1
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == WARPED_CANDIDATE_JSON_SHA256[(name, points, L1, L2)]
+
+
 @pytest.mark.parametrize("name,points", sorted(WARPED_JSON_SHA256))
 def test_warped_verify_draws_each_chart_once(monkeypatch, name, points):
     # every check of the command shares one sweep per chart: the base, the

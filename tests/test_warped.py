@@ -212,17 +212,32 @@ def test_direct_actions_have_the_orbit_symmetries(ex2_c, fs_spec, cf_spec):
 
 def test_dense_base_and_fiber_tables_have_the_orbit_symmetries(
         ex2_spec, fs_spec, cf_spec):
-    """`_Ctx` keeps these tables at orbit representatives only."""
+    """`_Ctx` keeps these tables at orbit representatives only: the
+    six-index ones at `orbit_reps`, the four-index ones on T and S_F at
+    `pair_reps`, which needs comp(j,i,u,v) = comp(i,j,u,v),
+    comp(i,j,v,u) = -comp(i,j,u,v) and 0 at u = v (the dense Q(A,T) is
+    x - x there, not a literal 0)."""
     syms = helpers.index_symmetries6()[1:]          # all but the identity
+    pair_syms = [(lambda t: (t[1], t[0], t[2], t[3]), 1),
+                 (lambda t: (t[0], t[1], t[3], t[2]), -1)]
+    ranks = []
     for spec in (ex2_spec, fs_spec, cf_spec):
         for name, table in helpers.dense_block_tables(spec).items():
             chart, n = table.chart, table.chart.n
-            diffs = [ex.sub(table.comp(tuple(r[i] for i in perm)),
-                            ex.mul(ex.const(sign), table.comp(r)))
-                     for r in orbit_reps(n, 6) for perm, sign in syms]
-            diffs += [table.comp(t) for t in iproduct(range(n), repeat=6)
-                      if t[0] == t[1] or t[2] == t[3] or t[4] == t[5]]
+            ranks.append(table.rank)
+            if table.rank == 4:
+                diffs = [ex.sub(table.comp(perm(r)), ex.mul(ex.const(sign), table.comp(r)))
+                         for r in tensor.pair_reps(n) for perm, sign in pair_syms]
+                diffs += [table.comp((i, j, u, u))
+                          for i, j, u in iproduct(range(n), repeat=3)]
+            else:
+                diffs = [ex.sub(table.comp(tuple(r[i] for i in perm)),
+                                ex.mul(ex.const(sign), table.comp(r)))
+                         for r in orbit_reps(n, 6) for perm, sign in syms]
+                diffs += [table.comp(t) for t in iproduct(range(n), repeat=6)
+                          if t[0] == t[1] or t[2] == t[3] or t[4] == t[5]]
             assert all(chart.is_zero_many(diffs, trials=3)), (spec.n, name)
+    assert ranks.count(4) == 12 and ranks.count(6) == 21
 
 
 def _count_calls(monkeypatch, name):
@@ -272,7 +287,9 @@ def test_warped_verify_calls_mul_on_no_literal_zero(monkeypatch):
     every builder skips them (`expr.sum_products`, `expr.product`), so no
     mul call of a warped-verify run gets a literal-0 factor.  The totals
     pin the remaining calls; the dense builders made 4 309, 3 772, 4 555
-    and 15 881, of which 24 473 had a literal-0 factor."""
+    and 15 881, of which 24 473 had a literal-0 factor; with the four-index
+    base and fiber actions (R.T, Q(g,T), Q(S,T), Q(g_F,S_F)) dense, the
+    totals were 334, 373, 470 and 2 861."""
     calls = []
     monkeypatch.setattr(ex, "mul", helpers.counting_mul(calls))
     totals = {}
@@ -282,8 +299,8 @@ def test_warped_verify_calls_mul_on_no_literal_zero(monkeypatch):
         cli.warped_verify_report(cli.fixture_path(name), points=points, seed=7)
         assert not any(calls), name
         totals[name] = len(calls)
-    assert totals == {"ex2_warped.mf": 334, "fs_warped.mf": 373,
-                      "cf_warped.mf": 470, "ex1_warped.mf": 2861}
+    assert totals == {"ex2_warped.mf": 329, "fs_warped.mf": 353,
+                      "cf_warped.mf": 392, "ex1_warped.mf": 2776}
 
 
 def test_warped_verify_resolves_oracle_tuples_from_a_table(monkeypatch):
@@ -357,26 +374,32 @@ def test_conditions_read_block_entries_at_sign_plus_one():
 
 
 def test_warped_verify_builds_no_dense_product_action(monkeypatch):
-    """No dense six-index action is built, on the product or on a factor."""
-    runs = (("ex2_warped.mf", 3), ("fs_warped.mf", 3), ("cf_warped.mf", 3),
-            ("ex1_warped.mf", 2))
-    want = [cli.warped_verify_report(cli.fixture_path(name), points=points,
-                                     seed=7) for name, points in runs]
+    """No dense action of any rank is built, on the product or on a factor:
+    every action is built at its orbit representatives.  Run on the roster
+    and on candidates that give a corollary witness, a false (IV) fiber
+    factor, and dichotomy and trichotomy records."""
+    runs = (("ex2_warped.mf", 3, None, None), ("fs_warped.mf", 3, None, None),
+            ("cf_warped.mf", 3, None, None), ("ex1_warped.mf", 2, None, None),
+            ("cf_warped.mf", 3, "x1", "1/2"), ("fs_warped.mf", 3, "1", "1"),
+            ("ex1_warped.mf", 2, "1", "1"))
+
+    def reports():
+        return [cli.warped_verify_report(cli.fixture_path(name), L1=L1, L2=L2,
+                                         points=points, seed=7)
+                for name, points, L1, L2 in runs]
+
+    want = reports()
     for fn in ("derivation_action", "tachibana"):
         orig = getattr(actions, fn)
 
-        def guarded(A, H, orig=orig):
-            if H.rank == 4:
-                raise AssertionError(f"dense rank-6 action on {A.chart.coords}")
-            return orig(A, H)
+        def guarded(A, H, fn=fn):
+            raise AssertionError(f"dense {fn} of a rank-{H.rank} H on {A.chart.coords}")
 
         for mod in (actions, warped, cli, conditions):
             for attr, val in list(vars(mod).items()):
                 if val is orig:
                     monkeypatch.setattr(mod, attr, guarded)
-    got = [cli.warped_verify_report(cli.fixture_path(name), points=points,
-                                    seed=7) for name, points in runs]
-    assert got == want
+    assert reports() == want
 
 
 def test_warped_verify_validates_each_chart_once(monkeypatch):
