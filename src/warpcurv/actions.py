@@ -91,6 +91,8 @@ def _tachibana_fn(A, H):
     def comp(*t):
         # one index list per component, as in `_derivation_fn`
         *j, u, v = t
+        if u == v:
+            return ZERO     # the action is antisymmetric in (u, v)
         terms = []
         for m, im in enumerate(t[:-2]):
             au = a[u][im]

@@ -24,7 +24,6 @@ included.  Exit codes: 0 pass, 1 verdict failure, 2 input error.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
@@ -836,79 +835,137 @@ def write_json(rep, fh):
     _write_pieces(_json_pieces(rep, [], {}) + ["\n"], fh)
 
 
-def _json_arg(sp):
-    sp.add_argument("--json", default=None, metavar="OUT",
-                    help="also write the report as JSON to OUT")
-
-
 def _point_count(text):
     k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {k}")
-    if k > ex.MAX_POINTS:
-        # the sample list is built whole, before any point is evaluated
-        raise argparse.ArgumentTypeError(
-            f"must be at most {ex.MAX_POINTS} (MAX_POINTS), got {k}")
-    return k
+    if 1 <= k <= ex.MAX_POINTS:
+        return k
+    # the sample list is built whole, before any point is evaluated; the
+    # count is refused through argparse, which reports it
+    import argparse
+    raise argparse.ArgumentTypeError(
+        f"must be at least 1, got {k}" if k < 1
+        else f"must be at most {ex.MAX_POINTS} (MAX_POINTS), got {k}")
 
 
-def _common_args(sp):
-    sp.add_argument("--seed", type=int, default=None,
-                    help="sampling seed (overrides the manifest)")
-    sp.add_argument("--points", type=_point_count, default=8,
-                    help="number of sample points per zero test "
-                         f"(1 to {ex.MAX_POINTS})")
-    _json_arg(sp)
+# The command-line grammar, written once: for each command, whether it takes
+# a manifest, then its options in order as (flag, converter, default,
+# argparse keywords).  `_read_plain` reads plain command lines from it, and
+# `_parser` builds argparse from it for every other line.
+_JSON = ("--json", None, None,
+         {"metavar": "OUT", "help": "also write the report as JSON to OUT"})
+_REPORT_OPTIONS = (
+    ("--seed", int, None, {"help": "sampling seed (overrides the manifest)"}),
+    ("--points", _point_count, 8,
+     {"help": f"number of sample points per zero test (1 to {ex.MAX_POINTS})"}),
+    _JSON)
+_COMMANDS = {
+    "curvature": (True, _REPORT_OPTIONS),
+    "classify": (True, _REPORT_OPTIONS),
+    "warped-verify": (True, (
+        ("--L1", None, None, {"help": "candidate L1 (overrides the manifest)"}),
+        ("--L2", None, None, {"help": "candidate L2 (overrides the manifest)"}),
+        *_REPORT_OPTIONS)),
+    "selftest": (False, (("--seed", int, None, {}), _JSON)),
+}
+
+
+def _plain(word):
+    return word != "" and word[0] != "-"
+
+
+def _read_plain(argv):
+    """The arguments of a plain command line, CMD [MANIFEST] (--opt VALUE)*
+    with each option at most once and no word empty or starting with '-',
+    as the dict `vars(_parser().parse_args(argv))` gives; None for any
+    other line, or when a converter refuses a value, so that argparse alone
+    writes help, usage and errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    takes_manifest, options = _COMMANDS[argv[0]]
+    args = {"cmd": argv[0]}
+    if takes_manifest:
+        if len(argv) < 2 or not _plain(argv[1]):
+            return None
+        args["manifest"] = argv[1]
+    words = argv[1 + takes_manifest:]
+    given = dict(zip(words[::2], words[1::2]))
+    if len(words) % 2 or 2 * len(given) < len(words):
+        return None
+    for flag, convert, default, _ in options:
+        text = given.pop(flag, None)
+        if text is None:
+            args[flag[2:]] = default
+        elif not _plain(text):
+            return None
+        elif convert is None:
+            args[flag[2:]] = text
+        else:
+            try:
+                args[flag[2:]] = convert(text)
+            except Exception:       # argparse reports or raises it
+                return None
+    return None if given else args
 
 
 @functools.cache
 def _parser():
-    """The command-line parser, built once per process."""
+    """The argparse parser of `_COMMANDS`, built once per process, on the
+    first command line that `_read_plain` does not read."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="warpcurv",
         description="curvature, classification, and warped-product "
                     "verification for coordinate metrics")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in ("curvature", "classify"):
+    for name, (takes_manifest, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("manifest")
-        _common_args(sp)
-    sp = sub.add_parser("warped-verify")
-    sp.add_argument("manifest")
-    sp.add_argument("--L1", default=None,
-                    help="candidate L1 (overrides the manifest)")
-    sp.add_argument("--L2", default=None,
-                    help="candidate L2 (overrides the manifest)")
-    _common_args(sp)
-    sp = sub.add_parser("selftest")
-    sp.add_argument("--seed", type=int, default=None)
-    _json_arg(sp)
+        if takes_manifest:
+            sp.add_argument("manifest")
+        for flag, convert, default, keywords in options:
+            sp.add_argument(flag, type=convert, default=default, **keywords)
     return ap
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = vars(_parser().parse_args(argv))
+    cmd, seed = args["cmd"], args["seed"]
     try:
-        if args.cmd == "curvature":
-            code, rep = curvature_report(args.manifest, seed=args.seed,
-                                         points=args.points)
-        elif args.cmd == "classify":
-            code, rep = classify_report(args.manifest, seed=args.seed,
-                                        points=args.points)
-        elif args.cmd == "warped-verify":
-            code, rep = warped_verify_report(args.manifest, L1=args.L1,
-                                             L2=args.L2, seed=args.seed,
-                                             points=args.points)
+        if cmd == "curvature":
+            code, rep = curvature_report(args["manifest"], seed=seed,
+                                         points=args["points"])
+        elif cmd == "classify":
+            code, rep = classify_report(args["manifest"], seed=seed,
+                                        points=args["points"])
+        elif cmd == "warped-verify":
+            code, rep = warped_verify_report(args["manifest"], L1=args["L1"],
+                                             L2=args["L2"], seed=seed,
+                                             points=args["points"])
         else:
             code, rep = selftest_report(
-                seed=args.seed if args.seed is not None else DEFAULT_SEED)
+                seed=seed if seed is not None else DEFAULT_SEED)
     except (ManifestError, ChartError, ex.ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    _write_pieces(_render(code, rep), sys.stdout)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # the JSON file is opened before the text report is written, so that
+    # an OUT that cannot be written is an input error that prints no report
+    path, fh = args["json"], None
+    if path is not None:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as err:
+            print(f"error: cannot write {path!r}: {err.strerror}", file=sys.stderr)
+            return 2
+    try:
+        _write_pieces(_render(code, rep), sys.stdout)
+        if fh is not None:
             write_json(rep, fh)
+    finally:
+        if fh is not None:
+            fh.close()
     return code
 
 

@@ -1,6 +1,9 @@
-"""Shared test utilities: random expression trees and symmetry-orbit tables."""
+"""Shared test utilities: random expression trees, symmetry-orbit tables and
+random command lines."""
 
+import contextlib
 import importlib.util
+import io
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -8,6 +11,7 @@ from pathlib import Path
 
 import mpmath
 
+from warpcurv import cli
 from warpcurv import expr as ex
 
 
@@ -1049,3 +1053,61 @@ def perfbench_module(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# ---------------------------------------------------------------------------
+# Command lines for `cli._read_plain`: words of the grammar table, bundled
+# fixtures, values each converter takes or refuses, and words that argparse
+# reads its own way (help, `--`, `--opt=V`, an abbreviation, a negative
+# number, the empty word, spellings int() accepts)
+
+ARGV_COMMANDS = tuple(cli._COMMANDS)
+ARGV_FLAGS = tuple(sorted({flag for _, options in cli._COMMANDS.values()
+                           for flag, *_ in options}))
+ARGV_PATHS = tuple(cli.fixture_path(name)
+                   for name in ("sphere.mf", "ex2_warped.mf", "corrupt.mf"))
+ARGV_VALUES = ("3", "7", "0", "x", "x1", "1/2", "100000000000000000000")
+ARGV_JUNK = ("-h", "--", "--points=3", "--poi", "-3", "", "1_0", " 5")
+ARGV_ANY = ARGV_COMMANDS + ARGV_FLAGS + ARGV_PATHS + ARGV_VALUES + ARGV_JUNK
+
+
+def argv_from(cmd, manifest, pairs, edits):
+    """The command line CMD [MANIFEST] (FLAG VALUE)*, the manifest there when
+    the command takes one, with each edit (k, kind, word) applied in turn:
+    kind 0 inserts the word before word k, 1 puts it in place of word k, 2
+    deletes word k (k taken modulo the length)."""
+    words = [cmd, manifest][:1 + cli._COMMANDS[cmd][0]]
+    for flag, value in pairs:
+        words += [flag, value]
+    for k, kind, word in edits:
+        k %= len(words) + 1
+        if kind == 0:
+            words.insert(k, word)
+        elif k < len(words):
+            words[k:k + 1] = [word] if kind == 1 else []
+    return words
+
+
+def random_argv(rng):
+    """A random `argv_from` line: up to four options, mostly the command's
+    own with a value of ARGV_VALUES, and in half of the lines up to three
+    edits."""
+    cmd = rng.choice(ARGV_COMMANDS)
+    own = [flag for flag, *_ in cli._COMMANDS[cmd][1]]
+    pairs = [(rng.choice(own if rng.random() < 0.8 else ARGV_FLAGS),
+              rng.choice(ARGV_VALUES if rng.random() < 0.75 else ARGV_JUNK + ARGV_FLAGS))
+             for _ in range(rng.randrange(5))]
+    edits = [(rng.randrange(12), rng.randrange(3), rng.choice(ARGV_ANY))
+             for _ in range(rng.choice((0, 0, 0, 1, 2, 3)))]
+    return argv_from(cmd, rng.choice(ARGV_PATHS), pairs, edits)
+
+
+def argparse_vars(argv):
+    """`vars()` of the CLI parser's namespace for `argv`, or None where
+    argparse exits (help or an error); what it prints is discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None

@@ -242,6 +242,18 @@ def test_bundle_pair_actions_match_dense(name):
             assert len(list(field.tuples())) == n ** field.rank
 
 
+def test_dense_tachibana_is_literal_zero_at_u_equal_v():
+    # Q(A,H) is antisymmetric in (u, v), so the dense builder gives a literal
+    # 0 at u = v, which the zero test does not sample
+    from warpcurv.cli import _scaffold, fixture_path, load_manifest
+    c, _, _ = _scaffold(load_manifest(fixture_path("aniso3.mf")), 7, 8)
+    b = bundle(c)
+    for field in (cached_tachibana(b, "g", "P"), tachibana(b.S, b.R), tachibana(b.g, b.S)):
+        at_uu = [t for t in _all_idx(3, field.rank) if t[-2] == t[-1]]
+        assert [t for t in at_uu if field.comp(t) is not ex.ZERO] == []
+        assert len(at_uu) == 3 ** (field.rank - 1)
+
+
 def test_bundle_w_and_p_actions_on_p_are_the_dense_derivations():
     # P has neither the curvature nor the pair symmetry, so W.P and P.P,
     # which no command reads, are the dense derivations by W and P

@@ -582,6 +582,74 @@ def test_parser_is_built_once_and_reused(capsys):
     assert main(["curvature", fixture_path("sphere.mf"), "--points", "2"]) == 0
 
 
+def test_plain_reader_agrees_with_argparse():
+    # the reader reads a plain command line without argparse; on every line
+    # it accepts it gives exactly argparse's arguments, values converted
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # values mostly of ARGV_VALUES, flags mostly the command's own
+    values = st.sampled_from(3 * helpers.ARGV_VALUES + helpers.ARGV_JUNK + helpers.ARGV_FLAGS)
+    edits = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 2),
+                               st.sampled_from(helpers.ARGV_ANY)), max_size=2)
+
+    def command_lines(cmd):
+        own = [flag for flag, *_ in cli._COMMANDS[cmd][1]]
+        flags = st.sampled_from(3 * own + list(helpers.ARGV_FLAGS))
+        return st.builds(helpers.argv_from, st.just(cmd), st.sampled_from(helpers.ARGV_PATHS),
+                         st.lists(st.tuples(flags, values), max_size=4), edits)
+
+    lines = st.sampled_from(helpers.ARGV_COMMANDS).flatmap(command_lines)
+    accepted = []
+
+    @hyp.settings(max_examples=400, derandomize=True, deadline=None)
+    @hyp.given(lines)
+    def check(argv):
+        got = cli._read_plain(argv)
+        if got is not None:
+            assert got == helpers.argparse_vars(argv), argv
+            accepted.append(argv)
+
+    check()
+    assert len(accepted) >= 40
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "m.mf"],
+    ["classify", "m.mf", "--points", "1_0", "--seed", " -5", "--json", "r.json"],
+    ["warped-verify", "m.mf", "--L2", "1/2", "--L1", "x1", "--points", "3"],
+    ["selftest", "--seed", "7"],
+])
+def test_plain_reader_reads_each_command(argv):
+    got = cli._read_plain(argv)
+    assert got is not None and got == helpers.argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["classify"], ["classify", ""], ["classify", "-h"],
+    ["classify", "m.mf", "--points=3"], ["classify", "m.mf", "--poi", "3"],
+    ["classify", "m.mf", "--points", "0"], ["classify", "m.mf", "--points", "-3"],
+    ["classify", "m.mf", "--seed", "1", "--seed", "2"], ["classify", "--seed", "1", "m.mf"],
+    ["classify", "m.mf", "--json", ""], ["classify", "m.mf", "--", "x"],
+    ["classify", "m.mf", "--L1", "x1"], ["selftest", "m.mf"], ["classify", "m.mf", "extra"],
+])
+def test_plain_reader_hands_other_lines_to_argparse(argv):
+    assert cli._read_plain(argv) is None
+
+
+@pytest.mark.parametrize("out", ["missing/r.json", "", "."])
+def test_main_unwritable_json_is_input_error(tmp_path, monkeypatch, capsys, out):
+    # an OUT that cannot be opened for writing (a missing directory, the
+    # empty name, a directory) exits 2 before the text report is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["classify", fixture_path("sphere.mf"), "--points", "2",
+                 "--json", out]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"error: cannot write {out!r}: ")
+    assert got.err.count("\n") == 1 and "Traceback" not in got.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
 def test_fit_skips_undefined_points(tmp_path, capsys):
     # (x1 - 1)^(1/2) and its derivatives are undefined on x1 <= 1, about
     # half of the box x1 = 0 .. 2

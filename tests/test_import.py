@@ -16,7 +16,7 @@ from warpcurv.conditions import CatalogRow, ConditionReport
 
 # every module outside the package that warpcurv imports, with the standard
 # modules that mpmath's libmp imports; mpmath itself is not one of them
-_DEPENDENCIES = ("__future__", "argparse", "functools", "io", "json", "os", "sys",
+_DEPENDENCIES = ("__future__", "functools", "io", "json", "os", "sys",
                  "fractions", "math", "random", "weakref", "itertools",
                  "importlib.machinery", "importlib.util", "bisect", "operator")
 
@@ -88,6 +88,33 @@ def test_commands_do_not_load_mpmath():
     assert codes[("classify", "ex1_fiber.mf")] == 0
     assert codes[("warped-verify", "ex2_warped.mf")] == 0
     assert codes[("selftest", "")] == 0
+
+
+def test_plain_commands_build_no_parser():
+    # a plain command line is read without argparse: after plain runs of
+    # the four commands no parser was built, and neither argparse nor the
+    # gettext and locale modules it loads are; the first line argparse must
+    # read (here --points=2) builds the parser
+    code = """if True:
+        import contextlib, io, json, sys
+        import warpcurv.cli as cli
+        fx = cli.fixture_path
+        runs = [["curvature", fx("sphere.mf"), "--points", "2"],
+                ["classify", fx("sphere.mf"), "--seed", "7", "--points", "2"],
+                ["warped-verify", fx("ex2_warped.mf"), "--points", "2", "--L2", "0"],
+                ["selftest", "--seed", "7"],
+                ["curvature", fx("sphere.mf"), "--points=2"]]
+        out = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded = sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
+            out.append([code, cli._parser.cache_info().currsize, loaded])
+        print(json.dumps(out))
+    """
+    runs = json.loads(_clean_python(code))
+    assert runs[:4] == [[0, 0, []]] * 4
+    assert runs[4][:2] == [0, 1] and "argparse" in runs[4][2]
 
 
 def test_import_mpmath_after_the_cli():

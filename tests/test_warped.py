@@ -215,8 +215,7 @@ def test_dense_base_and_fiber_tables_have_the_orbit_symmetries(
     """`_Ctx` keeps these tables at orbit representatives only: the
     six-index ones at `orbit_reps`, the four-index ones on T and S_F at
     `pair_reps`, which needs comp(j,i,u,v) = comp(i,j,u,v),
-    comp(i,j,v,u) = -comp(i,j,u,v) and 0 at u = v (the dense Q(A,T) is
-    x - x there, not a literal 0)."""
+    comp(i,j,v,u) = -comp(i,j,u,v) and 0 at u = v."""
     syms = helpers.index_symmetries6()[1:]          # all but the identity
     pair_syms = [(lambda t: (t[1], t[0], t[2], t[3]), 1),
                  (lambda t: (t[0], t[1], t[3], t[2]), -1)]
